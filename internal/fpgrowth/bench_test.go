@@ -25,6 +25,39 @@ func benchTxns(n, universe, maxLen int) [][]int {
 	return txns
 }
 
+// denseTxns is the multiple-value-submitter shape of ItalySet's Pages of
+// Testimony that benchTxns (uniform-sparse) lacks: each transaction is one
+// of nLists shared item lists of 8-12 items from a small universe (lists
+// overlap, as families share names and places), with up to two items
+// dropped and, one time in three, a stray item added. MFIs are long, many
+// of them share most of their items, and recursion runs as deep as a list.
+func denseTxns(seed int64, n, nLists, universe int) [][]int {
+	rng := rand.New(rand.NewSource(seed))
+	lists := make([][]int, nLists)
+	for i := range lists {
+		lists[i] = rng.Perm(universe)[:8+rng.Intn(5)]
+	}
+	txns := make([][]int, n)
+	for i := range txns {
+		list := lists[rng.Intn(nLists)]
+		seen := map[int]bool{}
+		for _, it := range list {
+			seen[it] = true
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			delete(seen, list[rng.Intn(len(list))])
+		}
+		if rng.Intn(3) == 0 {
+			seen[rng.Intn(universe)] = true
+		}
+		for it := range seen {
+			txns[i] = append(txns[i], it)
+		}
+		sort.Ints(txns[i])
+	}
+	return txns
+}
+
 func BenchmarkTreeBuild(b *testing.B) {
 	txns := benchTxns(2000, 800, 14)
 	m := NewMiner(txns)
@@ -48,6 +81,16 @@ func BenchmarkMineMaximal(b *testing.B) {
 			}
 		})
 	}
+	// The shape whose cost is the MFI store, not tree building.
+	b.Run("dense", func(b *testing.B) {
+		m := NewMiner(denseTxns(29, 600, 100, 48))
+		m.Workers = 1
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.MineMaximal(2, nil)
+		}
+	})
 }
 
 func BenchmarkMineAll(b *testing.B) {

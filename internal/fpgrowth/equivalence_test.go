@@ -103,7 +103,8 @@ func TestMineMaximalRunTwiceDeterminism(t *testing.T) {
 
 // TestMineMaximalParallelMatchesBruteForce anchors the parallel miner to
 // ground truth on small instances: FilterMaximal over the brute-force
-// frequent sets equals the parallel MFI output exactly.
+// frequent sets equals the parallel MFI output exactly — on thirty small
+// random databases, then on one dense one across Workers × Shards.
 func TestMineMaximalParallelMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 30; trial++ {
@@ -136,6 +137,32 @@ func TestMineMaximalParallelMatchesBruteForce(t *testing.T) {
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("trial %d (minsup=%d, txns=%v):\nwant %v\ngot  %v", trial, minsup, txns, want, got)
+		}
+	}
+
+	// The deep-recursion fixture: three overlapping item lists over 13
+	// items, each transaction a list with up to two items missing, give
+	// MFIs of ten and more items, so fpmax recurses well past depth 3 and
+	// every level's focus list is seeded, extended by deeper stores and
+	// queried again. The ground truth here is the quadratic naiveMaximal,
+	// not the store under test.
+	txns := denseTxns(3, 40, 3, 13)
+	for _, minsup := range []int{2, 3} {
+		want := naiveMaximal(bruteForce(txns, minsup))
+		longest := 0
+		for _, s := range want {
+			longest = max(longest, len(s.Items))
+		}
+		if longest < 10 {
+			t.Fatalf("dense minsup=%d: longest MFI has %d items, fixture is not deep", minsup, longest)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			for _, shards := range []int{1, 4} {
+				got := mineWith(t, txns, shards, workers, minsup, nil, true)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("dense minsup=%d workers=%d shards=%d:\nwant %v\ngot  %v", minsup, workers, shards, want, got)
+				}
+			}
 		}
 	}
 }

@@ -62,7 +62,7 @@ type Miner struct {
 	// monolithic tree: each shard's tree holds only the transaction
 	// prefixes its owned items need, so peak tree memory is the largest
 	// shard rather than the whole database. The cross-shard merge
-	// (FilterMaximal over the concatenated shard stores) restores global
+	// (filterMaximal over the concatenated shard stores) restores global
 	// maximality, and the mined MFIs are bit-identical for every shard
 	// count. 0 or 1 mines the single global tree.
 	Shards int

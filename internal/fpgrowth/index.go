@@ -45,7 +45,7 @@ func (m *Miner) BuildIndex() *Index {
 	arena := make([]int, 0, total(counts))
 	for it, c := range counts {
 		if c > 0 {
-			idx.postings[it] = arena[len(arena):len(arena):len(arena)+c]
+			idx.postings[it] = arena[len(arena) : len(arena) : len(arena)+c]
 			arena = arena[:len(arena)+c]
 		}
 	}

@@ -34,8 +34,9 @@ import (
 // that owns r(X), with its exact global (active-set) support. An itemset
 // maximal within its shard may still be subsumed by a superset mined in
 // another shard — its store never saw the superset — which is precisely
-// the redundancy the cross-shard FilterMaximal sweep removes (the same
-// sweep that already reconciles worker-local stores). Both paths reduce
+// the redundancy the cross-shard filterMaximal sweep removes (the same
+// sweep, through the same mfiStore type the miners fill, that already
+// reconciles worker-local stores). Both paths reduce
 // to the true MFI set with exact supports under the same canonical sort:
 // bit-identical.
 func (m *Miner) mineMaximalSharded(minsup int, active []int, freq []int) []Itemset {
@@ -50,7 +51,7 @@ func (m *Miner) mineMaximalSharded(minsup int, active []int, freq []int) []Items
 	defer msp.End()
 
 	bounds := shardBounds(counts, order, totalOcc, m.Shards)
-	var sets []Itemset
+	var sets []rankSet
 	for s := 0; s+1 < len(bounds); s++ {
 		lo, hi := bounds[s], bounds[s+1]
 		if lo == hi {
@@ -74,7 +75,7 @@ func (m *Miner) mineMaximalSharded(minsup int, active []int, freq []int) []Items
 	}
 	m.Metrics.Gauge("fpgrowth_mine_shards").Set(float64(m.Shards))
 
-	out := m.finishMaximal(msp, sets, t1)
+	out := m.finishMaximal(msp, sets, order, t1)
 	if m.SelfVerify {
 		m.verifySupports(out, active)
 	}

@@ -26,8 +26,10 @@ type flatTree struct {
 	cnt     []int   // rank -> total support of the item in this tree
 	rootkid []int32 // rank -> the root's child holding the rank; -1 when absent
 
-	// ranks lists the ranks present in this tree (cnt > 0), in first-touch
-	// order. It bounds reset to the dirty entries instead of O(R).
+	// ranks lists the ranks present in this tree (cnt > 0). It bounds reset
+	// to the dirty entries instead of O(R). Insertion appends in first-touch
+	// order; maximal mining sorts a finished conditional tree's list
+	// ascending in place (mineItem).
 	ranks []int32
 }
 
@@ -157,7 +159,9 @@ type mineCtx struct {
 	minsup int
 	store  *mfiStore
 
-	suffix  []int   // current itemset prefix (original item ids), stack-like
+	// suffix is Mine's current itemset prefix (original item ids),
+	// stack-like; maximal mining keeps its suffix in the store instead.
+	suffix  []int
 	condCnt []int   // rank-indexed conditional counts, cleared via touched
 	touched []int32 // ranks dirtied in condCnt during one conditional build
 	path    []int32 // one prefix path being inserted
@@ -166,11 +170,12 @@ type mineCtx struct {
 	pool    []*flatTree
 }
 
-// levelScratch holds the per-recursion-depth buffers that must survive the
-// recursive calls made while iterating one tree level.
+// levelScratch holds the per-recursion-depth buffer that must survive the
+// recursive calls Mine makes while iterating one tree level. Maximal
+// mining needs none: it walks the tree's own sorted rank list, and its
+// per-level focus lists live in the store.
 type levelScratch struct {
 	items []int32
-	cand  []int
 }
 
 func newMineCtx(order []int, minsup int) *mineCtx {

@@ -58,7 +58,7 @@ type Result struct {
 // IterationStats captures one minsup level of Algorithm 1.
 type IterationStats struct {
 	MinSup     int
-	Active     int     // uncovered records the MFIs were mined over
+	Active     int // uncovered records the MFIs were mined over
 	MFIs       int
 	Blocks     int     // blocks surviving all filters
 	CSPruned   int     // blocks dropped by the compact-set size cap

@@ -117,10 +117,10 @@ func FuzzKernelEquivalence(f *testing.F) {
 		f.Add(n, n, 2)
 		f.Add(n, names.Corrupt(rng, n), 2)
 	}
-	f.Add("##a", "a##", 2)          // padding runes inside values
-	f.Add("héllo", "hèllo", 3)      // multi-byte runes
-	f.Add("a", "b", 1)              // single-rune window edge
-	f.Add("ab", "ba", 2)            // transposition
+	f.Add("##a", "a##", 2)     // padding runes inside values
+	f.Add("héllo", "hèllo", 3) // multi-byte runes
+	f.Add("a", "b", 1)         // single-rune window edge
+	f.Add("ab", "ba", 2)       // transposition
 	f.Add("Mandelbaum", "Mandelboim", 4)
 	f.Fuzz(func(t *testing.T, a, b string, q int) {
 		if q < 1 {

@@ -271,8 +271,8 @@ func (h mergeHeap) Less(i, j int) bool {
 	}
 	return h[i].cur.B < h[j].cur.B
 }
-func (h mergeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(*runSource)) }
+func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*runSource)) }
 func (h *mergeHeap) Pop() any {
 	old := *h
 	n := len(old)

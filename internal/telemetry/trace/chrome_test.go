@@ -23,13 +23,13 @@ func mustJSON(t *testing.T, v any) string {
 // decode exports back into.
 type chromeFile struct {
 	TraceEvents []struct {
-		Name string           `json:"name"`
-		Ph   string           `json:"ph"`
-		Ts   float64          `json:"ts"`
-		Dur  float64          `json:"dur"`
-		Pid  int              `json:"pid"`
-		Tid  int              `json:"tid"`
-		Args json.RawMessage  `json:"args"`
+		Name string          `json:"name"`
+		Ph   string          `json:"ph"`
+		Ts   float64         `json:"ts"`
+		Dur  float64         `json:"dur"`
+		Pid  int             `json:"pid"`
+		Tid  int             `json:"tid"`
+		Args json.RawMessage `json:"args"`
 	} `json:"traceEvents"`
 	DisplayTimeUnit string `json:"displayTimeUnit"`
 }

@@ -71,7 +71,7 @@ func TestProgressETAClampsAtZero(t *testing.T) {
 	p := &Progress{W: &buf, Interval: time.Hour}
 	p.Start()
 	p.Stage("blocking", 100)
-	p.Add(150) // done > total
+	p.Add(150)                        // done > total
 	time.Sleep(10 * time.Millisecond) // non-zero elapsed so the rate term prints
 	p.Stop()
 	out := buf.String()

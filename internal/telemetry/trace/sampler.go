@@ -166,14 +166,14 @@ func (s *Sampler) Samples() []Sample {
 // SamplerSummary condenses the flight recorder for the run report:
 // sample accounting plus peak and median of the memory series.
 type SamplerSummary struct {
-	IntervalNS     int64 `json:"interval_ns"`
-	Samples        int64 `json:"samples"`
-	Retained       int   `json:"retained"`
-	PeakHeapBytes  int64 `json:"peak_heap_bytes"`
-	P50HeapBytes   int64 `json:"p50_heap_bytes"`
+	IntervalNS    int64 `json:"interval_ns"`
+	Samples       int64 `json:"samples"`
+	Retained      int   `json:"retained"`
+	PeakHeapBytes int64 `json:"peak_heap_bytes"`
+	P50HeapBytes  int64 `json:"p50_heap_bytes"`
 	// The RSS pair is omitted (not zeroed) when procfs is unavailable.
-	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
-	P50RSSBytes  int64 `json:"p50_rss_bytes,omitempty"`
+	PeakRSSBytes   int64 `json:"peak_rss_bytes,omitempty"`
+	P50RSSBytes    int64 `json:"p50_rss_bytes,omitempty"`
 	PeakGoroutines int64 `json:"peak_goroutines"`
 	GCPauseNS      int64 `json:"gc_pause_total_ns"`
 	GCCycles       int64 `json:"gc_cycles"`
