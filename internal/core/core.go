@@ -163,10 +163,13 @@ type Resolution struct {
 	model    *adtree.Model
 	profiles *features.ProfileCache
 
-	// clusterMu guards clusterCache, the per-certainty memo of Clusters —
-	// repeated server queries at the same threshold skip the union-find.
-	clusterMu    sync.Mutex
-	clusterCache map[float64][]*Entity
+	// memo and queryOnce/queryIdx belong to the query layer (entity.go,
+	// search.go): the partitions computed so far, and the record order,
+	// match endpoints and name index every partition and Search read.
+	// Both are filled by queries only.
+	memo      clusterMemo
+	queryOnce sync.Once
+	queryIdx  *queryIndex
 
 	// pairOnce/pairIdx lazily index Matches by pair for ScorePair when
 	// candidate pairs were spilled to disk and Blocking.PairScores was

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -174,8 +175,10 @@ func TestAtCertaintyNaNSafe(t *testing.T) {
 	}
 }
 
-// TestClustersMemoized checks the per-certainty memo returns the same
-// (cached) slice across calls and distinct results across thresholds.
+// TestClustersMemoized checks the memo's contract: repeated calls return
+// equal content, the key is the number of accepted matches — so two
+// certainties between the same adjacent scores share one entry — and NaN
+// is the empty prefix, memoized like any other.
 func TestClustersMemoized(t *testing.T) {
 	fx := newFixture(t, 200)
 	opts := Options{Blocking: mfiblocks.NewConfig(), Geo: fx.gen.Gaz, Preprocess: true, Gazetteer: fx.gen.Gaz}
@@ -183,19 +186,45 @@ func TestClustersMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := res.Clusters(0.3)
-	b := res.Clusters(0.3)
-	if len(a) != len(b) {
-		t.Fatalf("memoized Clusters sizes differ: %d vs %d", len(a), len(b))
+	// Two distinct adjacent scores, and two certainties strictly between.
+	k := 1
+	for k < len(res.Matches) && res.Matches[k].Score == res.Matches[k-1].Score {
+		k++
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("memoized Clusters returned different entities")
-		}
+	if k == len(res.Matches) {
+		t.Skip("all match scores are equal")
 	}
-	// NaN thresholds must not poison the cache and resolve to singletons.
+	hi, lo := res.Matches[k-1].Score, res.Matches[k].Score
+	t1, t2 := lo+(hi-lo)/3, lo+2*(hi-lo)/3
+	if !(lo < t1 && t1 < t2 && t2 < hi) {
+		t.Skipf("no room between adjacent scores %v and %v", lo, hi)
+	}
+
+	a := res.Clusters(t1)
+	if got := res.ClusterMemoStats(); got != (MemoStats{Hits: 0, Misses: 1, Entries: 1}) {
+		t.Fatalf("after the first call: %+v", got)
+	}
+	if b := res.Clusters(t1); !reflect.DeepEqual(a, b) {
+		t.Fatal("memoized Clusters returned different content")
+	}
+	if c := res.Clusters(t2); !reflect.DeepEqual(a, c) {
+		t.Fatal("certainties between the same adjacent scores cluster differently")
+	}
+	if got := res.ClusterMemoStats(); got != (MemoStats{Hits: 2, Misses: 1, Entries: 1}) {
+		t.Fatalf("two certainties in one score gap must share an entry: %+v", got)
+	}
+	if d := res.Clusters(lo); reflect.DeepEqual(a, d) {
+		t.Fatal("accepting one more match did not change the clustering")
+	}
+
+	// NaN accepts nothing: singletons, under the same key as any certainty
+	// above the best score.
 	ents := res.Clusters(math.NaN())
 	if len(ents) != fx.gen.Collection.Len() {
 		t.Fatalf("Clusters(NaN) = %d entities, want %d singletons", len(ents), fx.gen.Collection.Len())
+	}
+	res.Clusters(math.Inf(1))
+	if got := res.ClusterMemoStats(); got != (MemoStats{Hits: 3, Misses: 3, Entries: 3}) {
+		t.Fatalf("NaN and +Inf must share the empty-prefix entry: %+v", got)
 	}
 }

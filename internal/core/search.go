@@ -1,10 +1,9 @@
 package core
 
 import (
-	"strings"
+	"slices"
 
 	"repro/internal/names"
-	"repro/internal/record"
 )
 
 // Query is a relative-search request, the paper's motivating Web use case:
@@ -22,6 +21,8 @@ type Query struct {
 	// reports per entity (fewer, richer results), higher values split
 	// them (more, smaller results).
 	Certainty float64
+	// Limit caps the number of entities returned; zero returns them all.
+	Limit int
 }
 
 // Search resolves the collection at the query's certainty and returns the
@@ -31,34 +32,58 @@ type Query struct {
 // equivalence classes absorb the registered variants — the paper's point
 // that a simple "first name = Guido AND last name = Foa" query misses the
 // "Foy" record.
+//
+// An entity matches when some member report carries a matching first name
+// and some member report a matching last name. Both are read off the name
+// index, so the cost follows the reports carrying the names and the
+// entities returned, not the collection.
 func (r *Resolution) Search(q Query) []*Entity {
-	var out []*Entity
-	for _, e := range r.Clusters(q.Certainty) {
-		if entityMatches(e, q) {
-			out = append(out, e)
+	p := r.partition(q.Certainty)
+	ix := r.queryIndex()
+	var hits []int32 // matching entities, ascending
+	switch {
+	case q.First == "" && q.Last == "":
+		hits = make([]int32, p.entities())
+		for e := range hits {
+			hits[e] = int32(e)
 		}
+	case q.Last == "":
+		hits = p.carrying(ix.first, names.ClassKeys(q.First))
+	case q.First == "":
+		hits = p.carrying(ix.last, []string{names.FoldKey(q.Last)})
+	default:
+		hits = p.carrying(ix.first, names.ClassKeys(q.First))
+		withLast := p.carrying(ix.last, []string{names.FoldKey(q.Last)})
+		both := hits[:0]
+		for _, e := range hits {
+			if _, ok := slices.BinarySearch(withLast, e); ok {
+				both = append(both, e)
+			}
+		}
+		hits = both
+	}
+	if q.Limit > 0 && len(hits) > q.Limit {
+		hits = hits[:q.Limit]
+	}
+	if len(hits) == 0 {
+		return nil
+	}
+	out := make([]*Entity, len(hits))
+	for i, e := range hits {
+		out[i] = r.view(p.of(e))
 	}
 	return out
 }
 
-func entityMatches(e *Entity, q Query) bool {
-	if q.First != "" && !anyNameMatches(e.Values[record.FirstName], q.First, true) {
-		return false
-	}
-	if q.Last != "" && !anyNameMatches(e.Values[record.LastName], q.Last, false) {
-		return false
-	}
-	return true
-}
-
-func anyNameMatches(vs []ValueSupport, query string, useClasses bool) bool {
-	for _, v := range vs {
-		if strings.EqualFold(v.Value, query) {
-			return true
-		}
-		if useClasses && names.SameClass(v.Value, query) {
-			return true
+// carrying returns the entities with a member among the postings of any of
+// the keys, ascending.
+func (p *partition) carrying(postings map[string][]int32, keys []string) []int32 {
+	var out []int32
+	for _, k := range keys {
+		for _, rec := range postings[k] {
+			out = append(out, p.label[rec])
 		}
 	}
-	return false
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -18,17 +18,30 @@ func genSmall(t testing.TB, persons int) *Generated {
 	return g
 }
 
+// TestGenerateDeterministic covers the single-community preset and the
+// six-community one, whose victim lists used to be drawn in map order.
 func TestGenerateDeterministic(t *testing.T) {
-	a, b := genSmall(t, 300), genSmall(t, 300)
-	if len(a.Records) != len(b.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(a.Records), len(b.Records))
-	}
-	for i := range a.Records {
-		if a.Records[i].String() != b.Records[i].String() {
-			t.Fatalf("record %d differs:\n%s\n%s", i, a.Records[i], b.Records[i])
+	italy := ItalyConfig()
+	italy.Persons = 300
+	for _, cfg := range []Config{italy, RandomSetConfig(300)} {
+		a, err := Generate(cfg)
+		if err != nil {
+			t.Fatalf("Generate: %v", err)
 		}
-		if a.Records[i].Source != b.Records[i].Source {
-			t.Fatalf("record %d source differs", i)
+		b, err := Generate(cfg)
+		if err != nil {
+			t.Fatalf("Generate: %v", err)
+		}
+		if len(a.Records) != len(b.Records) {
+			t.Fatalf("%d communities: record counts differ: %d vs %d", len(cfg.Communities), len(a.Records), len(b.Records))
+		}
+		for i := range a.Records {
+			if a.Records[i].String() != b.Records[i].String() {
+				t.Fatalf("%d communities: record %d differs:\n%s\n%s", len(cfg.Communities), i, a.Records[i], b.Records[i])
+			}
+			if a.Records[i].Source != b.Records[i].Source {
+				t.Fatalf("%d communities: record %d source differs", len(cfg.Communities), i)
+			}
 		}
 	}
 }

@@ -155,7 +155,15 @@ func makeLists(rng *rand.Rand, cfg Config, persons []*Person) map[gazetteer.Comm
 	}
 	lists := make(map[gazetteer.Community][]*victimList)
 	seq := 0
-	for comm, count := range perComm {
+	// In config order, not map order: the loop draws from the rng, so the
+	// order decides the corpus.
+	for _, cw := range cfg.Communities {
+		comm := cw.Comm
+		count, ok := perComm[comm]
+		if !ok {
+			continue
+		}
+		delete(perComm, comm) // a community listed twice gets one pool
 		expected := float64(count) * meanReports * (1 - cfg.TestimonyFraction)
 		n := cfg.ListCount
 		if n == 0 {

@@ -11,7 +11,9 @@ package names
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
+	"unicode"
 )
 
 // Gender codes follow the paper's item encoding ("G 0" / "G 1").
@@ -162,27 +164,68 @@ func Canonical(name string) string {
 	return name
 }
 
+// FoldKey maps a name to a key that is equal for exactly the names
+// strings.EqualFold calls equal: every rune becomes the smallest member of
+// its unicode.SimpleFold orbit, so "ſ", "s" and "S" share a key where
+// strings.ToLower keeps "ſ" apart. Invalid UTF-8 bytes become U+FFFD, as
+// EqualFold reads them.
+func FoldKey(name string) string {
+	return strings.Map(func(r rune) rune {
+		lo := r
+		for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+			if f < lo {
+				lo = f
+			}
+		}
+		return lo
+	}, name)
+}
+
+// classKeys maps the fold key of every registered first name to the fold
+// keys of all names it shares an equivalence class with, itself included.
+var classKeys = func() map[string][]string {
+	m := make(map[string][]string)
+	for canon, vs := range nicknameClasses {
+		keys := []string{FoldKey(canon)}
+		for _, v := range vs {
+			if k := FoldKey(v); !slices.Contains(keys, k) {
+				keys = append(keys, k)
+			}
+		}
+		for _, k := range keys {
+			for _, other := range keys {
+				if !slices.Contains(m[k], other) {
+					m[k] = append(m[k], other)
+				}
+			}
+		}
+	}
+	for _, ks := range m {
+		slices.Sort(ks)
+	}
+	return m
+}()
+
+// ClassKeys returns the fold keys of every first name in the same
+// equivalence class as name, its own key included: SameClass(name, x)
+// holds exactly when FoldKey(x) is among them. An index from FoldKey to
+// records answers a class query with one lookup per returned key.
+func ClassKeys(name string) []string {
+	k := FoldKey(name)
+	if ks, ok := classKeys[k]; ok {
+		return ks
+	}
+	return []string{k}
+}
+
 // SameClass reports whether two first names belong to the same equivalence
 // class (exact match counts).
 func SameClass(a, b string) bool {
 	if strings.EqualFold(a, b) {
 		return true
 	}
-	for canon, vs := range nicknameClasses {
-		inA, inB := strings.EqualFold(canon, a), strings.EqualFold(canon, b)
-		for _, v := range vs {
-			if strings.EqualFold(v, a) {
-				inA = true
-			}
-			if strings.EqualFold(v, b) {
-				inB = true
-			}
-		}
-		if inA && inB {
-			return true
-		}
-	}
-	return false
+	ks, registered := classKeys[FoldKey(a)]
+	return registered && slices.Contains(ks, FoldKey(b))
 }
 
 // Corrupt applies one clerical error to a name: a substitution

@@ -208,6 +208,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("need first or last"))
 		return
 	}
+	// One entity past the cap is all it takes to know the answer was cut.
+	q.Limit = s.MaxResults + 1
 	hits := s.res.Search(q)
 	truncated := false
 	if len(hits) > s.MaxResults {
@@ -300,25 +302,21 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	ents := s.res.Clusters(certainty)
-	multi := 0
-	for _, e := range ents {
-		if len(e.Reports) > 1 {
-			multi++
-		}
-	}
+	entities, multi := s.res.EntityCounts(certainty)
 	writeJSON(w, struct {
-		Records     int     `json:"records"`
-		Matches     int     `json:"ranked_matches"`
-		Certainty   float64 `json:"certainty"`
-		Entities    int     `json:"entities"`
-		MultiReport int     `json:"multi_report_entities"`
+		Records     int            `json:"records"`
+		Matches     int            `json:"ranked_matches"`
+		Certainty   float64        `json:"certainty"`
+		Entities    int            `json:"entities"`
+		MultiReport int            `json:"multi_report_entities"`
+		ClusterMemo core.MemoStats `json:"cluster_memo"`
 	}{
 		Records:     s.coll.Len(),
 		Matches:     len(s.res.Matches),
 		Certainty:   certainty,
-		Entities:    len(ents),
+		Entities:    entities,
 		MultiReport: multi,
+		ClusterMemo: s.res.ClusterMemoStats(),
 	})
 }
 

@@ -44,12 +44,16 @@ func TestStats(t *testing.T) {
 	s, g, res := testServer(t)
 	body := get(t, s, "/api/stats?certainty=0.3", http.StatusOK)
 	var out struct {
-		Records  int `json:"records"`
-		Matches  int `json:"ranked_matches"`
-		Entities int `json:"entities"`
+		Records  int            `json:"records"`
+		Matches  int            `json:"ranked_matches"`
+		Entities int            `json:"entities"`
+		Memo     core.MemoStats `json:"cluster_memo"`
 	}
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
+	}
+	if want := (core.MemoStats{Misses: 1, Entries: 1}); out.Memo != want {
+		t.Errorf("cluster_memo after the first request = %+v, want %+v", out.Memo, want)
 	}
 	if out.Records != g.Collection.Len() {
 		t.Errorf("records = %d, want %d", out.Records, g.Collection.Len())
@@ -180,20 +184,30 @@ func TestPairEndpoint(t *testing.T) {
 	get(t, s, "/api/pair?a="+known+"&b="+known, http.StatusBadRequest)
 }
 
+// TestSearchTruncation checks the cap and that "truncated" is true exactly
+// when more entities match than MaxResults lets through.
 func TestSearchTruncation(t *testing.T) {
-	s, _, _ := testServer(t)
-	s.MaxResults = 1
-	// Search broadly enough to exceed one result: use a common surname
-	// from the Italy corpus.
-	body := get(t, s, "/api/search?last=Levi&certainty=10", http.StatusOK)
-	var out struct {
-		Truncated bool `json:"truncated"`
-		Entities  []struct{}
+	s, _, res := testServer(t)
+	// A common surname from the Italy corpus, every report its own entity.
+	matching := len(res.Search(core.Query{Last: "Levi", Certainty: 10}))
+	if matching < 2 {
+		t.Fatalf("only %d entities match Levi", matching)
 	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Entities) > 1 {
-		t.Errorf("MaxResults not enforced: %d entities", len(out.Entities))
+	for _, max := range []int{1, matching - 1, matching, matching + 1} {
+		s.MaxResults = max
+		body := get(t, s, "/api/search?last=Levi&certainty=10", http.StatusOK)
+		var out struct {
+			Truncated bool `json:"truncated"`
+			Entities  []struct{}
+		}
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if want := min(max, matching); len(out.Entities) != want {
+			t.Errorf("MaxResults %d: %d entities, want %d", max, len(out.Entities), want)
+		}
+		if want := matching > max; out.Truncated != want {
+			t.Errorf("MaxResults %d with %d matching: truncated = %v, want %v", max, matching, out.Truncated, want)
+		}
 	}
 }
