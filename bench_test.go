@@ -87,7 +87,7 @@ func BenchmarkAblationPruning(b *testing.B) { benchExperiment(b, "ablation-pruni
 func BenchmarkAblationWorkers(b *testing.B) { benchExperiment(b, "ablation-workers") }
 
 // BenchmarkAblationScoringWorkers runs the parallel pair-scoring ablation:
-// the serial seed path against the profiled worker pool.
+// one inline scorer against the worker pool.
 func BenchmarkAblationScoringWorkers(b *testing.B) { benchExperiment(b, "ablation-scoring-workers") }
 
 // BenchmarkAblationMetaBlocking runs the comparison-cleaning ablation.

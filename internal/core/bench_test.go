@@ -50,9 +50,9 @@ func newBenchScoring(b *testing.B, persons int) *benchScoring {
 	return &benchScoring{opts: opts, work: pre, blk: blk}
 }
 
-// BenchmarkScorePairs measures the scoring stage — SameSrc filter, feature
-// extraction, ADTree scoring, classification — serial (workers=1, the seed
-// path) against the profiled worker pool at several worker counts.
+// BenchmarkScorePairs measures the scoring stage — profile build, SameSrc
+// filter, feature extraction, ADTree scoring, classification — inline
+// (workers=1) and on the worker pool at several worker counts.
 func BenchmarkScorePairs(b *testing.B) {
 	bs := newBenchScoring(b, 600)
 	counts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
@@ -64,8 +64,8 @@ func BenchmarkScorePairs(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cache := features.NewProfileCache(features.NewExtractor(opts.Geo))
-				st := scorePairs(&opts, bs.work, bs.blk, cache, workers, telemetry.NewRegistry(), nil)
-				if len(st.matches) == 0 {
+				st, err := scoreCandidates(&opts, bs.work, candidatesOf(bs.blk, nil), cache, workers, telemetry.NewRegistry(), nil)
+				if err != nil || len(st.matches) == 0 {
 					b.Fatal("no matches scored")
 				}
 			}

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/adtree"
@@ -179,30 +178,6 @@ type Resolution struct {
 	pairIdx  map[record.Pair]int
 }
 
-// scoreResult is one scoring stage's output before ranking. The
-// telemetry fields (candidates, chunks, scores) ride along so Run can
-// fold them into the RunReport without re-walking the matches.
-type scoreResult struct {
-	matches    []RankedMatch
-	candidates int
-	sameSrc    int
-	byModel    int
-	chunks     int
-	scores     *telemetry.Histogram
-}
-
-// observe folds one match score into the stage's local distribution.
-func (s *scoreResult) observe(score float64) {
-	if s.scores != nil {
-		s.scores.Observe(score)
-	}
-}
-
-// scoreChunkSize is the number of candidate pairs a scoring worker claims
-// at a time. Small enough to balance skewed chunks, large enough that the
-// per-chunk bookkeeping is noise.
-const scoreChunkSize = 512
-
 // wireDefaults threads the run-wide registry and worker knob into the
 // blocking config unless the caller pinned its own.
 func wireDefaults(opts *Options, reg *telemetry.Registry) {
@@ -300,8 +275,10 @@ func resolve(opts *Options, reg *telemetry.Registry, report *telemetry.RunReport
 
 	var st scoreResult
 	if err := stages.run("scoring", func(sp *trace.Span) (map[string]int64, error) {
+		// A spilled run learns its distinct-pair total only at the merge.
+		opts.Progress.Stage("scoring", int64(len(blk.Pairs)))
 		var err error
-		st, err = runScoring(opts, work, blk, res.profiles, opts.workers(), reg, sp)
+		st, err = scoreCandidates(opts, work, candidatesOf(blk, sp), res.profiles, opts.workers(), reg, sp)
 		if err != nil {
 			return nil, fmt.Errorf("core: scoring: %w", err)
 		}
@@ -387,33 +364,6 @@ func blockingCounters(blk *mfiblocks.Result) map[string]int64 {
 		c["spill_entries"] = st.SpilledEntries
 	}
 	return c
-}
-
-// runScoring dispatches the scoring stage on the blocking result's
-// candidate representation: the in-memory pair slice goes through the
-// chunked pool (or the exact serial seed path), a spilled run is drained
-// through its sorted merge. Both yield the same Matches after ranking —
-// sortMatches is a total order, so the pre-sort order difference between
-// first-seen and (A, B)-merged streams cannot survive it.
-func runScoring(opts *Options, work *record.Collection, blk *mfiblocks.Result, cache *features.ProfileCache, workers int, reg *telemetry.Registry, sp *trace.Span) (scoreResult, error) {
-	if blk.Spill != nil {
-		opts.Progress.Stage("scoring", 0) // distinct-pair total unknown until the merge
-		blk.Spill.Trace = sp              // merge-open span lands under the scoring stage
-		st, err := scoreSpill(opts, work, blk, cache, workers, reg, sp)
-		if err != nil {
-			return st, err
-		}
-		// The merge is single-shot; release the run files now rather
-		// than holding descriptors for the Resolution's lifetime.
-		if err := blk.Spill.Close(); err != nil {
-			return st, err
-		}
-		return st, nil
-	}
-	opts.Progress.Stage("scoring", int64(len(blk.Pairs)))
-	st := scorePairs(opts, work, blk, cache, workers, reg, sp)
-	st.candidates = len(blk.Pairs)
-	return st, nil
 }
 
 // blockingReport converts the blocking result into its report form.
@@ -503,148 +453,6 @@ func sortMatches(ms []RankedMatch) {
 		}
 		return a.B < b.B
 	})
-}
-
-// scorePairs runs the scoring stage — SameSrc filtering, feature
-// extraction, model scoring, classification — over the blocking
-// candidates. workers==1 runs the exact serial seed path; otherwise the
-// pairs are scored on a chunked worker pool over cached record profiles,
-// with chunk-ordered merging so the output is identical to the serial
-// path for every worker count.
-func scorePairs(opts *Options, work *record.Collection, blk *mfiblocks.Result, cache *features.ProfileCache, workers int, reg *telemetry.Registry, sp *trace.Span) scoreResult {
-	if workers <= 1 || len(blk.Pairs) == 0 {
-		st := scoreSerial(opts, work, blk, cache.Extractor())
-		opts.Progress.Add(int64(len(blk.Pairs)))
-		return st
-	}
-
-	t0 := time.Now()
-	psp := sp.Child("profile_build", trace.WithKind(trace.KindSetup)).
-		Attr("records", int64(work.Len()))
-	profs := cache.Build(work, workers)
-	psp.End()
-	reg.Timer("core_profile_build_seconds").Observe(time.Since(t0))
-
-	pairs := blk.Pairs
-	numChunks := (len(pairs) + scoreChunkSize - 1) / scoreChunkSize
-	if workers > numChunks {
-		workers = numChunks
-	}
-	chunks := make([]scoreResult, numChunks)
-	// Shared instruments: workers touch them once per chunk (or merge
-	// once at exit for the per-pair score distribution), so the hot
-	// per-pair loop never contends on a shared cache line.
-	scores := telemetry.NewHistogram(telemetry.ScoreBuckets)
-	chunkTimer := reg.Timer("core_score_chunk_seconds")
-	chunkCounter := reg.Counter("core_score_chunks_total")
-	pairCounter := reg.Counter("core_scored_pairs_total")
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wsp := sp.Child("score_worker", trace.WithKind(trace.KindWorker), trace.WithTrack(w+1))
-			scored := int64(0)
-			ex := cache.Extractor()
-			local := telemetry.NewHistogram(telemetry.ScoreBuckets)
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= numChunks {
-					break
-				}
-				tc := time.Now()
-				lo, hi := c*scoreChunkSize, (c+1)*scoreChunkSize
-				if hi > len(pairs) {
-					hi = len(pairs)
-				}
-				var out scoreResult
-				for _, p := range pairs[lo:hi] {
-					ia, ib := work.Index(p.A), work.Index(p.B)
-					ra, rb := work.Records[ia], work.Records[ib]
-					if opts.SameSrc && ra.Source != "" && ra.Source == rb.Source {
-						out.sameSrc++
-						continue
-					}
-					m := RankedMatch{Pair: p, BlockScore: blk.PairScores[p]}
-					m.Score = m.BlockScore
-					if opts.Model != nil {
-						m.Score = opts.Model.Score(ex.ExtractProfiled(profs[ia], profs[ib]))
-						if opts.Classify && m.Score <= 0 {
-							out.byModel++
-							continue
-						}
-					}
-					local.Observe(m.Score)
-					out.matches = append(out.matches, m)
-				}
-				chunks[c] = out
-				chunkTimer.Observe(time.Since(tc))
-				chunkCounter.Inc()
-				pairCounter.Add(int64(hi - lo))
-				opts.Progress.Add(int64(hi - lo))
-				scored += int64(hi - lo)
-			}
-			scores.Merge(local)
-			wsp.Attr("pairs", scored).End()
-		}(w)
-	}
-	wg.Wait()
-
-	total := scoreResult{chunks: numChunks, scores: scores}
-	n := 0
-	for i := range chunks {
-		n += len(chunks[i].matches)
-	}
-	total.matches = make([]RankedMatch, 0, n)
-	for i := range chunks {
-		total.matches = append(total.matches, chunks[i].matches...)
-		total.sameSrc += chunks[i].sameSrc
-		total.byModel += chunks[i].byModel
-	}
-	return total
-}
-
-// ScoreCandidates runs the scoring stage alone — SameSrc filtering,
-// profiled feature extraction, model scoring, classification, and
-// ranking — over an existing blocking result, exactly as Run's scoring
-// stage does (including the memo cache controlled by opts.MemoSize).
-// Callers that re-block rarely but re-score often (threshold sweeps,
-// model comparisons, the yvbench -bench-scoring harness) use it to skip
-// the blocking stage. work must be the collection blk was produced
-// from.
-func ScoreCandidates(opts Options, work *record.Collection, blk *mfiblocks.Result) []RankedMatch {
-	cache := features.NewProfileCache(newScoringExtractor(&opts))
-	st := scorePairs(&opts, work, blk, cache, opts.workers(), opts.metrics(), nil)
-	sortMatches(st.matches)
-	return st.matches
-}
-
-// scoreSerial is the seed's serial scoring loop — one goroutine,
-// per-pair Extract with no profile cache — producing the exact seed
-// Matches; the score-distribution observations are new but do not
-// touch the outputs.
-func scoreSerial(opts *Options, work *record.Collection, blk *mfiblocks.Result, ex *features.Extractor) scoreResult {
-	out := scoreResult{scores: telemetry.NewHistogram(telemetry.ScoreBuckets)}
-	for _, p := range blk.Pairs {
-		ra, rb := work.ByID(p.A), work.ByID(p.B)
-		if opts.SameSrc && ra.Source != "" && ra.Source == rb.Source {
-			out.sameSrc++
-			continue
-		}
-		m := RankedMatch{Pair: p, BlockScore: blk.PairScores[p]}
-		m.Score = m.BlockScore
-		if opts.Model != nil {
-			m.Score = opts.Model.Score(ex.Extract(ra, rb))
-			if opts.Classify && m.Score <= 0 {
-				out.byModel++
-				continue
-			}
-		}
-		out.observe(m.Score)
-		out.matches = append(out.matches, m)
-	}
-	return out
 }
 
 // Profiles returns the resolution's record-profile cache. Query paths use

@@ -4,19 +4,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/adtree"
 	"repro/internal/mfiblocks"
 )
-
-// equivalenceWorkerCounts are the worker counts the suite sweeps; 1 is the
-// exact serial seed path, the rest exercise the chunked pool (7 is chosen
-// to leave a ragged final chunk).
-func equivalenceWorkerCounts() []int {
-	return []int{1, 2, 7, runtime.GOMAXPROCS(0)}
-}
 
 func assertRunsEqual(t *testing.T, tag string, ref, got *Resolution) {
 	t.Helper()
@@ -36,10 +28,12 @@ func assertRunsEqual(t *testing.T, tag string, ref, got *Resolution) {
 	}
 }
 
-// TestRunWorkerEquivalence is the parallel-vs-serial equivalence suite:
-// over seeded generated collections and several pipeline configurations,
-// Run must yield identical Matches (pairs, block scores, model scores, and
-// order) and identical discard counters for every worker count.
+// TestRunWorkerEquivalence is the parallel-vs-inline equivalence suite
+// for the configurations TestScorerSourceEquivalence does not run (that
+// test sweeps workers over the deployed model+Classify+SameSrc setup and
+// both candidate sources): ranked by block score alone, and by the model
+// with no filter, Run must yield identical Matches (pairs, block scores,
+// model scores, and order) and discard counters at every worker count.
 func TestRunWorkerEquivalence(t *testing.T) {
 	for _, persons := range []int{200, 400} {
 		fx := newFixture(t, persons)
@@ -55,7 +49,6 @@ func TestRunWorkerEquivalence(t *testing.T) {
 		}{
 			{"blockOnly", Options{Blocking: mfiblocks.NewConfig(), Geo: gen.Gaz, Preprocess: true, Gazetteer: gen.Gaz}},
 			{"model", Options{Blocking: mfiblocks.NewConfig(), Geo: gen.Gaz, Preprocess: true, Gazetteer: gen.Gaz, Model: model}},
-			{"full", Options{Blocking: mfiblocks.NewConfig(), Geo: gen.Gaz, Preprocess: true, Gazetteer: gen.Gaz, Model: model, Classify: true, SameSrc: true}},
 		}
 		for _, cfg := range configs {
 			serial := cfg.opts
@@ -64,10 +57,7 @@ func TestRunWorkerEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run(serial %s): %v", cfg.name, err)
 			}
-			for _, workers := range equivalenceWorkerCounts() {
-				if workers == 1 {
-					continue
-				}
+			for _, workers := range []int{2, 7} {
 				par := cfg.opts
 				par.Workers = workers
 				got, err := Run(par, gen.Collection)

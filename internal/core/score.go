@@ -1,0 +1,234 @@
+package core
+
+import (
+	"io"
+	"sync"
+	"time"
+
+	"repro/internal/features"
+	"repro/internal/mfiblocks"
+	"repro/internal/record"
+	"repro/internal/spill"
+	"repro/internal/telemetry"
+	"repro/internal/telemetry/trace"
+)
+
+// candidate is one blocking candidate on its way through the scoring
+// stage.
+type candidate struct {
+	pair       record.Pair
+	blockScore float64
+}
+
+// candidateSource is the stream of candidates the scoring stage consumes —
+// the one thing that differs between an in-memory blocking result and a
+// spilled one. next fills buf from the front and returns how many
+// candidates it wrote, 0 at the end of the stream; close releases what
+// backs the stream. The scorer serializes the calls.
+type candidateSource interface {
+	next(buf []candidate) (int, error)
+	close() error
+}
+
+// pairSlice streams an in-memory candidate set in first-seen order.
+type pairSlice struct {
+	pairs  []record.Pair
+	scores map[record.Pair]float64
+}
+
+func (s *pairSlice) next(buf []candidate) (int, error) {
+	n := min(len(buf), len(s.pairs))
+	for i, p := range s.pairs[:n] {
+		buf[i] = candidate{p, s.scores[p]}
+	}
+	s.pairs = s.pairs[n:]
+	return n, nil
+}
+
+func (*pairSlice) close() error { return nil }
+
+// spillMerge streams a spilled candidate set through its (A, B)-sorted
+// merge, opened on first use. The merge is single-shot, so close releases
+// the run files rather than leaving their descriptors open for the
+// Resolution's lifetime; the accumulator's Stats stay valid afterwards.
+type spillMerge struct {
+	pairs *spill.Pairs
+	it    *spill.Iter
+}
+
+func (s *spillMerge) next(buf []candidate) (int, error) {
+	if s.it == nil {
+		it, err := s.pairs.Iter()
+		if err != nil {
+			return 0, err
+		}
+		s.it = it
+	}
+	for n := range buf {
+		p, score, err := s.it.Next()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		buf[n] = candidate{p, score}
+	}
+	return len(buf), nil
+}
+
+func (s *spillMerge) close() error { return s.pairs.Close() }
+
+// candidatesOf returns the blocking result's candidate stream; a spilled
+// run's merge-open span lands under sp.
+func candidatesOf(blk *mfiblocks.Result, sp *trace.Span) candidateSource {
+	if blk.Spill == nil {
+		return &pairSlice{blk.Pairs, blk.PairScores}
+	}
+	blk.Spill.Trace = sp
+	return &spillMerge{pairs: blk.Spill}
+}
+
+// scoreResult is the scoring stage's output before ranking. The telemetry
+// fields (candidates, chunks, scores) ride along so resolve can fold them
+// into the RunReport without re-walking the matches.
+type scoreResult struct {
+	matches    []RankedMatch
+	candidates int
+	sameSrc    int
+	byModel    int
+	chunks     int
+	scores     *telemetry.Histogram
+}
+
+// scoreChunkSize is the number of candidates a scoring worker claims at a
+// time. Small enough to balance skewed chunks, large enough that the
+// per-chunk bookkeeping is noise.
+const scoreChunkSize = 512
+
+// scoreCandidates is the scoring stage: every candidate of src goes
+// through the SameSrc filter, feature extraction over the records' cached
+// profiles, the model, and the Cls condition. workers goroutines each pull
+// scoreChunkSize candidates at a time into a buffer of their own;
+// workers <= 1 runs the same loop on the calling goroutine. Profiles are
+// built only when a model will read them. src is closed on every path,
+// and a source error stops all workers at their next pull.
+//
+// Matches come back in no particular order: sortMatches is a total order
+// over (score, pair), so ranking erases whatever order the source and the
+// workers produced — an (A, B)-sorted merge and a first-seen slice, one
+// worker or eight, all rank identically.
+func scoreCandidates(opts *Options, work *record.Collection, src candidateSource, cache *features.ProfileCache, workers int, reg *telemetry.Registry, sp *trace.Span) (total scoreResult, err error) {
+	defer func() {
+		if cerr := src.close(); err == nil {
+			err = cerr
+		}
+	}()
+
+	var profs []*features.Profile
+	if opts.Model != nil {
+		t0 := time.Now()
+		psp := sp.Child("profile_build", trace.WithKind(trace.KindSetup)).
+			Attr("records", int64(work.Len()))
+		profs = cache.Build(work, workers)
+		psp.End()
+		reg.Timer("core_profile_build_seconds").Observe(time.Since(t0))
+	}
+	ex := cache.Extractor()
+
+	// Shared instruments are touched once per chunk, and the per-pair
+	// score distribution is merged once per worker, so the hot loop never
+	// contends on a shared cache line.
+	total.scores = telemetry.NewHistogram(telemetry.ScoreBuckets)
+	chunkTimer := reg.Timer("core_score_chunk_seconds")
+	chunkCounter := reg.Counter("core_score_chunks_total")
+	pairCounter := reg.Counter("core_scored_pairs_total")
+
+	var mu sync.Mutex // guards src, err and total
+	worker := func(w int) {
+		wsp := sp.Child("score_worker", trace.WithKind(trace.KindWorker), trace.WithTrack(w+1))
+		buf := make([]candidate, scoreChunkSize)
+		vec := make(features.Vector, len(ex.Defs()))
+		local := scoreResult{scores: telemetry.NewHistogram(telemetry.ScoreBuckets)}
+		for {
+			n := 0
+			mu.Lock()
+			if err == nil {
+				n, err = src.next(buf)
+			}
+			mu.Unlock()
+			if n == 0 {
+				break
+			}
+			tc := time.Now()
+			for _, c := range buf[:n] {
+				ia, ib := work.Index(c.pair.A), work.Index(c.pair.B)
+				ra, rb := work.Records[ia], work.Records[ib]
+				if opts.SameSrc && ra.Source != "" && ra.Source == rb.Source {
+					local.sameSrc++
+					continue
+				}
+				m := RankedMatch{Pair: c.pair, BlockScore: c.blockScore, Score: c.blockScore}
+				if opts.Model != nil {
+					ex.ExtractProfiledInto(vec, profs[ia], profs[ib])
+					m.Score = opts.Model.Score(vec)
+					if opts.Classify && m.Score <= 0 {
+						local.byModel++
+						continue
+					}
+				}
+				local.scores.Observe(m.Score)
+				local.matches = append(local.matches, m)
+			}
+			local.candidates += n
+			local.chunks++
+			chunkTimer.Observe(time.Since(tc))
+			chunkCounter.Inc()
+			pairCounter.Add(int64(n))
+			opts.Progress.Add(int64(n))
+		}
+		wsp.Attr("pairs", int64(local.candidates)).End()
+		mu.Lock()
+		if total.matches == nil {
+			total.matches = local.matches // the first to finish hands its slice over
+		} else {
+			total.matches = append(total.matches, local.matches...)
+		}
+		total.candidates += local.candidates
+		total.sameSrc += local.sameSrc
+		total.byModel += local.byModel
+		total.chunks += local.chunks
+		total.scores.Merge(local.scores)
+		mu.Unlock()
+	}
+	if workers <= 1 {
+		worker(0)
+		return total, err
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			worker(w)
+		}(w)
+	}
+	wg.Wait()
+	return total, err
+}
+
+// ScoreCandidates runs the scoring stage alone — SameSrc filtering,
+// profiled feature extraction, model scoring, classification, and
+// ranking — over an existing in-memory blocking result, exactly as Run's
+// scoring stage does (including the memo cache controlled by
+// opts.MemoSize). Callers that re-block rarely but re-score often
+// (threshold sweeps, model comparisons, the rescore benchmark workload)
+// use it to skip the blocking stage. work must be the collection blk was
+// produced from.
+func ScoreCandidates(opts Options, work *record.Collection, blk *mfiblocks.Result) []RankedMatch {
+	cache := features.NewProfileCache(newScoringExtractor(&opts))
+	// An in-memory candidate slice cannot fail.
+	st, _ := scoreCandidates(&opts, work, &pairSlice{blk.Pairs, blk.PairScores}, cache, opts.workers(), opts.metrics(), nil)
+	sortMatches(st.matches)
+	return st.matches
+}

@@ -3,10 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
-	"sync"
-	"time"
 
-	"repro/internal/features"
 	"repro/internal/gazetteer"
 	"repro/internal/mfiblocks"
 	"repro/internal/record"
@@ -165,124 +162,4 @@ func RunStream(opts StreamOptions, src RecordSource) (*Resolution, error) {
 	}
 
 	return resolve(&opts.Options, reg, report, stages, work, blk)
-}
-
-// pairScore is one spilled candidate surfaced to the scoring stage.
-type pairScore struct {
-	pair  record.Pair
-	score float64
-}
-
-// scoreSpill drains the blocking stage's spilled candidate stream
-// through the scoring filters — SameSrc, model scoring, classification.
-// The merged stream is read sequentially in chunks; with workers > 1 the
-// chunks are scored on a bounded pool, so in-flight memory stays at
-// workers×chunk candidates while the accepted matches accumulate. The
-// pre-sort match order differs from scorePairs' first-seen order, but
-// sortMatches is a total order over (score, pair), so the ranked output
-// is identical.
-func scoreSpill(opts *Options, work *record.Collection, blk *mfiblocks.Result, cache *features.ProfileCache, workers int, reg *telemetry.Registry, sp *trace.Span) (scoreResult, error) {
-	it, err := blk.Spill.Iter()
-	if err != nil {
-		return scoreResult{}, err
-	}
-	ex := cache.Extractor()
-	scoreOne := func(out *scoreResult, c pairScore) {
-		ra, rb := work.ByID(c.pair.A), work.ByID(c.pair.B)
-		if opts.SameSrc && ra.Source != "" && ra.Source == rb.Source {
-			out.sameSrc++
-			return
-		}
-		m := RankedMatch{Pair: c.pair, BlockScore: c.score}
-		m.Score = m.BlockScore
-		if opts.Model != nil {
-			m.Score = opts.Model.Score(ex.Extract(ra, rb))
-			if opts.Classify && m.Score <= 0 {
-				out.byModel++
-				return
-			}
-		}
-		out.observe(m.Score)
-		out.matches = append(out.matches, m)
-	}
-
-	total := scoreResult{scores: telemetry.NewHistogram(telemetry.ScoreBuckets)}
-	chunkTimer := reg.Timer("core_score_chunk_seconds")
-	chunkCounter := reg.Counter("core_score_chunks_total")
-	pairCounter := reg.Counter("core_scored_pairs_total")
-
-	if workers <= 1 {
-		for {
-			p, score, err := it.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return total, err
-			}
-			total.candidates++
-			scoreOne(&total, pairScore{p, score})
-			opts.Progress.Add(1)
-		}
-		pairCounter.Add(int64(total.candidates))
-		return total, nil
-	}
-
-	jobs := make(chan []pairScore, workers)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wsp := sp.Child("score_worker", trace.WithKind(trace.KindWorker), trace.WithTrack(w+1))
-			scored := int64(0)
-			local := scoreResult{scores: telemetry.NewHistogram(telemetry.ScoreBuckets)}
-			for chunk := range jobs {
-				tc := time.Now()
-				for _, c := range chunk {
-					scoreOne(&local, c)
-				}
-				local.chunks++
-				chunkTimer.Observe(time.Since(tc))
-				chunkCounter.Inc()
-				pairCounter.Add(int64(len(chunk)))
-				opts.Progress.Add(int64(len(chunk)))
-				scored += int64(len(chunk))
-			}
-			wsp.Attr("pairs", scored).End()
-			mu.Lock()
-			total.matches = append(total.matches, local.matches...)
-			total.sameSrc += local.sameSrc
-			total.byModel += local.byModel
-			total.chunks += local.chunks
-			total.scores.Merge(local.scores)
-			mu.Unlock()
-		}(w)
-	}
-
-	var readErr error
-	chunk := make([]pairScore, 0, scoreChunkSize)
-	for {
-		p, score, err := it.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			readErr = err
-			break
-		}
-		total.candidates++
-		chunk = append(chunk, pairScore{p, score})
-		if len(chunk) == scoreChunkSize {
-			jobs <- chunk
-			chunk = make([]pairScore, 0, scoreChunkSize)
-		}
-	}
-	if len(chunk) > 0 && readErr == nil {
-		jobs <- chunk
-	}
-	close(jobs)
-	wg.Wait()
-	return total, readErr
 }

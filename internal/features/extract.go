@@ -176,8 +176,11 @@ func fullDOB(r *record.Record) (string, bool) {
 	if !okD || !okM || !okY {
 		return "", false
 	}
-	return d + "/" + m + "/" + y, true
+	return joinDOB(d, m, y), true
 }
+
+// joinDOB is the full-date form sameDOB compares.
+func joinDOB(d, m, y string) string { return d + "/" + m + "/" + y }
 
 // compareNameSets implements the trinary sameXName semantics over the two
 // value sets (case-insensitive).
@@ -185,8 +188,7 @@ func compareNameSets(va, vb []string) string {
 	return compareLowerSets(lowerSet(va), lowerSet(vb))
 }
 
-// compareLowerSets is compareNameSets over already-lowered distinct sets —
-// the form the profile cache snapshots per record.
+// compareLowerSets is compareNameSets over already-lowered distinct sets.
 func compareLowerSets(setA, setB map[string]struct{}) string {
 	inter := 0
 	for x := range setA {
@@ -204,19 +206,19 @@ func compareLowerSets(setA, setB map[string]struct{}) string {
 	}
 }
 
-// compareIDSets is compareLowerSets over sorted interned-ID sets — the
-// representation profiles snapshot per record. Interning is injective,
-// so the intersection count (and hence the trinary outcome) is exactly
-// the string-set one.
-func compareIDSets(a, b []uint32) string {
+// compareNameIDs is compareLowerSets over a profile's name values, which
+// are distinct and sorted by interned ID. Interning is injective, so the
+// intersection count (and hence the trinary outcome) is exactly the
+// string-set one.
+func compareNameIDs(a, b []nameValue) string {
 	inter, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
-		case a[i] == b[j]:
+		case a[i].id == b[j].id:
 			inter++
 			i++
 			j++
-		case a[i] < b[j]:
+		case a[i].id < b[j].id:
 			i++
 		default:
 			j++

@@ -62,7 +62,7 @@ type nameAttr struct {
 }
 
 // The seven name attributes, in the paper's listing order.
-var nameAttrs = []nameAttr{
+var nameAttrs = [...]nameAttr{
 	{record.FirstName, "FN"},
 	{record.LastName, "LN"},
 	{record.SpouseName, "SN"},

@@ -1,7 +1,10 @@
 package features
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,123 +22,241 @@ import (
 // similarity.CoordResolver) gazetteer-resolved coordinates.
 //
 // ExtractProfiled over two profiles built by the same extractor produces a
-// Vector bit-identical to Extract over the underlying records; the
-// parallel scoring stage in internal/core relies on that equivalence.
+// Vector bit-identical to Extract over the underlying records; the scoring
+// stage in internal/core relies on that equivalence.
+//
+// A run keeps one profile per record for as long as its Resolution lives,
+// so the layout is compact: the variable-length parts are sub-slices of
+// arenas shared by a whole Build, and the sparse attributes store only the
+// values present, located through a mask.
 type Profile struct {
 	source string
 
-	names []nameProfile
+	// names holds the record's distinct lowered name values, grouped by
+	// name attribute in nameAttrs order and sorted by interned ID within
+	// a group.
+	names []nameValue
 
-	// date holds the first BirthDay/BirthMonth/BirthYear values, parsed.
-	date [3]dateComponent
-	// dob is the fullDOB concatenation, present only with all three
-	// components.
-	dob    string
-	hasDOB bool
+	// firsts holds the first value of each firstTypes attribute the
+	// record carries, in item-type order; bit t of has is set when item
+	// type t is among them.
+	firsts []string
 
-	place [record.NumPlaceTypes][record.NumPlaceParts]firstValue
-	geo   [record.NumPlaceTypes]geoValue
-	// coordMode records whether geo coordinates were resolved at build
-	// time (Geo implemented similarity.CoordResolver).
+	// coords holds the coordinates of the place-type cities the gazetteer
+	// resolved at build time, in place-type order; bit pt of resolved is
+	// set when place type pt's city is among them.
+	coords [][2]float64
+
+	// date holds the first BirthDay/BirthMonth/BirthYear values that
+	// parsed as integers; bit i of parsed is set when component i did.
+	date [3]int
+
+	// The masks and flags sit together so the struct packs into 128 bytes.
+	has uint32
+	// dob is the interned fullDOB concatenation, present (hasDOB) only
+	// with all three components.
+	dob      uint32
+	resolved uint8
+	parsed   uint8
+	hasDOB   bool
+	// coordMode records whether city resolution was possible at all (Geo
+	// implemented similarity.CoordResolver).
 	coordMode bool
-
-	gender, profession firstValue
 }
 
-// nameProfile caches one name attribute's values: the lowered strings
-// (for Jaro-Winkler and memo keys), the distinct lowered set as sorted
-// interned IDs (for sameXName), and each value's padded 2-gram set as
-// sorted interned IDs in insertion order (for XNdist). The ID slices are
-// backed by the owning extractor's interner, so pair-time set operations
-// are integer merges with no map probes or string hashing.
-type nameProfile struct {
-	lower   []string
-	setIDs  []uint32
-	gramIDs [][]uint32
+// nameValue is one distinct value of a name attribute: the lowered string
+// (for Jaro-Winkler and memo keys), its interned ID (the value's identity
+// in sameXName), and its padded 2-gram set as sorted interned IDs (for
+// XNdist). IDs come from the owning extractor's interner, so pair-time
+// set operations are integer merges with no map probes or string hashing.
+// Max-over-values and set comparison ignore order and repeats, which is
+// what lets a profile keep the values sorted and distinct.
+type nameValue struct {
+	lower string
+	grams []uint32
+	id    uint32
+	attr  uint8 // index into nameAttrs
 }
 
-type dateComponent struct {
-	present bool
-	parsed  bool
-	value   int
+// firstTypes are the item types the pair features compare by first value
+// alone: the sixteen place parts, gender and profession.
+const (
+	placeTypes = (1<<(record.NumPlaceTypes*record.NumPlaceParts) - 1) << record.BirthCity
+	firstTypes = placeTypes | 1<<record.Gender | 1<<record.Profession
+)
+
+var dateTypes = [3]record.ItemType{record.BirthDay, record.BirthMonth, record.BirthYear}
+
+// first returns the first value of item type t, which must be in p.has.
+func (p *Profile) first(t record.ItemType) string {
+	return p.firsts[bits.OnesCount32(p.has&(1<<t-1))]
 }
 
-type firstValue struct {
-	present bool
-	value   string
+// coord returns the coordinates of place type pt's city, which must be in
+// p.resolved.
+func (p *Profile) coord(pt int) [2]float64 {
+	return p.coords[bits.OnesCount8(p.resolved&(1<<pt-1))]
 }
 
-type geoValue struct {
-	present  bool
-	resolved bool
-	city     string
-	lat, lon float64
+// arena carves slices out of blocks sized for many records, so a record's
+// variable-length data costs no heap object of its own. A returned slice
+// is capped at its length: appending to it can never reach a neighbour.
+// The zero arena allocates every request exactly.
+type arena[T any] struct {
+	free  []T
+	block int
+}
+
+func (a *arena[T]) alloc(n int) []T {
+	if n > len(a.free) {
+		a.free = make([]T, max(n, a.block))
+	}
+	s := a.free[:n:n]
+	a.free = a.free[n:]
+	return s
+}
+
+// arenaBlock bounds an arena block (in elements), and with it the unused
+// tail a finished build leaves behind.
+const arenaBlock = 1 << 11
+
+// profileBuilder builds profiles on one goroutine, drawing their
+// variable-length parts from its arenas.
+type profileBuilder struct {
+	ex     *Extractor
+	names  arena[nameValue]
+	ids    arena[uint32]
+	firsts arena[string]
+	coords arena[[2]float64]
+}
+
+// newProfileBuilder returns a builder whose arena blocks suit a build of
+// the given number of records. The per-record factors are what a
+// generated RandomSet record needs on average (3.4 name values, 24 gram
+// IDs, 9.4 first values, 2 resolved cities), rounded up; they only size
+// blocks, any record fits.
+func (e *Extractor) newProfileBuilder(records int) *profileBuilder {
+	block := func(perRecord int) int { return min(records*perRecord, arenaBlock) }
+	return &profileBuilder{
+		ex:     e,
+		names:  arena[nameValue]{block: block(4)},
+		ids:    arena[uint32]{block: block(32)},
+		firsts: arena[string]{block: block(10)},
+		coords: arena[[2]float64]{block: block(3)},
+	}
 }
 
 // Profile precomputes the record's pairwise-extraction inputs. Profiles
 // are immutable after construction and safe for concurrent use; they must
 // be paired with profiles built by the same extractor.
 func (e *Extractor) Profile(r *record.Record) *Profile {
-	p := &Profile{source: r.Source, names: make([]nameProfile, len(nameAttrs))}
-	for i, na := range nameAttrs {
-		vs := r.Values(na.t)
-		if len(vs) == 0 {
-			continue
-		}
-		np := nameProfile{
-			lower:   make([]string, len(vs)),
-			setIDs:  similarity.InternSet(e.interner, vs),
-			gramIDs: make([][]uint32, len(vs)),
-		}
-		for j, v := range vs {
-			np.lower[j] = strings.ToLower(v)
-			np.gramIDs[j] = similarity.QGramIDs(e.interner, v, 2)
-		}
-		p.names[i] = np
-	}
-
-	for i, t := range []record.ItemType{record.BirthDay, record.BirthMonth, record.BirthYear} {
-		if v, ok := r.First(t); ok {
-			p.date[i].present = true
-			if n, err := strconv.Atoi(v); err == nil {
-				p.date[i].parsed = true
-				p.date[i].value = n
-			}
-		}
-	}
-	p.dob, p.hasDOB = fullDOB(r)
-
-	for pt := 0; pt < record.NumPlaceTypes; pt++ {
-		for pp := 0; pp < record.NumPlaceParts; pp++ {
-			if v, ok := r.First(record.PlaceItem(record.PlaceType(pt), record.PlacePart(pp))); ok {
-				p.place[pt][pp] = firstValue{present: true, value: v}
-			}
-		}
-	}
-	resolver, hasResolver := e.Geo.(similarity.CoordResolver)
-	p.coordMode = hasResolver
-	for pt := 0; pt < record.NumPlaceTypes; pt++ {
-		city := p.place[pt][record.City]
-		if !city.present {
-			continue
-		}
-		g := geoValue{present: true, city: city.value}
-		if hasResolver {
-			if lat, lon, ok := resolver.ResolveCoord(city.value); ok {
-				g.resolved = true
-				g.lat, g.lon = lat, lon
-			}
-		}
-		p.geo[pt] = g
-	}
-
-	if v, ok := r.First(record.Gender); ok {
-		p.gender = firstValue{present: true, value: v}
-	}
-	if v, ok := r.First(record.Profession); ok {
-		p.profession = firstValue{present: true, value: v}
-	}
+	p := new(Profile)
+	(&profileBuilder{ex: e}).build(p, r)
 	return p
+}
+
+// build fills p with r's profile.
+func (b *profileBuilder) build(p *Profile, r *record.Record) {
+	e := b.ex
+	*p = Profile{source: r.Source}
+
+	// One scan of the bag finds the first value of every item type and
+	// bounds the number of name values.
+	var first [record.NumItemTypes]string
+	var seen uint32
+	nameItems := 0
+	for _, it := range r.Items {
+		if int(it.Type) >= record.NumItemTypes {
+			continue
+		}
+		if it.Type.IsName() {
+			nameItems++
+		}
+		if bit := uint32(1) << it.Type; seen&bit == 0 {
+			seen |= bit
+			first[it.Type] = it.Value
+		}
+	}
+
+	vals := b.names.alloc(nameItems)[:0]
+	for i, na := range nameAttrs {
+		if seen&(1<<na.t) == 0 {
+			continue
+		}
+		group := len(vals)
+		for _, it := range r.Items {
+			if it.Type != na.t {
+				continue
+			}
+			id, lower := e.interner.Canonical(strings.ToLower(it.Value))
+			k, repeat := slices.BinarySearchFunc(vals[group:], id, func(v nameValue, id uint32) int {
+				return cmp.Compare(v.id, id)
+			})
+			if !repeat {
+				vals = slices.Insert(vals, group+k, nameValue{lower: lower, grams: b.grams(lower), id: id, attr: uint8(i)})
+			}
+		}
+	}
+	p.names = vals
+
+	p.has = seen & firstTypes
+	p.firsts = b.firsts.alloc(bits.OnesCount32(p.has))
+	for k, m := 0, p.has; m != 0; k, m = k+1, m&(m-1) {
+		p.firsts[k] = first[bits.TrailingZeros32(m)]
+	}
+
+	if resolver, ok := e.Geo.(similarity.CoordResolver); ok {
+		p.coordMode = true
+		var found [record.NumPlaceTypes][2]float64
+		n := 0
+		for pt := 0; pt < record.NumPlaceTypes; pt++ {
+			city := record.PlaceItem(record.PlaceType(pt), record.City)
+			if seen&(1<<city) == 0 {
+				continue
+			}
+			if lat, lon, ok := resolver.ResolveCoord(first[city]); ok {
+				p.resolved |= 1 << pt
+				found[n] = [2]float64{lat, lon}
+				n++
+			}
+		}
+		p.coords = b.coords.alloc(n)
+		copy(p.coords, found[:n])
+	}
+
+	allDates := true
+	for i, t := range dateTypes {
+		if seen&(1<<t) == 0 {
+			allDates = false
+		} else if n, err := strconv.Atoi(first[t]); err == nil {
+			p.parsed |= 1 << i
+			p.date[i] = n
+		}
+	}
+	if allDates {
+		p.hasDOB = true
+		p.dob = e.interner.Intern(joinDOB(first[record.BirthDay], first[record.BirthMonth], first[record.BirthYear]))
+	}
+}
+
+// grams returns the padded 2-gram set of an already-lowered value as
+// sorted interned IDs, stored in the builder's arena.
+func (b *profileBuilder) grams(lower string) []uint32 {
+	g := similarity.QGramIDs(b.ex.interner, lower, 2)
+	out := b.ids.alloc(len(g))
+	copy(out, g)
+	return out
+}
+
+// cutGroup splits off the leading values of name attribute i.
+func cutGroup(vals *[]nameValue, i int) []nameValue {
+	n := 0
+	for n < len(*vals) && int((*vals)[n].attr) == i {
+		n++
+	}
+	group := (*vals)[:n]
+	*vals = (*vals)[n:]
+	return group
 }
 
 // ExtractProfiled computes the pair's feature vector from two cached
@@ -143,90 +264,74 @@ func (e *Extractor) Profile(r *record.Record) *Profile {
 // records.
 func (e *Extractor) ExtractProfiled(a, b *Profile) Vector {
 	v := make(Vector, len(e.defs))
-	id := 0
+	e.ExtractProfiledInto(v, a, b)
+	return v
+}
 
-	// sameXName over the cached interned lowered sets.
-	for i := range nameAttrs {
-		na, nb := &a.names[i], &b.names[i]
-		if len(na.lower) == 0 || len(nb.lower) == 0 {
-			id++
+// ExtractProfiledInto is ExtractProfiled writing into v, which must hold
+// one Value per feature definition. A caller that consumes each vector
+// before extracting the next — the scoring stage hands it to the model and
+// keeps only the score — reuses one v and allocates nothing per pair.
+func (e *Extractor) ExtractProfiledInto(v Vector, a, b *Profile) {
+	clear(v)
+
+	// Per name attribute: sameXName over the interned value IDs, XNdist
+	// as the max q-gram Jaccard over the interned gram sets, XNjw as the
+	// max Jaro-Winkler over the lowered values — the two similarities
+	// served from the memo for repeated value pairs.
+	const n = len(nameAttrs)
+	restA, restB := a.names, b.names
+	for i := 0; i < n; i++ {
+		na, nb := cutGroup(&restA, i), cutGroup(&restB, i)
+		if len(na) == 0 || len(nb) == 0 {
 			continue
 		}
-		v[id] = Value{Present: true, Cat: compareIDSets(na.setIDs, nb.setIDs)}
-		id++
-	}
-
-	// XNdist: max q-gram Jaccard over the cached interned gram sets,
-	// with repeated value pairs served from the memo.
-	for i := range nameAttrs {
-		na, nb := &a.names[i], &b.names[i]
-		if len(na.lower) == 0 || len(nb.lower) == 0 {
-			id++
-			continue
-		}
-		best := 0.0
-		for ja := range na.gramIDs {
-			for jb := range nb.gramIDs {
-				if s := e.gramSim(na, nb, ja, jb); s > best {
-					best = s
+		bestGram, bestJW := 0.0, 0.0
+		for x := range na {
+			for y := range nb {
+				if s := e.gramSim(&na[x], &nb[y]); s > bestGram {
+					bestGram = s
+				}
+				if s := e.jwSim(na[x].lower, nb[y].lower); s > bestJW {
+					bestJW = s
 				}
 			}
 		}
-		v[id] = Value{Present: true, Num: best}
-		id++
+		v[i] = Value{Present: true, Cat: compareNameIDs(na, nb)}
+		v[n+i] = Value{Present: true, Num: bestGram}
+		v[2*n+i] = Value{Present: true, Num: bestJW}
 	}
-
-	// XNjw: max Jaro-Winkler over the cached lowered values, memoized
-	// per value pair.
-	for i := range nameAttrs {
-		na, nb := &a.names[i], &b.names[i]
-		if len(na.lower) == 0 || len(nb.lower) == 0 {
-			id++
-			continue
-		}
-		best := 0.0
-		for _, x := range na.lower {
-			for _, y := range nb.lower {
-				if s := e.jwSim(x, y); s > best {
-					best = s
-				}
-			}
-		}
-		v[id] = Value{Present: true, Num: best}
-		id++
-	}
+	id := 3 * n
 
 	// Birth-date component distances over the parsed components.
-	for i := 0; i < 3; i++ {
-		da, db := a.date[i], b.date[i]
-		if da.present && db.present && da.parsed && db.parsed {
-			v[id] = Value{Present: true, Num: math.Abs(float64(da.value - db.value))}
+	for i := range dateTypes {
+		if a.parsed&b.parsed&(1<<i) != 0 {
+			v[id] = Value{Present: true, Num: math.Abs(float64(a.date[i] - b.date[i]))}
 		}
 		id++
 	}
 
-	// samePlaceXPartY.
-	for pt := 0; pt < record.NumPlaceTypes; pt++ {
-		for pp := 0; pp < record.NumPlaceParts; pp++ {
-			pa, pb := a.place[pt][pp], b.place[pt][pp]
-			if pa.present && pb.present {
-				v[id] = Value{Present: true, Cat: boolCat(strings.EqualFold(pa.value, pb.value))}
-			}
-			id++
+	// samePlaceXPartY: item types ascend in (place type, part) order.
+	both := a.has & b.has
+	for t := record.BirthCity; t <= record.DeathCountry; t++ {
+		if both&(1<<t) != 0 {
+			v[id] = Value{Present: true, Cat: boolCat(strings.EqualFold(a.first(t), b.first(t)))}
 		}
+		id++
 	}
 
 	// PlaceXGeoDistance: Haversine over the resolved coordinates when both
 	// profiles carry them, otherwise through the Geo interface.
 	for pt := 0; pt < record.NumPlaceTypes; pt++ {
-		ga, gb := a.geo[pt], b.geo[pt]
-		if ga.present && gb.present && e.Geo != nil {
+		city := record.PlaceItem(record.PlaceType(pt), record.City)
+		if both&(1<<city) != 0 && e.Geo != nil {
 			if a.coordMode && b.coordMode {
-				if ga.resolved && gb.resolved {
-					km := gazetteer.Haversine(ga.lat, ga.lon, gb.lat, gb.lon)
+				if a.resolved&b.resolved&(1<<pt) != 0 {
+					ca, cb := a.coord(pt), b.coord(pt)
+					km := gazetteer.Haversine(ca[0], ca[1], cb[0], cb[1])
 					v[id] = Value{Present: true, Num: km}
 				}
-			} else if km, ok := e.Geo.Distance(ga.city, gb.city); ok {
+			} else if km, ok := e.Geo.Distance(a.first(city), b.first(city)); ok {
 				v[id] = Value{Present: true, Num: km}
 			}
 		}
@@ -240,40 +345,36 @@ func (e *Extractor) ExtractProfiled(a, b *Profile) Vector {
 	id++
 
 	// sameGender.
-	if a.gender.present && b.gender.present {
-		v[id] = Value{Present: true, Cat: boolCat(a.gender.value == b.gender.value)}
+	if both&(1<<record.Gender) != 0 {
+		v[id] = Value{Present: true, Cat: boolCat(a.first(record.Gender) == b.first(record.Gender))}
 	}
 	id++
 
 	// sameProfession.
-	if a.profession.present && b.profession.present {
-		v[id] = Value{Present: true, Cat: boolCat(strings.EqualFold(a.profession.value, b.profession.value))}
+	if both&(1<<record.Profession) != 0 {
+		v[id] = Value{Present: true, Cat: boolCat(strings.EqualFold(a.first(record.Profession), b.first(record.Profession)))}
 	}
 	id++
 
-	// sameDOB.
+	// sameDOB: interning is injective, so equal IDs are equal dates.
 	if a.hasDOB && b.hasDOB {
 		v[id] = Value{Present: true, Cat: boolCat(a.dob == b.dob)}
 	}
-	id++
-
-	return v
 }
 
-// gramSim returns the q-gram Jaccard of value ja of na against value jb
-// of nb — a merge over the interned sorted gram IDs, memoized on the
-// lowered value strings. QGramIDs lowercases before gramming, so the
-// lowered value is a faithful memo key for the gram set.
-func (e *Extractor) gramSim(na, nb *nameProfile, ja, jb int) float64 {
+// gramSim returns the q-gram Jaccard of two name values — a merge over
+// the interned sorted gram IDs, memoized on the lowered value strings
+// (QGramIDs lowercases before gramming, so the lowered value is a
+// faithful memo key for the gram set).
+func (e *Extractor) gramSim(x, y *nameValue) float64 {
 	if e.Memo == nil {
-		return similarity.JaccardSortedIDs(na.gramIDs[ja], nb.gramIDs[jb])
+		return similarity.JaccardSortedIDs(x.grams, y.grams)
 	}
-	x, y := na.lower[ja], nb.lower[jb]
-	if v, ok := e.Memo.get(memoGram, x, y); ok {
+	if v, ok := e.Memo.get(memoGram, x.lower, y.lower); ok {
 		return v
 	}
-	v := similarity.JaccardSortedIDs(na.gramIDs[ja], nb.gramIDs[jb])
-	e.Memo.put(memoGram, x, y, v)
+	v := similarity.JaccardSortedIDs(x.grams, y.grams)
+	e.Memo.put(memoGram, x.lower, y.lower, v)
 	return v
 }
 
@@ -361,17 +462,19 @@ func (c *ProfileCache) Get(r *record.Record) *Profile {
 }
 
 // Build precomputes profiles for the whole collection on the given number
-// of workers (<=0 means one per record chunk up to GOMAXPROCS is chosen by
-// the caller; Build clamps to at least 1). It returns the profiles aligned
-// with coll.Records, so index-based callers can bypass the map lookup.
+// of workers (clamped to at least 1). It returns the profiles aligned with
+// coll.Records, so index-based callers can bypass the map lookup. The
+// profiles live in one slab, their variable-length parts in per-worker
+// arenas: a build costs a handful of heap objects, not a dozen per record.
 func (c *ProfileCache) Build(coll *record.Collection, workers int) []*Profile {
 	n := coll.Len()
+	slab := make([]Profile, n)
 	profs := make([]*Profile, n)
-	if workers < 1 {
-		workers = 1
-	}
 	if workers > n {
 		workers = n
+	}
+	if workers < 1 {
+		workers = 1
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
@@ -383,14 +486,19 @@ func (c *ProfileCache) Build(coll *record.Collection, workers int) []*Profile {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			b := c.ex.newProfileBuilder(hi - lo)
 			for i := lo; i < hi; i++ {
-				profs[i] = c.ex.Profile(coll.Records[i])
+				b.build(&slab[i], coll.Records[i])
+				profs[i] = &slab[i]
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
 	c.built.Add(int64(n))
 	c.mu.Lock()
+	if len(c.byID) == 0 {
+		c.byID = make(map[int64]*Profile, n)
+	}
 	for i, r := range coll.Records {
 		if _, dup := c.byID[r.BookID]; !dup {
 			c.byID[r.BookID] = profs[i]

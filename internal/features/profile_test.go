@@ -2,6 +2,7 @@ package features
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -107,5 +108,69 @@ func TestProfileCacheBuild(t *testing.T) {
 		if cache.Get(r) != profs[i] {
 			t.Fatalf("Get(%d) did not return the built profile", r.BookID)
 		}
+	}
+}
+
+// TestProfileNameValues pins the compact name representation: a profile
+// keeps each attribute's lowered values distinct and sorted by interned
+// ID, and — since the name features are a set comparison and a max over
+// the value cross product — repeats and order change nothing Extract sees.
+func TestProfileNameValues(t *testing.T) {
+	a := rec(func(r *record.Record) {
+		for _, v := range []string{"John", "JOHN", "Harris", "john"} {
+			r.Add(record.FirstName, v)
+		}
+		r.Add(record.LastName, "Foa")
+		r.Add(record.MotherName, "ŁUCJA")
+	})
+	b := rec(func(r *record.Record) {
+		r.Add(record.FirstName, "harris")
+		r.Add(record.FirstName, "Jon")
+		r.Add(record.LastName, "FOA")
+		r.Add(record.MotherName, "İpek")
+		r.Add(record.MotherName, "Łucja")
+	})
+	ex := NewExtractor(nil)
+	pa, pb := ex.Profile(a), ex.Profile(b)
+	if len(pa.names) != 4 {
+		t.Fatalf("profile keeps %d name values, want 4 distinct (john, harris, foa, łucja)", len(pa.names))
+	}
+	for i := 1; i < len(pa.names); i++ {
+		x, y := pa.names[i-1], pa.names[i]
+		if x.attr > y.attr || x.attr == y.attr && x.id >= y.id {
+			t.Fatalf("name values not grouped by attribute and sorted by ID: %+v", pa.names)
+		}
+	}
+	assertVectorsEqual(t, "repeats", ex.Extract(a, b), ex.ExtractProfiled(pa, pb))
+	assertVectorsEqual(t, "swapped", ex.Extract(b, a), ex.ExtractProfiled(pb, pa))
+}
+
+// TestProfileFootprint bounds what a built profile costs to keep: the
+// scoring stage holds one per record for the Resolution's lifetime, next
+// to blocking's working set, so the live bytes decide whether profiled
+// scoring raises a run's peak RSS. Everything Build leaves reachable is
+// counted — slab, arenas, the cache's map, the interner.
+func TestProfileFootprint(t *testing.T) {
+	gen, err := dataset.Generate(dataset.RandomSetConfig(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewProfileCache(NewExtractor(gen.Gaz))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	profs := cache.Build(gen.Collection, 2)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(gen)
+	runtime.KeepAlive(cache)
+	runtime.KeepAlive(profs)
+
+	n := float64(gen.Collection.Len())
+	bytes := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	objects := (float64(after.HeapObjects) - float64(before.HeapObjects)) / n
+	t.Logf("%d records: %.0f B and %.2f heap objects per record", gen.Collection.Len(), bytes, objects)
+	if bytes > 800 || objects > 4 {
+		t.Errorf("a profile costs %.0f B and %.2f heap objects per record, want <= 800 B and <= 4", bytes, objects)
 	}
 }

@@ -19,6 +19,8 @@ import (
 type Interner struct {
 	mu  sync.RWMutex
 	ids map[string]uint32
+	// strs[id] is the interner's own copy of the string with that ID.
+	strs []string
 }
 
 // NewInterner returns an empty interner.
@@ -29,22 +31,35 @@ func NewInterner() *Interner {
 // Intern returns the ID for s, assigning the next free one on first
 // sight.
 func (in *Interner) Intern(s string) uint32 {
+	id, _ := in.Canonical(s)
+	return id
+}
+
+// Canonical is Intern that also returns the interner's own copy of s, so
+// a caller holding many equal strings (every record's lowered surname)
+// keeps one shared copy instead of one per holder.
+func (in *Interner) Canonical(s string) (uint32, string) {
 	in.mu.RLock()
 	id, ok := in.ids[s]
+	if ok {
+		s = in.strs[id]
+	}
 	in.mu.RUnlock()
 	if ok {
-		return id
+		return id, s
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if id, ok := in.ids[s]; ok {
-		return id
+		return id, in.strs[id]
 	}
-	id = uint32(len(in.ids))
-	// Clone so the map key never pins a larger backing string (grams
+	id = uint32(len(in.strs))
+	// Clone so the interner never pins a larger backing string (grams
 	// arrive as substrings of padded buffers).
-	in.ids[strings.Clone(s)] = id
-	return id
+	s = strings.Clone(s)
+	in.ids[s] = id
+	in.strs = append(in.strs, s)
+	return id, s
 }
 
 // Len returns the number of distinct strings interned so far.
@@ -83,16 +98,6 @@ func QGramIDs(in *Interner, s string, q int) []uint32 {
 	ids := make([]uint32, 0, n)
 	for i := 0; i < n; i++ {
 		ids = append(ids, in.Intern(string(rs[i:i+q])))
-	}
-	return sortedUnique(ids)
-}
-
-// InternSet interns each string lowered and returns the distinct IDs
-// sorted ascending — the interned form of a name-value set.
-func InternSet(in *Interner, vs []string) []uint32 {
-	ids := make([]uint32, 0, len(vs))
-	for _, v := range vs {
-		ids = append(ids, in.Intern(strings.ToLower(v)))
 	}
 	return sortedUnique(ids)
 }

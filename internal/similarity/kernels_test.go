@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestJaroShortStrings pins the len ≤ 1 edge cases the window arithmetic
@@ -119,6 +120,12 @@ func TestInterner(t *testing.T) {
 	if in.Len() != 2 {
 		t.Errorf("Len = %d, want 2", in.Len())
 	}
+	// Canonical hands every caller the interner's one copy of the string.
+	id1, s1 := in.Canonical("surname")
+	id2, s2 := in.Canonical(string([]byte("surname")))
+	if id1 != a || id2 != a || s1 != "surname" || unsafe.StringData(s1) != unsafe.StringData(s2) {
+		t.Errorf("Canonical = (%d, %q) and (%d, %q), want ID %d and one shared copy", id1, s1, id2, s2, a)
+	}
 }
 
 // TestInternerConcurrent hammers one interner from many goroutines; every
@@ -151,20 +158,6 @@ func TestInternerConcurrent(t *testing.T) {
 	}
 	if in.Len() != 50 {
 		t.Errorf("Len = %d, want 50 distinct words", in.Len())
-	}
-}
-
-// TestInternSet checks lowering, dedup, and sortedness.
-func TestInternSet(t *testing.T) {
-	in := NewInterner()
-	ids := InternSet(in, []string{"John", "JOHN", "Harris", "john"})
-	if len(ids) != 2 {
-		t.Fatalf("InternSet kept %d IDs, want 2 distinct lowered values", len(ids))
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Fatalf("InternSet not strictly sorted: %v", ids)
-		}
 	}
 }
 

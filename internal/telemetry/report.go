@@ -94,9 +94,8 @@ type ScoringReport struct {
 	ProfileHits    int64 `json:"profile_hits"`
 	ProfileMisses  int64 `json:"profile_misses"`
 	// Memo* describe the value-pair similarity memo cache (zero when the
-	// memo is disabled, or at Workers=1 where the serial seed path
-	// bypasses profiled extraction entirely). The memo stores pure
-	// kernel results, so these are efficiency signals only.
+	// memo is disabled or no model scored the pairs). The memo stores
+	// pure kernel results, so these are efficiency signals only.
 	MemoHits      int64 `json:"memo_hits"`
 	MemoMisses    int64 `json:"memo_misses"`
 	MemoEvictions int64 `json:"memo_evictions"`
