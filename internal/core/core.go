@@ -200,69 +200,20 @@ func wireDefaults(opts *Options, reg *telemetry.Registry) {
 	}
 }
 
-// Run executes the pipeline, recording a per-stage telemetry breakdown
-// (attached to the Resolution as Report) and registry metrics along the
-// way. It is the batch entry point over an in-memory collection;
-// RunStream is its streaming twin over a RecordSource.
+// Run executes the pipeline over an in-memory collection, recording a
+// per-stage telemetry breakdown (attached to the Resolution as Report)
+// and registry metrics along the way. It is runPipeline over a
+// CollectionSource with the full records retained; candidate pairs stay
+// in memory (Blocking.Pairs, PairScores, PairBlocks) unless the caller
+// set Blocking.SpillPairs.
 func Run(opts Options, coll *record.Collection) (*Resolution, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	reg := opts.metrics()
-	wireDefaults(&opts, reg)
-	report := &telemetry.RunReport{
-		SchemaVersion: telemetry.ReportSchemaVersion,
-		Records:       coll.Len(),
-		Workers:       opts.workers(),
-	}
-	// The root span carries workload attributes only (no worker/shard
-	// counts): Canonical trees must be identical across fan-out
-	// configurations, and configuration already lives in the report.
-	root := opts.Trace.StartSpan(nil, "run", trace.WithKind(trace.KindRun)).
-		Attr("records", int64(coll.Len()))
-	stages := newStageRunner(reg, report, root)
-
-	work := coll
-	if err := stages.run("preprocess", func(sp *trace.Span) (map[string]int64, error) {
-		opts.Progress.Stage("preprocess", int64(coll.Len()))
-		if opts.Preprocess {
-			gaz := opts.Gazetteer
-			if gaz == nil {
-				gaz = gazetteer.Builtin(0)
-			}
-			var err error
-			work, err = PreprocessWith(coll, gaz)
-			if err != nil {
-				return nil, fmt.Errorf("core: preprocess: %w", err)
-			}
-		}
-		opts.Progress.Add(int64(work.Len()))
-		return map[string]int64{"records": int64(work.Len())}, nil
-	}); err != nil {
-		return nil, err
-	}
-
-	var blk *mfiblocks.Result
-	if err := stages.run("blocking", func(sp *trace.Span) (map[string]int64, error) {
-		blocking := opts.Blocking
-		blocking.Trace = sp
-		var err error
-		blk, err = mfiblocks.Run(blocking, work)
-		if err != nil {
-			return nil, fmt.Errorf("core: blocking: %w", err)
-		}
-		return blockingCounters(blk), nil
-	}); err != nil {
-		return nil, err
-	}
-
-	return resolve(&opts, reg, report, stages, work, blk)
+	return runPipeline(StreamOptions{Options: opts, RetainRecords: true}, NewCollectionSource(coll))
 }
 
 // resolve runs the pipeline's back half — scoring and ranking — over a
 // finished blocking result, then assembles the Resolution and its
-// report. Run and RunStream converge here: spilled and in-memory
-// candidate sets take the same path from this point on.
+// report. Spilled and in-memory candidate sets take the same path from
+// this point on.
 func resolve(opts *Options, reg *telemetry.Registry, report *telemetry.RunReport, stages *stageRunner, work *record.Collection, blk *mfiblocks.Result) (*Resolution, error) {
 	report.Blocking = blockingReport(blk)
 	res := &Resolution{

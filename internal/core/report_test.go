@@ -86,7 +86,7 @@ func TestRunReportShape(t *testing.T) {
 	if rep.Records != fx.gen.Collection.Len() {
 		t.Errorf("Records = %d, want %d", rep.Records, fx.gen.Collection.Len())
 	}
-	want := []string{"preprocess", "blocking", "scoring", "rank"}
+	want := []string{"ingest", "blocking", "scoring", "rank"}
 	if len(rep.Stages) != len(want) {
 		t.Fatalf("Stages = %d, want %d", len(rep.Stages), len(want))
 	}

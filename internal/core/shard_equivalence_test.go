@@ -56,8 +56,9 @@ func assertResolutionsMatch(t *testing.T, label string, want, got *Resolution) {
 // TestStreamShardEquivalence is the harness the tentpole is locked down
 // by: the streaming sharded pipeline — windowless ingest, signature-
 // sharded block materialization, shard-local MFI mining, disk-spilled
-// candidates, skeleton records — must reproduce the monolithic batch
-// Run bit-for-bit across the shards × mining-shards × workers matrix on
+// candidates, skeleton records — must reproduce a Run with every knob
+// off (one shard, one mining pass, in-memory candidates, full records)
+// bit-for-bit across the shards × mining-shards × workers matrix on
 // multiple seeds. The spill cap is forced tiny so every cell actually
 // exercises the disk-merge path (and, since spilling enables the async
 // emitter, the overlapped emission path too).

@@ -10,20 +10,14 @@ import (
 // stageRunner executes the pipeline's stages, landing each one's wall
 // clock and counters in both the metrics registry and the run report —
 // and, when the run is traced, opening one KindStage span per stage
-// under the run's root span. Run and RunStream are built from the same
-// runner, so the two entry points expose identical per-stage telemetry
-// shapes — the stage list is the execution order and golden tests key
-// on it.
+// under the run's root span. The stage list is the execution order and
+// golden tests key on it.
 type stageRunner struct {
 	reg    *telemetry.Registry
 	report *telemetry.RunReport
 	// root is the run's root span (nil when tracing is disabled); every
 	// stage span is its child.
 	root *trace.Span
-}
-
-func newStageRunner(reg *telemetry.Registry, report *telemetry.RunReport, root *trace.Span) *stageRunner {
-	return &stageRunner{reg: reg, report: report, root: root}
 }
 
 // run executes one named stage, handing the stage's span (nil when

@@ -19,9 +19,9 @@ type RecordSource interface {
 	NextRecord() (*record.Record, error)
 }
 
-// CollectionSource streams an in-memory collection — the adapter the
-// equivalence tests use to drive RunStream over the exact records a
-// batch Run saw.
+// CollectionSource streams an in-memory collection: the source batch Run
+// feeds the pipeline from, and the adapter the equivalence tests use to
+// drive RunStream over the exact records a batch Run saw.
 type CollectionSource struct {
 	records []*record.Record
 	pos     int
@@ -41,6 +41,10 @@ func (s *CollectionSource) NextRecord() (*record.Record, error) {
 	s.pos++
 	return r, nil
 }
+
+// Len is the collection's record count — the total the ingest stage
+// posts to Progress, which a file stream cannot know up front.
+func (s *CollectionSource) Len() int { return len(s.records) }
 
 // StreamOptions configures RunStream.
 type StreamOptions struct {
@@ -68,24 +72,30 @@ func (o *StreamOptions) Validate() error {
 	return nil
 }
 
-// RunStream executes the pipeline over a record stream: ingest (read,
-// preprocess, encode — one record at a time), blocking over the encoded
-// corpus, scoring over the disk-spillable candidate stream, and ranking.
-// Candidate pairs always route through the spill accumulator
-// (Blocking.SpillPairs, defaulting to spill.DefaultCap), so peak memory
-// is bounded by the encoded corpus plus the spill window — not by the
-// candidate-pair count. The final Matches (and everything derived from
-// them: Pairs, AtCertainty, Clusters) are bit-identical to a batch Run
-// over the same records with the same options.
+// RunStream executes the pipeline over a record stream. Candidate pairs
+// always route through the spill accumulator (Blocking.SpillPairs,
+// defaulting to spill.DefaultCap), so peak memory is bounded by the
+// encoded corpus plus the spill window — not by the candidate-pair
+// count. The final Matches (and everything derived from them: Pairs,
+// AtCertainty, Clusters) are bit-identical to a batch Run over the same
+// records with the same options.
 func RunStream(opts StreamOptions, src RecordSource) (*Resolution, error) {
+	if opts.Blocking.SpillPairs == 0 {
+		opts.Blocking.SpillPairs = spill.DefaultCap
+	}
+	return runPipeline(opts, src)
+}
+
+// runPipeline is the one pipeline body behind Run and RunStream: ingest
+// (read, preprocess, encode — one record at a time), blocking over the
+// encoded corpus, then resolve (scoring over the in-memory or
+// disk-spilled candidate set, ranking, report assembly).
+func runPipeline(opts StreamOptions, src RecordSource) (*Resolution, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	reg := opts.metrics()
 	wireDefaults(&opts.Options, reg)
-	if opts.Blocking.SpillPairs == 0 {
-		opts.Blocking.SpillPairs = spill.DefaultCap
-	}
 	report := &telemetry.RunReport{
 		SchemaVersion: telemetry.ReportSchemaVersion,
 		Workers:       opts.workers(),
@@ -94,14 +104,20 @@ func RunStream(opts StreamOptions, src RecordSource) (*Resolution, error) {
 	// trees stay identical across fan-out configurations; records is
 	// attached once the ingest count is known.
 	root := opts.Trace.StartSpan(nil, "run", trace.WithKind(trace.KindRun))
-	stages := newStageRunner(reg, report, root)
+	stages := &stageRunner{reg: reg, report: report, root: root}
 
 	corpus := &mfiblocks.Corpus{Dict: record.NewDictionary()}
 	var kept []*record.Record
 	if err := stages.run("ingest", func(sp *trace.Span) (map[string]int64, error) {
-		opts.Progress.Stage("ingest", 0)
+		// A source that knows its length gives the progress line a total;
+		// a file stream does not, and posts 0 (unknown).
+		var total int64
+		if ln, ok := src.(interface{ Len() int }); ok {
+			total = int64(ln.Len())
+		}
+		opts.Progress.Stage("ingest", total)
 		gaz := opts.Gazetteer
-		if gaz == nil {
+		if gaz == nil && opts.Preprocess {
 			gaz = gazetteer.Builtin(0)
 		}
 		for {

@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mfiblocks"
+	"repro/internal/record"
 	"repro/internal/store"
 	"repro/internal/telemetry/trace"
 )
@@ -114,7 +118,7 @@ func TestTraceBatchRun(t *testing.T) {
 			stages[c.Name] = true
 		}
 	}
-	for _, want := range []string{"preprocess", "blocking", "scoring", "rank"} {
+	for _, want := range []string{"ingest", "blocking", "scoring", "rank"} {
 		if !stages[want] {
 			t.Fatalf("stage span %q missing (have %+v)", want, stages)
 		}
@@ -189,5 +193,80 @@ func TestStreamReportSpillStats(t *testing.T) {
 		rep.Blocking.MergedEntries != st.MergedEntries ||
 		rep.Blocking.MergedBytes != st.MergedBytes {
 		t.Fatalf("report spill stats %+v diverge from accumulator %+v", rep.Blocking, st)
+	}
+}
+
+// TestRunAndStreamShareStages locks the one-body pipeline: a batch Run
+// and a RunStream that retains records, over the same collection and
+// options, report the same stage list and trace the same canonical span
+// tree. Two entry points with their own front halves cannot pass it.
+func TestRunAndStreamShareStages(t *testing.T) {
+	g := equivDataset(t, 200, 777)
+	opts := Options{Blocking: mfiblocks.NewConfig(), Geo: g.Gaz, Preprocess: true, Gazetteer: g.Gaz, SameSrc: true}
+	// Pinned on both sides: the spilled and in-memory candidate paths
+	// legitimately trace differently (spill counters, merge spans), and
+	// Run takes the in-memory one only when the caller leaves this 0.
+	opts.Blocking.SpillPairs = 64
+	opts.Blocking.SpillDir = t.TempDir()
+
+	stageNames := func(res *Resolution) []string {
+		var names []string
+		for _, s := range res.Report.Stages {
+			names = append(names, s.Name)
+		}
+		return names
+	}
+
+	opts.Trace = trace.New()
+	batch, err := Run(opts, g.Collection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Trace = trace.New()
+	stream, err := RunStream(StreamOptions{Options: opts, RetainRecords: true}, NewCollectionSource(g.Collection))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, s := stageNames(batch), stageNames(stream); !reflect.DeepEqual(b, s) {
+		t.Errorf("stage lists differ: Run %v, RunStream %v", b, s)
+	}
+	if b, s := canonicalJSON(t, batch), canonicalJSON(t, stream); b != s {
+		t.Errorf("canonical trees differ:\nRun:       %s\nRunStream: %s", b, s)
+	}
+}
+
+// stopMidIngest is a CollectionSource that stops the progress printer
+// after a few records, flushing the one status line the ingest stage
+// owns at that moment.
+type stopMidIngest struct {
+	*CollectionSource
+	progress *trace.Progress
+}
+
+func (s *stopMidIngest) NextRecord() (*record.Record, error) {
+	if s.pos == 10 {
+		s.progress.Stop()
+	}
+	return s.CollectionSource.NextRecord()
+}
+
+// TestBatchIngestProgressTotal pins what `yver -progress` shows on a
+// batch run: the collection's size is known up front, so the ingest
+// line carries a total and a percentage, not the open-ended count a
+// file stream gets.
+func TestBatchIngestProgressTotal(t *testing.T) {
+	fx := newFixture(t, 100)
+	var buf strings.Builder
+	opts := Options{Blocking: mfiblocks.NewConfig(), Geo: fx.gen.Gaz, Preprocess: true, Gazetteer: fx.gen.Gaz, SameSrc: true}
+	opts.Progress = &trace.Progress{W: &buf, Interval: time.Hour} // only the line Stop flushes
+	opts.Progress.Start()
+	// Run's own body, with the source wrapped to flush mid-ingest.
+	src := &stopMidIngest{CollectionSource: NewCollectionSource(fx.gen.Collection), progress: opts.Progress}
+	if _, err := runPipeline(StreamOptions{Options: opts, RetainRecords: true}, src); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("stage=ingest 10/%d (", fx.gen.Collection.Len())
+	if !strings.Contains(buf.String(), want) {
+		t.Errorf("ingest progress line = %q, want it to contain %q", buf.String(), want)
 	}
 }

@@ -142,7 +142,8 @@ func (m *Miner) Mine(minsup int, active []int) []Itemset {
 // TreeStats builds the rank-ordered FP-tree for the given support level and
 // reports its size: the node count (excluding the root) and the number of
 // frequent items. It exposes the tree-construction hot path in isolation
-// for benchmarks (cmd/yvbench -bench-blocking) and introspection.
+// for benchmarks (BenchmarkTreeBuild, the repo benchmark's
+// fpgrowth.tree_build_ms) and introspection.
 func (m *Miner) TreeStats(minsup int, active []int) (nodes, items int) {
 	if minsup < 1 {
 		minsup = 1

@@ -47,6 +47,33 @@ func BenchmarkEnforceNG(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterJaccard measures the merge-based block scorer alone, on
+// the largest support set among the minsup-3 MFIs of a 1,200-person
+// Italy corpus — the long-intersection case block materialization hits
+// hardest.
+func BenchmarkClusterJaccard(b *testing.B) {
+	cfg := NewConfig()
+	cfg.Workers = 1
+	bb, err := NewBlockBench(cfg, smallItaly(b, 1200).Collection, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var members []int
+	for _, m := range bb.mfis {
+		if set := bb.index.SupportSet(m.Items); len(set) > len(members) {
+			members = set
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchScore = bb.sc.clusterJaccard(members)
+	}
+}
+
+// benchScore keeps the compiler from discarding the measured call.
+var benchScore float64
+
 func sizeName(persons int) string {
 	switch persons {
 	case 250:

@@ -7,11 +7,12 @@ import (
 	"repro/internal/record"
 )
 
-// BlockBench exposes one iteration's block-materialization hot paths —
-// the merge-based cluster-Jaccard scorer and the cached/uncached
-// buildBlocks loop — to cmd/yvbench -bench-blocking without exporting
-// the engine internals. It freezes the mined MFIs of one minsup level so
-// repeated calls measure exactly the same work.
+// BlockBench exposes one iteration's block materialization — the
+// cached/uncached buildBlocks loop — to the repo benchmark's staged
+// per-layer metrics (mfiblocks.build_cold_ms / build_warm_ms) and the
+// package's own benchmarks without exporting the engine internals. It
+// freezes the mined MFIs of one minsup level so repeated calls measure
+// exactly the same work.
 type BlockBench struct {
 	cfg    Config
 	sc     *scorer
@@ -50,25 +51,6 @@ func NewBlockBench(cfg Config, coll *record.Collection, minsup int) (*BlockBench
 		cache:  newBlockCache(size),
 	}, nil
 }
-
-// MFIs reports how many itemsets each BuildBlocks call materializes.
-func (b *BlockBench) MFIs() int { return len(b.mfis) }
-
-// LargestMembers returns the largest materialized support set among the
-// mined MFIs — the representative input for scoring benchmarks.
-func (b *BlockBench) LargestMembers() []int {
-	var best []int
-	for _, m := range b.mfis {
-		if set := b.index.SupportSet(m.Items); len(set) > len(best) {
-			best = set
-		}
-	}
-	return best
-}
-
-// Score runs the block scorer (cluster Jaccard under the bench config)
-// over the members.
-func (b *BlockBench) Score(members []int) float64 { return b.sc.score(members) }
 
 // BuildBlocks materializes, caps, and scores every frozen MFI through
 // the engine's buildBlocks pool and returns the surviving block count.

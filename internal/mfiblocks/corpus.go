@@ -31,20 +31,20 @@ type Corpus struct {
 	Records []*record.Record
 }
 
-// NewCorpus encodes a collection: the exact dictionary-and-transaction
-// preparation Run has always performed, exposed so callers can share one
-// encoding across several engine invocations.
+// NewCorpus encodes a collection in one pass — the same
+// Append(Dict.Observe(r), r.BookID) loop the pipeline's ingest stage runs
+// record by record — exposed so callers can share one encoding across
+// several engine invocations.
 func NewCorpus(coll *record.Collection) *Corpus {
 	n := coll.Len()
-	dict := record.BuildDictionary(coll)
 	c := &Corpus{
-		Dict:    dict,
+		Dict:    record.NewDictionary(),
 		Txns:    fpgrowth.NewTransactions(n, 0),
 		BookIDs: make([]int64, 0, n),
 		Records: coll.Records,
 	}
 	for _, r := range coll.Records {
-		c.Append(dict.Encode(r), r.BookID)
+		c.Append(c.Dict.Observe(r), r.BookID)
 	}
 	return c
 }

@@ -117,7 +117,7 @@ func TestMetricsIncludesPipelineStages(t *testing.T) {
 	s, _, _ := testServerWithRegistry(t, reg)
 	get(t, s, "/api/stats", http.StatusOK)
 	series := scrape(t, s)
-	for _, stage := range []string{"preprocess", "blocking", "scoring", "rank"} {
+	for _, stage := range []string{"ingest", "blocking", "scoring", "rank"} {
 		key := `core_stage_seconds_count{stage="` + stage + `"}`
 		if v := series[key]; v != 1 {
 			t.Errorf("%s = %v, want 1", key, v)
@@ -188,7 +188,7 @@ func TestReportEndpoint(t *testing.T) {
 	if rep.Scoring == nil || rep.Scoring.Matches != len(res.Matches) {
 		t.Errorf("scoring matches mismatch: %+v", rep.Scoring)
 	}
-	wantStages := []string{"preprocess", "blocking", "scoring", "rank"}
+	wantStages := []string{"ingest", "blocking", "scoring", "rank"}
 	if len(rep.Stages) != len(wantStages) {
 		t.Fatalf("stages = %+v", rep.Stages)
 	}
