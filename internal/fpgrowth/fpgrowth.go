@@ -58,13 +58,12 @@ type Miner struct {
 	// mined MFIs are bit-identical for every worker count.
 	Workers int
 	// Shards, when > 1, splits maximal mining into that many shard-local
-	// FP-trees over contiguous structural-rank ranges instead of one
-	// monolithic tree: each shard's tree holds only the transaction
-	// prefixes its owned items need, so peak tree memory is the largest
-	// shard rather than the whole database. The cross-shard merge
-	// (filterMaximal over the concatenated shard stores) restores global
-	// maximality, and the mined MFIs are bit-identical for every shard
-	// count. 0 or 1 mines the single global tree.
+	// miners over contiguous structural-rank ranges of the one shared
+	// tree, each filling its own MFI stores. An itemset is mined only in
+	// the shard owning its top rank, so a stored set is non-maximal only
+	// through a longer set of another store; finishMaximal checks the
+	// stores against each other, and the mined MFIs are bit-identical for
+	// every shard count. 0 or 1 mines every rank in one pass.
 	Shards int
 	// SelfVerify, when set, lazily recounts every merged MFI's support
 	// against the inverted index after a sharded mine and panics on any
@@ -290,13 +289,15 @@ func (ctx *mineCtx) mineTree(t *flatTree, depth int, out *[]Itemset) {
 		newSuffix = append(newSuffix, ctx.order[r])
 		*out = append(*out, Itemset{Items: newSuffix, Support: t.cnt[r]})
 
+		if len(ctx.conditionalCounts(t, r)) == 0 {
+			ctx.clearCounts()
+			continue
+		}
 		cond := ctx.getTree()
 		ctx.buildConditional(t, r, cond)
-		if len(cond.ranks) > 0 {
-			ctx.suffix = append(ctx.suffix, ctx.order[r])
-			ctx.mineTree(cond, depth+1, out)
-			ctx.suffix = ctx.suffix[:len(ctx.suffix)-1]
-		}
+		ctx.suffix = append(ctx.suffix, ctx.order[r])
+		ctx.mineTree(cond, depth+1, out)
+		ctx.suffix = ctx.suffix[:len(ctx.suffix)-1]
 		ctx.putTree(cond)
 	}
 }

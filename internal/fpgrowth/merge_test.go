@@ -1,0 +1,181 @@
+package fpgrowth
+
+import (
+	"fmt"
+	"hash/fnv"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/telemetry"
+	"repro/internal/telemetry/trace"
+)
+
+// minedStores replays the front half of MineMaximal — projection tree,
+// shard cut, top-item fan-out under m.Workers — and returns the finished
+// worker stores in shard-then-worker order with the rank -> item order.
+// One shard is the monolithic top list.
+func minedStores(m *Miner, minsup, shards int) ([]*mfiStore, []int) {
+	counts, order, rankOf, totalOcc := m.frequentOrder(minsup, nil, nil)
+	tree := m.projectTree(nil, rankOf, len(order), totalOcc)
+	bounds := shardBounds(counts, order, totalOcc, shards)
+	var stores []*mfiStore
+	for s := 0; s+1 < len(bounds); s++ {
+		var top []int32
+		for r := bounds[s+1] - 1; r >= bounds[s]; r-- {
+			top = append(top, int32(r))
+		}
+		if len(top) > 0 {
+			stores = append(stores, m.mineTops(nil, tree, order, top, minsup)...)
+		}
+	}
+	return stores, order
+}
+
+// sweepStores is the merge the cross-store check replaced, kept as its
+// oracle: every stored set of every store through the longest-first
+// filterMaximal sweep, then the same translation and canonical sort.
+func sweepStores(stores []*mfiStore, order []int) []Itemset {
+	var sets []rankSet
+	for _, s := range stores {
+		sets = append(sets, s.sets...)
+	}
+	var out []Itemset
+	for _, k := range filterMaximal(sets, len(order)) {
+		items := make([]int, len(sets[k].ranks))
+		for j, r := range sets[k].ranks {
+			items[j] = order[r]
+		}
+		sort.Ints(items)
+		out = append(out, Itemset{Items: items, Support: sets[k].support})
+	}
+	sortCanonical(out)
+	return out
+}
+
+// TestCrossStoreMergeMatchesSweep holds finishMaximal's cross-store merge
+// against the filterMaximal sweep it replaced, the public entry point
+// (SelfVerify recounting every survivor) and, where the item universe is
+// small enough to enumerate, brute force — over seeds × minsup × workers
+// × shards. The merge runs twice over the same stores: equal results mean
+// it is deterministic and left the stores as it found them.
+func TestCrossStoreMergeMatchesSweep(t *testing.T) {
+	type fixture struct {
+		name  string
+		txns  [][]int
+		brute bool
+	}
+	var fixtures []fixture
+	for seed := int64(1); seed <= 3; seed++ {
+		fixtures = append(fixtures,
+			fixture{fmt.Sprintf("dense/seed%d", seed), denseTxns(seed, 40, 3, 13), true},
+			fixture{fmt.Sprintf("contested/seed%d", seed), equivTxns(seed, 400, 200, 10), false})
+	}
+	died := 0
+	for _, fx := range fixtures {
+		for _, minsup := range []int{2, 3, 5} {
+			var truth []Itemset
+			if fx.brute {
+				truth = naiveMaximal(bruteForce(fx.txns, minsup))
+			}
+			for _, workers := range []int{1, 2, 8} {
+				for _, shards := range []int{1, 2, 4} {
+					name := fmt.Sprintf("%s minsup=%d workers=%d shards=%d", fx.name, minsup, workers, shards)
+					m := NewMiner(fx.txns)
+					m.Workers = workers
+					stores, order := minedStores(m, minsup, shards)
+					want := sweepStores(stores, order)
+					for run := 0; run < 2; run++ {
+						if got := m.finishMaximal(nil, stores, order, time.Now()); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s run %d: cross-store merge kept %d sets, the sweep %d", name, run, len(got), len(want))
+						}
+					}
+					if got := mineWith(t, fx.txns, shards, workers, minsup, nil, true); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: MineMaximal returned %d sets, the sweep %d", name, len(got), len(want))
+					}
+					if fx.brute && !reflect.DeepEqual(truth, want) {
+						t.Fatalf("%s: brute force finds %d MFIs, the sweep %d", name, len(truth), len(want))
+					}
+					if len(stores) == 1 && len(stores[0].sets) != len(want) {
+						t.Fatalf("%s: a lone store holds %d sets but %d are maximal", name, len(stores[0].sets), len(want))
+					}
+					for _, s := range stores {
+						died += len(s.sets)
+					}
+					died -= len(want)
+				}
+			}
+		}
+	}
+	if died == 0 {
+		t.Fatal("no stored set was subsumed across stores anywhere in the matrix: the merge was never exercised")
+	}
+}
+
+// TestConditionalTreeBuiltOnlyOnMiss pins the count-first order of
+// mineItem on a fixed fixture mined serially: a conditional tree is taken
+// from the pool only for the header items whose head-union-tail test
+// missed. The visit and miss counts, and the hash of the mined MFIs, were
+// recorded at the commit that still built a tree for every header item
+// (and threw 81% of them away here).
+func TestConditionalTreeBuiltOnlyOnMiss(t *testing.T) {
+	const (
+		goldenVisited = 29396
+		goldenMisses  = 5695
+		goldenMFIs    = 579
+		goldenHash    = 0xd6ab438221668c4e
+	)
+	m := NewMiner(denseTxns(29, 600, 100, 48))
+	m.Workers = 1
+	m.Metrics = telemetry.NewRegistry()
+	got := m.MineMaximal(2, nil)
+	h := fnv.New64a()
+	for _, s := range got {
+		fmt.Fprintln(h, s.Items, s.Support)
+	}
+	if len(got) != goldenMFIs || h.Sum64() != goldenHash {
+		t.Fatalf("mined %d MFIs hashing to %#x, golden is %d and %#x", len(got), h.Sum64(), goldenMFIs, uint64(goldenHash))
+	}
+	if v := m.Metrics.Counter("fpgrowth_header_items_total").Value(); v != goldenVisited {
+		t.Fatalf("visited %d header items, golden is %d", v, goldenVisited)
+	}
+	if trees := m.Metrics.Counter("fpgrowth_cond_trees_total").Value(); trees != goldenMisses {
+		t.Fatalf("took %d conditional trees for %d focus misses", trees, goldenMisses)
+	}
+}
+
+// TestMergeTimedOncePerCall: fpgrowth_merge_seconds is observed once per
+// mining call at every worker × shard count — the lone-store call included
+// — and each call hangs one maximal_merge span under its mine span.
+func TestMergeTimedOncePerCall(t *testing.T) {
+	txns := equivTxns(11, 300, 150, 10)
+	for _, workers := range []int{1, 2} {
+		for _, shards := range []int{1, 2} {
+			m := NewMiner(txns)
+			m.Workers, m.Shards = workers, shards
+			m.Metrics = telemetry.NewRegistry()
+			tr := trace.New()
+			root := tr.StartSpan(nil, "test")
+			m.Trace = root
+			m.MineMaximal(3, nil)
+			m.MineMaximal(2, nil)
+			root.End()
+			hist := m.Metrics.Histogram(telemetry.FamilyFPGrowthMerge, telemetry.DurationBuckets).Snapshot()
+			if hist.Count != 2 {
+				t.Fatalf("workers=%d shards=%d: merge timer observed %d times over 2 calls", workers, shards, hist.Count)
+			}
+			merges := 0
+			for _, mine := range tr.Tree(trace.Full).Roots[0].Children {
+				for _, c := range mine.Children {
+					if c.Name == "maximal_merge" {
+						merges++
+					}
+				}
+			}
+			if merges != 2 {
+				t.Fatalf("workers=%d shards=%d: %d maximal_merge spans under 2 mine spans", workers, shards, merges)
+			}
+		}
+	}
+}

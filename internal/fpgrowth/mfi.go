@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -19,9 +20,10 @@ import (
 // avoids the exponential enumeration of all frequent itemsets.
 //
 // Mining fans the top-level header items out across Workers goroutines,
-// each mining its conditional subtrees into a worker-local MFI store; the
-// stores are merged in deterministic worker order and swept by
-// filterMaximal, so the output is bit-identical for every worker count.
+// each mining its conditional subtrees into a worker-local MFI store. A
+// stored set can only be non-maximal because of a longer set in another
+// store (finishMaximal), so the stores are checked against each other and
+// the survivors sorted: bit-identical output for every worker count.
 func (m *Miner) MineMaximal(minsup int, active []int) []Itemset {
 	return m.mineMaximal(minsup, active, nil)
 }
@@ -65,35 +67,70 @@ func (m *Miner) mineMaximal(minsup int, active []int, freq []int) []Itemset {
 			top = append(top, int32(r))
 		}
 	}
-
-	sets := m.mineTops(msp, tree, order, top, minsup)
-
-	// Maximality sweep over the merged candidates. For Workers=1 this is
-	// the historical safety net (the structural-order argument already
-	// guarantees no stored set is subsumed by a later one); for Workers>1
-	// it also removes the cross-worker redundancy, making the output
-	// independent of the fan-out.
-	return m.finishMaximal(msp, sets, order, t1)
+	return m.finishMaximal(msp, m.mineTops(msp, tree, order, top, minsup), order, t1)
 }
 
+// mergeChunk bounds the sets one merge task checks and translates.
+const mergeChunk = 512
+
 // finishMaximal is the merge tail shared by the monolithic and
-// shard-local paths: the global maximality sweep over the rank-space
-// candidates, their translation to sorted item ids, the canonical sort,
-// mining metrics, and the mine span's workload attribute. Because both
-// paths feed their candidate stores through the same sweep and sort,
-// the returned MFIs are bit-identical however the candidates were
-// produced.
-func (m *Miner) finishMaximal(msp *trace.Span, sets []rankSet, order []int, t1 time.Time) []Itemset {
-	kept := filterMaximal(sets, len(order))
-	out := slices.Grow([]Itemset(nil), len(kept))
-	for _, k := range kept {
-		items := make([]int, len(sets[k].ranks))
-		for j, r := range sets[k].ranks {
-			items[j] = order[r]
+// shard-local paths. Two facts make it exact without a global sweep: no
+// set is subsumed by another set of its own store (deepest-first order,
+// and a focus miss precedes every add), and an itemset has one top rank,
+// hence one owning shard and worker, so no set occurs in two stores. A
+// set is therefore non-maximal exactly when a longer set of a different
+// store contains it (the stores together hold every true MFI). Chunks of
+// each store are checked against the other stores, which they only read,
+// and translated to sorted item ids under the Workers budget; a lone
+// store has nothing to be checked against. Survivors are gathered in
+// store order and leave through the canonical sort: bit-identical MFIs
+// however they were mined.
+func (m *Miner) finishMaximal(msp *trace.Span, stores []*mfiStore, order []int, t1 time.Time) []Itemset {
+	t2 := time.Now()
+	type task struct{ store, lo int }
+	var tasks []task
+	for si, s := range stores {
+		for lo := 0; lo < len(s.sets); lo += mergeChunk {
+			tasks = append(tasks, task{si, lo})
 		}
-		sort.Ints(items)
-		out = append(out, Itemset{Items: items, Support: sets[k].support})
 	}
+	// KindSetup: how many stores there are to reconcile is fan-out
+	// configuration, not workload.
+	gsp := msp.Child("maximal_merge", trace.WithKind(trace.KindSetup)).Attr("stores", int64(len(stores)))
+	parts := make([][]Itemset, len(tasks))
+	var next atomic.Int64
+	run := func() {
+		for c := int(next.Add(1)) - 1; c < len(tasks); c = int(next.Add(1)) - 1 {
+			own := stores[tasks[c].store]
+			sets := own.sets[tasks[c].lo:min(tasks[c].lo+mergeChunk, len(own.sets))]
+			part := make([]Itemset, 0, len(sets))
+			for _, set := range sets {
+				if slices.ContainsFunc(stores, func(s *mfiStore) bool { return s != own && s.subsumes(set.ranks) }) {
+					continue
+				}
+				items := make([]int, len(set.ranks))
+				for j, r := range set.ranks {
+					items[j] = order[r]
+				}
+				sort.Ints(items)
+				part = append(part, Itemset{Items: items, Support: set.support})
+			}
+			parts[c] = part
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(m.workers(), len(tasks)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
+	out := slices.Concat(parts...)
+	gsp.Attr("survivors", int64(len(out))).End()
+	m.Metrics.Timer(telemetry.FamilyFPGrowthMerge).Observe(time.Since(t2))
 	sortCanonical(out)
 	m.Metrics.Timer(telemetry.FamilyFPGrowthMine).Observe(time.Since(t1))
 	m.Metrics.Counter("fpgrowth_mfis_total").Add(int64(len(out)))
@@ -109,72 +146,53 @@ func sortCanonical(sets []Itemset) {
 
 // mineTops runs the FPmax top-item loop over the given top-level ranks
 // of tree (already ordered deepest-first), fanning the items out across
-// the worker pool with worker-local MFI stores, and returns the
-// concatenated rank-space candidate sets in deterministic worker order.
-// The caller owns the final filterMaximal sweep; both the monolithic and
-// the shard-local paths feed it through here.
-func (m *Miner) mineTops(parent *trace.Span, tree *flatTree, order []int, top []int32, minsup int) []rankSet {
-	workers := m.workers()
-	if workers > len(top) {
-		workers = len(top)
-	}
+// the worker pool, and returns the worker-local MFI stores in worker
+// order. finishMaximal reconciles them; the monolithic path passes one
+// call's stores, the shard-local path every shard's.
+func (m *Miner) mineTops(parent *trace.Span, tree *flatTree, order []int, top []int32, minsup int) []*mfiStore {
+	// Deterministic round-robin assignment: worker w owns top[w],
+	// top[w+W], ... — contiguous chunks would hand all the cheap
+	// deep-rank items to one worker and the expensive shallow ones to
+	// another. Each worker keeps the serial deepest-first order within
+	// its share, preserving most of the store's pruning power.
+	workers := max(min(m.workers(), len(top)), 1)
 	m.Metrics.Gauge(telemetry.FamilyFPGrowthWorkers).Set(float64(workers))
-
-	var sets []rankSet
-	switch {
-	case len(top) == 0:
-		// No frequent items: nothing to mine.
-	case workers <= 1:
+	stores := make([]*mfiStore, workers)
+	mine := func(w int) {
 		ctx := newMineCtx(order, minsup)
 		ctx.store = newMFIStore(len(order))
-		for _, r := range top {
-			ctx.mineItem(tree, r, 0)
+		for i := w; i < len(top); i += workers {
+			ctx.mineItem(tree, top[i], 0)
 		}
-		sets = ctx.store.sets
-	default:
-		// Deterministic round-robin assignment: worker w owns top[w],
-		// top[w+W], ... — contiguous chunks would hand all the cheap
-		// deep-rank items to one worker and the expensive shallow ones to
-		// another. Each worker keeps the serial deepest-first order within
-		// its share, preserving most of the store's pruning power;
-		// cross-worker redundancy is swept by filterMaximal.
-		stores := make([]*mfiStore, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wsp := parent.Child("mine_worker", trace.WithKind(trace.KindWorker), trace.WithTrack(w+1))
-				ctx := newMineCtx(order, minsup)
-				ctx.store = newMFIStore(len(order))
-				for i := w; i < len(top); i += workers {
-					ctx.mineItem(tree, top[i], 0)
-				}
-				stores[w] = ctx.store
-				wsp.Attr("sets", int64(len(ctx.store.sets))).End()
-			}(w)
-		}
-		wg.Wait()
-		t2 := time.Now()
-		total := 0
-		for _, s := range stores {
-			total += len(s.sets)
-		}
-		sets = make([]rankSet, 0, total)
-		for _, s := range stores {
-			sets = append(sets, s.sets...)
-		}
-		m.Metrics.Timer(telemetry.FamilyFPGrowthMerge).Observe(time.Since(t2))
+		stores[w] = ctx.store
+		m.Metrics.Counter("fpgrowth_header_items_total").Add(ctx.visited)
+		m.Metrics.Counter("fpgrowth_cond_trees_total").Add(ctx.trees)
 	}
-	return sets
+	if workers == 1 {
+		mine(0)
+		return stores
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			wsp := parent.Child("mine_worker", trace.WithKind(trace.KindWorker), trace.WithTrack(w+1))
+			mine(w)
+			wsp.Attr("sets", int64(len(stores[w].sets))).End()
+		}(w)
+	}
+	wg.Wait()
+	return stores
 }
 
 // mineItem runs header item r of tree t — the root tree at depth 0, a
 // conditional tree below — under the depth ranks the store is focused on:
-// build r's conditional tree and, unless a stored set already contains
-// suffix ∪ {r} ∪ every item of it (head-union-tail pruning; with an empty
-// conditional tree this is the maximality test of suffix ∪ {r} itself),
-// mine it.
+// count r's conditional items and, unless a stored set already contains
+// suffix ∪ {r} ∪ every frequent one of them (head-union-tail pruning; with
+// none this is the maximality test of suffix ∪ {r} itself), build the
+// conditional tree and mine it. Most branches are pruned, so the tree is
+// only built once the store has missed.
 //
 // Nothing is stored after the recursion returns. A non-empty conditional
 // tree means suffix ∪ {r, x} is frequent, and fpmax never returns without
@@ -183,14 +201,20 @@ func (m *Miner) mineTops(parent *trace.Span, tree *flatTree, order []int, top []
 // by, or (by induction) recurses into a superset of suffix ∪ {item}. The
 // bare suffix ∪ {r} is therefore never maximal there.
 func (ctx *mineCtx) mineItem(t *flatTree, r int32, depth int) {
+	ctx.visited++
+	// Ascending ranks: the sorted tail the store tests, and the order
+	// fpmax walks backwards.
+	tail := ctx.conditionalCounts(t, r)
+	slices.Sort(tail)
+	if ctx.store.focus(depth, r, tail) {
+		ctx.clearCounts()
+		return
+	}
 	cond := ctx.getTree()
 	ctx.buildConditional(t, r, cond)
-	// Ascending ranks: the sorted tail the store tests, and the order
-	// fpmax walks backwards. reset does not care about the order.
-	slices.Sort(cond.ranks)
-	if !ctx.store.focus(depth, r, cond.ranks) {
-		ctx.fpmax(cond, depth+1, t.cnt[r])
-	}
+	// Insertion listed the same ranks in first-touch order.
+	cond.ranks = append(cond.ranks[:0], tail...)
+	ctx.fpmax(cond, depth+1, t.cnt[r])
 	ctx.putTree(cond)
 }
 
@@ -231,10 +255,11 @@ type rankSet struct {
 }
 
 // mfiStore accumulates maximal itemsets and answers "is this candidate
-// contained in a stored set?" — the one subsumption implementation, shared
-// by the mining workers and the filterMaximal merge. Processing order
-// (least-frequent header items first) guarantees no stored set is ever
-// subsumed by a later one within a single worker.
+// contained in a stored set?" — the one subsumption implementation: focus
+// for the worker that fills the store, the read-only subsumes for the
+// cross-store merge (and the filterMaximal oracle). Processing order
+// (least-frequent header items first) plus the focus miss before every add
+// guarantee no stored set is subsumed by another set of the same store.
 //
 // Queries are progressively focused (the LMFI idea of GenMax/FPmax*):
 // lists[d] holds the stored sets containing the first d ranks of the
@@ -329,24 +354,34 @@ func (s *mfiStore) put(set []int32, support, depth int) {
 }
 
 // subsumes reports whether cand (ascending) is a subset of a stored set,
-// with no suffix in play: an unfocused query seeded from the posting list
-// of cand's least-covered rank.
+// with no suffix in play: a scan of the posting list of cand's
+// least-covered rank. It writes nothing — not even the focus lists — so
+// the merge may query a finished store from many goroutines at once.
 func (s *mfiStore) subsumes(cand []int32) bool {
 	if len(cand) == 0 {
 		return len(s.sets) > 0
 	}
 	best := cand[0]
-	for _, r := range cand[1:] {
+	var want uint64
+	for _, r := range cand {
+		want |= sigBit(r)
 		if len(s.posting[r]) < len(s.posting[best]) {
 			best = r
 		}
 	}
-	return s.focus(0, best, cand)
+	for _, i := range s.posting[best] {
+		if s.sigs[i]&want == want && isSubset(cand, s.sets[i].ranks) {
+			return true
+		}
+	}
+	return false
 }
 
 // filterMaximal returns the indices of the sets that are not a subset of
 // another (one index per group of duplicates), longest first. Ranks must
-// lie in [0, nRanks).
+// lie in [0, nRanks). It assumes nothing about where the sets came from:
+// the sweep behind the exported FilterMaximal, and the oracle the tests
+// hold finishMaximal's cross-store merge against.
 func filterMaximal(sets []rankSet, nRanks int) []int {
 	// Longest first: a set can only be subsumed by a longer (or equal,
 	// i.e. duplicate) one.

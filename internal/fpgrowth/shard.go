@@ -33,12 +33,11 @@ import (
 // below their head item, so X is minable exactly once — in the shard
 // that owns r(X), with its exact global (active-set) support. An itemset
 // maximal within its shard may still be subsumed by a superset mined in
-// another shard — its store never saw the superset — which is precisely
-// the redundancy the cross-shard filterMaximal sweep removes (the same
-// sweep, through the same mfiStore type the miners fill, that already
-// reconciles worker-local stores). Both paths reduce
-// to the true MFI set with exact supports under the same canonical sort:
-// bit-identical.
+// another shard — its store never saw the superset — and that is the only
+// way it can be non-maximal, so finishMaximal checks every store's sets
+// against the other stores (worker-local stores of one shard included).
+// Both paths reduce to the true MFI set with exact supports under the
+// same canonical sort: bit-identical.
 func (m *Miner) mineMaximalSharded(minsup int, active []int, freq []int) []Itemset {
 	t0 := time.Now()
 	counts, order, rankOf, totalOcc := m.frequentOrder(minsup, active, freq)
@@ -51,7 +50,7 @@ func (m *Miner) mineMaximalSharded(minsup int, active []int, freq []int) []Items
 	defer msp.End()
 
 	bounds := shardBounds(counts, order, totalOcc, m.Shards)
-	var sets []rankSet
+	var stores []*mfiStore
 	for s := 0; s+1 < len(bounds); s++ {
 		lo, hi := bounds[s], bounds[s+1]
 		if lo == hi {
@@ -69,13 +68,17 @@ func (m *Miner) mineMaximalSharded(minsup int, active []int, freq []int) []Items
 				top = append(top, int32(r))
 			}
 		}
-		shardSets := m.mineTops(ssp, tree, order, top, minsup)
-		sets = append(sets, shardSets...)
-		ssp.Attr("sets", int64(len(shardSets))).End()
+		shardStores := m.mineTops(ssp, tree, order, top, minsup)
+		sets := 0
+		for _, st := range shardStores {
+			sets += len(st.sets)
+		}
+		stores = append(stores, shardStores...)
+		ssp.Attr("sets", int64(sets)).End()
 	}
 	m.Metrics.Gauge("fpgrowth_mine_shards").Set(float64(m.Shards))
 
-	out := m.finishMaximal(msp, sets, order, t1)
+	out := m.finishMaximal(msp, stores, order, t1)
 	if m.SelfVerify {
 		m.verifySupports(out, active)
 	}

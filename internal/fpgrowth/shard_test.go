@@ -11,7 +11,7 @@ import (
 // high-rank shard) under two balanced shards: {0,1} is maximal within
 // shard 0 — shard 0 never mines item 5 as a top-level suffix — but at
 // minsup 2 it is subsumed globally by {0,1,5}, which only shard 1 can
-// mine. The cross-shard FilterMaximal sweep must reconcile them.
+// mine. The cross-store merge must reconcile them.
 //
 // Item frequencies: 0:6, 1:6, 2:3, 3:3, 4:2, 5:2 → ranks 0..5 in item
 // order; total mass 22, so the 2-shard boundary lands after rank 1.
@@ -46,7 +46,7 @@ func containsSet(sets []Itemset, items []int) bool {
 // subsumed by a superset mined in another shard must not survive, and
 // the sharded output must be byte-identical to the monolithic one at
 // every minsup level (at minsup 3 the superset {0,1,5} drops below
-// support and {0,1} becomes globally maximal — the sweep must keep it).
+// support and {0,1} becomes globally maximal — the merge must keep it).
 func TestShardMergeRestoresGlobalMaximality(t *testing.T) {
 	txns := adversarialTxns()
 	for minsup := 2; minsup <= 5; minsup++ {

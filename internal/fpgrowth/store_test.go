@@ -76,11 +76,20 @@ func below(limit int32, mask uint32) []int32 {
 	return out
 }
 
+func cloneLists(lists [][]int32) [][]int32 {
+	out := make([][]int32, len(lists))
+	for i, l := range lists {
+		out[i] = slices.Clone(l)
+	}
+	return out
+}
+
 // driveStore interprets data as a sequence of store operations following
 // the miner's protocol — focus at the current depth; on a miss either
 // descend or store; store under the current suffix; ascend; unfocused
-// query at depth 0 — and checks every answer, and finally the stored
-// sets, against the naive store.
+// query at any depth, which must leave the focus lists as it found them —
+// and checks every answer, and finally the stored sets, against the naive
+// store.
 func driveStore(t *testing.T, data []byte) {
 	store := newMFIStore(fuzzRanks)
 	naive := &naiveStore{}
@@ -143,13 +152,15 @@ func driveStore(t *testing.T, data []byte) {
 			if depth > 0 {
 				suffix = suffix[:depth-1]
 			}
-		case 7: // unfocused query; it refocuses level 0, so only legal there
-			if depth > 0 {
-				continue
-			}
+		case 7: // unfocused query: read-only, so legal under any suffix
 			cand := below(fuzzRanks, mask())
+			focused, lists := slices.Clone(store.suffix), cloneLists(store.lists)
 			if got, want := store.subsumes(cand), naive.subsumes(cand); got != want {
 				t.Fatalf("subsumes(%v) = %v, naive scan says %v; stored %v", cand, got, want, naive.sets)
+			}
+			if !slices.Equal(store.suffix, focused) || !slices.EqualFunc(store.lists, lists, slices.Equal[[]int32]) {
+				t.Fatalf("subsumes(%v) under suffix %v moved the focus: suffix %v -> %v, lists %v -> %v",
+					cand, suffix, focused, store.suffix, lists, store.lists)
 			}
 		}
 	}

@@ -163,11 +163,14 @@ type mineCtx struct {
 	// stack-like; maximal mining keeps its suffix in the store instead.
 	suffix  []int
 	condCnt []int   // rank-indexed conditional counts, cleared via touched
-	touched []int32 // ranks dirtied in condCnt during one conditional build
+	touched []int32 // ranks dirtied in condCnt by the last conditionalCounts
+	tail    []int32 // the frequent ones among touched
 	path    []int32 // one prefix path being inserted
 	sp      []int32 // singlePath node scratch
 	levels  []levelScratch
 	pool    []*flatTree
+
+	visited, trees int64 // header items mined, conditional trees taken (telemetry)
 }
 
 // levelScratch holds the per-recursion-depth buffer that must survive the
@@ -197,6 +200,7 @@ func (ctx *mineCtx) level(d int) *levelScratch {
 // getTree pops a recycled conditional tree (or allocates one) sized to the
 // root universe.
 func (ctx *mineCtx) getTree() *flatTree {
+	ctx.trees++
 	if n := len(ctx.pool); n > 0 {
 		t := ctx.pool[n-1]
 		ctx.pool = ctx.pool[:n-1]
@@ -211,11 +215,11 @@ func (ctx *mineCtx) putTree(t *flatTree) {
 	ctx.pool = append(ctx.pool, t)
 }
 
-// buildConditional fills out with the conditional tree of rank r in t,
-// keeping only items whose conditional support reaches minsup (the
-// single-pass equivalent of the old conditionalTree+pruneTree rebuild).
-func (ctx *mineCtx) buildConditional(t *flatTree, r int32, out *flatTree) {
-	// Pass 1: conditional item counts along r's prefix paths.
+// conditionalCounts accumulates the conditional item counts along r's
+// prefix paths in t into condCnt and returns the ranks whose conditional
+// support reaches minsup, unordered, in scratch the next call overwrites.
+// The counts stay until buildConditional or clearCounts.
+func (ctx *mineCtx) conditionalCounts(t *flatTree, r int32) []int32 {
 	touched := ctx.touched[:0]
 	for n := t.head[r]; n != -1; n = t.hlink[n] {
 		c := t.count[n]
@@ -227,7 +231,29 @@ func (ctx *mineCtx) buildConditional(t *flatTree, r int32, out *flatTree) {
 			ctx.condCnt[ri] += c
 		}
 	}
-	// Pass 2: reinsert each prefix path filtered to the surviving items.
+	ctx.touched = touched
+	tail := ctx.tail[:0]
+	for _, ri := range touched {
+		if ctx.condCnt[ri] >= ctx.minsup {
+			tail = append(tail, ri)
+		}
+	}
+	ctx.tail = tail
+	return tail
+}
+
+// clearCounts zeroes the counts conditionalCounts left behind.
+func (ctx *mineCtx) clearCounts() {
+	for _, ri := range ctx.touched {
+		ctx.condCnt[ri] = 0
+	}
+}
+
+// buildConditional fills out with the conditional tree of rank r in t
+// from the counts conditionalCounts just took, and clears them: each
+// prefix path is reinserted filtered to the items whose conditional
+// support reaches minsup.
+func (ctx *mineCtx) buildConditional(t *flatTree, r int32, out *flatTree) {
 	path := ctx.path
 	for n := t.head[r]; n != -1; n = t.hlink[n] {
 		path = path[:0]
@@ -247,9 +273,6 @@ func (ctx *mineCtx) buildConditional(t *flatTree, r int32, out *flatTree) {
 		}
 		out.insertPath(path, t.count[n])
 	}
-	for _, ri := range touched {
-		ctx.condCnt[ri] = 0
-	}
-	ctx.touched = touched[:0]
 	ctx.path = path[:0]
+	ctx.clearCounts()
 }

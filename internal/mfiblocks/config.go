@@ -62,10 +62,11 @@ type Config struct {
 	// MineShards partitions each iteration's MFI mining itself into
 	// shard-local miners over contiguous structural-rank ranges of one
 	// shared projection tree (fpgrowth.Miner.Shards): each shard mines
-	// only its owned top-level suffixes into its own store, and the
-	// cross-shard FilterMaximal merge keeps the mined MFIs — and
-	// everything downstream — bit-identical for every shard count. 0 or
-	// 1 runs the single monolithic mining pass.
+	// only its owned top-level suffixes into its own stores. A stored
+	// set can only be non-maximal through a longer set of another store,
+	// so checking the stores against each other keeps the mined MFIs —
+	// and everything downstream — bit-identical for every shard count.
+	// 0 or 1 runs the single monolithic mining pass.
 	MineShards int
 	// BlockCache bounds the cross-iteration block materialization cache
 	// (total memoized blocks). The SupportSet contract materializes every
