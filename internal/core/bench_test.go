@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/adtree"
@@ -52,11 +51,11 @@ func newBenchScoring(b *testing.B, persons int) *benchScoring {
 
 // BenchmarkScorePairs measures the scoring stage — profile build, SameSrc
 // filter, feature extraction, ADTree scoring, classification — inline
-// (workers=1) and on the worker pool at several worker counts.
+// (workers=1) and with two workers claiming chunks off the candidate
+// cursor, the sandbox's and the repository benchmark's worker count.
 func BenchmarkScorePairs(b *testing.B) {
 	bs := newBenchScoring(b, 600)
-	counts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	for _, workers := range counts {
+	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			opts := bs.opts
 			opts.Workers = workers

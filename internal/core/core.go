@@ -56,13 +56,9 @@ type Options struct {
 	// deterministic — identical Matches order, candidate pairs, and
 	// discard counters — for every worker count.
 	Workers int
-	// MemoSize bounds the scoring stage's value-pair similarity memo
-	// cache (entries): the dataset's value skew makes the same
-	// (surname, surname) or (city, city) kernel comparison recur across
-	// thousands of candidate pairs, and the memo computes each once per
-	// run. 0 selects features.DefaultMemoSize; negative disables the
-	// memo. The memo stores pure kernel results, so it never changes
-	// outputs — Matches are bit-identical with the memo on or off.
+	// MemoSize does nothing: the scoring stage runs the similarity
+	// kernels directly and keeps no pair cache. The field remains only
+	// because benchmark/staged.go sizes its own features.PairMemo from it.
 	MemoSize int
 	// Metrics receives pipeline counters, timings, and distributions
 	// (core_*, mfiblocks_*, fpgrowth_* families); nil falls back to
@@ -220,7 +216,7 @@ func resolve(opts *Options, reg *telemetry.Registry, report *telemetry.RunReport
 		Blocking:   blk,
 		Collection: work,
 		model:      opts.Model,
-		profiles:   features.NewProfileCache(newScoringExtractor(opts)),
+		profiles:   features.NewProfileCache(features.NewExtractor(opts.Geo)),
 		Report:     report,
 	}
 
@@ -284,14 +280,7 @@ func resolve(opts *Options, reg *telemetry.Registry, report *telemetry.RunReport
 	}
 	cs := res.profiles.Stats()
 	reg.Gauge("core_profiles_cached").Set(float64(cs.Size))
-	ex := res.profiles.Extractor()
-	if ms := ex.Memo.Stats(); ex.Memo != nil {
-		reg.Counter(telemetry.FamilyMemoHits).Add(ms.Hits)
-		reg.Counter(telemetry.FamilyMemoMisses).Add(ms.Misses)
-		reg.Counter(telemetry.FamilyMemoEvictions).Add(ms.Evictions)
-		reg.Gauge(telemetry.FamilyMemoEntries).Set(float64(ms.Entries))
-	}
-	reg.Gauge(telemetry.FamilyInternedStrings).Set(float64(ex.InternedStrings()))
+	reg.Gauge(telemetry.FamilyInternedStrings).Set(float64(res.profiles.Extractor().InternedStrings()))
 	telemetry.Log().Info("core run done",
 		"records", work.Len(), "candidates", st.candidates,
 		"matches", len(res.Matches), "workers", opts.workers(),
@@ -351,22 +340,10 @@ func blockingReport(blk *mfiblocks.Result) *telemetry.BlockingReport {
 	return br
 }
 
-// newScoringExtractor builds the extractor Run and ScoreCandidates
-// share: the canonical 48 features over opts.Geo, carrying the pair-
-// similarity memo unless MemoSize disables it.
-func newScoringExtractor(opts *Options) *features.Extractor {
-	ex := features.NewExtractor(opts.Geo)
-	if opts.MemoSize >= 0 {
-		ex.Memo = features.NewPairMemo(opts.MemoSize)
-	}
-	return ex
-}
-
 // scoringReport converts the scoring stage's outcome into its report
 // form.
 func scoringReport(st *scoreResult, cache *features.ProfileCache, workers int) *telemetry.ScoringReport {
 	cs := cache.Stats()
-	ms := cache.Extractor().Memo.Stats()
 	sr := &telemetry.ScoringReport{
 		Candidates:      st.candidates,
 		SameSrcDropped:  st.sameSrc,
@@ -377,10 +354,6 @@ func scoringReport(st *scoreResult, cache *features.ProfileCache, workers int) *
 		ProfilesBuilt:   int(cs.Built),
 		ProfileHits:     cs.Hits,
 		ProfileMisses:   cs.Misses,
-		MemoHits:        ms.Hits,
-		MemoMisses:      ms.Misses,
-		MemoEvictions:   ms.Evictions,
-		MemoEntries:     ms.Entries,
 		InternedStrings: cache.Extractor().InternedStrings(),
 	}
 	if st.scores != nil {
@@ -445,8 +418,9 @@ func (r *Resolution) ScorePair(aID, bID int64) (RankedMatch, error) {
 	}
 	m.Score = m.BlockScore
 	if r.model != nil && r.profiles != nil {
-		ex := r.profiles.Extractor()
-		m.Score = r.model.Score(ex.ExtractProfiled(r.profiles.Get(ra), r.profiles.Get(rb)))
+		var vec [features.NumFeatures]features.Value
+		r.profiles.Extractor().ExtractProfiledInto(vec[:], r.profiles.Get(ra), r.profiles.Get(rb))
+		m.Score = r.model.Score(vec[:])
 	}
 	return m, nil
 }

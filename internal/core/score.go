@@ -3,6 +3,7 @@ package core
 import (
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/features"
@@ -24,25 +25,28 @@ type candidate struct {
 // the one thing that differs between an in-memory blocking result and a
 // spilled one. next fills buf from the front and returns how many
 // candidates it wrote, 0 at the end of the stream; close releases what
-// backs the stream. The scorer serializes the calls.
+// backs the stream. The scoring workers call next concurrently.
 type candidateSource interface {
 	next(buf []candidate) (int, error)
 	close() error
 }
 
-// pairSlice streams an in-memory candidate set in first-seen order.
+// pairSlice streams an in-memory candidate set in first-seen order. A
+// caller claims a range with one atomic add and probes scores itself.
 type pairSlice struct {
 	pairs  []record.Pair
 	scores map[record.Pair]float64
+	cursor atomic.Int64
 }
 
 func (s *pairSlice) next(buf []candidate) (int, error) {
-	n := min(len(buf), len(s.pairs))
-	for i, p := range s.pairs[:n] {
+	end := int64(len(s.pairs))
+	hi := s.cursor.Add(int64(len(buf)))
+	claimed := s.pairs[min(hi-int64(len(buf)), end):min(hi, end)]
+	for i, p := range claimed {
 		buf[i] = candidate{p, s.scores[p]}
 	}
-	s.pairs = s.pairs[n:]
-	return n, nil
+	return len(claimed), nil
 }
 
 func (*pairSlice) close() error { return nil }
@@ -53,10 +57,13 @@ func (*pairSlice) close() error { return nil }
 // Resolution's lifetime; the accumulator's Stats stay valid afterwards.
 type spillMerge struct {
 	pairs *spill.Pairs
+	mu    sync.Mutex // one iterator, one caller at a time
 	it    *spill.Iter
 }
 
 func (s *spillMerge) next(buf []candidate) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.it == nil {
 		it, err := s.pairs.Iter()
 		if err != nil {
@@ -83,7 +90,7 @@ func (s *spillMerge) close() error { return s.pairs.Close() }
 // run's merge-open span lands under sp.
 func candidatesOf(blk *mfiblocks.Result, sp *trace.Span) candidateSource {
 	if blk.Spill == nil {
-		return &pairSlice{blk.Pairs, blk.PairScores}
+		return &pairSlice{pairs: blk.Pairs, scores: blk.PairScores}
 	}
 	blk.Spill.Trace = sp
 	return &spillMerge{pairs: blk.Spill}
@@ -109,10 +116,11 @@ const scoreChunkSize = 512
 // scoreCandidates is the scoring stage: every candidate of src goes
 // through the SameSrc filter, feature extraction over the records' cached
 // profiles, the model, and the Cls condition. workers goroutines each pull
-// scoreChunkSize candidates at a time into a buffer of their own;
-// workers <= 1 runs the same loop on the calling goroutine. Profiles are
-// built only when a model will read them. src is closed on every path,
-// and a source error stops all workers at their next pull.
+// scoreChunkSize candidates at a time into a buffer of their own and
+// share nothing until they hand their matches over; workers <= 1 runs the
+// same loop on the calling goroutine. Profiles are built only when a
+// model will read them. src is closed on every path, and a source error
+// stops every worker before its next pull.
 //
 // Matches come back in no particular order: sortMatches is a total order
 // over (score, pair), so ranking erases whatever order the source and the
@@ -144,19 +152,27 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 	chunkCounter := reg.Counter("core_score_chunks_total")
 	pairCounter := reg.Counter("core_scored_pairs_total")
 
-	var mu sync.Mutex // guards src, err and total
+	var mu sync.Mutex // guards err and total
 	worker := func(w int) {
 		wsp := sp.Child("score_worker", trace.WithKind(trace.KindWorker), trace.WithTrack(w+1))
 		buf := make([]candidate, scoreChunkSize)
 		vec := make(features.Vector, len(ex.Defs()))
 		local := scoreResult{scores: telemetry.NewHistogram(telemetry.ScoreBuckets)}
 		for {
-			n := 0
 			mu.Lock()
-			if err == nil {
-				n, err = src.next(buf)
-			}
+			failed := err != nil
 			mu.Unlock()
+			if failed {
+				break
+			}
+			n, nerr := src.next(buf)
+			if nerr != nil {
+				mu.Lock()
+				if err == nil {
+					err = nerr
+				}
+				mu.Unlock()
+			}
 			if n == 0 {
 				break
 			}
@@ -219,16 +235,18 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 
 // ScoreCandidates runs the scoring stage alone — SameSrc filtering,
 // profiled feature extraction, model scoring, classification, and
-// ranking — over an existing in-memory blocking result, exactly as Run's
-// scoring stage does (including the memo cache controlled by
-// opts.MemoSize). Callers that re-block rarely but re-score often
-// (threshold sweeps, model comparisons, the rescore benchmark workload)
-// use it to skip the blocking stage. work must be the collection blk was
-// produced from.
+// ranking — over the in-memory candidates of an existing blocking result,
+// exactly as Run's scoring stage does. Callers that re-block rarely but
+// re-score often (threshold sweeps, model comparisons, the rescore
+// benchmark workload) use it to skip the blocking stage. work must be the
+// collection blk was produced from. It reads blk.Pairs and PairScores even
+// when blk.Spill is set: benchmark/staged.go passes a result whose spent
+// spill it has drained into them.
 func ScoreCandidates(opts Options, work *record.Collection, blk *mfiblocks.Result) []RankedMatch {
-	cache := features.NewProfileCache(newScoringExtractor(&opts))
+	cache := features.NewProfileCache(features.NewExtractor(opts.Geo))
+	src := &pairSlice{pairs: blk.Pairs, scores: blk.PairScores}
 	// An in-memory candidate slice cannot fail.
-	st, _ := scoreCandidates(&opts, work, &pairSlice{blk.Pairs, blk.PairScores}, cache, opts.workers(), opts.metrics(), nil)
+	st, _ := scoreCandidates(&opts, work, src, cache, opts.workers(), opts.metrics(), nil)
 	sortMatches(st.matches)
 	return st.matches
 }

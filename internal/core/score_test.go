@@ -3,11 +3,15 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/adtree"
+	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/mfiblocks"
 	"repro/internal/record"
@@ -21,22 +25,7 @@ import (
 // RunStream over retained records whose candidates spill must rank
 // bit-identical Matches with equal discard counters and report totals.
 func TestScorerSourceEquivalence(t *testing.T) {
-	fx := newFixture(t, 300)
-	gen := fx.gen
-	model, err := TrainModel(adtree.NewTrainConfig(), fx.tags, gen.Collection, gen.Gaz, OmitMaybe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Options{
-		Blocking:   mfiblocks.NewConfig(),
-		Geo:        gen.Gaz,
-		Preprocess: true,
-		Gazetteer:  gen.Gaz,
-		Model:      model,
-		Classify:   true,
-		SameSrc:    true,
-		Metrics:    telemetry.NewRegistry(),
-	}
+	base, gen := scoringOptions(t, 300)
 	sources := []struct {
 		name  string
 		spill bool
@@ -110,18 +99,21 @@ func TestNoModelBuildsNoProfiles(t *testing.T) {
 	}
 }
 
-// failingSource yields full chunks of one pair and fails on its third
-// pull.
+// failingSource yields full chunks of one pair and fails from its third
+// pull on.
 type failingSource struct {
 	pair          record.Pair
+	mu            sync.Mutex
 	pulls, closes int
 }
 
 var errSourceBroke = errors.New("run file went away")
 
 func (s *failingSource) next(buf []candidate) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.pulls++
-	if s.pulls == 3 {
+	if s.pulls >= 3 {
 		return 0, errSourceBroke
 	}
 	for i := range buf {
@@ -154,8 +146,10 @@ func TestScorerSourceError(t *testing.T) {
 		if src.closes != 1 {
 			t.Errorf("workers=%d: source closed %d times, want once", workers, src.closes)
 		}
-		if src.pulls != 3 {
-			t.Errorf("workers=%d: source pulled %d times, want no pull after the failure", workers, src.pulls)
+		// A worker already inside next when the failure lands finishes
+		// that pull; none starts another.
+		if src.pulls < 3 || src.pulls > 3+workers-1 {
+			t.Errorf("workers=%d: source pulled %d times, want no worker to pull again after the failure", workers, src.pulls)
 		}
 		// The workers are joined before scoreCandidates returns; give the
 		// runtime a moment to retire their goroutines.
@@ -165,6 +159,79 @@ func TestScorerSourceError(t *testing.T) {
 		}
 		if n := runtime.NumGoroutine(); n > baseline {
 			t.Errorf("workers=%d: %d goroutines after the failure, %d before", workers, n, baseline)
+		}
+	}
+}
+
+// scoringOptions returns the configuration deployments run — trained
+// model, Cls condition, SameSrc — over a generated collection.
+func scoringOptions(t *testing.T, persons int) (Options, *dataset.Generated) {
+	t.Helper()
+	fx := newFixture(t, persons)
+	gen := fx.gen
+	model, err := TrainModel(adtree.NewTrainConfig(), fx.tags, gen.Collection, gen.Gaz, OmitMaybe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Options{
+		Blocking:   mfiblocks.NewConfig(),
+		Geo:        gen.Gaz,
+		Preprocess: true,
+		Gazetteer:  gen.Gaz,
+		Model:      model,
+		Classify:   true,
+		SameSrc:    true,
+		Metrics:    telemetry.NewRegistry(),
+	}, gen
+}
+
+// scoringFixture runs scoringOptions once and returns what
+// ScoreCandidates re-scores.
+func scoringFixture(t *testing.T, persons int) (Options, *Resolution) {
+	t.Helper()
+	opts, gen := scoringOptions(t, persons)
+	res, err := Run(opts, gen.Collection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opts, res
+}
+
+// TestScoreCandidatesMatchesRun checks the standalone scoring-stage
+// entry point reproduces Run's ranked matches over the same blocking
+// result.
+func TestScoreCandidatesMatchesRun(t *testing.T) {
+	opts, res := scoringFixture(t, 250)
+	// ScoreCandidates consumes the already-preprocessed collection.
+	got := ScoreCandidates(opts, res.Collection, res.Blocking)
+	if !slices.Equal(got, res.Matches) {
+		t.Fatalf("ScoreCandidates returned %d matches that differ from Run's %d", len(got), len(res.Matches))
+	}
+}
+
+// TestScoreCandidatesOrderAndWorkers is the scorer's metamorphic check:
+// the ranking is a function of the candidate set alone, so neither the
+// order blocking emitted the pairs in nor the number of workers claiming
+// chunks of them may change one element of it. Under -race it also puts
+// the pairSlice cursor and the workers' concurrent PairScores reads in
+// front of the detector.
+func TestScoreCandidatesOrderAndWorkers(t *testing.T) {
+	opts, res := scoringFixture(t, 300)
+	if len(res.Blocking.Pairs) < 2*scoreChunkSize {
+		t.Fatalf("%d candidates do not fill two chunks", len(res.Blocking.Pairs))
+	}
+	shuffled := *res.Blocking
+	shuffled.Pairs = slices.Clone(res.Blocking.Pairs)
+	rand.New(rand.NewSource(5)).Shuffle(len(shuffled.Pairs), func(i, j int) {
+		shuffled.Pairs[i], shuffled.Pairs[j] = shuffled.Pairs[j], shuffled.Pairs[i]
+	})
+	for _, workers := range []int{1, 2, 8} {
+		opts.Workers = workers
+		for name, blk := range map[string]*mfiblocks.Result{"first-seen": res.Blocking, "shuffled": &shuffled} {
+			got := ScoreCandidates(opts, res.Collection, blk)
+			if !slices.Equal(got, res.Matches) {
+				t.Errorf("workers=%d %s: %d matches differ from the reference run's %d", workers, name, len(got), len(res.Matches))
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package features
 import (
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/record"
 )
 
@@ -59,5 +60,26 @@ func TestExtractProfiledAllocs(t *testing.T) {
 				t.Errorf("ExtractProfiled allocates %v per op, want <= 1 (the Vector)", n)
 			}
 		})
+	}
+}
+
+// TestProfileBuildAllocs bounds what Build allocates per record. The slab
+// and arenas make a profile itself cost no heap object; what is left is
+// one joined birth date per record plus the lowering, gramming and
+// interning of each distinct value, which the value table pays once per
+// builder — a dozen allocations per record without it.
+func TestProfileBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under -race (sync.Pool drops items)")
+	}
+	gen, err := dataset.Generate(dataset.RandomSetConfig(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(3, func() {
+		NewProfileCache(NewExtractor(gen.Gaz)).Build(gen.Collection, 2)
+	})
+	if per := n / float64(gen.Collection.Len()); per > 3 {
+		t.Errorf("Build allocates %.2f times per record, want <= 3", per)
 	}
 }

@@ -18,6 +18,7 @@ type Extractor struct {
 	// name values) across record pairs. It never changes outputs — a
 	// hit returns exactly the kernel's result — so it may be shared by
 	// concurrent workers. Set it before the first ExtractProfiled call.
+	// The pipeline leaves it nil; only benchmark/staged.go sets it.
 	Memo *PairMemo
 
 	defs []Def

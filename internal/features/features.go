@@ -120,8 +120,9 @@ func Defs() []Def {
 	return defs
 }
 
-// NumFeatures is the size of a feature vector.
-var NumFeatures = len(Defs())
+// NumFeatures is the size of a feature vector (see Defs) — a constant, so
+// a caller can keep a vector on its stack.
+const NumFeatures = 3*len(nameAttrs) + 3 + record.NumPlaceTypes*(record.NumPlaceParts+1) + 4
 
 // IndexByName maps feature names to ids for the canonical definition set.
 func IndexByName() map[string]int {

@@ -34,8 +34,9 @@ type Profile struct {
 
 	// names holds the record's distinct lowered name values, grouped by
 	// name attribute in nameAttrs order and sorted by interned ID within
-	// a group.
+	// a group: attribute i's group is names[ends[i]:ends[i+1]].
 	names []nameValue
+	ends  [len(nameAttrs) + 1]uint32
 
 	// firsts holds the first value of each firstTypes attribute the
 	// record carries, in item-type order; bit t of has is set when item
@@ -51,7 +52,7 @@ type Profile struct {
 	// parsed as integers; bit i of parsed is set when component i did.
 	date [3]int
 
-	// The masks and flags sit together so the struct packs into 128 bytes.
+	// The masks and flags sit together so they pack into twelve bytes.
 	has uint32
 	// dob is the interned fullDOB concatenation, present (hasDOB) only
 	// with all three components.
@@ -65,18 +66,21 @@ type Profile struct {
 }
 
 // nameValue is one distinct value of a name attribute: the lowered string
-// (for Jaro-Winkler and memo keys), its interned ID (the value's identity
-// in sameXName), and its padded 2-gram set as sorted interned IDs (for
+// (for Jaro-Winkler), its interned ID (the value's identity in
+// sameXName), and its padded 2-gram set as sorted interned IDs (for
 // XNdist). IDs come from the owning extractor's interner, so pair-time
 // set operations are integer merges with no map probes or string hashing.
 // Max-over-values and set comparison ignore order and repeats, which is
-// what lets a profile keep the values sorted and distinct.
+// what lets a profile keep the values sorted and distinct. grams is
+// immutable and capped: profiles carrying the same raw value share it.
 type nameValue struct {
 	lower string
 	grams []uint32
 	id    uint32
-	attr  uint8 // index into nameAttrs
 }
+
+// group returns the values of name attribute i.
+func (p *Profile) group(i int) []nameValue { return p.names[p.ends[i]:p.ends[i+1]] }
 
 // firstTypes are the item types the pair features compare by first value
 // alone: the sixteen place parts, gender and profession.
@@ -121,28 +125,43 @@ func (a *arena[T]) alloc(n int) []T {
 const arenaBlock = 1 << 11
 
 // profileBuilder builds profiles on one goroutine, drawing their
-// variable-length parts from its arenas.
+// variable-length parts from its arenas. values and cities are its value
+// table: a corpus repeats a few thousand name values and a few hundred
+// cities across all its records, so each is lowered, interned, grammed or
+// resolved once per builder, not once per record. The key is the raw
+// string (a repeat costs one probe, no lowering) and the maps are the
+// builder's own (no lock); the single-record Profile path leaves them nil.
 type profileBuilder struct {
 	ex     *Extractor
 	names  arena[nameValue]
 	ids    arena[uint32]
 	firsts arena[string]
 	coords arena[[2]float64]
+	values map[string]nameValue
+	cities map[string]cityCoord
+}
+
+// cityCoord is a city's gazetteer resolution, !ok for an unknown city.
+type cityCoord struct {
+	at [2]float64
+	ok bool
 }
 
 // newProfileBuilder returns a builder whose arena blocks suit a build of
 // the given number of records. The per-record factors are what a
-// generated RandomSet record needs on average (3.4 name values, 24 gram
-// IDs, 9.4 first values, 2 resolved cities), rounded up; they only size
-// blocks, any record fits.
+// generated RandomSet record needs on average (3.4 name values, 9.4 first
+// values, 2 resolved cities; gram IDs are per distinct value), rounded
+// up; they only size blocks, any record fits.
 func (e *Extractor) newProfileBuilder(records int) *profileBuilder {
 	block := func(perRecord int) int { return min(records*perRecord, arenaBlock) }
 	return &profileBuilder{
 		ex:     e,
 		names:  arena[nameValue]{block: block(4)},
-		ids:    arena[uint32]{block: block(32)},
+		ids:    arena[uint32]{block: block(8)},
 		firsts: arena[string]{block: block(10)},
 		coords: arena[[2]float64]{block: block(3)},
+		values: make(map[string]nameValue),
+		cities: make(map[string]cityCoord),
 	}
 }
 
@@ -180,22 +199,20 @@ func (b *profileBuilder) build(p *Profile, r *record.Record) {
 
 	vals := b.names.alloc(nameItems)[:0]
 	for i, na := range nameAttrs {
-		if seen&(1<<na.t) == 0 {
-			continue
-		}
 		group := len(vals)
 		for _, it := range r.Items {
 			if it.Type != na.t {
 				continue
 			}
-			id, lower := e.interner.Canonical(strings.ToLower(it.Value))
-			k, repeat := slices.BinarySearchFunc(vals[group:], id, func(v nameValue, id uint32) int {
+			v := b.value(it.Value)
+			k, repeat := slices.BinarySearchFunc(vals[group:], v.id, func(v nameValue, id uint32) int {
 				return cmp.Compare(v.id, id)
 			})
 			if !repeat {
-				vals = slices.Insert(vals, group+k, nameValue{lower: lower, grams: b.grams(lower), id: id, attr: uint8(i)})
+				vals = slices.Insert(vals, group+k, v)
 			}
 		}
+		p.ends[i+1] = uint32(len(vals))
 	}
 	p.names = vals
 
@@ -214,9 +231,9 @@ func (b *profileBuilder) build(p *Profile, r *record.Record) {
 			if seen&(1<<city) == 0 {
 				continue
 			}
-			if lat, lon, ok := resolver.ResolveCoord(first[city]); ok {
+			if c := b.city(resolver, first[city]); c.ok {
 				p.resolved |= 1 << pt
-				found[n] = [2]float64{lat, lon}
+				found[n] = c.at
 				n++
 			}
 		}
@@ -239,24 +256,34 @@ func (b *profileBuilder) build(p *Profile, r *record.Record) {
 	}
 }
 
-// grams returns the padded 2-gram set of an already-lowered value as
-// sorted interned IDs, stored in the builder's arena.
-func (b *profileBuilder) grams(lower string) []uint32 {
+// value returns what a raw name value contributes to a profile, from the
+// value table when the builder has one.
+func (b *profileBuilder) value(raw string) nameValue {
+	if v, ok := b.values[raw]; ok {
+		return v
+	}
+	id, lower := b.ex.interner.Canonical(strings.ToLower(raw))
 	g := similarity.QGramIDs(b.ex.interner, lower, 2)
-	out := b.ids.alloc(len(g))
-	copy(out, g)
-	return out
+	v := nameValue{lower: lower, grams: b.ids.alloc(len(g)), id: id}
+	copy(v.grams, g)
+	if b.values != nil {
+		b.values[raw] = v
+	}
+	return v
 }
 
-// cutGroup splits off the leading values of name attribute i.
-func cutGroup(vals *[]nameValue, i int) []nameValue {
-	n := 0
-	for n < len(*vals) && int((*vals)[n].attr) == i {
-		n++
+// city returns a raw city's gazetteer resolution, from the value table
+// when the builder has one.
+func (b *profileBuilder) city(resolver similarity.CoordResolver, raw string) cityCoord {
+	if c, ok := b.cities[raw]; ok {
+		return c
 	}
-	group := (*vals)[:n]
-	*vals = (*vals)[n:]
-	return group
+	var c cityCoord
+	c.at[0], c.at[1], c.ok = resolver.ResolveCoord(raw)
+	if b.cities != nil {
+		b.cities[raw] = c
+	}
+	return c
 }
 
 // ExtractProfiled computes the pair's feature vector from two cached
@@ -277,12 +304,10 @@ func (e *Extractor) ExtractProfiledInto(v Vector, a, b *Profile) {
 
 	// Per name attribute: sameXName over the interned value IDs, XNdist
 	// as the max q-gram Jaccard over the interned gram sets, XNjw as the
-	// max Jaro-Winkler over the lowered values — the two similarities
-	// served from the memo for repeated value pairs.
+	// max Jaro-Winkler over the lowered values.
 	const n = len(nameAttrs)
-	restA, restB := a.names, b.names
 	for i := 0; i < n; i++ {
-		na, nb := cutGroup(&restA, i), cutGroup(&restB, i)
+		na, nb := a.group(i), b.group(i)
 		if len(na) == 0 || len(nb) == 0 {
 			continue
 		}

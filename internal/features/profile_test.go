@@ -3,6 +3,7 @@ package features
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -86,8 +87,37 @@ func TestExtractProfiledFallbackGeo(t *testing.T) {
 	}
 }
 
+// valueTableRecords are records built to stress a builder's value table:
+// one surname in three cases and one non-ASCII given name in two, each
+// repeated across records, a city the gazetteer resolves next to one it
+// cannot, and the same values under different name attributes.
+func valueTableRecords(city string) []*record.Record {
+	var out []*record.Record
+	for i, v := range []struct{ first, last, mother, born string }{
+		{"Łucja", "COHEN", "Cohen", city},
+		{"ŁUCJA", "Cohen", "İpek", "Atlantis"},
+		{"łucja", "cohen", "COHEN", city},
+		{"Lucja", "Cohn", "cohen", "Atlantis"},
+		{"ŁUCJA", "COHEN", "ipek", "ATLANTIS"},
+	} {
+		r := &record.Record{BookID: int64(i + 1), Source: "list:9"}
+		r.Add(record.FirstName, v.first)
+		r.Add(record.LastName, v.last)
+		r.Add(record.LastName, "Cohen")
+		r.Add(record.MotherName, v.mother)
+		r.Add(record.BirthCity, v.born)
+		r.Add(record.PermCity, city)
+		out = append(out, r)
+	}
+	return out
+}
+
 // TestProfileCacheBuild checks the parallel Build path returns profiles
-// aligned with the collection and memoizes them for Get.
+// aligned with the collection and memoizes them for Get, and that the
+// builders' value tables change nothing: over records whose values repeat
+// in different case, in non-ASCII and with an unresolvable city, profiles
+// built in bulk, profiles built one by one and plain Extract agree bit for
+// bit, and the gram slices profiles share are capped and never written.
 func TestProfileCacheBuild(t *testing.T) {
 	cfg := dataset.ItalyConfig()
 	cfg.Persons = 80
@@ -95,18 +125,63 @@ func TestProfileCacheBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExtractor(gen.Gaz)
-	cache := NewProfileCache(ex)
-	profs := cache.Build(gen.Collection, 4)
-	if len(profs) != gen.Collection.Len() {
-		t.Fatalf("Build returned %d profiles for %d records", len(profs), gen.Collection.Len())
+	city := ""
+	for _, r := range gen.Collection.Records {
+		if c, ok := r.First(record.BirthCity); ok {
+			if _, _, known := gen.Gaz.ResolveCoord(c); known {
+				city = c
+				break
+			}
+		}
 	}
-	if cache.Len() != gen.Collection.Len() {
-		t.Fatalf("cache holds %d profiles, want %d", cache.Len(), gen.Collection.Len())
+	tricky := valueTableRecords(city)
+	coll, err := record.NewCollection(append(tricky, gen.Collection.Records...))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range gen.Collection.Records {
-		if cache.Get(r) != profs[i] {
-			t.Fatalf("Get(%d) did not return the built profile", r.BookID)
+	for _, workers := range []int{1, 4} {
+		ex := NewExtractor(gen.Gaz)
+		cache := NewProfileCache(ex)
+		profs := cache.Build(coll, workers)
+		if len(profs) != coll.Len() || cache.Len() != coll.Len() {
+			t.Fatalf("workers=%d: Build returned %d profiles, cache holds %d, want %d", workers, len(profs), cache.Len(), coll.Len())
+		}
+		for i, r := range coll.Records {
+			if cache.Get(r) != profs[i] {
+				t.Fatalf("workers=%d: Get(%d) did not return the built profile", workers, r.BookID)
+			}
+		}
+		if !profs[0].coordMode || profs[0].resolved != 1<<record.Birth|1<<record.Permanent || profs[1].resolved != 1<<record.Permanent {
+			t.Fatalf("fixture: %q should resolve and Atlantis should not: %08b %08b", city, profs[0].resolved, profs[1].resolved)
+		}
+
+		var shared, before [][]uint32
+		for _, p := range profs {
+			for _, v := range p.names {
+				if len(v.grams) != cap(v.grams) {
+					t.Fatalf("workers=%d: gram slice of %q has len %d, cap %d", workers, v.lower, len(v.grams), cap(v.grams))
+				}
+				shared, before = append(shared, v.grams), append(before, slices.Clone(v.grams))
+			}
+		}
+		if a, b := profs[0].group(1)[0], profs[4].group(1)[0]; workers == 1 && &a.grams[0] != &b.grams[0] {
+			t.Errorf("one builder grammed %q twice", a.lower)
+		}
+
+		single := NewExtractor(gen.Gaz)
+		vec := make(Vector, NumFeatures)
+		for i := range tricky {
+			for j, other := range coll.Records[:len(tricky)+40] {
+				want := ex.Extract(tricky[i], other)
+				ex.ExtractProfiledInto(vec, profs[i], profs[j])
+				assertVectorsEqual(t, "Build", want, vec)
+				assertVectorsEqual(t, "Profile", want, single.ExtractProfiled(single.Profile(tricky[i]), single.Profile(other)))
+			}
+		}
+		for k := range shared {
+			if !slices.Equal(shared[k], before[k]) {
+				t.Fatalf("workers=%d: extraction wrote to a shared gram slice", workers)
+			}
 		}
 	}
 }
@@ -135,11 +210,18 @@ func TestProfileNameValues(t *testing.T) {
 	if len(pa.names) != 4 {
 		t.Fatalf("profile keeps %d name values, want 4 distinct (john, harris, foa, łucja)", len(pa.names))
 	}
-	for i := 1; i < len(pa.names); i++ {
-		x, y := pa.names[i-1], pa.names[i]
-		if x.attr > y.attr || x.attr == y.attr && x.id >= y.id {
-			t.Fatalf("name values not grouped by attribute and sorted by ID: %+v", pa.names)
+	groups := 0
+	for i := range nameAttrs {
+		g := pa.group(i)
+		groups += len(g)
+		for k := 1; k < len(g); k++ {
+			if g[k-1].id >= g[k].id {
+				t.Fatalf("%s values not sorted by ID: %+v", nameAttrs[i].stem, g)
+			}
 		}
+	}
+	if len(pa.group(0)) != 2 || groups != len(pa.names) {
+		t.Fatalf("groups do not partition the name values: ends %v over %+v", pa.ends, pa.names)
 	}
 	assertVectorsEqual(t, "repeats", ex.Extract(a, b), ex.ExtractProfiled(pa, pb))
 	assertVectorsEqual(t, "swapped", ex.Extract(b, a), ex.ExtractProfiled(pb, pa))
@@ -170,7 +252,7 @@ func TestProfileFootprint(t *testing.T) {
 	bytes := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
 	objects := (float64(after.HeapObjects) - float64(before.HeapObjects)) / n
 	t.Logf("%d records: %.0f B and %.2f heap objects per record", gen.Collection.Len(), bytes, objects)
-	if bytes > 800 || objects > 4 {
-		t.Errorf("a profile costs %.0f B and %.2f heap objects per record, want <= 800 B and <= 4", bytes, objects)
+	if bytes > 640 || objects > 2 {
+		t.Errorf("a profile costs %.0f B and %.2f heap objects per record, want <= 640 B and <= 2", bytes, objects)
 	}
 }

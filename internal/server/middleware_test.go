@@ -197,16 +197,16 @@ func TestReportEndpoint(t *testing.T) {
 			t.Errorf("stage[%d] = %q, want %q", i, rep.Stages[i].Name, w)
 		}
 	}
-	// The scoring block always carries the kernel/memo fields, even when
-	// they are zero (this fixture has no model, so the serial path skips
-	// profiled extraction). Consumers key on presence, not value.
+	// The scoring block always carries the profile and interner fields,
+	// even when they are zero (this fixture has no model, so no profile
+	// is built). Consumers key on presence, not value.
 	var raw struct {
 		Scoring map[string]json.RawMessage `json:"scoring"`
 	}
 	if err := json.Unmarshal(body, &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"memo_hits", "memo_misses", "memo_evictions", "memo_entries", "interned_strings"} {
+	for _, k := range []string{"profiles_built", "profile_hits", "profile_misses", "interned_strings"} {
 		if _, ok := raw.Scoring[k]; !ok {
 			t.Errorf("scoring report missing %q field", k)
 		}

@@ -37,23 +37,9 @@ const (
 	FamilyFPGrowthWorkers = "fpgrowth_workers"
 )
 
-// Scoring-kernel families (features_*): the pair-similarity memo cache
-// and the string interner backing the profiled extraction path. The
-// memo stores pure kernel results, so its hit rate is an efficiency
-// signal only — outputs are identical with the memo on or off.
+// Scoring-kernel families (features_*): the string interner backing the
+// profiled extraction path.
 const (
-	// FamilyMemoHits counts value-pair similarity lookups served from
-	// the memo instead of recomputed by a kernel.
-	FamilyMemoHits = "features_memo_hits_total"
-	// FamilyMemoMisses counts memo lookups that fell through to a
-	// kernel computation.
-	FamilyMemoMisses = "features_memo_misses_total"
-	// FamilyMemoEvictions counts memo entries dropped by bounded-shard
-	// resets.
-	FamilyMemoEvictions = "features_memo_evictions_total"
-	// FamilyMemoEntries gauges the memo's resident entries after the
-	// last scoring stage.
-	FamilyMemoEntries = "features_memo_entries"
 	// FamilyInternedStrings gauges the distinct strings (q-grams and
 	// lowered name values) the extractor interned for its profiles.
 	FamilyInternedStrings = "features_interned_strings"

@@ -11,7 +11,7 @@ import (
 
 // ReportSchemaVersion identifies the RunReport JSON layout; bump it on
 // any field removal or rename so downstream consumers can dispatch.
-const ReportSchemaVersion = 1
+const ReportSchemaVersion = 2
 
 // RunReport is the JSON-serializable per-stage breakdown of one
 // pipeline run. core.Run attaches one to every Resolution; the server
@@ -93,13 +93,6 @@ type ScoringReport struct {
 	ProfilesBuilt  int   `json:"profiles_built"`
 	ProfileHits    int64 `json:"profile_hits"`
 	ProfileMisses  int64 `json:"profile_misses"`
-	// Memo* describe the value-pair similarity memo cache (zero when the
-	// memo is disabled or no model scored the pairs). The memo stores
-	// pure kernel results, so these are efficiency signals only.
-	MemoHits      int64 `json:"memo_hits"`
-	MemoMisses    int64 `json:"memo_misses"`
-	MemoEvictions int64 `json:"memo_evictions"`
-	MemoEntries   int   `json:"memo_entries"`
 	// InternedStrings counts the distinct q-grams and lowered name
 	// values the extractor's profiles interned.
 	InternedStrings int `json:"interned_strings"`
