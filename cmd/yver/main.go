@@ -7,23 +7,20 @@
 //
 //	yver -in records.jsonl [-ng 3.5] [-maxminsup 5] [-certainty 0.3]
 //	     [-samesrc] [-top 20] [-clusters] [-report out.json] [-v]
-//	     [-shards n] [-mine-shards n] [-spill-pairs n] [-stream]
+//	     [-workers n] [-spill-pairs n] [-block-cache n] [-stream]
 //	     [-trace-out t.json] [-progress]
 //
-// -shards partitions block materialization by MFI-key signature,
-// -mine-shards splits MFI mining itself into shard-local miners over
-// rank ranges of one shared FP-tree (a cross-shard maximality merge
-// keeps the result exact), -spill-pairs bounds the in-memory
-// candidate window
-// (overflow merges through sorted disk runs), and -block-cache bounds
-// the cross-iteration block materialization memo (0 disables it); all
-// four leave the ranked output bit-identical.
+// -workers bounds the blocking and scoring goroutines, -spill-pairs
+// bounds the in-memory candidate window (overflow merges through sorted
+// disk runs), and -block-cache bounds the cross-iteration block
+// materialization memo (0 disables it); all three leave the ranked
+// output bit-identical.
 // -stream reads a .yvst store through the windowed reader and resolves
 // it with the bounded-memory streaming pipeline — records are encoded as
 // they arrive and dropped unless a flag (model, search, clusters) needs
 // their values. -trace-out records the run's span hierarchy and flight-
 // recorder series as Chrome trace-event JSON (load in Perfetto);
-// -progress prints a live status line (stage, rate, shards, ETA) to
+// -progress prints a live status line (stage, rate, ETA) to
 // stderr.
 package main
 
@@ -55,14 +52,12 @@ func main() {
 	last := flag.String("last", "", "search: last name")
 	modelPath := flag.String("model", "", "trained ADTree model (from yvtrain); enables classification")
 	workers := flag.Int("workers", 0, "blocking and pair-scoring workers (0 = GOMAXPROCS, 1 = serial)")
-	shards := flag.Int("shards", 0, "signature-partitioned blocking shards (0 or 1 = monolithic; output is bit-identical)")
-	mineShards := flag.Int("mine-shards", 0, "shard-local MFI miners over rank ranges (0 or 1 = one mining pass; output is bit-identical)")
 	spillPairs := flag.Int("spill-pairs", 0, "spill candidate pairs to disk past this many in memory (0 = unbounded; -stream defaults to a bounded cap)")
 	blockCache := flag.Int("block-cache", mfiblocks.DefaultBlockCache, "cross-iteration block materialization cache entries (0 disables; output is bit-identical either way)")
 	stream := flag.Bool("stream", false, "stream a .yvst store through the bounded-memory pipeline instead of loading the whole corpus")
 	reportPath := flag.String("report", "", "write the run's telemetry report (JSON) to this file")
 	traceOut := flag.String("trace-out", "", "write the run's trace (Chrome trace-event JSON, Perfetto-loadable) to this file; enables tracing and the flight recorder")
-	progress := flag.Bool("progress", false, "print live progress (stage, records/sec, shard completion, ETA) to stderr")
+	progress := flag.Bool("progress", false, "print live progress (stage, records/sec, ETA) to stderr")
 	verbose := flag.Bool("v", false, "debug logging (per-stage and per-iteration telemetry)")
 	flag.Parse()
 	telemetry.SetVerbose(*verbose)
@@ -75,8 +70,6 @@ func main() {
 	bc := mfiblocks.NewConfig()
 	bc.NG = *ng
 	bc.MaxMinSup = *maxMinSup
-	bc.Shards = *shards
-	bc.MineShards = *mineShards
 	bc.SpillPairs = *spillPairs
 	bc.BlockCache = *blockCache
 	opts := core.Options{

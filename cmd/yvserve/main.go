@@ -48,8 +48,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	ng := flag.Float64("ng", 3.5, "neighborhood growth parameter")
 	workers := flag.Int("workers", 0, "blocking and pair-scoring workers (0 = GOMAXPROCS, 1 = serial)")
-	shards := flag.Int("shards", 0, "signature-partitioned blocking shards (0 or 1 = monolithic; output is bit-identical)")
-	mineShards := flag.Int("mine-shards", 0, "shard-local MFI miners over rank ranges (0 or 1 = one mining pass; output is bit-identical)")
 	spillPairs := flag.Int("spill-pairs", 0, "spill candidate pairs to disk past this many in memory during resolution (0 = unbounded)")
 	blockCache := flag.Int("block-cache", mfiblocks.DefaultBlockCache, "cross-iteration block materialization cache entries (0 disables; output is bit-identical either way)")
 	maxInflight := flag.Int("max-inflight", 256, "max concurrent requests before shedding with 503 (0 = unlimited)")
@@ -77,8 +75,6 @@ func main() {
 
 	bc := mfiblocks.NewConfig()
 	bc.NG = *ng
-	bc.Shards = *shards
-	bc.MineShards = *mineShards
 	bc.SpillPairs = *spillPairs
 	bc.BlockCache = *blockCache
 	opts := core.Options{

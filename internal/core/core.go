@@ -65,13 +65,13 @@ type Options struct {
 	// telemetry.Default().
 	Metrics *telemetry.Registry
 	// Trace, when set, records the run's hierarchical span tree — run →
-	// stage → iteration/shard → worker — plus any flight-recorder series
+	// stage → iteration → worker — plus any flight-recorder series
 	// the caller started on it. The tree lands in Report.Spans and the
 	// tracer survives on Resolution.Trace for the Chrome export. Nil
 	// disables tracing at one nil check per span site.
 	Trace *trace.Tracer
-	// Progress, when set, receives live stage transitions, item counts,
-	// and shard completions. Callers own Start/Stop. Nil disables.
+	// Progress, when set, receives live stage transitions and item
+	// counts. Callers own Start/Stop. Nil disables.
 	Progress *trace.Progress
 }
 
@@ -190,8 +190,8 @@ func wireDefaults(opts *Options, reg *telemetry.Registry) {
 	}
 	if opts.Blocking.Progress == nil {
 		// One progress hook for the whole pipeline: the blocking stage
-		// posts covered-record counts and shard completions to the same
-		// sink the ingest and scoring stages use.
+		// posts covered-record counts to the same sink the ingest and
+		// scoring stages use.
 		opts.Blocking.Progress = opts.Progress
 	}
 }

@@ -24,7 +24,7 @@ const (
 )
 
 // TestGoldenEndToEndQuality pins the full pipeline's quality on the
-// Italy preset — and requires the streaming sharded path to land on the
+// Italy preset — and requires the streaming spilled path to land on the
 // exact same metrics, since its matches must be bit-identical.
 func TestGoldenEndToEndQuality(t *testing.T) {
 	fx := newFixture(t, 600)
@@ -61,9 +61,8 @@ func TestGoldenEndToEndQuality(t *testing.T) {
 		t.Errorf("f1 %.4f below golden floor %.2f", m.F1, goldenMinF1)
 	}
 
-	// The streaming sharded path must land on the exact same metrics.
+	// The streaming spilled path must land on the exact same metrics.
 	sopts := StreamOptions{Options: opts, RetainRecords: true}
-	sopts.Blocking.Shards = 4
 	sopts.Blocking.SpillPairs = 256
 	sopts.Blocking.SpillDir = t.TempDir()
 	sres, err := RunStream(sopts, NewCollectionSource(gen.Collection))

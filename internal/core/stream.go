@@ -100,7 +100,7 @@ func runPipeline(opts StreamOptions, src RecordSource) (*Resolution, error) {
 		SchemaVersion: telemetry.ReportSchemaVersion,
 		Workers:       opts.workers(),
 	}
-	// Workload attributes only — no worker/shard counts — so Canonical
+	// Workload attributes only — no worker counts — so Canonical
 	// trees stay identical across fan-out configurations; records is
 	// attached once the ingest count is known.
 	root := opts.Trace.StartSpan(nil, "run", trace.WithKind(trace.KindRun))

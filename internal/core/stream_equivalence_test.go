@@ -53,15 +53,13 @@ func assertResolutionsMatch(t *testing.T, label string, want, got *Resolution) {
 	}
 }
 
-// TestStreamShardEquivalence is the harness the tentpole is locked down
-// by: the streaming sharded pipeline — windowless ingest, signature-
-// sharded block materialization, shard-local MFI mining, disk-spilled
-// candidates, skeleton records — must reproduce a Run with every knob
-// off (one shard, one mining pass, in-memory candidates, full records)
-// bit-for-bit across the shards × mining-shards × workers matrix on
-// multiple seeds. The spill cap is forced tiny so every cell actually
-// exercises the disk-merge path (and, since spilling enables the async
-// emitter, the overlapped emission path too).
+// TestStreamShardEquivalence locks the streaming pipeline — windowless
+// ingest, disk-spilled candidates, skeleton records — to a batch Run
+// with in-memory candidates and full records, bit-for-bit, across
+// workers × block-cache sizes on multiple seeds. The spill cap is
+// forced tiny so every cell actually exercises the disk-merge path (and,
+// since spilling enables the async emitter, the overlapped emission path
+// too).
 func TestStreamShardEquivalence(t *testing.T) {
 	datasets := []struct {
 		persons int
@@ -81,48 +79,24 @@ func TestStreamShardEquivalence(t *testing.T) {
 			t.Fatal("baseline produced no matches")
 		}
 
-		for _, shards := range []int{1, 2, 8} {
-			for _, workers := range []int{1, 8} {
-				for _, mineShards := range []int{1, 4, 8} {
-					label := fmt.Sprintf("seed=%d shards=%d mineShards=%d workers=%d", d.seed, shards, mineShards, workers)
-					opts := StreamOptions{Options: base}
-					opts.Workers = workers
-					opts.Blocking.Shards = shards
-					opts.Blocking.MineShards = mineShards
-					opts.Blocking.SpillPairs = 64
-					opts.Blocking.SpillDir = t.TempDir()
-					got, err := RunStream(opts, NewCollectionSource(g.Collection))
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if got.Blocking.Spill.Stats().Runs == 0 {
-						t.Fatalf("%s: spill cap 64 never spilled; harness is not exercising the merge", label)
-					}
-					assertResolutionsMatch(t, label, want, got)
-				}
-			}
-		}
-
 		// Block-cache dimension: off, a tiny eviction-churning bound, and
-		// the CLI default must all reproduce the cache-less baseline
-		// bit-for-bit, composed with shard and mining fan-out.
-		for _, blockCache := range []int{0, 64, mfiblocks.DefaultBlockCache} {
-			for _, shards := range []int{1, 4} {
-				for _, mineShards := range []int{1, 4} {
-					label := fmt.Sprintf("seed=%d cache=%d shards=%d mineShards=%d", d.seed, blockCache, shards, mineShards)
-					opts := StreamOptions{Options: base}
-					opts.Workers = 8
-					opts.Blocking.Shards = shards
-					opts.Blocking.MineShards = mineShards
-					opts.Blocking.BlockCache = blockCache
-					opts.Blocking.SpillPairs = 64
-					opts.Blocking.SpillDir = t.TempDir()
-					got, err := RunStream(opts, NewCollectionSource(g.Collection))
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					assertResolutionsMatch(t, label, want, got)
+		// the CLI default must all reproduce the cache-less baseline.
+		for _, workers := range []int{1, 8} {
+			for _, blockCache := range []int{0, 64, mfiblocks.DefaultBlockCache} {
+				label := fmt.Sprintf("seed=%d workers=%d cache=%d", d.seed, workers, blockCache)
+				opts := StreamOptions{Options: base}
+				opts.Workers = workers
+				opts.Blocking.BlockCache = blockCache
+				opts.Blocking.SpillPairs = 64
+				opts.Blocking.SpillDir = t.TempDir()
+				got, err := RunStream(opts, NewCollectionSource(g.Collection))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
+				if got.Blocking.Spill.Stats().Runs == 0 {
+					t.Fatalf("%s: spill cap 64 never spilled; harness is not exercising the merge", label)
+				}
+				assertResolutionsMatch(t, label, want, got)
 			}
 		}
 	}
@@ -141,7 +115,6 @@ func TestStreamRetainRecordsFullEquivalence(t *testing.T) {
 	}
 
 	opts := StreamOptions{Options: base, RetainRecords: true}
-	opts.Blocking.Shards = 4
 	opts.Blocking.SpillPairs = 128
 	opts.Blocking.SpillDir = t.TempDir()
 	got, err := RunStream(opts, NewCollectionSource(g.Collection))
@@ -155,8 +128,9 @@ func TestStreamRetainRecordsFullEquivalence(t *testing.T) {
 }
 
 // tieHeavyRecords builds groups of byte-identical records so block
-// scores collide massively — candidate ties land on shard boundaries and
-// in the same spill windows, the worst case for merge determinism.
+// scores collide massively — candidate ties land on worker-chunk
+// boundaries and in the same spill windows, the worst case for merge
+// determinism.
 func tieHeavyRecords(t *testing.T) *record.Collection {
 	t.Helper()
 	var records []*record.Record
@@ -181,9 +155,9 @@ func tieHeavyRecords(t *testing.T) *record.Collection {
 }
 
 // TestStreamDeterministicUnderShardBoundaryTies runs the tie-heavy
-// fixture through the sharded spilled pipeline twice (and against the
-// batch baseline): identical output every time, or the shard merge has a
-// tie leak.
+// fixture through the spilled pipeline at one and eight workers, twice
+// each, against the batch baseline: identical output every time, or the
+// block order or the spill merge has a tie leak.
 func TestStreamDeterministicUnderShardBoundaryTies(t *testing.T) {
 	coll := tieHeavyRecords(t)
 	blocking := mfiblocks.NewConfig()
@@ -197,24 +171,20 @@ func TestStreamDeterministicUnderShardBoundaryTies(t *testing.T) {
 		t.Fatal("tie-heavy fixture produced no matches")
 	}
 
-	var first *Resolution
-	for run := 0; run < 3; run++ {
-		opts := StreamOptions{Options: base}
-		opts.Blocking.Shards = 8
-		opts.Blocking.MineShards = 4
-		opts.Blocking.SpillPairs = 16
-		opts.Blocking.SpillDir = t.TempDir()
-		got, err := RunStream(opts, NewCollectionSource(coll))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertResolutionsMatch(t, fmt.Sprintf("run=%d", run), want, got)
-		if first == nil {
-			first = got
-			continue
-		}
-		if !reflect.DeepEqual(first.Matches, got.Matches) {
-			t.Fatalf("run %d: streaming matches not reproducible", run)
+	for _, workers := range []int{1, 8} {
+		for run := 0; run < 2; run++ {
+			opts := StreamOptions{Options: base}
+			opts.Workers = workers
+			opts.Blocking.SpillPairs = 16
+			opts.Blocking.SpillDir = t.TempDir()
+			got, err := RunStream(opts, NewCollectionSource(coll))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Blocking.Spill.Stats().Runs == 0 {
+				t.Fatal("spill cap 16 never spilled")
+			}
+			assertResolutionsMatch(t, fmt.Sprintf("workers=%d run=%d", workers, run), want, got)
 		}
 	}
 }
@@ -249,7 +219,7 @@ func TestStreamValidation(t *testing.T) {
 
 // TestStreamFromStore drives RunStream from an actual .yvst window
 // reader, closing the loop the 1M benchmark depends on: store → windowed
-// ingest → sharded blocking → spilled scoring.
+// ingest → blocking → spilled scoring.
 func TestStreamFromStore(t *testing.T) {
 	g := equivDataset(t, 150, 1944)
 	base := Options{Blocking: mfiblocks.NewConfig(), Geo: g.Gaz, Preprocess: true, Gazetteer: g.Gaz, SameSrc: true}
@@ -269,8 +239,6 @@ func TestStreamFromStore(t *testing.T) {
 	defer src.Close()
 
 	opts := StreamOptions{Options: base}
-	opts.Blocking.Shards = 2
-	opts.Blocking.MineShards = 2
 	opts.Blocking.SpillPairs = 64
 	opts.Blocking.SpillDir = t.TempDir()
 	got, err := RunStream(opts, src)

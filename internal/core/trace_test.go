@@ -31,7 +31,7 @@ func canonicalJSON(t *testing.T, res *Resolution) string {
 }
 
 // TestTraceCanonicalEquivalence is the span system's determinism lock:
-// the Canonical tree — timings zeroed, worker/shard/setup spans pruned,
+// the Canonical tree — timings zeroed, worker/setup spans pruned,
 // siblings totally ordered — must be byte-identical across the fan-out
 // matrix, because the workload (iterations mined, blocks built, pairs
 // spilled, matches ranked) is the same regardless of how it was
@@ -42,39 +42,33 @@ func TestTraceCanonicalEquivalence(t *testing.T) {
 	base := Options{Blocking: mfiblocks.NewConfig(), Geo: g.Gaz, Preprocess: true, Gazetteer: g.Gaz, SameSrc: true}
 
 	var want, wantLabel string
-	for _, shards := range []int{1, 4} {
-		for _, workers := range []int{1, 2, 8} {
-			for _, mineShards := range []int{1, 4} {
-				// The block cache rides the matrix as a fourth dimension:
-				// its hit counts are volatile span attrs, so cached and
-				// uncached runs must emit the same canonical bytes.
-				for _, blockCache := range []int{0, mfiblocks.DefaultBlockCache} {
-					label := fmt.Sprintf("shards=%d mineShards=%d workers=%d cache=%d", shards, mineShards, workers, blockCache)
-					opts := StreamOptions{Options: base}
-					opts.Workers = workers
-					opts.Blocking.Workers = workers
-					opts.Blocking.Shards = shards
-					opts.Blocking.MineShards = mineShards
-					opts.Blocking.BlockCache = blockCache
-					opts.Blocking.SpillPairs = 64
-					opts.Blocking.SpillDir = t.TempDir()
-					opts.Trace = trace.New()
-					res, err := RunStream(opts, NewCollectionSource(g.Collection))
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if res.Blocking.Spill.Stats().Runs == 0 {
-						t.Fatalf("%s: spill never flushed; the matrix is not exercising spill spans", label)
-					}
-					got := canonicalJSON(t, res)
-					if want == "" {
-						want, wantLabel = got, label
-						continue
-					}
-					if got != want {
-						t.Errorf("canonical trees diverge: %s vs %s\n%s\nvs\n%s", wantLabel, label, want, got)
-					}
-				}
+	for _, workers := range []int{1, 2, 8} {
+		// The block cache rides the matrix as a second dimension: its hit
+		// counts are volatile span attrs, so cached and uncached runs must
+		// emit the same canonical bytes.
+		for _, blockCache := range []int{0, mfiblocks.DefaultBlockCache} {
+			label := fmt.Sprintf("workers=%d cache=%d", workers, blockCache)
+			opts := StreamOptions{Options: base}
+			opts.Workers = workers
+			opts.Blocking.Workers = workers
+			opts.Blocking.BlockCache = blockCache
+			opts.Blocking.SpillPairs = 64
+			opts.Blocking.SpillDir = t.TempDir()
+			opts.Trace = trace.New()
+			res, err := RunStream(opts, NewCollectionSource(g.Collection))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if res.Blocking.Spill.Stats().Runs == 0 {
+				t.Fatalf("%s: spill never flushed; the matrix is not exercising spill spans", label)
+			}
+			got := canonicalJSON(t, res)
+			if want == "" {
+				want, wantLabel = got, label
+				continue
+			}
+			if got != want {
+				t.Errorf("canonical trees diverge: %s vs %s\n%s\nvs\n%s", wantLabel, label, want, got)
 			}
 		}
 	}
@@ -166,7 +160,6 @@ func TestStreamReportSpillStats(t *testing.T) {
 	defer src.Close()
 
 	opts := StreamOptions{Options: Options{Blocking: mfiblocks.NewConfig(), Geo: g.Gaz, Preprocess: true, Gazetteer: g.Gaz, SameSrc: true}}
-	opts.Blocking.Shards = 2
 	opts.Blocking.SpillPairs = 64
 	opts.Blocking.SpillDir = t.TempDir()
 	res, err := RunStream(opts, src)

@@ -1,6 +1,7 @@
 package fpgrowth
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -70,17 +71,10 @@ func BenchmarkTreeBuild(b *testing.B) {
 
 func BenchmarkMineMaximal(b *testing.B) {
 	txns := benchTxns(2000, 800, 14)
-	for _, leg := range []struct {
-		name            string
-		workers, shards int
-	}{
-		{"workers1", 1, 0}, {"workers2", 2, 0}, {"workers8", 8, 0},
-		// More than one store per call: the cross-store merge runs.
-		{"shards2", 1, 2}, {"workers2+shards2", 2, 2},
-	} {
-		b.Run(leg.name, func(b *testing.B) {
+	for _, workers := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			m := NewMiner(txns)
-			m.Workers, m.Shards = leg.workers, leg.shards
+			m.Workers = workers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -101,13 +95,13 @@ func BenchmarkMineMaximal(b *testing.B) {
 }
 
 // BenchmarkMaximalMerge times finishMaximal alone — cross-store check,
-// translation, canonical sort — over the frozen stores of a two-worker,
-// two-shard mine of the dense fixture; the merge only reads them, so every
-// iteration sees the same input.
+// translation, canonical sort — over the frozen stores of a four-worker
+// mine of the dense fixture; the merge only reads them, so every iteration
+// sees the same input.
 func BenchmarkMaximalMerge(b *testing.B) {
 	m := NewMiner(denseTxns(29, 600, 100, 48))
-	m.Workers = 2
-	stores, order := minedStores(m, 2, 2)
+	m.Workers = 4
+	stores, order := minedStores(m, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

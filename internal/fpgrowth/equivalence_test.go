@@ -104,7 +104,7 @@ func TestMineMaximalRunTwiceDeterminism(t *testing.T) {
 // TestMineMaximalParallelMatchesBruteForce anchors the parallel miner to
 // ground truth on small instances: FilterMaximal over the brute-force
 // frequent sets equals the parallel MFI output exactly — on thirty small
-// random databases, then on one dense one across Workers × Shards.
+// random databases, then on one dense one across Workers.
 func TestMineMaximalParallelMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 30; trial++ {
@@ -157,11 +157,9 @@ func TestMineMaximalParallelMatchesBruteForce(t *testing.T) {
 			t.Fatalf("dense minsup=%d: longest MFI has %d items, fixture is not deep", minsup, longest)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			for _, shards := range []int{1, 4} {
-				got := mineWith(t, txns, shards, workers, minsup, nil, true)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("dense minsup=%d workers=%d shards=%d:\nwant %v\ngot  %v", minsup, workers, shards, want, got)
-				}
+			got := mineWith(t, txns, workers, minsup, nil)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("dense minsup=%d workers=%d:\nwant %v\ngot  %v", minsup, workers, want, got)
 			}
 		}
 	}

@@ -57,22 +57,7 @@ type Miner struct {
 	// items out to: 0 means GOMAXPROCS, 1 runs the exact serial path. The
 	// mined MFIs are bit-identical for every worker count.
 	Workers int
-	// Shards, when > 1, splits maximal mining into that many shard-local
-	// miners over contiguous structural-rank ranges of the one shared
-	// tree, each filling its own MFI stores. An itemset is mined only in
-	// the shard owning its top rank, so a stored set is non-maximal only
-	// through a longer set of another store; finishMaximal checks the
-	// stores against each other, and the mined MFIs are bit-identical for
-	// every shard count. 0 or 1 mines every rank in one pass.
-	Shards int
-	// SelfVerify, when set, lazily recounts every merged MFI's support
-	// against the inverted index after a sharded mine and panics on any
-	// divergence — the audit knob the shard-merge test harness turns on.
-	// It builds (and caches) an Index on first use; leave it off in
-	// production runs.
-	SelfVerify bool
-	vIndex     *Index
-	// scratch is the reusable root projection tree: projectTree recycles
+	// scratch is the reusable root projection tree: buildFlatTree recycles
 	// it across calls via the dirty-rank reset instead of allocating a
 	// fresh arena per minsup level. It makes repeated mining through one
 	// Miner non-reentrant — the MFIBlocks loop already mines sequentially.
@@ -151,14 +136,19 @@ func (m *Miner) TreeStats(minsup int, active []int) (nodes, items int) {
 	return len(tree.item) - 1, len(order)
 }
 
-// frequentOrder computes the per-item occurrence counts over the active
-// transactions (adopting freq when the caller maintains them
-// incrementally), the descending-frequency rank order of the frequent
-// unpruned items, and the item-id → rank table. It is the shared front
-// half of both the monolithic and the shard-local tree builds: the rank
-// order is a global property, so every shard tree agrees on it.
-func (m *Miner) frequentOrder(minsup int, active []int, freq []int) (counts, order []int, rankOf []int32, totalOccurrences int) {
-	counts = freq
+// buildFlatTree constructs the initial FP-tree over frequent items only,
+// with items ordered by descending frequency, and returns it together with
+// the rank -> item-id order (lower rank = closer to the root on every
+// path). When freq is non-nil it must hold the per-item-id occurrence
+// counts over the active transactions, sparing the counting pass — the
+// incremental path mfiblocks.Run maintains across its minsup iterations.
+//
+// The tree is the miner's scratch tree, recycled across calls (dirty-rank
+// reset + rank-table growth), so each mining call must finish with the
+// returned tree before the next one starts — true of every caller,
+// including the MFIBlocks minsup loop.
+func (m *Miner) buildFlatTree(minsup int, active []int, freq []int) (*flatTree, []int) {
+	counts := freq
 	if counts == nil {
 		counts = make([]int, m.maxItem+1)
 		m.txns.forEachActive(active, func(txn []int32) {
@@ -171,7 +161,8 @@ func (m *Miner) frequentOrder(minsup int, active []int, freq []int) (counts, ord
 	if limit > len(counts) {
 		limit = len(counts)
 	}
-	order = make([]int, 0, limit)
+	order := make([]int, 0, limit)
+	totalOccurrences := 0
 	for it := 0; it < limit; it++ {
 		if counts[it] >= minsup && !m.isPruned(it) {
 			order = append(order, it)
@@ -186,44 +177,21 @@ func (m *Miner) frequentOrder(minsup int, active []int, freq []int) (counts, ord
 		}
 		return order[i] < order[j]
 	})
-	rankOf = make([]int32, m.maxItem+1)
+	rankOf := make([]int32, m.maxItem+1)
 	for i := range rankOf {
 		rankOf[i] = -1
 	}
 	for r, it := range order {
 		rankOf[it] = int32(r)
 	}
-	return counts, order, rankOf, totalOccurrences
-}
 
-// buildFlatTree constructs the initial FP-tree over frequent items only,
-// with items ordered by descending frequency, and returns it together with
-// the rank -> item-id order (lower rank = closer to the root on every
-// path). When freq is non-nil it must hold the per-item-id occurrence
-// counts over the active transactions, sparing the counting pass — the
-// incremental path mfiblocks.Run maintains across its minsup iterations.
-func (m *Miner) buildFlatTree(minsup int, active []int, freq []int) (*flatTree, []int) {
-	_, order, rankOf, totalOccurrences := m.frequentOrder(minsup, active, freq)
-	return m.projectTree(active, rankOf, len(order), totalOccurrences), order
-}
-
-// projectTree inserts every active transaction's frequent-rank projection
-// into the miner's scratch tree over the whole rank universe [0, nRanks).
-// Both the monolithic and the shard-local miners mine this one tree:
-// conditional mining for a top-level rank only ever descends into ranks
-// below it, so the tree doubles as every shard's prefix-closed projection
-// at once. The scratch tree is recycled across calls (dirty-rank reset +
-// rank-table growth), so each mining call must finish with the returned
-// tree before the next one starts — true of every caller, including the
-// MFIBlocks minsup loop.
-func (m *Miner) projectTree(active []int, rankOf []int32, nRanks, nodeCap int) *flatTree {
 	tree := m.scratch
 	if tree == nil {
-		tree = newFlatTree(nRanks, nodeCap)
+		tree = newFlatTree(len(order), totalOccurrences)
 		m.scratch = tree
 	} else {
 		tree.reset()
-		tree.growRanks(nRanks)
+		tree.growRanks(len(order))
 	}
 	if cap(m.scratchBuf) == 0 {
 		m.scratchBuf = make([]int32, 0, 32)
@@ -245,7 +213,7 @@ func (m *Miner) projectTree(active []int, rankOf []int32, nRanks, nodeCap int) *
 		tree.insertPath(buf, 1)
 	})
 	m.scratchBuf = buf[:0]
-	return tree
+	return tree, order
 }
 
 // sortInt32 sorts small rank buffers ascending. Insertion sort beats the

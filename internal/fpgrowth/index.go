@@ -164,9 +164,8 @@ func (x *Index) ActiveMask(active []int) []uint64 {
 }
 
 // SupportCount returns how many transactions in mask (nil = all) contain
-// every item of the itemset. This is the lazy cross-shard verification
-// primitive: the shard merge recounts only its surviving merged MFIs —
-// never the shard-local candidate multiset — against the global index.
+// every item of the itemset — an exact recount of a mined support against
+// the index, independent of the FP-tree.
 func (x *Index) SupportCount(items []int, mask []uint64) int {
 	set := x.SupportSet(items)
 	if mask == nil {

@@ -13,24 +13,36 @@ import (
 )
 
 // minedStores replays the front half of MineMaximal — projection tree,
-// shard cut, top-item fan-out under m.Workers — and returns the finished
-// worker stores in shard-then-worker order with the rank -> item order.
-// One shard is the monolithic top list.
-func minedStores(m *Miner, minsup, shards int) ([]*mfiStore, []int) {
-	counts, order, rankOf, totalOcc := m.frequentOrder(minsup, nil, nil)
-	tree := m.projectTree(nil, rankOf, len(order), totalOcc)
-	bounds := shardBounds(counts, order, totalOcc, shards)
-	var stores []*mfiStore
-	for s := 0; s+1 < len(bounds); s++ {
-		var top []int32
-		for r := bounds[s+1] - 1; r >= bounds[s]; r-- {
-			top = append(top, int32(r))
-		}
-		if len(top) > 0 {
-			stores = append(stores, m.mineTops(nil, tree, order, top, minsup)...)
+// top-item fan-out under m.Workers — and returns the finished worker
+// stores in worker order with the rank -> item order.
+func minedStores(m *Miner, minsup int) ([]*mfiStore, []int) {
+	tree, order := m.buildFlatTree(minsup, nil, nil)
+	return m.mineTops(nil, tree, order, minsup), order
+}
+
+// assertSupports recounts every mined itemset's support over the active
+// transactions (nil = all) against the inverted index: the merge must
+// hand each survivor on with its exact support.
+func assertSupports(t *testing.T, txns [][]int, sets []Itemset, active []int) {
+	t.Helper()
+	idx := NewMiner(txns).BuildIndex()
+	mask := idx.ActiveMask(active)
+	for _, s := range sets {
+		if got := idx.SupportCount(s.Items, mask); got != s.Support {
+			t.Fatalf("support mismatch for %v: mined %d, index recounts %d", s.Items, s.Support, got)
 		}
 	}
-	return stores, order
+}
+
+// mineWith mines through the public entry point at the given worker
+// count and recounts every returned support.
+func mineWith(t *testing.T, txns [][]int, workers, minsup int, active []int) []Itemset {
+	t.Helper()
+	m := NewMiner(txns)
+	m.Workers = workers
+	out := m.MineMaximal(minsup, active)
+	assertSupports(t, txns, out, active)
+	return out
 }
 
 // sweepStores is the merge the cross-store check replaced, kept as its
@@ -56,10 +68,10 @@ func sweepStores(stores []*mfiStore, order []int) []Itemset {
 
 // TestCrossStoreMergeMatchesSweep holds finishMaximal's cross-store merge
 // against the filterMaximal sweep it replaced, the public entry point
-// (SelfVerify recounting every survivor) and, where the item universe is
-// small enough to enumerate, brute force — over seeds × minsup × workers
-// × shards. The merge runs twice over the same stores: equal results mean
-// it is deterministic and left the stores as it found them.
+// (every survivor's support recounted) and, where the item universe is
+// small enough to enumerate, brute force — over seeds × minsup × workers.
+// The merge runs twice over the same stores: equal results mean it is
+// deterministic and left the stores as it found them.
 func TestCrossStoreMergeMatchesSweep(t *testing.T) {
 	type fixture struct {
 		name  string
@@ -80,31 +92,29 @@ func TestCrossStoreMergeMatchesSweep(t *testing.T) {
 				truth = naiveMaximal(bruteForce(fx.txns, minsup))
 			}
 			for _, workers := range []int{1, 2, 8} {
-				for _, shards := range []int{1, 2, 4} {
-					name := fmt.Sprintf("%s minsup=%d workers=%d shards=%d", fx.name, minsup, workers, shards)
-					m := NewMiner(fx.txns)
-					m.Workers = workers
-					stores, order := minedStores(m, minsup, shards)
-					want := sweepStores(stores, order)
-					for run := 0; run < 2; run++ {
-						if got := m.finishMaximal(nil, stores, order, time.Now()); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s run %d: cross-store merge kept %d sets, the sweep %d", name, run, len(got), len(want))
-						}
+				name := fmt.Sprintf("%s minsup=%d workers=%d", fx.name, minsup, workers)
+				m := NewMiner(fx.txns)
+				m.Workers = workers
+				stores, order := minedStores(m, minsup)
+				want := sweepStores(stores, order)
+				for run := 0; run < 2; run++ {
+					if got := m.finishMaximal(nil, stores, order, time.Now()); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s run %d: cross-store merge kept %d sets, the sweep %d", name, run, len(got), len(want))
 					}
-					if got := mineWith(t, fx.txns, shards, workers, minsup, nil, true); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: MineMaximal returned %d sets, the sweep %d", name, len(got), len(want))
-					}
-					if fx.brute && !reflect.DeepEqual(truth, want) {
-						t.Fatalf("%s: brute force finds %d MFIs, the sweep %d", name, len(truth), len(want))
-					}
-					if len(stores) == 1 && len(stores[0].sets) != len(want) {
-						t.Fatalf("%s: a lone store holds %d sets but %d are maximal", name, len(stores[0].sets), len(want))
-					}
-					for _, s := range stores {
-						died += len(s.sets)
-					}
-					died -= len(want)
 				}
+				if got := mineWith(t, fx.txns, workers, minsup, nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: MineMaximal returned %d sets, the sweep %d", name, len(got), len(want))
+				}
+				if fx.brute && !reflect.DeepEqual(truth, want) {
+					t.Fatalf("%s: brute force finds %d MFIs, the sweep %d", name, len(truth), len(want))
+				}
+				if len(stores) == 1 && len(stores[0].sets) != len(want) {
+					t.Fatalf("%s: a lone store holds %d sets but %d are maximal", name, len(stores[0].sets), len(want))
+				}
+				for _, s := range stores {
+					died += len(s.sets)
+				}
+				died -= len(want)
 			}
 		}
 	}
@@ -146,36 +156,34 @@ func TestConditionalTreeBuiltOnlyOnMiss(t *testing.T) {
 }
 
 // TestMergeTimedOncePerCall: fpgrowth_merge_seconds is observed once per
-// mining call at every worker × shard count — the lone-store call included
-// — and each call hangs one maximal_merge span under its mine span.
+// mining call at every worker count — the lone-store call included — and
+// each call hangs one maximal_merge span under its mine span.
 func TestMergeTimedOncePerCall(t *testing.T) {
 	txns := equivTxns(11, 300, 150, 10)
 	for _, workers := range []int{1, 2} {
-		for _, shards := range []int{1, 2} {
-			m := NewMiner(txns)
-			m.Workers, m.Shards = workers, shards
-			m.Metrics = telemetry.NewRegistry()
-			tr := trace.New()
-			root := tr.StartSpan(nil, "test")
-			m.Trace = root
-			m.MineMaximal(3, nil)
-			m.MineMaximal(2, nil)
-			root.End()
-			hist := m.Metrics.Histogram(telemetry.FamilyFPGrowthMerge, telemetry.DurationBuckets).Snapshot()
-			if hist.Count != 2 {
-				t.Fatalf("workers=%d shards=%d: merge timer observed %d times over 2 calls", workers, shards, hist.Count)
-			}
-			merges := 0
-			for _, mine := range tr.Tree(trace.Full).Roots[0].Children {
-				for _, c := range mine.Children {
-					if c.Name == "maximal_merge" {
-						merges++
-					}
+		m := NewMiner(txns)
+		m.Workers = workers
+		m.Metrics = telemetry.NewRegistry()
+		tr := trace.New()
+		root := tr.StartSpan(nil, "test")
+		m.Trace = root
+		m.MineMaximal(3, nil)
+		m.MineMaximal(2, nil)
+		root.End()
+		hist := m.Metrics.Histogram(telemetry.FamilyFPGrowthMerge, telemetry.DurationBuckets).Snapshot()
+		if hist.Count != 2 {
+			t.Fatalf("workers=%d: merge timer observed %d times over 2 calls", workers, hist.Count)
+		}
+		merges := 0
+		for _, mine := range tr.Tree(trace.Full).Roots[0].Children {
+			for _, c := range mine.Children {
+				if c.Name == "maximal_merge" {
+					merges++
 				}
 			}
-			if merges != 2 {
-				t.Fatalf("workers=%d shards=%d: %d maximal_merge spans under 2 mine spans", workers, shards, merges)
-			}
+		}
+		if merges != 2 {
+			t.Fatalf("workers=%d: %d maximal_merge spans under 2 mine spans", workers, merges)
 		}
 	}
 }

@@ -41,13 +41,9 @@ func (m *Miner) mineMaximal(minsup int, active []int, freq []int) []Itemset {
 	if minsup < 1 {
 		minsup = 1
 	}
-	if m.Shards > 1 {
-		return m.mineMaximalSharded(minsup, active, freq)
-	}
 	t0 := time.Now()
 	// KindSetup: node and item counts describe the build, not the mined
-	// workload — keeping the build spans out of the Canonical tree is
-	// what lets every shard count canonicalize identically.
+	// workload.
 	tsp := m.Trace.Child("tree_build", trace.WithKind(trace.KindSetup))
 	tree, order := m.buildFlatTree(minsup, active, freq)
 	tsp.Attr("nodes", int64(len(tree.item)-1)).Attr("items", int64(len(order))).End()
@@ -55,36 +51,23 @@ func (m *Miner) mineMaximal(minsup int, active []int, freq []int) []Itemset {
 	t1 := time.Now()
 	msp := m.Trace.Child("mine", trace.WithKind(trace.KindOp)).Attr("minsup", int64(minsup))
 	defer msp.End()
-
-	// Top-level header items deepest-first (descending structural rank):
-	// an item's conditional tree only contains items processed after it in
-	// the serial order, so no stored set is ever subsumed by a later one
-	// within a worker. The root tree holds exactly the frequent items, so
-	// every rank is a top-level item.
-	top := make([]int32, 0, len(order))
-	for r := len(order) - 1; r >= 0; r-- {
-		if tree.cnt[r] >= minsup {
-			top = append(top, int32(r))
-		}
-	}
-	return m.finishMaximal(msp, m.mineTops(msp, tree, order, top, minsup), order, t1)
+	return m.finishMaximal(msp, m.mineTops(msp, tree, order, minsup), order, t1)
 }
 
 // mergeChunk bounds the sets one merge task checks and translates.
 const mergeChunk = 512
 
-// finishMaximal is the merge tail shared by the monolithic and
-// shard-local paths. Two facts make it exact without a global sweep: no
-// set is subsumed by another set of its own store (deepest-first order,
-// and a focus miss precedes every add), and an itemset has one top rank,
-// hence one owning shard and worker, so no set occurs in two stores. A
-// set is therefore non-maximal exactly when a longer set of a different
-// store contains it (the stores together hold every true MFI). Chunks of
-// each store are checked against the other stores, which they only read,
-// and translated to sorted item ids under the Workers budget; a lone
-// store has nothing to be checked against. Survivors are gathered in
+// finishMaximal is the merge tail of mineMaximal. Two facts make it exact
+// without a global sweep: no set is subsumed by another set of its own
+// store (deepest-first order, and a focus miss precedes every add), and an
+// itemset has one top rank, hence one owning worker, so no set occurs in
+// two stores. A set is therefore non-maximal exactly when a longer set of
+// a different store contains it (the stores together hold every true MFI).
+// Chunks of each store are checked against the other stores, which they
+// only read, and translated to sorted item ids under the Workers budget; a
+// lone store has nothing to be checked against. Survivors are gathered in
 // store order and leave through the canonical sort: bit-identical MFIs
-// however they were mined.
+// for every worker count.
 func (m *Miner) finishMaximal(msp *trace.Span, stores []*mfiStore, order []int, t1 time.Time) []Itemset {
 	t2 := time.Now()
 	type task struct{ store, lo int }
@@ -144,12 +127,21 @@ func sortCanonical(sets []Itemset) {
 	slices.SortFunc(sets, func(a, b Itemset) int { return slices.Compare(a.Items, b.Items) })
 }
 
-// mineTops runs the FPmax top-item loop over the given top-level ranks
-// of tree (already ordered deepest-first), fanning the items out across
-// the worker pool, and returns the worker-local MFI stores in worker
-// order. finishMaximal reconciles them; the monolithic path passes one
-// call's stores, the shard-local path every shard's.
-func (m *Miner) mineTops(parent *trace.Span, tree *flatTree, order []int, top []int32, minsup int) []*mfiStore {
+// mineTops runs the FPmax top-item loop over the root tree, fanning its
+// header items out across the worker pool, and returns the worker-local
+// MFI stores in worker order. finishMaximal reconciles them.
+func (m *Miner) mineTops(parent *trace.Span, tree *flatTree, order []int, minsup int) []*mfiStore {
+	// Top-level header items deepest-first (descending structural rank):
+	// an item's conditional tree only contains items processed after it in
+	// the serial order, so no stored set is ever subsumed by a later one
+	// within a worker. The root tree holds exactly the frequent items, so
+	// every rank is a top-level item.
+	top := make([]int32, 0, len(order))
+	for r := len(order) - 1; r >= 0; r-- {
+		if tree.cnt[r] >= minsup {
+			top = append(top, int32(r))
+		}
+	}
 	// Deterministic round-robin assignment: worker w owns top[w],
 	// top[w+W], ... — contiguous chunks would hand all the cheap
 	// deep-rank items to one worker and the expensive shallow ones to

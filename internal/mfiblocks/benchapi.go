@@ -61,6 +61,6 @@ func (b *BlockBench) BuildBlocks(useCache bool) int {
 	if !useCache {
 		cache = nil
 	}
-	blocks, _ := buildBlocks(&b.cfg, b.sc, b.index, cache, b.mfis, b.minsup)
+	blocks, _ := buildBlocks(&b.cfg, b.sc, b.index, cache, b.mfis, b.minsup, nil)
 	return len(blocks)
 }

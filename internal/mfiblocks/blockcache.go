@@ -78,7 +78,7 @@ func newBlockCache(maxEntries int) *blockCache {
 }
 
 // hashKey is FNV-1a over the key's item ids (the same inline idiom as
-// the signature-shard router and features.PairMemo).
+// features.PairMemo).
 func hashKey(key []int) uint64 {
 	h := uint64(14695981039346656037)
 	for _, it := range key {

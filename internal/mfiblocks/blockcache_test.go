@@ -96,8 +96,8 @@ func TestBuildBlocksCacheAdversarial(t *testing.T) {
 	cache := newBlockCache(DefaultBlockCache)
 	prunedDiffers := false
 	for _, minsup := range []int{5, 4, 3, 2} {
-		wantBlocks, wantPruned := buildBlocks(&cfg, sc, index, nil, mfis, minsup)
-		gotBlocks, gotPruned := buildBlocks(&cfg, sc, index, cache, mfis, minsup)
+		wantBlocks, wantPruned := buildBlocks(&cfg, sc, index, nil, mfis, minsup, nil)
+		gotBlocks, gotPruned := buildBlocks(&cfg, sc, index, cache, mfis, minsup, nil)
 		if gotPruned != wantPruned {
 			t.Fatalf("minsup=%d: csPruned %d with cache, %d without", minsup, gotPruned, wantPruned)
 		}
@@ -120,8 +120,8 @@ func TestBuildBlocksCacheAdversarial(t *testing.T) {
 	// not change a single bit either.
 	tiny := newBlockCache(8)
 	for _, minsup := range []int{5, 4, 3, 2} {
-		wantBlocks, wantPruned := buildBlocks(&cfg, sc, index, nil, mfis, minsup)
-		gotBlocks, gotPruned := buildBlocks(&cfg, sc, index, tiny, mfis, minsup)
+		wantBlocks, wantPruned := buildBlocks(&cfg, sc, index, nil, mfis, minsup, nil)
+		gotBlocks, gotPruned := buildBlocks(&cfg, sc, index, tiny, mfis, minsup, nil)
 		if gotPruned != wantPruned || !reflect.DeepEqual(wantBlocks, gotBlocks) {
 			t.Fatalf("minsup=%d: tiny cache diverges from cache-off build", minsup)
 		}
@@ -158,8 +158,7 @@ func assertSameBlocking(t *testing.T, label string, want, got *Result) {
 
 // TestRunBlockCacheBitIdentical is the engine-level acceptance check:
 // Result is bit-identical across cache off, a tiny eviction-churning
-// cache, and the default cache — alone and composed with signature
-// shards and worker fan-out.
+// cache, and the default cache, composed with worker fan-out.
 func TestRunBlockCacheBitIdentical(t *testing.T) {
 	g := smallItaly(t, 400)
 	base := NewConfig()
@@ -175,21 +174,18 @@ func TestRunBlockCacheBitIdentical(t *testing.T) {
 	}
 
 	for _, cacheSize := range []int{4, 64, DefaultBlockCache} {
-		for _, shards := range []int{0, 4} {
-			for _, workers := range []int{1, 2, 8} {
-				label := fmt.Sprintf("cache=%d shards=%d workers=%d", cacheSize, shards, workers)
-				cfg := NewConfig()
-				cfg.BlockCache = cacheSize
-				cfg.Shards = shards
-				cfg.Workers = workers
-				got, err := Run(cfg, g.Collection)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				assertSameBlocking(t, label, want, got)
-				if got.Cache.Hits+got.Cache.Misses == 0 {
-					t.Fatalf("%s: cache never consulted", label)
-				}
+		for _, workers := range []int{1, 2, 8} {
+			label := fmt.Sprintf("cache=%d workers=%d", cacheSize, workers)
+			cfg := NewConfig()
+			cfg.BlockCache = cacheSize
+			cfg.Workers = workers
+			got, err := Run(cfg, g.Collection)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertSameBlocking(t, label, want, got)
+			if got.Cache.Hits+got.Cache.Misses == 0 {
+				t.Fatalf("%s: cache never consulted", label)
 			}
 		}
 	}

@@ -50,23 +50,13 @@ type Config struct {
 	// 0 means GOMAXPROCS, 1 runs the exact serial paths. Mined MFIs,
 	// blocks, and Result.Pairs are bit-identical for every worker count.
 	Workers int
-	// Shards partitions each iteration's block materialization by a
-	// deterministic signature hash of the MFI key: shard k materializes
-	// and scores only the blocks whose key hashes to k, and the per-shard
-	// outputs are merged under the engine's canonical block order. Mining
-	// stays global (itemset support and maximality are whole-corpus
-	// properties — shard-local mining would admit phantom MFIs), so the
-	// output is bit-identical for every shard count. 0 or 1 disables
-	// sharding.
+	// Shards does nothing: block materialization has one path, the
+	// Workers pool. The field remains only because
+	// benchmark/workloads.go assigns it.
 	Shards int
-	// MineShards partitions each iteration's MFI mining itself into
-	// shard-local miners over contiguous structural-rank ranges of one
-	// shared projection tree (fpgrowth.Miner.Shards): each shard mines
-	// only its owned top-level suffixes into its own stores. A stored
-	// set can only be non-maximal through a longer set of another store,
-	// so checking the stores against each other keeps the mined MFIs —
-	// and everything downstream — bit-identical for every shard count.
-	// 0 or 1 runs the single monolithic mining pass.
+	// MineShards does nothing: MFI mining has one path, the Workers
+	// fan-out. The field remains only because benchmark/workloads.go
+	// assigns it.
 	MineShards int
 	// BlockCache bounds the cross-iteration block materialization cache
 	// (total memoized blocks). The SupportSet contract materializes every
@@ -91,11 +81,11 @@ type Config struct {
 	// Metrics receives blocking-stage counters and timings (mfiblocks_*
 	// and fpgrowth_* families); nil falls back to telemetry.Default().
 	Metrics *telemetry.Registry
-	// Trace, when set, parents the blocking stage's per-iteration,
-	// per-shard, and miner spans. Nil traces nothing.
+	// Trace, when set, parents the blocking stage's per-iteration and
+	// miner spans. Nil traces nothing.
 	Trace *trace.Span
-	// Progress, when set, receives live item counts and shard
-	// completions from the minsup loop. Nil disables.
+	// Progress, when set, receives live item counts from the minsup
+	// loop. Nil disables.
 	Progress *trace.Progress
 }
 
@@ -135,10 +125,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("mfiblocks: PruneFraction %v out of [0,1)", c.PruneFraction)
 	case c.ExpertSim && c.Geo == nil:
 		return fmt.Errorf("mfiblocks: ExpertSim requires Geo")
-	case c.Shards < 0:
-		return fmt.Errorf("mfiblocks: Shards must be >= 0, got %d", c.Shards)
-	case c.MineShards < 0:
-		return fmt.Errorf("mfiblocks: MineShards must be >= 0, got %d", c.MineShards)
 	case c.SpillPairs < 0:
 		return fmt.Errorf("mfiblocks: SpillPairs must be >= 0, got %d", c.SpillPairs)
 	case c.BlockCache < 0:

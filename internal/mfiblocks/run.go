@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,7 +99,6 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 	miner := fpgrowth.NewMinerTxns(txns)
 	miner.Metrics = reg
 	miner.Workers = cfg.Workers
-	miner.Shards = cfg.MineShards
 	if cfg.PruneFraction > 0 {
 		miner.Prune(dict.MostFrequent(cfg.PruneFraction))
 	}
@@ -156,7 +154,7 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 
 		miner.Trace = iterSpan
 		mfis := miner.MineMaximalFreq(minsup, active, freq)
-		blocks, csPruned := buildBlocksSharded(&cfg, sc, index, cache, mfis, minsup, reg, iterSpan)
+		blocks, csPruned := buildBlocks(&cfg, sc, index, cache, mfis, minsup, iterSpan)
 
 		// Enforce the sparse-neighborhood condition for this iteration:
 		// every record admits blocks best-first while its distinct
@@ -357,12 +355,11 @@ func (e *spillEmitter) wait() error {
 }
 
 // materializeRange materializes, caps, and scores mfis[lo:hi] into
-// out[lo:hi] — the inner loop both the unsharded pool and the parallel
-// shard scheduler share. scratch is the calling goroutine's reusable
-// SupportSet buffer: supports materialize into it allocation-free, and
-// only admitted blocks copy out an exact-size member slice, so the
-// pruned giants that used to spike RSS never allocate at all. Returns
-// the compact-set prune count for the range.
+// out[lo:hi] — one buildBlocks worker's share. scratch is the calling
+// goroutine's reusable SupportSet buffer: supports materialize into it
+// allocation-free, and only admitted blocks copy out an exact-size
+// member slice, so the pruned giants that used to spike RSS never
+// allocate at all. Returns the compact-set prune count for the range.
 //
 // The cache path is exact, not approximate: every block is materialized
 // over the whole database (the SupportSet contract), so a key's members
@@ -415,8 +412,17 @@ func materializeRange(sc *scorer, index *fpgrowth.Index, cache *blockCache, mfis
 // dropping blocks that are too small (<2) or exceed the compact-set
 // cap. It also reports how many blocks the compact-set cap pruned.
 // Every block is materialized over the whole database (the SupportSet
-// contract): coverage never masks a record out of a new block.
-func buildBlocks(cfg *Config, sc *scorer, index *fpgrowth.Index, cache *blockCache, mfis []fpgrowth.Itemset, minsup int) ([]*Block, int) {
+// contract): coverage never masks a record out of a new block. Blocks
+// come back in MFI order; enforceNG re-sorts them under a total order,
+// so nothing downstream depends on it.
+func buildBlocks(cfg *Config, sc *scorer, index *fpgrowth.Index, cache *blockCache, mfis []fpgrowth.Itemset, minsup int, parent *trace.Span) ([]*Block, int) {
+	bsp := parent.Child("build_blocks", trace.WithKind(trace.KindOp)).
+		Attr("mfis", int64(len(mfis)))
+	var hits0, misses0 int64
+	if cache != nil {
+		st := cache.Stats()
+		hits0, misses0 = st.Hits, st.Misses
+	}
 	maxSize := int(float64(minsup) * cfg.P)
 	out := make([]*Block, len(mfis))
 	var csPruned atomic.Int64
@@ -442,168 +448,15 @@ func buildBlocks(cfg *Config, sc *scorer, index *fpgrowth.Index, cache *blockCac
 			blocks = append(blocks, b)
 		}
 	}
-	return blocks, int(csPruned.Load())
-}
-
-// shardOf assigns an MFI key to one of shards partitions by FNV-1a over
-// its item ids. The hash depends only on the key's content, so a block
-// lands in the same shard in every run and for every worker count.
-func shardOf(key []int, shards int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, it := range key {
-		v := uint64(it)
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xFF
-			h *= prime64
-		}
-	}
-	return int(h % uint64(shards))
-}
-
-// buildBlocksSharded partitions one iteration's MFIs into signature
-// shards and materializes all shards concurrently under one bounded
-// worker budget (cfg.workers() goroutines total — shards no longer run
-// sequentially, each spinning its own pool). Each shard still fills its
-// own deterministic output slot array and per-shard wall clock is still
-// recorded (as completion latency, since shards now overlap). Mining is
-// global, so each MFI's support set — and therefore its block — is
-// identical to the unsharded run's; the merge is plain concatenation in
-// shard order because enforceNG re-sorts every iteration's blocks under
-// a total order, making the downstream outcome independent of block
-// arrival order. Shards <= 1 takes the direct path.
-func buildBlocksSharded(cfg *Config, sc *scorer, index *fpgrowth.Index, cache *blockCache, mfis []fpgrowth.Itemset, minsup int, reg *telemetry.Registry, parent *trace.Span) ([]*Block, int) {
-	// The build_blocks op span exists for every shard count (shard spans
-	// nest under it): Canonical trees prune the KindShard children, so a
-	// sharded and an unsharded run canonicalize identically. The cache
-	// attrs are volatile — hit counts vary across cache sizes and with
-	// eviction timing, so Canonical drops them too.
-	bsp := parent.Child("build_blocks", trace.WithKind(trace.KindOp)).
-		Attr("mfis", int64(len(mfis)))
-	var hits0, misses0 int64
 	if cache != nil {
+		// Volatile: hit counts vary across cache sizes and with eviction
+		// timing, so Canonical trees drop them.
 		st := cache.Stats()
-		hits0, misses0 = st.Hits, st.Misses
+		bsp.VolatileAttr("cache_hits", st.Hits-hits0).
+			VolatileAttr("cache_misses", st.Misses-misses0)
 	}
-	finish := func(blocks []*Block) {
-		if cache != nil {
-			st := cache.Stats()
-			bsp.VolatileAttr("cache_hits", st.Hits-hits0).
-				VolatileAttr("cache_misses", st.Misses-misses0)
-		}
-		bsp.Attr("blocks", int64(len(blocks))).End()
-	}
-	if cfg.Shards <= 1 {
-		blocks, csPruned := buildBlocks(cfg, sc, index, cache, mfis, minsup)
-		finish(blocks)
-		return blocks, csPruned
-	}
-	parts := make([][]fpgrowth.Itemset, cfg.Shards)
-	for _, m := range mfis {
-		s := shardOf(m.Items, cfg.Shards)
-		parts[s] = append(parts[s], m)
-	}
-
-	maxSize := int(float64(minsup) * cfg.P)
-	workers := cfg.workers()
-	// Per-shard state: a deterministic output slot array, the shard's
-	// remaining chunk count, and its span/clock. Shard spans are created
-	// upfront in shard order so the Full tree's sibling order stays
-	// deterministic; the worker finishing a shard's last chunk closes its
-	// span and observes its timer.
-	type shardState struct {
-		out     []*Block
-		pruned  atomic.Int64
-		pending atomic.Int32
-		span    *trace.Span
-		start   time.Time
-	}
-	type chunkTask struct {
-		shard, lo, hi int
-	}
-	states := make([]*shardState, len(parts))
-	var tasks []chunkTask
-	doneShards := 0
-	for si, part := range parts {
-		if len(part) == 0 {
-			doneShards++
-			continue
-		}
-		st := &shardState{
-			out:   make([]*Block, len(part)),
-			start: time.Now(),
-			span: bsp.Child("shard", trace.WithKind(trace.KindShard)).
-				Attr("shard", int64(si)).
-				Attr("mfis", int64(len(part))),
-		}
-		chunk := (len(part) + workers - 1) / workers
-		nchunks := 0
-		for lo := 0; lo < len(part); lo += chunk {
-			hi := lo + chunk
-			if hi > len(part) {
-				hi = len(part)
-			}
-			tasks = append(tasks, chunkTask{si, lo, hi})
-			nchunks++
-		}
-		st.pending.Store(int32(nchunks))
-		states[si] = st
-	}
-	cfg.Progress.Shards(doneShards, len(parts))
-
-	var shardsDone atomic.Int32
-	shardsDone.Store(int32(doneShards))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch []int
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				t := tasks[i]
-				st := states[t.shard]
-				st.pruned.Add(materializeRange(sc, index, cache, parts[t.shard], t.lo, t.hi, minsup, maxSize, st.out, &scratch))
-				if st.pending.Add(-1) == 0 {
-					// Last chunk of the shard: the decrement chain orders
-					// every chunk's slot writes before this read.
-					nblocks := 0
-					for _, b := range st.out {
-						if b != nil {
-							nblocks++
-						}
-					}
-					st.span.Attr("blocks", int64(nblocks)).End()
-					reg.Timer("mfiblocks_shard_seconds", telemetry.L("shard", strconv.Itoa(t.shard))).Observe(time.Since(st.start))
-					cfg.Progress.Shards(int(shardsDone.Add(1)), len(parts))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	var blocks []*Block
-	csPruned := 0
-	for _, st := range states {
-		if st == nil {
-			continue
-		}
-		for _, b := range st.out {
-			if b != nil {
-				blocks = append(blocks, b)
-			}
-		}
-		csPruned += int(st.pruned.Load())
-	}
-	finish(blocks)
-	return blocks, csPruned
+	bsp.Attr("blocks", int64(len(blocks))).End()
+	return blocks, int(csPruned.Load())
 }
 
 // enforceNG applies the sparse-neighborhood condition: blocks are

@@ -111,3 +111,69 @@ func TestRunParallelRunTwice(t *testing.T) {
 		}
 	}
 }
+
+// TestRunShardedBitIdentical is the engine-level half of the fan-out
+// contract on a generated corpus: for every worker count, Blocks, Pairs,
+// PairScores, PairBlocks, Covered, and the per-iteration statistics are
+// bit-identical to the serial run — not merely set-equal.
+func TestRunShardedBitIdentical(t *testing.T) {
+	g := smallItaly(t, 400)
+	base := NewConfig()
+	base.Workers = 1
+	want, err := Run(base, g.Collection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Pairs) == 0 {
+		t.Fatal("baseline produced no pairs")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		cfg := NewConfig()
+		cfg.Workers = workers
+		got, err := Run(cfg, g.Collection)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		assertSameBlocking(t, fmt.Sprintf("workers=%d", workers), want, got)
+	}
+}
+
+// TestRunShardedDeterministicUnderTies reruns the tie-heavy fixture on
+// eight workers: score collisions between blocks different workers
+// materialized must still resolve through the canonical block order,
+// identically to the serial run and on every rerun.
+func TestRunShardedDeterministicUnderTies(t *testing.T) {
+	coll := tieHeavyCollection(t)
+	cfg := NewConfig()
+	cfg.PruneFraction = 0
+	cfg.Workers = 8
+
+	first, err := Run(cfg, coll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Pairs) == 0 {
+		t.Fatal("tie-heavy collection produced no pairs")
+	}
+	serial := cfg
+	serial.Workers = 1
+	base, err := Run(serial, coll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(base.Pairs, first.Pairs) {
+		t.Fatal("parallel tie-heavy Pairs diverge from serial")
+	}
+	for run := 0; run < 3; run++ {
+		again, err := Run(cfg, coll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first.Pairs, again.Pairs) {
+			t.Fatalf("run %d: parallel Pairs not reproducible", run)
+		}
+		if !reflect.DeepEqual(first.PairScores, again.PairScores) {
+			t.Fatalf("run %d: parallel PairScores not reproducible", run)
+		}
+	}
+}

@@ -27,9 +27,9 @@ const (
 	// FamilyFPGrowthMine times one full mining call (fan-out, merge, and
 	// maximality sweep included for MineMaximal).
 	FamilyFPGrowthMine = "fpgrowth_mine_seconds"
-	// FamilyFPGrowthMerge times the maximality merge of the worker- and
-	// shard-local MFI stores (cross-store check plus translation to item
-	// ids), once per MineMaximal call at every worker × shard count.
+	// FamilyFPGrowthMerge times the maximality merge of the worker-local
+	// MFI stores (cross-store check plus translation to item ids), once
+	// per MineMaximal call at every worker count.
 	FamilyFPGrowthMerge = "fpgrowth_merge_seconds"
 	// FamilyFPGrowthWorkers gauges the worker count the last MineMaximal
 	// fanned its top-level items out to (after clamping to the item

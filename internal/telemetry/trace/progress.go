@@ -14,11 +14,10 @@ import (
 const DefaultProgressInterval = 2 * time.Second
 
 // Progress is the live-progress hook for long runs: the pipeline posts
-// stage transitions, item counts, and shard completions through atomic
-// setters; a background goroutine prints a status line (stage, items
-// done, rate, shard completion, ETA) every interval. A nil *Progress
-// no-ops on every method, so instrumented code never branches on
-// "progress enabled".
+// stage transitions and item counts through atomic setters; a
+// background goroutine prints a status line (stage, items done, rate,
+// ETA) every interval. A nil *Progress no-ops on every method, so
+// instrumented code never branches on "progress enabled".
 //
 // Hooks are cheap — Add is one atomic add — and may be called from the
 // pipeline's worker pools.
@@ -29,9 +28,7 @@ type Progress struct {
 	// DefaultProgressInterval).
 	Interval time.Duration
 
-	stage       atomic.Pointer[progressStage]
-	shardsDone  atomic.Int64
-	shardsTotal atomic.Int64
+	stage atomic.Pointer[progressStage]
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -54,8 +51,6 @@ func (p *Progress) Stage(name string, total int64) {
 		return
 	}
 	p.stage.Store(&progressStage{name: name, total: total, t0: time.Now()})
-	p.shardsDone.Store(0)
-	p.shardsTotal.Store(0)
 }
 
 // Add advances the current stage's item counter.
@@ -66,15 +61,6 @@ func (p *Progress) Add(n int64) {
 	if st := p.stage.Load(); st != nil {
 		st.done.Add(n)
 	}
-}
-
-// Shards publishes the current iteration's shard completion.
-func (p *Progress) Shards(done, total int) {
-	if p == nil {
-		return
-	}
-	p.shardsDone.Store(int64(done))
-	p.shardsTotal.Store(int64(total))
 }
 
 // Start launches the printer goroutine. Idempotent.
@@ -149,9 +135,6 @@ func (p *Progress) print() {
 			eta := time.Duration(float64(remaining) / rate * float64(time.Second))
 			line += fmt.Sprintf(" eta=%s", eta.Round(100*time.Millisecond))
 		}
-	}
-	if total := p.shardsTotal.Load(); total > 0 {
-		line += fmt.Sprintf(" shards=%d/%d", p.shardsDone.Load(), total)
 	}
 	fmt.Fprintln(w, line)
 }

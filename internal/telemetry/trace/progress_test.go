@@ -26,19 +26,17 @@ func (b *syncBuffer) String() string {
 	return b.sb.String()
 }
 
-// TestProgressLine pins the status-line contract: stage name, count
-// with total and percentage, and shard completion all appear in the
-// final line Stop flushes.
+// TestProgressLine pins the status-line contract: stage name and count
+// with total and percentage appear in the final line Stop flushes.
 func TestProgressLine(t *testing.T) {
 	var buf syncBuffer
 	p := &Progress{W: &buf, Interval: time.Hour} // only the final print
 	p.Start()
 	p.Stage("blocking", 200)
 	p.Add(50)
-	p.Shards(3, 8)
 	p.Stop()
 	out := buf.String()
-	for _, want := range []string{"stage=blocking", "50/200", "25.0%", "shards=3/8"} {
+	for _, want := range []string{"stage=blocking", "50/200", "25.0%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("progress line missing %q:\n%s", want, out)
 		}
@@ -122,7 +120,6 @@ func TestProgressConcurrentAdds(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 125; i++ {
 				p.Add(1)
-				p.Shards(i%4, 4)
 			}
 		}()
 	}

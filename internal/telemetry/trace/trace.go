@@ -1,11 +1,11 @@
 // Package trace is the pipeline's structured-tracing layer: a
-// low-overhead hierarchical span system (run → stage → shard →
-// iteration → worker) with explicit parent handles, a runtime flight
+// low-overhead hierarchical span system (run → stage → iteration →
+// worker) with explicit parent handles, a runtime flight
 // recorder sampling heap/RSS/goroutines/GC into a ring buffer, and a
 // live-progress hook for long streaming runs.
 //
 // Aggregate telemetry (package telemetry's counters and histograms)
-// answers "how much, on average"; trace answers "which shard stalled,
+// answers "how much, on average"; trace answers "which worker stalled,
 // when, and what was RSS doing at that moment" — the question the
 // 6.5M-record scale work is debugged with.
 //
@@ -27,10 +27,10 @@
 //   - Deterministic output. Timings and span publication order vary run
 //     to run, but the span *tree* is a pure function of the input and
 //     configuration: Tree(Canonical) strips timings, prunes
-//     variable-cardinality spans (workers, shards — their count is the
-//     fan-out width, not the workload), and sorts siblings under a
-//     total order, yielding byte-identical JSON across worker and shard
-//     counts. The equivalence suite locks this down.
+//     variable-cardinality spans (workers — their count is the fan-out
+//     width, not the workload), and sorts siblings under a total order,
+//     yielding byte-identical JSON across worker counts. The
+//     equivalence suite locks this down.
 //
 // Two exporters: WriteChrome emits Chrome trace-event JSON loadable in
 // Perfetto (spans as complete events on per-worker tracks, flight
@@ -45,10 +45,10 @@ import (
 	"time"
 )
 
-// Kind classifies a span for export and canonicalization. Worker and
-// shard spans are "variable cardinality": how many exist depends on the
-// fan-out configuration, not on the workload, so Canonical prunes them
-// when comparing traces across configurations.
+// Kind classifies a span for export and canonicalization. Worker spans
+// are "variable cardinality": how many exist depends on the fan-out
+// configuration, not on the workload, so Canonical prunes them when
+// comparing traces across configurations.
 type Kind uint8
 
 const (
@@ -59,13 +59,11 @@ const (
 	KindStage
 	// KindIteration is one minsup level of the MFIBlocks loop.
 	KindIteration
-	// KindShard is one signature shard's block materialization.
-	KindShard
 	// KindWorker is one goroutine's share of a parallel fan-out.
 	KindWorker
 	// KindSetup is a helper step that exists only under some fan-out
 	// configurations (the scoring pool's profile-cache build, which the
-	// serial path skips); Canonical prunes it like workers and shards.
+	// serial path skips); Canonical prunes it like workers.
 	KindSetup
 	// KindOp is a sequential sub-operation (tree build, spill flush,
 	// merge).
@@ -81,8 +79,6 @@ func (k Kind) String() string {
 		return "stage"
 	case KindIteration:
 		return "iteration"
-	case KindShard:
-		return "shard"
 	case KindWorker:
 		return "worker"
 	case KindSetup:
@@ -101,8 +97,6 @@ func kindOf(s string) Kind {
 		return KindStage
 	case "iteration":
 		return KindIteration
-	case "shard":
-		return KindShard
 	case "worker":
 		return KindWorker
 	case "setup":

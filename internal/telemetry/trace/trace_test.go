@@ -40,7 +40,6 @@ func TestNilSafety(t *testing.T) {
 	var p *Progress
 	p.Stage("ingest", 10)
 	p.Add(5)
-	p.Shards(1, 4)
 	p.Start()
 	p.Stop()
 	var st *SpanTree
@@ -151,8 +150,8 @@ func TestConcurrentSpanCreation(t *testing.T) {
 	}
 }
 
-// TestCanonicalPrunesFanOut pins the determinism mechanism: worker,
-// shard, and setup subtrees vanish under Canonical, timings zero, and
+// TestCanonicalPrunesFanOut pins the determinism mechanism: worker and
+// setup subtrees vanish under Canonical, timings zero, and
 // siblings sort — so a 1-worker and an 8-worker run of the same workload
 // export identical canonical trees.
 func TestCanonicalPrunesFanOut(t *testing.T) {
@@ -231,7 +230,7 @@ func TestStripTimings(t *testing.T) {
 // pruning on the string form, so a drifting name would silently stop
 // pruning its kind.
 func TestKindRoundTrip(t *testing.T) {
-	for _, k := range []Kind{KindRun, KindStage, KindIteration, KindShard, KindWorker, KindSetup, KindOp} {
+	for _, k := range []Kind{KindRun, KindStage, KindIteration, KindWorker, KindSetup, KindOp} {
 		if got := kindOf(k.String()); got != k {
 			t.Errorf("kindOf(%q) = %v, want %v", k.String(), got, k)
 		}

@@ -33,10 +33,10 @@ const (
 	// order — the report form humans read.
 	Full TreeMode = iota
 	// Canonical is the determinism-test form: timings zeroed,
-	// configuration-dependent spans (KindWorker, KindShard, KindSetup)
-	// pruned with their subtrees, and siblings sorted under a total
-	// order. Two runs over the same input and parameters produce
-	// byte-identical Canonical trees for every worker and shard count.
+	// configuration-dependent spans (KindWorker, KindSetup) pruned with
+	// their subtrees, and siblings sorted under a total order. Two runs
+	// over the same input and parameters produce byte-identical
+	// Canonical trees for every worker count.
 	Canonical
 )
 
@@ -124,7 +124,7 @@ func canonicalize(roots []*Node) []*Node {
 	walk = func(ns []*Node) []*Node {
 		out := ns[:0]
 		for _, n := range ns {
-			if n.Kind == KindWorker.String() || n.Kind == KindShard.String() || n.Kind == KindSetup.String() {
+			if n.Kind == KindWorker.String() || n.Kind == KindSetup.String() {
 				continue
 			}
 			n.StartNS = 0
