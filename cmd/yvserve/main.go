@@ -24,6 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -141,7 +142,6 @@ func main() {
 		writeTimeout = *requestTimeout + 10*time.Second
 	}
 	hs := &http.Server{
-		Addr:              *addr,
 		Handler:           srv,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -153,11 +153,16 @@ func main() {
 	// then the listener closes; a second signal kills immediately.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// "serving on" is printed once it is true: the port is bound and the
+	// query index is built, so no request pays for it inside its deadline.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
+	res.EntityCounts(0)
+	fmt.Printf("serving on %s (try /api/stats, /metrics, /api/report)\n", *addr)
 	errc := make(chan error, 1)
-	go func() {
-		fmt.Printf("serving on %s (try /api/stats, /metrics, /api/report)\n", *addr)
-		errc <- hs.ListenAndServe()
-	}()
+	go func() { errc <- hs.Serve(ln) }()
 	select {
 	case err := <-errc:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {

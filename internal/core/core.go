@@ -158,11 +158,9 @@ type Resolution struct {
 	model    *adtree.Model
 	profiles *features.ProfileCache
 
-	// memo and queryOnce/queryIdx belong to the query layer (entity.go,
-	// search.go): the partitions computed so far, and the record order,
-	// match endpoints and name index every partition and Search read.
-	// Both are filled by queries only.
-	memo      clusterMemo
+	// queryOnce/queryIdx belong to the query layer (entity.go, search.go):
+	// the record order, merge forest and name index every query reads,
+	// built by the first one.
 	queryOnce sync.Once
 	queryIdx  *queryIndex
 

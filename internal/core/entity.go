@@ -3,9 +3,9 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/names"
 	"repro/internal/record"
@@ -36,66 +36,139 @@ func (e *Entity) Best(t record.ItemType) (string, bool) {
 	return vs[0].Value, true
 }
 
-// partition is the crisp clustering at one certainty: connected components
-// over the accepted matches, singletons for unmatched records. Records are
-// positions in Collection.Records; entities are numbered in ascending
-// order of their smallest member BookID, and an entity's members are
-// listed in ascending BookID order — the order every query answers in.
-// It holds no merged views: 12 bytes per record is all a memo entry keeps.
-type partition struct {
-	label   []int32 // record -> entity
-	start   []int32 // entity e's members are members[start[e]:start[e+1]]
-	members []int32 // records, grouped by entity
-}
-
-func (p *partition) entities() int { return len(p.start) - 1 }
-
-func (p *partition) of(entity int32) []int32 {
-	return p.members[p.start[entity]:p.start[entity+1]]
-}
-
 // queryIndex is what the query layer derives once from a finished
-// resolution, on the first query: nothing here is built by Run/RunStream.
+// resolution, on the first query: nothing here is built by Run/RunStream,
+// and nothing in it changes afterwards.
+//
+// Matches are sorted by score, so one union-find over them in order is
+// single-linkage agglomeration and the clustering at every certainty is a
+// cut through one merge forest. A record is named by its rank in ascending
+// BookID order; nodes 0…n−1 are the records and node n+k is the k-th union
+// that joined two entities, so a parent is numbered above its children and
+// a certainty admitting u unions sees exactly the nodes below n+u.
 type queryIndex struct {
-	// byBook lists the records in ascending BookID order.
+	// byBook maps a rank to the record's position in Collection.Records.
 	byBook []int32
-	// ends holds the two records of Matches[i] at 2i and 2i+1, so a
-	// partition is one pass over a prefix of it with no BookID lookups.
-	ends []int32
+	// parent is a node's parent, noParent for a root.
+	parent []int32
+	// least is the smallest rank under a node: the member an entity is
+	// named and ordered by.
+	least []int32
+	// leaves lists the ranks depth-first, so node v covers
+	// leaves[lo[v]:hi[v]] — in forest order, not ascending.
+	leaves, lo, hi []int32
+	// at[k] is the index in Matches of union k, ascending; multi[u] counts
+	// the entities of two or more reports after the first u unions.
+	at, multi []int32
 	// first and last are the name index: names.FoldKey of a first or last
-	// name -> the records carrying it.
+	// name -> the ranks carrying it.
 	first, last map[string][]int32
 }
 
+// noParent is above every node, so no cut admits it.
+const noParent = math.MaxInt32
+
 func (r *Resolution) queryIndex() *queryIndex {
-	r.queryOnce.Do(func() {
-		recs := r.Collection.Records
-		ix := &queryIndex{
-			byBook: make([]int32, len(recs)),
-			ends:   make([]int32, 0, 2*len(r.Matches)),
-			first:  make(map[string][]int32),
-			last:   make(map[string][]int32),
-		}
-		for i, rec := range recs {
-			ix.byBook[i] = int32(i)
-			for _, it := range rec.Items {
-				switch it.Type {
-				case record.FirstName:
-					post(ix.first, it.Value, int32(i))
-				case record.LastName:
-					post(ix.last, it.Value, int32(i))
-				}
+	r.queryOnce.Do(func() { r.queryIdx = newQueryIndex(r.Collection.Records, r.Matches) })
+	return r.queryIdx
+}
+
+// newQueryIndex ranks the records, indexes their names and builds the
+// merge forest.
+func newQueryIndex(recs []*record.Record, matches []RankedMatch) *queryIndex {
+	n := len(recs)
+	ix := &queryIndex{
+		byBook: make([]int32, n),
+		parent: make([]int32, n, 2*n), // n leaves have fewer than n unions
+		least:  make([]int32, n, 2*n),
+		leaves: make([]int32, n),
+		multi:  []int32{0},
+		first:  make(map[string][]int32),
+		last:   make(map[string][]int32),
+	}
+	for i := range ix.byBook {
+		ix.byBook[i] = int32(i)
+	}
+	slices.SortFunc(ix.byBook, func(a, b int32) int {
+		return cmp.Compare(recs[a].BookID, recs[b].BookID)
+	})
+	for i, rec := range ix.byBook {
+		for _, it := range recs[rec].Items {
+			switch it.Type {
+			case record.FirstName:
+				post(ix.first, it.Value, int32(i))
+			case record.LastName:
+				post(ix.last, it.Value, int32(i))
 			}
 		}
-		slices.SortFunc(ix.byBook, func(a, b int32) int {
-			return cmp.Compare(recs[a].BookID, recs[b].BookID)
-		})
-		for _, m := range r.Matches {
-			ix.ends = append(ix.ends, int32(r.Collection.Index(m.Pair.A)), int32(r.Collection.Index(m.Pair.B)))
+	}
+
+	// The union-find runs over forest nodes: a set's root is its
+	// newest union.
+	top := make([]int32, n, 2*n)
+	for v := range top {
+		top[v], ix.parent[v], ix.least[v] = int32(v), noParent, int32(v)
+	}
+	find := func(bookID int64) int32 {
+		x, _ := ix.rank(recs, bookID)
+		for top[x] != x {
+			top[x] = top[top[x]]
+			x = top[x]
 		}
-		r.queryIdx = ix
-	})
-	return r.queryIdx
+		return x
+	}
+	for i, m := range matches {
+		a, b := find(m.Pair.A), find(m.Pair.B)
+		if a == b {
+			continue
+		}
+		w := int32(len(top))
+		top[a], top[b] = w, w
+		top = append(top, w)
+		ix.parent[a], ix.parent[b] = w, w
+		ix.parent = append(ix.parent, noParent)
+		ix.least = append(ix.least, min(ix.least[a], ix.least[b]))
+		ix.at = append(ix.at, int32(i))
+		// Two records make a multi-report entity, two multi-report
+		// entities become one, a record joining one changes nothing.
+		grown := ix.multi[len(ix.multi)-1] + 1
+		if a >= int32(n) {
+			grown--
+		}
+		if b >= int32(n) {
+			grown--
+		}
+		ix.multi = append(ix.multi, grown)
+	}
+
+	// Lay the leaves out: sizes bottom-up (kept in hi), then ranges
+	// top-down — a node is placed before its children, and from then on
+	// its hi is the cursor they take their ranges from.
+	nodes := len(ix.parent)
+	ix.lo, ix.hi = make([]int32, nodes), make([]int32, nodes)
+	for v := 0; v < nodes; v++ {
+		if v < n {
+			ix.hi[v] = 1
+		}
+		if p := ix.parent[v]; p != noParent {
+			ix.hi[p] += ix.hi[v]
+		}
+	}
+	next := int32(0) // where the next root's range starts
+	for v := nodes - 1; v >= 0; v-- {
+		size := ix.hi[v]
+		if p := ix.parent[v]; p == noParent {
+			ix.lo[v], next = next, next+size
+		} else {
+			ix.lo[v], ix.hi[p] = ix.hi[p], ix.hi[p]+size
+		}
+		ix.hi[v] = ix.lo[v]
+		if v < n {
+			ix.leaves[ix.lo[v]] = int32(v)
+			ix.hi[v]++
+		}
+	}
+	return ix
 }
 
 // post appends rec to the postings of name, once per record.
@@ -106,127 +179,58 @@ func post(postings map[string][]int32, name string, rec int32) {
 	}
 }
 
-// maxMemoEntries bounds the partition memo so a client sweeping thresholds
-// cannot grow the resolution unboundedly; a full memo is cleared.
-const maxMemoEntries = 64
-
-// clusterMemo caches partitions by the number of accepted matches. Matches
-// are sorted, so the accepted set at a certainty is a prefix of them and
-// every certainty between two adjacent scores shares one entry; NaN accepts
-// nothing and is length 0 like any certainty above the best score.
-type clusterMemo struct {
-	mu           sync.Mutex
-	byPrefix     map[int]*partition
-	hits, misses int64
+// rank finds a BookID's rank.
+func (ix *queryIndex) rank(recs []*record.Record, bookID int64) (int32, bool) {
+	i, ok := slices.BinarySearchFunc(ix.byBook, bookID, func(rec int32, id int64) int {
+		return cmp.Compare(recs[rec].BookID, id)
+	})
+	return int32(i), ok
 }
 
-// MemoStats counts the cluster memo's traffic since the resolution was
-// built: a miss is one partition computed.
-type MemoStats struct {
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
-	Entries int   `json:"entries"`
+// cut turns a certainty into the one number the forest needs: the nodes
+// below limit exist. It counts the unions among the accepted matches, so a
+// run of tied scores is admitted whole and NaN, which accepts nothing, is
+// the forest of singletons like any certainty above the best score.
+func (r *Resolution) cut(theta float64) (ix *queryIndex, limit int32) {
+	ix = r.queryIndex()
+	unions, _ := slices.BinarySearch(ix.at, int32(len(r.AtCertainty(theta))))
+	return ix, int32(len(ix.byBook) + unions)
 }
 
-// ClusterMemoStats reports the cluster memo's counters.
-func (r *Resolution) ClusterMemoStats() MemoStats {
-	m := &r.memo
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return MemoStats{Hits: m.hits, Misses: m.misses, Entries: len(m.byPrefix)}
+// entity climbs from a node to the entity containing it. The climb is as
+// long as the entity's merge history is deep, at most its size; the view
+// of that entity costs more.
+func (ix *queryIndex) entity(v, limit int32) int32 {
+	for p := ix.parent[v]; p < limit; p = ix.parent[v] {
+		v = p
+	}
+	return v
 }
 
-// partition returns the clustering at the given certainty, memoized.
-// Concurrent misses on one prefix each compute it; the results are equal.
-func (r *Resolution) partition(theta float64) *partition {
-	accepted := len(r.AtCertainty(theta))
-	m := &r.memo
-	m.mu.Lock()
-	p, ok := m.byPrefix[accepted]
-	if ok {
-		m.hits++
-	} else {
-		m.misses++
-	}
-	m.mu.Unlock()
-	if ok {
-		return p
-	}
-	p = r.queryIndex().partition(accepted)
-	m.mu.Lock()
-	if m.byPrefix == nil || len(m.byPrefix) >= maxMemoEntries {
-		m.byPrefix = make(map[int]*partition)
-	}
-	m.byPrefix[accepted] = p
-	m.mu.Unlock()
-	return p
-}
-
-// partition clusters the records under the first accepted matches: a dense
-// union-find over record positions, then two passes in BookID order that
-// number the components and fill their member lists.
-func (ix *queryIndex) partition(accepted int) *partition {
-	n := len(ix.byBook)
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for i := 0; i < 2*accepted; i += 2 {
-		if a, b := find(ix.ends[i]), find(ix.ends[i+1]); a < b {
-			parent[b] = a
-		} else {
-			parent[a] = b
+// heads lists every entity by its smallest member, ascending — the order
+// all queries answer in.
+func (ix *queryIndex) heads(limit int32) []int32 {
+	out := make([]int32, 0, 2*len(ix.byBook)-int(limit)) // n − unions entities
+	for v, p := range ix.parent[:limit] {
+		if p >= limit {
+			out = append(out, ix.least[v])
 		}
 	}
-
-	p := &partition{label: make([]int32, n), members: make([]int32, n)}
-	for i := range p.label {
-		p.label[i] = -1
-	}
-	entities := int32(0)
-	for _, rec := range ix.byBook {
-		root := find(rec)
-		if p.label[root] < 0 {
-			p.label[root] = entities
-			entities++
-		}
-		p.label[rec] = p.label[root]
-	}
-	p.start = make([]int32, entities+1)
-	for _, e := range p.label {
-		p.start[e+1]++
-	}
-	for e := int32(0); e < entities; e++ {
-		p.start[e+1] += p.start[e]
-	}
-	next := parent[:entities] // the union-find is done; reuse it as fill cursors
-	copy(next, p.start)
-	for _, rec := range ix.byBook {
-		e := p.label[rec]
-		p.members[next[e]] = rec
-		next[e]++
-	}
-	return p
+	slices.Sort(out)
+	return out
 }
 
 // Clusters resolves the matches at the given certainty into entities:
 // connected components over the accepted pairs, with singletons for
 // unmatched records, ordered by their smallest BookID. This is the
-// query-time crisp view of the uncertain resolution, materialized in full:
-// the partition is memoized, the merged views are built per call and not
-// retained. Safe for concurrent use.
+// query-time crisp view of the uncertain resolution, materialized in full;
+// the merged views are built per call. Safe for concurrent use.
 func (r *Resolution) Clusters(theta float64) []*Entity {
-	p := r.partition(theta)
-	entities := make([]*Entity, p.entities())
-	for e := range entities {
-		entities[e] = r.view(p.of(int32(e)))
+	ix, limit := r.cut(theta)
+	heads := ix.heads(limit)
+	entities := make([]*Entity, len(heads))
+	for i, h := range heads {
+		entities[i] = r.view(ix, ix.entity(h, limit))
 	}
 	return entities
 }
@@ -235,39 +239,38 @@ func (r *Resolution) Clusters(theta float64) []*Entity {
 // the given certainty, and how many of them merge two or more reports,
 // without building any entity.
 func (r *Resolution) EntityCounts(theta float64) (entities, multiReport int) {
-	p := r.partition(theta)
-	for e := 0; e < p.entities(); e++ {
-		if p.start[e+1]-p.start[e] > 1 {
-			multiReport++
-		}
-	}
-	return p.entities(), multiReport
+	ix, limit := r.cut(theta)
+	n := len(ix.byBook)
+	unions := int(limit) - n
+	return n - unions, int(ix.multi[unions])
 }
 
 // EntityOf returns the resolved entity containing the given report at the
 // given certainty.
 func (r *Resolution) EntityOf(bookID int64, theta float64) (*Entity, bool) {
-	rec := r.Collection.Index(bookID)
-	if rec < 0 {
+	ix, limit := r.cut(theta)
+	rec, ok := ix.rank(r.Collection.Records, bookID)
+	if !ok {
 		return nil, false
 	}
-	p := r.partition(theta)
-	return r.view(p.of(p.label[rec])), true
+	return r.view(ix, ix.entity(rec, limit)), true
 }
 
-// view builds the merged view of one entity from its member records. A
-// value repeated within one report counts once.
-func (r *Resolution) view(members []int32) *Entity {
+// view builds the merged view of one entity from the records under its
+// node. A value repeated within one report counts once.
+func (r *Resolution) view(ix *queryIndex, node int32) *Entity {
+	members := ix.leaves[ix.lo[node]:ix.hi[node]]
 	e := &Entity{Reports: make([]int64, len(members))}
 	total := 0
 	for i, m := range members {
-		rec := r.Collection.Records[m]
+		rec := r.Collection.Records[ix.byBook[m]]
 		e.Reports[i] = rec.BookID
 		total += len(rec.Items)
 	}
+	slices.Sort(e.Reports)
 	items := make([]record.Item, 0, total) // sized up front: one allocation, not a regrowing append
 	for _, m := range members {
-		rec := r.Collection.Records[m]
+		rec := r.Collection.Records[ix.byBook[m]]
 		own := len(items)
 		for _, it := range rec.Items {
 			if !slices.Contains(items[own:], it) {

@@ -165,11 +165,12 @@ func TestAtCertaintyNaNSafe(t *testing.T) {
 	}
 }
 
-// TestClustersMemoized checks the memo's contract: repeated calls return
-// equal content, the key is the number of accepted matches — so two
-// certainties between the same adjacent scores share one entry — and NaN
-// is the empty prefix, memoized like any other.
-func TestClustersMemoized(t *testing.T) {
+// TestClustersCutByAcceptedCount checks a certainty acts only through the
+// number of matches it accepts: two certainties between the same adjacent
+// scores cluster identically, one more accepted match changes the
+// clustering, and NaN accepts nothing, like any certainty above the best
+// score.
+func TestClustersCutByAcceptedCount(t *testing.T) {
 	fx := newFixture(t, 200)
 	opts := Options{Blocking: mfiblocks.NewConfig(), Geo: fx.gen.Gaz, Preprocess: true, Gazetteer: fx.gen.Gaz}
 	res, err := Run(opts, fx.gen.Collection)
@@ -191,30 +192,19 @@ func TestClustersMemoized(t *testing.T) {
 	}
 
 	a := res.Clusters(t1)
-	if got := res.ClusterMemoStats(); got != (MemoStats{Hits: 0, Misses: 1, Entries: 1}) {
-		t.Fatalf("after the first call: %+v", got)
-	}
 	if b := res.Clusters(t1); !reflect.DeepEqual(a, b) {
-		t.Fatal("memoized Clusters returned different content")
+		t.Fatal("a repeated Clusters returned different content")
 	}
 	if c := res.Clusters(t2); !reflect.DeepEqual(a, c) {
 		t.Fatal("certainties between the same adjacent scores cluster differently")
-	}
-	if got := res.ClusterMemoStats(); got != (MemoStats{Hits: 2, Misses: 1, Entries: 1}) {
-		t.Fatalf("two certainties in one score gap must share an entry: %+v", got)
 	}
 	if d := res.Clusters(lo); reflect.DeepEqual(a, d) {
 		t.Fatal("accepting one more match did not change the clustering")
 	}
 
-	// NaN accepts nothing: singletons, under the same key as any certainty
-	// above the best score.
-	ents := res.Clusters(math.NaN())
-	if len(ents) != fx.gen.Collection.Len() {
-		t.Fatalf("Clusters(NaN) = %d entities, want %d singletons", len(ents), fx.gen.Collection.Len())
-	}
-	res.Clusters(math.Inf(1))
-	if got := res.ClusterMemoStats(); got != (MemoStats{Hits: 3, Misses: 3, Entries: 3}) {
-		t.Fatalf("NaN and +Inf must share the empty-prefix entry: %+v", got)
+	for _, theta := range []float64{math.NaN(), math.Inf(1)} {
+		if ents := res.Clusters(theta); len(ents) != fx.gen.Collection.Len() {
+			t.Fatalf("Clusters(%v) = %d entities, want %d singletons", theta, len(ents), fx.gen.Collection.Len())
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -109,15 +110,8 @@ func TestQueryLayerMatchesOracle(t *testing.T) {
 			if got := res.Clusters(theta); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: Clusters(%v) differs from the oracle (%d vs %d entities)", seed, theta, len(got), len(want))
 			}
-			entities, multi := res.EntityCounts(theta)
-			wantMulti := 0
-			for _, e := range want {
-				if len(e.Reports) > 1 {
-					wantMulti++
-				}
-			}
-			if entities != len(want) || multi != wantMulti {
-				t.Fatalf("seed %d: EntityCounts(%v) = %d, %d, want %d, %d", seed, theta, entities, multi, len(want), wantMulti)
+			if entities, multi := res.EntityCounts(theta); entities != len(want) || multi != multiReport(want) {
+				t.Fatalf("seed %d: EntityCounts(%v) = %d, %d, want %d, %d", seed, theta, entities, multi, len(want), multiReport(want))
 			}
 			for _, book := range books {
 				got, ok := res.EntityOf(book, theta)
@@ -160,10 +154,9 @@ func TestSearchFindsDoctoredNames(t *testing.T) {
 }
 
 // TestQueryLayerConcurrent has 8 goroutines move the slider over 200
-// certainties, 150 of them with distinct prefixes — enough to clear the
-// full memo at least twice — while 4 more call Search and EntityOf on
-// three hot ones; every answer must equal the single-threaded one. Run it
-// under -race.
+// certainties, 150 of them with distinct prefixes, while 4 more call Search
+// and EntityOf on three hot ones; every answer must equal the
+// single-threaded one. Run it under -race.
 func TestQueryLayerConcurrent(t *testing.T) {
 	res := queryFixture(t, 1, 300, true)
 	thetas := distinctCertainties(t, res, 150)
@@ -198,7 +191,6 @@ func TestQueryLayerConcurrent(t *testing.T) {
 	for _, theta := range hot {
 		wantRead[theta] = read(theta)
 	}
-	misses := res.ClusterMemoStats().Misses
 
 	var wg sync.WaitGroup
 	run := func(g int, ask func(float64) answer, want map[float64]answer, at func(i int) float64) {
@@ -220,13 +212,6 @@ func TestQueryLayerConcurrent(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	st := res.ClusterMemoStats()
-	if st.Entries > maxMemoEntries {
-		t.Errorf("memo holds %d entries, bound is %d", st.Entries, maxMemoEntries)
-	}
-	if st.Misses-misses < 2*maxMemoEntries {
-		t.Errorf("only %d misses in the concurrent phase; the memo was not cleared twice", st.Misses-misses)
-	}
 }
 
 // distinctCertainties returns up to n match scores no two of which accept
@@ -249,45 +234,87 @@ func distinctCertainties(t testing.TB, res *Resolution, n int) []float64 {
 	return out
 }
 
-// TestEntityOfMissAllocsDoNotGrow bounds what a slider move followed by
-// one entity lookup allocates, by a constant that holds at 300 and at
-// 3,000 persons alike: the partition is a handful of arrays however large,
-// and only the returned entity gets a view.
-func TestEntityOfMissAllocsDoNotGrow(t *testing.T) {
+// TestEntityOfAllocsDoNotGrow bounds what a slider move followed by one
+// entity lookup allocates, by a constant that holds at 300 and at 3,000
+// persons alike: a certainty is a binary search and a climb, and only the
+// returned entity gets a view.
+func TestEntityOfAllocsDoNotGrow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resolves 3,000 persons")
 	}
-	const bound = 40
+	const bound = 10
 	for _, persons := range []int{300, 3000} {
 		res := queryFixture(t, 1, persons, true)
 		book := res.Collection.Records[5].BookID
-		// Cycle through more prefixes than the memo holds, so every call
-		// finds its prefix already cleared away.
-		thetas := distinctCertainties(t, res, maxMemoEntries+6)
+		thetas := distinctCertainties(t, res, 70)
 		res.EntityOf(book, thetas[0]) // builds the query index
-		before, i := res.ClusterMemoStats(), 1
+		i := 1
 		allocs := testing.AllocsPerRun(2*len(thetas), func() {
 			res.EntityOf(book, thetas[i%len(thetas)])
 			i++
 		})
-		if after := res.ClusterMemoStats(); after.Hits != before.Hits {
-			t.Fatalf("%d persons: %d of the timed calls hit the memo", persons, after.Hits-before.Hits)
-		}
 		if allocs > bound {
-			t.Errorf("%d persons: a cache-miss EntityOf makes %.0f allocations, bound %d", persons, allocs, bound)
+			t.Errorf("%d persons: EntityOf at a new certainty makes %.0f allocations, bound %d", persons, allocs, bound)
 		}
 	}
 }
 
-// TestMemoEntryIsSmall checks a memo entry keeps under 32 bytes per record
-// (three int32 arrays, no views), by the capacities it actually holds.
-func TestMemoEntryIsSmall(t *testing.T) {
+// TestForestIsSmallAndFixed checks the merge forest keeps under 48 bytes
+// per record plus 8 per union, by the capacities it actually holds, and
+// that a sweep of 200 certainties leaves every array as it was: there is
+// no per-certainty state.
+func TestForestIsSmallAndFixed(t *testing.T) {
 	res := queryFixture(t, 1, 300, true)
-	n := res.Collection.Len()
-	for _, theta := range sweepCertainties(res, 10) {
-		p := res.partition(theta)
-		if got := 4 * (cap(p.label) + cap(p.start) + cap(p.members)); got >= 32*n {
-			t.Errorf("partition at %v retains %d bytes for %d records (%d per record)", theta, got, n, got/n)
+	ix := res.queryIndex()
+	arrays := []*[]int32{&ix.byBook, &ix.parent, &ix.least, &ix.leaves, &ix.lo, &ix.hi, &ix.at, &ix.multi}
+	var same, was [][]int32
+	held := 0
+	for _, a := range arrays {
+		same, was = append(same, *a), append(was, slices.Clone(*a))
+		held += 4 * cap(*a)
+	}
+	n, unions := res.Collection.Len(), len(ix.at)
+	if held >= 48*n+8*unions {
+		t.Errorf("the forest retains %d bytes for %d records and %d unions", held, n, unions)
+	}
+	for _, theta := range sweepCertainties(res, 200) {
+		res.EntityCounts(theta)
+		res.EntityOf(res.Collection.Records[5].BookID, theta)
+		res.Search(Query{Last: "Rossi", Certainty: theta})
+	}
+	for i, a := range arrays {
+		if len(*a) != len(same[i]) || cap(*a) != cap(same[i]) || &(*a)[0] != &same[i][0] || !slices.Equal(*a, was[i]) {
+			t.Errorf("array %d changed during the sweep", i)
 		}
 	}
+}
+
+// TestEntityCountsAtEveryCut holds EntityCounts to the oracle at every
+// distinct score and at every midpoint between two adjacent ones — every
+// cut the forest has, so every entry of its union and multi-report counts.
+func TestEntityCountsAtEveryCut(t *testing.T) {
+	res := queryFixture(t, 1, 200, true)
+	old := &oracle{Resolution: res}
+	thetas := []float64{res.Matches[0].Score}
+	for i, m := range res.Matches[1:] {
+		if prev := res.Matches[i].Score; m.Score != prev {
+			thetas = append(thetas, (prev+m.Score)/2, m.Score)
+		}
+	}
+	for _, theta := range thetas {
+		want := old.Clusters(theta)
+		if entities, multi := res.EntityCounts(theta); entities != len(want) || multi != multiReport(want) {
+			t.Fatalf("EntityCounts(%v) = %d, %d, want %d, %d", theta, entities, multi, len(want), multiReport(want))
+		}
+	}
+}
+
+// multiReport counts the entities of two or more reports.
+func multiReport(entities []*Entity) (n int) {
+	for _, e := range entities {
+		if len(e.Reports) > 1 {
+			n++
+		}
+	}
+	return n
 }

@@ -38,22 +38,18 @@ type Query struct {
 // index, so the cost follows the reports carrying the names and the
 // entities returned, not the collection.
 func (r *Resolution) Search(q Query) []*Entity {
-	p := r.partition(q.Certainty)
-	ix := r.queryIndex()
-	var hits []int32 // matching entities, ascending
+	ix, limit := r.cut(q.Certainty)
+	var hits []int32 // matching entities by their smallest member, ascending
 	switch {
 	case q.First == "" && q.Last == "":
-		hits = make([]int32, p.entities())
-		for e := range hits {
-			hits[e] = int32(e)
-		}
+		hits = ix.heads(limit)
 	case q.Last == "":
-		hits = p.carrying(ix.first, names.ClassKeys(q.First))
+		hits = ix.carrying(limit, ix.first, names.ClassKeys(q.First))
 	case q.First == "":
-		hits = p.carrying(ix.last, []string{names.FoldKey(q.Last)})
+		hits = ix.carrying(limit, ix.last, []string{names.FoldKey(q.Last)})
 	default:
-		hits = p.carrying(ix.first, names.ClassKeys(q.First))
-		withLast := p.carrying(ix.last, []string{names.FoldKey(q.Last)})
+		hits = ix.carrying(limit, ix.first, names.ClassKeys(q.First))
+		withLast := ix.carrying(limit, ix.last, []string{names.FoldKey(q.Last)})
 		both := hits[:0]
 		for _, e := range hits {
 			if _, ok := slices.BinarySearch(withLast, e); ok {
@@ -69,19 +65,19 @@ func (r *Resolution) Search(q Query) []*Entity {
 		return nil
 	}
 	out := make([]*Entity, len(hits))
-	for i, e := range hits {
-		out[i] = r.view(p.of(e))
+	for i, h := range hits {
+		out[i] = r.view(ix, ix.entity(h, limit))
 	}
 	return out
 }
 
 // carrying returns the entities with a member among the postings of any of
-// the keys, ascending.
-func (p *partition) carrying(postings map[string][]int32, keys []string) []int32 {
+// the keys, by their smallest member, ascending.
+func (ix *queryIndex) carrying(limit int32, postings map[string][]int32, keys []string) []int32 {
 	var out []int32
 	for _, k := range keys {
 		for _, rec := range postings[k] {
-			out = append(out, p.label[rec])
+			out = append(out, ix.least[ix.entity(rec, limit)])
 		}
 	}
 	slices.Sort(out)

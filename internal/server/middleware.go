@@ -74,17 +74,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 // format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	err := s.metrics().WritePrometheus(w)
-	if err == nil {
-		// The cluster memo counts on the resolution itself; read it at
-		// scrape time rather than mirroring it into the registry.
-		memo := s.res.ClusterMemoStats()
-		_, err = fmt.Fprintf(w, "# TYPE core_cluster_memo_hits_total counter\ncore_cluster_memo_hits_total %d\n"+
-			"# TYPE core_cluster_memo_misses_total counter\ncore_cluster_memo_misses_total %d\n"+
-			"# TYPE core_cluster_memo_entries gauge\ncore_cluster_memo_entries %d\n",
-			memo.Hits, memo.Misses, memo.Entries)
-	}
-	if err != nil {
+	if err := s.metrics().WritePrometheus(w); err != nil {
 		telemetry.Log().Warn("metrics render failed", "err", err)
 	}
 }

@@ -304,19 +304,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	entities, multi := s.res.EntityCounts(certainty)
 	writeJSON(w, struct {
-		Records     int            `json:"records"`
-		Matches     int            `json:"ranked_matches"`
-		Certainty   float64        `json:"certainty"`
-		Entities    int            `json:"entities"`
-		MultiReport int            `json:"multi_report_entities"`
-		ClusterMemo core.MemoStats `json:"cluster_memo"`
+		Records     int     `json:"records"`
+		Matches     int     `json:"ranked_matches"`
+		Certainty   float64 `json:"certainty"`
+		Entities    int     `json:"entities"`
+		MultiReport int     `json:"multi_report_entities"`
 	}{
 		Records:     s.coll.Len(),
 		Matches:     len(s.res.Matches),
 		Certainty:   certainty,
 		Entities:    entities,
 		MultiReport: multi,
-		ClusterMemo: s.res.ClusterMemoStats(),
 	})
 }
 
