@@ -87,7 +87,7 @@ func main() {
 		model, err := adtree.Load(mf)
 		mf.Close()
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("-model %s: %w", *modelPath, err))
 		}
 		opts.Model = model
 		opts.Classify = true

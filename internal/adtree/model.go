@@ -31,18 +31,17 @@ type Condition struct {
 }
 
 // Eval returns +1 when the condition holds, 0 when it does not, and -1
-// when the feature is missing.
+// when the feature is missing (or is one the vector does not hold).
 func (c Condition) Eval(v features.Vector) int {
-	if c.Feature >= len(v) || !v[c.Feature].Present {
+	return c.test(v.At(c.Feature))
+}
+
+// test is Eval over the condition's feature value.
+func (c Condition) test(x features.Value) int {
+	switch {
+	case !x.Present:
 		return -1
-	}
-	var ok bool
-	if c.Numeric {
-		ok = v[c.Feature].Num < c.Threshold
-	} else {
-		ok = v[c.Feature].Cat == c.Level
-	}
-	if ok {
+	case c.Numeric && x.Num < c.Threshold, !c.Numeric && x.Cat == c.Level:
 		return 1
 	}
 	return 0
@@ -97,17 +96,46 @@ type Model struct {
 // Score returns the sum of all reachable prediction node values — the
 // ranking confidence. Positive means match.
 func (m *Model) Score(v features.Vector) float64 {
-	return scoreNode(m.Root, v)
+	return scoreNode(m.Root, reader{vec: v})
 }
 
-func scoreNode(p *PredictionNode, v features.Vector) float64 {
+// ScorePair is Score over a pair whose features are computed on demand:
+// the walk pulls a feature from e only when it reaches a splitter that
+// tests it, so a splitter under a missing precondition — and every
+// feature only its subtree tests — costs nothing. The splitter order and
+// the summation order are Score's, so the result is bit-identical to
+// Score over the pair's full vector. The model's features must index e:
+// Load and core.Options.Validate see to that for a model from a file.
+func (m *Model) ScorePair(e *features.PairEval) float64 {
+	return scoreNode(m.Root, reader{pair: e})
+}
+
+// reader is where the one tree walk reads a feature from: a full vector,
+// or a pair evaluator when pair is set. It is a struct of both and not an
+// interface or a type parameter because a method called through either
+// makes its receiver escape, which would move ScorePair's callers'
+// stack-held evaluators (core.Resolution.ScorePair's is 1.6 KB per
+// request) to the heap.
+type reader struct {
+	vec  features.Vector
+	pair *features.PairEval
+}
+
+func (r reader) at(id int) features.Value {
+	if r.pair != nil {
+		return r.pair.At(id)
+	}
+	return r.vec.At(id)
+}
+
+func scoreNode(p *PredictionNode, r reader) float64 {
 	sum := p.Value
 	for _, s := range p.Splitters {
-		switch s.Cond.Eval(v) {
+		switch s.Cond.test(r.at(s.Cond.Feature)) {
 		case 1:
-			sum += scoreNode(s.True, v)
+			sum += scoreNode(s.True, r)
 		case 0:
-			sum += scoreNode(s.False, v)
+			sum += scoreNode(s.False, r)
 			// -1: feature missing; the splitter and its whole subtree are
 			// unreachable.
 		}

@@ -89,6 +89,18 @@ func Load(r io.Reader) (*Model, error) {
 		if !ok {
 			return nil, fmt.Errorf("adtree: splitter order %d references unknown node %d", s.Order, s.Parent)
 		}
+		// Scoring indexes a fixed-size evaluator by Feature and reads the
+		// value the condition's type names, so both are checked here.
+		if s.Feature < 0 || s.Feature >= len(m.Defs) {
+			return nil, fmt.Errorf("adtree: splitter order %d tests feature %d, the model lists %d features", s.Order, s.Feature, len(m.Defs))
+		}
+		kind := features.Categorical
+		if s.Numeric {
+			kind = features.Numeric
+		}
+		if d := m.Defs[s.Feature]; d.Kind != kind {
+			return nil, fmt.Errorf("adtree: splitter order %d (numeric=%t) contradicts the kind %d of feature %d (%s)", s.Order, s.Numeric, d.Kind, s.Feature, d.Name)
+		}
 		sp := &SplitterNode{
 			Order: s.Order,
 			Cond: Condition{

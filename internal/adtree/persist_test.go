@@ -2,8 +2,10 @@ package adtree
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 )
@@ -67,5 +69,44 @@ func TestLoadEmptyModel(t *testing.T) {
 	}
 	if got := m.Score(numVec(1)); got != -0.25 {
 		t.Errorf("root-only score = %v", got)
+	}
+}
+
+// TestLoadRejectsBadSplitters edits the fixture model the way a damaged or
+// hand-edited -model file would be: the scorer indexes a fixed-size
+// evaluator by a splitter's feature and reads the value its condition's
+// type names, so Load must refuse a file where either is off.
+func TestLoadRejectsBadSplitters(t *testing.T) {
+	raw, err := os.ReadFile(fixtureModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("fixture rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(m *jsonModel)
+		want string
+	}{
+		{"negative feature", func(m *jsonModel) { m.Splitters[0].Feature = -1 }, "feature -1"},
+		{"feature past the list", func(m *jsonModel) { m.Splitters[0].Feature = 60 }, "feature 60"},
+		{"features truncated", func(m *jsonModel) { m.Features = m.Features[:10] }, "lists 10 features"},
+		{"categorical test on a numeric feature", func(m *jsonModel) { m.Splitters[0].Numeric = false }, "contradicts"},
+		{"numeric test on a categorical feature", func(m *jsonModel) { m.Splitters[2].Numeric = true }, "contradicts"},
+		{"unknown kind", func(m *jsonModel) { m.Features[m.Splitters[2].Feature].Kind = 7 }, "contradicts"},
+	} {
+		var jm jsonModel
+		if err := json.Unmarshal(raw, &jm); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(&jm)
+		edited, err := json.Marshal(&jm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(edited)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Load returned %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }

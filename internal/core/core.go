@@ -112,6 +112,19 @@ func (o *Options) Validate() error {
 	if o.Classify && o.Model == nil {
 		return fmt.Errorf("core: Classify requires a Model")
 	}
+	if o.Model != nil {
+		// The scoring stage reads the model's feature ids as indexes into
+		// the extractor's features, so the two must be the same list.
+		want := features.Defs()
+		if len(o.Model.Defs) != len(want) {
+			return fmt.Errorf("core: Model lists %d features, the extractor computes %d", len(o.Model.Defs), len(want))
+		}
+		for i, d := range o.Model.Defs {
+			if d.Name != want[i].Name || d.Kind != want[i].Kind {
+				return fmt.Errorf("core: Model feature %d is %s (kind %d), the extractor's is %s (kind %d)", i, d.Name, d.Kind, want[i].Name, want[i].Kind)
+			}
+		}
+	}
 	if err := o.Blocking.Validate(); err != nil {
 		return fmt.Errorf("core: blocking: %w", err)
 	}
@@ -343,16 +356,17 @@ func blockingReport(blk *mfiblocks.Result) *telemetry.BlockingReport {
 func scoringReport(st *scoreResult, cache *features.ProfileCache, workers int) *telemetry.ScoringReport {
 	cs := cache.Stats()
 	sr := &telemetry.ScoringReport{
-		Candidates:      st.candidates,
-		SameSrcDropped:  st.sameSrc,
-		ModelDropped:    st.byModel,
-		Matches:         len(st.matches),
-		Workers:         workers,
-		Chunks:          st.chunks,
-		ProfilesBuilt:   int(cs.Built),
-		ProfileHits:     cs.Hits,
-		ProfileMisses:   cs.Misses,
-		InternedStrings: cache.Extractor().InternedStrings(),
+		Candidates:        st.candidates,
+		SameSrcDropped:    st.sameSrc,
+		ModelDropped:      st.byModel,
+		Matches:           len(st.matches),
+		Workers:           workers,
+		Chunks:            st.chunks,
+		FeaturesEvaluated: st.features,
+		ProfilesBuilt:     int(cs.Built),
+		ProfileHits:       cs.Hits,
+		ProfileMisses:     cs.Misses,
+		InternedStrings:   cache.Extractor().InternedStrings(),
 	}
 	if st.scores != nil {
 		snap := st.scores.Snapshot()
@@ -416,9 +430,9 @@ func (r *Resolution) ScorePair(aID, bID int64) (RankedMatch, error) {
 	}
 	m.Score = m.BlockScore
 	if r.model != nil && r.profiles != nil {
-		var vec [features.NumFeatures]features.Value
-		r.profiles.Extractor().ExtractProfiledInto(vec[:], r.profiles.Get(ra), r.profiles.Get(rb))
-		m.Score = r.model.Score(vec[:])
+		var ev features.PairEval
+		ev.Reset(r.profiles.Extractor(), r.profiles.Get(ra), r.profiles.Get(rb))
+		m.Score = r.model.ScorePair(&ev)
 	}
 	return m, nil
 }

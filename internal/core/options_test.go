@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -55,6 +58,58 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func validOpts(o Options) *Options { return &o }
+
+// TestMalformedModelRejected: a -model file whose splitters or feature
+// list do not fit the extractor's 48 features must be refused before a
+// run starts — by adtree.Load when the file contradicts itself, by
+// Validate when it is consistent but describes other features — because
+// the scorer indexes a fixed-size evaluator with the model's feature ids.
+func TestMalformedModelRejected(t *testing.T) {
+	raw, err := os.ReadFile("../adtree/testdata/model.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(file []byte) error {
+		m, err := adtree.Load(bytes.NewReader(file))
+		if err != nil {
+			return err
+		}
+		o := Options{Blocking: mfiblocks.NewConfig(), Model: m, Classify: true}
+		return o.Validate()
+	}
+	if err := check(raw); err != nil {
+		t.Fatalf("fixture model rejected: %v", err)
+	}
+	type obj = map[string]any
+	splitter := func(m obj, i int) obj { return m["splitters"].([]any)[i].(obj) }
+	for _, tc := range []struct {
+		name string
+		edit func(m obj)
+	}{
+		{"feature -1", func(m obj) { splitter(m, 0)["feature"] = -1 }},
+		{"feature 60", func(m obj) { splitter(m, 0)["feature"] = 60 }},
+		{"features truncated to 10", func(m obj) { m["features"] = m["features"].([]any)[:10] }},
+		{"features truncated to 10, splitters within them", func(m obj) {
+			m["features"] = m["features"].([]any)[:10]
+			m["splitters"] = m["splitters"].([]any)[:2] // FNdist, LNdist
+		}},
+		{"a feature renamed", func(m obj) { m["features"].([]any)[3].(obj)["name"] = "shoeSize" }},
+		{"an untested feature of another kind", func(m obj) { m["features"].([]any)[20].(obj)["kind"] = 1 }}, // MNjw
+	} {
+		var m obj
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(m)
+		file, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := check(file); err == nil {
+			t.Errorf("%s: model accepted", tc.name)
+		}
+	}
+}
 
 func TestNewOptionsDefaults(t *testing.T) {
 	fx := newFixture(t, 100)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,7 +16,7 @@ import (
 )
 
 // candidate is one blocking candidate on its way through the scoring
-// stage.
+// stage. blockScore is set only by a source whose stream carries it.
 type candidate struct {
 	pair       record.Pair
 	blockScore float64
@@ -24,15 +25,19 @@ type candidate struct {
 // candidateSource is the stream of candidates the scoring stage consumes —
 // the one thing that differs between an in-memory blocking result and a
 // spilled one. next fills buf from the front and returns how many
-// candidates it wrote, 0 at the end of the stream; close releases what
-// backs the stream. The scoring workers call next concurrently.
+// candidates it wrote, 0 at the end of the stream; blockScore returns the
+// block score of a candidate next delivered, and is asked only for the
+// candidates the filters and the model kept; close releases what backs
+// the stream. The scoring workers call next and blockScore concurrently.
 type candidateSource interface {
 	next(buf []candidate) (int, error)
+	blockScore(c *candidate) float64
 	close() error
 }
 
 // pairSlice streams an in-memory candidate set in first-seen order. A
-// caller claims a range with one atomic add and probes scores itself.
+// caller claims a range with one atomic add; a pair's score costs a map
+// probe, paid by blockScore for the kept candidates alone.
 type pairSlice struct {
 	pairs  []record.Pair
 	scores map[record.Pair]float64
@@ -44,17 +49,20 @@ func (s *pairSlice) next(buf []candidate) (int, error) {
 	hi := s.cursor.Add(int64(len(buf)))
 	claimed := s.pairs[min(hi-int64(len(buf)), end):min(hi, end)]
 	for i, p := range claimed {
-		buf[i] = candidate{p, s.scores[p]}
+		buf[i] = candidate{pair: p}
 	}
 	return len(claimed), nil
 }
 
+func (s *pairSlice) blockScore(c *candidate) float64 { return s.scores[c.pair] }
+
 func (*pairSlice) close() error { return nil }
 
 // spillMerge streams a spilled candidate set through its (A, B)-sorted
-// merge, opened on first use. The merge is single-shot, so close releases
-// the run files rather than leaving their descriptors open for the
-// Resolution's lifetime; the accumulator's Stats stay valid afterwards.
+// merge, opened on first use; each merged entry carries its block score.
+// The merge is single-shot, so close releases the run files rather than
+// leaving their descriptors open for the Resolution's lifetime; the
+// accumulator's Stats stay valid afterwards.
 type spillMerge struct {
 	pairs *spill.Pairs
 	mu    sync.Mutex // one iterator, one caller at a time
@@ -84,6 +92,8 @@ func (s *spillMerge) next(buf []candidate) (int, error) {
 	return len(buf), nil
 }
 
+func (*spillMerge) blockScore(c *candidate) float64 { return c.blockScore }
+
 func (s *spillMerge) close() error { return s.pairs.Close() }
 
 // candidatesOf returns the blocking result's candidate stream; a spilled
@@ -97,15 +107,19 @@ func candidatesOf(blk *mfiblocks.Result, sp *trace.Span) candidateSource {
 }
 
 // scoreResult is the scoring stage's output before ranking. The telemetry
-// fields (candidates, chunks, scores) ride along so resolve can fold them
-// into the RunReport without re-walking the matches.
+// fields (candidates, features, chunks, scores) ride along so resolve can
+// fold them into the RunReport without re-walking the matches.
 type scoreResult struct {
 	matches    []RankedMatch
 	candidates int
 	sameSrc    int
 	byModel    int
-	chunks     int
-	scores     *telemetry.Histogram
+	// features counts the features the model pulled, over every candidate
+	// it scored. A pair's count depends on the pair and the model alone,
+	// so the total is the same for any source and worker count.
+	features int64
+	chunks   int
+	scores   *telemetry.Histogram
 }
 
 // scoreChunkSize is the number of candidates a scoring worker claims at a
@@ -114,13 +128,14 @@ type scoreResult struct {
 const scoreChunkSize = 512
 
 // scoreCandidates is the scoring stage: every candidate of src goes
-// through the SameSrc filter, feature extraction over the records' cached
-// profiles, the model, and the Cls condition. workers goroutines each pull
-// scoreChunkSize candidates at a time into a buffer of their own and
-// share nothing until they hand their matches over; workers <= 1 runs the
-// same loop on the calling goroutine. Profiles are built only when a
-// model will read them. src is closed on every path, and a source error
-// stops every worker before its next pull.
+// through the SameSrc filter, the model — which pulls from the records'
+// cached profiles only the features its reachable splitters test — and
+// the Cls condition; a candidate that survives them gets its block score
+// from src. workers goroutines each pull scoreChunkSize candidates at a
+// time into a buffer of their own and share nothing until they hand their
+// matches over; workers <= 1 runs the same loop on the calling goroutine.
+// Profiles are built only when a model will read them. src is closed on
+// every path, and a source error stops every worker before its next pull.
 //
 // Matches come back in no particular order: sortMatches is a total order
 // over (score, pair), so ranking erases whatever order the source and the
@@ -156,7 +171,7 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 	worker := func(w int) {
 		wsp := sp.Child("score_worker", trace.WithKind(trace.KindWorker), trace.WithTrack(w+1))
 		buf := make([]candidate, scoreChunkSize)
-		vec := make(features.Vector, len(ex.Defs()))
+		var ev features.PairEval
 		local := scoreResult{scores: telemetry.NewHistogram(telemetry.ScoreBuckets)}
 		for {
 			mu.Lock()
@@ -177,21 +192,27 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 				break
 			}
 			tc := time.Now()
-			for _, c := range buf[:n] {
+			for i := range buf[:n] {
+				c := &buf[i]
 				ia, ib := work.Index(c.pair.A), work.Index(c.pair.B)
 				ra, rb := work.Records[ia], work.Records[ib]
 				if opts.SameSrc && ra.Source != "" && ra.Source == rb.Source {
 					local.sameSrc++
 					continue
 				}
-				m := RankedMatch{Pair: c.pair, BlockScore: c.blockScore, Score: c.blockScore}
+				m := RankedMatch{Pair: c.pair}
 				if opts.Model != nil {
-					ex.ExtractProfiledInto(vec, profs[ia], profs[ib])
-					m.Score = opts.Model.Score(vec)
+					ev.Reset(ex, profs[ia], profs[ib])
+					m.Score = opts.Model.ScorePair(&ev)
+					local.features += int64(bits.OnesCount64(ev.Evaluated()))
 					if opts.Classify && m.Score <= 0 {
 						local.byModel++
 						continue
 					}
+				}
+				m.BlockScore = src.blockScore(c)
+				if opts.Model == nil {
+					m.Score = m.BlockScore
 				}
 				local.scores.Observe(m.Score)
 				local.matches = append(local.matches, m)
@@ -213,6 +234,7 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 		total.candidates += local.candidates
 		total.sameSrc += local.sameSrc
 		total.byModel += local.byModel
+		total.features += local.features
 		total.chunks += local.chunks
 		total.scores.Merge(local.scores)
 		mu.Unlock()
@@ -234,14 +256,14 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 }
 
 // ScoreCandidates runs the scoring stage alone — SameSrc filtering,
-// profiled feature extraction, model scoring, classification, and
-// ranking — over the in-memory candidates of an existing blocking result,
-// exactly as Run's scoring stage does. Callers that re-block rarely but
-// re-score often (threshold sweeps, model comparisons, the rescore
-// benchmark workload) use it to skip the blocking stage. work must be the
-// collection blk was produced from. It reads blk.Pairs and PairScores even
-// when blk.Spill is set: benchmark/staged.go passes a result whose spent
-// spill it has drained into them.
+// demand-driven model scoring, classification, and ranking — over the
+// in-memory candidates of an existing blocking result, exactly as Run's
+// scoring stage does. Callers that re-block rarely but re-score often
+// (threshold sweeps, model comparisons, the rescore benchmark workload)
+// use it to skip the blocking stage. work must be the collection blk was
+// produced from. It reads blk.Pairs and PairScores even when blk.Spill is
+// set: benchmark/staged.go passes a result whose spent spill it has
+// drained into them.
 func ScoreCandidates(opts Options, work *record.Collection, blk *mfiblocks.Result) []RankedMatch {
 	cache := features.NewProfileCache(features.NewExtractor(opts.Geo))
 	src := &pairSlice{pairs: blk.Pairs, scores: blk.PairScores}

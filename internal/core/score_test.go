@@ -122,6 +122,8 @@ func (s *failingSource) next(buf []candidate) (int, error) {
 	return len(buf), nil
 }
 
+func (*failingSource) blockScore(c *candidate) float64 { return c.blockScore }
+
 func (s *failingSource) close() error {
 	s.closes++
 	return nil

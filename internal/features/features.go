@@ -55,6 +55,15 @@ type Value struct {
 // Vector is a pair's feature vector, indexed by Def.ID.
 type Vector []Value
 
+// At returns feature id's value; an id the vector does not hold reads as
+// missing.
+func (v Vector) At(id int) Value {
+	if uint(id) < uint(len(v)) {
+		return v[id]
+	}
+	return Value{}
+}
+
 // nameAttr pairs a name-typed attribute with its label stem.
 type nameAttr struct {
 	t    record.ItemType
@@ -120,9 +129,23 @@ func Defs() []Def {
 	return defs
 }
 
-// NumFeatures is the size of a feature vector (see Defs) — a constant, so
-// a caller can keep a vector on its stack.
-const NumFeatures = 3*len(nameAttrs) + 3 + record.NumPlaceTypes*(record.NumPlaceParts+1) + 4
+// The first id of each feature group, in the order Defs lists them.
+const (
+	idSameName   = 0
+	idNameDist   = idSameName + len(nameAttrs)
+	idNameJW     = idNameDist + len(nameAttrs)
+	idDateDist   = idNameJW + len(nameAttrs)
+	idSamePlace  = idDateDist + len(dateTypes)
+	idGeoDist    = idSamePlace + record.NumPlaceTypes*record.NumPlaceParts
+	idSameSource = idGeoDist + record.NumPlaceTypes
+	idSameGender = idSameSource + 1
+	idSameProf   = idSameGender + 1
+	idSameDOB    = idSameProf + 1
+
+	// NumFeatures is the size of a feature vector (see Defs) — a
+	// constant, so a caller can keep a vector or a PairEval on its stack.
+	NumFeatures = idSameDOB + 1
+)
 
 // IndexByName maps feature names to ids for the canonical definition set.
 func IndexByName() map[string]int {

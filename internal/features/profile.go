@@ -22,8 +22,9 @@ import (
 // similarity.CoordResolver) gazetteer-resolved coordinates.
 //
 // ExtractProfiled over two profiles built by the same extractor produces a
-// Vector bit-identical to Extract over the underlying records; the scoring
-// stage in internal/core relies on that equivalence.
+// Vector bit-identical to Extract over the underlying records, and
+// PairEval.At any one of its features; the scoring stage in internal/core
+// relies on that equivalence.
 //
 // A run keeps one profile per record for as long as its Resolution lives,
 // so the layout is compact: the variable-length parts are sub-slices of
@@ -286,106 +287,157 @@ func (b *profileBuilder) city(resolver similarity.CoordResolver, raw string) cit
 	return c
 }
 
+// feature computes one feature of a profile pair — the single
+// implementation behind both the full-vector API and the demand-driven
+// PairEval. The cases follow Defs group by group; each value is
+// bit-identical to Extract's over the profiles' records.
+func (e *Extractor) feature(id int, a, b *Profile) Value {
+	switch {
+	case id < idDateDist:
+		// The three features of one name attribute (the name groups
+		// start at id 0, so id mod their length is the attribute):
+		// sameXName over the interned value IDs, XNdist as the max q-gram
+		// Jaccard over the interned gram sets, XNjw as the max
+		// Jaro-Winkler over the lowered values.
+		na, nb := a.group(id%len(nameAttrs)), b.group(id%len(nameAttrs))
+		if len(na) == 0 || len(nb) == 0 {
+			return Value{}
+		}
+		if id < idNameDist {
+			return Value{Present: true, Cat: compareNameIDs(na, nb)}
+		}
+		best := 0.0
+		for x := range na {
+			for y := range nb {
+				var s float64
+				if id < idNameJW {
+					s = e.gramSim(&na[x], &nb[y])
+				} else {
+					s = e.jwSim(na[x].lower, nb[y].lower)
+				}
+				if s > best {
+					best = s
+				}
+			}
+		}
+		return Value{Present: true, Num: best}
+
+	case id < idSamePlace:
+		// Birth-date component distance over the parsed components.
+		i := id - idDateDist
+		if a.parsed&b.parsed&(1<<i) == 0 {
+			return Value{}
+		}
+		return Value{Present: true, Num: math.Abs(float64(a.date[i] - b.date[i]))}
+
+	case id < idGeoDist:
+		// samePlaceXPartY: item types ascend in (place type, part) order.
+		t := record.BirthCity + record.ItemType(id-idSamePlace)
+		if a.has&b.has&(1<<t) == 0 {
+			return Value{}
+		}
+		return Value{Present: true, Cat: boolCat(strings.EqualFold(a.first(t), b.first(t)))}
+
+	case id < idSameSource:
+		// PlaceXGeoDistance: Haversine over the resolved coordinates when
+		// both profiles carry them, otherwise through the Geo interface.
+		pt := id - idGeoDist
+		city := record.PlaceItem(record.PlaceType(pt), record.City)
+		if a.has&b.has&(1<<city) == 0 || e.Geo == nil {
+			return Value{}
+		}
+		if a.coordMode && b.coordMode {
+			if a.resolved&b.resolved&(1<<pt) == 0 {
+				return Value{}
+			}
+			ca, cb := a.coord(pt), b.coord(pt)
+			return Value{Present: true, Num: gazetteer.Haversine(ca[0], ca[1], cb[0], cb[1])}
+		}
+		km, ok := e.Geo.Distance(a.first(city), b.first(city))
+		if !ok {
+			return Value{}
+		}
+		return Value{Present: true, Num: km}
+
+	case id == idSameSource:
+		if a.source == "" || b.source == "" {
+			return Value{}
+		}
+		return Value{Present: true, Cat: boolCat(a.source == b.source)}
+
+	case id == idSameGender:
+		if a.has&b.has&(1<<record.Gender) == 0 {
+			return Value{}
+		}
+		return Value{Present: true, Cat: boolCat(a.first(record.Gender) == b.first(record.Gender))}
+
+	case id == idSameProf:
+		if a.has&b.has&(1<<record.Profession) == 0 {
+			return Value{}
+		}
+		return Value{Present: true, Cat: boolCat(strings.EqualFold(a.first(record.Profession), b.first(record.Profession)))}
+
+	default:
+		// sameDOB: interning is injective, so equal IDs are equal dates.
+		if !a.hasDOB || !b.hasDOB {
+			return Value{}
+		}
+		return Value{Present: true, Cat: boolCat(a.dob == b.dob)}
+	}
+}
+
 // ExtractProfiled computes the pair's feature vector from two cached
 // profiles. The result is bit-identical to Extract over the profiles'
 // records.
 func (e *Extractor) ExtractProfiled(a, b *Profile) Vector {
-	v := make(Vector, len(e.defs))
+	v := make(Vector, NumFeatures)
 	e.ExtractProfiledInto(v, a, b)
 	return v
 }
 
 // ExtractProfiledInto is ExtractProfiled writing into v, which must hold
-// one Value per feature definition. A caller that consumes each vector
-// before extracting the next — the scoring stage hands it to the model and
-// keeps only the score — reuses one v and allocates nothing per pair.
+// one Value per feature definition. It is the full-vector form — every
+// feature, whether or not anything reads it — that the pair breakdowns and
+// the staged benchmark want; the scoring stage pulls features through a
+// PairEval instead.
 func (e *Extractor) ExtractProfiledInto(v Vector, a, b *Profile) {
-	clear(v)
-
-	// Per name attribute: sameXName over the interned value IDs, XNdist
-	// as the max q-gram Jaccard over the interned gram sets, XNjw as the
-	// max Jaro-Winkler over the lowered values.
-	const n = len(nameAttrs)
-	for i := 0; i < n; i++ {
-		na, nb := a.group(i), b.group(i)
-		if len(na) == 0 || len(nb) == 0 {
-			continue
-		}
-		bestGram, bestJW := 0.0, 0.0
-		for x := range na {
-			for y := range nb {
-				if s := e.gramSim(&na[x], &nb[y]); s > bestGram {
-					bestGram = s
-				}
-				if s := e.jwSim(na[x].lower, nb[y].lower); s > bestJW {
-					bestJW = s
-				}
-			}
-		}
-		v[i] = Value{Present: true, Cat: compareNameIDs(na, nb)}
-		v[n+i] = Value{Present: true, Num: bestGram}
-		v[2*n+i] = Value{Present: true, Num: bestJW}
-	}
-	id := 3 * n
-
-	// Birth-date component distances over the parsed components.
-	for i := range dateTypes {
-		if a.parsed&b.parsed&(1<<i) != 0 {
-			v[id] = Value{Present: true, Num: math.Abs(float64(a.date[i] - b.date[i]))}
-		}
-		id++
-	}
-
-	// samePlaceXPartY: item types ascend in (place type, part) order.
-	both := a.has & b.has
-	for t := record.BirthCity; t <= record.DeathCountry; t++ {
-		if both&(1<<t) != 0 {
-			v[id] = Value{Present: true, Cat: boolCat(strings.EqualFold(a.first(t), b.first(t)))}
-		}
-		id++
-	}
-
-	// PlaceXGeoDistance: Haversine over the resolved coordinates when both
-	// profiles carry them, otherwise through the Geo interface.
-	for pt := 0; pt < record.NumPlaceTypes; pt++ {
-		city := record.PlaceItem(record.PlaceType(pt), record.City)
-		if both&(1<<city) != 0 && e.Geo != nil {
-			if a.coordMode && b.coordMode {
-				if a.resolved&b.resolved&(1<<pt) != 0 {
-					ca, cb := a.coord(pt), b.coord(pt)
-					km := gazetteer.Haversine(ca[0], ca[1], cb[0], cb[1])
-					v[id] = Value{Present: true, Num: km}
-				}
-			} else if km, ok := e.Geo.Distance(a.first(city), b.first(city)); ok {
-				v[id] = Value{Present: true, Num: km}
-			}
-		}
-		id++
-	}
-
-	// sameSource.
-	if a.source != "" && b.source != "" {
-		v[id] = Value{Present: true, Cat: boolCat(a.source == b.source)}
-	}
-	id++
-
-	// sameGender.
-	if both&(1<<record.Gender) != 0 {
-		v[id] = Value{Present: true, Cat: boolCat(a.first(record.Gender) == b.first(record.Gender))}
-	}
-	id++
-
-	// sameProfession.
-	if both&(1<<record.Profession) != 0 {
-		v[id] = Value{Present: true, Cat: boolCat(strings.EqualFold(a.first(record.Profession), b.first(record.Profession)))}
-	}
-	id++
-
-	// sameDOB: interning is injective, so equal IDs are equal dates.
-	if a.hasDOB && b.hasDOB {
-		v[id] = Value{Present: true, Cat: boolCat(a.dob == b.dob)}
+	for id := range v[:NumFeatures] {
+		v[id] = e.feature(id, a, b)
 	}
 }
+
+// PairEval evaluates one pair's features on demand: At computes a feature
+// the first time something asks for it and answers from its memo
+// afterwards, so a consumer that reads three features pays for three. The
+// zero value is ready for Reset; one PairEval serves any number of pairs,
+// one at a time, and is small enough (about 1.6 KB) to live on a stack.
+type PairEval struct {
+	ex   *Extractor
+	a, b *Profile
+	// have has bit id set once vals[id] holds this pair's feature id.
+	have uint64
+	vals [NumFeatures]Value
+}
+
+// Reset points the evaluator at a new pair of profiles built by ex. Only
+// the mask is cleared: a stale slot is unreachable until At refills it.
+func (p *PairEval) Reset(ex *Extractor, a, b *Profile) {
+	p.ex, p.a, p.b, p.have = ex, a, b, 0
+}
+
+// At returns feature id of the current pair, equal to
+// ExtractProfiled(a, b)[id].
+func (p *PairEval) At(id int) Value {
+	if bit := uint64(1) << id; p.have&bit == 0 {
+		p.vals[id] = p.ex.feature(id, p.a, p.b)
+		p.have |= bit
+	}
+	return p.vals[id]
+}
+
+// Evaluated returns the set of features computed for the current pair,
+// bit id set for feature id.
+func (p *PairEval) Evaluated() uint64 { return p.have }
 
 // gramSim returns the q-gram Jaccard of two name values — a merge over
 // the interned sorted gram IDs, memoized on the lowered value strings

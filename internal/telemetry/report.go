@@ -11,7 +11,7 @@ import (
 
 // ReportSchemaVersion identifies the RunReport JSON layout; bump it on
 // any field removal or rename so downstream consumers can dispatch.
-const ReportSchemaVersion = 2
+const ReportSchemaVersion = 3
 
 // RunReport is the JSON-serializable per-stage breakdown of one
 // pipeline run. core.Run attaches one to every Resolution; the server
@@ -84,15 +84,19 @@ type IterationReport struct {
 
 // ScoringReport is the pair-scoring stage breakdown.
 type ScoringReport struct {
-	Candidates     int   `json:"candidates"`
-	SameSrcDropped int   `json:"same_src_dropped"`
-	ModelDropped   int   `json:"model_dropped"`
-	Matches        int   `json:"matches"`
-	Workers        int   `json:"workers"`
-	Chunks         int   `json:"chunks"`
-	ProfilesBuilt  int   `json:"profiles_built"`
-	ProfileHits    int64 `json:"profile_hits"`
-	ProfileMisses  int64 `json:"profile_misses"`
+	Candidates     int `json:"candidates"`
+	SameSrcDropped int `json:"same_src_dropped"`
+	ModelDropped   int `json:"model_dropped"`
+	Matches        int `json:"matches"`
+	Workers        int `json:"workers"`
+	Chunks         int `json:"chunks"`
+	// FeaturesEvaluated counts the pair features the model's tree walk
+	// pulled, summed over every candidate it scored (0 without a model).
+	// Deterministic: it depends on the candidates and the model alone.
+	FeaturesEvaluated int64 `json:"features_evaluated"`
+	ProfilesBuilt     int   `json:"profiles_built"`
+	ProfileHits       int64 `json:"profile_hits"`
+	ProfileMisses     int64 `json:"profile_misses"`
 	// InternedStrings counts the distinct q-grams and lowered name
 	// values the extractor's profiles interned.
 	InternedStrings int `json:"interned_strings"`
