@@ -37,8 +37,9 @@ func TestSupportSetAllocs(t *testing.T) {
 		idx.SupportSet(mfis[i%len(mfis)].Items)
 		i++
 	})
-	// One allocation for the result slice; scratch words come from a
-	// sync.Pool. The posting-list implementation allocated ~10 per probe.
+	// One allocation for the result slice, which the fold's first level
+	// is written to and the rest shrink in place. The first posting-list
+	// implementation allocated ~10 per probe.
 	if allocs > 6 {
 		t.Fatalf("SupportSet allocates %.2f per run, want <= 6", allocs)
 	}

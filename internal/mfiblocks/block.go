@@ -66,111 +66,65 @@ func newScorer(cfg *Config, dict *record.Dictionary, txns *fpgrowth.Transactions
 // growing the cluster can only shrink it. The ExpertSim variant averages a
 // soft Jaccard built on fsim over all member pairs, which is not
 // set-monotonic (Section 6.5 discusses the consequences).
-func (s *scorer) score(members []int) float64 {
+func (s *scorer) score(members []int, js *jaccardScratch) float64 {
 	if len(members) < 2 {
 		return 0
 	}
 	if s.useFsim {
 		return s.softScore(members)
 	}
-	return s.clusterJaccard(members)
+	return s.clusterJaccard(members, js)
 }
 
-// jaccardScratch is one goroutine's merge buffers; scorers are shared
-// across the block-building worker pool, so scratch rides a pool rather
-// than the scorer.
+// jaccardScratch is one goroutine's counting state for clusterJaccard.
+// count is indexed by item id and all zero between calls; touched lists
+// the ids the current call raised from zero, which is also what resets
+// them. Block-building workers own one each; the zero value is ready.
 type jaccardScratch struct {
-	inter []int32
-	union []int32
-	next  []int32
+	count   []int32
+	touched []int32
 }
-
-var jaccardScratchPool = sync.Pool{New: func() any { return new(jaccardScratch) }}
 
 // clusterJaccard computes the (optionally type-weighted) cluster Jaccard
-// by k-way sorted merges: transactions are sorted, deduplicated int32
-// arena slices (record.Dictionary.Encode sorts them), so the running
-// intersection shrinks in place and the running union ping-pongs between
-// two pooled buffers. Zero allocations at steady state — the alloc guard
-// in block_test.go holds it there. Weights are summed in ascending
-// item-id order, making weighted scores bit-reproducible across runs
-// (the map-based predecessor summed in map-iteration order, which could
-// flip enforceNG ties under ExpertWeights).
-func (s *scorer) clusterJaccard(members []int) float64 {
-	js := jaccardScratchPool.Get().(*jaccardScratch)
-	first := s.txns.Txn(members[0])
-	inter := append(js.inter[:0], first...)
-	union := append(js.union[:0], first...)
-	next := js.next[:0]
-	for _, m := range members[1:] {
-		txn := s.txns.Txn(m)
-		inter = intersectSorted32(inter, txn)
-		next = unionSorted32(next[:0], union, txn)
-		union, next = next, union
+// in one counting pass over the members' transactions: the union is the
+// items touched, the intersection the items every member counted. Zero
+// allocations at steady state — the alloc guard in fastpath_test.go holds
+// it there. Under ExpertWeights the weights are summed in ascending
+// item-id order, which keeps weighted scores bit-reproducible across runs
+// (summing in first-touched order would make a score depend on member
+// order, and could flip enforceNG ties); unweighted, every weight is 1
+// and the sums are exact counts in any order.
+func (s *scorer) clusterJaccard(members []int, js *jaccardScratch) float64 {
+	if len(js.count) <= s.txns.MaxItem() {
+		js.count = make([]int32, s.txns.MaxItem()+1)
 	}
-	var score float64
-	if !s.weighted {
-		if len(union) != 0 {
-			score = float64(len(inter)) / float64(len(union))
-		}
-	} else {
-		var wInter, wUnion float64
-		for _, id := range inter {
-			wInter += s.weight(int(id))
-		}
-		for _, id := range union {
-			wUnion += s.weight(int(id))
-		}
-		if wUnion != 0 {
-			score = wInter / wUnion
+	count, touched := js.count, js.touched[:0]
+	for _, m := range members {
+		for _, id := range s.txns.Txn(m) {
+			if count[id] == 0 {
+				touched = append(touched, id)
+			}
+			count[id]++
 		}
 	}
-	js.inter, js.union, js.next = inter, union, next
-	jaccardScratchPool.Put(js)
-	return score
-}
-
-// intersectSorted32 intersects two ascending lists, writing the result
-// into dst's prefix.
-func intersectSorted32(dst, b []int32) []int32 {
-	i, j, k := 0, 0, 0
-	for i < len(dst) && j < len(b) {
-		switch {
-		case dst[i] == b[j]:
-			dst[k] = dst[i]
-			k++
-			i++
-			j++
-		case dst[i] < b[j]:
-			i++
-		default:
-			j++
-		}
+	js.touched = touched
+	if s.weighted {
+		slices.Sort(touched)
 	}
-	return dst[:k]
-}
-
-// unionSorted32 merges two ascending duplicate-free lists into dst
-// (cleared by the caller), keeping the result ascending and
-// duplicate-free.
-func unionSorted32(dst, a, b []int32) []int32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			dst = append(dst, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		default:
-			dst = append(dst, b[j])
-			j++
+	all := int32(len(members))
+	var wInter, wUnion float64
+	for _, id := range touched {
+		w := s.weight(int(id))
+		wUnion += w
+		if count[id] == all {
+			wInter += w
 		}
+		count[id] = 0
 	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
+	if wUnion == 0 {
+		return 0
+	}
+	return wInter / wUnion
 }
 
 func (s *scorer) weight(itemID int) float64 {

@@ -40,19 +40,19 @@ func TestClusterJaccard(t *testing.T) {
 	sc := scorerFixture(t, NewConfig(), recs)
 
 	// Pair {0,1}: intersection {F:Guido, L:Foa} = 2, union 4 -> 0.5.
-	if got := sc.score([]int{0, 1}); math.Abs(got-0.5) > 1e-12 {
+	if got := sc.score([]int{0, 1}, new(jaccardScratch)); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("score({0,1}) = %v, want 0.5", got)
 	}
 	// Triple: intersection {F:Guido} = 1, union 5 -> 0.2.
-	if got := sc.score([]int{0, 1, 2}); math.Abs(got-0.2) > 1e-12 {
+	if got := sc.score([]int{0, 1, 2}, new(jaccardScratch)); math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("score({0,1,2}) = %v, want 0.2", got)
 	}
 	// Set-monotonic: growing the cluster cannot raise the score.
-	if sc.score([]int{0, 1, 2}) > sc.score([]int{0, 1}) {
+	if sc.score([]int{0, 1, 2}, new(jaccardScratch)) > sc.score([]int{0, 1}, new(jaccardScratch)) {
 		t.Error("cluster Jaccard must be set-monotonic")
 	}
 	// Degenerate block.
-	if got := sc.score([]int{0}); got != 0 {
+	if got := sc.score([]int{0}, new(jaccardScratch)); got != 0 {
 		t.Errorf("singleton score = %v", got)
 	}
 }
@@ -69,15 +69,15 @@ func TestWeightedJaccardFavorsNames(t *testing.T) {
 	cfg := NewConfig()
 	cfg.ExpertWeights = true
 	sc := scorerFixture(t, cfg, recs)
-	nameShare := sc.score([]int{0, 1})
-	genderShare := sc.score([]int{2, 3})
+	nameShare := sc.score([]int{0, 1}, new(jaccardScratch))
+	genderShare := sc.score([]int{2, 3}, new(jaccardScratch))
 	if nameShare <= genderShare {
 		t.Errorf("expert weights: name share %v <= gender share %v", nameShare, genderShare)
 	}
 
 	// Under uniform weights the two pairs score identically.
 	scU := scorerFixture(t, NewConfig(), recs)
-	if a, b := scU.score([]int{0, 1}), scU.score([]int{2, 3}); math.Abs(a-b) > 1e-12 {
+	if a, b := scU.score([]int{0, 1}, new(jaccardScratch)), scU.score([]int{2, 3}, new(jaccardScratch)); math.Abs(a-b) > 1e-12 {
 		t.Errorf("uniform weights differ: %v vs %v", a, b)
 	}
 }
@@ -96,12 +96,12 @@ func TestSoftScoreUsesFsim(t *testing.T) {
 	cfg.ExpertSim = true
 	cfg.Geo = constGeo{km: 5}
 	sc := scorerFixture(t, cfg, recs)
-	soft := sc.score([]int{0, 1})
+	soft := sc.score([]int{0, 1}, new(jaccardScratch))
 	if soft <= 0 {
 		t.Errorf("soft score = %v, want > 0 for near-identical items", soft)
 	}
 	// Exact Jaccard sees nothing in common.
-	hard := scorerFixture(t, NewConfig(), recs).score([]int{0, 1})
+	hard := scorerFixture(t, NewConfig(), recs).score([]int{0, 1}, new(jaccardScratch))
 	if hard != 0 {
 		t.Errorf("hard score = %v, want 0", hard)
 	}

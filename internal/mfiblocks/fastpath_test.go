@@ -11,7 +11,7 @@ import (
 // randomScoringRecords builds records whose item values collide heavily
 // — names from a tiny pool of near-identical strings, tightly packed
 // birth years, cities that all compare equal under constGeo — so both
-// the merge-based cluster Jaccard and the sorted soft Jaccard face the
+// the counting cluster Jaccard and the sorted soft Jaccard face the
 // maximum number of duplicate items and tied similarities.
 func randomScoringRecords(rng *rand.Rand, n int) []*record.Record {
 	firsts := []string{"Anna", "Anne", "Anja", "Hanna"}
@@ -36,10 +36,10 @@ func randomScoringRecords(rng *rand.Rand, n int) []*record.Record {
 	return recs
 }
 
-// refClusterJaccard is the map-based predecessor of the merge-based
-// scorer, kept as the test oracle. Weights are summed in ascending
-// item-id order — the same order the merge path uses — so weighted
-// comparisons are exact, not epsilon-based.
+// refClusterJaccard is the map-based first cluster Jaccard, kept as a
+// test oracle. Weights are summed in ascending item-id order — the same
+// order the counting pass uses — so weighted comparisons are exact, not
+// epsilon-based.
 func refClusterJaccard(s *scorer, members []int) float64 {
 	count := make(map[int]int)
 	for _, m := range members {
@@ -71,9 +71,86 @@ func refClusterJaccard(s *scorer, members []int) float64 {
 	return wInter / wUnion
 }
 
-// TestClusterJaccardMatchesReference cross-checks the merge-based
-// scorer against the map-based oracle over randomized tie-heavy
-// clusters, weighted and unweighted, bit-for-bit.
+// mergeClusterJaccard is the k-way sorted-merge kernel the counting pass
+// replaced, kept as the second oracle: the running intersection shrinks
+// in place and the running union ping-pongs between two buffers.
+func mergeClusterJaccard(s *scorer, members []int) float64 {
+	first := s.txns.Txn(members[0])
+	inter := append([]int32(nil), first...)
+	union := append([]int32(nil), first...)
+	var next []int32
+	for _, m := range members[1:] {
+		txn := s.txns.Txn(m)
+		inter = intersectSorted32(inter, txn)
+		next = unionSorted32(next[:0], union, txn)
+		union, next = next, union
+	}
+	if !s.weighted {
+		if len(union) == 0 {
+			return 0
+		}
+		return float64(len(inter)) / float64(len(union))
+	}
+	var wInter, wUnion float64
+	for _, id := range inter {
+		wInter += s.weight(int(id))
+	}
+	for _, id := range union {
+		wUnion += s.weight(int(id))
+	}
+	if wUnion == 0 {
+		return 0
+	}
+	return wInter / wUnion
+}
+
+// intersectSorted32 intersects two ascending lists, writing the result
+// into dst's prefix.
+func intersectSorted32(dst, b []int32) []int32 {
+	i, j, k := 0, 0, 0
+	for i < len(dst) && j < len(b) {
+		switch {
+		case dst[i] == b[j]:
+			dst[k] = dst[i]
+			k++
+			i++
+			j++
+		case dst[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return dst[:k]
+}
+
+// unionSorted32 merges two ascending duplicate-free lists into dst
+// (cleared by the caller), keeping the result ascending and
+// duplicate-free.
+func unionSorted32(dst, a, b []int32) []int32 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			dst = append(dst, a[i])
+			i++
+			j++
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		default:
+			dst = append(dst, b[j])
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// TestClusterJaccardMatchesReference cross-checks the counting scorer
+// against both oracles — the map-based one and the merge kernel it
+// replaced — over randomized tie-heavy clusters, weighted and
+// unweighted, bit-for-bit, through one scratch reused across every call.
 func TestClusterJaccardMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	recs := randomScoringRecords(rng, 60)
@@ -81,27 +158,32 @@ func TestClusterJaccardMatchesReference(t *testing.T) {
 		cfg := NewConfig()
 		cfg.ExpertWeights = weighted
 		sc := scorerFixture(t, cfg, recs)
+		var js jaccardScratch
 		for trial := 0; trial < 200; trial++ {
 			size := 2 + rng.Intn(6)
 			members := rng.Perm(len(recs))[:size]
-			got := sc.clusterJaccard(members)
-			want := refClusterJaccard(sc, members)
-			if got != want {
-				t.Fatalf("weighted=%v trial=%d members=%v: merge %v != reference %v",
+			got := sc.clusterJaccard(members, &js)
+			if want := refClusterJaccard(sc, members); got != want {
+				t.Fatalf("weighted=%v trial=%d members=%v: counting %v != map reference %v",
 					weighted, trial, members, got, want)
+			}
+			if want := mergeClusterJaccard(sc, members); got != want {
+				t.Fatalf("weighted=%v trial=%d members=%v: counting %v != merge kernel %v",
+					weighted, trial, members, got, want)
+			}
+		}
+		for id, c := range js.count {
+			if c != 0 {
+				t.Fatalf("weighted=%v: scratch count[%d] = %d between calls", weighted, id, c)
 			}
 		}
 	}
 }
 
-// TestClusterJaccardAllocs is the tentpole's steady-state guard: after
-// the pooled scratch warms up, scoring a cluster — weighted or not —
-// performs zero heap allocations per call. Relaxed under -race, where
-// sync.Pool drops items by design.
+// TestClusterJaccardAllocs is the steady-state guard: once the scratch
+// has grown, scoring a cluster — weighted or not — performs zero heap
+// allocations per call.
 func TestClusterJaccardAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race; alloc guard not meaningful")
-	}
 	rng := rand.New(rand.NewSource(7))
 	recs := randomScoringRecords(rng, 40)
 	members := []int{0, 3, 7, 11, 19, 23, 31, 39}
@@ -109,10 +191,9 @@ func TestClusterJaccardAllocs(t *testing.T) {
 		cfg := NewConfig()
 		cfg.ExpertWeights = weighted
 		sc := scorerFixture(t, cfg, recs)
-		for i := 0; i < 10; i++ {
-			sc.score(members) // warm the scratch pool
-		}
-		allocs := testing.AllocsPerRun(100, func() { sc.score(members) })
+		var js jaccardScratch
+		sc.score(members, &js) // grow the scratch
+		allocs := testing.AllocsPerRun(100, func() { sc.score(members, &js) })
 		if allocs != 0 {
 			t.Errorf("weighted=%v: clusterJaccard allocates %v/op, want 0", weighted, allocs)
 		}
@@ -120,10 +201,10 @@ func TestClusterJaccardAllocs(t *testing.T) {
 }
 
 // TestWeightedJaccardRunTwiceDeterministic is the regression test for
-// the map-order bug the merge rewrite fixed: under ExpertWeights the
-// predecessor summed weights in map-iteration order, so tied block
-// scores could flip enforceNG admission between runs. Two full runs
-// over the tie-heavy fixture must now agree bit-for-bit.
+// a map-order bug: under ExpertWeights the first scorer summed weights
+// in map-iteration order, so tied block scores could flip enforceNG
+// admission between runs. Two full runs over the tie-heavy fixture must
+// agree bit-for-bit.
 func TestWeightedJaccardRunTwiceDeterministic(t *testing.T) {
 	coll := tieHeavyCollection(t)
 	cfg := NewConfig()
@@ -249,10 +330,10 @@ func TestSoftJaccardMatchesReference(t *testing.T) {
 	}
 }
 
-// TestScorerConcurrentUse exercises the pooled scratch under real
-// concurrency: one shared scorer, many goroutines, results identical to
-// the serial answers. Run with -race this doubles as the data-race
-// certification for the scratch pools.
+// TestScorerConcurrentUse exercises one shared scorer from many
+// goroutines, each with a scratch of its own as the block-building
+// workers have: results identical to the serial answers. Run with -race
+// this doubles as the data-race certification for the scorer.
 func TestScorerConcurrentUse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	recs := randomScoringRecords(rng, 48)
@@ -262,17 +343,19 @@ func TestScorerConcurrentUse(t *testing.T) {
 
 	clusters := make([][]int, 64)
 	want := make([]float64, len(clusters))
+	var js jaccardScratch
 	for i := range clusters {
 		clusters[i] = rng.Perm(len(recs))[:2+rng.Intn(6)]
-		want[i] = sc.score(clusters[i])
+		want[i] = sc.score(clusters[i], &js)
 	}
 
 	got := make([]float64, len(clusters))
 	done := make(chan int, 8)
 	for w := 0; w < 8; w++ {
 		go func(w int) {
+			var js jaccardScratch
 			for i := w; i < len(clusters); i += 8 {
-				got[i] = sc.score(clusters[i])
+				got[i] = sc.score(clusters[i], &js)
 			}
 			done <- w
 		}(w)

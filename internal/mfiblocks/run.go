@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -354,67 +353,140 @@ func (e *spillEmitter) wait() error {
 	return e.err
 }
 
-// materializeRange materializes, caps, and scores mfis[lo:hi] into
-// out[lo:hi] — one buildBlocks worker's share. scratch is the calling
-// goroutine's reusable SupportSet buffer: supports materialize into it
-// allocation-free, and only admitted blocks copy out an exact-size
-// member slice, so the pruned giants that used to spike RSS never
-// allocate at all. Returns the compact-set prune count for the range.
+// materializeRun is how many MFIs a buildBlocks worker takes from the
+// shared cursor at a time. Small runs keep the workers level — the MFIs of
+// common items sit together at the end of the rarest-first order and cost
+// far more than the rest, so a contiguous share per worker leaves one of
+// them with nearly all the work — while a run still holds enough
+// neighbours for the prefix stack to share intersections.
+const materializeRun = 256
+
+// runEntry is one MFI of a worker's current run: its index into the
+// iteration's MFIs and the window of its rank sequence in the worker's
+// arena.
+type runEntry struct{ k, off, n int32 }
+
+// materializer is one buildBlocks worker: the iteration's shared,
+// read-only inputs, the output it writes at disjoint indices, and the
+// scratch it alone owns.
+type materializer struct {
+	sc      *scorer
+	index   *fpgrowth.Index
+	cache   *blockCache
+	mfis    []fpgrowth.Itemset
+	minsup  int
+	maxSize int
+	out     []*Block
+
+	walker *fpgrowth.Walker
+	js     jaccardScratch
+	seqs   []int32    // rank sequences of the run's MFIs, back to back
+	ents   []runEntry // the run, sorted by rank sequence
+}
+
+// run materializes, caps, and scores one run of MFIs (indices into
+// m.mfis) into m.out and returns how many the compact-set cap pruned.
+// The MFIs the cache does not hold are walked in lexicographic
+// rank-sequence order, so the walker intersects each distinct prefix
+// once; supports live in the walker's stack, and only an admitted block
+// copies out an exact-size member slice.
 //
 // The cache path is exact, not approximate: every block is materialized
 // over the whole database (the SupportSet contract), so a key's members
 // and score are invariants across iterations, while everything
-// minsup-dependent — the mined-support pre-filter, the < 2 floor, and
-// the compact-set cap — is re-checked here on every hit. A nil cache
-// disables memoization with no other change.
-func materializeRange(sc *scorer, index *fpgrowth.Index, cache *blockCache, mfis []fpgrowth.Itemset, lo, hi, minsup, maxSize int, out []*Block, scratch *[]int) int64 {
-	pruned := int64(0)
-	buf := *scratch
-	for k := lo; k < hi; k++ {
-		// Mining runs over the still-active subset, so the mined
-		// support lower-bounds the whole-DB support the cap is
-		// checked against: Support > maxSize already implies the
-		// materialized set would be pruned.
-		if mfis[k].Support > maxSize {
-			pruned++
+// minsup-dependent — the < 2 floor and the compact-set cap in emit, the
+// mined-support pre-filter in rarestFirstJobs — is re-checked on every
+// hit. A nil cache disables memoization with no other change.
+func (m *materializer) run(run []int32) (pruned int) {
+	m.seqs, m.ents = m.seqs[:0], m.ents[:0]
+	for _, k := range run {
+		if members, score, ok := m.cache.get(m.mfis[k].Items); ok {
+			pruned += m.emit(k, members, score)
 			continue
 		}
-		if members, score, ok := cache.get(mfis[k].Items); ok {
-			if len(members) < 2 {
-				continue
-			}
-			if len(members) > maxSize {
-				pruned++
-				continue
-			}
-			out[k] = &Block{Key: mfis[k].Items, Members: members, Score: score, MinSup: minsup}
-			continue
-		}
-		buf = index.AppendSupportSet(mfis[k].Items, buf[:0])
-		if len(buf) < 2 {
-			continue
-		}
-		if len(buf) > maxSize {
-			pruned++
-			continue
-		}
-		members := make([]int, len(buf))
-		copy(members, buf)
-		score := sc.score(members)
-		cache.put(mfis[k].Items, members, score)
-		out[k] = &Block{Key: mfis[k].Items, Members: members, Score: score, MinSup: minsup}
+		off := len(m.seqs)
+		m.seqs = m.index.RankSeq(m.seqs, m.mfis[k].Items)
+		m.ents = append(m.ents, runEntry{k, int32(off), int32(len(m.seqs) - off)})
 	}
-	*scratch = buf
+	seqs := m.seqs
+	slices.SortFunc(m.ents, func(a, b runEntry) int {
+		return slices.Compare(seqs[a.off:a.off+a.n], seqs[b.off:b.off+b.n])
+	})
+	for _, e := range m.ents {
+		members := m.walker.Support(seqs[e.off : e.off+e.n])
+		var score float64
+		if n := len(members); n >= 2 && n <= m.maxSize {
+			members = append(make([]int, 0, n), members...)
+			score = m.sc.score(members, &m.js)
+			m.cache.put(m.mfis[e.k].Items, members, score)
+		}
+		pruned += m.emit(e.k, members, score)
+	}
 	return pruned
+}
+
+// emit applies the minsup-dependent filters to MFI k's support — from
+// the cache or just materialized — and writes its block if it passes:
+// fewer than two members form no block, more than maxSize are pruned by
+// the compact-set cap (returns 1).
+func (m *materializer) emit(k int32, members []int, score float64) (pruned int) {
+	switch {
+	case len(members) < 2:
+	case len(members) > m.maxSize:
+		return 1
+	default:
+		m.out[k] = &Block{Key: m.mfis[k].Items, Members: members, Score: score, MinSup: m.minsup}
+	}
+	return 0
+}
+
+// rarestFirstJobs returns the indices of the MFIs that can still form a
+// block, grouped by the rank of their rarest item (one counting sort; the
+// workers order each run fully), and how many it dropped. Mining runs
+// over the still-active subset, so the mined support lower-bounds the
+// whole-database support the cap is checked against: Support > maxSize
+// already implies the materialized set would be pruned.
+func rarestFirstJobs(index *fpgrowth.Index, mfis []fpgrowth.Itemset, maxSize int) (jobs []int32, pruned int) {
+	rarest := make([]int32, len(mfis))
+	starts := make([]int32, index.NumItems()+1)
+	for k := range mfis {
+		if mfis[k].Support > maxSize {
+			rarest[k] = -1
+			pruned++
+			continue
+		}
+		r := index.Rank(mfis[k].Items[0])
+		for _, it := range mfis[k].Items[1:] {
+			r = min(r, index.Rank(it))
+		}
+		rarest[k] = r
+		starts[r+1]++
+	}
+	for r := 1; r < len(starts); r++ {
+		starts[r] += starts[r-1]
+	}
+	jobs = make([]int32, len(mfis)-pruned)
+	for k, r := range rarest {
+		if r >= 0 {
+			jobs[starts[r]] = int32(k)
+			starts[r]++
+		}
+	}
+	return jobs, pruned
 }
 
 // buildBlocks materializes and scores the MFI supports in parallel,
 // dropping blocks that are too small (<2) or exceed the compact-set
 // cap. It also reports how many blocks the compact-set cap pruned.
 // Every block is materialized over the whole database (the SupportSet
-// contract): coverage never masks a record out of a new block. Blocks
-// come back in MFI order; enforceNG re-sorts them under a total order,
-// so nothing downstream depends on it.
+// contract): coverage never masks a record out of a new block.
+//
+// The MFIs are visited rarest item first, so that those sharing their
+// rarest items — where almost all of the intersection work is — are
+// neighbours; workers pull runs of that order through an atomic cursor.
+// Each block is still written at its MFI's index, so blocks come back in
+// MFI order whatever the schedule; enforceNG re-sorts them under a total
+// order, so nothing downstream depends on it.
 func buildBlocks(cfg *Config, sc *scorer, index *fpgrowth.Index, cache *blockCache, mfis []fpgrowth.Itemset, minsup int, parent *trace.Span) ([]*Block, int) {
 	bsp := parent.Child("build_blocks", trace.WithKind(trace.KindOp)).
 		Attr("mfis", int64(len(mfis)))
@@ -425,21 +497,29 @@ func buildBlocks(cfg *Config, sc *scorer, index *fpgrowth.Index, cache *blockCac
 	}
 	maxSize := int(float64(minsup) * cfg.P)
 	out := make([]*Block, len(mfis))
-	var csPruned atomic.Int64
+	jobs, pruned := rarestFirstJobs(index, mfis, maxSize)
+	var cursor, csPruned atomic.Int64
+	csPruned.Store(int64(pruned))
 	var wg sync.WaitGroup
-	workers := cfg.workers()
-	chunk := (len(mfis) + workers - 1) / workers
-	for w := 0; w < workers && w*chunk < len(mfis); w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(mfis) {
-			hi = len(mfis)
-		}
+	workers := min(cfg.workers(), (len(jobs)+materializeRun-1)/materializeRun)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			var scratch []int
-			csPruned.Add(materializeRange(sc, index, cache, mfis, lo, hi, minsup, maxSize, out, &scratch))
-		}(lo, hi)
+			m := materializer{
+				sc: sc, index: index, cache: cache, mfis: mfis,
+				minsup: minsup, maxSize: maxSize, out: out,
+				walker: index.NewWalker(),
+			}
+			for {
+				hi := int(cursor.Add(materializeRun))
+				lo := hi - materializeRun
+				if lo >= len(jobs) {
+					return
+				}
+				csPruned.Add(int64(m.run(jobs[lo:min(hi, len(jobs))])))
+			}
+		}()
 	}
 	wg.Wait()
 	blocks := out[:0]
@@ -471,7 +551,7 @@ func buildBlocks(cfg *Config, sc *scorer, index *fpgrowth.Index, cache *blockCac
 //
 // The admission order is a total order — (score desc, size asc, members
 // lex asc, key lex asc) — so the outcome is independent of the incoming
-// block order and of sort.Slice's unspecified handling of ties. A
+// block order and of the sort's unspecified handling of ties. A
 // (score, size)-only tiebreak would let tied blocks land in either order
 // and, through the greedy budget, change which pairs Result.Pairs emits
 // — violating the documented determinism downstream chunked scoring
@@ -483,21 +563,23 @@ func enforceNG(cfg *Config, blocks []*Block, spent []int) (kept []*Block, minTh 
 	}
 	ordered := make([]*Block, len(blocks))
 	copy(ordered, blocks)
-	sort.Slice(ordered, func(i, j int) bool {
-		bi, bj := ordered[i], ordered[j]
-		if bi.Score != bj.Score {
-			return bi.Score > bj.Score
+	slices.SortFunc(ordered, func(bi, bj *Block) int {
+		switch {
+		case bi.Score > bj.Score:
+			return -1
+		case bi.Score < bj.Score:
+			return 1
 		}
-		if bi.Size() != bj.Size() {
-			return bi.Size() < bj.Size()
+		if c := bi.Size() - bj.Size(); c != 0 {
+			return c
 		}
 		// Members are ascending collection indices, so lexicographic
 		// comparison is deterministic; distinct MFIs give distinct keys,
 		// making the order total even for identical support sets.
 		if c := slices.Compare(bi.Members, bj.Members); c != 0 {
-			return c < 0
+			return c
 		}
-		return slices.Compare(bi.Key, bj.Key) < 0
+		return slices.Compare(bi.Key, bj.Key)
 	})
 	minTh = cfg.MinScore
 	for _, b := range ordered {
