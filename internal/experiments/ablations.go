@@ -115,7 +115,10 @@ func (r *Runner) AblationMaximality(w io.Writer) error {
 			continue
 		}
 		t1 := time.Now()
-		all := miner.Mine(ms, nil)
+		all, err := miner.Mine(ms, nil)
+		if err != nil {
+			return err
+		}
 		filtered := fpgrowth.FilterMaximal(all)
 		dAll := time.Since(t1)
 		fmt.Fprintf(w, "%-8d %12s %12s %10d %10d %8v\n",

@@ -115,7 +115,7 @@ func BenchmarkMineAll(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Mine(3, nil)
+		mineAll(b, m, 3, nil)
 	}
 }
 

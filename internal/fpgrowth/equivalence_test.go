@@ -164,3 +164,74 @@ func TestMineMaximalParallelMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// fuzzWorkers are the worker counts FuzzMineMaximal picks from.
+var fuzzWorkers = [...]int{1, 2, 4}
+
+// decodeDB reads a mining problem from fuzz bytes: minsup 1–3 and a
+// worker count from the first two bytes, then up to 16 transactions, each
+// a little-endian 12-bit item mask in two bytes.
+func decodeDB(data []byte) (txns [][]int, minsup, workers int) {
+	if len(data) < 2 {
+		return nil, 1, 1
+	}
+	minsup, workers = 1+int(data[0]%3), fuzzWorkers[data[1]%3]
+	for data = data[2:]; len(data) >= 2 && len(txns) < 16; data = data[2:] {
+		mask := (int(data[0]) | int(data[1])<<8) & 0xfff
+		txn := []int{}
+		for it := 0; it < 12; it++ {
+			if mask&(1<<it) != 0 {
+				txn = append(txn, it)
+			}
+		}
+		txns = append(txns, txn)
+	}
+	return txns, minsup, workers
+}
+
+// encodeDB is decodeDB's inverse for the seed corpus; workers is an index
+// into fuzzWorkers.
+func encodeDB(minsup, workers int, txns ...[]int) []byte {
+	data := []byte{byte(minsup - 1), byte(workers)}
+	for _, txn := range txns {
+		mask := 0
+		for _, it := range txn {
+			mask |= 1 << it
+		}
+		data = append(data, byte(mask), byte(mask>>8))
+	}
+	return data
+}
+
+// FuzzMineMaximal holds MineMaximal, across worker counts, against
+// FilterMaximal over the brute-force frequent sets on byte-coded
+// databases of at most 16 transactions over 12 items. The seeds stress
+// closure folding: duplicated transactions, and items implied by other
+// items, so that whole groups of ranks fold into one suffix entry.
+func FuzzMineMaximal(f *testing.F) {
+	f.Add([]byte{})
+	// Duplicated transactions: every item of a duplicate pair is in the
+	// closure of each of its items.
+	f.Add(encodeDB(2, 0, []int{0, 1, 2}, []int{0, 1, 2}, []int{3, 4}, []int{3, 4}, []int{0, 3}))
+	f.Add(encodeDB(1, 1, []int{5, 6, 7, 8}, []int{5, 6, 7, 8}, []int{5, 6, 7, 8}, []int{9}))
+	// 1 implies 0, 2 implies {0, 1}, 4 implies 3: folds at depth 0 and
+	// below, with closures interleaving the ranks mined under them.
+	f.Add(encodeDB(2, 2, []int{0, 1, 2, 5}, []int{0, 1, 2, 6}, []int{0, 1, 7}, []int{0, 3, 4}, []int{0, 3, 4, 5},
+		[]int{3, 4, 6}, []int{0, 5, 6}, []int{1, 0, 6}, []int{2, 1, 0, 7}))
+	f.Add(encodeDB(3, 1, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
+		[]int{0, 2, 4, 6, 8, 10}, []int{0, 2, 4, 6, 8, 10, 11}, []int{1, 3, 5, 7, 9, 11}, []int{1, 3, 5, 7, 11}))
+	rng := rand.New(rand.NewSource(33))
+	for i := 0; i < 16; i++ {
+		seed := make([]byte, 2+2*rng.Intn(17))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		txns, minsup, workers := decodeDB(data)
+		want := FilterMaximal(bruteForce(txns, minsup))
+		got := mineWith(t, txns, workers, minsup, nil)
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("minsup=%d workers=%d txns=%v:\nwant %v\ngot  %v", minsup, workers, txns, want, got)
+		}
+	})
+}

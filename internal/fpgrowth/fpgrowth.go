@@ -103,8 +103,10 @@ func (m *Miner) workers() int {
 
 // Mine returns all frequent itemsets with support >= minsup, over the
 // transactions whose indices are in active (nil means all). minsup must be
-// at least 1. Singleton itemsets are included.
-func (m *Miner) Mine(minsup int, active []int) []Itemset {
+// at least 1. Singleton itemsets are included. It fails, returning no
+// itemsets, when a single-path tree would imply more itemsets than it
+// enumerates (maxSinglePathItems).
+func (m *Miner) Mine(minsup int, active []int) ([]Itemset, error) {
 	if minsup < 1 {
 		minsup = 1
 	}
@@ -114,13 +116,15 @@ func (m *Miner) Mine(minsup int, active []int) []Itemset {
 	t1 := time.Now()
 	var out []Itemset
 	ctx := newMineCtx(order, minsup)
-	ctx.mineTree(tree, 0, &out)
+	if err := ctx.mineTree(tree, 0, &out); err != nil {
+		return nil, err
+	}
 	for i := range out {
 		sort.Ints(out[i].Items)
 	}
 	m.Metrics.Timer(telemetry.FamilyFPGrowthMine).Observe(time.Since(t1))
 	m.Metrics.Counter("fpgrowth_itemsets_total").Add(int64(len(out)))
-	return out
+	return out, nil
 }
 
 // TreeStats builds the rank-ordered FP-tree for the given support level and
@@ -229,11 +233,11 @@ func sortInt32(a []int32) {
 // mineTree is the recursive FP-Growth step: for each item in the tree
 // (least frequent first), emit suffix+item and recurse into the item's
 // conditional tree. Single-path trees short-circuit to combinations.
-func (ctx *mineCtx) mineTree(t *flatTree, depth int, out *[]Itemset) {
+func (ctx *mineCtx) mineTree(t *flatTree, depth int, out *[]Itemset) error {
 	if nodes, ok := t.singlePath(ctx.sp[:0]); ok {
-		ctx.emitPathCombinations(t, nodes, out)
+		err := ctx.emitPathCombinations(t, nodes, out)
 		ctx.sp = nodes[:0]
-		return
+		return err
 	}
 	// Items in ascending support order for bottom-up growth, original item
 	// id descending on ties (the historical emission order).
@@ -264,24 +268,29 @@ func (ctx *mineCtx) mineTree(t *flatTree, depth int, out *[]Itemset) {
 		cond := ctx.getTree()
 		ctx.buildConditional(t, r, cond)
 		ctx.suffix = append(ctx.suffix, ctx.order[r])
-		ctx.mineTree(cond, depth+1, out)
+		err := ctx.mineTree(cond, depth+1, out)
 		ctx.suffix = ctx.suffix[:len(ctx.suffix)-1]
 		ctx.putTree(cond)
+		if err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // maxSinglePathItems bounds the frequent single-path prefix
 // emitPathCombinations will enumerate: a path of n frequent nodes implies
 // 2^n-1 itemsets, and the historical `1 << len(path)` mask overflowed int
-// at 63 nodes, silently emitting nothing. 62 keeps the mask arithmetic
-// exact in a uint64 while staying far beyond anything enumerable in
-// practice.
+// at 63 nodes, silently emitting nothing; past the bound Mine fails
+// instead. 62 keeps the mask arithmetic exact in a uint64 while staying
+// far beyond anything enumerable in practice.
 const maxSinglePathItems = 62
 
 // emitPathCombinations emits every non-empty combination of a single-path
 // tree's nodes, appended to the current suffix, with the support of the
-// deepest node in the combination.
-func (ctx *mineCtx) emitPathCombinations(t *flatTree, nodes []int32, out *[]Itemset) {
+// deepest node in the combination. It refuses a path of more than
+// maxSinglePathItems frequent nodes.
+func (ctx *mineCtx) emitPathCombinations(t *flatTree, nodes []int32, out *[]Itemset) error {
 	// Filter path nodes below minsup (the path is count-monotonic
 	// decreasing, so frequent nodes form a prefix).
 	n := 0
@@ -290,9 +299,9 @@ func (ctx *mineCtx) emitPathCombinations(t *flatTree, nodes []int32, out *[]Item
 	}
 	nodes = nodes[:n]
 	if len(nodes) > maxSinglePathItems {
-		panic(fmt.Sprintf(
+		return fmt.Errorf(
 			"fpgrowth: single-path tree with %d frequent nodes implies 2^%d-1 itemsets; refusing to enumerate more than 2^%d",
-			len(nodes), len(nodes), maxSinglePathItems))
+			len(nodes), len(nodes), maxSinglePathItems)
 	}
 	total := uint64(1) << uint(len(nodes))
 	for mask := uint64(1); mask < total; mask++ {
@@ -307,4 +316,5 @@ func (ctx *mineCtx) emitPathCombinations(t *flatTree, nodes []int32, out *[]Item
 		}
 		*out = append(*out, Itemset{Items: items, Support: sup})
 	}
+	return nil
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // bruteForce enumerates all frequent itemsets by counting every subset of
-// the item universe against the transactions (exponential; small inputs
-// only).
+// the item universe against the transactions (exponential; universes of
+// at most 63 items).
 func bruteForce(txns [][]int, minsup int) []Itemset {
 	universe := map[int]bool{}
 	for _, t := range txns {
@@ -24,22 +24,29 @@ func bruteForce(txns [][]int, minsup int) []Itemset {
 		items = append(items, it)
 	}
 	sort.Ints(items)
-	var out []Itemset
-	total := 1 << uint(len(items))
-	for mask := 1; mask < total; mask++ {
-		var set []int
-		for i, it := range items {
-			if mask&(1<<uint(i)) != 0 {
-				set = append(set, it)
-			}
+	// Each transaction as a mask over the universe's positions.
+	masks := make([]uint64, len(txns))
+	for k, t := range txns {
+		for _, it := range t {
+			masks[k] |= 1 << uint(sort.SearchInts(items, it))
 		}
+	}
+	var out []Itemset
+	total := uint64(1) << uint(len(items))
+	for mask := uint64(1); mask < total; mask++ {
 		sup := 0
-		for _, t := range txns {
-			if containsAll(t, set) {
+		for _, t := range masks {
+			if t&mask == mask {
 				sup++
 			}
 		}
 		if sup >= minsup {
+			var set []int
+			for i, it := range items {
+				if mask&(1<<uint(i)) != 0 {
+					set = append(set, it)
+				}
+			}
 			out = append(out, Itemset{Items: set, Support: sup})
 		}
 	}
@@ -57,6 +64,16 @@ func containsAll(txn, set []int) bool {
 		}
 	}
 	return true
+}
+
+// mineAll is Mine for inputs that must not fail.
+func mineAll(t testing.TB, m *Miner, minsup int, active []int) []Itemset {
+	t.Helper()
+	out, err := m.Mine(minsup, active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func canonical(sets []Itemset) map[string]int {
@@ -94,7 +111,7 @@ func TestMineMatchesBruteForce(t *testing.T) {
 		minsup := 1 + rng.Intn(4)
 
 		want := canonical(bruteForce(txns, minsup))
-		got := canonical(NewMiner(txns).Mine(minsup, nil))
+		got := canonical(mineAll(t, NewMiner(txns), minsup, nil))
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("trial %d (minsup=%d, txns=%v):\nwant %d sets\ngot  %d sets\nwant=%v\ngot=%v",
 				trial, minsup, txns, len(want), len(got), want, got)
@@ -160,7 +177,7 @@ func TestMineActiveSubset(t *testing.T) {
 	txns := [][]int{{0, 1}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}}
 	m := NewMiner(txns)
 	// Restricted to the first two transactions, {0,1} has support 2.
-	got := m.Mine(2, []int{0, 1})
+	got := mineAll(t, m, 2, []int{0, 1})
 	found := false
 	for _, s := range got {
 		if reflect.DeepEqual(s.Items, []int{0, 1}) && s.Support == 2 {
@@ -179,7 +196,7 @@ func TestPruneExcludesItems(t *testing.T) {
 	txns := [][]int{{0, 1}, {0, 1}, {0, 1}}
 	m := NewMiner(txns)
 	m.Prune([]int{0})
-	for _, s := range m.Mine(1, nil) {
+	for _, s := range mineAll(t, m, 1, nil) {
 		for _, it := range s.Items {
 			if it == 0 {
 				t.Fatalf("pruned item 0 appeared in %v", s)
@@ -288,7 +305,7 @@ func TestSupportSetMatchesMinedSupport(t *testing.T) {
 	}
 	m := NewMiner(txns)
 	idx := m.BuildIndex()
-	for _, s := range m.Mine(2, nil) {
+	for _, s := range mineAll(t, m, 2, nil) {
 		if got := len(idx.SupportSet(s.Items)); got != s.Support {
 			t.Errorf("itemset %v: index support %d != mined support %d", s.Items, got, s.Support)
 		}
@@ -296,14 +313,14 @@ func TestSupportSetMatchesMinedSupport(t *testing.T) {
 }
 
 func TestEmptyAndDegenerateInputs(t *testing.T) {
-	if got := NewMiner(nil).Mine(2, nil); len(got) != 0 {
+	if got := mineAll(t, NewMiner(nil), 2, nil); len(got) != 0 {
 		t.Errorf("empty db mined %v", got)
 	}
-	if got := NewMiner([][]int{{}}).Mine(1, nil); len(got) != 0 {
+	if got := mineAll(t, NewMiner([][]int{{}}), 1, nil); len(got) != 0 {
 		t.Errorf("empty txn mined %v", got)
 	}
 	// minsup below 1 is clamped to 1.
-	got := NewMiner([][]int{{3}}).Mine(0, nil)
+	got := mineAll(t, NewMiner([][]int{{3}}), 0, nil)
 	if len(got) != 1 || got[0].Support != 1 {
 		t.Errorf("clamped minsup mined %v", got)
 	}
@@ -317,7 +334,7 @@ func TestSinglePathCombinations(t *testing.T) {
 	for i := range path {
 		path[i] = i
 	}
-	got := NewMiner([][]int{path}).Mine(1, nil)
+	got := mineAll(t, NewMiner([][]int{path}), 1, nil)
 	if want := 1<<16 - 1; len(got) != want {
 		t.Fatalf("single path mined %d itemsets, want %d", len(got), want)
 	}
@@ -331,23 +348,19 @@ func TestSinglePathCombinations(t *testing.T) {
 // TestEmitPathCombinationsOverflowGuard is the regression test for the
 // historical `1 << len(path)` int overflow: a single path of >= 63
 // frequent nodes used to overflow the mask bound and silently emit
-// nothing. The enumeration now refuses loudly instead.
+// nothing. Mine now refuses with an error instead.
 func TestEmitPathCombinationsOverflowGuard(t *testing.T) {
 	long := make([]int, 70)
 	for i := range long {
 		long[i] = i
 	}
-	m := NewMiner([][]int{long})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Mine over a 70-node single path returned instead of refusing")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "refusing to enumerate") {
-			t.Fatalf("unexpected panic value: %v", r)
-		}
-	}()
-	m.Mine(1, nil)
+	got, err := NewMiner([][]int{long}).Mine(1, nil)
+	if err == nil || !strings.Contains(err.Error(), "refusing to enumerate") {
+		t.Fatalf("Mine over a 70-node single path: err = %v, want a refusal", err)
+	}
+	if got != nil {
+		t.Fatalf("Mine returned %d itemsets alongside its error", len(got))
+	}
 }
 
 // TestMineMaximalLongSinglePath: maximal mining never enumerates path

@@ -126,13 +126,14 @@ func TestCrossStoreMergeMatchesSweep(t *testing.T) {
 // TestConditionalTreeBuiltOnlyOnMiss pins the count-first order of
 // mineItem on a fixed fixture mined serially: a conditional tree is taken
 // from the pool only for the header items whose head-union-tail test
-// missed. The visit and miss counts, and the hash of the mined MFIs, were
-// recorded at the commit that still built a tree for every header item
-// (and threw 81% of them away here).
+// missed. The MFI count and hash were recorded at the commit that still
+// built a tree for every header item (and threw 81% of them away here),
+// and held when closure folding took 29,396 visits and 5,695 misses down
+// to the goldens below.
 func TestConditionalTreeBuiltOnlyOnMiss(t *testing.T) {
 	const (
-		goldenVisited = 29396
-		goldenMisses  = 5695
+		goldenVisited = 23022
+		goldenMisses  = 4363
 		goldenMFIs    = 579
 		goldenHash    = 0xd6ab438221668c4e
 	)
@@ -151,7 +152,32 @@ func TestConditionalTreeBuiltOnlyOnMiss(t *testing.T) {
 		t.Fatalf("visited %d header items, golden is %d", v, goldenVisited)
 	}
 	if trees := m.Metrics.Counter("fpgrowth_cond_trees_total").Value(); trees != goldenMisses {
-		t.Fatalf("took %d conditional trees for %d focus misses", trees, goldenMisses)
+		t.Fatalf("took %d conditional trees, golden is %d focus misses", trees, goldenMisses)
+	}
+}
+
+// TestClosureFolds: the deep-recursion dense fixture folds a closure into
+// the suffix on a focus miss at depth 0 and at depth two and beyond, so
+// the store's multi-rank groups are exercised at the root and under a
+// stack of them — and the serially mined store still holds exactly the
+// brute-force MFIs.
+func TestClosureFolds(t *testing.T) {
+	txns := denseTxns(3, 40, 3, 13)
+	tree, order := NewMiner(txns).buildFlatTree(2, nil, nil)
+	ctx := newMineCtx(order, 2)
+	ctx.store = newMFIStore(len(order))
+	for r := len(order) - 1; r >= 0; r-- {
+		ctx.mineItem(tree, int32(r), 0)
+	}
+	if ctx.folds[0] == 0 || ctx.folds[2] == 0 {
+		t.Fatalf("folds at depth 0, 1, ≥2 = %v: the fixture no longer folds at depth 0 and ≥ 2", ctx.folds)
+	}
+	want := naiveMaximal(bruteForce(txns, 2))
+	if got := sweepStores([]*mfiStore{ctx.store}, order); !reflect.DeepEqual(got, want) {
+		t.Fatalf("folded store holds\n%v\nbrute force finds\n%v", got, want)
+	}
+	if len(ctx.store.sets) != len(want) {
+		t.Fatalf("folded store holds %d sets, %d are maximal", len(ctx.store.sets), len(want))
 	}
 }
 

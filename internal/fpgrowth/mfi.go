@@ -179,33 +179,60 @@ func (m *Miner) mineTops(parent *trace.Span, tree *flatTree, order []int, minsup
 }
 
 // mineItem runs header item r of tree t — the root tree at depth 0, a
-// conditional tree below — under the depth ranks the store is focused on:
-// count r's conditional items and, unless a stored set already contains
-// suffix ∪ {r} ∪ every frequent one of them (head-union-tail pruning; with
-// none this is the maximality test of suffix ∪ {r} itself), build the
-// conditional tree and mine it. Most branches are pruned, so the tree is
-// only built once the store has missed.
+// conditional tree below — under the suffix the store is focused on:
+// count r's conditional items, split off their closure C (the items whose
+// conditional support equals t.cnt[r], the support of suffix ∪ {r}) and,
+// unless a stored set already contains suffix ∪ {r} ∪ every frequent one
+// of them (head-union-tail pruning; with none this is the maximality test
+// of suffix ∪ {r} itself), build the conditional tree of the rest and
+// mine it under suffix ∪ {r} ∪ C. Most branches are pruned, so the tree
+// is only built once the store has missed.
+//
+// Closure folding is exact. Let S = suffix ∪ {r}. Every transaction
+// containing S contains each x ∈ C, since x's count over S's transactions
+// is all of them; so for every X ⊇ S, X ∪ C has the support of X. A
+// maximal X ⊇ S therefore contains C (else X ∪ C is a frequent strict
+// superset), and the maximal sets ⊇ S are exactly the maximal sets ⊇ S ∪ C
+// — which the conditional tree of the rest, whose items are all frequent
+// under S ∪ C with the same counts, enumerates. C leaves the tree and
+// joins the suffix at this depth, so its items are never header items.
 //
 // Nothing is stored after the recursion returns. A non-empty conditional
-// tree means suffix ∪ {r, x} is frequent, and fpmax never returns without
-// the store holding a strict superset of its suffix: a single path stores
-// suffix ∪ path; otherwise the first item of the loop stores, is pruned
-// by, or (by induction) recurses into a superset of suffix ∪ {item}. The
-// bare suffix ∪ {r} is therefore never maximal there.
+// tree means suffix ∪ {r} ∪ C ∪ {x} is frequent, and fpmax never returns
+// without the store holding a strict superset of its suffix: a single
+// path stores suffix ∪ path; otherwise the first item of the loop stores,
+// is pruned by, or (by induction) recurses into a superset of
+// suffix ∪ {item}. The bare suffix ∪ {r} ∪ C is therefore never maximal
+// there.
 func (ctx *mineCtx) mineItem(t *flatTree, r int32, depth int) {
 	ctx.visited++
 	// Ascending ranks: the sorted tail the store tests, and the order
 	// fpmax walks backwards.
 	tail := ctx.conditionalCounts(t, r)
 	slices.Sort(tail)
-	if ctx.store.focus(depth, r, tail) {
+	// Partition in place, both halves ascending. A closure item's count
+	// is zeroed so that buildConditional drops it.
+	closure, rest := ctx.closure[:0], tail[:0]
+	for _, x := range tail {
+		if ctx.condCnt[x] == t.cnt[r] {
+			closure = append(closure, x)
+			ctx.condCnt[x] = 0
+		} else {
+			rest = append(rest, x)
+		}
+	}
+	ctx.closure = closure
+	if ctx.store.focus(depth, r, closure, rest) {
 		ctx.clearCounts()
 		return
+	}
+	if len(closure) > 0 {
+		ctx.folds[min(depth, len(ctx.folds)-1)]++
 	}
 	cond := ctx.getTree()
 	ctx.buildConditional(t, r, cond)
 	// Insertion listed the same ranks in first-touch order.
-	cond.ranks = append(cond.ranks[:0], tail...)
+	cond.ranks = append(cond.ranks[:0], rest...)
 	ctx.fpmax(cond, depth+1, t.cnt[r])
 	ctx.putTree(cond)
 }
@@ -254,16 +281,18 @@ type rankSet struct {
 // guarantee no stored set is subsumed by another set of the same store.
 //
 // Queries are progressively focused (the LMFI idea of GenMax/FPmax*):
-// lists[d] holds the stored sets containing the first d ranks of the
-// current suffix, so a query at depth d scans only those and leaves
-// lists[d+1] behind for the recursion it admits. Depth 0 seeds from the
-// posting list of the queried rank.
+// the suffix is a stack of rank groups, one per depth — the header rank
+// and its folded closure — and lists[d] holds the stored sets containing
+// every group below depth d, so a query at depth d scans only those and
+// leaves lists[d+1] behind for the recursion it admits. Depth 0 seeds
+// from the posting list of the queried rank.
 type mfiStore struct {
 	sets    []rankSet
 	sigs    []uint64  // sigs[i] ORs sigBit over sets[i].ranks: rejects, never accepts
 	posting [][]int32 // rank -> indices of the sets containing it
-	suffix  []int32   // suffix[d]: the rank focused on at depth d
-	lists   [][]int32 // lists[d], d >= 1: indices of the sets containing suffix[:d]
+	suffix  []int32   // the focused groups, depth 0 first, each ascending
+	ends    []int     // ends[d]: end of depth d's group in suffix
+	lists   [][]int32 // lists[d], d >= 1: indices of the sets containing suffix[:ends[d-1]]
 }
 
 // newMFIStore returns an empty store over ranks [0, nRanks) — the
@@ -274,39 +303,55 @@ func newMFIStore(nRanks int) *mfiStore {
 
 func sigBit(r int32) uint64 { return 1 << (uint32(r) & 63) }
 
-// focus reports whether a stored set contains suffix[:depth] ∪ {r} ∪ tail
-// (tail sorted ascending), and makes r the suffix rank at depth. On a
-// miss lists[depth+1] is complete — every stored set containing
-// suffix[:depth+1] — gathered in the same pass; on a hit it is cut short,
-// which is fine because the caller then prunes instead of descending.
-func (s *mfiStore) focus(depth int, r int32, tail []int32) bool {
+// groupsEnd returns the end in suffix of the groups below depth.
+func (s *mfiStore) groupsEnd(depth int) int {
+	if depth == 0 {
+		return 0
+	}
+	return s.ends[depth-1]
+}
+
+// focus reports whether a stored set contains the suffix groups below
+// depth ∪ {r} ∪ closure ∪ rest, and makes closure ∪ {r} the suffix group
+// at depth. closure and rest are ascending, disjoint and below r. On a
+// miss lists[depth+1] is complete — every stored set containing the
+// suffix through depth — gathered in the same pass; on a hit it is cut
+// short, which is fine because the caller then prunes instead of
+// descending.
+func (s *mfiStore) focus(depth int, r int32, closure, rest []int32) bool {
 	for len(s.lists) < depth+2 {
 		s.lists = append(s.lists, nil)
-		s.suffix = append(s.suffix, 0)
+		s.ends = append(s.ends, 0)
 	}
-	s.suffix[depth] = r
+	start := s.groupsEnd(depth)
+	s.suffix = append(append(s.suffix[:start], closure...), r)
+	s.ends[depth] = len(s.suffix)
+	group := s.suffix[start:]
 	list := s.posting[r]
 	if depth > 0 {
 		list = s.lists[depth]
 	}
-	rbit := sigBit(r)
-	want := rbit
-	for _, x := range tail {
+	var gsig uint64
+	for _, x := range group {
+		gsig |= sigBit(x)
+	}
+	want := gsig
+	for _, x := range rest {
 		want |= sigBit(x)
 	}
 	sub := s.lists[depth+1][:0]
 	hit := false
 	for _, i := range list {
 		sig := s.sigs[i]
-		if sig&rbit == 0 {
+		if sig&gsig != gsig {
 			continue
 		}
 		set := s.sets[i].ranks
-		if _, ok := slices.BinarySearch(set, r); !ok {
+		if !holdsGroup(set, group) {
 			continue
 		}
 		sub = append(sub, i)
-		if sig&want == want && isSubset(tail, set) {
+		if sig&want == want && isSubset(rest, set) {
 			hit = true
 			break
 		}
@@ -315,15 +360,26 @@ func (s *mfiStore) focus(depth int, r int32, tail []int32) bool {
 	return hit
 }
 
-// add stores low ∪ suffix[:depth], where low is ascending and below every
-// suffix rank (suffix ranks descend with depth). The caller has
-// established that no stored set contains it.
-func (s *mfiStore) add(depth int, low []int32, support int) {
-	set := make([]int32, 0, len(low)+depth)
-	set = append(set, low...)
-	for d := depth - 1; d >= 0; d-- {
-		set = append(set, s.suffix[d])
+// holdsGroup reports whether sorted set holds every rank of group, by
+// binary search: a group is a rank and its closure, rarely more than a
+// few ranks, against a set of ten or more.
+func holdsGroup(set, group []int32) bool {
+	for _, x := range group {
+		if _, ok := slices.BinarySearch(set, x); !ok {
+			return false
+		}
 	}
+	return true
+}
+
+// add stores low ∪ the suffix groups below depth, where low is disjoint
+// from them. Closure ranks interleave with low, so the set is sorted. The
+// caller has established that no stored set contains it.
+func (s *mfiStore) add(depth int, low []int32, support int) {
+	n := s.groupsEnd(depth)
+	set := make([]int32, 0, len(low)+n)
+	set = append(append(set, low...), s.suffix[:n]...)
+	slices.Sort(set)
 	s.put(set, support, depth)
 }
 

@@ -85,15 +85,17 @@ func cloneLists(lists [][]int32) [][]int32 {
 }
 
 // driveStore interprets data as a sequence of store operations following
-// the miner's protocol — focus at the current depth; on a miss either
-// descend or store; store under the current suffix; ascend; unfocused
-// query at any depth, which must leave the focus lists as it found them —
-// and checks every answer, and finally the stored sets, against the naive
-// store.
+// the miner's protocol — focus at the current depth with a closure and a
+// rest tail; on a miss either descend or store; store under the current
+// suffix; ascend; unfocused query at any depth, which must leave the focus
+// as it found it — and checks every answer, and finally the stored sets,
+// against the naive store. As in the miner, a focused rank lies below the
+// rank of every group above it, and no rank of a group recurs deeper.
 func driveStore(t *testing.T, data []byte) {
 	store := newMFIStore(fuzzRanks)
 	naive := &naiveStore{}
-	var suffix []int32 // descending, mirrors store.suffix[:depth]
+	var groups [][]int32 // mirrors the store's suffix groups, depth 0 first
+	used := make([]bool, fuzzRanks)
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -103,46 +105,57 @@ func driveStore(t *testing.T, data []byte) {
 		return b
 	}
 	mask := func() uint32 { return uint32(next()) | uint32(next())<<8 | uint32(next())<<16 }
+	// free returns the unused ranks under limit selected by the next mask.
+	free := func(limit int32) []int32 {
+		return slices.DeleteFunc(below(limit, mask()), func(r int32) bool { return used[r] })
+	}
 	full := func(low []int32) []int32 {
 		set := slices.Clone(low)
-		for d := len(suffix) - 1; d >= 0; d-- {
-			set = append(set, suffix[d])
+		for _, g := range groups {
+			set = append(set, g...)
 		}
+		slices.Sort(set)
 		return set
 	}
 	limit := func() int32 {
-		if len(suffix) == 0 {
+		if len(groups) == 0 {
 			return fuzzRanks
 		}
-		return suffix[len(suffix)-1]
+		g := groups[len(groups)-1]
+		return g[len(g)-1]
 	}
 	for len(data) > 0 {
-		depth := len(suffix)
+		depth := len(groups)
 		switch op := next(); op % 8 {
 		case 0, 1, 2, 3: // focus; on a miss descend (0, 1), store (2) or stay (3)
 			r := fuzzRank(next())
-			if r >= limit() {
+			if r >= limit() || used[r] {
 				continue
 			}
-			tail := below(r, mask())
-			cand := full(append(slices.Clone(tail), r))
-			got, want := store.focus(depth, r, tail), naive.subsumes(cand)
+			closure := free(r)
+			rest := slices.DeleteFunc(free(r), func(x int32) bool { return slices.Contains(closure, x) })
+			group := append(slices.Clone(closure), r)
+			cand := full(slices.Concat(group, rest))
+			got, want := store.focus(depth, r, closure, rest), naive.subsumes(cand)
 			if got != want {
-				t.Fatalf("focus(depth %d, suffix %v, r %d, tail %v) = %v, naive scan says %v; stored %v",
-					depth, suffix, r, tail, got, want, naive.sets)
+				t.Fatalf("focus(depth %d, suffix %v, r %d, closure %v, rest %v) = %v, naive scan says %v; stored %v",
+					depth, groups, r, closure, rest, got, want, naive.sets)
 			}
 			if got {
 				continue
 			}
 			switch op % 8 {
 			case 0, 1:
-				suffix = append(suffix, r)
+				groups = append(groups, group)
+				for _, x := range group {
+					used[x] = true
+				}
 			case 2:
-				store.add(depth+1, tail, int(op))
+				store.add(depth+1, rest, int(op))
 				naive.add(cand)
 			}
 		case 4: // store an untested set under the current suffix
-			low := below(limit(), mask())
+			low := free(limit())
 			if len(low)+depth == 0 {
 				continue
 			}
@@ -150,17 +163,21 @@ func driveStore(t *testing.T, data []byte) {
 			naive.add(full(low))
 		case 5, 6: // ascend
 			if depth > 0 {
-				suffix = suffix[:depth-1]
+				for _, x := range groups[depth-1] {
+					used[x] = false
+				}
+				groups = groups[:depth-1]
 			}
 		case 7: // unfocused query: read-only, so legal under any suffix
 			cand := below(fuzzRanks, mask())
-			focused, lists := slices.Clone(store.suffix), cloneLists(store.lists)
+			focused, ends, lists := slices.Clone(store.suffix), slices.Clone(store.ends), cloneLists(store.lists)
 			if got, want := store.subsumes(cand), naive.subsumes(cand); got != want {
 				t.Fatalf("subsumes(%v) = %v, naive scan says %v; stored %v", cand, got, want, naive.sets)
 			}
-			if !slices.Equal(store.suffix, focused) || !slices.EqualFunc(store.lists, lists, slices.Equal[[]int32]) {
+			if !slices.Equal(store.suffix, focused) || !slices.Equal(store.ends, ends) ||
+				!slices.EqualFunc(store.lists, lists, slices.Equal[[]int32]) {
 				t.Fatalf("subsumes(%v) under suffix %v moved the focus: suffix %v -> %v, lists %v -> %v",
-					cand, suffix, focused, store.suffix, lists, store.lists)
+					cand, groups, focused, store.suffix, lists, store.lists)
 			}
 		}
 	}
@@ -175,8 +192,9 @@ func driveStore(t *testing.T, data []byte) {
 }
 
 // FuzzMFIStore drives byte-coded insert/query sequences through the store
-// and the naive reference, including queries under a suffix chain, whose
-// answer from the focus lists must equal the global linear-scan answer.
+// and the naive reference, including queries under a chain of suffix
+// groups with folded closures, whose answer from the focus lists must
+// equal the global linear-scan answer.
 func FuzzMFIStore(f *testing.F) {
 	f.Add([]byte{})
 	// {1,2,65} stored under no suffix, then collision probes.
@@ -216,13 +234,21 @@ func TestSignatureCollisionsStayExact(t *testing.T) {
 			t.Errorf("%s: subsumes(%v) over %v = %v, want %v", tc.name, tc.cand, tc.stored, got, tc.want)
 		}
 		// The same candidate as a focused chain: highest rank at depth 0,
-		// next at depth 1, the rest as the tail.
+		// next at depth 1, the rest as the tail — once as the rest, once
+		// folded into the depth-1 group as its closure.
 		if n := len(tc.cand); n >= 2 {
-			if store.focus(0, tc.cand[n-1], []int32{0}) {
-				t.Fatalf("%s: rank 0 is stored nowhere", tc.name)
-			}
-			if got := store.focus(1, tc.cand[n-2], tc.cand[:n-2]); got != tc.want {
-				t.Errorf("%s: focused query of %v over %v = %v, want %v", tc.name, tc.cand, tc.stored, got, tc.want)
+			for _, folded := range []bool{false, true} {
+				if store.focus(0, tc.cand[n-1], nil, []int32{0}) {
+					t.Fatalf("%s: rank 0 is stored nowhere", tc.name)
+				}
+				closure, rest := []int32(nil), tc.cand[:n-2]
+				if folded {
+					closure, rest = rest, nil
+				}
+				if got := store.focus(1, tc.cand[n-2], closure, rest); got != tc.want {
+					t.Errorf("%s: focused query of %v (folded %v) over %v = %v, want %v",
+						tc.name, tc.cand, folded, tc.stored, got, tc.want)
+				}
 			}
 		}
 	}

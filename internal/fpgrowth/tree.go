@@ -165,12 +165,14 @@ type mineCtx struct {
 	condCnt []int   // rank-indexed conditional counts, cleared via touched
 	touched []int32 // ranks dirtied in condCnt by the last conditionalCounts
 	tail    []int32 // the frequent ones among touched
+	closure []int32 // the tail ranks mineItem folds into the suffix
 	path    []int32 // one prefix path being inserted
 	sp      []int32 // singlePath node scratch
 	levels  []levelScratch
 	pool    []*flatTree
 
-	visited, trees int64 // header items mined, conditional trees taken (telemetry)
+	visited, trees int64    // header items mined, conditional trees taken (telemetry)
+	folds          [3]int64 // focus misses that folded a closure at depth 0, 1 and ≥ 2 (tests)
 }
 
 // levelScratch holds the per-recursion-depth buffer that must survive the
