@@ -2,13 +2,11 @@
 //
 // Usage:
 //
-//	yvbench [-scale quick|full] [-list] [-workers n] [-report out.json] [-v] [exp ...]
+//	yvbench [-scale quick|full] [-list] [-workers n] [exp ...]
 //
 // With no experiment ids, every experiment runs in paper order. Use -list
-// to enumerate the available ids. -report writes the accumulated
-// telemetry registry (every counter, gauge, and histogram the runs
-// produced) as JSON when the experiments finish. Performance is measured
-// by the repo benchmark (benchmark/README.md), not here.
+// to enumerate the available ids. Performance is measured by the repo
+// benchmark (benchmark/README.md), not here.
 package main
 
 import (
@@ -18,17 +16,13 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/telemetry"
 )
 
 func main() {
 	scaleFlag := flag.String("scale", "quick", "dataset scale: quick or full")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	workers := flag.Int("workers", 0, "blocking and pair-scoring workers for pipeline experiments (0 = GOMAXPROCS, 1 = serial)")
-	reportPath := flag.String("report", "", "write the accumulated telemetry registry (JSON) to this file")
-	verbose := flag.Bool("v", false, "debug logging (per-stage and per-iteration telemetry)")
 	flag.Parse()
-	telemetry.SetVerbose(*verbose)
 
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "yvbench: -workers must be >= 0, got %d\n", *workers)
@@ -76,13 +70,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("-- %s done in %v --\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
-	}
-
-	if *reportPath != "" {
-		if err := telemetry.Default().WriteJSONFile(*reportPath); err != nil {
-			fmt.Fprintf(os.Stderr, "yvbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("telemetry report written to %s\n", *reportPath)
 	}
 }

@@ -6,9 +6,9 @@
 // Usage:
 //
 //	yver -in records.jsonl [-ng 3.5] [-maxminsup 5] [-certainty 0.3]
-//	     [-samesrc] [-top 20] [-clusters] [-report out.json] [-v]
-//	     [-workers n] [-spill-pairs n] [-stream]
-//	     [-trace-out t.json] [-progress]
+//	     [-samesrc] [-top 20] [-clusters] [-first name] [-last name]
+//	     [-model model.json] [-report out.json] [-workers n]
+//	     [-spill-pairs n] [-stream] [-trace-out t.json] [-progress]
 //
 // -workers bounds the blocking and scoring goroutines and -spill-pairs
 // bounds the in-memory candidate window (overflow merges through sorted
@@ -19,7 +19,8 @@
 // their values. -trace-out records the run's span hierarchy and flight-
 // recorder series as Chrome trace-event JSON (load in Perfetto);
 // -progress prints a live status line (stage, rate, ETA) to
-// stderr.
+// stderr. -report writes the run's RunReport (stage timings, blocking
+// iterations, scoring counters) as JSON; the pipeline logs nothing.
 package main
 
 import (
@@ -34,7 +35,6 @@ import (
 	"repro/internal/mfiblocks"
 	"repro/internal/record"
 	"repro/internal/store"
-	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
 
@@ -55,9 +55,7 @@ func main() {
 	reportPath := flag.String("report", "", "write the run's telemetry report (JSON) to this file")
 	traceOut := flag.String("trace-out", "", "write the run's trace (Chrome trace-event JSON, Perfetto-loadable) to this file; enables tracing and the flight recorder")
 	progress := flag.Bool("progress", false, "print live progress (stage, records/sec, ETA) to stderr")
-	verbose := flag.Bool("v", false, "debug logging (per-stage and per-iteration telemetry)")
 	flag.Parse()
-	telemetry.SetVerbose(*verbose)
 
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "yver: -in is required")

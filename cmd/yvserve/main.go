@@ -56,7 +56,7 @@ func main() {
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	traceFlag := flag.Bool("trace", false, "trace the resolution run and serve it at /api/trace")
 	traceOut := flag.String("trace-out", "", "also write the resolution's trace (Chrome trace-event JSON) to this file; implies -trace")
-	verbose := flag.Bool("v", false, "debug logging (per-request and per-stage telemetry)")
+	verbose := flag.Bool("v", false, "debug logging (one line per HTTP request)")
 	flag.Parse()
 	telemetry.SetVerbose(*verbose)
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/features"
 	"repro/internal/mfiblocks"
 	"repro/internal/record"
-	"repro/internal/telemetry"
 )
 
 // benchScoring prepares the scoring stage's inputs once: a generated
@@ -63,7 +62,7 @@ func BenchmarkScorePairs(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cache := features.NewProfileCache(features.NewExtractor(opts.Geo))
-				st, err := scoreCandidates(&opts, bs.work, candidatesOf(bs.blk, nil), cache, workers, telemetry.NewRegistry(), nil)
+				st, err := scoreCandidates(&opts, bs.work, candidatesOf(bs.blk, nil), cache, workers, nil)
 				if err != nil || len(st.matches) == 0 {
 					b.Fatal("no matches scored")
 				}

@@ -60,9 +60,10 @@ type Options struct {
 	// kernels directly and keeps no pair cache. The field remains only
 	// because benchmark/staged.go sizes its own features.PairMemo from it.
 	MemoSize int
-	// Metrics receives pipeline counters, timings, and distributions
-	// (core_*, mfiblocks_*, fpgrowth_* families); nil falls back to
-	// telemetry.Default().
+	// Metrics receives the run's registry view once the run finishes:
+	// core_stage_seconds{stage}, the core_*_total outcome counters,
+	// core_score_distribution and the mfiblocks_*_total counters, each
+	// derived from a Report field. Nil falls back to telemetry.Default().
 	Metrics *telemetry.Registry
 	// Trace, when set, records the run's hierarchical span tree — run →
 	// stage → iteration → worker — plus any flight-recorder series
@@ -156,8 +157,8 @@ type Resolution struct {
 	DiscardedByModel int
 	// Report is the run's telemetry breakdown: per-stage wall clock,
 	// blocking iterations, scoring counters, and the score
-	// distribution. The server exposes it at /api/report; the CLIs
-	// write it with -report.
+	// distribution. The server exposes it at /api/report; yver writes
+	// it with -report.
 	Report *telemetry.RunReport
 	// Trace is the run's tracer when Options.Trace was set: the full
 	// span record behind Report.Spans, exportable as Chrome trace-event
@@ -172,27 +173,15 @@ type Resolution struct {
 	profiles *features.ProfileCache
 
 	// queryOnce/queryIdx belong to the query layer (entity.go, search.go):
-	// the record order, merge forest and name index every query reads,
-	// built by the first one.
+	// the record order, merge forest, name index and per-record block
+	// lists every query reads, built by the first one.
 	queryOnce sync.Once
 	queryIdx  *queryIndex
-
-	// pairOnce/pairIdx lazily index Matches by pair for ScorePair when
-	// candidate pairs were spilled to disk and Blocking.PairScores was
-	// never materialized. Only query paths that ask for ad-hoc pairs pay
-	// the index's memory.
-	pairOnce sync.Once
-	pairIdx  map[record.Pair]int
 }
 
-// wireDefaults threads the run-wide registry and worker knob into the
-// blocking config unless the caller pinned its own.
-func wireDefaults(opts *Options, reg *telemetry.Registry) {
-	if opts.Blocking.Metrics == nil {
-		// One registry for the whole run: blocking (and its miner)
-		// report where the pipeline reports.
-		opts.Blocking.Metrics = reg
-	}
+// wireDefaults threads the run-wide worker knob and progress hook into
+// the blocking config unless the caller pinned its own.
+func wireDefaults(opts *Options) {
 	if opts.Blocking.Workers == 0 {
 		// One worker knob for the whole pipeline: -workers bounds the
 		// blocking fan-out exactly as it bounds pair scoring, unless the
@@ -209,10 +198,10 @@ func wireDefaults(opts *Options, reg *telemetry.Registry) {
 
 // Run executes the pipeline over an in-memory collection, recording a
 // per-stage telemetry breakdown (attached to the Resolution as Report)
-// and registry metrics along the way. It is runPipeline over a
-// CollectionSource with the full records retained; candidate pairs stay
-// in memory (Blocking.Pairs, PairScores) unless the caller set
-// Blocking.SpillPairs.
+// and deriving its registry metrics from it at the end. It is
+// runPipeline over a CollectionSource with the full records retained;
+// candidate pairs stay in memory (Blocking.Pairs, PairScores) unless the
+// caller set Blocking.SpillPairs.
 func Run(opts Options, coll *record.Collection) (*Resolution, error) {
 	return runPipeline(StreamOptions{Options: opts, RetainRecords: true}, NewCollectionSource(coll))
 }
@@ -221,7 +210,7 @@ func Run(opts Options, coll *record.Collection) (*Resolution, error) {
 // finished blocking result, then assembles the Resolution and its
 // report. Spilled and in-memory candidate sets take the same path from
 // this point on.
-func resolve(opts *Options, reg *telemetry.Registry, report *telemetry.RunReport, stages *stageRunner, work *record.Collection, blk *mfiblocks.Result) (*Resolution, error) {
+func resolve(opts *Options, report *telemetry.RunReport, stages *stageRunner, work *record.Collection, blk *mfiblocks.Result) (*Resolution, error) {
 	report.Blocking = blockingReport(blk)
 	res := &Resolution{
 		Blocking:   blk,
@@ -236,7 +225,7 @@ func resolve(opts *Options, reg *telemetry.Registry, report *telemetry.RunReport
 		// A spilled run learns its distinct-pair total only at the merge.
 		opts.Progress.Stage("scoring", int64(len(blk.Pairs)))
 		var err error
-		st, err = scoreCandidates(opts, work, candidatesOf(blk, sp), res.profiles, opts.workers(), reg, sp)
+		st, err = scoreCandidates(opts, work, candidatesOf(blk, sp), res.profiles, opts.workers(), sp)
 		if err != nil {
 			return nil, fmt.Errorf("core: scoring: %w", err)
 		}
@@ -281,21 +270,7 @@ func resolve(opts *Options, reg *telemetry.Registry, report *telemetry.RunReport
 		res.Trace = opts.Trace
 		report.Spans = opts.Trace.Tree(trace.Full)
 	}
-	reg.Counter("core_runs_total").Inc()
-	reg.Counter("core_candidate_pairs_total").Add(int64(st.candidates))
-	reg.Counter("core_matches_total").Add(int64(len(res.Matches)))
-	reg.Counter("core_samesrc_dropped_total").Add(int64(st.sameSrc))
-	reg.Counter("core_model_dropped_total").Add(int64(st.byModel))
-	if st.scores != nil {
-		reg.Histogram("core_score_distribution", telemetry.ScoreBuckets).Merge(st.scores)
-	}
-	cs := res.profiles.Stats()
-	reg.Gauge("core_profiles_cached").Set(float64(cs.Size))
-	reg.Gauge(telemetry.FamilyInternedStrings).Set(float64(res.profiles.Extractor().InternedStrings()))
-	telemetry.Log().Info("core run done",
-		"records", work.Len(), "candidates", st.candidates,
-		"matches", len(res.Matches), "workers", opts.workers(),
-		"elapsed", time.Duration(report.TotalNS))
+	publish(opts.metrics(), report, st.scores)
 	return res, nil
 }
 
@@ -371,6 +346,36 @@ func scoringReport(st *scoreResult, cache *features.ProfileCache, workers int) *
 	return sr
 }
 
+// publish writes the run's registry view, each family derived from the
+// finished report — the one place core writes the registry. scores is
+// the histogram the report's score snapshot was taken from.
+func publish(reg *telemetry.Registry, report *telemetry.RunReport, scores *telemetry.Histogram) {
+	for _, s := range report.Stages {
+		reg.Timer("core_stage_seconds", telemetry.L("stage", s.Name)).Observe(time.Duration(s.DurationNS))
+	}
+	sr := report.Scoring
+	reg.Counter("core_runs_total").Inc()
+	reg.Counter("core_candidate_pairs_total").Add(int64(sr.Candidates))
+	reg.Counter("core_matches_total").Add(int64(sr.Matches))
+	reg.Counter("core_samesrc_dropped_total").Add(int64(sr.SameSrcDropped))
+	reg.Counter("core_model_dropped_total").Add(int64(sr.ModelDropped))
+	reg.Histogram("core_score_distribution", telemetry.ScoreBuckets).Merge(scores)
+
+	br := report.Blocking
+	var mfis, csPruned, ngPruned int
+	for _, it := range br.Iterations {
+		mfis += it.MFIs
+		csPruned += it.CSPruned
+		ngPruned += it.NGPruned
+	}
+	reg.Counter("mfiblocks_iterations_total").Add(int64(len(br.Iterations)))
+	reg.Counter("mfiblocks_mfis_total").Add(int64(mfis))
+	reg.Counter("mfiblocks_blocks_total").Add(int64(br.Blocks))
+	reg.Counter("mfiblocks_pairs_total").Add(int64(br.Pairs))
+	reg.Counter("mfiblocks_cs_pruned_total").Add(int64(csPruned))
+	reg.Counter("mfiblocks_ng_pruned_total").Add(int64(ngPruned))
+}
+
 // sortMatches ranks matches by descending score, breaking ties by pair —
 // a total order over distinct pairs, so the ranking is independent of the
 // pre-sort order the scoring stage produced.
@@ -404,46 +409,33 @@ var (
 // ScorePair scores an arbitrary pair of reports on demand, through the
 // cached profiles: the model confidence when the resolution carries a
 // model, otherwise the pair's blocking score (0 when blocking never
-// proposed the pair). It is safe for concurrent use.
+// proposed the pair). The block score is the best score of a kept block
+// holding both reports, so it is the same whether the candidates were
+// spilled or not and whether or not SameSrc or the classifier dropped
+// the pair. It is safe for concurrent use.
 func (r *Resolution) ScorePair(aID, bID int64) (RankedMatch, error) {
 	if aID == bID {
 		return RankedMatch{}, fmt.Errorf("%w: report %d", ErrSelfPair, aID)
 	}
-	ra, rb := r.Collection.ByID(aID), r.Collection.ByID(bID)
-	if ra == nil {
+	ia, ib := r.Collection.Index(aID), r.Collection.Index(bID)
+	if ia < 0 {
 		return RankedMatch{}, fmt.Errorf("%w: %d", ErrUnknownReport, aID)
 	}
-	if rb == nil {
+	if ib < 0 {
 		return RankedMatch{}, fmt.Errorf("%w: %d", ErrUnknownReport, bID)
 	}
 	m := RankedMatch{Pair: record.MakePair(aID, bID)}
-	if r.Blocking != nil && r.Blocking.PairScores != nil {
-		m.BlockScore = r.Blocking.PairScores[m.Pair]
-	} else if i, ok := r.pairIndex()[m.Pair]; ok {
-		// Spill mode never builds PairScores; every candidate's block
-		// score survives on its ranked match instead.
-		m.BlockScore = r.Matches[i].BlockScore
+	if r.Blocking != nil {
+		m.BlockScore = r.queryIndex().blockScore(r.Blocking.Blocks, ia, ib)
 	}
 	m.Score = m.BlockScore
 	if r.model != nil && r.profiles != nil {
+		recs := r.Collection.Records
 		var ev features.PairEval
-		ev.Reset(r.profiles.Extractor(), r.profiles.Get(ra), r.profiles.Get(rb))
+		ev.Reset(r.profiles.Extractor(), r.profiles.Get(recs[ia]), r.profiles.Get(recs[ib]))
 		m.Score = r.model.ScorePair(&ev)
 	}
 	return m, nil
-}
-
-// pairIndex returns the lazy pair → Matches index, building it on first
-// use. Matches hold every scored candidate, so the index answers the
-// same lookups Blocking.PairScores would.
-func (r *Resolution) pairIndex() map[record.Pair]int {
-	r.pairOnce.Do(func() {
-		r.pairIdx = make(map[record.Pair]int, len(r.Matches))
-		for i, m := range r.Matches {
-			r.pairIdx[m.Pair] = i
-		}
-	})
-	return r.pairIdx
 }
 
 // AtCertainty returns the matches with Score >= theta — the query-time

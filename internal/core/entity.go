@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/mfiblocks"
 	"repro/internal/names"
 	"repro/internal/record"
 )
@@ -63,14 +64,68 @@ type queryIndex struct {
 	// first and last are the name index: names.FoldKey of a first or last
 	// name -> the ranks carrying it.
 	first, last map[string][]int32
+	// blockIDs[blockAt[i]:blockAt[i+1]] are the indices into
+	// Blocking.Blocks of the kept blocks holding the record at position i
+	// of Collection.Records, ascending. Empty without a blocking result.
+	blockAt, blockIDs []int32
 }
 
 // noParent is above every node, so no cut admits it.
 const noParent = math.MaxInt32
 
 func (r *Resolution) queryIndex() *queryIndex {
-	r.queryOnce.Do(func() { r.queryIdx = newQueryIndex(r.Collection.Records, r.Matches) })
+	r.queryOnce.Do(func() {
+		r.queryIdx = newQueryIndex(r.Collection.Records, r.Matches)
+		if r.Blocking != nil {
+			r.queryIdx.blockAt, r.queryIdx.blockIDs = recordBlocks(r.Collection.Len(), r.Blocking.Blocks)
+		}
+	})
 	return r.queryIdx
+}
+
+// recordBlocks lists the blocks holding each of n records: the indices
+// into blocks of record i's, ascending, are ids[at[i]:at[i+1]]. Block
+// members are positions in the resolved collection.
+func recordBlocks(n int, blocks []*mfiblocks.Block) (at, ids []int32) {
+	at = make([]int32, n+1)
+	for _, b := range blocks {
+		for _, m := range b.Members {
+			at[m+1]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		at[i] += at[i-1]
+	}
+	ids = make([]int32, at[n])
+	next := slices.Clone(at[:n])
+	for k, b := range blocks {
+		for _, m := range b.Members {
+			ids[next[m]] = int32(k)
+			next[m]++
+		}
+	}
+	return at, ids
+}
+
+// blockScore is the best score of a block holding both the records at
+// positions ia and ib — their pair's blocking similarity — or 0 when no
+// block holds both: one merge of the two records' ascending block lists.
+func (ix *queryIndex) blockScore(blocks []*mfiblocks.Block, ia, ib int) float64 {
+	as := ix.blockIDs[ix.blockAt[ia]:ix.blockAt[ia+1]]
+	bs := ix.blockIDs[ix.blockAt[ib]:ix.blockAt[ib+1]]
+	best := 0.0
+	for len(as) > 0 && len(bs) > 0 {
+		switch {
+		case as[0] < bs[0]:
+			as = as[1:]
+		case as[0] > bs[0]:
+			bs = bs[1:]
+		default:
+			best = max(best, blocks[as[0]].Score)
+			as, bs = as[1:], bs[1:]
+		}
+	}
+	return best
 }
 
 // newQueryIndex ranks the records, indexes their names and builds the

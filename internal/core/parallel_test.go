@@ -72,42 +72,61 @@ func TestRunWorkerEquivalence(t *testing.T) {
 }
 
 // TestScorePairSpillMode is the regression test for /api/pair under
-// -spill-pairs: spilling never builds Blocking.PairScores, so ScorePair
-// must recover each candidate's block score from the lazy pair index
-// instead of silently reading 0 out of a nil map.
+// -spill-pairs: spilling never builds Blocking.PairScores, and a
+// candidate SameSrc or the classifier dropped has no ranked match, yet
+// ScorePair must answer every candidate exactly as the in-memory run
+// does — its block score the best kept block holding both reports.
 func TestScorePairSpillMode(t *testing.T) {
 	fx := newFixture(t, 200)
 	gen := fx.gen
-	opts := Options{Blocking: mfiblocks.NewConfig(), Geo: gen.Gaz, Preprocess: true, Gazetteer: gen.Gaz}
-	ref, err := Run(opts, gen.Collection)
+	model, err := TrainModel(adtree.NewTrainConfig(), fx.tags, gen.Collection, gen.Gaz, OmitMaybe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Blocking.SpillPairs = 64
-	res, err := Run(opts, gen.Collection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRunsEqual(t, "spill", ref, res)
-	if res.Blocking.PairScores != nil {
-		t.Fatal("spill run unexpectedly materialized PairScores")
-	}
-	n := len(res.Matches)
-	if n > 50 {
-		n = 50
-	}
-	for _, m := range res.Matches[:n] {
-		got, err := res.ScorePair(m.Pair.A, m.Pair.B)
+	base := Options{Blocking: mfiblocks.NewConfig(), Geo: gen.Gaz, Preprocess: true, Gazetteer: gen.Gaz, SameSrc: true}
+	withModel := base
+	withModel.Model, withModel.Classify = model, true
+	for _, cfg := range []struct {
+		name string
+		opts Options
+	}{{"samesrc", base}, {"model", withModel}} {
+		ref, err := Run(cfg.opts, gen.Collection)
 		if err != nil {
-			t.Fatalf("ScorePair(%v): %v", m.Pair, err)
+			t.Fatal(err)
 		}
-		if got != m {
-			t.Fatalf("ScorePair(%v) = %+v, ranked as %+v", m.Pair, got, m)
+		spilled := cfg.opts
+		spilled.Blocking.SpillPairs = 64
+		res, err := Run(spilled, gen.Collection)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// A pair blocking never proposed has no block score in either mode.
-	if m, err := res.ScorePair(res.Matches[0].Pair.A, -1); err == nil {
-		t.Fatalf("ScorePair with unknown report = %+v, want error", m)
+		assertRunsEqual(t, cfg.name, ref, res)
+		if res.Blocking.PairScores != nil {
+			t.Fatal("spill run unexpectedly materialized PairScores")
+		}
+		if ref.DiscardedSameSrc == 0 || len(ref.Matches) == len(ref.Blocking.Pairs) {
+			t.Fatalf("%s: no candidate was dropped, so every pair has a ranked match", cfg.name)
+		}
+		for _, p := range ref.Blocking.Pairs {
+			want, err := ref.ScorePair(p.A, p.B)
+			if err != nil {
+				t.Fatalf("%s: ScorePair(%v): %v", cfg.name, p, err)
+			}
+			if want.BlockScore != ref.Blocking.PairScores[p] {
+				t.Fatalf("%s: ScorePair(%v) block score %v, blocking scored it %v", cfg.name, p, want.BlockScore, ref.Blocking.PairScores[p])
+			}
+			if got, err := res.ScorePair(p.A, p.B); err != nil || got != want {
+				t.Fatalf("%s: spilled ScorePair(%v) = %+v, %v; in memory %+v", cfg.name, p, got, err, want)
+			}
+		}
+		for _, m := range res.Matches {
+			if got, err := res.ScorePair(m.Pair.A, m.Pair.B); err != nil || got != m {
+				t.Fatalf("%s: ScorePair(%v) = %+v, %v; ranked as %+v", cfg.name, m.Pair, got, err, m)
+			}
+		}
+		if m, err := res.ScorePair(res.Matches[0].Pair.A, -1); err == nil {
+			t.Fatalf("ScorePair with unknown report = %+v, want error", m)
+		}
 	}
 }
 

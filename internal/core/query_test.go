@@ -154,9 +154,9 @@ func TestSearchFindsDoctoredNames(t *testing.T) {
 }
 
 // TestQueryLayerConcurrent has 8 goroutines move the slider over 200
-// certainties, 150 of them with distinct prefixes, while 4 more call Search
-// and EntityOf on three hot ones; every answer must equal the
-// single-threaded one. Run it under -race.
+// certainties, 150 of them with distinct prefixes, while 4 more call
+// Search, EntityOf and ScorePair on three hot ones; every answer must
+// equal the single-threaded one. Run it under -race.
 func TestQueryLayerConcurrent(t *testing.T) {
 	res := queryFixture(t, 1, 300, true)
 	thetas := distinctCertainties(t, res, 150)
@@ -165,12 +165,14 @@ func TestQueryLayerConcurrent(t *testing.T) {
 	}
 	hot := []float64{thetas[10], thetas[40], thetas[70]}
 	book := res.Collection.Records[5].BookID
+	pair := res.Matches[len(res.Matches)/2].Pair
 	query := sweepQueries(res, 0)[0]
 
 	type answer struct {
 		entities, multi int
 		of              *Entity
 		hits            []*Entity
+		pair            RankedMatch
 	}
 	move := func(theta float64) (a answer) {
 		a.entities, a.multi = res.EntityCounts(theta)
@@ -182,6 +184,7 @@ func TestQueryLayerConcurrent(t *testing.T) {
 		q.Certainty = theta
 		a.hits = res.Search(q)
 		a.of, _ = res.EntityOf(book, theta)
+		a.pair, _ = res.ScorePair(pair.A, pair.B)
 		return a
 	}
 	wantMove, wantRead := make(map[float64]answer), make(map[float64]answer)

@@ -6,7 +6,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mfiblocks"
 	"repro/internal/telemetry"
@@ -119,5 +122,100 @@ func TestRunReportShape(t *testing.T) {
 	}
 	if rep.Scoring.Scores == nil || rep.Scoring.Scores.Count != int64(len(res.Matches)) {
 		t.Errorf("Scoring.Scores = %+v, want count %d", rep.Scoring.Scores, len(res.Matches))
+	}
+}
+
+// TestPublishedFamiliesMatchReport: the registry view of a run is derived
+// from its report — every family equals a report field, and no other
+// family exists. A spilled run publishes the distinct candidate count
+// as mfiblocks_pairs_total, exactly as the in-memory run does.
+func TestPublishedFamiliesMatchReport(t *testing.T) {
+	fx := newFixture(t, 200)
+	for _, spill := range []int{0, 64} {
+		reg := telemetry.NewRegistry()
+		opts := Options{
+			Blocking:   mfiblocks.NewConfig(),
+			Geo:        fx.gen.Gaz,
+			Preprocess: true,
+			Gazetteer:  fx.gen.Gaz,
+			SameSrc:    true,
+			Metrics:    reg,
+		}
+		opts.Blocking.SpillPairs = spill
+		res, err := Run(opts, fx.gen.Collection)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := res.Report
+		br, sr := rep.Blocking, rep.Scoring
+		var mfis, cs, ng int
+		for _, it := range br.Iterations {
+			mfis += it.MFIs
+			cs += it.CSPruned
+			ng += it.NGPruned
+		}
+		want := map[string]float64{
+			"core_runs_total":               1,
+			"core_candidate_pairs_total":    float64(sr.Candidates),
+			"core_matches_total":            float64(sr.Matches),
+			"core_samesrc_dropped_total":    float64(sr.SameSrcDropped),
+			"core_model_dropped_total":      float64(sr.ModelDropped),
+			"core_score_distribution_sum":   sr.Scores.Sum,
+			"core_score_distribution_count": float64(sr.Scores.Count),
+			"mfiblocks_iterations_total":    float64(len(br.Iterations)),
+			"mfiblocks_mfis_total":          float64(mfis),
+			"mfiblocks_blocks_total":        float64(br.Blocks),
+			"mfiblocks_pairs_total":         float64(br.Pairs),
+			"mfiblocks_cs_pruned_total":     float64(cs),
+			"mfiblocks_ng_pruned_total":     float64(ng),
+		}
+		for i, b := range sr.Scores.Bounds {
+			want[`core_score_distribution_bucket{le="`+strconv.FormatFloat(b, 'g', -1, 64)+`"}`] = float64(sr.Scores.Cumulative[i])
+		}
+		want[`core_score_distribution_bucket{le="+Inf"}`] = float64(sr.Scores.Count)
+		for _, s := range rep.Stages {
+			want[`core_stage_seconds_count{stage="`+s.Name+`"}`] = 1
+			want[`core_stage_seconds_sum{stage="`+s.Name+`"}`] = time.Duration(s.DurationNS).Seconds()
+		}
+		if br.Pairs != sr.Candidates || (spill == 0 && br.Pairs != len(res.Blocking.Pairs)) {
+			t.Fatalf("spill=%d: report pairs %d, candidates %d", spill, br.Pairs, sr.Candidates)
+		}
+
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		families := map[string]bool{}
+		seen := 0
+		for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+			if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				families[strings.Fields(f)[0]] = true
+				continue
+			}
+			sp := strings.LastIndex(line, " ")
+			series, raw := line[:sp], line[sp+1:]
+			if strings.HasPrefix(series, "core_stage_seconds_bucket{") {
+				continue // one observation each: _count and _sum pin it
+			}
+			v, err := strconv.ParseFloat(raw, 64)
+			if err != nil {
+				t.Fatalf("bad sample %q: %v", line, err)
+			}
+			w, ok := want[series]
+			if !ok {
+				t.Errorf("spill=%d: unexpected series %s", spill, line)
+				continue
+			}
+			if v != w {
+				t.Errorf("spill=%d: %s = %v, the report says %v", spill, series, v, w)
+			}
+			seen++
+		}
+		if seen != len(want) {
+			t.Errorf("spill=%d: %d of %d expected series published", spill, seen, len(want))
+		}
+		if len(families) != 13 || !families["core_stage_seconds"] || !families["core_score_distribution"] {
+			t.Errorf("spill=%d: families %v, want the 13 derived from the report", spill, families)
+		}
 	}
 }

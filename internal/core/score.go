@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/features"
 	"repro/internal/mfiblocks"
@@ -141,7 +140,7 @@ const scoreChunkSize = 512
 // over (score, pair), so ranking erases whatever order the source and the
 // workers produced — an (A, B)-sorted merge and a first-seen slice, one
 // worker or eight, all rank identically.
-func scoreCandidates(opts *Options, work *record.Collection, src candidateSource, cache *features.ProfileCache, workers int, reg *telemetry.Registry, sp *trace.Span) (total scoreResult, err error) {
+func scoreCandidates(opts *Options, work *record.Collection, src candidateSource, cache *features.ProfileCache, workers int, sp *trace.Span) (total scoreResult, err error) {
 	defer func() {
 		if cerr := src.close(); err == nil {
 			err = cerr
@@ -150,22 +149,16 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 
 	var profs []*features.Profile
 	if opts.Model != nil {
-		t0 := time.Now()
 		psp := sp.Child("profile_build", trace.WithKind(trace.KindSetup)).
 			Attr("records", int64(work.Len()))
 		profs = cache.Build(work, workers)
 		psp.End()
-		reg.Timer("core_profile_build_seconds").Observe(time.Since(t0))
 	}
 	ex := cache.Extractor()
 
-	// Shared instruments are touched once per chunk, and the per-pair
-	// score distribution is merged once per worker, so the hot loop never
-	// contends on a shared cache line.
+	// The per-pair score distribution is merged once per worker, so the
+	// hot loop never contends on a shared cache line.
 	total.scores = telemetry.NewHistogram(telemetry.ScoreBuckets)
-	chunkTimer := reg.Timer("core_score_chunk_seconds")
-	chunkCounter := reg.Counter("core_score_chunks_total")
-	pairCounter := reg.Counter("core_scored_pairs_total")
 
 	var mu sync.Mutex // guards err and total
 	worker := func(w int) {
@@ -191,7 +184,6 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 			if n == 0 {
 				break
 			}
-			tc := time.Now()
 			for i := range buf[:n] {
 				c := &buf[i]
 				ia, ib := work.Index(c.pair.A), work.Index(c.pair.B)
@@ -219,9 +211,6 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 			}
 			local.candidates += n
 			local.chunks++
-			chunkTimer.Observe(time.Since(tc))
-			chunkCounter.Inc()
-			pairCounter.Add(int64(n))
 			opts.Progress.Add(int64(n))
 		}
 		wsp.Attr("pairs", int64(local.candidates)).End()
@@ -268,7 +257,7 @@ func ScoreCandidates(opts Options, work *record.Collection, blk *mfiblocks.Resul
 	cache := features.NewProfileCache(features.NewExtractor(opts.Geo))
 	src := &pairSlice{pairs: blk.Pairs, scores: blk.PairScores}
 	// An in-memory candidate slice cannot fail.
-	st, _ := scoreCandidates(&opts, work, src, cache, opts.workers(), opts.metrics(), nil)
+	st, _ := scoreCandidates(&opts, work, src, cache, opts.workers(), nil)
 	sortMatches(st.matches)
 	return st.matches
 }

@@ -141,7 +141,7 @@ func TestScorerSourceError(t *testing.T) {
 		baseline := runtime.NumGoroutine()
 		src := &failingSource{pair: pair}
 		cache := features.NewProfileCache(features.NewExtractor(nil))
-		_, err := scoreCandidates(&opts, work, src, cache, workers, telemetry.NewRegistry(), nil)
+		_, err := scoreCandidates(&opts, work, src, cache, workers, nil)
 		if !errors.Is(err, errSourceBroke) {
 			t.Errorf("workers=%d: err = %v, want the source's error", workers, err)
 		}

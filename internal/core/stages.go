@@ -8,12 +8,10 @@ import (
 )
 
 // stageRunner executes the pipeline's stages, landing each one's wall
-// clock and counters in both the metrics registry and the run report —
-// and, when the run is traced, opening one KindStage span per stage
-// under the run's root span. The stage list is the execution order and
-// golden tests key on it.
+// clock and counters in the run report — and, when the run is traced,
+// opening one KindStage span per stage under the run's root span. The
+// stage list is the execution order and golden tests key on it.
 type stageRunner struct {
-	reg    *telemetry.Registry
 	report *telemetry.RunReport
 	// root is the run's root span (nil when tracing is disabled); every
 	// stage span is its child.
@@ -34,9 +32,6 @@ func (s *stageRunner) run(name string, fn func(sp *trace.Span) (map[string]int64
 		return err
 	}
 	sp.Attrs(counters).End()
-	d := time.Since(t0)
-	s.reg.Timer("core_stage_seconds", telemetry.L("stage", name)).Observe(d)
-	s.report.AddStage(name, d, counters)
-	telemetry.Log().Debug("core stage done", "stage", name, "elapsed", d)
+	s.report.AddStage(name, time.Since(t0), counters)
 	return nil
 }

@@ -94,8 +94,7 @@ func runPipeline(opts StreamOptions, src RecordSource) (*Resolution, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	reg := opts.metrics()
-	wireDefaults(&opts.Options, reg)
+	wireDefaults(&opts.Options)
 	report := &telemetry.RunReport{
 		SchemaVersion: telemetry.ReportSchemaVersion,
 		Workers:       opts.workers(),
@@ -104,7 +103,7 @@ func runPipeline(opts StreamOptions, src RecordSource) (*Resolution, error) {
 	// trees stay identical across fan-out configurations; records is
 	// attached once the ingest count is known.
 	root := opts.Trace.StartSpan(nil, "run", trace.WithKind(trace.KindRun))
-	stages := &stageRunner{reg: reg, report: report, root: root}
+	stages := &stageRunner{report: report, root: root}
 
 	corpus := &mfiblocks.Corpus{Dict: record.NewDictionary()}
 	var kept []*record.Record
@@ -177,5 +176,5 @@ func runPipeline(opts StreamOptions, src RecordSource) (*Resolution, error) {
 		return nil, err
 	}
 
-	return resolve(&opts.Options, reg, report, stages, work, blk)
+	return resolve(&opts.Options, report, stages, work, blk)
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 )
 
 func benchTxns(n, universe, maxLen int) [][]int {
@@ -105,7 +104,7 @@ func BenchmarkMaximalMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.finishMaximal(nil, stores, order, time.Now())
+		m.finishMaximal(nil, stores, order)
 	}
 }
 

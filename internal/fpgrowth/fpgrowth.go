@@ -19,9 +19,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"time"
 
-	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
 
@@ -45,9 +43,6 @@ type Miner struct {
 	// Pruned items are excluded from mining entirely (the paper prunes
 	// the most frequent .03% of items).
 	pruned []bool
-	// Metrics, when set, receives tree-build and mining timings plus
-	// mined-itemset counts (fpgrowth_* families). Nil disables.
-	Metrics *telemetry.Registry
 	// Trace, when set, parents the per-call tree-build/mine spans and
 	// the per-worker fan-out spans. Callers that mine repeatedly (the
 	// MFIBlocks minsup loop) re-point it at each iteration's span; nil
@@ -110,10 +105,7 @@ func (m *Miner) Mine(minsup int, active []int) ([]Itemset, error) {
 	if minsup < 1 {
 		minsup = 1
 	}
-	t0 := time.Now()
 	tree, order := m.buildFlatTree(minsup, active, nil)
-	m.Metrics.Timer(telemetry.FamilyFPGrowthTreeBuild).Observe(time.Since(t0))
-	t1 := time.Now()
 	var out []Itemset
 	ctx := newMineCtx(order, minsup)
 	if err := ctx.mineTree(tree, 0, &out); err != nil {
@@ -122,8 +114,6 @@ func (m *Miner) Mine(minsup int, active []int) ([]Itemset, error) {
 	for i := range out {
 		sort.Ints(out[i].Items)
 	}
-	m.Metrics.Timer(telemetry.FamilyFPGrowthMine).Observe(time.Since(t1))
-	m.Metrics.Counter("fpgrowth_itemsets_total").Add(int64(len(out)))
 	return out, nil
 }
 

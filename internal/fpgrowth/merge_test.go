@@ -6,9 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
-	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
 
@@ -98,7 +96,7 @@ func TestCrossStoreMergeMatchesSweep(t *testing.T) {
 				stores, order := minedStores(m, minsup)
 				want := sweepStores(stores, order)
 				for run := 0; run < 2; run++ {
-					if got := m.finishMaximal(nil, stores, order, time.Now()); !reflect.DeepEqual(got, want) {
+					if got := m.finishMaximal(nil, stores, order); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s run %d: cross-store merge kept %d sets, the sweep %d", name, run, len(got), len(want))
 					}
 				}
@@ -123,13 +121,33 @@ func TestCrossStoreMergeMatchesSweep(t *testing.T) {
 	}
 }
 
+// mergeSpans runs mine — calls through m — under a fresh tracer and
+// returns the maximal_merge span of every call, in call order.
+func mergeSpans(m *Miner, mine func()) []*trace.Node {
+	tr := trace.New()
+	root := tr.StartSpan(nil, "test")
+	m.Trace = root
+	mine()
+	root.End()
+	var merges []*trace.Node
+	for _, mine := range tr.Tree(trace.Full).Roots[0].Children {
+		for _, c := range mine.Children {
+			if c.Name == "maximal_merge" {
+				merges = append(merges, c)
+			}
+		}
+	}
+	return merges
+}
+
 // TestConditionalTreeBuiltOnlyOnMiss pins the count-first order of
 // mineItem on a fixed fixture mined serially: a conditional tree is taken
 // from the pool only for the header items whose head-union-tail test
-// missed. The MFI count and hash were recorded at the commit that still
-// built a tree for every header item (and threw 81% of them away here),
-// and held when closure folding took 29,396 visits and 5,695 misses down
-// to the goldens below.
+// missed, as the maximal_merge span's header_items and cond_trees attrs
+// count them. The MFI count and hash were recorded at the commit that
+// still built a tree for every header item (and threw 81% of them away
+// here), and held when closure folding took 29,396 visits and 5,695
+// misses down to the goldens below.
 func TestConditionalTreeBuiltOnlyOnMiss(t *testing.T) {
 	const (
 		goldenVisited = 23022
@@ -139,8 +157,8 @@ func TestConditionalTreeBuiltOnlyOnMiss(t *testing.T) {
 	)
 	m := NewMiner(denseTxns(29, 600, 100, 48))
 	m.Workers = 1
-	m.Metrics = telemetry.NewRegistry()
-	got := m.MineMaximal(2, nil)
+	var got []Itemset
+	merges := mergeSpans(m, func() { got = m.MineMaximal(2, nil) })
 	h := fnv.New64a()
 	for _, s := range got {
 		fmt.Fprintln(h, s.Items, s.Support)
@@ -148,10 +166,13 @@ func TestConditionalTreeBuiltOnlyOnMiss(t *testing.T) {
 	if len(got) != goldenMFIs || h.Sum64() != goldenHash {
 		t.Fatalf("mined %d MFIs hashing to %#x, golden is %d and %#x", len(got), h.Sum64(), goldenMFIs, uint64(goldenHash))
 	}
-	if v := m.Metrics.Counter("fpgrowth_header_items_total").Value(); v != goldenVisited {
+	if len(merges) != 1 {
+		t.Fatalf("%d maximal_merge spans for one call", len(merges))
+	}
+	if v := merges[0].Attrs["header_items"]; v != goldenVisited {
 		t.Fatalf("visited %d header items, golden is %d", v, goldenVisited)
 	}
-	if trees := m.Metrics.Counter("fpgrowth_cond_trees_total").Value(); trees != goldenMisses {
+	if trees := merges[0].Attrs["cond_trees"]; trees != goldenMisses {
 		t.Fatalf("took %d conditional trees, golden is %d focus misses", trees, goldenMisses)
 	}
 }
@@ -181,35 +202,20 @@ func TestClosureFolds(t *testing.T) {
 	}
 }
 
-// TestMergeTimedOncePerCall: fpgrowth_merge_seconds is observed once per
-// mining call at every worker count — the lone-store call included — and
-// each call hangs one maximal_merge span under its mine span.
+// TestMergeTimedOncePerCall: every mining call at every worker count —
+// the lone-store call included — hangs one maximal_merge span under its
+// mine span.
 func TestMergeTimedOncePerCall(t *testing.T) {
 	txns := equivTxns(11, 300, 150, 10)
 	for _, workers := range []int{1, 2} {
 		m := NewMiner(txns)
 		m.Workers = workers
-		m.Metrics = telemetry.NewRegistry()
-		tr := trace.New()
-		root := tr.StartSpan(nil, "test")
-		m.Trace = root
-		m.MineMaximal(3, nil)
-		m.MineMaximal(2, nil)
-		root.End()
-		hist := m.Metrics.Histogram(telemetry.FamilyFPGrowthMerge, telemetry.DurationBuckets).Snapshot()
-		if hist.Count != 2 {
-			t.Fatalf("workers=%d: merge timer observed %d times over 2 calls", workers, hist.Count)
-		}
-		merges := 0
-		for _, mine := range tr.Tree(trace.Full).Roots[0].Children {
-			for _, c := range mine.Children {
-				if c.Name == "maximal_merge" {
-					merges++
-				}
-			}
-		}
-		if merges != 2 {
-			t.Fatalf("workers=%d: %d maximal_merge spans under 2 mine spans", workers, merges)
+		merges := mergeSpans(m, func() {
+			m.MineMaximal(3, nil)
+			m.MineMaximal(2, nil)
+		})
+		if len(merges) != 2 {
+			t.Fatalf("workers=%d: %d maximal_merge spans under 2 mine spans", workers, len(merges))
 		}
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
 
@@ -41,17 +39,14 @@ func (m *Miner) mineMaximal(minsup int, active []int, freq []int) []Itemset {
 	if minsup < 1 {
 		minsup = 1
 	}
-	t0 := time.Now()
 	// KindSetup: node and item counts describe the build, not the mined
 	// workload.
 	tsp := m.Trace.Child("tree_build", trace.WithKind(trace.KindSetup))
 	tree, order := m.buildFlatTree(minsup, active, freq)
 	tsp.Attr("nodes", int64(len(tree.item)-1)).Attr("items", int64(len(order))).End()
-	m.Metrics.Timer(telemetry.FamilyFPGrowthTreeBuild).Observe(time.Since(t0))
-	t1 := time.Now()
 	msp := m.Trace.Child("mine", trace.WithKind(trace.KindOp)).Attr("minsup", int64(minsup))
 	defer msp.End()
-	return m.finishMaximal(msp, m.mineTops(msp, tree, order, minsup), order, t1)
+	return m.finishMaximal(msp, m.mineTops(msp, tree, order, minsup), order)
 }
 
 // mergeChunk bounds the sets one merge task checks and translates.
@@ -68,18 +63,28 @@ const mergeChunk = 512
 // lone store has nothing to be checked against. Survivors are gathered in
 // store order and leave through the canonical sort: bit-identical MFIs
 // for every worker count.
-func (m *Miner) finishMaximal(msp *trace.Span, stores []*mfiStore, order []int, t1 time.Time) []Itemset {
-	t2 := time.Now()
+//
+// The merge span carries the mining call's header-item and
+// conditional-tree totals: 1 − trees ÷ items is the share of header items
+// head-union-tail pruning cut.
+func (m *Miner) finishMaximal(msp *trace.Span, stores []*mfiStore, order []int) []Itemset {
 	type task struct{ store, lo int }
 	var tasks []task
+	var visited, trees int64
 	for si, s := range stores {
 		for lo := 0; lo < len(s.sets); lo += mergeChunk {
 			tasks = append(tasks, task{si, lo})
 		}
+		visited += s.visited
+		trees += s.trees
 	}
-	// KindSetup: how many stores there are to reconcile is fan-out
-	// configuration, not workload.
-	gsp := msp.Child("maximal_merge", trace.WithKind(trace.KindSetup)).Attr("stores", int64(len(stores)))
+	// KindSetup: how many stores there are to reconcile, and so how much
+	// each worker's store could prune, is fan-out configuration, not
+	// workload.
+	gsp := msp.Child("maximal_merge", trace.WithKind(trace.KindSetup)).
+		Attr("stores", int64(len(stores))).
+		Attr("header_items", visited).
+		Attr("cond_trees", trees)
 	parts := make([][]Itemset, len(tasks))
 	var next atomic.Int64
 	run := func() {
@@ -113,10 +118,7 @@ func (m *Miner) finishMaximal(msp *trace.Span, stores []*mfiStore, order []int, 
 	wg.Wait()
 	out := slices.Concat(parts...)
 	gsp.Attr("survivors", int64(len(out))).End()
-	m.Metrics.Timer(telemetry.FamilyFPGrowthMerge).Observe(time.Since(t2))
 	sortCanonical(out)
-	m.Metrics.Timer(telemetry.FamilyFPGrowthMine).Observe(time.Since(t1))
-	m.Metrics.Counter("fpgrowth_mfis_total").Add(int64(len(out)))
 	msp.Attr("mfis", int64(len(out)))
 	return out
 }
@@ -148,7 +150,6 @@ func (m *Miner) mineTops(parent *trace.Span, tree *flatTree, order []int, minsup
 	// another. Each worker keeps the serial deepest-first order within
 	// its share, preserving most of the store's pruning power.
 	workers := max(min(m.workers(), len(top)), 1)
-	m.Metrics.Gauge(telemetry.FamilyFPGrowthWorkers).Set(float64(workers))
 	stores := make([]*mfiStore, workers)
 	mine := func(w int) {
 		ctx := newMineCtx(order, minsup)
@@ -156,9 +157,8 @@ func (m *Miner) mineTops(parent *trace.Span, tree *flatTree, order []int, minsup
 		for i := w; i < len(top); i += workers {
 			ctx.mineItem(tree, top[i], 0)
 		}
+		ctx.store.visited, ctx.store.trees = ctx.visited, ctx.trees
 		stores[w] = ctx.store
-		m.Metrics.Counter("fpgrowth_header_items_total").Add(ctx.visited)
-		m.Metrics.Counter("fpgrowth_cond_trees_total").Add(ctx.trees)
 	}
 	if workers == 1 {
 		mine(0)
@@ -293,6 +293,8 @@ type mfiStore struct {
 	suffix  []int32   // the focused groups, depth 0 first, each ascending
 	ends    []int     // ends[d]: end of depth d's group in suffix
 	lists   [][]int32 // lists[d], d >= 1: indices of the sets containing suffix[:ends[d-1]]
+
+	visited, trees int64 // header items mined and conditional trees taken filling it
 }
 
 // newMFIStore returns an empty store over ranks [0, nRanks) — the

@@ -75,8 +75,10 @@ type Config struct {
 	// the system temp directory. Run files are unlinked at creation, so a
 	// crash leaves nothing behind.
 	SpillDir string
-	// Metrics receives blocking-stage counters and timings (mfiblocks_*
-	// and fpgrowth_* families); nil falls back to telemetry.Default().
+	// Metrics has no effect: the blocking stage writes no registry (core
+	// derives the mfiblocks_* families from the run report). It remains
+	// only because benchmark/workloads.go:181 assigns it; ROADMAP 1(a)
+	// deletes it.
 	Metrics *telemetry.Registry
 	// Trace, when set, parents the blocking stage's per-iteration and
 	// miner spans. Nil traces nothing.
@@ -130,14 +132,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("mfiblocks: SpillPairs must be >= 0, got %d", c.SpillPairs)
 	}
 	return nil
-}
-
-// metrics resolves the registry blocking telemetry lands in.
-func (c *Config) metrics() *telemetry.Registry {
-	if c.Metrics != nil {
-		return c.Metrics
-	}
-	return telemetry.Default()
 }
 
 func (c *Config) workers() int {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/fpgrowth"
 	"repro/internal/record"
 	"repro/internal/spill"
-	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
 
@@ -86,12 +85,10 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 	if cfg.ExpertSim && corpus.Records == nil {
 		return nil, fmt.Errorf("mfiblocks: ExpertSim requires corpus records")
 	}
-	reg := cfg.metrics()
 	n := corpus.Len()
 	dict := corpus.Dict
 	txns := corpus.Txns
 	miner := fpgrowth.NewMinerTxns(txns)
-	miner.Metrics = reg
 	miner.Workers = cfg.Workers
 	if cfg.PruneFraction > 0 {
 		miner.Prune(dict.MostFrequent(cfg.PruneFraction))
@@ -213,20 +210,6 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 		iterSpan.Attr("cs_pruned", int64(stats.CSPruned)).
 			Attr("ng_pruned", int64(stats.NGPruned)).
 			End()
-
-		reg.Counter("mfiblocks_iterations_total").Inc()
-		reg.Counter("mfiblocks_mfis_total").Add(int64(stats.MFIs))
-		reg.Counter("mfiblocks_blocks_total").Add(int64(stats.Blocks))
-		reg.Counter("mfiblocks_pairs_total").Add(int64(stats.NewPairs))
-		reg.Counter("mfiblocks_cs_pruned_total").Add(int64(stats.CSPruned))
-		reg.Counter("mfiblocks_ng_pruned_total").Add(int64(stats.NGPruned))
-		reg.Gauge("mfiblocks_covered_records").Set(float64(coveredCount))
-		reg.Timer("mfiblocks_iteration_seconds").Observe(stats.Elapsed)
-		telemetry.Log().Debug("mfiblocks iteration",
-			"minsup", minsup, "mfis", stats.MFIs, "blocks", stats.Blocks,
-			"cs_pruned", stats.CSPruned, "ng_pruned", stats.NGPruned,
-			"new_pairs", stats.NewPairs, "covered", coveredCount, "of", n,
-			"min_th", iterTh, "elapsed", stats.Elapsed)
 		if emit != nil && emit.failed.Load() {
 			break // stop mining; wait() below surfaces the write error
 		}
@@ -237,11 +220,9 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 			return nil, err
 		}
 		// The emitter owned the first-seen accounting; fold it back into
-		// the per-iteration stats and the pair counter now that every
-		// sink.Add has happened.
+		// the per-iteration stats now that every sink.Add has happened.
 		for i, np := range emit.newPairs {
 			res.Iterations[i].NewPairs = np
-			reg.Counter("mfiblocks_pairs_total").Add(int64(np))
 		}
 	}
 	return res, nil

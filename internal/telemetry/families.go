@@ -16,31 +16,3 @@ const (
 	// handler exceeded the per-request deadline, labeled by route.
 	FamilyHTTPTimeouts = "http_timeouts_total"
 )
-
-// Blocking-engine families (fpgrowth_*): the miner reports per-call tree
-// construction and mining wall clock, the worker fan-out width, and the
-// cost of the deterministic merge of worker-local MFI stores.
-const (
-	// FamilyFPGrowthTreeBuild times one flat FP-tree construction
-	// (frequency ordering plus transaction insertion).
-	FamilyFPGrowthTreeBuild = "fpgrowth_tree_build_seconds"
-	// FamilyFPGrowthMine times one full mining call (fan-out, merge, and
-	// maximality sweep included for MineMaximal).
-	FamilyFPGrowthMine = "fpgrowth_mine_seconds"
-	// FamilyFPGrowthMerge times the maximality merge of the worker-local
-	// MFI stores (cross-store check plus translation to item ids), once
-	// per MineMaximal call at every worker count.
-	FamilyFPGrowthMerge = "fpgrowth_merge_seconds"
-	// FamilyFPGrowthWorkers gauges the worker count the last MineMaximal
-	// fanned its top-level items out to (after clamping to the item
-	// count).
-	FamilyFPGrowthWorkers = "fpgrowth_workers"
-)
-
-// Scoring-kernel families (features_*): the string interner backing the
-// profiled extraction path.
-const (
-	// FamilyInternedStrings gauges the distinct strings (q-grams and
-	// lowered name values) the extractor interned for its profiles.
-	FamilyInternedStrings = "features_interned_strings"
-)

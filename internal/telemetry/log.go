@@ -2,17 +2,16 @@ package telemetry
 
 import (
 	"context"
-	"io"
 	"log/slog"
 	"os"
 	"sync/atomic"
 )
 
-// The package-level logger: pipeline stages log through L() so one
+// The package-level logger: the HTTP server logs through Log() so one
 // switch controls the whole process. The default writes slog text to
-// stderr at Info; SetVerbose(true) (the CLIs' -v flag) drops the level
-// to Debug, where per-iteration and per-stage chatter lives; Silence()
-// (tests) discards everything.
+// stderr at Info; SetVerbose(true) (yvserve's -v flag) drops the level
+// to Debug, where the per-request lines live; Silence() discards
+// everything.
 
 var (
 	logLevel  = new(slog.LevelVar) // defaults to Info
@@ -25,14 +24,6 @@ func init() {
 
 // Log returns the current package logger. It never returns nil.
 func Log() *slog.Logger { return curLogger.Load() }
-
-// SetLogger replaces the package logger; nil restores the default.
-func SetLogger(l *slog.Logger) {
-	if l == nil {
-		l = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel}))
-	}
-	curLogger.Store(l)
-}
 
 // SetVerbose toggles Debug-level logging on the default handler.
 func SetVerbose(v bool) {
@@ -59,9 +50,3 @@ func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false 
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
 func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
-
-// NewWriterLogger returns a text logger to w at the package level —
-// the CLIs use it to route -v output somewhere other than stderr.
-func NewWriterLogger(w io.Writer) *slog.Logger {
-	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: logLevel}))
-}

@@ -1,9 +1,8 @@
 // Package telemetry is the repo's dependency-free observability core:
-// atomic counters, gauges, and fixed-bucket histograms collected in a
-// Registry (rendered as Prometheus text by WritePrometheus), stage
-// timers, a package-level structured logger (log/slog), and the
-// JSON-serializable RunReport the pipeline attaches to every
-// Resolution.
+// the JSON-serializable RunReport the pipeline attaches to every
+// Resolution, atomic counters, gauges, and fixed-bucket histograms
+// collected in a Registry (rendered as Prometheus text by
+// WritePrometheus), and the server's structured logger (log/slog).
 //
 // Metric families follow the Prometheus naming scheme
 // <subsystem>_<what>_<unit>: counters end in _total, duration
@@ -198,14 +197,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Bounds returns the histogram's upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return append([]float64(nil), h.bounds...)
-}
-
 // DurationBuckets is the default layout for stage and request timers,
 // in seconds: 100µs up to ~2 minutes.
 var DurationBuckets = []float64{
@@ -218,15 +209,6 @@ var DurationBuckets = []float64{
 // live in [0,1].
 var ScoreBuckets = []float64{
 	-5, -2, -1, -0.5, -0.25, 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1, 1.5, 2, 5,
-}
-
-// LinearBuckets returns count bounds start, start+width, ...
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + width*float64(i)
-	}
-	return out
 }
 
 // metricKind discriminates registry entries for rendering.
@@ -265,9 +247,9 @@ func NewRegistry() *Registry {
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry. Pipeline stages fall back
-// to it when no registry is configured, so CLIs and the server observe
-// metrics without any wiring.
+// Default returns the process-wide registry. core.Run and the server
+// fall back to it when no registry is configured, so a server's
+// /metrics shows its resolution's families without any wiring.
 func Default() *Registry { return defaultRegistry }
 
 // seriesKey renders the unique key of a family + label set.

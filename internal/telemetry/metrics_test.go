@@ -108,24 +108,24 @@ func TestNilRegistrySafe(t *testing.T) {
 	r.Gauge("b").Set(1)
 	r.Histogram("c", DurationBuckets).Observe(1)
 	r.Timer("d").Observe(time.Second)
-	stop := r.Timer("e").Start()
-	stop()
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
 		t.Errorf("nil registry rendered %q, err %v", sb.String(), err)
 	}
-	_ = r.Snapshot()
 }
 
 func TestTimerObserves(t *testing.T) {
 	r := NewRegistry()
 	tm := r.Timer("op_seconds")
 	tm.Observe(50 * time.Millisecond)
-	stop := tm.Start()
-	stop()
+	r.Timer("op_seconds").Observe(3 * time.Second)
 	s := r.Histogram("op_seconds", DurationBuckets).Snapshot()
-	if s.Count != 2 {
-		t.Errorf("timer count = %d, want 2", s.Count)
+	if s.Count != 2 || s.Sum != 3.05 {
+		t.Errorf("timer count = %d, sum = %v, want 2 and 3.05", s.Count, s.Sum)
+	}
+	// 50ms lands in the le=0.05 bucket, 3s in le=5.
+	if s.Cumulative[8] != 1 || s.Cumulative[14] != 2 {
+		t.Errorf("timer cumulative = %v", s.Cumulative)
 	}
 }
 
@@ -148,7 +148,6 @@ func TestRegistryConcurrent(t *testing.T) {
 					if err := r.WritePrometheus(&sb); err != nil {
 						t.Error(err)
 					}
-					_ = r.Snapshot()
 				}
 			}
 		}(w)

@@ -188,20 +188,3 @@ func TestLabelEscapingRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestSnapshotJSONKeys(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total").Inc()
-	r.Gauge("b").Set(4)
-	r.Histogram("c", []float64{1}).Observe(0.5)
-	snap := r.Snapshot()
-	if snap.Counters["a_total"] != 1 {
-		t.Errorf("snapshot counters = %+v", snap.Counters)
-	}
-	if snap.Gauges["b"] != 4 {
-		t.Errorf("snapshot gauges = %+v", snap.Gauges)
-	}
-	if h, ok := snap.Histograms["c"]; !ok || h.Count != 1 {
-		t.Errorf("snapshot histograms = %+v", snap.Histograms)
-	}
-}

@@ -14,11 +14,13 @@ import (
 const ReportSchemaVersion = 4
 
 // RunReport is the JSON-serializable per-stage breakdown of one
-// pipeline run. core.Run attaches one to every Resolution; the server
-// exposes it at /api/report and the CLIs write it with -report.
+// pipeline run, and with its span tree the run's only record: core.Run
+// attaches one to every Resolution and derives the run's registry
+// families from it; the server exposes it at /api/report and yver
+// writes it with -report.
 //
-// Stage order is the execution order (preprocess, blocking, scoring,
-// rank) and is stable across runs — golden tests key on it.
+// Stage order is the execution order (ingest, blocking, scoring, rank)
+// and is stable across runs — golden tests key on it.
 type RunReport struct {
 	SchemaVersion int `json:"schema_version"`
 	Records       int `json:"records"`

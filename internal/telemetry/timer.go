@@ -24,14 +24,3 @@ func (t *Timer) Observe(d time.Duration) {
 	}
 	t.h.Observe(d.Seconds())
 }
-
-// Start begins a timing; the returned stop function records the elapsed
-// duration (and returns it, for callers that also want the raw value).
-func (t *Timer) Start() func() time.Duration {
-	t0 := time.Now()
-	return func() time.Duration {
-		d := time.Since(t0)
-		t.Observe(d)
-		return d
-	}
-}

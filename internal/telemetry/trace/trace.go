@@ -54,8 +54,8 @@ type Kind uint8
 const (
 	// KindRun is the root span of one pipeline run.
 	KindRun Kind = iota
-	// KindStage is one pipeline stage (ingest, preprocess, blocking,
-	// scoring, rank).
+	// KindStage is one pipeline stage (ingest, blocking, scoring,
+	// rank).
 	KindStage
 	// KindIteration is one minsup level of the MFIBlocks loop.
 	KindIteration
