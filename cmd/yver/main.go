@@ -11,8 +11,9 @@
 //	     [-spill-pairs n] [-stream] [-trace-out t.json] [-progress]
 //
 // -workers bounds the blocking and scoring goroutines and -spill-pairs
-// bounds the in-memory candidate window (overflow merges through sorted
-// disk runs); neither changes the ranked output by a bit.
+// caps the candidate pairs held in memory (0 = spill.DefaultCap, 4Mi;
+// past the cap they merge through sorted disk runs); neither changes the
+// ranked output by a bit.
 // -stream reads a .yvst store through the windowed reader and resolves
 // it with the bounded-memory streaming pipeline — records are encoded as
 // they arrive and dropped unless a flag (model, search, clusters) needs
@@ -50,7 +51,7 @@ func main() {
 	last := flag.String("last", "", "search: last name")
 	modelPath := flag.String("model", "", "trained ADTree model (from yvtrain); enables classification")
 	workers := flag.Int("workers", 0, "blocking and pair-scoring workers (0 = GOMAXPROCS, 1 = serial)")
-	spillPairs := flag.Int("spill-pairs", 0, "spill candidate pairs to disk past this many in memory (0 = unbounded; -stream defaults to a bounded cap)")
+	spillPairs := flag.Int("spill-pairs", 0, "hold at most this many candidate pairs in memory, spilling the rest to sorted disk runs (0 = 4Mi)")
 	stream := flag.Bool("stream", false, "stream a .yvst store through the bounded-memory pipeline instead of loading the whole corpus")
 	reportPath := flag.String("report", "", "write the run's telemetry report (JSON) to this file")
 	traceOut := flag.String("trace-out", "", "write the run's trace (Chrome trace-event JSON, Perfetto-loadable) to this file; enables tracing and the flight recorder")

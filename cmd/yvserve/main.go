@@ -49,7 +49,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	ng := flag.Float64("ng", 3.5, "neighborhood growth parameter")
 	workers := flag.Int("workers", 0, "blocking and pair-scoring workers (0 = GOMAXPROCS, 1 = serial)")
-	spillPairs := flag.Int("spill-pairs", 0, "spill candidate pairs to disk past this many in memory during resolution (0 = unbounded)")
+	spillPairs := flag.Int("spill-pairs", 0, "hold at most this many candidate pairs in memory during resolution, spilling the rest to sorted disk runs (0 = 4Mi)")
 	maxInflight := flag.Int("max-inflight", 256, "max concurrent requests before shedding with 503 (0 = unlimited)")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline, 503 on expiry (0 = none)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline on SIGINT/SIGTERM")

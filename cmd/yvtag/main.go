@@ -54,10 +54,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	var pairs []record.Pair
+	scores := map[record.Pair]float64{}
+	if err := res.EachPair(func(p record.Pair, s float64) {
+		pairs = append(pairs, p)
+		scores[p] = s
+	}); err != nil {
+		fatal(err)
+	}
 	// Order by descending similarity, as the tagging app did.
-	pairs := append([]record.Pair(nil), res.Pairs...)
 	sort.Slice(pairs, func(i, j int) bool {
-		si, sj := res.PairScores[pairs[i]], res.PairScores[pairs[j]]
+		si, sj := scores[pairs[i]], scores[pairs[j]]
 		if si != sj {
 			return si > sj
 		}
@@ -78,7 +85,7 @@ func main() {
 		tagger := &dataset.Tagger{Gold: gold, Coll: coll, Rng: rand.New(rand.NewSource(*seed))}
 		tagged = tagger.TagPairs(pairs).Pairs
 	} else {
-		tagged = interactive(coll, res, pairs, *limit)
+		tagged = interactive(coll, scores, pairs, *limit)
 	}
 
 	writeTags(*out, tagged)
@@ -91,7 +98,7 @@ func main() {
 }
 
 // interactive prompts for grades, highlighting attribute differences.
-func interactive(coll *record.Collection, res *mfiblocks.Result, pairs []record.Pair, limit int) []dataset.TaggedPair {
+func interactive(coll *record.Collection, scores map[record.Pair]float64, pairs []record.Pair, limit int) []dataset.TaggedPair {
 	sc := bufio.NewScanner(os.Stdin)
 	var out []dataset.TaggedPair
 	for i, p := range pairs {
@@ -99,7 +106,7 @@ func interactive(coll *record.Collection, res *mfiblocks.Result, pairs []record.
 			break
 		}
 		a, b := coll.ByID(p.A), coll.ByID(p.B)
-		fmt.Printf("\n[%d/%d] similarity %.3f\n", i+1, min(limit, len(pairs)), res.PairScores[p])
+		fmt.Printf("\n[%d/%d] similarity %.3f\n", i+1, min(limit, len(pairs)), scores[p])
 		printSideBySide(a, b)
 		fmt.Print("match? [y]es [p]robably [m]aybe [n]o-probably [N]o [q]uit: ")
 		if !sc.Scan() {

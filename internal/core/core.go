@@ -199,16 +199,16 @@ func wireDefaults(opts *Options) {
 // Run executes the pipeline over an in-memory collection, recording a
 // per-stage telemetry breakdown (attached to the Resolution as Report)
 // and deriving its registry metrics from it at the end. It is
-// runPipeline over a CollectionSource with the full records retained;
-// candidate pairs stay in memory (Blocking.Pairs, PairScores) unless the
-// caller set Blocking.SpillPairs.
+// RunStream over a CollectionSource with the full records retained;
+// candidate pairs stay in memory (Blocking.Pairs, PairScores) unless
+// they outgrow the spill cap (Blocking.SpillPairs).
 func Run(opts Options, coll *record.Collection) (*Resolution, error) {
-	return runPipeline(StreamOptions{Options: opts, RetainRecords: true}, NewCollectionSource(coll))
+	return RunStream(StreamOptions{Options: opts, RetainRecords: true}, NewCollectionSource(coll))
 }
 
 // resolve runs the pipeline's back half — scoring and ranking — over a
 // finished blocking result, then assembles the Resolution and its
-// report. Spilled and in-memory candidate sets take the same path from
+// report. Spilled and resident candidate sets take the same path from
 // this point on.
 func resolve(opts *Options, report *telemetry.RunReport, stages *stageRunner, work *record.Collection, blk *mfiblocks.Result) (*Resolution, error) {
 	report.Blocking = blockingReport(blk)
@@ -275,16 +275,16 @@ func resolve(opts *Options, report *telemetry.RunReport, stages *stageRunner, wo
 }
 
 // blockingCounters summarizes a blocking result for its stage entry. A
-// spilled run reports its spill activity instead of an exact pair count
-// — distinct pairs are only known once the scoring stage merges the
-// runs.
+// spilled run reports its spill activity instead of a pair count —
+// distinct pairs are only known once the scoring stage merges the runs.
 func blockingCounters(blk *mfiblocks.Result) map[string]int64 {
 	c := map[string]int64{
 		"blocks":     int64(len(blk.Blocks)),
-		"pairs":      int64(len(blk.Pairs)),
 		"iterations": int64(len(blk.Iterations)),
 	}
-	if blk.Spill != nil {
+	if blk.Spill == nil {
+		c["pairs"] = int64(len(blk.Pairs))
+	} else {
 		st := blk.Spill.Stats()
 		c["spill_runs"] = int64(st.Runs)
 		c["spill_entries"] = st.SpilledEntries

@@ -22,19 +22,20 @@ type candidate struct {
 }
 
 // candidateSource is the stream of candidates the scoring stage consumes —
-// the one thing that differs between an in-memory blocking result and a
-// spilled one. next fills buf from the front and returns how many
-// candidates it wrote, 0 at the end of the stream; blockScore returns the
-// block score of a candidate next delivered, and is asked only for the
-// candidates the filters and the model kept; close releases what backs
-// the stream. The scoring workers call next and blockScore concurrently.
+// the one thing that differs between a blocking result whose candidates
+// stayed resident and one whose candidates spilled. next fills buf from
+// the front and returns how many candidates it wrote, 0 at the end of the
+// stream; blockScore returns the block score of a candidate next
+// delivered, and is asked only for the candidates the filters and the
+// model kept; close releases what backs the stream. The scoring workers
+// call next and blockScore concurrently.
 type candidateSource interface {
 	next(buf []candidate) (int, error)
 	blockScore(c *candidate) float64
 	close() error
 }
 
-// pairSlice streams an in-memory candidate set in first-seen order. A
+// pairSlice streams a resident candidate set in first-seen order. A
 // caller claims a range with one atomic add; a pair's score costs a map
 // probe, paid by blockScore for the kept candidates alone.
 type pairSlice struct {
@@ -246,17 +247,17 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 
 // ScoreCandidates runs the scoring stage alone — SameSrc filtering,
 // demand-driven model scoring, classification, and ranking — over the
-// in-memory candidates of an existing blocking result, exactly as Run's
+// resident candidates of an existing blocking result, exactly as Run's
 // scoring stage does. Callers that re-block rarely but re-score often
 // (threshold sweeps, model comparisons, the rescore benchmark workload)
 // use it to skip the blocking stage. work must be the collection blk was
-// produced from. It reads blk.Pairs and PairScores even when blk.Spill is
-// set: benchmark/staged.go passes a result whose spent spill it has
-// drained into them.
+// produced from. It reads blk.Pairs and PairScores only: a result whose
+// candidates spilled holds them in blk.Spill, which benchmark/staged.go
+// drains into those two fields before calling it.
 func ScoreCandidates(opts Options, work *record.Collection, blk *mfiblocks.Result) []RankedMatch {
 	cache := features.NewProfileCache(features.NewExtractor(opts.Geo))
 	src := &pairSlice{pairs: blk.Pairs, scores: blk.PairScores}
-	// An in-memory candidate slice cannot fail.
+	// A resident candidate slice cannot fail.
 	st, _ := scoreCandidates(&opts, work, src, cache, opts.workers(), nil)
 	sortMatches(st.matches)
 	return st.matches

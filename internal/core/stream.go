@@ -7,7 +7,6 @@ import (
 	"repro/internal/gazetteer"
 	"repro/internal/mfiblocks"
 	"repro/internal/record"
-	"repro/internal/spill"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
@@ -72,25 +71,18 @@ func (o *StreamOptions) Validate() error {
 	return nil
 }
 
-// RunStream executes the pipeline over a record stream. Candidate pairs
-// always route through the spill accumulator (Blocking.SpillPairs,
-// defaulting to spill.DefaultCap), so peak memory is bounded by the
-// encoded corpus plus the spill window — not by the candidate-pair
-// count. The final Matches (and everything derived from them: Pairs,
-// AtCertainty, Clusters) are bit-identical to a batch Run over the same
-// records with the same options.
+// RunStream executes the pipeline over a record stream: ingest (read,
+// preprocess, encode — one record at a time), blocking over the encoded
+// corpus, then resolve (scoring over the resident or disk-spilled
+// candidate set, ranking, report assembly). It is the one pipeline body;
+// Run is RunStream over the collection with its records retained. Unless
+// RetainRecords is set, peak memory is bounded by the encoded corpus plus
+// the blocking stage's candidate window (Blocking.SpillPairs), not by the
+// record values or the candidate-pair count. The final Matches (and
+// everything derived from them: Pairs, AtCertainty, Clusters) are
+// bit-identical to a batch Run over the same records with the same
+// options.
 func RunStream(opts StreamOptions, src RecordSource) (*Resolution, error) {
-	if opts.Blocking.SpillPairs == 0 {
-		opts.Blocking.SpillPairs = spill.DefaultCap
-	}
-	return runPipeline(opts, src)
-}
-
-// runPipeline is the one pipeline body behind Run and RunStream: ingest
-// (read, preprocess, encode — one record at a time), blocking over the
-// encoded corpus, then resolve (scoring over the in-memory or
-// disk-spilled candidate set, ranking, report assembly).
-func runPipeline(opts StreamOptions, src RecordSource) (*Resolution, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}

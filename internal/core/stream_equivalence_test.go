@@ -57,9 +57,7 @@ func assertResolutionsMatch(t *testing.T, label string, want, got *Resolution) {
 // ingest, disk-spilled candidates, skeleton records — to a batch Run
 // with in-memory candidates and full records, bit-for-bit, across
 // worker counts on multiple seeds. The spill cap is
-// forced tiny so every cell actually exercises the disk-merge path (and,
-// since spilling enables the async emitter, the overlapped emission path
-// too).
+// forced tiny so every cell actually exercises the disk-merge path.
 func TestStreamShardEquivalence(t *testing.T) {
 	datasets := []struct {
 		persons int

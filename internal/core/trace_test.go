@@ -113,6 +113,84 @@ func TestTraceBatchRun(t *testing.T) {
 	}
 }
 
+// TestBlockingSpansTimeNGAndEmission pins the blocking stage's span
+// surface under both outcomes of the spill cap. Every iteration times its
+// sparse-neighborhood pass (enforce_ng) and its pair emission
+// (emit_pairs), and carries its blocks and new_pairs whether or not the
+// candidates spill. A spilled window's flushes land under the emission
+// that filled it, one per disk run. The stage's pairs counter is there
+// only when the candidates stayed resident: a spilled run learns its
+// distinct-pair count at the merge, and must not report 0.
+func TestBlockingSpansTimeNGAndEmission(t *testing.T) {
+	g := equivDataset(t, 200, 777)
+	for _, spillPairs := range []int{0, 64} {
+		opts := Options{Blocking: mfiblocks.NewConfig(), Geo: g.Gaz, Preprocess: true, Gazetteer: g.Gaz, SameSrc: true}
+		opts.Blocking.SpillPairs = spillPairs
+		opts.Blocking.SpillDir = t.TempDir()
+		opts.Trace = trace.New()
+		res, err := Run(opts, g.Collection)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var blocking *trace.Node
+		for _, c := range res.Report.Spans.Roots[0].Children {
+			if c.Name == "blocking" {
+				blocking = c
+			}
+		}
+		if blocking == nil {
+			t.Fatalf("SpillPairs=%d: no blocking stage span", spillPairs)
+		}
+		counters := res.Report.Stages[1].Counters
+		if spillPairs == 0 {
+			if res.Blocking.Spill != nil || counters["pairs"] != int64(len(res.Blocking.Pairs)) || blocking.Attrs["pairs"] != counters["pairs"] {
+				t.Fatalf("SpillPairs=0: stage pairs %d (span %d), resident pairs %d", counters["pairs"], blocking.Attrs["pairs"], len(res.Blocking.Pairs))
+			}
+		} else if _, ok := counters["pairs"]; ok || res.Blocking.Spill == nil {
+			t.Fatalf("SpillPairs=%d: a spilled run reports a blocking pairs counter %v", spillPairs, counters)
+		}
+
+		iter, flushes := 0, 0
+		for _, it := range blocking.Children {
+			if it.Name == "spill_flush" {
+				t.Fatalf("SpillPairs=%d: a flush outside any emission", spillPairs)
+			}
+			if it.Name != "iteration" {
+				continue
+			}
+			stats := res.Blocking.Iterations[iter]
+			iter++
+			ops := map[string]*trace.Node{}
+			for _, c := range it.Children {
+				if c.Name == "enforce_ng" || c.Name == "emit_pairs" {
+					if ops[c.Name] != nil {
+						t.Fatalf("SpillPairs=%d minsup=%d: two %s spans", spillPairs, stats.MinSup, c.Name)
+					}
+					ops[c.Name] = c
+				}
+			}
+			ng, emit := ops["enforce_ng"], ops["emit_pairs"]
+			if ng == nil || emit == nil {
+				t.Fatalf("SpillPairs=%d minsup=%d: iteration children lack enforce_ng or emit_pairs", spillPairs, stats.MinSup)
+			}
+			if it.Attrs["new_pairs"] != int64(stats.NewPairs) || it.Attrs["blocks"] != int64(stats.Blocks) {
+				t.Fatalf("SpillPairs=%d minsup=%d: iteration attrs %v, stats %+v", spillPairs, stats.MinSup, it.Attrs, stats)
+			}
+			for _, c := range emit.Children {
+				if c.Name == "spill_flush" {
+					flushes++
+				}
+			}
+		}
+		if iter != len(res.Blocking.Iterations) {
+			t.Fatalf("SpillPairs=%d: %d iteration spans, %d iterations", spillPairs, iter, len(res.Blocking.Iterations))
+		}
+		if want := res.Report.Blocking.SpillRuns; flushes != want || (spillPairs > 0) != (want > 0) {
+			t.Fatalf("SpillPairs=%d: %d spill_flush spans, %d disk runs", spillPairs, flushes, want)
+		}
+	}
+}
+
 // TestTraceDisabledByDefault pins the no-op default: an untraced run
 // must carry no tracer and no span section, so golden reports are
 // untouched by the feature.
@@ -187,15 +265,10 @@ func TestStreamReportSpillStats(t *testing.T) {
 // and a RunStream that retains records, over the same collection and
 // options, report the same stage list and trace the same canonical span
 // tree. Two entry points with their own front halves cannot pass it.
+// Spilling is decided by the cap alone, so the two agree both under the
+// default cap (nothing spills) and under a cap that forces disk runs.
 func TestRunAndStreamShareStages(t *testing.T) {
 	g := equivDataset(t, 200, 777)
-	opts := Options{Blocking: mfiblocks.NewConfig(), Geo: g.Gaz, Preprocess: true, Gazetteer: g.Gaz, SameSrc: true}
-	// Pinned on both sides: the spilled and in-memory candidate paths
-	// legitimately trace differently (spill counters, merge spans), and
-	// Run takes the in-memory one only when the caller leaves this 0.
-	opts.Blocking.SpillPairs = 64
-	opts.Blocking.SpillDir = t.TempDir()
-
 	stageNames := func(res *Resolution) []string {
 		var names []string
 		for _, s := range res.Report.Stages {
@@ -203,22 +276,30 @@ func TestRunAndStreamShareStages(t *testing.T) {
 		}
 		return names
 	}
+	for _, spillPairs := range []int{0, 64} {
+		opts := Options{Blocking: mfiblocks.NewConfig(), Geo: g.Gaz, Preprocess: true, Gazetteer: g.Gaz, SameSrc: true}
+		opts.Blocking.SpillPairs = spillPairs
+		opts.Blocking.SpillDir = t.TempDir()
 
-	opts.Trace = trace.New()
-	batch, err := Run(opts, g.Collection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Trace = trace.New()
-	stream, err := RunStream(StreamOptions{Options: opts, RetainRecords: true}, NewCollectionSource(g.Collection))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b, s := stageNames(batch), stageNames(stream); !reflect.DeepEqual(b, s) {
-		t.Errorf("stage lists differ: Run %v, RunStream %v", b, s)
-	}
-	if b, s := canonicalJSON(t, batch), canonicalJSON(t, stream); b != s {
-		t.Errorf("canonical trees differ:\nRun:       %s\nRunStream: %s", b, s)
+		opts.Trace = trace.New()
+		batch, err := Run(opts, g.Collection)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Trace = trace.New()
+		stream, err := RunStream(StreamOptions{Options: opts, RetainRecords: true}, NewCollectionSource(g.Collection))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spilled := stream.Report.Blocking.SpillRuns > 0; spilled != (spillPairs > 0) {
+			t.Fatalf("SpillPairs=%d: stream spilled=%v", spillPairs, spilled)
+		}
+		if b, s := stageNames(batch), stageNames(stream); !reflect.DeepEqual(b, s) {
+			t.Errorf("SpillPairs=%d: stage lists differ: Run %v, RunStream %v", spillPairs, b, s)
+		}
+		if b, s := canonicalJSON(t, batch), canonicalJSON(t, stream); b != s {
+			t.Errorf("SpillPairs=%d: canonical trees differ:\nRun:       %s\nRunStream: %s", spillPairs, b, s)
+		}
 	}
 }
 
@@ -249,7 +330,7 @@ func TestBatchIngestProgressTotal(t *testing.T) {
 	opts.Progress.Start()
 	// Run's own body, with the source wrapped to flush mid-ingest.
 	src := &stopMidIngest{CollectionSource: NewCollectionSource(fx.gen.Collection), progress: opts.Progress}
-	if _, err := runPipeline(StreamOptions{Options: opts, RetainRecords: true}, src); err != nil {
+	if _, err := RunStream(StreamOptions{Options: opts, RetainRecords: true}, src); err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("stage=ingest 10/%d (", fx.gen.Collection.Len())

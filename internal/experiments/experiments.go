@@ -174,16 +174,18 @@ func (r *Runner) ensureTags() {
 	var pairs []record.Pair
 	for _, bc := range taggingConfigs() {
 		res, err := mfiblocks.Run(bc, pre)
+		if err == nil {
+			err = res.EachPair(func(p record.Pair, s float64) {
+				if _, seen := scores[p]; !seen {
+					pairs = append(pairs, p)
+				}
+				if s > scores[p] {
+					scores[p] = s
+				}
+			})
+		}
 		if err != nil {
 			panic(fmt.Sprintf("experiments: tagging blocking run: %v", err))
-		}
-		for p, s := range res.PairScores {
-			if _, seen := scores[p]; !seen {
-				pairs = append(pairs, p)
-			}
-			if s > scores[p] {
-				scores[p] = s
-			}
 		}
 	}
 	sort.Slice(pairs, func(i, j int) bool {

@@ -63,15 +63,17 @@ type Config struct {
 	// BlockCache has no effect; it remains only because
 	// benchmark/workloads.go:182 uses it; ROADMAP 1(a) deletes it.
 	BlockCache int
-	// SpillPairs, when positive, routes candidate-pair emission through a
-	// disk-spillable accumulator holding at most this many distinct pairs
-	// in memory: Result.Spill carries the merged (A, B)-sorted stream and
-	// Pairs/PairScores stay nil. The stream holds exactly the
-	// pairs and max-combined scores of an unspilled run; only the
-	// per-iteration NewPairs statistic degrades to a window-local count.
-	// 0 disables spilling (the in-memory default).
+	// SpillPairs caps the distinct candidate pairs the run holds in
+	// memory; 0 selects spill.DefaultCap. Spilling is the outcome of the
+	// cap, not a mode: every run emits into the same accumulator, and a
+	// run whose candidates fit under the cap never touches disk and
+	// returns them as Pairs/PairScores. Past the cap the accumulator
+	// flushes sorted runs and Result.Spill carries the merged (A, B)-sorted
+	// stream — exactly the pairs and max-combined scores the resident form
+	// would hold; only the per-iteration NewPairs statistic degrades to a
+	// window-local count.
 	SpillPairs int
-	// SpillDir is where SpillPairs writes its sorted runs; empty selects
+	// SpillDir is where a spilling run writes its sorted runs; empty selects
 	// the system temp directory. Run files are unlinked at creation, so a
 	// crash leaves nothing behind.
 	SpillDir string

@@ -2,6 +2,7 @@ package mfiblocks
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"sync"
@@ -16,7 +17,9 @@ import (
 
 // Result is the outcome of a run: the surviving soft blocks, the candidate
 // pairs they induce (with each pair's best block score as its similarity),
-// and coverage bookkeeping.
+// and coverage bookkeeping. The candidates come in one of two forms, by
+// outcome: Pairs and PairScores when they fit under the spill cap
+// (Config.SpillPairs), Spill when they outgrew it.
 type Result struct {
 	// Blocks are the surviving soft clusters across all iterations.
 	Blocks []*Block
@@ -26,36 +29,70 @@ type Result struct {
 	// (score, -size) order, and a block enumerates its member pairs in
 	// member-index order. Two runs over the same collection and config
 	// produce the same slice — downstream scoring stages may chunk it
-	// freely and merge by chunk index without changing the result.
+	// freely and merge by chunk index without changing the result. Nil
+	// when the candidates spilled.
 	Pairs []record.Pair
 	// PairScores maps each candidate pair to the best score among the
-	// blocks containing it — the pair's blocking similarity.
+	// blocks containing it — the pair's blocking similarity. Nil when the
+	// candidates spilled.
 	PairScores map[record.Pair]float64
 	// Covered marks, per collection index, whether the record appeared
 	// in any accepted pair.
 	Covered []bool
 	// Iterations records per-minsup statistics.
 	Iterations []IterationStats
-	// Spill carries the disk-spillable candidate accumulator when
-	// Config.SpillPairs enables spilling; Pairs and PairScores are nil in
-	// that mode. Consumers call Spill.Iter() for the merged stream — every
-	// distinct pair once, ascending by (A, B), with its best block score —
-	// and own closing it.
+	// Spill is the candidate accumulator when the candidates outgrew the
+	// cap and went to disk; nil otherwise. Consumers call Spill.Iter()
+	// for the merged stream — every distinct pair once, ascending by
+	// (A, B), with its best block score — and own closing it.
 	Spill *spill.Pairs
 	// Cache has no effect and is always zero; it remains only because
 	// benchmark/staged.go:251 uses it; ROADMAP 1(a) deletes it.
 	Cache struct{ Hits, Misses int64 }
 }
 
+// EachPair calls fn with every distinct candidate pair and its best block
+// score, from whichever form the run returned: the resident Pairs in
+// first-seen order, or the spilled merge in (A, B) order, which it
+// consumes and closes. Consumers that enumerate the candidates read
+// either outcome of the spill cap through it.
+func (r *Result) EachPair(fn func(p record.Pair, score float64)) error {
+	if r.Spill == nil {
+		for _, p := range r.Pairs {
+			fn(p, r.PairScores[p])
+		}
+		return nil
+	}
+	it, err := r.Spill.Iter()
+	if err != nil {
+		r.Spill.Close()
+		return err
+	}
+	for {
+		p, score, err := it.Next()
+		if err == io.EOF {
+			return r.Spill.Close()
+		}
+		if err != nil {
+			r.Spill.Close()
+			return err
+		}
+		fn(p, score)
+	}
+}
+
 // IterationStats captures one minsup level of Algorithm 1.
 type IterationStats struct {
-	MinSup     int
-	Active     int // uncovered records the MFIs were mined over
-	MFIs       int
-	Blocks     int     // blocks surviving all filters
-	CSPruned   int     // blocks dropped by the compact-set size cap
-	NGPruned   int     // blocks vetoed by the sparse-neighborhood cap
-	NewPairs   int     // pairs first seen this iteration
+	MinSup   int
+	Active   int // uncovered records the MFIs were mined over
+	MFIs     int
+	Blocks   int // blocks surviving all filters
+	CSPruned int // blocks dropped by the compact-set size cap
+	NGPruned int // blocks vetoed by the sparse-neighborhood cap
+	// NewPairs counts the pairs first seen this iteration: exact while the
+	// candidates fit under the spill cap, window-local once they spill (a
+	// pair re-observed after its window went to disk counts again).
+	NewPairs   int
 	CoveredNow int     // total records covered after the iteration
 	MinTh      float64 // score threshold after NG enforcement
 	Elapsed    time.Duration
@@ -97,16 +134,9 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 	sc := newScorer(&cfg, dict, txns, corpus.Records)
 
 	res := &Result{Covered: make([]bool, n)}
-	var sink *spill.Pairs
-	var emit *spillEmitter
-	if cfg.SpillPairs > 0 {
-		sink = spill.NewPairs(cfg.SpillPairs, cfg.SpillDir)
-		sink.Trace = cfg.Trace
-		res.Spill = sink
-		emit = startSpillEmitter(sink, corpus.BookIDs)
-	} else {
-		res.PairScores = make(map[record.Pair]float64)
-	}
+	// Every kept block's member pairs go to this one accumulator; whether
+	// they stay in memory is decided by the cap alone.
+	acc := spill.NewPairs(cfg.SpillPairs, cfg.SpillDir)
 	minTh := cfg.MinScore
 	coveredCount := 0
 	// Per-record NG budget units spent so far, across all levels (the
@@ -147,32 +177,25 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 
 		// Enforce the sparse-neighborhood condition (Config.NG) on this
 		// level's blocks, best first; a block any member vetoes is pruned.
+		ngSpan := iterSpan.Child("enforce_ng", trace.WithKind(trace.KindOp))
 		kept, iterTh, ngPruned := enforceNG(&cfg, blocks, spent)
+		ngSpan.End()
 		minTh = math.Max(minTh, iterTh)
 
 		prevCovered := coveredCount
-		stats := IterationStats{MinSup: minsup, Active: len(active), MFIs: len(mfis), MinTh: iterTh, CSPruned: csPruned, NGPruned: ngPruned}
+		stats := IterationStats{MinSup: minsup, Active: len(active), MFIs: len(mfis), Blocks: len(kept), MinTh: iterTh, CSPruned: csPruned, NGPruned: ngPruned}
+		res.Blocks = append(res.Blocks, kept...)
+		emitSpan := iterSpan.Child("emit_pairs", trace.WithKind(trace.KindOp))
+		acc.Trace = emitSpan // a window flush lands under the emission that filled it
 		for _, b := range kept {
-			stats.Blocks++
-			res.Blocks = append(res.Blocks, b)
-			if sink == nil {
-				for i := 0; i < len(b.Members); i++ {
-					for j := i + 1; j < len(b.Members); j++ {
-						p := record.MakePair(corpus.BookIDs[b.Members[i]], corpus.BookIDs[b.Members[j]])
-						if _, seen := res.PairScores[p]; !seen {
-							res.Pairs = append(res.Pairs, p)
-							stats.NewPairs++
-						}
-						if b.Score > res.PairScores[p] {
-							res.PairScores[p] = b.Score
-						}
-					}
-				}
+			first, err := emit(acc, corpus.BookIDs, b)
+			stats.NewPairs += first
+			if err != nil {
+				emitSpan.End()
+				iterSpan.End()
+				acc.Close()
+				return nil, fmt.Errorf("mfiblocks: minsup %d: %w", minsup, err)
 			}
-			// Every member of a kept block (size >= 2) joins at least one
-			// pair, so covering members directly is equivalent to the
-			// per-pair updates — and keeps coverage synchronous while the
-			// spill emitter writes pairs in the background.
 			for _, m := range b.Members {
 				if !res.Covered[m] {
 					res.Covered[m] = true
@@ -185,136 +208,45 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 				}
 			}
 		}
-		if emit != nil {
-			// Hand the iteration's kept blocks (immutable from here on) to
-			// the emitter: sink.Add calls happen in exactly the order the
-			// synchronous path used — batches in iteration order, blocks in
-			// kept order, pairs in member order — so the spilled stream is
-			// bit-identical while the next iteration's mining overlaps the
-			// disk writes. NewPairs is backfilled after the drain.
-			emit.send(len(res.Iterations), kept)
-		}
+		emitSpan.End()
 		stats.CoveredNow = coveredCount
 		stats.Elapsed = time.Since(iterStart)
 		res.Iterations = append(res.Iterations, stats)
 		cfg.Progress.Add(int64(coveredCount - prevCovered))
 		iterSpan.Attr("active", int64(stats.Active)).
 			Attr("mfis", int64(stats.MFIs)).
-			Attr("blocks", int64(stats.Blocks))
-		if sink == nil {
-			// In spill mode pair emission outlives the iteration span (the
-			// async emitter may still be writing when it ends), and a span
-			// cannot take attrs after End — so the attr is in-memory only.
-			iterSpan.Attr("new_pairs", int64(stats.NewPairs))
-		}
-		iterSpan.Attr("cs_pruned", int64(stats.CSPruned)).
+			Attr("blocks", int64(stats.Blocks)).
+			Attr("new_pairs", int64(stats.NewPairs)).
+			Attr("cs_pruned", int64(stats.CSPruned)).
 			Attr("ng_pruned", int64(stats.NGPruned)).
 			End()
-		if emit != nil && emit.failed.Load() {
-			break // stop mining; wait() below surfaces the write error
-		}
 	}
-	if emit != nil {
-		if err := emit.wait(); err != nil {
-			sink.Close()
-			return nil, err
-		}
-		// The emitter owned the first-seen accounting; fold it back into
-		// the per-iteration stats now that every sink.Add has happened.
-		for i, np := range emit.newPairs {
-			res.Iterations[i].NewPairs = np
-		}
+	acc.Trace = nil // the emission spans have ended; a later merge parents its own
+	if pairs, scores, ok := acc.Resident(); ok {
+		res.Pairs, res.PairScores = pairs, scores
+	} else {
+		res.Spill = acc
 	}
 	return res, nil
 }
 
-// emitBatch is one iteration's kept blocks queued for spill emission.
-type emitBatch struct {
-	iter   int // index of the iteration, for NewPairs backfill
-	blocks []*Block
-}
-
-// spillEmitter overlaps candidate-pair emission with block discovery in
-// spill mode: the main loop hands each iteration's kept blocks over a
-// small bounded channel and immediately mines the next minsup level
-// while this goroutine enumerates member pairs and appends them to the
-// spill sink. A single consumer preserving batch order keeps the
-// sink.Add sequence — and therefore the spilled runs and every
-// first-seen bit — identical to the synchronous path's.
-type spillEmitter struct {
-	sink    *spill.Pairs
-	bookIDs []int64
-	ch      chan emitBatch
-	done    chan struct{}
-	failed  atomic.Bool
-	// err and newPairs are written only by the emitter goroutine and read
-	// by the producer only after done closes (wait), so the channel close
-	// orders every access.
-	err      error
-	newPairs []int // first-seen pairs per iteration, indexed by emitBatch.iter
-}
-
-func startSpillEmitter(sink *spill.Pairs, bookIDs []int64) *spillEmitter {
-	e := &spillEmitter{
-		sink:    sink,
-		bookIDs: bookIDs,
-		// Capacity 2 bounds the overlap window: at most the current
-		// iteration's blocks plus two queued batches are retained, so the
-		// emitter never lets block memory grow with the iteration count.
-		ch:   make(chan emitBatch, 2),
-		done: make(chan struct{}),
-	}
-	go e.run()
-	return e
-}
-
-func (e *spillEmitter) run() {
-	defer close(e.done)
-	for batch := range e.ch {
-		if e.err != nil {
-			continue // keep draining so send never blocks after a failure
-		}
-		first := 0
-		for _, b := range batch.blocks {
-			for i := 0; i < len(b.Members) && e.err == nil; i++ {
-				for j := i + 1; j < len(b.Members); j++ {
-					p := record.MakePair(e.bookIDs[b.Members[i]], e.bookIDs[b.Members[j]])
-					isFirst, err := e.sink.Add(p, b.Score)
-					if err != nil {
-						e.err = err
-						e.failed.Store(true)
-						break
-					}
-					if isFirst {
-						first++
-					}
-				}
+// emit adds every member pair of a kept block to the accumulator with the
+// block's score, in member-index order, and returns how many of them the
+// accumulator saw first. Every member of a kept block (size >= 2) joins a
+// pair, so the caller covers the members directly.
+func emit(acc *spill.Pairs, bookIDs []int64, b *Block) (first int, err error) {
+	for i, m := range b.Members {
+		for _, o := range b.Members[i+1:] {
+			isFirst, err := acc.Add(record.MakePair(bookIDs[m], bookIDs[o]), b.Score)
+			if err != nil {
+				return first, err
 			}
-			if e.err != nil {
-				break
+			if isFirst {
+				first++
 			}
 		}
-		for len(e.newPairs) <= batch.iter {
-			e.newPairs = append(e.newPairs, 0)
-		}
-		e.newPairs[batch.iter] = first
 	}
-}
-
-// send queues one iteration's kept blocks; it blocks when the emitter is
-// more than two iterations behind. The blocks must not be mutated after
-// the call (the run never does — kept blocks are final once enforceNG
-// returns).
-func (e *spillEmitter) send(iter int, blocks []*Block) {
-	e.ch <- emitBatch{iter: iter, blocks: blocks}
-}
-
-// wait closes the queue, drains the emitter, and returns its first
-// write error (nil on success). newPairs is complete once wait returns.
-func (e *spillEmitter) wait() error {
-	close(e.ch)
-	<-e.done
-	return e.err
+	return first, nil
 }
 
 // materializeRun is how many MFIs a buildBlocks worker takes from the

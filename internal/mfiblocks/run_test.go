@@ -1,8 +1,11 @@
 package mfiblocks
 
 import (
-	"io"
+	"cmp"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -235,30 +238,29 @@ func stripElapsed(stats []IterationStats) []IterationStats {
 	return out
 }
 
-// drainSpill collects a spill result's merged stream.
-func drainSpill(t *testing.T, res *Result) map[record.Pair]float64 {
+// collect reads a result's candidates through EachPair, in the order it
+// delivers them.
+func collect(t *testing.T, res *Result) ([]record.Pair, map[record.Pair]float64) {
 	t.Helper()
-	it, err := res.Spill.Iter()
-	if err != nil {
+	var order []record.Pair
+	scores := make(map[record.Pair]float64)
+	if err := res.EachPair(func(p record.Pair, score float64) {
+		order = append(order, p)
+		scores[p] = score
+	}); err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[record.Pair]float64)
-	for {
-		p, score, err := it.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[p] = score
-	}
-	return out
+	return order, scores
 }
 
-// TestRunSpillMatchesInMemory asserts the spilled candidate stream holds
-// exactly the pairs and max-combined scores of the unspilled run, for a
-// cap small enough to force many disk runs and a cap that never spills.
+// TestRunSpillMatchesInMemory asserts that spilling is an outcome of the
+// cap, not a mode. A cap the candidates fit under returns the same
+// resident Pairs (first-seen order), PairScores and exact per-iteration
+// NewPairs as the default cap, and never touches disk. A cap small enough
+// to force many disk runs returns only the spilled stream, which holds
+// exactly the pairs and max-combined scores of the resident run. EachPair
+// reads both forms: first-seen order when resident, (A, B) order when
+// spilled.
 func TestRunSpillMatchesInMemory(t *testing.T) {
 	g := smallItaly(t, 300)
 	want, err := Run(NewConfig(), g.Collection)
@@ -268,8 +270,11 @@ func TestRunSpillMatchesInMemory(t *testing.T) {
 	if len(want.Pairs) < 100 {
 		t.Fatalf("baseline too small to exercise spilling: %d pairs", len(want.Pairs))
 	}
+	if want.Spill != nil {
+		t.Fatal("default cap spilled a 300-person fixture")
+	}
 
-	for _, capEntries := range []int{32, 1 << 20} {
+	for _, capEntries := range []int{len(want.Pairs), 32} {
 		cfg := NewConfig()
 		cfg.SpillPairs = capEntries
 		cfg.SpillDir = t.TempDir()
@@ -277,30 +282,69 @@ func TestRunSpillMatchesInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Pairs != nil || res.PairScores != nil {
-			t.Fatalf("cap=%d: spill run populated in-memory pair state", capEntries)
-		}
-		if capEntries == 32 && res.Spill.Stats().Runs == 0 {
-			t.Fatal("cap=32 never spilled; fixture too small")
-		}
-		got := drainSpill(t, res)
-		if len(got) != len(want.PairScores) {
-			t.Fatalf("cap=%d: %d pairs, want %d", capEntries, len(got), len(want.PairScores))
-		}
-		for p, score := range want.PairScores {
-			if got[p] != score {
-				t.Fatalf("cap=%d: pair %v score %v, want %v", capEntries, p, got[p], score)
-			}
-		}
 		if !reflect.DeepEqual(want.Covered, res.Covered) {
 			t.Fatalf("cap=%d: Covered diverges", capEntries)
 		}
 		if !reflect.DeepEqual(want.Blocks, res.Blocks) {
 			t.Fatalf("cap=%d: Blocks diverge", capEntries)
 		}
-		if err := res.Spill.Close(); err != nil {
-			t.Fatal(err)
+		if capEntries == len(want.Pairs) {
+			if res.Spill != nil {
+				t.Fatalf("cap=%d: a run that fits under its cap spilled", capEntries)
+			}
+			if !reflect.DeepEqual(want.Pairs, res.Pairs) || !reflect.DeepEqual(want.PairScores, res.PairScores) {
+				t.Fatalf("cap=%d: resident candidates diverge from the default cap's", capEntries)
+			}
+			if !reflect.DeepEqual(stripElapsed(want.Iterations), stripElapsed(res.Iterations)) {
+				t.Fatalf("cap=%d: iteration stats diverge", capEntries)
+			}
+			if order, scores := collect(t, res); !reflect.DeepEqual(order, want.Pairs) || !reflect.DeepEqual(scores, want.PairScores) {
+				t.Fatalf("cap=%d: EachPair does not deliver the resident candidates in first-seen order", capEntries)
+			}
+			continue
 		}
+		if res.Pairs != nil || res.PairScores != nil {
+			t.Fatalf("cap=%d: spilled run also returned resident candidates", capEntries)
+		}
+		if res.Spill == nil || res.Spill.Stats().Runs == 0 {
+			t.Fatal("cap=32 never spilled; fixture too small")
+		}
+		order, got := collect(t, res)
+		if len(order) != len(got) || !reflect.DeepEqual(got, want.PairScores) {
+			t.Fatalf("cap=%d: the merge delivers %d pairs (%d distinct), the resident run holds %d, or their scores differ", capEntries, len(order), len(got), len(want.PairScores))
+		}
+		if !slices.IsSortedFunc(order, func(a, b record.Pair) int {
+			if a.A != b.A {
+				return cmp.Compare(a.A, b.A)
+			}
+			return cmp.Compare(a.B, b.B)
+		}) {
+			t.Fatalf("cap=%d: the merge is not in (A, B) order", capEntries)
+		}
+	}
+}
+
+// TestSpillDirTouchedOnlyPastCap pins the disk seam of the one candidate
+// accumulator. A spill directory that does not exist costs a run whose
+// candidates fit under the cap nothing, because such a run never opens a
+// file. A run that outgrows the cap fails with the spill's wrapped
+// create error, not a panic or a partial result.
+func TestSpillDirTouchedOnlyPastCap(t *testing.T) {
+	g := smallItaly(t, 300)
+	cfg := NewConfig()
+	cfg.SpillDir = filepath.Join(t.TempDir(), "missing")
+	res, err := Run(cfg, g.Collection)
+	if err != nil {
+		t.Fatalf("run under the cap: %v", err)
+	}
+	if res.Spill != nil || len(res.Pairs) == 0 {
+		t.Fatalf("run under the cap: spilled %v, %d resident pairs", res.Spill != nil, len(res.Pairs))
+	}
+
+	cfg.SpillPairs = 32
+	res, err = Run(cfg, g.Collection)
+	if err == nil || !strings.Contains(err.Error(), "spill: create run") || res != nil {
+		t.Fatalf("run past the cap into a missing directory: %v, result %v", err, res)
 	}
 }
 

@@ -1,14 +1,17 @@
-// Package spill bounds the memory of candidate-pair accumulation: the
-// blocking stage at paper scale emits millions of (pair, score) events,
-// and holding them in a Go map is the single largest allocation of an
-// end-to-end run. A spill.Pairs accepts the event stream through a
-// fixed-size in-memory window; when the window fills it is flushed to
-// disk as a sorted binary run, and Iter merges the runs (and the live
-// window) with a max-score combine into one deterministic stream sorted
-// by (A, B). The merge is pure: the same event multiset yields the same
-// stream regardless of window size, flush timing, or emission order, so
-// a spilled run is bit-compatible with an in-memory one downstream of
-// the stage that consumes it.
+// Package spill is the blocking stage's one candidate-pair accumulator.
+// At paper scale the stage emits millions of (pair, score) events, and
+// holding them all in a Go map is the single largest allocation of an
+// end-to-end run. A spill.Pairs accepts the event stream through an
+// in-memory window of at most a cap of distinct pairs. A run whose
+// candidates fit under the cap never touches disk: Resident hands the
+// window over as it is, pairs in first-seen order. Once the window
+// fills it is flushed to disk as a sorted binary run, and Iter merges
+// the runs (and the live window) with a max-score combine into one
+// deterministic stream sorted by (A, B). The merge is pure: the same
+// event multiset yields the same stream regardless of window size,
+// flush timing, or emission order, so a spilled candidate set is
+// bit-compatible with a resident one downstream of the stage that
+// consumes it.
 //
 // Run format (little-endian, 24 bytes per entry): int64 A | int64 B |
 // float64 score, sorted ascending by (A, B) with at most one entry per
@@ -17,13 +20,14 @@ package spill
 
 import (
 	"bufio"
+	"cmp"
 	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/record"
 	"repro/internal/telemetry/trace"
@@ -32,8 +36,8 @@ import (
 // entryLen is the on-disk size of one (pair, score) entry.
 const entryLen = 24
 
-// DefaultCap is the in-memory window used when a caller enables spilling
-// without choosing a cap: ~4M distinct pairs, roughly 100–200MB of map —
+// DefaultCap is the in-memory window used when the caller chooses no
+// cap: ~4M distinct pairs, each a map entry plus a 16-byte order slot —
 // small enough for laptop hardware, large enough that corpora below
 // ~500K records never spill at all.
 const DefaultCap = 4 << 20
@@ -58,8 +62,11 @@ type Stats struct {
 // footprint. Not safe for concurrent use; the blocking stage's pair
 // emission is sequential by design.
 type Pairs struct {
-	cap   int
-	dir   string
+	cap int
+	dir string
+	// order and mem are the window: its distinct pairs in first-seen
+	// order, and each one's maximal score.
+	order []record.Pair
 	mem   map[record.Pair]float64
 	runs  []*os.File
 	stats Stats
@@ -78,7 +85,9 @@ func NewPairs(capEntries int, dir string) *Pairs {
 	if capEntries <= 0 {
 		capEntries = DefaultCap
 	}
-	return &Pairs{cap: capEntries, dir: dir, mem: make(map[record.Pair]float64, min(capEntries, 1<<16))}
+	// The window grows with its contents: a run far under the cap costs
+	// no more than its own pairs, and a flush keeps the grown map.
+	return &Pairs{cap: capEntries, dir: dir, mem: make(map[record.Pair]float64)}
 }
 
 // Add records one (pair, score) event, keeping the maximal score per
@@ -87,7 +96,7 @@ func NewPairs(capEntries int, dir string) *Pairs {
 // pair evicted to disk and re-observed counts as first-seen again.
 func (s *Pairs) Add(p record.Pair, score float64) (first bool, err error) {
 	if s.done {
-		return false, fmt.Errorf("spill: Add after Iter")
+		return false, fmt.Errorf("spill: Add after Iter or Resident")
 	}
 	old, seen := s.mem[p]
 	if !seen {
@@ -97,6 +106,7 @@ func (s *Pairs) Add(p record.Pair, score float64) (first bool, err error) {
 			}
 		}
 		s.mem[p] = score
+		s.order = append(s.order, p)
 		return true, nil
 	}
 	if score > old {
@@ -105,8 +115,19 @@ func (s *Pairs) Add(p record.Pair, score float64) (first bool, err error) {
 	return false, nil
 }
 
-// Len reports the distinct pairs in the current in-memory window.
-func (s *Pairs) Len() int { return len(s.mem) }
+// Resident finishes the accumulator and hands over the window when
+// nothing has spilled — then the window is the whole candidate set: the
+// distinct pairs in first-seen order and each one's maximal score. The
+// caller then owns both, and the accumulator must not be used again. ok
+// is false once a run has gone to disk; the accumulator is then left
+// open for Iter.
+func (s *Pairs) Resident() (pairs []record.Pair, scores map[record.Pair]float64, ok bool) {
+	if s.stats.Runs > 0 {
+		return nil, nil, false
+	}
+	s.done = true
+	return s.order, s.mem, true
+}
 
 // Stats reports the accumulated spill activity.
 func (s *Pairs) Stats() Stats { return s.stats }
@@ -121,16 +142,9 @@ func (s *Pairs) flush() error {
 		Attr("entries", int64(len(s.mem))).
 		Attr("bytes", int64(len(s.mem))*entryLen)
 	defer sp.End()
-	keys := make([]record.Pair, 0, len(s.mem))
-	for p := range s.mem {
-		keys = append(keys, p)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].A != keys[j].A {
-			return keys[i].A < keys[j].A
-		}
-		return keys[i].B < keys[j].B
-	})
+	// The window is reset below, so its order slice is sorted in place.
+	keys := s.order
+	slices.SortFunc(keys, comparePairs)
 	f, err := os.CreateTemp(s.dir, "yvpairs-*.run")
 	if err != nil {
 		return fmt.Errorf("spill: create run: %w", err)
@@ -157,8 +171,18 @@ func (s *Pairs) flush() error {
 	s.stats.Runs++
 	s.stats.SpilledEntries += int64(len(keys))
 	s.stats.SpilledBytes += int64(len(keys)) * entryLen
-	s.mem = make(map[record.Pair]float64, min(s.cap, 1<<16))
+	s.order = s.order[:0]
+	clear(s.mem)
 	return nil
+}
+
+// comparePairs orders pairs ascending by (A, B), the order of every run
+// and of the merged stream.
+func comparePairs(a, b record.Pair) int {
+	if a.A != b.A {
+		return cmp.Compare(a.A, b.A)
+	}
+	return cmp.Compare(a.B, b.B)
 }
 
 // Iter finalizes the accumulator and returns the merged stream: every
@@ -173,16 +197,11 @@ func (s *Pairs) Iter() (*Iter, error) {
 	it := &Iter{pairs: s}
 
 	// The live window joins the merge as an in-memory sorted source.
-	mem := make([]memEntry, 0, len(s.mem))
-	for p, sc := range s.mem {
-		mem = append(mem, memEntry{p, sc})
+	slices.SortFunc(s.order, comparePairs)
+	mem := make([]memEntry, len(s.order))
+	for i, p := range s.order {
+		mem[i] = memEntry{p, s.mem[p]}
 	}
-	sort.Slice(mem, func(i, j int) bool {
-		if mem[i].p.A != mem[j].p.A {
-			return mem[i].p.A < mem[j].p.A
-		}
-		return mem[i].p.B < mem[j].p.B
-	})
 	it.mem = mem
 
 	for _, f := range s.runs {
@@ -287,7 +306,6 @@ type Iter struct {
 	pairs *Pairs
 	mem   []memEntry
 	h     mergeHeap
-	count int
 }
 
 // Next returns the next pair and score, or io.EOF when exhausted.
@@ -309,7 +327,6 @@ func (it *Iter) Next() (record.Pair, float64, error) {
 			return record.Pair{}, 0, err
 		}
 	}
-	it.count++
 	it.pairs.stats.MergedEntries++
 	it.pairs.stats.MergedBytes += entryLen
 	return p, score, nil
@@ -328,6 +345,3 @@ func (it *Iter) step() error {
 	}
 	return nil
 }
-
-// Count reports the distinct pairs delivered so far.
-func (it *Iter) Count() int { return it.count }

@@ -3,6 +3,7 @@ package spill
 import (
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/record"
@@ -34,8 +35,8 @@ func drain(t *testing.T, it *Iter) (map[record.Pair]float64, []record.Pair) {
 		out[p] = score
 		order = append(order, p)
 	}
-	if it.Count() != len(order) {
-		t.Fatalf("Count=%d, want %d", it.Count(), len(order))
+	if got := it.pairs.Stats().MergedEntries; got != int64(len(order)) {
+		t.Fatalf("MergedEntries=%d, want %d", got, len(order))
 	}
 	return out, order
 }
@@ -93,8 +94,8 @@ func TestPairsInMemory(t *testing.T) {
 	if st := s.Stats(); st.Runs != 0 || st.SpilledEntries != 0 || st.SpilledBytes != 0 {
 		t.Fatalf("in-memory run spilled: %+v", st)
 	}
-	if s.Len() != len(want) {
-		t.Fatalf("Len=%d, want %d", s.Len(), len(want))
+	if len(s.mem) != len(want) {
+		t.Fatalf("window holds %d pairs, want %d", len(s.mem), len(want))
 	}
 	it, err := s.Iter()
 	if err != nil {
@@ -108,6 +109,61 @@ func TestPairsInMemory(t *testing.T) {
 		if got[p] != sc {
 			t.Fatalf("pair %v: score %v, want %v", p, got[p], sc)
 		}
+	}
+}
+
+// TestPairsResident covers the hand-over of a window that never spilled:
+// the pairs come back in first-seen order with their maximal scores, and
+// the accumulator is finished. Once a run has gone to disk there is no
+// resident form, and the merge still delivers every pair.
+func TestPairsResident(t *testing.T) {
+	events := genEvents(500)
+	want := reference(events)
+	var firstSeen []record.Pair
+	seen := map[record.Pair]bool{}
+	for _, e := range events {
+		if !seen[e.p] {
+			seen[e.p] = true
+			firstSeen = append(firstSeen, e.p)
+		}
+	}
+
+	s := NewPairs(len(want), t.TempDir())
+	for _, e := range events {
+		if _, err := s.Add(e.p, e.s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pairs, scores, ok := s.Resident()
+	if !ok {
+		t.Fatalf("a window holding every pair is not resident: %+v", s.Stats())
+	}
+	if !reflect.DeepEqual(pairs, firstSeen) {
+		t.Fatal("resident pairs are not in first-seen order")
+	}
+	if !reflect.DeepEqual(scores, want) {
+		t.Fatal("resident scores are not the max-combined scores")
+	}
+	if _, err := s.Add(record.MakePair(1000, 1001), 0.5); err == nil {
+		t.Fatal("Add after Resident succeeded")
+	}
+
+	s = NewPairs(len(want)-1, t.TempDir())
+	defer s.Close()
+	for _, e := range events {
+		if _, err := s.Add(e.p, e.s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, ok := s.Resident(); ok {
+		t.Fatal("a spilled accumulator reported a resident window")
+	}
+	it, err := s.Iter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := drain(t, it); !reflect.DeepEqual(got, want) {
+		t.Fatal("merge after a refused hand-over lost pairs")
 	}
 }
 
@@ -229,8 +285,8 @@ func TestPairsStats(t *testing.T) {
 	if st.SpilledBytes != 6*entryLen {
 		t.Fatalf("SpilledBytes=%d, want %d", st.SpilledBytes, 6*entryLen)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len=%d, want 1", s.Len())
+	if len(s.mem) != 1 {
+		t.Fatalf("window holds %d pairs, want 1", len(s.mem))
 	}
 }
 
