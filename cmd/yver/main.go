@@ -146,7 +146,7 @@ func main() {
 
 	accepted := res.AtCertainty(*certainty)
 	fmt.Printf("records=%d candidates=%d accepted@%.2f=%d (same-source dropped %d)\n",
-		res.Report.Records, len(res.Matches), *certainty, len(accepted), res.DiscardedSameSrc)
+		res.Report.Records, len(res.Matches), *certainty, len(accepted), res.Report.Scoring.SameSrcDropped)
 	n := *top
 	if n > len(accepted) {
 		n = len(accepted)

@@ -35,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("pipeline: %d ranked matches (%d same-source pairs discarded)\n",
-		len(res.Matches), res.DiscardedSameSrc)
+		len(res.Matches), res.Report.Scoring.SameSrcDropped)
 
 	// 3. The uncertain-ER model: the same resolution serves different
 	//    certainty levels at query time.

@@ -1,6 +1,8 @@
 package blocking
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -211,12 +213,26 @@ func TestSortedNeighborhoodWindowsNeighbors(t *testing.T) {
 	}
 }
 
+// TestCanopyDeterministicUnderSeed holds both canopy blockers to one
+// output per seed: the same blocks, keys and member order on every run,
+// with each canopy's seed leading its block.
 func TestCanopyDeterministicUnderSeed(t *testing.T) {
 	coll, _ := smallCollection(t)
-	a := Pairs(Canopy{Seed: 3}.Block(coll), coll.Len()).Count()
-	b := Pairs(Canopy{Seed: 3}.Block(coll), coll.Len()).Count()
-	if a != b {
-		t.Errorf("canopy not deterministic: %d vs %d", a, b)
+	for _, b := range []Blocker{Canopy{Seed: 3}, ExtendedCanopy{Canopy{Seed: 3}}} {
+		ref := b.Block(coll)
+		if len(ref) == 0 {
+			t.Fatalf("%s: no blocks", b.Name())
+		}
+		for _, blk := range ref {
+			if want := fmt.Sprintf("canopy@%d", blk.Members[0]); blk.Key != want {
+				t.Fatalf("%s: block %s led by %d, not its seed", b.Name(), blk.Key, blk.Members[0])
+			}
+		}
+		for run := 1; run < 10; run++ {
+			if got := b.Block(coll); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s: run %d differs from run 0", b.Name(), run)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package blocking
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/record"
 )
@@ -49,30 +50,39 @@ func (c Canopy) Block(coll *record.Collection) []Block {
 		inPool[i] = true
 	}
 	var blocks []Block
+	mark := make([]int, n)
+	var cands []int
 	for len(pool) > 0 {
 		pi := rng.Intn(len(pool))
 		seed := pool[pi]
 
-		// Candidates: records sharing any item with the seed.
-		candSet := map[int]bool{seed: true}
+		// Candidates: records sharing any item with the seed, in ascending
+		// index order. The seed leads its block, so it is the canopy's
+		// representative (ExtendedCanopy compares against Members[0]).
+		// mark[j] == seed+1 once j is a candidate of this seed (a record is
+		// drawn as seed at most once).
+		cands = cands[:0]
 		for _, k := range keys[seed] {
 			for _, j := range index[k] {
-				candSet[j] = true
+				if j != seed && mark[j] != seed+1 {
+					mark[j] = seed + 1
+					cands = append(cands, j)
+				}
 			}
 		}
-		var members []int
-		var tightMembers []int
-		for j := range candSet {
-			sim := jaccardStrings(keys[seed], keys[j])
-			if j == seed || sim >= loose {
+		slices.Sort(cands)
+		members := []int{seed}
+		tightMembers := []int{seed}
+		for _, j := range cands {
+			if sim := jaccardStrings(keys[seed], keys[j]); sim >= loose {
 				members = append(members, j)
-				if j == seed || sim >= tight {
+				if sim >= tight {
 					tightMembers = append(tightMembers, j)
 				}
 			}
 		}
 		if len(members) >= 2 {
-			blocks = append(blocks, Block{Key: fmt.Sprintf("canopy@%d", seed), Members: dedupInts(members)})
+			blocks = append(blocks, Block{Key: fmt.Sprintf("canopy@%d", seed), Members: members})
 		}
 		// Remove tight members (always including the seed) from the pool.
 		for _, j := range tightMembers {
@@ -133,7 +143,7 @@ func (e ExtendedCanopy) Block(coll *record.Collection) []Block {
 		}
 		best, bestSim := -1, -1.0
 		for bi := range blocks {
-			rep := blocks[bi].Members[0]
+			rep := blocks[bi].Members[0] // the canopy's seed
 			if sim := jaccardStrings(keys[i], keys[rep]); sim > bestSim {
 				best, bestSim = bi, sim
 			}

@@ -151,14 +151,10 @@ type Resolution struct {
 	Blocking *mfiblocks.Result
 	// Collection is the (possibly preprocessed) collection resolved.
 	Collection *record.Collection
-	// DiscardedSameSrc counts candidates dropped by the SameSrc filter.
-	DiscardedSameSrc int
-	// DiscardedByModel counts candidates dropped by classification.
-	DiscardedByModel int
 	// Report is the run's telemetry breakdown: per-stage wall clock,
-	// blocking iterations, scoring counters, and the score
-	// distribution. The server exposes it at /api/report; yver writes
-	// it with -report.
+	// blocking iterations, scoring counters (Report.Scoring holds the
+	// SameSrc and model drops), and the score distribution. The server
+	// exposes it at /api/report; yver writes it with -report.
 	Report *telemetry.RunReport
 	// Trace is the run's tracer when Options.Trace was set: the full
 	// span record behind Report.Spans, exportable as Chrome trace-event
@@ -230,8 +226,6 @@ func resolve(opts *Options, report *telemetry.RunReport, stages *stageRunner, wo
 			return nil, fmt.Errorf("core: scoring: %w", err)
 		}
 		res.Matches = st.matches
-		res.DiscardedSameSrc = st.sameSrc
-		res.DiscardedByModel = st.byModel
 		return map[string]int64{
 			"candidates":       int64(st.candidates),
 			"matches":          int64(len(st.matches)),

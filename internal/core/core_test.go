@@ -70,7 +70,7 @@ func TestPipelineWithModelImprovesPrecision(t *testing.T) {
 	mBase := eval.Evaluate(resBase.Pairs(), truth)
 	mFull := eval.Evaluate(resFull.Pairs(), truth)
 	t.Logf("base: %v", mBase)
-	t.Logf("full: %v (sameSrc dropped %d, model dropped %d)", mFull, resFull.DiscardedSameSrc, resFull.DiscardedByModel)
+	t.Logf("full: %v (sameSrc dropped %d, model dropped %d)", mFull, resFull.Report.Scoring.SameSrcDropped, resFull.Report.Scoring.ModelDropped)
 
 	if mFull.Precision <= mBase.Precision {
 		t.Errorf("classification did not improve precision: %.3f -> %.3f", mBase.Precision, mFull.Precision)

@@ -203,8 +203,8 @@ func TestDeferredBlockScore(t *testing.T) {
 		case cfg.model != nil && want != withModel:
 			t.Errorf("%s: %d features evaluated, %d with Cls on: classification changed what was scored", cfg.name, want, withModel)
 		}
-		if cfg.model != nil && want < int64(ref.Report.Scoring.Candidates-ref.DiscardedSameSrc) {
-			t.Errorf("%s: %d features evaluated for %d scored candidates", cfg.name, want, ref.Report.Scoring.Candidates-ref.DiscardedSameSrc)
+		if scored := ref.Report.Scoring.Candidates - ref.Report.Scoring.SameSrcDropped; cfg.model != nil && want < int64(scored) {
+			t.Errorf("%s: %d features evaluated for %d scored candidates", cfg.name, want, scored)
 		}
 		for _, spill := range []bool{false, true} {
 			for _, workers := range []int{1, 2, 8} {

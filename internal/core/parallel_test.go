@@ -20,11 +20,12 @@ func assertRunsEqual(t *testing.T, tag string, ref, got *Resolution) {
 			t.Fatalf("%s: match %d differs: %+v vs %+v", tag, i, ref.Matches[i], got.Matches[i])
 		}
 	}
-	if ref.DiscardedSameSrc != got.DiscardedSameSrc {
-		t.Fatalf("%s: DiscardedSameSrc %d vs %d", tag, ref.DiscardedSameSrc, got.DiscardedSameSrc)
+	rs, gs := ref.Report.Scoring, got.Report.Scoring
+	if rs.SameSrcDropped != gs.SameSrcDropped {
+		t.Fatalf("%s: SameSrcDropped %d vs %d", tag, rs.SameSrcDropped, gs.SameSrcDropped)
 	}
-	if ref.DiscardedByModel != got.DiscardedByModel {
-		t.Fatalf("%s: DiscardedByModel %d vs %d", tag, ref.DiscardedByModel, got.DiscardedByModel)
+	if rs.ModelDropped != gs.ModelDropped {
+		t.Fatalf("%s: ModelDropped %d vs %d", tag, rs.ModelDropped, gs.ModelDropped)
 	}
 }
 
@@ -104,7 +105,7 @@ func TestScorePairSpillMode(t *testing.T) {
 		if res.Blocking.PairScores != nil {
 			t.Fatal("spill run unexpectedly materialized PairScores")
 		}
-		if ref.DiscardedSameSrc == 0 || len(ref.Matches) == len(ref.Blocking.Pairs) {
+		if ref.Report.Scoring.SameSrcDropped == 0 || len(ref.Matches) == len(ref.Blocking.Pairs) {
 			t.Fatalf("%s: no candidate was dropped, so every pair has a ranked match", cfg.name)
 		}
 		for _, p := range ref.Blocking.Pairs {

@@ -54,9 +54,9 @@ func TestScorerSourceEquivalence(t *testing.T) {
 			}
 			if ref == nil {
 				ref = got
-				if len(ref.Matches) == 0 || ref.DiscardedSameSrc == 0 || ref.DiscardedByModel == 0 {
+				if sc := ref.Report.Scoring; len(ref.Matches) == 0 || sc.SameSrcDropped == 0 || sc.ModelDropped == 0 {
 					t.Fatalf("%s: fixture does not exercise every filter: %d matches, %d same-source, %d by model",
-						tag, len(ref.Matches), ref.DiscardedSameSrc, ref.DiscardedByModel)
+						tag, len(ref.Matches), sc.SameSrcDropped, sc.ModelDropped)
 				}
 				continue
 			}

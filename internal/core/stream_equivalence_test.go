@@ -38,9 +38,10 @@ func assertResolutionsMatch(t *testing.T, label string, want, got *Resolution) {
 	if !reflect.DeepEqual(want.Pairs(), got.Pairs()) {
 		t.Fatalf("%s: Pairs diverge", label)
 	}
-	if want.DiscardedSameSrc != got.DiscardedSameSrc || want.DiscardedByModel != got.DiscardedByModel {
+	ws, gs := want.Report.Scoring, got.Report.Scoring
+	if ws.SameSrcDropped != gs.SameSrcDropped || ws.ModelDropped != gs.ModelDropped {
 		t.Fatalf("%s: discard counters diverge: samesrc %d/%d model %d/%d", label,
-			got.DiscardedSameSrc, want.DiscardedSameSrc, got.DiscardedByModel, want.DiscardedByModel)
+			gs.SameSrcDropped, ws.SameSrcDropped, gs.ModelDropped, ws.ModelDropped)
 	}
 	wc, gc := want.Clusters(0.3), got.Clusters(0.3)
 	if len(wc) != len(gc) {

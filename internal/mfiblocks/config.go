@@ -45,7 +45,8 @@ type Config struct {
 	// PruneFraction prunes this fraction of the most frequent items
 	// before mining (the paper uses 0.0003).
 	PruneFraction float64
-	// MinScore is the initial block score threshold (minTh).
+	// MinScore is a fixed score floor: at every minsup level, a block must
+	// score above it to be kept.
 	MinScore float64
 	// Workers bounds the goroutines used across the blocking stage: the
 	// MFI miner's top-level fan-out and block construction/scoring alike.

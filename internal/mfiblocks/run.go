@@ -137,7 +137,6 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 	// Every kept block's member pairs go to this one accumulator; whether
 	// they stay in memory is decided by the cap alone.
 	acc := spill.NewPairs(cfg.SpillPairs, cfg.SpillDir)
-	minTh := cfg.MinScore
 	coveredCount := 0
 	// Per-record NG budget units spent so far, across all levels (the
 	// rule is stated on Config.NG). Keyed by the dense collection index,
@@ -180,7 +179,6 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 		ngSpan := iterSpan.Child("enforce_ng", trace.WithKind(trace.KindOp))
 		kept, iterTh, ngPruned := enforceNG(&cfg, blocks, spent)
 		ngSpan.End()
-		minTh = math.Max(minTh, iterTh)
 
 		prevCovered := coveredCount
 		stats := IterationStats{MinSup: minsup, Active: len(active), MFIs: len(mfis), Blocks: len(kept), MinTh: iterTh, CSPruned: csPruned, NGPruned: ngPruned}
