@@ -33,7 +33,6 @@ import (
 	"repro/internal/adtree"
 	"repro/internal/core"
 	"repro/internal/gazetteer"
-	"repro/internal/mfiblocks"
 	"repro/internal/record"
 	"repro/internal/store"
 	"repro/internal/telemetry/trace"
@@ -63,17 +62,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	bc := mfiblocks.NewConfig()
-	bc.NG = *ng
-	bc.MaxMinSup = *maxMinSup
-	bc.SpillPairs = *spillPairs
-	opts := core.Options{
-		Blocking:   bc,
-		Geo:        gazetteer.Builtin(0),
-		Preprocess: true,
-		SameSrc:    *sameSrc,
-		Workers:    *workers,
-	}
+	opts := core.NewOptions(gazetteer.Builtin(0))
+	opts.Blocking.NG = *ng
+	opts.Blocking.MaxMinSup = *maxMinSup
+	opts.Blocking.SpillPairs = *spillPairs
+	opts.SameSrc = *sameSrc
+	opts.Workers = *workers
 	if *modelPath != "" {
 		mf, err := os.Open(*modelPath)
 		if err != nil {
@@ -85,8 +79,8 @@ func main() {
 			fatal(fmt.Errorf("-model %s: %w", *modelPath, err))
 		}
 		opts.Model = model
-		opts.Classify = true
 	}
+	opts.Classify = opts.Model != nil
 	// Validate at the flag boundary: a bad -workers or NaN parameter
 	// should fail here, not deep inside the scoring pool.
 	if err := opts.Validate(); err != nil {

@@ -35,7 +35,6 @@ import (
 	"repro/internal/adtree"
 	"repro/internal/core"
 	"repro/internal/gazetteer"
-	"repro/internal/mfiblocks"
 	"repro/internal/record"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -73,16 +72,10 @@ func main() {
 		fatal(err)
 	}
 
-	bc := mfiblocks.NewConfig()
-	bc.NG = *ng
-	bc.SpillPairs = *spillPairs
-	opts := core.Options{
-		Blocking:   bc,
-		Geo:        gazetteer.Builtin(0),
-		Preprocess: true,
-		SameSrc:    true,
-		Workers:    *workers,
-	}
+	opts := core.NewOptions(gazetteer.Builtin(0))
+	opts.Blocking.NG = *ng
+	opts.Blocking.SpillPairs = *spillPairs
+	opts.Workers = *workers
 	if *modelPath != "" {
 		mf, err := os.Open(*modelPath)
 		if err != nil {
@@ -95,6 +88,7 @@ func main() {
 		}
 		opts.Model = model
 	}
+	opts.Classify = opts.Model != nil
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "yvserve: %v\n", err)
 		os.Exit(2)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -77,7 +78,8 @@ type Options struct {
 }
 
 // NewOptions returns the deployment defaults: preprocessing on, default
-// blocking, SameSrc and classification enabled once a model is supplied.
+// blocking, SameSrc and Classify on. Classify requires a Model, so a
+// caller that runs without one must clear it.
 func NewOptions(geo similarity.GeoDistancer) Options {
 	return Options{
 		Blocking:   mfiblocks.NewConfig(),
@@ -207,7 +209,6 @@ func Run(opts Options, coll *record.Collection) (*Resolution, error) {
 // report. Spilled and resident candidate sets take the same path from
 // this point on.
 func resolve(opts *Options, report *telemetry.RunReport, stages *stageRunner, work *record.Collection, blk *mfiblocks.Result) (*Resolution, error) {
-	report.Blocking = blockingReport(blk)
 	res := &Resolution{
 		Blocking:   blk,
 		Collection: work,
@@ -217,48 +218,31 @@ func resolve(opts *Options, report *telemetry.RunReport, stages *stageRunner, wo
 	}
 
 	var st scoreResult
-	if err := stages.run("scoring", func(sp *trace.Span) (map[string]int64, error) {
+	if err := stages.run("scoring", func(sp *trace.Span) error {
 		// A spilled run learns its distinct-pair total only at the merge.
 		opts.Progress.Stage("scoring", int64(len(blk.Pairs)))
 		var err error
 		st, err = scoreCandidates(opts, work, candidatesOf(blk, sp), res.profiles, opts.workers(), sp)
 		if err != nil {
-			return nil, fmt.Errorf("core: scoring: %w", err)
+			return fmt.Errorf("core: scoring: %w", err)
 		}
 		res.Matches = st.matches
-		return map[string]int64{
-			"candidates":       int64(st.candidates),
-			"matches":          int64(len(st.matches)),
-			"same_src_dropped": int64(st.sameSrc),
-			"model_dropped":    int64(st.byModel),
-		}, nil
+		return nil
 	}); err != nil {
 		return nil, err
 	}
 
-	if err := stages.run("rank", func(sp *trace.Span) (map[string]int64, error) {
+	if err := stages.run("rank", func(*trace.Span) error {
 		opts.Progress.Stage("rank", int64(len(res.Matches)))
 		sortMatches(res.Matches)
 		opts.Progress.Add(int64(len(res.Matches)))
-		return map[string]int64{"matches": int64(len(res.Matches))}, nil
+		return nil
 	}); err != nil {
 		return nil, err
 	}
 
-	// A spilled run learns its exact candidate count only at the merge,
-	// so the blocking report is finalized after scoring.
-	report.Blocking.Pairs = st.candidates
-	if blk.Spill != nil {
-		// Stats stay valid after Close: runs, spilled entries/bytes, and
-		// what the scoring merge delivered back.
-		ss := blk.Spill.Stats()
-		report.Blocking.SpillRuns = ss.Runs
-		report.Blocking.SpilledEntries = ss.SpilledEntries
-		report.Blocking.SpilledBytes = ss.SpilledBytes
-		report.Blocking.MergedEntries = ss.MergedEntries
-		report.Blocking.MergedBytes = ss.MergedBytes
-	}
-	report.Scoring = scoringReport(&st, res.profiles, opts.workers())
+	report.Blocking = blockingReport(blk, st.candidates)
+	report.Scoring = scoringReport(&st, res.profiles.Extractor())
 	stages.root.Attr("matches", int64(len(res.Matches))).End()
 	if opts.Trace != nil {
 		res.Trace = opts.Trace
@@ -268,70 +252,29 @@ func resolve(opts *Options, report *telemetry.RunReport, stages *stageRunner, wo
 	return res, nil
 }
 
-// blockingCounters summarizes a blocking result for its stage entry. A
-// spilled run reports its spill activity instead of a pair count —
-// distinct pairs are only known once the scoring stage merges the runs.
-func blockingCounters(blk *mfiblocks.Result) map[string]int64 {
-	c := map[string]int64{
-		"blocks":     int64(len(blk.Blocks)),
-		"iterations": int64(len(blk.Iterations)),
-	}
-	if blk.Spill == nil {
-		c["pairs"] = int64(len(blk.Pairs))
-	} else {
-		st := blk.Spill.Stats()
-		c["spill_runs"] = int64(st.Runs)
-		c["spill_entries"] = st.SpilledEntries
-	}
-	return c
-}
-
 // blockingReport converts the blocking result into its report form.
-func blockingReport(blk *mfiblocks.Result) *telemetry.BlockingReport {
-	covered := 0
-	for _, c := range blk.Covered {
-		if c {
-			covered++
-		}
-	}
-	br := &telemetry.BlockingReport{
-		Blocks:  len(blk.Blocks),
-		Pairs:   len(blk.Pairs),
-		Covered: covered,
-	}
-	for _, it := range blk.Iterations {
-		br.Iterations = append(br.Iterations, telemetry.IterationReport{
-			MinSup:     it.MinSup,
-			Active:     it.Active,
-			MFIs:       it.MFIs,
-			Blocks:     it.Blocks,
-			CSPruned:   it.CSPruned,
-			NGPruned:   it.NGPruned,
-			NewPairs:   it.NewPairs,
-			CoveredNow: it.CoveredNow,
-			MinTh:      it.MinTh,
-			DurationNS: it.Elapsed.Nanoseconds(),
-		})
+// pairs is the distinct candidate count the scoring stage read: a
+// spilled run learns it only at the merge. The iterations are copied
+// because StripTimings zeroes the report's in place.
+func blockingReport(blk *mfiblocks.Result, pairs int) *telemetry.BlockingReport {
+	br := &telemetry.BlockingReport{Iterations: slices.Clone(blk.Iterations), Pairs: pairs}
+	if blk.Spill != nil {
+		// Stats stay valid after the scoring merge closed the runs.
+		ss := blk.Spill.Stats()
+		br.SpillRuns, br.SpilledEntries = ss.Runs, ss.SpilledEntries
 	}
 	return br
 }
 
 // scoringReport converts the scoring stage's outcome into its report
 // form.
-func scoringReport(st *scoreResult, cache *features.ProfileCache, workers int) *telemetry.ScoringReport {
-	cs := cache.Stats()
+func scoringReport(st *scoreResult, ex *features.Extractor) *telemetry.ScoringReport {
 	sr := &telemetry.ScoringReport{
-		Candidates:        st.candidates,
 		SameSrcDropped:    st.sameSrc,
 		ModelDropped:      st.byModel,
 		Matches:           len(st.matches),
-		Workers:           workers,
-		Chunks:            st.chunks,
 		FeaturesEvaluated: st.features,
-		ProfilesBuilt:     int(cs.Built),
-		ProfileHits:       cs.Hits,
-		ProfileMisses:     cs.Misses,
-		InternedStrings:   cache.Extractor().InternedStrings(),
+		InternedStrings:   ex.InternedStrings(),
 	}
 	if st.scores != nil {
 		snap := st.scores.Snapshot()
@@ -347,24 +290,24 @@ func publish(reg *telemetry.Registry, report *telemetry.RunReport, scores *telem
 	for _, s := range report.Stages {
 		reg.Timer("core_stage_seconds", telemetry.L("stage", s.Name)).Observe(time.Duration(s.DurationNS))
 	}
-	sr := report.Scoring
+	br, sr := report.Blocking, report.Scoring
 	reg.Counter("core_runs_total").Inc()
-	reg.Counter("core_candidate_pairs_total").Add(int64(sr.Candidates))
+	reg.Counter("core_candidate_pairs_total").Add(int64(br.Pairs))
 	reg.Counter("core_matches_total").Add(int64(sr.Matches))
 	reg.Counter("core_samesrc_dropped_total").Add(int64(sr.SameSrcDropped))
 	reg.Counter("core_model_dropped_total").Add(int64(sr.ModelDropped))
 	reg.Histogram("core_score_distribution", telemetry.ScoreBuckets).Merge(scores)
 
-	br := report.Blocking
-	var mfis, csPruned, ngPruned int
+	var mfis, blocks, csPruned, ngPruned int
 	for _, it := range br.Iterations {
 		mfis += it.MFIs
+		blocks += it.Blocks
 		csPruned += it.CSPruned
 		ngPruned += it.NGPruned
 	}
 	reg.Counter("mfiblocks_iterations_total").Add(int64(len(br.Iterations)))
 	reg.Counter("mfiblocks_mfis_total").Add(int64(mfis))
-	reg.Counter("mfiblocks_blocks_total").Add(int64(br.Blocks))
+	reg.Counter("mfiblocks_blocks_total").Add(int64(blocks))
 	reg.Counter("mfiblocks_pairs_total").Add(int64(br.Pairs))
 	reg.Counter("mfiblocks_cs_pruned_total").Add(int64(csPruned))
 	reg.Counter("mfiblocks_ng_pruned_total").Add(int64(ngPruned))

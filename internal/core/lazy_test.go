@@ -203,7 +203,7 @@ func TestDeferredBlockScore(t *testing.T) {
 		case cfg.model != nil && want != withModel:
 			t.Errorf("%s: %d features evaluated, %d with Cls on: classification changed what was scored", cfg.name, want, withModel)
 		}
-		if scored := ref.Report.Scoring.Candidates - ref.Report.Scoring.SameSrcDropped; cfg.model != nil && want < int64(scored) {
+		if scored := ref.Report.Blocking.Pairs - ref.Report.Scoring.SameSrcDropped; cfg.model != nil && want < int64(scored) {
 			t.Errorf("%s: %d features evaluated for %d scored candidates", cfg.name, want, scored)
 		}
 		for _, spill := range []bool{false, true} {

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/features"
 	"repro/internal/mfiblocks"
 	"repro/internal/telemetry"
 )
@@ -68,61 +71,196 @@ func TestRunReportGolden(t *testing.T) {
 }
 
 // TestRunReportShape asserts the schema invariants directly — readable
-// failures for the properties the golden file encodes implicitly.
+// failures for the properties the golden file encodes implicitly — and
+// the identities that recover every figure the report leaves out
+// because another field gives it: the run's wall clock, the block and
+// covered-record totals, the scoring stage's candidates, workers and
+// chunks, the profiles it built and the spill's merged entries and
+// bytes. Each is checked against what the run itself holds, on a
+// resident and a spilled run, with and without a model, at one and
+// three workers.
 func TestRunReportShape(t *testing.T) {
-	fx := newFixture(t, 120)
-	opts := Options{
-		Blocking:   mfiblocks.NewConfig(),
-		Geo:        fx.gen.Gaz,
-		Preprocess: true,
-		Gazetteer:  fx.gen.Gaz,
-		Metrics:    telemetry.NewRegistry(),
+	base, gen := scoringOptions(t, 120)
+	for _, spill := range []int{0, 64} {
+		for _, withModel := range []bool{false, true} {
+			for _, workers := range []int{1, 3} {
+				tag := fmt.Sprintf("spill=%d model=%t workers=%d", spill, withModel, workers)
+				opts := base
+				opts.Workers = workers
+				opts.Blocking.SpillPairs = spill
+				opts.Blocking.SpillDir = t.TempDir()
+				if !withModel {
+					opts.Model, opts.Classify = nil, false
+				}
+				t0 := time.Now()
+				res, err := Run(opts, gen.Collection)
+				wall := time.Since(t0)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				assertReportShape(t, tag, res, gen.Collection.Len())
+				assertReportIdentities(t, tag, opts, res, wall)
+			}
+		}
 	}
-	res, err := Run(opts, fx.gen.Collection)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+func assertReportShape(t *testing.T, tag string, res *Resolution, records int) {
+	t.Helper()
 	rep := res.Report
 	if rep.SchemaVersion != telemetry.ReportSchemaVersion {
-		t.Errorf("SchemaVersion = %d, want %d", rep.SchemaVersion, telemetry.ReportSchemaVersion)
+		t.Errorf("%s: SchemaVersion = %d, want %d", tag, rep.SchemaVersion, telemetry.ReportSchemaVersion)
 	}
-	if rep.Records != fx.gen.Collection.Len() {
-		t.Errorf("Records = %d, want %d", rep.Records, fx.gen.Collection.Len())
+	if rep.Records != records {
+		t.Errorf("%s: Records = %d, want %d", tag, rep.Records, records)
 	}
 	want := []string{"ingest", "blocking", "scoring", "rank"}
 	if len(rep.Stages) != len(want) {
-		t.Fatalf("Stages = %d, want %d", len(rep.Stages), len(want))
+		t.Fatalf("%s: Stages = %d, want %d", tag, len(rep.Stages), len(want))
 	}
 	for i, name := range want {
 		if rep.Stages[i].Name != name {
-			t.Errorf("Stages[%d] = %q, want %q", i, rep.Stages[i].Name, name)
+			t.Errorf("%s: Stages[%d] = %q, want %q", tag, i, rep.Stages[i].Name, name)
 		}
 		if rep.Stages[i].DurationNS < 0 {
-			t.Errorf("Stages[%d] negative duration", i)
+			t.Errorf("%s: Stages[%d] negative duration", tag, i)
 		}
 	}
 	if rep.Blocking == nil {
-		t.Fatal("Blocking report missing")
-	}
-	if rep.Blocking.Pairs != len(res.Blocking.Pairs) {
-		t.Errorf("Blocking.Pairs = %d, want %d", rep.Blocking.Pairs, len(res.Blocking.Pairs))
+		t.Fatalf("%s: Blocking report missing", tag)
 	}
 	if len(rep.Blocking.Iterations) != len(res.Blocking.Iterations) {
-		t.Errorf("Blocking.Iterations = %d, want %d",
+		t.Errorf("%s: Blocking.Iterations = %d, want %d", tag,
 			len(rep.Blocking.Iterations), len(res.Blocking.Iterations))
 	}
 	if rep.Scoring == nil {
-		t.Fatal("Scoring report missing")
+		t.Fatalf("%s: Scoring report missing", tag)
 	}
 	if rep.Scoring.Matches != len(res.Matches) {
-		t.Errorf("Scoring.Matches = %d, want %d", rep.Scoring.Matches, len(res.Matches))
-	}
-	if rep.Scoring.Candidates != len(res.Blocking.Pairs) {
-		t.Errorf("Scoring.Candidates = %d, want %d", rep.Scoring.Candidates, len(res.Blocking.Pairs))
+		t.Errorf("%s: Scoring.Matches = %d, want %d", tag, rep.Scoring.Matches, len(res.Matches))
 	}
 	if rep.Scoring.Scores == nil || rep.Scoring.Scores.Count != int64(len(res.Matches)) {
-		t.Errorf("Scoring.Scores = %+v, want count %d", rep.Scoring.Scores, len(res.Matches))
+		t.Errorf("%s: Scoring.Scores = %+v, want count %d", tag, rep.Scoring.Scores, len(res.Matches))
 	}
+}
+
+// spillEntryBytes is the on-disk size of one spilled candidate entry.
+const spillEntryBytes = 24
+
+func assertReportIdentities(t *testing.T, tag string, opts Options, res *Resolution, wall time.Duration) {
+	t.Helper()
+	rep, blk := res.Report, res.Blocking
+	br, sr := rep.Blocking, rep.Scoring
+
+	// total_ns = Σ stages[].duration_ns: the stages run one after another
+	// inside the run's wall clock.
+	var total int64
+	for _, s := range rep.Stages {
+		total += s.DurationNS
+	}
+	if total <= 0 || total > wall.Nanoseconds() {
+		t.Errorf("%s: stages sum to %d ns, the run took %d ns", tag, total, wall.Nanoseconds())
+	}
+
+	// blocking.blocks = Σ iterations[].blocks; blocking.covered = the
+	// last iteration's covered_now.
+	var blocks int
+	for _, it := range br.Iterations {
+		blocks += it.Blocks
+	}
+	if blocks != len(blk.Blocks) {
+		t.Errorf("%s: iterations hold %d blocks, the run kept %d", tag, blocks, len(blk.Blocks))
+	}
+	covered := 0
+	for _, c := range blk.Covered {
+		if c {
+			covered++
+		}
+	}
+	if last := br.Iterations[len(br.Iterations)-1]; last.CoveredNow != covered {
+		t.Errorf("%s: last covered_now %d, the run covered %d", tag, last.CoveredNow, covered)
+	}
+
+	// merged_entries = blocking.pairs; spilled_bytes and merged_bytes =
+	// entries × 24.
+	if spilled := blk.Spill != nil; spilled != (opts.Blocking.SpillPairs > 0) {
+		t.Fatalf("%s: spilled=%t", tag, spilled)
+	}
+	if blk.Spill == nil {
+		if br.Pairs != len(blk.Pairs) || br.SpillRuns != 0 || br.SpilledEntries != 0 {
+			t.Errorf("%s: resident run reports %+v for %d pairs", tag, br, len(blk.Pairs))
+		}
+	} else {
+		st := blk.Spill.Stats()
+		if br.SpillRuns != st.Runs || br.SpilledEntries != st.SpilledEntries || st.Runs < 2 {
+			t.Errorf("%s: report spill %d runs, %d entries; accumulator %+v", tag, br.SpillRuns, br.SpilledEntries, st)
+		}
+		if st.MergedEntries != int64(br.Pairs) {
+			t.Errorf("%s: merged %d entries, report pairs %d", tag, st.MergedEntries, br.Pairs)
+		}
+		if st.SpilledBytes != spillEntryBytes*st.SpilledEntries || st.MergedBytes != spillEntryBytes*st.MergedEntries {
+			t.Errorf("%s: bytes are not 24 per entry: %+v", tag, st)
+		}
+	}
+
+	// scoring.candidates = blocking.pairs: every candidate is dropped or
+	// matched.
+	if n := sr.SameSrcDropped + sr.ModelDropped + sr.Matches; n != br.Pairs {
+		t.Errorf("%s: scoring accounts for %d candidates, blocking emitted %d", tag, n, br.Pairs)
+	}
+	if opts.Model != nil && sr.ModelDropped == 0 {
+		t.Errorf("%s: the classifier dropped nothing", tag)
+	}
+
+	// scoring.workers = workers.
+	if rep.Workers != opts.Workers {
+		t.Errorf("%s: Workers = %d, want %d", tag, rep.Workers, opts.Workers)
+	}
+
+	// profiles_built = records when a model scored, else 0; the scoring
+	// loop reads Build's slice, so profile_hits and profile_misses were
+	// always 0.
+	wantProfiles := 0
+	if opts.Model != nil {
+		wantProfiles = rep.Records
+	}
+	if n := res.Profiles().Len(); n != wantProfiles {
+		t.Errorf("%s: %d profiles built, want %d", tag, n, wantProfiles)
+	}
+
+	// scoring.chunks = ⌈pairs/512⌉: re-score a fresh blocking result of
+	// the same collection through a source that counts the workers' pulls.
+	cfg := opts.Blocking
+	cfg.Workers = opts.Workers
+	again, err := mfiblocks.Run(cfg, res.Collection)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	src := &chunkCounter{candidateSource: candidatesOf(again, nil)}
+	st, err := scoreCandidates(&opts, res.Collection, src, features.NewProfileCache(features.NewExtractor(opts.Geo)), opts.Workers, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	if st.candidates != br.Pairs {
+		t.Fatalf("%s: re-scored %d candidates, the run %d", tag, st.candidates, br.Pairs)
+	}
+	if want := (br.Pairs + scoreChunkSize - 1) / scoreChunkSize; src.chunks.Load() != int64(want) {
+		t.Errorf("%s: %d chunks for %d candidates, want %d", tag, src.chunks.Load(), br.Pairs, want)
+	}
+}
+
+// chunkCounter counts the non-empty pulls the scoring workers make.
+type chunkCounter struct {
+	candidateSource
+	chunks atomic.Int64
+}
+
+func (c *chunkCounter) next(buf []candidate) (int, error) {
+	n, err := c.candidateSource.next(buf)
+	if n > 0 {
+		c.chunks.Add(1)
+	}
+	return n, err
 }
 
 // TestPublishedFamiliesMatchReport: the registry view of a run is derived
@@ -156,7 +294,7 @@ func TestPublishedFamiliesMatchReport(t *testing.T) {
 		}
 		want := map[string]float64{
 			"core_runs_total":               1,
-			"core_candidate_pairs_total":    float64(sr.Candidates),
+			"core_candidate_pairs_total":    float64(br.Pairs),
 			"core_matches_total":            float64(sr.Matches),
 			"core_samesrc_dropped_total":    float64(sr.SameSrcDropped),
 			"core_model_dropped_total":      float64(sr.ModelDropped),
@@ -164,7 +302,7 @@ func TestPublishedFamiliesMatchReport(t *testing.T) {
 			"core_score_distribution_count": float64(sr.Scores.Count),
 			"mfiblocks_iterations_total":    float64(len(br.Iterations)),
 			"mfiblocks_mfis_total":          float64(mfis),
-			"mfiblocks_blocks_total":        float64(br.Blocks),
+			"mfiblocks_blocks_total":        float64(len(res.Blocking.Blocks)),
 			"mfiblocks_pairs_total":         float64(br.Pairs),
 			"mfiblocks_cs_pruned_total":     float64(cs),
 			"mfiblocks_ng_pruned_total":     float64(ng),
@@ -177,8 +315,8 @@ func TestPublishedFamiliesMatchReport(t *testing.T) {
 			want[`core_stage_seconds_count{stage="`+s.Name+`"}`] = 1
 			want[`core_stage_seconds_sum{stage="`+s.Name+`"}`] = time.Duration(s.DurationNS).Seconds()
 		}
-		if br.Pairs != sr.Candidates || (spill == 0 && br.Pairs != len(res.Blocking.Pairs)) {
-			t.Fatalf("spill=%d: report pairs %d, candidates %d", spill, br.Pairs, sr.Candidates)
+		if scored := sr.SameSrcDropped + sr.ModelDropped + sr.Matches; br.Pairs != scored || (spill == 0 && br.Pairs != len(res.Blocking.Pairs)) {
+			t.Fatalf("spill=%d: report pairs %d, scored candidates %d", spill, br.Pairs, scored)
 		}
 
 		var sb strings.Builder

@@ -107,8 +107,8 @@ func candidatesOf(blk *mfiblocks.Result, sp *trace.Span) candidateSource {
 }
 
 // scoreResult is the scoring stage's output before ranking. The telemetry
-// fields (candidates, features, chunks, scores) ride along so resolve can
-// fold them into the RunReport without re-walking the matches.
+// fields (candidates, features, scores) ride along so resolve can fold
+// them into the RunReport without re-walking the matches.
 type scoreResult struct {
 	matches    []RankedMatch
 	candidates int
@@ -118,7 +118,6 @@ type scoreResult struct {
 	// it scored. A pair's count depends on the pair and the model alone,
 	// so the total is the same for any source and worker count.
 	features int64
-	chunks   int
 	scores   *telemetry.Histogram
 }
 
@@ -211,7 +210,6 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 				local.matches = append(local.matches, m)
 			}
 			local.candidates += n
-			local.chunks++
 			opts.Progress.Add(int64(n))
 		}
 		wsp.Attr("pairs", int64(local.candidates)).End()
@@ -225,7 +223,6 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 		total.sameSrc += local.sameSrc
 		total.byModel += local.byModel
 		total.features += local.features
-		total.chunks += local.chunks
 		total.scores.Merge(local.scores)
 		mu.Unlock()
 	}

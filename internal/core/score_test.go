@@ -61,15 +61,14 @@ func TestScorerSourceEquivalence(t *testing.T) {
 				continue
 			}
 			assertRunsEqual(t, tag, ref, got)
-			want, sc := ref.Report.Scoring, got.Report.Scoring
-			if sc.Candidates != want.Candidates || sc.Matches != want.Matches {
+			want, sc := ref.Report, got.Report
+			if sc.Blocking.Pairs != want.Blocking.Pairs || sc.Scoring.Matches != want.Scoring.Matches {
 				t.Errorf("%s: report says %d candidates, %d matches; reference %d, %d",
-					tag, sc.Candidates, sc.Matches, want.Candidates, want.Matches)
+					tag, sc.Blocking.Pairs, sc.Scoring.Matches, want.Blocking.Pairs, want.Scoring.Matches)
 			}
-			// Both sources emit the same instruments.
-			if sc.Chunks == 0 || sc.ProfilesBuilt != got.Collection.Len() {
-				t.Errorf("%s: report says %d chunks, %d profiles built for %d records",
-					tag, sc.Chunks, sc.ProfilesBuilt, got.Collection.Len())
+			// Both sources profile every record for the model.
+			if n := got.Profiles().Len(); n != got.Collection.Len() {
+				t.Errorf("%s: %d profiles built for %d records", tag, n, got.Collection.Len())
 			}
 			if runs := got.Report.Blocking.SpillRuns; src.spill && runs < 2 {
 				t.Errorf("%s: %d spill runs, the cell does not exercise the merge", tag, runs)
@@ -93,8 +92,8 @@ func TestNoModelBuildsNoProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, res := range map[string]*Resolution{"batch": batch, "skeleton stream": stream} {
-		if sc := res.Report.Scoring; sc.ProfilesBuilt != 0 || res.Profiles().Len() != 0 {
-			t.Errorf("%s: %d profiles built, %d cached, want none without a model", name, sc.ProfilesBuilt, res.Profiles().Len())
+		if n := res.Profiles().Len(); n != 0 {
+			t.Errorf("%s: %d profiles built, want none without a model", name, n)
 		}
 	}
 }

@@ -99,7 +99,7 @@ func RunStream(opts StreamOptions, src RecordSource) (*Resolution, error) {
 
 	corpus := &mfiblocks.Corpus{Dict: record.NewDictionary()}
 	var kept []*record.Record
-	if err := stages.run("ingest", func(sp *trace.Span) (map[string]int64, error) {
+	if err := stages.run("ingest", func(*trace.Span) error {
 		// A source that knows its length gives the progress line a total;
 		// a file stream does not, and posts 0 (unknown).
 		var total int64
@@ -117,7 +117,7 @@ func RunStream(opts StreamOptions, src RecordSource) (*Resolution, error) {
 				break
 			}
 			if err != nil {
-				return nil, fmt.Errorf("core: ingest: %w", err)
+				return fmt.Errorf("core: ingest: %w", err)
 			}
 			if opts.Preprocess {
 				r = preprocessRecord(r, gaz)
@@ -139,7 +139,7 @@ func RunStream(opts StreamOptions, src RecordSource) (*Resolution, error) {
 		if tr, ok := src.(interface{ TornBytes() int64 }); ok {
 			report.TornBytes = tr.TornBytes()
 		}
-		return map[string]int64{"records": int64(len(kept))}, nil
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -155,15 +155,15 @@ func RunStream(opts StreamOptions, src RecordSource) (*Resolution, error) {
 	}
 
 	var blk *mfiblocks.Result
-	if err := stages.run("blocking", func(sp *trace.Span) (map[string]int64, error) {
+	if err := stages.run("blocking", func(sp *trace.Span) error {
 		blocking := opts.Blocking
 		blocking.Trace = sp
 		var err error
 		blk, err = mfiblocks.RunCorpus(blocking, corpus)
 		if err != nil {
-			return nil, fmt.Errorf("core: blocking: %w", err)
+			return fmt.Errorf("core: blocking: %w", err)
 		}
-		return blockingCounters(blk), nil
+		return nil
 	}); err != nil {
 		return nil, err
 	}

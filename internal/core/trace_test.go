@@ -118,9 +118,9 @@ func TestTraceBatchRun(t *testing.T) {
 // sparse-neighborhood pass (enforce_ng) and its pair emission
 // (emit_pairs), and carries its blocks and new_pairs whether or not the
 // candidates spill. A spilled window's flushes land under the emission
-// that filled it, one per disk run. The stage's pairs counter is there
-// only when the candidates stayed resident: a spilled run learns its
-// distinct-pair count at the merge, and must not report 0.
+// that filled it, one per disk run. The stage span itself carries no
+// counts: the report holds them, and a spilled run, which learns its
+// distinct-pair count at the merge, must not report 0.
 func TestBlockingSpansTimeNGAndEmission(t *testing.T) {
 	g := equivDataset(t, 200, 777)
 	for _, spillPairs := range []int{0, 64} {
@@ -141,13 +141,17 @@ func TestBlockingSpansTimeNGAndEmission(t *testing.T) {
 		if blocking == nil {
 			t.Fatalf("SpillPairs=%d: no blocking stage span", spillPairs)
 		}
-		counters := res.Report.Stages[1].Counters
-		if spillPairs == 0 {
-			if res.Blocking.Spill != nil || counters["pairs"] != int64(len(res.Blocking.Pairs)) || blocking.Attrs["pairs"] != counters["pairs"] {
-				t.Fatalf("SpillPairs=0: stage pairs %d (span %d), resident pairs %d", counters["pairs"], blocking.Attrs["pairs"], len(res.Blocking.Pairs))
+		// The counts live in the report once: the stage span carries none,
+		// and a spilled run reports the distinct pairs its merge read, not 0.
+		if len(blocking.Attrs) != 0 {
+			t.Fatalf("SpillPairs=%d: blocking stage span carries attrs %v", spillPairs, blocking.Attrs)
+		}
+		if pairs := res.Report.Blocking.Pairs; spillPairs == 0 {
+			if res.Blocking.Spill != nil || pairs != len(res.Blocking.Pairs) {
+				t.Fatalf("SpillPairs=0: report pairs %d, resident pairs %d", pairs, len(res.Blocking.Pairs))
 			}
-		} else if _, ok := counters["pairs"]; ok || res.Blocking.Spill == nil {
-			t.Fatalf("SpillPairs=%d: a spilled run reports a blocking pairs counter %v", spillPairs, counters)
+		} else if res.Blocking.Spill == nil || int64(pairs) != res.Blocking.Spill.Stats().MergedEntries || pairs == 0 {
+			t.Fatalf("SpillPairs=%d: report pairs %d, merged entries %+v", spillPairs, pairs, res.Blocking.Spill)
 		}
 
 		iter, flushes := 0, 0
@@ -208,7 +212,8 @@ func TestTraceDisabledByDefault(t *testing.T) {
 
 // TestStreamReportSpillStats pins the satellite surfaces on the
 // streaming report: spill-run statistics land in the blocking section,
-// and a torn-tail store surfaces its skipped bytes.
+// the pairs are the entries the merge read, and a torn-tail store
+// surfaces its skipped bytes.
 func TestStreamReportSpillStats(t *testing.T) {
 	g := equivDataset(t, 150, 1944)
 	path := filepath.Join(t.TempDir(), "records.yvst")
@@ -252,11 +257,8 @@ func TestStreamReportSpillStats(t *testing.T) {
 	if st.Runs == 0 {
 		t.Fatal("fixture never spilled")
 	}
-	if rep.Blocking.SpillRuns != st.Runs ||
-		rep.Blocking.SpilledEntries != st.SpilledEntries ||
-		rep.Blocking.SpilledBytes != st.SpilledBytes ||
-		rep.Blocking.MergedEntries != st.MergedEntries ||
-		rep.Blocking.MergedBytes != st.MergedBytes {
+	if rep.Blocking.SpillRuns != st.Runs || rep.Blocking.SpilledEntries != st.SpilledEntries ||
+		int64(rep.Blocking.Pairs) != st.MergedEntries {
 		t.Fatalf("report spill stats %+v diverge from accumulator %+v", rep.Blocking, st)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/gazetteer"
 	"repro/internal/record"
@@ -476,28 +475,6 @@ type ProfileCache struct {
 	ex   *Extractor
 	mu   sync.RWMutex
 	byID map[int64]*Profile
-
-	// hits and misses count Get outcomes; built counts profiles derived
-	// by Build. Telemetry reads them via Stats.
-	hits, misses, built atomic.Int64
-}
-
-// CacheStats is a point-in-time view of the cache's traffic.
-type CacheStats struct {
-	Hits   int64 // Get served from the cache
-	Misses int64 // Get derived a fresh profile
-	Built  int64 // profiles derived by bulk Build
-	Size   int   // distinct cached profiles
-}
-
-// Stats returns the cache's cumulative hit/miss/build counts.
-func (c *ProfileCache) Stats() CacheStats {
-	return CacheStats{
-		Hits:   c.hits.Load(),
-		Misses: c.misses.Load(),
-		Built:  c.built.Load(),
-		Size:   c.Len(),
-	}
 }
 
 // NewProfileCache returns an empty cache building profiles with ex.
@@ -521,10 +498,8 @@ func (c *ProfileCache) Get(r *record.Record) *Profile {
 	p, ok := c.byID[r.BookID]
 	c.mu.RUnlock()
 	if ok {
-		c.hits.Add(1)
 		return p
 	}
-	c.misses.Add(1)
 	p = c.ex.Profile(r)
 	c.mu.Lock()
 	// A concurrent builder may have won the race; keep the first entry so
@@ -571,7 +546,6 @@ func (c *ProfileCache) Build(coll *record.Collection, workers int) []*Profile {
 		}(lo, hi)
 	}
 	wg.Wait()
-	c.built.Add(int64(n))
 	c.mu.Lock()
 	if len(c.byID) == 0 {
 		c.byID = make(map[int64]*Profile, n)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/fpgrowth"
 	"repro/internal/record"
 	"repro/internal/spill"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
 
@@ -81,22 +82,10 @@ func (r *Result) EachPair(fn func(p record.Pair, score float64)) error {
 	}
 }
 
-// IterationStats captures one minsup level of Algorithm 1.
-type IterationStats struct {
-	MinSup   int
-	Active   int // uncovered records the MFIs were mined over
-	MFIs     int
-	Blocks   int // blocks surviving all filters
-	CSPruned int // blocks dropped by the compact-set size cap
-	NGPruned int // blocks vetoed by the sparse-neighborhood cap
-	// NewPairs counts the pairs first seen this iteration: exact while the
-	// candidates fit under the spill cap, window-local once they spill (a
-	// pair re-observed after its window went to disk counts again).
-	NewPairs   int
-	CoveredNow int     // total records covered after the iteration
-	MinTh      float64 // score threshold after NG enforcement
-	Elapsed    time.Duration
-}
+// IterationStats captures one minsup level of Algorithm 1. It is the
+// run report's type for the level: the report copies Result.Iterations
+// as they are.
+type IterationStats = telemetry.IterationReport
 
 // Run executes MFIBlocks over the collection. It is the batch entry
 // point: the collection is encoded into a Corpus and handed to

@@ -188,18 +188,29 @@ func TestReportEndpoint(t *testing.T) {
 			t.Errorf("stage[%d] = %q, want %q", i, rep.Stages[i].Name, w)
 		}
 	}
-	// The scoring block always carries the profile and interner fields,
-	// even when they are zero (this fixture has no model, so no profile
-	// is built). Consumers key on presence, not value.
+	// The scoring block always carries the feature and interner fields,
+	// even when they are zero (this fixture has no model). Consumers key
+	// on presence, not value. The fields another one gives are gone.
 	var raw struct {
-		Scoring map[string]json.RawMessage `json:"scoring"`
+		Stages  []map[string]json.RawMessage `json:"stages"`
+		Scoring map[string]json.RawMessage   `json:"scoring"`
 	}
 	if err := json.Unmarshal(body, &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"profiles_built", "profile_hits", "profile_misses", "interned_strings"} {
+	for _, k := range []string{"features_evaluated", "interned_strings"} {
 		if _, ok := raw.Scoring[k]; !ok {
 			t.Errorf("scoring report missing %q field", k)
+		}
+	}
+	for _, k := range []string{"candidates", "workers", "chunks", "profiles_built", "profile_hits", "profile_misses"} {
+		if _, ok := raw.Scoring[k]; ok {
+			t.Errorf("scoring report carries %q, which another field gives", k)
+		}
+	}
+	for i, st := range raw.Stages {
+		if _, ok := st["name"]; !ok || len(st) != 2 {
+			t.Errorf("stage[%d] keys %v, want name and duration_ns", i, st)
 		}
 	}
 }
