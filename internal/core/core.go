@@ -7,6 +7,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -213,7 +214,7 @@ func resolve(opts *Options, report *telemetry.RunReport, stages *stageRunner, wo
 		Blocking:   blk,
 		Collection: work,
 		model:      opts.Model,
-		profiles:   features.NewProfileCache(features.NewExtractor(opts.Geo)),
+		profiles:   features.NewProfileCache(scoringExtractor(opts)),
 		Report:     report,
 	}
 
@@ -317,21 +318,33 @@ func publish(reg *telemetry.Registry, report *telemetry.RunReport, scores *telem
 // a total order over distinct pairs, so the ranking is independent of the
 // pre-sort order the scoring stage produced.
 func sortMatches(ms []RankedMatch) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Score != ms[j].Score {
-			return ms[i].Score > ms[j].Score
+	slices.SortFunc(ms, func(x, y RankedMatch) int {
+		if c := cmp.Compare(y.Score, x.Score); c != 0 {
+			return c
 		}
-		a, b := ms[i].Pair, ms[j].Pair
-		if a.A != b.A {
-			return a.A < b.A
+		if c := cmp.Compare(x.Pair.A, y.Pair.A); c != 0 {
+			return c
 		}
-		return a.B < b.B
+		return cmp.Compare(x.Pair.B, y.Pair.B)
 	})
 }
 
-// Profiles returns the resolution's record-profile cache. Query paths use
-// it to re-score pairs without re-deriving per-record features; profiles
-// are built lazily on first use.
+// scoringExtractor returns the extractor the scoring stage profiles
+// records with: its profiles carry the inputs of exactly the features the
+// model tests, and it panics if asked for any other. Without a model it
+// profiles nothing, and nothing asks.
+func scoringExtractor(opts *Options) *features.Extractor {
+	var used []int
+	if opts.Model != nil {
+		used = opts.Model.UsedFeatures()
+	}
+	return features.NewExtractorFor(opts.Geo, used)
+}
+
+// Profiles returns the resolution's record-profile cache, aligned with
+// Collection.Records. The scoring stage fills it when a model is set;
+// query paths use it to re-score pairs without re-deriving per-record
+// features. Its extractor profiles only the model's features.
 func (r *Resolution) Profiles() *features.ProfileCache { return r.profiles }
 
 // ScorePair validation errors, distinguishable with errors.Is: a
@@ -367,9 +380,8 @@ func (r *Resolution) ScorePair(aID, bID int64) (RankedMatch, error) {
 	}
 	m.Score = m.BlockScore
 	if r.model != nil && r.profiles != nil {
-		recs := r.Collection.Records
 		var ev features.PairEval
-		ev.Reset(r.profiles.Extractor(), r.profiles.Get(recs[ia]), r.profiles.Get(recs[ib]))
+		ev.Reset(r.profiles.Extractor(), r.profiles.Get(ia), r.profiles.Get(ib))
 		m.Score = r.model.ScorePair(&ev)
 	}
 	return m, nil

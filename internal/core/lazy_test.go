@@ -255,7 +255,7 @@ func TestScoringAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(len(ms), func() {
 		m := ms[i%len(ms)]
 		i++
-		a, b := res.Collection.ByID(m.Pair.A), res.Collection.ByID(m.Pair.B)
+		a, b := res.Collection.Index(m.Pair.A), res.Collection.Index(m.Pair.B)
 		ev.Reset(ex, res.Profiles().Get(a), res.Profiles().Get(b))
 		if s := opts.Model.ScorePair(&ev); s != m.Score {
 			t.Fatalf("%v rescored %v, ranked with %v", m.Pair, s, m.Score)

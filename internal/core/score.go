@@ -252,7 +252,7 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 // candidates spilled holds them in blk.Spill, which benchmark/staged.go
 // drains into those two fields before calling it.
 func ScoreCandidates(opts Options, work *record.Collection, blk *mfiblocks.Result) []RankedMatch {
-	cache := features.NewProfileCache(features.NewExtractor(opts.Geo))
+	cache := features.NewProfileCache(scoringExtractor(&opts))
 	src := &pairSlice{pairs: blk.Pairs, scores: blk.PairScores}
 	// A resident candidate slice cannot fail.
 	st, _ := scoreCandidates(&opts, work, src, cache, opts.workers(), nil)

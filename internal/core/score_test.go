@@ -3,7 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
+	"os"
 	"runtime"
 	"slices"
 	"sync"
@@ -232,6 +235,93 @@ func TestScoreCandidatesOrderAndWorkers(t *testing.T) {
 			got := ScoreCandidates(opts, res.Collection, blk)
 			if !slices.Equal(got, res.Matches) {
 				t.Errorf("workers=%d %s: %d matches differ from the reference run's %d", workers, name, len(got), len(res.Matches))
+			}
+		}
+	}
+}
+
+// TestModelProfilesScoreIdentically: the scoring stage profiles records
+// for its model's features alone, which may change no score. On both
+// 300-person presets, with a model trained on Italy, the fixture model and
+// a root-only model, every candidate's ranked score and its ScorePair
+// score through the model-restricted cache must equal Model.Score over the
+// full extractor's vector bit for bit, features_evaluated must equal what
+// a walk over full profiles pulls, and the restricted profiles must intern
+// fewer strings than full ones (none at all for the root-only model).
+func TestModelProfilesScoreIdentically(t *testing.T) {
+	trained, italy := scoringOptions(t, 300)
+	f, err := os.Open("../adtree/testdata/model.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := adtree.Load(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootOnly := &adtree.Model{Root: &adtree.PredictionNode{Value: 0.25}, Defs: features.Defs()}
+	random, err := dataset.Generate(dataset.RandomSetConfig(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, preset := range []struct {
+		name string
+		gen  *dataset.Generated
+	}{{"italy", italy}, {"random", random}} {
+		gen := preset.gen
+		for _, mc := range []struct {
+			name  string
+			model *adtree.Model
+		}{{"trained", trained.Model}, {"fixture", fixture}, {"root-only", rootOnly}} {
+			tag := preset.name + "/" + mc.name
+			opts := Options{Blocking: mfiblocks.NewConfig(), Geo: gen.Gaz, Preprocess: true, Gazetteer: gen.Gaz,
+				Model: mc.model, Workers: 2, Metrics: telemetry.NewRegistry()}
+			res, err := Run(opts, gen.Collection)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			work := res.Collection
+			if n := res.Profiles().Len(); n != work.Len() {
+				t.Fatalf("%s: %d profiles for %d records", tag, n, work.Len())
+			}
+			full := features.NewExtractor(gen.Gaz)
+			profs := features.NewProfileCache(full).Build(work, 2)
+			score := func(p record.Pair) (float64, int64) {
+				ia, ib := work.Index(p.A), work.Index(p.B)
+				var ev features.PairEval
+				ev.Reset(full, profs[ia], profs[ib])
+				mc.model.ScorePair(&ev)
+				return mc.model.Score(full.ExtractProfiled(profs[ia], profs[ib])), int64(bits.OnesCount64(ev.Evaluated()))
+			}
+
+			var pulled int64
+			for _, p := range res.Blocking.Pairs {
+				want, n := score(p)
+				pulled += n
+				got, err := res.ScorePair(p.A, p.B)
+				if err != nil {
+					t.Fatalf("%s: ScorePair(%v): %v", tag, p, err)
+				}
+				if math.Float64bits(got.Score) != math.Float64bits(want) {
+					t.Fatalf("%s: %v scores %v through the restricted profiles, %v over the full vector", tag, p, got.Score, want)
+				}
+			}
+			for _, m := range res.Matches {
+				if want, _ := score(m.Pair); math.Float64bits(m.Score) != math.Float64bits(want) {
+					t.Fatalf("%s: %v ranked with %v, %v over the full vector", tag, m.Pair, m.Score, want)
+				}
+			}
+			if len(res.Matches) != len(res.Blocking.Pairs) {
+				t.Fatalf("%s: %d matches for %d candidates with SameSrc and Cls off", tag, len(res.Matches), len(res.Blocking.Pairs))
+			}
+			if got := res.Report.Scoring.FeaturesEvaluated; got != pulled {
+				t.Errorf("%s: %d features evaluated, a walk over full profiles pulls %d", tag, got, pulled)
+			}
+			interned := res.Report.Scoring.InternedStrings
+			t.Logf("%s: %d candidates, %d features evaluated, %d of %d strings interned", tag, len(res.Blocking.Pairs), pulled, interned, full.InternedStrings())
+			if interned >= full.InternedStrings() || (mc.model == rootOnly) != (interned == 0) {
+				t.Errorf("%s: the model's profiles interned %d strings, full profiles %d", tag, interned, full.InternedStrings())
 			}
 		}
 	}

@@ -27,15 +27,51 @@ type Extractor struct {
 	// Profiles are only comparable when built by the same extractor —
 	// IDs from different interners are unrelated.
 	interner *similarity.Interner
+
+	// profiled has bit id set for every feature whose inputs the
+	// extractor's profiles carry; the profiled path panics on any other.
+	// nameTypes has bit t set for every name item type a profile keeps.
+	profiled  uint64
+	nameTypes uint32
 }
 
-// NewExtractor returns an extractor over the canonical 48 features.
+// allFeatures is the profiled set of a full extractor.
+const allFeatures = 1<<NumFeatures - 1
+
+// NewExtractor returns an extractor over the canonical 48 features whose
+// profiles carry the inputs of all of them.
 func NewExtractor(geo similarity.GeoDistancer) *Extractor {
-	return &Extractor{Geo: geo, defs: Defs(), interner: similarity.NewInterner()}
+	return newExtractor(geo, allFeatures)
 }
 
-// InternedStrings returns the number of distinct strings (q-grams and
-// lowered name values) the extractor's profiles have interned so far.
+// NewExtractorFor returns an extractor whose profiles carry the inputs of
+// the given features alone — the ids a model tests (adtree's
+// Model.UsedFeatures) — so a build skips the name attributes, the full
+// birth date and the place-type cities none of them reads. Its profiled
+// path answers only those features: PairEval.At panics on any other, and
+// ExtractProfiled, which computes every feature, always panics unless the
+// ids cover all 48. Extract over raw records is unaffected.
+func NewExtractorFor(geo similarity.GeoDistancer, ids []int) *Extractor {
+	var set uint64
+	for _, id := range ids {
+		set |= 1 << id
+	}
+	return newExtractor(geo, set)
+}
+
+func newExtractor(geo similarity.GeoDistancer, profiled uint64) *Extractor {
+	e := &Extractor{Geo: geo, defs: Defs(), interner: similarity.NewInterner(), profiled: profiled}
+	for i, na := range nameAttrs {
+		if profiled&(1<<(idSameName+i)|1<<(idNameDist+i)|1<<(idNameJW+i)) != 0 {
+			e.nameTypes |= 1 << na.t
+		}
+	}
+	return e
+}
+
+// InternedStrings returns the number of distinct strings (q-grams,
+// lowered name values and full birth dates) the extractor's profiles have
+// interned so far.
 func (e *Extractor) InternedStrings() int { return e.interner.Len() }
 
 // Defs returns the extractor's feature definitions.

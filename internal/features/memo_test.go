@@ -141,13 +141,15 @@ func TestExtractProfiledMemoEquality(t *testing.T) {
 	tiny := NewExtractor(gen.Gaz)
 	tiny.Memo = NewPairMemo(16) // constant eviction pressure
 	caches := []*ProfileCache{NewProfileCache(plain), NewProfileCache(memod), NewProfileCache(tiny)}
+	for _, cache := range caches {
+		cache.Build(gen.Collection, 2)
+	}
 
 	records := gen.Collection.Records
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 600; i++ {
-		a := records[rng.Intn(len(records))]
-		b := records[rng.Intn(len(records))]
-		want := plain.Extract(a, b)
+		a, b := rng.Intn(len(records)), rng.Intn(len(records))
+		want := plain.Extract(records[a], records[b])
 		for ci, cache := range caches {
 			got := cache.Extractor().ExtractProfiled(cache.Get(a), cache.Get(b))
 			assertVectorsEqual(t, fmt.Sprintf("cache%d", ci), want, got)

@@ -2,6 +2,7 @@ package features
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -20,10 +21,12 @@ import (
 // attributes, and (when the extractor's Geo implements
 // similarity.CoordResolver) gazetteer-resolved coordinates.
 //
-// ExtractProfiled over two profiles built by the same extractor produces a
-// Vector bit-identical to Extract over the underlying records, and
-// PairEval.At any one of its features; the scoring stage in internal/core
-// relies on that equivalence.
+// A profile holds only what its extractor's features read (see
+// NewExtractorFor). Over two profiles built by the same full extractor
+// (NewExtractor), ExtractProfiled produces a Vector bit-identical to
+// Extract over the underlying records; over a restricted extractor's,
+// PairEval.At answers each feature of its set with that same value. The
+// scoring stage in internal/core relies on that equivalence.
 //
 // A run keeps one profile per record for as long as its Resolution lives,
 // so the layout is compact: the variable-length parts are sub-slices of
@@ -165,22 +168,24 @@ func (e *Extractor) newProfileBuilder(records int) *profileBuilder {
 	}
 }
 
-// Profile precomputes the record's pairwise-extraction inputs. Profiles
-// are immutable after construction and safe for concurrent use; they must
-// be paired with profiles built by the same extractor.
+// Profile precomputes the record's pairwise-extraction inputs for the
+// extractor's features. Profiles are immutable after construction and
+// safe for concurrent use; they must be paired with profiles built by the
+// same extractor.
 func (e *Extractor) Profile(r *record.Record) *Profile {
 	p := new(Profile)
 	(&profileBuilder{ex: e}).build(p, r)
 	return p
 }
 
-// build fills p with r's profile.
+// build fills p with r's profile, skipping the name attributes, the full
+// birth date and the place-type cities no feature of the extractor reads.
 func (b *profileBuilder) build(p *Profile, r *record.Record) {
 	e := b.ex
 	*p = Profile{source: r.Source}
 
 	// One scan of the bag finds the first value of every item type and
-	// bounds the number of name values.
+	// bounds the number of name values kept.
 	var first [record.NumItemTypes]string
 	var seen uint32
 	nameItems := 0
@@ -188,7 +193,7 @@ func (b *profileBuilder) build(p *Profile, r *record.Record) {
 		if int(it.Type) >= record.NumItemTypes {
 			continue
 		}
-		if it.Type.IsName() {
+		if e.nameTypes&(1<<it.Type) != 0 {
 			nameItems++
 		}
 		if bit := uint32(1) << it.Type; seen&bit == 0 {
@@ -200,8 +205,9 @@ func (b *profileBuilder) build(p *Profile, r *record.Record) {
 	vals := b.names.alloc(nameItems)[:0]
 	for i, na := range nameAttrs {
 		group := len(vals)
+		// An attribute no feature reads keeps an empty group.
 		for _, it := range r.Items {
-			if it.Type != na.t {
+			if it.Type != na.t || e.nameTypes&(1<<na.t) == 0 {
 				continue
 			}
 			v := b.value(it.Value)
@@ -228,7 +234,7 @@ func (b *profileBuilder) build(p *Profile, r *record.Record) {
 		n := 0
 		for pt := 0; pt < record.NumPlaceTypes; pt++ {
 			city := record.PlaceItem(record.PlaceType(pt), record.City)
-			if seen&(1<<city) == 0 {
+			if seen&(1<<city) == 0 || e.profiled&(1<<(idGeoDist+pt)) == 0 {
 				continue
 			}
 			if c := b.city(resolver, first[city]); c.ok {
@@ -250,7 +256,7 @@ func (b *profileBuilder) build(p *Profile, r *record.Record) {
 			p.date[i] = n
 		}
 	}
-	if allDates {
+	if allDates && e.profiled&(1<<idSameDOB) != 0 {
 		p.hasDOB = true
 		p.dob = e.interner.Intern(joinDOB(first[record.BirthDay], first[record.BirthMonth], first[record.BirthYear]))
 	}
@@ -289,8 +295,14 @@ func (b *profileBuilder) city(resolver similarity.CoordResolver, raw string) cit
 // feature computes one feature of a profile pair — the single
 // implementation behind both the full-vector API and the demand-driven
 // PairEval. The cases follow Defs group by group; each value is
-// bit-identical to Extract's over the profiles' records.
+// bit-identical to Extract's over the profiles' records. It panics on a
+// feature outside the extractor's profiled set, whose inputs the profiles
+// lack: answering "missing" would score the pair silently wrong, and the
+// caller has paired a model with an extractor built for another.
 func (e *Extractor) feature(id int, a, b *Profile) Value {
+	if e.profiled&(1<<id) == 0 {
+		panic(fmt.Sprintf("features: %s (feature %d) is not among the features this extractor profiles", e.defs[id].Name, id))
+	}
 	switch {
 	case id < idDateDist:
 		// The three features of one name attribute (the name groups
@@ -386,8 +398,9 @@ func (e *Extractor) feature(id int, a, b *Profile) Value {
 }
 
 // ExtractProfiled computes the pair's feature vector from two cached
-// profiles. The result is bit-identical to Extract over the profiles'
-// records.
+// profiles of a full extractor. The result is bit-identical to Extract
+// over the profiles' records. It panics on a restricted extractor, whose
+// profiles lack some feature's inputs.
 func (e *Extractor) ExtractProfiled(a, b *Profile) Vector {
 	v := make(Vector, NumFeatures)
 	e.ExtractProfiledInto(v, a, b)
@@ -424,8 +437,9 @@ func (p *PairEval) Reset(ex *Extractor, a, b *Profile) {
 	p.ex, p.a, p.b, p.have = ex, a, b, 0
 }
 
-// At returns feature id of the current pair, equal to
-// ExtractProfiled(a, b)[id].
+// At returns feature id of the current pair, equal to Extract over the
+// profiles' records at id. It panics when id is not among the features the
+// extractor profiles.
 func (p *PairEval) At(id int) Value {
 	if bit := uint64(1) << id; p.have&bit == 0 {
 		p.vals[id] = p.ex.feature(id, p.a, p.b)
@@ -468,56 +482,34 @@ func (e *Extractor) jwSim(x, y string) float64 {
 	return v
 }
 
-// ProfileCache memoizes record profiles by BookID so repeated pair
-// extractions — the scoring worker pool, or ad-hoc query-time scoring —
-// pay the per-record derivation once. It is safe for concurrent use.
+// ProfileCache holds the profiles of one collection's records, so
+// repeated pair extractions — the scoring worker pool, or ad-hoc
+// query-time scoring — pay the per-record derivation once. Build fills it;
+// Get and Len read what the last Build left and are safe for concurrent
+// use once it has returned.
 type ProfileCache struct {
-	ex   *Extractor
-	mu   sync.RWMutex
-	byID map[int64]*Profile
+	ex    *Extractor
+	profs []*Profile
 }
 
 // NewProfileCache returns an empty cache building profiles with ex.
-func NewProfileCache(ex *Extractor) *ProfileCache {
-	return &ProfileCache{ex: ex, byID: make(map[int64]*Profile)}
-}
+func NewProfileCache(ex *Extractor) *ProfileCache { return &ProfileCache{ex: ex} }
 
 // Extractor returns the extractor the cache builds profiles with.
 func (c *ProfileCache) Extractor() *Extractor { return c.ex }
 
 // Len returns the number of cached profiles.
-func (c *ProfileCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.byID)
-}
+func (c *ProfileCache) Len() int { return len(c.profs) }
 
-// Get returns the record's profile, building and caching it on a miss.
-func (c *ProfileCache) Get(r *record.Record) *Profile {
-	c.mu.RLock()
-	p, ok := c.byID[r.BookID]
-	c.mu.RUnlock()
-	if ok {
-		return p
-	}
-	p = c.ex.Profile(r)
-	c.mu.Lock()
-	// A concurrent builder may have won the race; keep the first entry so
-	// every caller sees one profile per record.
-	if prev, dup := c.byID[r.BookID]; dup {
-		p = prev
-	} else {
-		c.byID[r.BookID] = p
-	}
-	c.mu.Unlock()
-	return p
-}
+// Get returns the profile of the record at index i of the collection the
+// cache was built over.
+func (c *ProfileCache) Get(i int) *Profile { return c.profs[i] }
 
 // Build precomputes profiles for the whole collection on the given number
 // of workers (clamped to at least 1). It returns the profiles aligned with
-// coll.Records, so index-based callers can bypass the map lookup. The
-// profiles live in one slab, their variable-length parts in per-worker
-// arenas: a build costs a handful of heap objects, not a dozen per record.
+// coll.Records, which the cache then holds. The profiles live in one slab,
+// their variable-length parts in per-worker arenas: a build costs a
+// handful of heap objects, not a dozen per record.
 func (c *ProfileCache) Build(coll *record.Collection, workers int) []*Profile {
 	n := coll.Len()
 	slab := make([]Profile, n)
@@ -546,17 +538,6 @@ func (c *ProfileCache) Build(coll *record.Collection, workers int) []*Profile {
 		}(lo, hi)
 	}
 	wg.Wait()
-	c.mu.Lock()
-	if len(c.byID) == 0 {
-		c.byID = make(map[int64]*Profile, n)
-	}
-	for i, r := range coll.Records {
-		if _, dup := c.byID[r.BookID]; !dup {
-			c.byID[r.BookID] = profs[i]
-		} else {
-			profs[i] = c.byID[r.BookID]
-		}
-	}
-	c.mu.Unlock()
+	c.profs = profs
 	return profs
 }

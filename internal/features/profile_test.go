@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -37,16 +38,16 @@ func TestExtractProfiledGoldenEquality(t *testing.T) {
 	}
 	ex := NewExtractor(gen.Gaz)
 	cache := NewProfileCache(ex)
+	cache.Build(gen.Collection, 2)
 	records := gen.Collection.Records
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 1000; i++ {
-		a := records[rng.Intn(len(records))]
-		b := records[rng.Intn(len(records))]
-		want := ex.Extract(a, b)
+		a, b := rng.Intn(len(records)), rng.Intn(len(records))
+		want := ex.Extract(records[a], records[b])
 		got := ex.ExtractProfiled(cache.Get(a), cache.Get(b))
 		assertVectorsEqual(t, "gazetteer", want, got)
 	}
-	if cache.Len() == 0 || cache.Len() > gen.Collection.Len() {
+	if cache.Len() != gen.Collection.Len() {
 		t.Errorf("cache holds %d profiles for %d records", cache.Len(), gen.Collection.Len())
 	}
 }
@@ -113,7 +114,7 @@ func valueTableRecords(city string) []*record.Record {
 }
 
 // TestProfileCacheBuild checks the parallel Build path returns profiles
-// aligned with the collection and memoizes them for Get, and that the
+// aligned with the collection and keeps them for Get, and that the
 // builders' value tables change nothing: over records whose values repeat
 // in different case, in non-ASCII and with an unresolvable city, profiles
 // built in bulk, profiles built one by one and plain Extract agree bit for
@@ -146,9 +147,9 @@ func TestProfileCacheBuild(t *testing.T) {
 		if len(profs) != coll.Len() || cache.Len() != coll.Len() {
 			t.Fatalf("workers=%d: Build returned %d profiles, cache holds %d, want %d", workers, len(profs), cache.Len(), coll.Len())
 		}
-		for i, r := range coll.Records {
-			if cache.Get(r) != profs[i] {
-				t.Fatalf("workers=%d: Get(%d) did not return the built profile", workers, r.BookID)
+		for i := range coll.Records {
+			if cache.Get(i) != profs[i] {
+				t.Fatalf("workers=%d: Get(%d) did not return the built profile", workers, i)
 			}
 		}
 		if !profs[0].coordMode || profs[0].resolved != 1<<record.Birth|1<<record.Permanent || profs[1].resolved != 1<<record.Permanent {
@@ -227,32 +228,127 @@ func TestProfileNameValues(t *testing.T) {
 	assertVectorsEqual(t, "swapped", ex.Extract(b, a), ex.ExtractProfiled(pb, pa))
 }
 
+// modelFeatures are the nine features a model trained on Italy tests
+// (FNdist, LNdist, FFNdist, FNjw, B3dist, sameDCounty and three place
+// distances): the set a scoring run's restricted extractor profiles.
+func modelFeatures() []int {
+	idx := IndexByName()
+	var ids []int
+	for _, name := range []string{"FNdist", "LNdist", "FFNdist", "FNjw", "B3dist", "sameDCounty", "BPGeoDist", "WPGeoDist", "PPGeoDist"} {
+		ids = append(ids, idx[name])
+	}
+	return ids
+}
+
+// mustPanicNaming runs f and requires it to panic with a message that
+// names the feature.
+func mustPanicNaming(t *testing.T, feature string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, feature+" (feature ") {
+			t.Errorf("asking for %s: panic %q, want one naming it", feature, msg)
+		}
+	}()
+	f()
+}
+
+// TestRestrictedExtractorRefusesUnprofiled: an extractor built for a
+// model's features profiles only their inputs — no unread name attribute,
+// no full birth date, no geocoding of an unread place type — answers
+// every feature of its set exactly as Extract does, and panics, naming the
+// feature, when asked for any other: through PairEval.At or through the
+// full-vector ExtractProfiledInto. A missing answer would be read as
+// "attribute absent" and score silently wrong.
+func TestRestrictedExtractorRefusesUnprofiled(t *testing.T) {
+	cfg := dataset.ItalyConfig()
+	cfg.Persons = 60
+	gen, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := modelFeatures()
+	ex := NewExtractorFor(gen.Gaz, ids)
+	profs := NewProfileCache(ex).Build(gen.Collection, 2)
+	var set uint64
+	for _, id := range ids {
+		set |= 1 << id
+	}
+	spouse := slices.IndexFunc(nameAttrs[:], func(na nameAttr) bool { return na.t == record.SpouseName })
+	unread := func(p *Profile) int {
+		n := len(p.group(spouse)) + int(p.resolved>>record.Death&1)
+		if p.hasDOB {
+			n++
+		}
+		return n
+	}
+	fullUnread := 0
+	for i, p := range NewProfileCache(NewExtractor(gen.Gaz)).Build(gen.Collection, 1) {
+		fullUnread += unread(p)
+		if n := unread(profs[i]); n != 0 {
+			t.Fatalf("record %d: profile holds %d unread inputs (DOB, spouse names, death city)", i, n)
+		}
+	}
+	if fullUnread == 0 {
+		t.Fatal("fixture: no record has a full birth date, a spouse name or a resolved death city")
+	}
+
+	recs := gen.Collection.Records
+	defs := Defs()
+	var ev PairEval
+	for i := 0; i+1 < len(recs); i += 7 {
+		want := NewExtractor(gen.Gaz).Extract(recs[i], recs[i+1])
+		ev.Reset(ex, profs[i], profs[i+1])
+		for id := range defs {
+			if set&(1<<id) != 0 {
+				if got := ev.At(id); got != want[id] {
+					t.Fatalf("pair %d: %s = %+v, Extract says %+v", i, defs[id].Name, got, want[id])
+				}
+				continue
+			}
+			mustPanicNaming(t, defs[id].Name, func() { ev.At(id) })
+		}
+		if ev.Evaluated() != set {
+			t.Fatalf("pair %d: evaluated %048b, the set is %048b", i, ev.Evaluated(), set)
+		}
+	}
+	mustPanicNaming(t, "sameFN", func() { ex.ExtractProfiledInto(make(Vector, NumFeatures), profs[0], profs[1]) })
+	mustPanicNaming(t, "sameFN", func() { ex.ExtractProfiled(profs[0], profs[1]) })
+}
+
 // TestProfileFootprint bounds what a built profile costs to keep: the
 // scoring stage holds one per record for the Resolution's lifetime, next
 // to blocking's working set, so the live bytes decide whether profiled
 // scoring raises a run's peak RSS. Everything Build leaves reachable is
-// counted — slab, arenas, the cache's map, the interner.
+// counted — slab, arenas, the profile slice, the interner — for a full
+// extractor and for one restricted to a model's features.
 func TestProfileFootprint(t *testing.T) {
 	gen, err := dataset.Generate(dataset.RandomSetConfig(3000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewProfileCache(NewExtractor(gen.Gaz))
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	profs := cache.Build(gen.Collection, 2)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(gen)
-	runtime.KeepAlive(cache)
-	runtime.KeepAlive(profs)
+	for _, tc := range []struct {
+		name string
+		ex   *Extractor
+	}{{"full", NewExtractor(gen.Gaz)}, {"restricted", NewExtractorFor(gen.Gaz, modelFeatures())}} {
+		name, cache := tc.name, NewProfileCache(tc.ex)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		profs := cache.Build(gen.Collection, 2)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(gen)
+		runtime.KeepAlive(cache)
+		runtime.KeepAlive(profs)
 
-	n := float64(gen.Collection.Len())
-	bytes := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
-	objects := (float64(after.HeapObjects) - float64(before.HeapObjects)) / n
-	t.Logf("%d records: %.0f B and %.2f heap objects per record", gen.Collection.Len(), bytes, objects)
-	if bytes > 640 || objects > 2 {
-		t.Errorf("a profile costs %.0f B and %.2f heap objects per record, want <= 640 B and <= 2", bytes, objects)
+		n := float64(gen.Collection.Len())
+		bytes := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+		objects := (float64(after.HeapObjects) - float64(before.HeapObjects)) / n
+		t.Logf("%s, %d records: %.0f B and %.2f heap objects per record", name, gen.Collection.Len(), bytes, objects)
+		if bytes > 640 || objects > 2 {
+			t.Errorf("%s: a profile costs %.0f B and %.2f heap objects per record, want <= 640 B and <= 2", name, bytes, objects)
+		}
 	}
 }

@@ -89,8 +89,10 @@ type ScoringReport struct {
 	// pulled, summed over every candidate it scored (0 without a model).
 	// Deterministic: it depends on the candidates and the model alone.
 	FeaturesEvaluated int64 `json:"features_evaluated"`
-	// InternedStrings counts the distinct q-grams and lowered name
-	// values the extractor's profiles interned.
+	// InternedStrings counts the distinct q-grams, lowered name values
+	// and full birth dates the model's profiles interned: only the inputs
+	// of the features the model tests, so fewer than full profiles would
+	// intern (0 without a model).
 	InternedStrings int `json:"interned_strings"`
 	// Scores is the distribution of ranked-match scores (ScoreBuckets
 	// layout). Omitted when no pairs were scored.
