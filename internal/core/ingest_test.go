@@ -1,0 +1,228 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/mfiblocks"
+	"repro/internal/record"
+	"repro/internal/store"
+)
+
+// ingested is everything the ingest stage produces, read back for
+// comparison: the dictionary per id, the transactions, the BookIDs and
+// the kept records.
+type ingested struct {
+	keys    []string
+	types   []record.ItemType
+	freq    []int
+	txns    [][]int32
+	bookIDs []int64
+	kept    []*record.Record
+}
+
+func runIngest(t *testing.T, opts StreamOptions, src RecordSource) ingested {
+	t.Helper()
+	corpus := &mfiblocks.Corpus{Dict: record.NewDictionary()}
+	kept, err := ingest(&opts, src, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out ingested
+	for id := 0; id < corpus.Dict.Len(); id++ {
+		out.keys = append(out.keys, corpus.Dict.Key(id))
+		out.types = append(out.types, corpus.Dict.TypeOf(id))
+		out.freq = append(out.freq, corpus.Dict.Freq(id))
+	}
+	for i := 0; i < corpus.Len(); i++ {
+		out.txns = append(out.txns, corpus.Txns.Txn(i))
+	}
+	out.bookIDs, out.kept = corpus.BookIDs, kept
+	return out
+}
+
+// TestIngestWorkersEquivalence pins the pooled ingest stage to the serial
+// loop: from a .yvst window reader and from a CollectionSource, with
+// records retained and as skeletons, at Workers 1, 2 and 8, the
+// dictionary (key, type and frequency per id), the transactions, the
+// BookIDs, the kept records and the final Matches are identical. The
+// corpus spans more batches than the reader may hold in flight, so the
+// reader has to wait for the encoder.
+func TestIngestWorkersEquivalence(t *testing.T) {
+	g := equivDataset(t, 1400, 4040)
+	if n, in := g.Collection.Len(), ingestBatchSize*(ingestInFlight+2); n <= in {
+		t.Fatalf("fixture has %d records, want more than the %d ingest can hold in flight", n, in)
+	}
+	path := filepath.Join(t.TempDir(), "records.yvst")
+	if err := store.WriteAll(path, g.Collection.Records); err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]func() RecordSource{
+		"collection": func() RecordSource { return NewCollectionSource(g.Collection) },
+		"yvst": func() RecordSource {
+			src, err := store.OpenWindowReader(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { src.Close() })
+			return src
+		},
+	}
+	base := Options{Blocking: mfiblocks.NewConfig(), Geo: g.Gaz, Preprocess: true, Gazetteer: g.Gaz, SameSrc: true}
+	for _, retain := range []bool{true, false} {
+		serial := StreamOptions{Options: base, RetainRecords: retain}
+		serial.Workers = 1
+		want := runIngest(t, serial, NewCollectionSource(g.Collection))
+		wantRes, err := RunStream(serial, NewCollectionSource(g.Collection))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, open := range sources {
+			for _, workers := range []int{1, 2, 8} {
+				label := fmt.Sprintf("%s retain=%v workers=%d", name, retain, workers)
+				opts := serial
+				opts.Workers = workers
+				if got := runIngest(t, opts, open()); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: ingest output diverges from the serial loop", label)
+				}
+				got, err := RunStream(opts, open())
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertResolutionsMatch(t, label, wantRes, got)
+			}
+		}
+	}
+}
+
+// faultAfterK yields the collection's first k records, then fails.
+type faultAfterK struct {
+	*CollectionSource
+	k int
+}
+
+var errSource = errors.New("source failed")
+
+func (s *faultAfterK) NextRecord() (*record.Record, error) {
+	if s.pos >= s.k {
+		return nil, errSource
+	}
+	return s.CollectionSource.NextRecord()
+}
+
+// TestIngestSourceFault is the ingest stage's fault seam: a source that
+// fails after k records — none, one, and either side of a batch boundary
+// — fails the run with a "core: ingest:" error wrapping the source's,
+// and leaves no goroutine behind, at every worker count. A recovering
+// reader over a torn .yvst still reports the bytes it skipped.
+func TestIngestSourceFault(t *testing.T) {
+	g := equivDataset(t, 300, 77)
+	opts := StreamOptions{Options: Options{Blocking: mfiblocks.NewConfig(), Geo: g.Gaz, Preprocess: true, Gazetteer: g.Gaz, SameSrc: true}}
+	start := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 8} {
+		opts.Workers = workers
+		for _, k := range []int{0, 1, ingestBatchSize - 1, ingestBatchSize, ingestBatchSize + 1} {
+			src := &faultAfterK{CollectionSource: NewCollectionSource(g.Collection), k: k}
+			_, err := RunStream(opts, src)
+			if !errors.Is(err, errSource) || !strings.HasPrefix(err.Error(), "core: ingest: ") {
+				t.Fatalf("workers=%d k=%d: err = %v, want core: ingest: wrapping %v", workers, k, err, errSource)
+			}
+			waitGoroutines(t, start, fmt.Sprintf("workers=%d k=%d", workers, k))
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "records.yvst")
+	if err := store.WriteAll(path, g.Collection.Records); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		src, err := store.OpenWindowReader(path, store.Recover)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Workers = workers
+		res, err := RunStream(opts, src)
+		src.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Report.TornBytes == 0 || res.Report.TornBytes != src.TornBytes() {
+			t.Fatalf("workers=%d: report TornBytes = %d, reader skipped %d", workers, res.Report.TornBytes, src.TornBytes())
+		}
+		if res.Report.Records != g.Collection.Len()-1 {
+			t.Fatalf("workers=%d: records = %d, want %d", workers, res.Report.Records, g.Collection.Len()-1)
+		}
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// want: a goroutine that has signalled its WaitGroup may not have
+// returned yet, so the count is polled briefly.
+func waitGoroutines(t *testing.T, want int, label string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before the run", label, runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEmptyInput: a source with no records is a valid input at every
+// worker count — from a collection and from a .yvst file, batch and
+// streamed — and resolves to nothing.
+func TestEmptyInput(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.yvst")
+	if err := store.WriteAll(path, nil); err != nil {
+		t.Fatal(err)
+	}
+	empty, err := record.NewCollection(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Options{Blocking: mfiblocks.NewConfig(), Preprocess: true, SameSrc: true}
+	for _, workers := range []int{1, 2} {
+		base.Workers = workers
+		res, err := Run(base, empty)
+		if err != nil {
+			t.Fatalf("workers=%d: batch: %v", workers, err)
+		}
+		checkEmpty(t, fmt.Sprintf("workers=%d batch", workers), res)
+
+		src, err := store.OpenWindowReader(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err = RunStream(StreamOptions{Options: base}, src)
+		src.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: yvst: %v", workers, err)
+		}
+		checkEmpty(t, fmt.Sprintf("workers=%d yvst", workers), res)
+	}
+}
+
+func checkEmpty(t *testing.T, label string, res *Resolution) {
+	t.Helper()
+	if len(res.Matches) != 0 || res.Collection.Len() != 0 || res.Report.Records != 0 || len(res.Blocking.Blocks) != 0 {
+		t.Fatalf("%s: %d matches, %d records, %d blocks from an empty input", label, len(res.Matches), res.Collection.Len(), len(res.Blocking.Blocks))
+	}
+	if got := res.Clusters(0.3); len(got) != 0 {
+		t.Fatalf("%s: %d clusters from an empty input", label, len(got))
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/gazetteer"
 	"repro/internal/mfiblocks"
@@ -72,13 +73,14 @@ func (o *StreamOptions) Validate() error {
 }
 
 // RunStream executes the pipeline over a record stream: ingest (read,
-// preprocess, encode — one record at a time), blocking over the encoded
-// corpus, then resolve (scoring over the resident or disk-spilled
-// candidate set, ranking, report assembly). It is the one pipeline body;
-// Run is RunStream over the collection with its records retained. Unless
-// RetainRecords is set, peak memory is bounded by the encoded corpus plus
-// the blocking stage's candidate window (Blocking.SpillPairs), not by the
-// record values or the candidate-pair count. The final Matches (and
+// preprocess on the worker pool, encode in record order), blocking over
+// the encoded corpus, then resolve (scoring over the resident or
+// disk-spilled candidate set, ranking, report assembly). It is the one
+// pipeline body; Run is RunStream over the collection with its records
+// retained. Unless RetainRecords is set, peak memory is bounded by the
+// encoded corpus plus the blocking stage's candidate window
+// (Blocking.SpillPairs), not by the record values or the candidate-pair
+// count. The final Matches (and
 // everything derived from them: Pairs, AtCertainty, Clusters) are
 // bit-identical to a batch Run over the same records with the same
 // options.
@@ -107,31 +109,9 @@ func RunStream(opts StreamOptions, src RecordSource) (*Resolution, error) {
 			total = int64(ln.Len())
 		}
 		opts.Progress.Stage("ingest", total)
-		gaz := opts.Gazetteer
-		if gaz == nil && opts.Preprocess {
-			gaz = gazetteer.Builtin(0)
-		}
-		for {
-			r, err := src.NextRecord()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return fmt.Errorf("core: ingest: %w", err)
-			}
-			if opts.Preprocess {
-				r = preprocessRecord(r, gaz)
-			}
-			corpus.Append(corpus.Dict.Observe(r), r.BookID)
-			if opts.RetainRecords {
-				kept = append(kept, r)
-			} else {
-				// Skeleton: identity and provenance survive, item values
-				// are dropped — the encoded transaction already carries
-				// everything blocking needs.
-				kept = append(kept, &record.Record{BookID: r.BookID, Source: r.Source, Kind: r.Kind})
-			}
-			opts.Progress.Add(1)
+		var err error
+		if kept, err = ingest(&opts, src, corpus); err != nil {
+			return fmt.Errorf("core: ingest: %w", err)
 		}
 		// A windowed store reader knows how many bytes of torn tail it
 		// skipped; surface that in the report without coupling core to
@@ -169,4 +149,124 @@ func RunStream(opts StreamOptions, src RecordSource) (*Resolution, error) {
 	}
 
 	return resolve(&opts.Options, report, stages, work, blk)
+}
+
+// ingestBatchSize is how many records the ingest reader hands the
+// preprocessing workers at a time, and ingestInFlight how many batches
+// it may read ahead of the one being encoded: together they bound the
+// records ingest holds beyond the corpus, whatever the worker count.
+const (
+	ingestBatchSize = 256
+	ingestInFlight  = 8
+)
+
+// ingestBatch is one batch of records in flight: the reader fills recs,
+// a worker preprocesses them in place and closes done.
+type ingestBatch struct {
+	recs []*record.Record
+	done chan struct{}
+}
+
+// ingest reads src to its end into corpus and returns the records the run
+// keeps — the preprocessed records under RetainRecords, skeletons
+// otherwise — in source order. Preprocessing is the only per-record work
+// that does not depend on the records before it, so it alone runs on the
+// Workers pool: one goroutine reads the source into batches and posts
+// progress per record read, the workers preprocess whole batches, and
+// the calling goroutine interns and appends each batch in read order.
+// Dictionary ids and frequencies, transactions, BookIDs and the kept
+// records are therefore those of the serial loop, which is what runs, on
+// the calling goroutine, when Workers is 1. A source error ends the read;
+// ingest returns it once every goroutine it started has exited.
+func ingest(opts *StreamOptions, src RecordSource, corpus *mfiblocks.Corpus) ([]*record.Record, error) {
+	prep := func(r *record.Record) *record.Record { return r }
+	if opts.Preprocess {
+		gaz := opts.Gazetteer
+		if gaz == nil {
+			gaz = gazetteer.Builtin(0)
+		}
+		prep = func(r *record.Record) *record.Record { return preprocessRecord(r, gaz) }
+	}
+	var kept []*record.Record
+	encode := func(r *record.Record) {
+		corpus.Append(corpus.Dict.Observe(r), r.BookID)
+		if !opts.RetainRecords {
+			// Skeleton: identity and provenance survive, item values are
+			// dropped — the encoded transaction already carries
+			// everything blocking needs.
+			r = &record.Record{BookID: r.BookID, Source: r.Source, Kind: r.Kind}
+		}
+		kept = append(kept, r)
+	}
+
+	workers := opts.workers()
+	if workers <= 1 {
+		for {
+			r, err := src.NextRecord()
+			if err == io.EOF {
+				return kept, nil
+			}
+			if err != nil {
+				return nil, err
+			}
+			opts.Progress.Add(1)
+			encode(prep(r))
+		}
+	}
+
+	// The reader sends each batch to the workers and, in read order, to
+	// the encoder; it can run at most ingestInFlight batches ahead of it.
+	// Every batch in order has been sent to the workers already, so the
+	// encoder's wait on the oldest one always ends.
+	todo := make(chan *ingestBatch, ingestInFlight)
+	order := make(chan *ingestBatch, ingestInFlight)
+	var readErr error
+	var wg sync.WaitGroup
+	wg.Add(1 + workers)
+	go func() {
+		defer wg.Done()
+		defer close(order)
+		defer close(todo)
+		for {
+			b := &ingestBatch{recs: make([]*record.Record, 0, ingestBatchSize), done: make(chan struct{})}
+			for len(b.recs) < ingestBatchSize && readErr == nil {
+				r, err := src.NextRecord()
+				if err != nil {
+					readErr = err
+					break
+				}
+				b.recs = append(b.recs, r)
+				opts.Progress.Add(1)
+			}
+			if len(b.recs) > 0 {
+				todo <- b
+				order <- b
+			}
+			if readErr != nil {
+				return
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for b := range todo {
+				for i, r := range b.recs {
+					b.recs[i] = prep(r)
+				}
+				close(b.done)
+			}
+		}()
+	}
+	for b := range order {
+		<-b.done
+		for _, r := range b.recs {
+			encode(r)
+		}
+	}
+	wg.Wait()
+	if readErr != io.EOF {
+		return nil, readErr
+	}
+	return kept, nil
 }

@@ -77,7 +77,7 @@ func TestMineMaximalActiveSubsetEquivalence(t *testing.T) {
 			if got := m.MineMaximal(minsup, active); !reflect.DeepEqual(want, got) {
 				t.Fatalf("minsup=%d workers=%d: active-subset MFIs diverge", minsup, workers)
 			}
-			if got := m.MineMaximalFreq(minsup, active, freq); !reflect.DeepEqual(want, got) {
+			if got := sortedCopy(m.MineMaximalFreq(minsup, active, freq)); !reflect.DeepEqual(want, got) {
 				t.Fatalf("minsup=%d workers=%d: MineMaximalFreq diverges from recounted MineMaximal", minsup, workers)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -43,9 +44,18 @@ func mineWith(t *testing.T, txns [][]int, workers, minsup int, active []int) []I
 	return out
 }
 
+// sortedCopy returns a canonically sorted copy of sets: the order
+// MineMaximal returns, to compare the store order of finishMaximal and
+// MineMaximalFreq against.
+func sortedCopy(sets []Itemset) []Itemset {
+	out := slices.Clone(sets)
+	sortCanonical(out)
+	return out
+}
+
 // sweepStores is the merge the cross-store check replaced, kept as its
 // oracle: every stored set of every store through the longest-first
-// filterMaximal sweep, then the same translation and canonical sort.
+// filterMaximal sweep, then the same translation, sorted canonically.
 func sweepStores(stores []*mfiStore, order []int) []Itemset {
 	var sets []rankSet
 	for _, s := range stores {
@@ -95,8 +105,16 @@ func TestCrossStoreMergeMatchesSweep(t *testing.T) {
 				m.Workers = workers
 				stores, order := minedStores(m, minsup)
 				want := sweepStores(stores, order)
+				// The merge returns store order; the sets and supports are
+				// what must match, and the order must repeat.
+				var first []Itemset
 				for run := 0; run < 2; run++ {
-					if got := m.finishMaximal(nil, stores, order); !reflect.DeepEqual(got, want) {
+					got := m.finishMaximal(nil, stores, order)
+					if run > 0 && !reflect.DeepEqual(got, first) {
+						t.Fatalf("%s: the merge's store order changed between runs", name)
+					}
+					first = got
+					if got := sortedCopy(got); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s run %d: cross-store merge kept %d sets, the sweep %d", name, run, len(got), len(want))
 					}
 				}

@@ -21,16 +21,23 @@ import (
 // each mining its conditional subtrees into a worker-local MFI store. A
 // stored set can only be non-maximal because of a longer set in another
 // store (finishMaximal), so the stores are checked against each other and
-// the survivors sorted: bit-identical output for every worker count.
+// the survivors sorted canonically (items lexicographic, a prefix before
+// its extensions): bit-identical output for every worker count.
 func (m *Miner) MineMaximal(minsup int, active []int) []Itemset {
-	return m.mineMaximal(minsup, active, nil)
+	out := m.mineMaximal(minsup, active, nil)
+	sortCanonical(out)
+	return out
 }
 
-// MineMaximalFreq is MineMaximal with caller-supplied item frequencies:
-// freq[id] must be the occurrence count of item id over the active
-// transactions. Callers that maintain frequencies incrementally (like
-// mfiblocks.Run, which decrements counts as records become covered) spare
-// the full counting pass a plain MineMaximal performs per call.
+// MineMaximalFreq is MineMaximal with caller-supplied item frequencies and
+// without the canonical sort: freq[id] must be the occurrence count of
+// item id over the active transactions, and the MFIs come back in store
+// order — the same set, with the same supports, for every worker count,
+// but an order that depends on it. Its caller, mfiblocks.RunCorpus,
+// maintains the frequencies decrementally as records become covered
+// (sparing the counting pass a plain MineMaximal performs per call) and
+// reorders the MFIs rarest item first anyway, so the sort would be
+// thrown away.
 func (m *Miner) MineMaximalFreq(minsup int, active []int, freq []int) []Itemset {
 	return m.mineMaximal(minsup, active, freq)
 }
@@ -60,9 +67,10 @@ const mergeChunk = 512
 // a different store contains it (the stores together hold every true MFI).
 // Chunks of each store are checked against the other stores, which they
 // only read, and translated to sorted item ids under the Workers budget; a
-// lone store has nothing to be checked against. Survivors are gathered in
-// store order and leave through the canonical sort: bit-identical MFIs
-// for every worker count.
+// lone store has nothing to be checked against. Survivors are returned in
+// store order: the same MFIs for every worker count, in an order that
+// depends on it (MineMaximal sorts them canonically; MineMaximalFreq
+// does not).
 //
 // The merge span carries the mining call's header-item and
 // conditional-tree totals: 1 − trees ÷ items is the share of header items
@@ -118,7 +126,6 @@ func (m *Miner) finishMaximal(msp *trace.Span, stores []*mfiStore, order []int) 
 	wg.Wait()
 	out := slices.Concat(parts...)
 	gsp.Attr("survivors", int64(len(out))).End()
-	sortCanonical(out)
 	msp.Attr("mfis", int64(len(out)))
 	return out
 }

@@ -123,7 +123,7 @@ func TestShardActiveSubsetEquivalence(t *testing.T) {
 			}
 			m := NewMiner(txns)
 			m.Workers = workers
-			if got := m.MineMaximalFreq(minsup, active, freq); !reflect.DeepEqual(want, got) {
+			if got := sortedCopy(m.MineMaximalFreq(minsup, active, freq)); !reflect.DeepEqual(want, got) {
 				t.Fatalf("minsup=%d workers=%d: MineMaximalFreq diverges", minsup, workers)
 			}
 		}

@@ -2,6 +2,7 @@ package mfiblocks
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/fpgrowth"
@@ -195,15 +196,33 @@ func TestEnforceNGOrderingAndThreshold(t *testing.T) {
 	}
 }
 
-func TestEnforceNGDropsBelowMinScore(t *testing.T) {
+// TestRunDropsBlocksAtOrBelowMinScore pins where the score floor lives:
+// the materializer drops a block at or below MinScore before the NG pass
+// sees it, so no kept block of any level scores at or below the floor,
+// while a run with no floor keeps some that do.
+func TestRunDropsBlocksAtOrBelowMinScore(t *testing.T) {
+	g := smallItaly(t, 300)
+	const floor = 0.5
 	cfg := NewConfig()
-	cfg.MinScore = 0.5
-	blocks := []*Block{
-		{Members: []int{0, 1}, Score: 0.6},
-		{Members: []int{2, 3}, Score: 0.4},
+	cfg.MinScore = -1
+	all, err := Run(cfg, g.Collection)
+	if err != nil {
+		t.Fatal(err)
 	}
-	kept, _, _ := enforceNG(&cfg, blocks, make([]int, 4))
-	if len(kept) != 1 || kept[0].Score != 0.6 {
-		t.Errorf("MinScore filter failed: %+v", kept)
+	if !slices.ContainsFunc(all.Blocks, func(b *Block) bool { return b.Score <= floor }) {
+		t.Fatalf("no block of %d scores at or below %v: the fixture cannot test the floor", len(all.Blocks), floor)
+	}
+	cfg.MinScore = floor
+	res, err := Run(cfg, g.Collection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Blocks) == 0 {
+		t.Fatal("the floor kept no block")
+	}
+	for _, b := range res.Blocks {
+		if b.Score <= floor {
+			t.Fatalf("kept a block scoring %v at MinScore %v", b.Score, floor)
+		}
 	}
 }

@@ -46,7 +46,9 @@ type Config struct {
 	// before mining (the paper uses 0.0003).
 	PruneFraction float64
 	// MinScore is a fixed score floor: at every minsup level, a block must
-	// score above it to be kept.
+	// score above it to be kept. It is applied where a support is scored,
+	// before the block is copied out, so a block at or below it never
+	// reaches the NG pass (and does not count in any statistic).
 	MinScore float64
 	// Workers bounds the goroutines used across the blocking stage: the
 	// MFI miner's top-level fan-out and block construction/scoring alike.

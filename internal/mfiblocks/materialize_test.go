@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fpgrowth"
@@ -117,7 +118,8 @@ func newMaterializeFixture(t testing.TB, seed int64) *materializeFixture {
 }
 
 // naiveBlocks is the reference: every itemset's support by a linear scan
-// of every transaction, its score by the map-based Jaccard.
+// of every transaction, its score by the map-based Jaccard, with no score
+// floor.
 func naiveBlocks(sc *scorer, fx *materializeFixture, minsup, maxSize int) (blocks []*Block, csPruned int) {
 	txns := fx.corpus.Txns
 	has := make([]map[int]bool, txns.Len())
@@ -155,9 +157,11 @@ func naiveBlocks(sc *scorer, fx *materializeFixture, minsup, maxSize int) (block
 }
 
 // TestBuildBlocksMatchesNaiveReference is the materialization walk's
-// property test: over random corpora, for every worker count, and at two
-// minsup levels whose compact-set caps differ, buildBlocks returns exactly
-// the naive reference's blocks and exactly its compact-set prune count.
+// property test: over random corpora, for every worker count, at two
+// minsup levels whose compact-set caps differ and at two score floors —
+// MinScore −1, below every score, and the default — buildBlocks returns
+// exactly the naive reference's blocks and exactly its compact-set prune
+// count.
 func TestBuildBlocksMatchesNaiveReference(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		fx := newMaterializeFixture(t, seed)
@@ -167,37 +171,46 @@ func TestBuildBlocksMatchesNaiveReference(t *testing.T) {
 			sc := newScorer(&cfg, fx.corpus.Dict, fx.corpus.Txns, fx.corpus.Records)
 			type level struct {
 				minsup   int
-				blocks   []*Block
+				all      []*Block // every block: the reference at MinScore −1
 				csPruned int
 			}
 			levels := []level{{minsup: 5}, {minsup: 2}}
 			for i := range levels {
 				l := &levels[i]
-				l.blocks, l.csPruned = naiveBlocks(sc, fx, l.minsup, int(float64(l.minsup)*cfg.P))
+				maxSize := int(float64(l.minsup) * cfg.P)
+				l.all, l.csPruned = naiveBlocks(sc, fx, l.minsup, maxSize)
 				var empty, capped int
 				for _, mfi := range fx.mfis {
 					switch n := len(fx.index.SupportSet(mfi.Items)); {
 					case n == 0:
 						empty++
-					case n > int(float64(l.minsup)*cfg.P):
+					case n > maxSize:
 						capped++
 					}
 				}
-				if len(l.blocks) < 200 || empty < 200 || capped < 200 || l.csPruned < 200 {
+				if len(l.all) < 200 || empty < 200 || capped < 200 || l.csPruned < 200 {
 					t.Fatalf("seed %d minsup %d: reference has %d blocks, %d empty supports, %d over the cap, %d pruned",
-						seed, l.minsup, len(l.blocks), empty, capped, l.csPruned)
+						seed, l.minsup, len(l.all), empty, capped, l.csPruned)
 				}
 			}
-			for _, workers := range []int{1, 2, 3, 8} {
-				cfg.Workers = workers
+			for _, floor := range []float64{-1, NewConfig().MinScore} {
+				cfg.MinScore = floor
 				for _, l := range levels {
-					label := fmt.Sprintf("seed=%d weighted=%v workers=%d minsup=%d", seed, weighted, workers, l.minsup)
-					blocks, csPruned := buildBlocks(&cfg, sc, fx.index, fx.mfis, l.minsup, nil)
-					if csPruned != l.csPruned {
-						t.Fatalf("%s: csPruned = %d, reference %d", label, csPruned, l.csPruned)
+					// The reference at this floor: every block above it.
+					want := slices.DeleteFunc(slices.Clone(l.all), func(b *Block) bool { return b.Score <= floor })
+					if floor >= 0 && len(l.all)-len(want) < 10 {
+						t.Fatalf("seed %d minsup %d: the floor %v drops only %d of %d blocks", seed, l.minsup, floor, len(l.all)-len(want), len(l.all))
 					}
-					if !reflect.DeepEqual(blocks, l.blocks) {
-						t.Fatalf("%s: %d blocks diverge from the reference's %d", label, len(blocks), len(l.blocks))
+					for _, workers := range []int{1, 2, 3, 8} {
+						cfg.Workers = workers
+						label := fmt.Sprintf("seed=%d weighted=%v floor=%v workers=%d minsup=%d", seed, weighted, floor, workers, l.minsup)
+						blocks, csPruned := buildBlocks(&cfg, sc, fx.index, fx.mfis, l.minsup, nil)
+						if csPruned != l.csPruned {
+							t.Fatalf("%s: csPruned = %d, reference %d", label, csPruned, l.csPruned)
+						}
+						if !reflect.DeepEqual(blocks, want) {
+							t.Fatalf("%s: %d blocks diverge from the reference's %d", label, len(blocks), len(want))
+						}
 					}
 				}
 			}

@@ -114,6 +114,11 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 	n := corpus.Len()
 	dict := corpus.Dict
 	txns := corpus.Txns
+	if txns == nil {
+		// A stream that delivered no record never grew an arena. An empty
+		// corpus is valid: it mines nothing and yields no candidates.
+		txns = fpgrowth.NewTransactions(0, 0)
+	}
 	miner := fpgrowth.NewMinerTxns(txns)
 	miner.Workers = cfg.Workers
 	if cfg.PruneFraction > 0 {
@@ -253,12 +258,13 @@ type runEntry struct{ k, off, n int32 }
 // read-only inputs, the output it writes at disjoint indices, and the
 // scratch it alone owns.
 type materializer struct {
-	sc      *scorer
-	index   *fpgrowth.Index
-	mfis    []fpgrowth.Itemset
-	minsup  int
-	maxSize int
-	out     []*Block
+	sc       *scorer
+	index    *fpgrowth.Index
+	mfis     []fpgrowth.Itemset
+	minsup   int
+	maxSize  int
+	minScore float64
+	out      []*Block
 
 	walker *fpgrowth.Walker
 	js     jaccardScratch
@@ -270,9 +276,10 @@ type materializer struct {
 // m.mfis) into m.out and returns how many the compact-set cap pruned.
 // The MFIs are walked in lexicographic rank-sequence order, so the walker
 // intersects each distinct prefix once; supports live in the walker's
-// stack, and only an admitted block copies out an exact-size member
-// slice. Fewer than two members form no block; more than maxSize are
-// pruned.
+// stack and are scored there, and only an admitted block copies out an
+// exact-size member slice. Fewer than two members form no block; more
+// than maxSize are pruned; a score at or below Config.MinScore forms no
+// block either, since no level can admit it.
 func (m *materializer) run(run []int32) (pruned int) {
 	m.seqs, m.ents = m.seqs[:0], m.ents[:0]
 	for _, k := range run {
@@ -291,8 +298,12 @@ func (m *materializer) run(run []int32) (pruned int) {
 		case n > m.maxSize:
 			pruned++
 		default:
+			score := m.sc.score(members, &m.js)
+			if score <= m.minScore {
+				continue
+			}
 			members = append(make([]int, 0, n), members...)
-			m.out[e.k] = &Block{Key: m.mfis[e.k].Items, Members: members, Score: m.sc.score(members, &m.js), MinSup: m.minsup}
+			m.out[e.k] = &Block{Key: m.mfis[e.k].Items, Members: members, Score: score, MinSup: m.minsup}
 		}
 	}
 	return pruned
@@ -333,18 +344,21 @@ func rarestFirstJobs(index *fpgrowth.Index, mfis []fpgrowth.Itemset, maxSize int
 	return jobs, pruned
 }
 
-// buildBlocks materializes and scores the MFI supports in parallel,
-// dropping blocks that are too small (<2) or exceed the compact-set
-// cap. It also reports how many blocks the compact-set cap pruned.
-// Every block is materialized over the whole database (the SupportSet
-// contract): coverage never masks a record out of a new block.
+// buildBlocks materializes and scores the MFI supports in parallel and
+// returns the blocks an NG pass could admit: those with at least two
+// members, within the compact-set cap, and scoring above Config.MinScore
+// — the one place the score floor is applied. It also reports how many
+// MFIs the compact-set cap pruned. Every block is materialized over the
+// whole database (the SupportSet contract): coverage never masks a
+// record out of a new block.
 //
 // The MFIs are visited rarest item first, so that those sharing their
 // rarest items — where almost all of the intersection work is — are
 // neighbours; workers pull runs of that order through an atomic cursor.
 // Each block is still written at its MFI's index, so blocks come back in
 // MFI order whatever the schedule; enforceNG re-sorts them under a total
-// order, so nothing downstream depends on it.
+// order, so nothing downstream depends on it — nor on the MFI order
+// itself, which is why the miner may hand them over unsorted.
 func buildBlocks(cfg *Config, sc *scorer, index *fpgrowth.Index, mfis []fpgrowth.Itemset, minsup int, parent *trace.Span) ([]*Block, int) {
 	bsp := parent.Child("build_blocks", trace.WithKind(trace.KindOp)).
 		Attr("mfis", int64(len(mfis)))
@@ -361,7 +375,7 @@ func buildBlocks(cfg *Config, sc *scorer, index *fpgrowth.Index, mfis []fpgrowth
 			defer wg.Done()
 			m := materializer{
 				sc: sc, index: index, mfis: mfis,
-				minsup: minsup, maxSize: maxSize, out: out,
+				minsup: minsup, maxSize: maxSize, minScore: cfg.MinScore, out: out,
 				walker: index.NewWalker(),
 			}
 			for {
@@ -388,12 +402,14 @@ func buildBlocks(cfg *Config, sc *scorer, index *fpgrowth.Index, mfis []fpgrowth
 // enforceNG applies the sparse-neighborhood condition exactly as Config.NG
 // states it: blocks are processed in descending score order, each admitted
 // block charges every member Size()-1 units of its run-wide budget, and a
-// block any member cannot pay for is vetoed. It also drops blocks scoring
-// at or below MinScore. It returns the surviving blocks (descending
-// score), the lowest surviving score (the effective iteration threshold),
-// and the number of blocks the neighborhood cap vetoed. spent holds the
-// units each record has spent at earlier levels; it is indexed by dense
-// record index, sized to the collection, and updated in place.
+// block any member cannot pay for is vetoed. The blocks come from
+// buildBlocks, which already dropped every one scoring at or below
+// MinScore. It returns the surviving blocks (descending score), the
+// lowest surviving score (the effective iteration threshold; MinScore
+// when none survives), and the number of blocks the neighborhood cap
+// vetoed. spent holds the units each record has spent at earlier levels;
+// it is indexed by dense record index, sized to the collection, and
+// updated in place.
 //
 // The admission order is a total order — (score desc, size asc, members
 // lex asc, key lex asc) — so the outcome is independent of the incoming
@@ -429,9 +445,6 @@ func enforceNG(cfg *Config, blocks []*Block, spent []int) (kept []*Block, minTh 
 	})
 	minTh = cfg.MinScore
 	for _, b := range ordered {
-		if b.Score <= cfg.MinScore {
-			break // ordered by score: everything after is below too
-		}
 		cost := b.Size() - 1
 		veto := false
 		for _, m := range b.Members {

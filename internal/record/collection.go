@@ -2,6 +2,7 @@ package record
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -95,7 +96,9 @@ func (c *Collection) Cardinality() (distinct, occurrences [NumItemTypes]int) {
 // back, and tracks per-item document frequency (number of records carrying
 // the item). Itemset mining operates on the integer ids.
 type Dictionary struct {
-	ids   map[string]int
+	// ids is keyed by the Item value, which is one-to-one with its key
+	// (TestItemKeyOneToOne), so interning builds no string per lookup.
+	ids   map[Item]int
 	keys  []string
 	types []ItemType
 	freq  []int
@@ -104,7 +107,7 @@ type Dictionary struct {
 // NewDictionary returns an empty dictionary for incremental observation
 // (see Observe).
 func NewDictionary() *Dictionary {
-	return &Dictionary{ids: make(map[string]int)}
+	return &Dictionary{ids: make(map[Item]int)}
 }
 
 // BuildDictionary encodes a collection: it assigns each distinct item key a
@@ -133,28 +136,28 @@ func BuildDictionary(c *Collection) *Dictionary {
 // transactions, which is what lets a streaming ingest stage encode each
 // record the moment it arrives and then drop it.
 func (d *Dictionary) Observe(r *Record) []int {
-	seen := make(map[int]struct{}, len(r.Items))
-	ids := make([]int, 0, len(r.Items))
-	for _, it := range r.Items {
-		id := d.intern(it)
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		d.freq[id]++
-		ids = append(ids, id)
+	ids := make([]int, len(r.Items))
+	for i, it := range r.Items {
+		ids[i] = d.intern(it)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	for _, id := range ids {
+		d.freq[id]++
+	}
 	return ids
 }
 
 func (d *Dictionary) intern(it Item) int {
-	k := it.Key()
-	if id, ok := d.ids[k]; ok {
+	if id, ok := d.ids[it]; ok {
 		return id
 	}
+	// The map key's value aliases the tail of the key string, so the
+	// dictionary holds each distinct value once and retains no record's
+	// strings.
+	k := it.Key()
 	id := len(d.keys)
-	d.ids[k] = id
+	d.ids[Item{Type: it.Type, Value: k[len(k)-len(it.Value):]}] = id
 	d.keys = append(d.keys, k)
 	d.types = append(d.types, it.Type)
 	d.freq = append(d.freq, 0)
@@ -166,7 +169,11 @@ func (d *Dictionary) Len() int { return len(d.keys) }
 
 // ID returns the id of an item key and whether it is known.
 func (d *Dictionary) ID(key string) (int, bool) {
-	id, ok := d.ids[key]
+	it, err := ParseItemKey(key)
+	if err != nil {
+		return 0, false
+	}
+	id, ok := d.ids[it]
 	return id, ok
 }
 
@@ -185,7 +192,7 @@ func (d *Dictionary) Encode(r *Record) []int {
 	seen := make(map[int]struct{}, len(r.Items))
 	ids := make([]int, 0, len(r.Items))
 	for _, it := range r.Items {
-		id, ok := d.ids[it.Key()]
+		id, ok := d.ids[it]
 		if !ok {
 			continue
 		}

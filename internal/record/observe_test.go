@@ -3,6 +3,7 @@ package record
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -54,6 +55,40 @@ func TestObserveMatchesBatch(t *testing.T) {
 	for i, r := range coll.Records {
 		if want := batch.Encode(r); !reflect.DeepEqual(want, incEncoded[i]) {
 			t.Fatalf("record %d: transaction %v vs %v", i, incEncoded[i], want)
+		}
+	}
+}
+
+// TestItemKeyOneToOne pins what lets Dictionary key its map by the Item
+// value instead of the "prefix:value" string: two items have equal keys
+// exactly when they are equal. That holds because the prefixes are
+// distinct and contain no colon, so a key splits at its first colon into
+// one prefix (one type) and one value.
+func TestItemKeyOneToOne(t *testing.T) {
+	seen := map[string]ItemType{}
+	for _, typ := range AllItemTypes() {
+		p := typ.Prefix()
+		if p == "" || strings.Contains(p, ":") {
+			t.Fatalf("%v: prefix %q is empty or holds a colon", typ, p)
+		}
+		if prev, dup := seen[p]; dup {
+			t.Fatalf("%v and %v share prefix %q", prev, typ, p)
+		}
+		seen[p] = typ
+	}
+	values := []string{"", "a", ":", "a:b", "F:a", "avraham"}
+	keys := map[string]Item{}
+	for _, typ := range AllItemTypes() {
+		for _, v := range values {
+			it := Item{Type: typ, Value: v}
+			k := it.Key()
+			if prev, dup := keys[k]; dup {
+				t.Fatalf("items %+v and %+v share key %q", prev, it, k)
+			}
+			keys[k] = it
+			if back, err := ParseItemKey(k); err != nil || back != it {
+				t.Fatalf("ParseItemKey(%q) = %+v, %v; want %+v", k, back, err, it)
+			}
 		}
 	}
 }
