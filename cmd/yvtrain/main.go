@@ -5,7 +5,7 @@
 // Usage:
 //
 //	yvtrain -in records.jsonl -tags tags.tsv -out model.json
-//	        [-maybe omit|no|keep] [-rounds 10] [-cv 10]
+//	        [-maybe omit|no] [-rounds 10] [-cv 10]
 package main
 
 import (
@@ -19,6 +19,7 @@ import (
 	"repro/internal/adtree"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/features"
 	"repro/internal/gazetteer"
 	"repro/internal/record"
 )
@@ -67,11 +68,11 @@ func main() {
 	cfg := adtree.NewTrainConfig()
 	cfg.Rounds = *rounds
 
+	insts, _, err := core.Instances(tags, coll, gaz, mode)
+	if err != nil {
+		fatal(err)
+	}
 	if *cv > 1 {
-		insts, _, err := core.Instances(tags, coll, gaz, mode)
-		if err != nil {
-			fatal(err)
-		}
 		if acc, err := core.CrossValidate(cfg, insts, *cv); err == nil {
 			fmt.Printf("%d-fold CV accuracy over %d instances: %.1f%%\n", *cv, len(insts), 100*acc)
 		} else {
@@ -79,7 +80,7 @@ func main() {
 		}
 	}
 
-	model, err := core.TrainModel(cfg, tags, coll, gaz, mode)
+	model, err := adtree.Train(cfg, features.Defs(), insts)
 	if err != nil {
 		fatal(err)
 	}
@@ -98,7 +99,9 @@ func main() {
 	fmt.Print(model.String())
 }
 
-// readTags parses the yvtag TSV format: bookA \t bookB \t grade.
+// readTags parses the yvtag TSV format: bookA \t bookB \t grade. A
+// report paired with itself, or a pair graded twice, is an error naming
+// the line(s).
 func readTags(path string) *dataset.TagSet {
 	f, err := os.Open(path)
 	if err != nil {
@@ -110,6 +113,7 @@ func readTags(path string) *dataset.TagSet {
 		byName[dataset.Tag(t).String()] = dataset.Tag(t)
 	}
 	var tagged []dataset.TaggedPair
+	seen := map[record.Pair]int{} // pair -> line that graded it
 	sc := bufio.NewScanner(f)
 	line := 0
 	for sc.Scan() {
@@ -131,7 +135,15 @@ func readTags(path string) *dataset.TagSet {
 		if !ok {
 			fatal(fmt.Errorf("tags line %d: unknown grade %q", line, parts[2]))
 		}
-		tagged = append(tagged, dataset.TaggedPair{Pair: record.MakePair(a, b), Tag: tag})
+		if a == b {
+			fatal(fmt.Errorf("tags line %d: %w: report %d", line, core.ErrSelfPair, a))
+		}
+		p := record.MakePair(a, b)
+		if first, dup := seen[p]; dup {
+			fatal(fmt.Errorf("tags line %d: pair %d %d already graded on line %d", line, p.A, p.B, first))
+		}
+		seen[p] = line
+		tagged = append(tagged, dataset.TaggedPair{Pair: p, Tag: tag})
 	}
 	if err := sc.Err(); err != nil {
 		fatal(err)

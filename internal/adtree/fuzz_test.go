@@ -45,7 +45,8 @@ func FuzzLoad(f *testing.F) {
 			// Every splitter's feature indexes a pair evaluator; a pair
 			// of empty records has every feature missing.
 			ex := features.NewExtractor(nil)
-			empty := ex.Profile(&record.Record{})
+			coll, _ := record.NewCollection([]*record.Record{{}}) // one record: no duplicate BookID
+			empty := features.NewProfileCache(ex).Build(coll, 1)[0]
 			var ev features.PairEval
 			ev.Reset(ex, empty, empty)
 			if got, want := m.ScorePair(&ev), m.Score(missing); math.Float64bits(got) != math.Float64bits(want) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/adtree"
 	"repro/internal/dataset"
@@ -42,13 +43,12 @@ func (m MaybeMode) String() string {
 // Maybe policy. For IdentifyMaybe it returns the match instances (Maybe
 // omitted) plus a parallel Maybe-vs-rest instance set.
 func Instances(ts *dataset.TagSet, coll *record.Collection, geo similarity.GeoDistancer, mode MaybeMode) (match, maybe []adtree.Instance, err error) {
-	ex := features.NewExtractor(geo)
-	for _, tp := range ts.Pairs {
-		ra, rb := coll.ByID(tp.Pair.A), coll.ByID(tp.Pair.B)
-		if ra == nil || rb == nil {
-			return nil, nil, fmt.Errorf("core: tagged pair %v references unknown record", tp.Pair)
-		}
-		x := ex.Extract(ra, rb)
+	xs, err := taggedVectors(ts, coll, geo)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, tp := range ts.Pairs {
+		x := xs[i]
 		switch mode {
 		case MaybeAsNo:
 			match = append(match, adtree.Instance{X: x, Match: tp.Tag.IsMatch()})
@@ -66,6 +66,26 @@ func Instances(ts *dataset.TagSet, coll *record.Collection, geo similarity.GeoDi
 		}
 	}
 	return match, maybe, nil
+}
+
+// taggedVectors computes the feature vector of every tagged pair, in
+// ts.Pairs order, from profiles of the whole collection: the same
+// features, computed by the same code, that scoring reads.
+func taggedVectors(ts *dataset.TagSet, coll *record.Collection, geo similarity.GeoDistancer) ([]features.Vector, error) {
+	ex := features.NewExtractor(geo)
+	profs := features.NewProfileCache(ex).Build(coll, runtime.GOMAXPROCS(0))
+	xs := make([]features.Vector, len(ts.Pairs))
+	for i, tp := range ts.Pairs {
+		if tp.Pair.A == tp.Pair.B {
+			return nil, fmt.Errorf("%w: tagged pair %v", ErrSelfPair, tp.Pair)
+		}
+		ia, ib := coll.Index(tp.Pair.A), coll.Index(tp.Pair.B)
+		if ia < 0 || ib < 0 {
+			return nil, fmt.Errorf("core: tagged pair %v references unknown record", tp.Pair)
+		}
+		xs[i] = ex.ExtractProfiled(profs[ia], profs[ib])
+	}
+	return xs, nil
 }
 
 // TrainModel trains the match ADTree on the tagged pairs under the given
@@ -121,31 +141,22 @@ const (
 // Maybe" row): a Maybe-vs-rest model gates a match model; a prediction is
 // correct when it reproduces the expert's (simplified) grade.
 func CrossValidateMaybe(cfg adtree.TrainConfig, ts *dataset.TagSet, coll *record.Collection, geo similarity.GeoDistancer, k int) (float64, error) {
-	ex := features.NewExtractor(geo)
-	type labelled struct {
-		x   features.Vector
-		tag dataset.Tag
+	xs, err := taggedVectors(ts, coll, geo)
+	if err != nil {
+		return 0, err
 	}
-	all := make([]labelled, 0, ts.Len())
-	for _, tp := range ts.Pairs {
-		ra, rb := coll.ByID(tp.Pair.A), coll.ByID(tp.Pair.B)
-		if ra == nil || rb == nil {
-			return 0, fmt.Errorf("core: tagged pair %v references unknown record", tp.Pair)
-		}
-		all = append(all, labelled{x: ex.Extract(ra, rb), tag: tp.Tag})
+	if len(xs) < k {
+		return 0, fmt.Errorf("core: %d instances for %d folds", len(xs), k)
 	}
-	if len(all) < k {
-		return 0, fmt.Errorf("core: %d instances for %d folds", len(all), k)
-	}
-	folds := eval.Folds(len(all), k)
+	folds := eval.Folds(len(xs), k)
 	correct, total := 0, 0
 	for f := range folds {
 		var matchInsts, maybeInsts []adtree.Instance
 		for _, i := range eval.TrainIndices(folds, f) {
-			l := all[i]
-			maybeInsts = append(maybeInsts, adtree.Instance{X: l.x, Match: l.tag == dataset.Maybe})
-			if l.tag != dataset.Maybe {
-				matchInsts = append(matchInsts, adtree.Instance{X: l.x, Match: l.tag.IsMatch()})
+			tag := ts.Pairs[i].Tag
+			maybeInsts = append(maybeInsts, adtree.Instance{X: xs[i], Match: tag == dataset.Maybe})
+			if tag != dataset.Maybe {
+				matchInsts = append(matchInsts, adtree.Instance{X: xs[i], Match: tag.IsMatch()})
 			}
 		}
 		matchModel, err := adtree.Train(cfg, features.Defs(), matchInsts)
@@ -157,19 +168,18 @@ func CrossValidateMaybe(cfg adtree.TrainConfig, ts *dataset.TagSet, coll *record
 			return 0, err
 		}
 		for _, i := range folds[f] {
-			l := all[i]
 			pred := PredictNo
 			switch {
-			case maybeModel.Classify(l.x):
+			case maybeModel.Classify(xs[i]):
 				pred = PredictMaybe
-			case matchModel.Classify(l.x):
+			case matchModel.Classify(xs[i]):
 				pred = PredictYes
 			}
 			want := PredictNo
-			switch {
-			case l.tag == dataset.Maybe:
+			switch tag := ts.Pairs[i].Tag; {
+			case tag == dataset.Maybe:
 				want = PredictMaybe
-			case l.tag.IsMatch():
+			case tag.IsMatch():
 				want = PredictYes
 			}
 			if pred == want {

@@ -7,7 +7,8 @@ import (
 	"repro/internal/record"
 )
 
-// allocPair builds the bench fixture pair used by the allocation guards.
+// allocPair builds the record pair the allocation guards and
+// BenchmarkExtractProfiled use.
 func allocPair() (*record.Record, *record.Record) {
 	a := rec(func(r *record.Record) {
 		r.Source = "list:1"
@@ -53,7 +54,7 @@ func TestExtractProfiledAllocs(t *testing.T) {
 			ex := NewExtractor(fakeGeo{})
 			ex.Memo = tc.memo
 			a, b := allocPair()
-			pa, pb := ex.Profile(a), ex.Profile(b)
+			pa, pb := profileOf(ex, a), profileOf(ex, b)
 			// Warm the memo so the measured runs are pure hits.
 			ex.ExtractProfiled(pa, pb)
 			if n := testing.AllocsPerRun(200, func() { ex.ExtractProfiled(pa, pb) }); n > 1 {

@@ -5,66 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/record"
 )
-
-func BenchmarkExtract(b *testing.B) {
-	ex := NewExtractor(fakeGeo{})
-	a := rec(func(r *record.Record) {
-		r.Source = "list:1"
-		r.Add(record.FirstName, "Guido")
-		r.Add(record.LastName, "Foa")
-		r.Add(record.Gender, "0")
-		r.Add(record.BirthYear, "1920")
-		r.Add(record.BirthMonth, "11")
-		r.Add(record.BirthDay, "18")
-		r.Add(record.BirthCity, "Torino")
-		r.Add(record.PermCity, "Torino")
-		r.Add(record.SpouseName, "Olga")
-		r.Add(record.FatherName, "Donato")
-	})
-	c := rec(func(r *record.Record) {
-		r.Source = "list:2"
-		r.Add(record.FirstName, "Guido")
-		r.Add(record.LastName, "Foy")
-		r.Add(record.Gender, "0")
-		r.Add(record.BirthYear, "1920")
-		r.Add(record.BirthCity, "Moncalieri")
-		r.Add(record.FatherName, "Donato")
-	})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ex.Extract(a, c)
-	}
-}
 
 // BenchmarkExtractProfiled measures the pair-time cost once the records'
 // profiles are cached — the steady state of the parallel scoring stage.
 func BenchmarkExtractProfiled(b *testing.B) {
 	ex := NewExtractor(fakeGeo{})
-	a := rec(func(r *record.Record) {
-		r.Source = "list:1"
-		r.Add(record.FirstName, "Guido")
-		r.Add(record.LastName, "Foa")
-		r.Add(record.Gender, "0")
-		r.Add(record.BirthYear, "1920")
-		r.Add(record.BirthMonth, "11")
-		r.Add(record.BirthDay, "18")
-		r.Add(record.BirthCity, "Torino")
-		r.Add(record.PermCity, "Torino")
-		r.Add(record.SpouseName, "Olga")
-		r.Add(record.FatherName, "Donato")
-	})
-	c := rec(func(r *record.Record) {
-		r.Source = "list:2"
-		r.Add(record.FirstName, "Guido")
-		r.Add(record.LastName, "Foy")
-		r.Add(record.Gender, "0")
-		r.Add(record.BirthYear, "1920")
-		r.Add(record.BirthCity, "Moncalieri")
-		r.Add(record.FatherName, "Donato")
-	})
-	pa, pc := ex.Profile(a), ex.Profile(c)
+	a, c := allocPair()
+	pa, pc := profileOf(ex, a), profileOf(ex, c)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

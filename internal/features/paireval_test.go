@@ -88,7 +88,7 @@ func TestPairEvalMatchesExtract(t *testing.T) {
 	} {
 		profs := make([]*Profile, len(recs))
 		for i, r := range recs {
-			profs[i] = ex.Profile(r)
+			profs[i] = profileOf(ex, r)
 		}
 		var ev PairEval // one evaluator for every pair: slots go stale
 		present, missing := 0, 0
@@ -131,7 +131,7 @@ func TestPairEvalComputesOnce(t *testing.T) {
 	ex := NewExtractor(countingGeo{&geoCalls})
 	ex.Memo = NewPairMemo(0)
 	a, b := allocPair()
-	pa, pb := ex.Profile(a), ex.Profile(b)
+	pa, pb := profileOf(ex, a), profileOf(ex, b)
 	work := func() int64 {
 		ms := ex.Memo.Stats()
 		return ms.Hits + ms.Misses + int64(geoCalls)

@@ -15,18 +15,18 @@ import (
 	"repro/internal/similarity"
 )
 
-// Profile is a per-record snapshot of everything Extract re-derives from
-// raw strings on every pair: lowered name values and their q-gram sets,
-// parsed birth-date components, first-values of places and demographic
-// attributes, and (when the extractor's Geo implements
+// Profile is a per-record snapshot of everything the pair features read,
+// derived once from the record's raw strings: lowered name values and
+// their q-gram sets, parsed birth-date components, first-values of places
+// and demographic attributes, and (when the extractor's Geo implements
 // similarity.CoordResolver) gazetteer-resolved coordinates.
+// ProfileCache.Build makes them.
 //
 // A profile holds only what its extractor's features read (see
-// NewExtractorFor). Over two profiles built by the same full extractor
-// (NewExtractor), ExtractProfiled produces a Vector bit-identical to
-// Extract over the underlying records; over a restricted extractor's,
-// PairEval.At answers each feature of its set with that same value. The
-// scoring stage in internal/core relies on that equivalence.
+// NewExtractorFor). Training (ExtractProfiled over a full extractor's
+// profiles) and scoring (PairEval over a restricted extractor's) compute
+// each feature with the same code, so a feature a model tests has the
+// same value in both.
 //
 // A run keeps one profile per record for as long as its Resolution lives,
 // so the layout is compact: the variable-length parts are sub-slices of
@@ -133,7 +133,7 @@ const arenaBlock = 1 << 11
 // cities across all its records, so each is lowered, interned, grammed or
 // resolved once per builder, not once per record. The key is the raw
 // string (a repeat costs one probe, no lowering) and the maps are the
-// builder's own (no lock); the single-record Profile path leaves them nil.
+// builder's own (no lock).
 type profileBuilder struct {
 	ex     *Extractor
 	names  arena[nameValue]
@@ -166,16 +166,6 @@ func (e *Extractor) newProfileBuilder(records int) *profileBuilder {
 		values: make(map[string]nameValue),
 		cities: make(map[string]cityCoord),
 	}
-}
-
-// Profile precomputes the record's pairwise-extraction inputs for the
-// extractor's features. Profiles are immutable after construction and
-// safe for concurrent use; they must be paired with profiles built by the
-// same extractor.
-func (e *Extractor) Profile(r *record.Record) *Profile {
-	p := new(Profile)
-	(&profileBuilder{ex: e}).build(p, r)
-	return p
 }
 
 // build fills p with r's profile, skipping the name attributes, the full
@@ -263,7 +253,7 @@ func (b *profileBuilder) build(p *Profile, r *record.Record) {
 }
 
 // value returns what a raw name value contributes to a profile, from the
-// value table when the builder has one.
+// value table when an earlier record carried it.
 func (b *profileBuilder) value(raw string) nameValue {
 	if v, ok := b.values[raw]; ok {
 		return v
@@ -272,33 +262,30 @@ func (b *profileBuilder) value(raw string) nameValue {
 	g := similarity.QGramIDs(b.ex.interner, lower, 2)
 	v := nameValue{lower: lower, grams: b.ids.alloc(len(g)), id: id}
 	copy(v.grams, g)
-	if b.values != nil {
-		b.values[raw] = v
-	}
+	b.values[raw] = v
 	return v
 }
 
 // city returns a raw city's gazetteer resolution, from the value table
-// when the builder has one.
+// when an earlier record carried it.
 func (b *profileBuilder) city(resolver similarity.CoordResolver, raw string) cityCoord {
 	if c, ok := b.cities[raw]; ok {
 		return c
 	}
 	var c cityCoord
 	c.at[0], c.at[1], c.ok = resolver.ResolveCoord(raw)
-	if b.cities != nil {
-		b.cities[raw] = c
-	}
+	b.cities[raw] = c
 	return c
 }
 
 // feature computes one feature of a profile pair — the single
 // implementation behind both the full-vector API and the demand-driven
-// PairEval. The cases follow Defs group by group; each value is
-// bit-identical to Extract's over the profiles' records. It panics on a
-// feature outside the extractor's profiled set, whose inputs the profiles
-// lack: answering "missing" would score the pair silently wrong, and the
-// caller has paired a model with an extractor built for another.
+// PairEval. The cases follow Defs group by group; the tests pin each
+// value bit for bit to a reference that re-derives it from the raw
+// records. It panics on a feature outside the extractor's profiled set,
+// whose inputs the profiles lack: answering "missing" would score the
+// pair silently wrong, and the caller has paired a model with an
+// extractor built for another.
 func (e *Extractor) feature(id int, a, b *Profile) Value {
 	if e.profiled&(1<<id) == 0 {
 		panic(fmt.Sprintf("features: %s (feature %d) is not among the features this extractor profiles", e.defs[id].Name, id))
@@ -398,8 +385,7 @@ func (e *Extractor) feature(id int, a, b *Profile) Value {
 }
 
 // ExtractProfiled computes the pair's feature vector from two cached
-// profiles of a full extractor. The result is bit-identical to Extract
-// over the profiles' records. It panics on a restricted extractor, whose
+// profiles of a full extractor. It panics on a restricted extractor, whose
 // profiles lack some feature's inputs.
 func (e *Extractor) ExtractProfiled(a, b *Profile) Vector {
 	v := make(Vector, NumFeatures)
@@ -409,9 +395,9 @@ func (e *Extractor) ExtractProfiled(a, b *Profile) Vector {
 
 // ExtractProfiledInto is ExtractProfiled writing into v, which must hold
 // one Value per feature definition. It is the full-vector form — every
-// feature, whether or not anything reads it — that the pair breakdowns and
-// the staged benchmark want; the scoring stage pulls features through a
-// PairEval instead.
+// feature, whether or not anything reads it — that training, the pair
+// breakdowns and the staged benchmark want; the scoring stage pulls
+// features through a PairEval instead.
 func (e *Extractor) ExtractProfiledInto(v Vector, a, b *Profile) {
 	for id := range v[:NumFeatures] {
 		v[id] = e.feature(id, a, b)
@@ -437,9 +423,8 @@ func (p *PairEval) Reset(ex *Extractor, a, b *Profile) {
 	p.ex, p.a, p.b, p.have = ex, a, b, 0
 }
 
-// At returns feature id of the current pair, equal to Extract over the
-// profiles' records at id. It panics when id is not among the features the
-// extractor profiles.
+// At returns feature id of the current pair, equal to ExtractProfiled's at
+// id. It panics when id is not among the features the extractor profiles.
 func (p *PairEval) At(id int) Value {
 	if bit := uint64(1) << id; p.have&bit == 0 {
 		p.vals[id] = p.ex.feature(id, p.a, p.b)

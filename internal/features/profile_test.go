@@ -11,6 +11,13 @@ import (
 	"repro/internal/record"
 )
 
+// profileOf builds r's profile the way the program does: through
+// ProfileCache.Build, over a one-record collection.
+func profileOf(ex *Extractor, r *record.Record) *Profile {
+	coll, _ := record.NewCollection([]*record.Record{r}) // one record: no duplicate BookID
+	return NewProfileCache(ex).Build(coll, 1)[0]
+}
+
 // assertVectorsEqual requires exact — bit-identical, not approximate —
 // equality between the plain and profiled extraction paths.
 func assertVectorsEqual(t *testing.T, tag string, want, got Vector) {
@@ -83,7 +90,7 @@ func TestExtractProfiledFallbackGeo(t *testing.T) {
 		{"nilGeo", NewExtractor(nil)},
 	} {
 		want := tc.ex.Extract(a, b)
-		got := tc.ex.ExtractProfiled(tc.ex.Profile(a), tc.ex.Profile(b))
+		got := tc.ex.ExtractProfiled(profileOf(tc.ex, a), profileOf(tc.ex, b))
 		assertVectorsEqual(t, tc.name, want, got)
 	}
 }
@@ -117,8 +124,8 @@ func valueTableRecords(city string) []*record.Record {
 // aligned with the collection and keeps them for Get, and that the
 // builders' value tables change nothing: over records whose values repeat
 // in different case, in non-ASCII and with an unresolvable city, profiles
-// built in bulk, profiles built one by one and plain Extract agree bit for
-// bit, and the gram slices profiles share are capped and never written.
+// built in bulk and plain Extract agree bit for bit, and the gram slices
+// profiles share are capped and never written.
 func TestProfileCacheBuild(t *testing.T) {
 	cfg := dataset.ItalyConfig()
 	cfg.Persons = 80
@@ -169,14 +176,12 @@ func TestProfileCacheBuild(t *testing.T) {
 			t.Errorf("one builder grammed %q twice", a.lower)
 		}
 
-		single := NewExtractor(gen.Gaz)
 		vec := make(Vector, NumFeatures)
 		for i := range tricky {
 			for j, other := range coll.Records[:len(tricky)+40] {
 				want := ex.Extract(tricky[i], other)
 				ex.ExtractProfiledInto(vec, profs[i], profs[j])
 				assertVectorsEqual(t, "Build", want, vec)
-				assertVectorsEqual(t, "Profile", want, single.ExtractProfiled(single.Profile(tricky[i]), single.Profile(other)))
 			}
 		}
 		for k := range shared {
@@ -207,7 +212,7 @@ func TestProfileNameValues(t *testing.T) {
 		r.Add(record.MotherName, "Łucja")
 	})
 	ex := NewExtractor(nil)
-	pa, pb := ex.Profile(a), ex.Profile(b)
+	pa, pb := profileOf(ex, a), profileOf(ex, b)
 	if len(pa.names) != 4 {
 		t.Fatalf("profile keeps %d name values, want 4 distinct (john, harris, foa, łucja)", len(pa.names))
 	}

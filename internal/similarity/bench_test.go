@@ -20,13 +20,6 @@ func BenchmarkJaroWinkler(b *testing.B) {
 	}
 }
 
-func BenchmarkLevenshtein(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Levenshtein("Mandelbaum", "Mandelboim")
-	}
-}
-
 func BenchmarkJaccardQGrams(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

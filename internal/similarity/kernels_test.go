@@ -69,43 +69,6 @@ func TestJaroWindowArithmetic(t *testing.T) {
 	}
 }
 
-// TestLevenshteinUnicode checks the rune fallback counts runes, not
-// bytes.
-func TestLevenshteinUnicode(t *testing.T) {
-	if got := Levenshtein("héllo", "hello"); got != 1 {
-		t.Errorf("Levenshtein(héllo, hello) = %d, want 1", got)
-	}
-	if got := Levenshtein("", "héllo"); got != 5 {
-		t.Errorf("Levenshtein(\"\", héllo) = %d, want 5 runes", got)
-	}
-}
-
-// TestQGramsListDirect checks the directly-derived list matches QGrams'
-// set: sorted, deduplicated, identical membership.
-func TestQGramsListDirect(t *testing.T) {
-	for _, s := range []string{"", "a", "aaaa", "Capelluto", "héllo", "##"} {
-		for q := 1; q <= 4; q++ {
-			list := QGramsList(s, q)
-			set := QGrams(s, q)
-			if len(list) != len(set) {
-				t.Fatalf("QGramsList(%q, %d) has %d grams, QGrams has %d", s, q, len(list), len(set))
-			}
-			for i, g := range list {
-				if _, ok := set[g]; !ok {
-					t.Fatalf("QGramsList(%q, %d) gram %q not in QGrams", s, q, g)
-				}
-				if i > 0 && list[i-1] >= g {
-					t.Fatalf("QGramsList(%q, %d) not strictly sorted at %d: %v", s, q, i, list)
-				}
-			}
-		}
-	}
-	// q clamps to 1 exactly like QGrams.
-	if got := QGramsList("ab", 0); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Errorf("QGramsList(ab, 0) = %v", got)
-	}
-}
-
 // TestInterner checks ID stability, distinctness, and Len.
 func TestInterner(t *testing.T) {
 	in := NewInterner()
@@ -161,7 +124,7 @@ func TestInternerConcurrent(t *testing.T) {
 	}
 }
 
-// TestJaccardSortedIDs mirrors the JaccardIntSets table over uint32 IDs.
+// TestJaccardSortedIDs pins the merge Jaccard over sorted uint32 IDs.
 func TestJaccardSortedIDs(t *testing.T) {
 	cases := []struct {
 		a, b []uint32
@@ -194,9 +157,6 @@ func TestKernelAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { JaroWinkler("Rosenthal", "Rosenthol") }); n != 0 {
 		t.Errorf("JaroWinkler allocates %v per op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { Levenshtein("Mandelbaum", "Mandelboim") }); n != 0 {
-		t.Errorf("Levenshtein allocates %v per op, want 0", n)
-	}
 	in := NewInterner()
 	ga := QGramIDs(in, "Ottolenghi", 2)
 	gb := QGramIDs(in, "Ottolengi", 2)
@@ -208,9 +168,6 @@ func TestKernelAllocs(t *testing.T) {
 	long2 := randASCII(300, 2)
 	if n := testing.AllocsPerRun(50, func() { Jaro(long1, long2) }); n != 0 {
 		t.Errorf("Jaro(long) allocates %v per op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { Levenshtein(long1, long2) }); n != 0 {
-		t.Errorf("Levenshtein(long) allocates %v per op, want 0", n)
 	}
 }
 
@@ -232,10 +189,10 @@ func TestKernelsConcurrent(t *testing.T) {
 		words[i] = randASCII(3+i%12, int64(i))
 	}
 	type key struct{ i, j int }
-	want := make(map[key][2]float64)
+	want := make(map[key]float64)
 	for i := range words {
 		for j := range words {
-			want[key{i, j}] = [2]float64{Jaro(words[i], words[j]), float64(Levenshtein(words[i], words[j]))}
+			want[key{i, j}] = Jaro(words[i], words[j])
 		}
 	}
 	var wg sync.WaitGroup
@@ -246,12 +203,8 @@ func TestKernelsConcurrent(t *testing.T) {
 			for i := range words {
 				for j := range words {
 					k := key{i, j}
-					if got := Jaro(words[i], words[j]); got != want[k][0] {
-						t.Errorf("concurrent Jaro(%q, %q) = %v, want %v", words[i], words[j], got, want[k][0])
-						return
-					}
-					if got := Levenshtein(words[i], words[j]); float64(got) != want[k][1] {
-						t.Errorf("concurrent Levenshtein(%q, %q) = %v, want %v", words[i], words[j], got, want[k][1])
+					if got := Jaro(words[i], words[j]); got != want[k] {
+						t.Errorf("concurrent Jaro(%q, %q) = %v, want %v", words[i], words[j], got, want[k])
 						return
 					}
 				}

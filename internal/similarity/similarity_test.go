@@ -47,7 +47,7 @@ func TestStringSimilarityProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randWord(rng), randWord(rng)
-		for _, fn := range []func(string, string) float64{Jaro, JaroWinkler, JaccardTokens} {
+		for _, fn := range []func(string, string) float64{Jaro, JaroWinkler} {
 			s := fn(a, b)
 			if s < 0 || s > 1 {
 				return false
@@ -79,48 +79,22 @@ func TestEmptyStringEdges(t *testing.T) {
 	}
 }
 
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"kitten", "sitting", 3},
-		{"Bella", "Della", 1},
-		{"flaw", "lawn", 2},
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestLevenshteinTriangle(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 100; i++ {
-		a, b, c := randWord(rng), randWord(rng), randWord(rng)
-		if Levenshtein(a, c) > Levenshtein(a, b)+Levenshtein(b, c) {
-			t.Fatalf("triangle violated for %q %q %q", a, b, c)
-		}
-	}
-}
-
+// TestJaccardIntSets pins Jaccard over integer ID sets, which the
+// sorted-ID kernel computes for interned q-grams.
 func TestJaccardIntSets(t *testing.T) {
 	cases := []struct {
-		a, b []int
+		a, b []uint32
 		want float64
 	}{
 		{nil, nil, 1},
-		{[]int{1}, nil, 0},
-		{[]int{1, 2, 3}, []int{2, 3, 4}, 0.5},
-		{[]int{1, 2}, []int{1, 2}, 1},
-		{[]int{1}, []int{2}, 0},
+		{[]uint32{1}, nil, 0},
+		{[]uint32{1, 2, 3}, []uint32{2, 3, 4}, 0.5},
+		{[]uint32{1, 2}, []uint32{1, 2}, 1},
+		{[]uint32{1}, []uint32{2}, 0},
 	}
 	for _, c := range cases {
-		if got := JaccardIntSets(c.a, c.b); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("JaccardIntSets(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
+		if got := JaccardSortedIDs(c.a, c.b); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("JaccardSortedIDs(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }

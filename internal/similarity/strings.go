@@ -1,7 +1,7 @@
 // Package similarity implements the string, date, and geographic similarity
 // measures the paper's pipeline relies on: Jaro and Jaro–Winkler, Jaccard
-// over tokens and q-grams, Levenshtein, normalized birth-date component
-// distances, and the expert item similarity of Eq. 1.
+// over q-grams, normalized birth-date component distances, and the expert
+// item similarity of Eq. 1.
 //
 // The string kernels run on two tiers. The common path — pure-ASCII
 // inputs, which is what the pipeline's lowered name and place values
@@ -13,8 +13,6 @@
 package similarity
 
 import (
-	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"unicode/utf8"
@@ -32,11 +30,10 @@ func isASCII(s string) bool {
 }
 
 // kernelScratch is the pooled working memory of the string kernels: the
-// Jaro match flags and the Levenshtein rows. One scratch serves one call
-// at a time; the pool keeps steady-state kernel calls allocation-free.
+// Jaro match flags. One scratch serves one call at a time; the pool keeps
+// steady-state kernel calls allocation-free.
 type kernelScratch struct {
 	flags []bool
-	rows  []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
@@ -51,16 +48,6 @@ func (sc *kernelScratch) matchFlags(la, lb int) ([]bool, []bool) {
 	buf := sc.flags[:n]
 	clear(buf)
 	return buf[:la:la], buf[la:]
-}
-
-// intRows returns two int slices of length n backed by the scratch's
-// shared buffer. Contents are unspecified; callers initialize them.
-func (sc *kernelScratch) intRows(n int) ([]int, []int) {
-	if cap(sc.rows) < 2*n {
-		sc.rows = make([]int, 2*n)
-	}
-	buf := sc.rows[:2*n]
-	return buf[:n:n], buf[n:]
 }
 
 // jaroWindow is the Jaro matching window for rune counts la, lb ≥ 1:
@@ -196,90 +183,6 @@ func JaroWinkler(a, b string) float64 {
 	return j + float64(l)*prefixScale*(1-j)
 }
 
-// Levenshtein returns the edit distance between two strings (in runes).
-func Levenshtein(a, b string) int {
-	if isASCII(a) && isASCII(b) {
-		return levenshteinASCII(a, b)
-	}
-	return levenshteinRunes([]rune(a), []rune(b))
-}
-
-// levenshteinASCII is the byte-indexed fast path over pooled rows.
-func levenshteinASCII(a, b string) int {
-	la, lb := len(a), len(b)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	sc := scratchPool.Get().(*kernelScratch)
-	prev, cur := sc.intRows(lb + 1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		ca := a[i-1]
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if ca == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	d := prev[lb]
-	scratchPool.Put(sc)
-	return d
-}
-
-// levenshteinRunes is the rune-correct reference path.
-func levenshteinRunes(ra, rb []rune) int {
-	la, lb := len(ra), len(rb)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	sc := scratchPool.Get().(*kernelScratch)
-	prev, cur := sc.intRows(lb + 1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		ca := ra[i-1]
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if ca == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	d := prev[lb]
-	scratchPool.Put(sc)
-	return d
-}
-
-// JaccardTokens returns the Jaccard coefficient of the whitespace-token
-// sets of two strings, case-insensitive.
-func JaccardTokens(a, b string) float64 {
-	return jaccard(tokenSet(a), tokenSet(b))
-}
-
-func tokenSet(s string) map[string]struct{} {
-	set := make(map[string]struct{})
-	for _, tok := range strings.Fields(strings.ToLower(s)) {
-		set[tok] = struct{}{}
-	}
-	return set
-}
-
 // paddedLower returns s lowercased and padded with q-1 '#' on both sides —
 // the shared input of every q-gram representation in this package.
 func paddedLower(s string, q int) string {
@@ -330,50 +233,4 @@ func jaccard(a, b map[string]struct{}) float64 {
 		}
 	}
 	return float64(inter) / float64(len(a)+len(b)-inter)
-}
-
-// JaccardIntSets returns the Jaccard coefficient of two sorted int slices.
-// Both must be strictly increasing.
-func JaccardIntSets(a, b []int) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return float64(inter) / float64(len(a)+len(b)-inter)
-}
-
-// QGramsList returns the distinct padded q-grams of a string as a sorted
-// slice — the same grams as QGrams, derived directly (slice, sort,
-// compact) instead of through a throwaway map.
-func QGramsList(s string, q int) []string {
-	if q < 1 {
-		q = 1
-	}
-	padded := paddedLower(s, q)
-	rs := []rune(padded)
-	n := len(rs) - q + 1
-	if n <= 0 {
-		return []string{}
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, string(rs[i:i+q]))
-	}
-	sort.Strings(out)
-	return slices.Compact(out)
 }
