@@ -1,6 +1,9 @@
 package fpgrowth
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // The flat-arena rewrite turned tree construction and support-set probes
 // from thousands of per-node/map allocations into a handful of slab
@@ -12,13 +15,12 @@ import "testing"
 func TestTreeBuildAllocs(t *testing.T) {
 	txns := benchTxns(2000, 800, 14)
 	m := NewMiner(txns)
-	m.TreeStats(3, nil) // warm the miner's reusable state
 	allocs := testing.AllocsPerRun(20, func() {
 		m.TreeStats(3, nil)
 	})
-	// Steady state is ~25 allocs (tree slabs + header tables). The old
-	// pointer-node tree allocated one node per insertion — tens of
-	// thousands here.
+	// Steady state is ~30 allocs (rank arena + tree slabs + header
+	// tables). The old pointer-node tree allocated one node per
+	// insertion — tens of thousands here.
 	if allocs > 64 {
 		t.Fatalf("tree build allocates %.0f per run, want <= 64", allocs)
 	}
@@ -42,5 +44,32 @@ func TestSupportSetAllocs(t *testing.T) {
 	// implementation allocated ~10 per probe.
 	if allocs > 6 {
 		t.Fatalf("SupportSet allocates %.2f per run, want <= 6", allocs)
+	}
+}
+
+// TestWalkerSupportAllocs: once a Walker's stack levels and marks have
+// grown, materializing supports allocates nothing — mark-and-probe
+// included.
+func TestWalkerSupportAllocs(t *testing.T) {
+	txns := benchTxns(5000, 600, 14)
+	m := NewMiner(txns)
+	idx := m.BuildIndex()
+	var seqs [][]int32
+	for _, s := range m.MineMaximal(4, nil) {
+		seqs = append(seqs, idx.RankSeq(nil, s.Items))
+	}
+	slices.SortFunc(seqs, slices.Compare[[]int32])
+	w := idx.NewWalker()
+	walk := func() {
+		for _, seq := range seqs {
+			w.Support(seq)
+		}
+	}
+	walk()
+	if w.marks.stamp == nil {
+		t.Fatal("the fixture never reaches mark-and-probe")
+	}
+	if allocs := testing.AllocsPerRun(5, walk); allocs != 0 {
+		t.Fatalf("Walker.Support allocates %.2f per walk of %d itemsets, want 0", allocs, len(seqs))
 	}
 }

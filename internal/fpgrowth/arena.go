@@ -1,6 +1,9 @@
 package fpgrowth
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Transactions is the flat arena form of a transaction database: every
 // transaction's item ids live contiguously in one int32 slice, with an
@@ -46,17 +49,31 @@ func FromSlices(transactions [][]int) *Transactions {
 	return t
 }
 
-// Append adds one transaction (a deduplicated set of non-negative item
-// ids; order irrelevant) and returns its index.
+// Append adds one transaction (a set of non-negative item ids, in any
+// order) and returns its index. The arena stores it ascending with
+// repeated ids dropped — every reader counts an item once per transaction
+// and the rank arena's windows rely on it — so input that is already
+// ascending and duplicate-free, like what Dictionary.Observe hands it, is
+// only checked.
 func (t *Transactions) Append(txn []int) int {
-	for _, it := range txn {
+	start := len(t.items)
+	canonical := true
+	for i, it := range txn {
 		if it < 0 {
 			panic(fmt.Sprintf("fpgrowth: negative item id %d", it))
 		}
 		if it > t.maxItem {
 			t.maxItem = it
 		}
+		if i > 0 && it <= txn[i-1] {
+			canonical = false
+		}
 		t.items = append(t.items, int32(it))
+	}
+	if !canonical {
+		row := t.items[start:]
+		slices.Sort(row)
+		t.items = t.items[:start+len(slices.Compact(row))]
 	}
 	t.offsets = append(t.offsets, int64(len(t.items)))
 	return len(t.offsets) - 2
@@ -105,4 +122,174 @@ func (t *Transactions) forEachActive(active []int, fn func([]int32)) {
 	for _, i := range active {
 		fn(t.Txn(i))
 	}
+}
+
+// rankArena is one support level's projection of the active
+// transactions, laid out to be read in order rather than walked through
+// parent pointers. ranks holds every active transaction's frequent ranks
+// ascending, back to back; row i spans ranks[rows[i]:rows[i+1]], and rows
+// left empty by the frequency cut are not stored. Ascending structural
+// rank is the FP-tree's path order, so the ranks a row holds before rank
+// r are exactly the prefix path above the node that transaction passes
+// through for r in the root tree. wins groups those prefixes by rank:
+// wins[start[r]:start[r+1]] are rank r's windows into ranks, one per
+// transaction holding r, in transaction order.
+//
+// FPmax's top level reads a header item's conditional counts and
+// conditional tree off its windows (prefixSource); Mine and TreeStats
+// insert the rows into a root FP-tree.
+type rankArena struct {
+	order []int    // rank -> item id
+	ranks []int32  // the rows, back to back
+	rows  []int32  // len = rows+1
+	wins  []window // grouped by rank
+	start []int32  // rank -> first window; len(order)+1 entries
+}
+
+// window is one prefix: ranks[lo:hi].
+type window struct{ lo, hi int32 }
+
+// rankArena ranks the items whose support over the active transactions
+// (nil means all) reaches minsup — descending support, ascending id on
+// ties, pruned items left out — and lays the active transactions out in
+// that rank space. When freq is non-nil it must hold every item id's
+// occurrence count over the active transactions, sparing the counting
+// pass: the incremental counts mfiblocks.RunCorpus keeps across its
+// minsup iterations. The windows are placed from those counts in the
+// same pass that writes the rows.
+func (m *Miner) rankArena(minsup int, active []int, freq []int) *rankArena {
+	counts := freq
+	if counts == nil {
+		counts = make([]int, m.maxItem+1)
+		m.txns.forEachActive(active, func(txn []int32) {
+			for _, it := range txn {
+				counts[it]++
+			}
+		})
+	}
+	limit := min(m.maxItem+1, len(counts))
+	order := make([]int, 0, limit)
+	total := 0
+	for it := 0; it < limit; it++ {
+		if counts[it] >= minsup && !m.isPruned(it) {
+			order = append(order, it)
+			total += counts[it]
+		}
+	}
+	// Descending frequency, ascending id on ties: ascending rank is the
+	// structural item order on every tree path.
+	slices.SortFunc(order, func(a, b int) int {
+		if c := counts[b] - counts[a]; c != 0 {
+			return c
+		}
+		return a - b
+	})
+	rankOf := make([]int32, m.maxItem+1)
+	for i := range rankOf {
+		rankOf[i] = -1
+	}
+	nRows := len(active)
+	if active == nil {
+		nRows = m.txns.Len()
+	}
+	a := &rankArena{
+		order: order,
+		ranks: make([]int32, 0, total),
+		rows:  make([]int32, 1, nRows+1),
+		wins:  make([]window, total),
+		start: make([]int32, len(order)+1),
+	}
+	for r, it := range order {
+		rankOf[it] = int32(r)
+		a.start[r+1] = a.start[r] + int32(counts[it])
+	}
+	next := slices.Clone(a.start[:len(order)])
+	m.txns.forEachActive(active, func(txn []int32) {
+		lo := len(a.ranks)
+		for _, it := range txn {
+			if r := rankOf[it]; r >= 0 {
+				a.ranks = append(a.ranks, r)
+			}
+		}
+		row := a.ranks[lo:]
+		if len(row) == 0 {
+			return
+		}
+		// A transaction holds each item once, so the row is
+		// duplicate-free and sorting it gives the path order.
+		sortInt32(row)
+		for p, r := range row {
+			a.wins[next[r]] = window{int32(lo), int32(lo + p)}
+			next[r]++
+		}
+		a.rows = append(a.rows, int32(len(a.ranks)))
+	})
+	for r, n := range next {
+		if n != a.start[r+1] {
+			panic("fpgrowth: freq does not count the active transactions")
+		}
+	}
+	return a
+}
+
+// sortInt32 sorts small rank buffers ascending. Insertion sort beats the
+// generic sort for the short, mostly-presorted per-transaction rows.
+func sortInt32(a []int32) {
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j] < a[j-1]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
+}
+
+// windows returns rank r's prefix windows.
+func (a *rankArena) windows(r int32) []window {
+	return a.wins[a.start[r]:a.start[r+1]]
+}
+
+// support returns rank r's support: one window per transaction holding
+// it.
+func (a *rankArena) support(r int32) int {
+	return int(a.start[r+1] - a.start[r])
+}
+
+// countPrefixes adds every rank of r's windows into cnt, appending the
+// ranks it moves off zero to touched, and returns touched.
+func (a *rankArena) countPrefixes(r int32, cnt []int, touched []int32) []int32 {
+	for _, w := range a.windows(r) {
+		for _, ri := range a.ranks[w.lo:w.hi] {
+			if cnt[ri] == 0 {
+				touched = append(touched, ri)
+			}
+			cnt[ri]++
+		}
+	}
+	return touched
+}
+
+// insertPrefixes inserts each of r's windows into out, filtered to the
+// ranks whose cnt reaches minsup, with count one; the windows are
+// ascending already. path is scratch, returned for reuse.
+func (a *rankArena) insertPrefixes(r int32, cnt []int, minsup int, path []int32, out *flatTree) []int32 {
+	for _, w := range a.windows(r) {
+		path = path[:0]
+		for _, ri := range a.ranks[w.lo:w.hi] {
+			if cnt[ri] >= minsup {
+				path = append(path, ri)
+			}
+		}
+		if len(path) > 0 {
+			out.insertPath(path, 1)
+		}
+	}
+	return path[:0]
+}
+
+// rootTree builds the root FP-tree by inserting every row.
+func (a *rankArena) rootTree() *flatTree {
+	t := newFlatTree(len(a.order), len(a.ranks))
+	for i := 1; i < len(a.rows); i++ {
+		t.insertPath(a.ranks[a.rows[i-1]:a.rows[i]], 1)
+	}
+	return t
 }

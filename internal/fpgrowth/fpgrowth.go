@@ -52,16 +52,11 @@ type Miner struct {
 	// items out to: 0 means GOMAXPROCS, 1 runs the exact serial path. The
 	// mined MFIs are bit-identical for every worker count.
 	Workers int
-	// scratch is the reusable root projection tree: buildFlatTree recycles
-	// it across calls via the dirty-rank reset instead of allocating a
-	// fresh arena per minsup level. It makes repeated mining through one
-	// Miner non-reentrant — the MFIBlocks loop already mines sequentially.
-	scratch    *flatTree
-	scratchBuf []int32
 }
 
-// NewMiner builds a miner over the transactions. Each transaction must be
-// a set (no duplicate ids) of non-negative item ids; order is irrelevant.
+// NewMiner builds a miner over the transactions. Each transaction is a set
+// of non-negative item ids: order is irrelevant and a repeated id counts
+// once (Transactions.Append).
 func NewMiner(transactions [][]int) *Miner {
 	return NewMinerTxns(FromSlices(transactions))
 }
@@ -105,10 +100,10 @@ func (m *Miner) Mine(minsup int, active []int) ([]Itemset, error) {
 	if minsup < 1 {
 		minsup = 1
 	}
-	tree, order := m.buildFlatTree(minsup, active, nil)
+	a := m.rankArena(minsup, active, nil)
 	var out []Itemset
-	ctx := newMineCtx(order, minsup)
-	if err := ctx.mineTree(tree, 0, &out); err != nil {
+	ctx := newMineCtx(a.order, minsup)
+	if err := ctx.mineTree(a.rootTree(), 0, &out); err != nil {
 		return nil, err
 	}
 	for i := range out {
@@ -117,107 +112,17 @@ func (m *Miner) Mine(minsup int, active []int) ([]Itemset, error) {
 	return out, nil
 }
 
-// TreeStats builds the rank-ordered FP-tree for the given support level and
-// reports its size: the node count (excluding the root) and the number of
-// frequent items. It exposes the tree-construction hot path in isolation
-// for benchmarks (BenchmarkTreeBuild, the repo benchmark's
-// fpgrowth.tree_build_ms) and introspection.
+// TreeStats builds the rank-ordered root FP-tree for the given support
+// level and reports its size: the node count (excluding the root) and the
+// number of frequent items. Maximal mining builds no root tree (it reads
+// the rank arena); the count is introspection, the repo benchmark's
+// fpgrowth.tree_nodes, and BenchmarkTreeBuild's workload.
 func (m *Miner) TreeStats(minsup int, active []int) (nodes, items int) {
 	if minsup < 1 {
 		minsup = 1
 	}
-	tree, order := m.buildFlatTree(minsup, active, nil)
-	return len(tree.item) - 1, len(order)
-}
-
-// buildFlatTree constructs the initial FP-tree over frequent items only,
-// with items ordered by descending frequency, and returns it together with
-// the rank -> item-id order (lower rank = closer to the root on every
-// path). When freq is non-nil it must hold the per-item-id occurrence
-// counts over the active transactions, sparing the counting pass — the
-// incremental path mfiblocks.Run maintains across its minsup iterations.
-//
-// The tree is the miner's scratch tree, recycled across calls (dirty-rank
-// reset + rank-table growth), so each mining call must finish with the
-// returned tree before the next one starts — true of every caller,
-// including the MFIBlocks minsup loop.
-func (m *Miner) buildFlatTree(minsup int, active []int, freq []int) (*flatTree, []int) {
-	counts := freq
-	if counts == nil {
-		counts = make([]int, m.maxItem+1)
-		m.txns.forEachActive(active, func(txn []int32) {
-			for _, it := range txn {
-				counts[it]++
-			}
-		})
-	}
-	limit := m.maxItem + 1
-	if limit > len(counts) {
-		limit = len(counts)
-	}
-	order := make([]int, 0, limit)
-	totalOccurrences := 0
-	for it := 0; it < limit; it++ {
-		if counts[it] >= minsup && !m.isPruned(it) {
-			order = append(order, it)
-			totalOccurrences += counts[it]
-		}
-	}
-	// Descending frequency, ascending id on ties: ascending rank is the
-	// structural item order on every tree path.
-	sort.Slice(order, func(i, j int) bool {
-		if counts[order[i]] != counts[order[j]] {
-			return counts[order[i]] > counts[order[j]]
-		}
-		return order[i] < order[j]
-	})
-	rankOf := make([]int32, m.maxItem+1)
-	for i := range rankOf {
-		rankOf[i] = -1
-	}
-	for r, it := range order {
-		rankOf[it] = int32(r)
-	}
-
-	tree := m.scratch
-	if tree == nil {
-		tree = newFlatTree(len(order), totalOccurrences)
-		m.scratch = tree
-	} else {
-		tree.reset()
-		tree.growRanks(len(order))
-	}
-	if cap(m.scratchBuf) == 0 {
-		m.scratchBuf = make([]int32, 0, 32)
-	}
-	buf := m.scratchBuf
-	m.txns.forEachActive(active, func(txn []int32) {
-		buf = buf[:0]
-		for _, it := range txn {
-			if r := rankOf[it]; r >= 0 {
-				buf = append(buf, r)
-			}
-		}
-		if len(buf) == 0 {
-			return
-		}
-		// Transactions hold each item at most once, so the rank list is
-		// duplicate-free; ascending rank order is the insertion order.
-		sortInt32(buf)
-		tree.insertPath(buf, 1)
-	})
-	m.scratchBuf = buf[:0]
-	return tree, order
-}
-
-// sortInt32 sorts small rank buffers ascending. Insertion sort beats the
-// generic sort for the short, mostly-presorted per-transaction buffers.
-func sortInt32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
+	a := m.rankArena(minsup, active, nil)
+	return len(a.rootTree().item) - 1, len(a.order)
 }
 
 // mineTree is the recursive FP-Growth step: for each item in the tree

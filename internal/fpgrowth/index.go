@@ -17,15 +17,16 @@ type Index struct {
 	bits     [][]uint64 // item id -> transaction bitset; nil for sparse items
 	rank     []int32    // item id -> position in the rarest-first order
 	order    []int32    // rarest-first position -> item id
-	words    int        // bitset length: ceil(numTxns/64)
+	numTxns  int
+	words    int // bitset length: ceil(numTxns/64)
 }
 
 // denseBitsetFloor keeps tiny collections, whose bitsets are a word or
 // two, from paying one for every item.
 const denseBitsetFloor = 64
 
-// gallopRatio is the length ratio from which galloping through the longer
-// list beats a linear merge of both.
+// gallopRatio is the length ratio from which galloping through a sparse
+// item's posting list beats stamping all of it (mark-and-probe).
 const gallopRatio = 8
 
 // BuildIndex indexes the miner's transactions.
@@ -33,6 +34,7 @@ func (m *Miner) BuildIndex() *Index {
 	numTxns := m.txns.Len()
 	idx := &Index{
 		postings: make([][]int, m.maxItem+1),
+		numTxns:  numTxns,
 		words:    (numTxns + 63) / 64,
 	}
 	// Size each posting list exactly before filling: one counting pass
@@ -117,14 +119,26 @@ func (x *Index) RankSeq(dst []int32, items []int) []int32 {
 	return dst
 }
 
+// marks is a Walker's mark-and-probe scratch: the epoch of the last
+// posting list stamped into each transaction. An intersection bumps the
+// epoch instead of clearing the array, which is zeroed only when the
+// epoch wraps.
+type marks struct {
+	stamp []uint32 // txn index -> epoch; allocated by the first stamp
+	epoch uint32
+}
+
 // intersect appends prev ∩ posting(item) to dst, ascending, and returns
 // the extended slice. prev must be ascending. dst may be prev[:0] —
 // every branch writes at or behind the element of prev it has just read
 // — but must not otherwise overlap prev. It is the index's only
 // intersection kernel: a bitset probe per element of prev when the item
 // is dense, a gallop through the posting list when that is gallopRatio
-// times longer than prev, and a linear merge otherwise.
-func (x *Index) intersect(dst, prev []int, item int) []int {
+// times longer than prev or there are no marks to stamp, and otherwise
+// mark-and-probe: stamp the posting list into mk, then keep the elements
+// of prev that carry the stamp — two sequential loops, none of a merge's
+// unpredictable three-way branches.
+func (x *Index) intersect(dst, prev []int, item int, mk *marks) []int {
 	k := len(dst)
 	dst = slices.Grow(dst, len(prev))[:k+len(prev)]
 	if b := x.bits[item]; b != nil {
@@ -137,7 +151,7 @@ func (x *Index) intersect(dst, prev []int, item int) []int {
 		return dst[:k]
 	}
 	p := x.postings[item]
-	if len(p) >= gallopRatio*len(prev) {
+	if mk == nil || len(p) >= gallopRatio*len(prev) {
 		for _, ti := range prev {
 			// Double the stride until it passes ti, then binary-search
 			// the last stride for the first element ≥ ti.
@@ -165,18 +179,22 @@ func (x *Index) intersect(dst, prev []int, item int) []int {
 		}
 		return dst[:k]
 	}
-	i, j := 0, 0
-	for i < len(prev) && j < len(p) {
-		switch {
-		case prev[i] == p[j]:
-			dst[k] = prev[i]
+	if mk.stamp == nil {
+		mk.stamp = make([]uint32, x.numTxns)
+	}
+	mk.epoch++
+	if mk.epoch == 0 {
+		clear(mk.stamp)
+		mk.epoch = 1
+	}
+	stamp, e := mk.stamp, mk.epoch
+	for _, ti := range p {
+		stamp[ti] = e
+	}
+	for _, ti := range prev {
+		dst[k] = ti
+		if stamp[ti] == e {
 			k++
-			i++
-			j++
-		case prev[i] < p[j]:
-			i++
-		default:
-			j++
 		}
 	}
 	return dst[:k]
@@ -205,7 +223,7 @@ func (x *Index) SupportSet(items []int) []int {
 	// rarest posting list; every later one shrinks it in place.
 	var out []int
 	for _, r := range seq[1:] {
-		out = x.intersect(out[:0], cur, int(x.order[r]))
+		out = x.intersect(out[:0], cur, int(x.order[r]), nil)
 		cur = out
 		if len(cur) == 0 {
 			return nil
@@ -225,6 +243,7 @@ type Walker struct {
 	x     *Index
 	prev  []int32 // the rank prefix whose supports the stack holds
 	stack [][]int // stack[d] = support of prev[:d+1]; stack[0] aliases a posting list
+	marks marks
 }
 
 // NewWalker returns a Walker over the index with an empty stack.
@@ -249,7 +268,7 @@ func (w *Walker) Support(seq []int32) []int {
 		d = 1
 	}
 	for ; d < len(seq) && len(w.stack[d-1]) >= 2; d++ {
-		w.stack[d] = w.x.intersect(w.stack[d][:0], w.stack[d-1], int(w.x.order[seq[d]]))
+		w.stack[d] = w.x.intersect(w.stack[d][:0], w.stack[d-1], int(w.x.order[seq[d]]), &w.marks)
 	}
 	w.prev = append(w.prev[:0], seq[:d]...)
 	return w.stack[d-1]

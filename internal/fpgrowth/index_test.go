@@ -1,6 +1,7 @@
 package fpgrowth
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -193,7 +194,8 @@ func TestWalkerMatchesSupportSet(t *testing.T) {
 }
 
 // TestIntersectBranches reaches each branch of the kernel by
-// construction and checks it against the map reference.
+// construction and checks it against the map reference, with a Walker's
+// marks and with none (SupportSet's call).
 func TestIntersectBranches(t *testing.T) {
 	const nTxn = 64 * 80 // words = 80
 	txns := make([][]int, nTxn)
@@ -201,6 +203,9 @@ func TestIntersectBranches(t *testing.T) {
 		txns[ti] = []int{0} // dense
 		if ti%70 == 0 {
 			txns[ti] = append(txns[ti], 1) // 74 postings: sparse
+		}
+		if ti%140 == 0 || ti%140 == 35 {
+			txns[ti] = append(txns[ti], 2) // 74 postings: half of them 1's
 		}
 	}
 	idx := NewMiner(txns).BuildIndex()
@@ -211,45 +216,88 @@ func TestIntersectBranches(t *testing.T) {
 		}
 		return out
 	}
+	reference := func(prev []int, item int) []int {
+		var want []int
+		for _, ti := range prev {
+			if slices.Contains(txns[ti], item) {
+				want = append(want, ti)
+			}
+		}
+		return want
+	}
+	gallops := func(prev []int, item int) bool {
+		return idx.bits[item] == nil && len(idx.postings[item]) >= gallopRatio*len(prev)
+	}
 	cases := []struct {
-		name string
-		prev []int
-		item int
-		hit  func(prev []int) bool
+		name   string
+		prev   []int
+		item   int
+		marked bool // through a Walker's marks, else with none
+		hit    func(prev []int) bool
 	}{
-		{"bitset", every(3), 0, func([]int) bool { return idx.bits[0] != nil }},
-		{"gallop", every(1000), 1, func(prev []int) bool {
-			return idx.bits[1] == nil && len(idx.postings[1]) >= gallopRatio*len(prev)
+		{"bitset", every(3), 0, true, func([]int) bool { return idx.bits[0] != nil }},
+		{"gallop", every(1000), 1, true, func(prev []int) bool { return gallops(prev, 1) }},
+		{"mark-and-probe", every(100), 1, true, func(prev []int) bool {
+			return idx.bits[1] == nil && !gallops(prev, 1)
 		}},
-		{"merge", every(100), 1, func(prev []int) bool {
-			return idx.bits[1] == nil && len(idx.postings[1]) < gallopRatio*len(prev)
-		}},
-		{"gallop past the end", []int{nTxn - 1}, 1, func(prev []int) bool { return idx.bits[1] == nil }},
-		{"empty prev", nil, 1, func([]int) bool { return true }},
+		{"gallop without marks", every(100), 1, false, func([]int) bool { return idx.bits[1] == nil }},
+		{"gallop past the end", []int{nTxn - 1}, 1, true, func(prev []int) bool { return gallops(prev, 1) }},
+		{"empty prev", nil, 1, true, func([]int) bool { return true }},
 	}
 	for _, c := range cases {
 		if !c.hit(c.prev) {
 			t.Fatalf("%s: fixture does not reach the branch", c.name)
 		}
-		var want []int
-		for _, ti := range c.prev {
-			if slices.Contains(txns[ti], c.item) {
-				want = append(want, ti)
-			}
+		want := reference(c.prev, c.item)
+		var mk *marks
+		if c.marked {
+			mk = &idx.NewWalker().marks
 		}
-		if got := idx.intersect(nil, c.prev, c.item); !slices.Equal(got, want) {
+		if got := idx.intersect(nil, c.prev, c.item, mk); !slices.Equal(got, want) {
 			t.Errorf("%s: got %v, want %v", c.name, got, want)
 		}
 		own := slices.Clone(c.prev)
-		if got := idx.intersect(own[:0], own, c.item); !slices.Equal(got, want) {
+		if got := idx.intersect(own[:0], own, c.item, mk); !slices.Equal(got, want) {
 			t.Errorf("%s in place: got %v, want %v", c.name, got, want)
+		}
+	}
+
+	// A Walker materializes {1, 2} by mark-and-probe: the rarest posting
+	// against one of the same length.
+	w := idx.NewWalker()
+	if got, want := w.Support(idx.RankSeq(nil, []int{1, 2})), mapSupport(txns, []int{1, 2}); !slices.Equal(got, want) {
+		t.Errorf("Walker.Support({1, 2}) = %v, want %v", got, want)
+	}
+	if w.marks.stamp == nil {
+		t.Error("Walker.Support({1, 2}) did not stamp its marks")
+	}
+
+	// Stale marks: item 2's posting holds half of the transactions item
+	// 1's intersection stamped; the other half must not survive — after
+	// an epoch bump, and after the epoch wraps and the marks are cleared.
+	prev := every(5)
+	want := reference(prev, 2)
+	for _, wrap := range []bool{false, true} {
+		w := idx.NewWalker()
+		if gallops(prev, 1) || gallops(prev, 2) {
+			t.Fatal("stale-mark fixture gallops")
+		}
+		idx.intersect(nil, prev, 1, &w.marks)
+		if wrap {
+			w.marks.epoch = math.MaxUint32
+		}
+		if got := idx.intersect(nil, prev, 2, &w.marks); !slices.Equal(got, want) {
+			t.Errorf("wrap=%v: after item 1, prev ∩ item 2 = %v, want %v", wrap, got, want)
+		}
+		if wrap && w.marks.epoch != 1 {
+			t.Errorf("wrapped epoch is %d, want 1", w.marks.epoch)
 		}
 	}
 }
 
 // FuzzIntersect checks the three branches of the intersection kernel —
-// bitset probe, gallop, merge — and the two folds built on it against the
-// map reference. The input bytes become a small database in which item 0
+// bitset probe, gallop, mark-and-probe — and the two folds built on it
+// against the map reference. The input bytes become a small database in which item 0
 // is in every transaction (dense once there are 64), items 1–2 are
 // common, and the rest are sparse, then an itemset (duplicates and absent
 // items allowed) and an arbitrary ascending prev list.
@@ -309,8 +357,11 @@ func FuzzIntersect(f *testing.F) {
 		}
 
 		// The kernel alone, over a prev list unrelated to any posting:
-		// every transaction, then ever fewer of them, so both the merge and
-		// the gallop ratio are reached for sparse items.
+		// every transaction, then ever fewer of them, so both
+		// mark-and-probe and the gallop ratio are reached for sparse
+		// items. One Walker's marks serve every call, so each
+		// intersection meets the stamps of the ones before it.
+		w := idx.NewWalker()
 		for _, stride := range []int{1, 3, 40, 400} {
 			var prev []int
 			for ti := int(nTxn) % stride; ti < n; ti += stride {
@@ -323,20 +374,23 @@ func FuzzIntersect(f *testing.F) {
 						want = append(want, ti)
 					}
 				}
-				got := idx.intersect(nil, prev, item)
-				if !slices.Equal(got, want) {
-					t.Fatalf("intersect(stride %d, item %d, dense %v) = %v, want %v",
-						stride, item, idx.bits[item] != nil, got, want)
-				}
-				// Appending behind existing content leaves it alone.
-				pre := []int{-7, -3}
-				if got := idx.intersect(pre, prev, item); !slices.Equal(got[:2], pre) || !slices.Equal(got[2:], want) {
-					t.Fatalf("intersect appended %v behind %v, want %v", got, pre, want)
-				}
-				// In place: dst is prev[:0].
-				own := slices.Clone(prev)
-				if got := idx.intersect(own[:0], own, item); !slices.Equal(got, want) {
-					t.Fatalf("intersect in place (stride %d, item %d) = %v, want %v", stride, item, got, want)
+				for _, mk := range []*marks{nil, &w.marks} {
+					got := idx.intersect(nil, prev, item, mk)
+					if !slices.Equal(got, want) {
+						t.Fatalf("intersect(stride %d, item %d, dense %v, marked %v) = %v, want %v",
+							stride, item, idx.bits[item] != nil, mk != nil, got, want)
+					}
+					// Appending behind existing content leaves it alone.
+					pre := []int{-7, -3}
+					if got := idx.intersect(pre, prev, item, mk); !slices.Equal(got[:2], pre) || !slices.Equal(got[2:], want) {
+						t.Fatalf("intersect appended %v behind %v, want %v", got, pre, want)
+					}
+					// In place: dst is prev[:0].
+					own := slices.Clone(prev)
+					if got := idx.intersect(own[:0], own, item, mk); !slices.Equal(got, want) {
+						t.Fatalf("intersect in place (stride %d, item %d, marked %v) = %v, want %v",
+							stride, item, mk != nil, got, want)
+					}
 				}
 			}
 		}

@@ -11,12 +11,12 @@ import (
 	"repro/internal/telemetry/trace"
 )
 
-// minedStores replays the front half of MineMaximal — projection tree,
+// minedStores replays the front half of MineMaximal — rank arena,
 // top-item fan-out under m.Workers — and returns the finished worker
 // stores in worker order with the rank -> item order.
 func minedStores(m *Miner, minsup int) ([]*mfiStore, []int) {
-	tree, order := m.buildFlatTree(minsup, nil, nil)
-	return m.mineTops(nil, tree, order, minsup), order
+	a := m.rankArena(minsup, nil, nil)
+	return m.mineTops(nil, a, minsup), a.order
 }
 
 // assertSupports recounts every mined itemset's support over the active
@@ -202,11 +202,12 @@ func TestConditionalTreeBuiltOnlyOnMiss(t *testing.T) {
 // brute-force MFIs.
 func TestClosureFolds(t *testing.T) {
 	txns := denseTxns(3, 40, 3, 13)
-	tree, order := NewMiner(txns).buildFlatTree(2, nil, nil)
+	a := NewMiner(txns).rankArena(2, nil, nil)
+	order := a.order
 	ctx := newMineCtx(order, 2)
 	ctx.store = newMFIStore(len(order))
 	for r := len(order) - 1; r >= 0; r-- {
-		ctx.mineItem(tree, int32(r), 0)
+		ctx.mineItem(a, int32(r), 0)
 	}
 	if ctx.folds[0] == 0 || ctx.folds[2] == 0 {
 		t.Fatalf("folds at depth 0, 1, ≥2 = %v: the fixture no longer folds at depth 0 and ≥ 2", ctx.folds)

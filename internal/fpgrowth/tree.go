@@ -3,12 +3,12 @@ package fpgrowth
 // Flat, arena-style FP-tree. Nodes live in contiguous parallel slices
 // indexed by int32 handles (index 0 is always the root), with integer
 // parent/child/sibling links instead of per-node maps. Items are stored as
-// structural ranks — dense 0..R-1 positions in the root tree's descending
-// frequency order — so header tables and per-item totals are rank-indexed
-// slices. The layout removes the pointer-chasing and per-node map
-// allocations of the original map-based tree: building a tree is a handful
-// of slice allocations, and conditional trees are recycled through a
-// per-goroutine pool (see mineCtx).
+// structural ranks — dense 0..R-1 positions in the level's descending
+// frequency order (rankArena) — so header tables and per-item totals are
+// rank-indexed slices. The layout removes the pointer-chasing and per-node
+// map allocations of the original map-based tree: building a tree is a
+// handful of slice allocations, and conditional trees are recycled through
+// a per-goroutine pool (see mineCtx).
 
 // flatTree is one FP-tree. The zero value is not usable; construct with
 // newFlatTree and recycle with reset.
@@ -21,7 +21,7 @@ type flatTree struct {
 	sibling []int32 // next sibling under the same parent; -1 at the end
 	hlink   []int32 // next node holding the same item (header chain); -1 at the end
 
-	// Rank-indexed tables, length R (the root tree's frequent-item count).
+	// Rank-indexed tables, length R (the level's frequent-item count).
 	head    []int32 // rank -> first node in the item's header chain; -1 when absent
 	cnt     []int   // rank -> total support of the item in this tree
 	rootkid []int32 // rank -> the root's child holding the rank; -1 when absent
@@ -82,19 +82,6 @@ func (t *flatTree) reset() {
 	t.pushRoot()
 }
 
-// growRanks widens the rank-indexed tables to cover nRanks, initializing
-// only the new tail. Reusing one tree across the MFIBlocks minsup loop
-// needs this: lower minsup levels admit more frequent items, so the rank
-// universe grows between iterations while reset only clears the entries
-// the previous build dirtied.
-func (t *flatTree) growRanks(nRanks int) {
-	for len(t.head) < nRanks {
-		t.head = append(t.head, -1)
-		t.cnt = append(t.cnt, 0)
-		t.rootkid = append(t.rootkid, -1)
-	}
-}
-
 // insertPath adds one transaction path (ranks ascending — the structural
 // item order) with the given count. Root children are found through the
 // rank-indexed rootkid table in O(1); deeper levels use a linear sibling
@@ -151,8 +138,8 @@ func (t *flatTree) singlePath(buf []int32) ([]int32, bool) {
 
 // mineCtx is one goroutine's mining state: reusable scratch buffers, a
 // conditional-tree pool, and (for maximal mining) the local MFI store.
-// Workers never share a ctx; the root tree and the rank->item order are the
-// only structures shared across workers, and both are read-only during
+// Workers never share a ctx; the rank arena (with its rank->item order)
+// is the only structure shared across workers, and it is read-only during
 // mining.
 type mineCtx struct {
 	order  []int // rank -> original item id
@@ -200,7 +187,7 @@ func (ctx *mineCtx) level(d int) *levelScratch {
 }
 
 // getTree pops a recycled conditional tree (or allocates one) sized to the
-// root universe.
+// level's rank universe.
 func (ctx *mineCtx) getTree() *flatTree {
 	ctx.trees++
 	if n := len(ctx.pool); n > 0 {
@@ -217,25 +204,70 @@ func (ctx *mineCtx) putTree(t *flatTree) {
 	ctx.pool = append(ctx.pool, t)
 }
 
-// conditionalCounts accumulates the conditional item counts along r's
-// prefix paths in t into condCnt and returns the ranks whose conditional
-// support reaches minsup, unordered, in scratch the next call overwrites.
-// The counts stay until buildConditional or clearCounts.
-func (ctx *mineCtx) conditionalCounts(t *flatTree, r int32) []int32 {
-	touched := ctx.touched[:0]
+// prefixSource is where mineItem reads a header item's prefix paths
+// from: the level's rank arena at the top level, a conditional tree below.
+type prefixSource interface {
+	// support returns r's support: the transactions r's paths carry.
+	support(r int32) int
+	// countPrefixes adds, for every rank on r's prefix paths, the
+	// transactions the path carries into cnt, appends the ranks it moves
+	// off zero to touched, and returns touched.
+	countPrefixes(r int32, cnt []int, touched []int32) []int32
+	// insertPrefixes inserts r's prefix paths into out, ascending and
+	// filtered to the ranks whose cnt reaches minsup, with the counts
+	// they carry. path is scratch, returned for reuse.
+	insertPrefixes(r int32, cnt []int, minsup int, path []int32, out *flatTree) []int32
+}
+
+func (t *flatTree) support(r int32) int { return t.cnt[r] }
+
+// countPrefixes walks r's header chain and each node's parent path.
+func (t *flatTree) countPrefixes(r int32, cnt []int, touched []int32) []int32 {
 	for n := t.head[r]; n != -1; n = t.hlink[n] {
 		c := t.count[n]
 		for p := t.parent[n]; p != 0; p = t.parent[p] {
 			ri := t.item[p]
-			if ctx.condCnt[ri] == 0 {
+			if cnt[ri] == 0 {
 				touched = append(touched, ri)
 			}
-			ctx.condCnt[ri] += c
+			cnt[ri] += c
 		}
 	}
-	ctx.touched = touched
+	return touched
+}
+
+// insertPrefixes reinserts each of r's nodes' parent paths with the
+// node's count.
+func (t *flatTree) insertPrefixes(r int32, cnt []int, minsup int, path []int32, out *flatTree) []int32 {
+	for n := t.head[r]; n != -1; n = t.hlink[n] {
+		path = path[:0]
+		for p := t.parent[n]; p != 0; p = t.parent[p] {
+			ri := t.item[p]
+			if cnt[ri] >= minsup {
+				path = append(path, ri)
+			}
+		}
+		if len(path) == 0 {
+			continue
+		}
+		// The parent walk yields ranks leaf-side first (descending);
+		// insertion wants ascending rank order.
+		for l, rr := 0, len(path)-1; l < rr; l, rr = l+1, rr-1 {
+			path[l], path[rr] = path[rr], path[l]
+		}
+		out.insertPath(path, t.count[n])
+	}
+	return path[:0]
+}
+
+// conditionalCounts accumulates the conditional item counts along r's
+// prefix paths in src into condCnt and returns the ranks whose
+// conditional support reaches minsup, unordered, in scratch the next call
+// overwrites. The counts stay until buildConditional or clearCounts.
+func (ctx *mineCtx) conditionalCounts(src prefixSource, r int32) []int32 {
+	ctx.touched = src.countPrefixes(r, ctx.condCnt, ctx.touched[:0])
 	tail := ctx.tail[:0]
-	for _, ri := range touched {
+	for _, ri := range ctx.touched {
 		if ctx.condCnt[ri] >= ctx.minsup {
 			tail = append(tail, ri)
 		}
@@ -251,30 +283,11 @@ func (ctx *mineCtx) clearCounts() {
 	}
 }
 
-// buildConditional fills out with the conditional tree of rank r in t
+// buildConditional fills out with the conditional tree of rank r in src
 // from the counts conditionalCounts just took, and clears them: each
 // prefix path is reinserted filtered to the items whose conditional
 // support reaches minsup.
-func (ctx *mineCtx) buildConditional(t *flatTree, r int32, out *flatTree) {
-	path := ctx.path
-	for n := t.head[r]; n != -1; n = t.hlink[n] {
-		path = path[:0]
-		for p := t.parent[n]; p != 0; p = t.parent[p] {
-			ri := t.item[p]
-			if ctx.condCnt[ri] >= ctx.minsup {
-				path = append(path, ri)
-			}
-		}
-		if len(path) == 0 {
-			continue
-		}
-		// The parent walk yields ranks leaf-side first (descending);
-		// insertion wants ascending rank order.
-		for l, rr := 0, len(path)-1; l < rr; l, rr = l+1, rr-1 {
-			path[l], path[rr] = path[rr], path[l]
-		}
-		out.insertPath(path, t.count[n])
-	}
-	ctx.path = path[:0]
+func (ctx *mineCtx) buildConditional(src prefixSource, r int32, out *flatTree) {
+	ctx.path = src.insertPrefixes(r, ctx.condCnt, ctx.minsup, ctx.path, out)
 	ctx.clearCounts()
 }
