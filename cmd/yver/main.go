@@ -5,23 +5,26 @@
 //
 // Usage:
 //
-//	yver -in records.jsonl [-ng 3.5] [-maxminsup 5] [-certainty 0.3]
-//	     [-samesrc] [-top 20] [-clusters] [-first name] [-last name]
-//	     [-model model.json] [-report out.json] [-workers n]
-//	     [-spill-pairs n] [-stream] [-trace-out t.json] [-progress]
+//	yver -in records.jsonl|records.yvst [-ng 3.5] [-maxminsup 5]
+//	     [-certainty 0.3] [-samesrc] [-top 20] [-clusters] [-first name]
+//	     [-last name] [-model model.json] [-report out.json] [-workers n]
+//	     [-spill-pairs n] [-trace-out t.json] [-progress]
+//
+// A .yvst store streams through the store's reader into the
+// bounded-memory pipeline: records are encoded as they arrive and dropped
+// unless a flag (model, search, clusters) needs their values. A torn tail
+// (an interrupted copy) is skipped with a note on stderr; the file is
+// never written. Any other input is read as JSONL.
 //
 // -workers bounds the blocking and scoring goroutines and -spill-pairs
 // caps the candidate pairs held in memory (0 = spill.DefaultCap, 4Mi;
 // past the cap they merge through sorted disk runs); neither changes the
 // ranked output by a bit.
-// -stream reads a .yvst store through the windowed reader and resolves
-// it with the bounded-memory streaming pipeline — records are encoded as
-// they arrive and dropped unless a flag (model, search, clusters) needs
-// their values. -trace-out records the run's span hierarchy and flight-
-// recorder series as Chrome trace-event JSON (load in Perfetto);
-// -progress prints a live status line (stage, rate, ETA) to
-// stderr. -report writes the run's RunReport (stage timings, blocking
-// iterations, scoring counters) as JSON; the pipeline logs nothing.
+// -trace-out records the run's span hierarchy and flight-recorder series
+// as Chrome trace-event JSON (load in Perfetto); -progress prints a live
+// status line (stage, rate, ETA) to stderr. -report writes the run's
+// RunReport (stage timings, blocking iterations, scoring counters) as
+// JSON; the pipeline logs nothing.
 package main
 
 import (
@@ -39,7 +42,7 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "input records.jsonl (required)")
+	in := flag.String("in", "", "input records, JSONL or a .yvst store (required)")
 	ng := flag.Float64("ng", 3.5, "neighborhood growth parameter")
 	maxMinSup := flag.Int("maxminsup", 5, "initial minimum support")
 	certainty := flag.Float64("certainty", 0.0, "certainty threshold for output")
@@ -51,7 +54,6 @@ func main() {
 	modelPath := flag.String("model", "", "trained ADTree model (from yvtrain); enables classification")
 	workers := flag.Int("workers", 0, "blocking and pair-scoring workers (0 = GOMAXPROCS, 1 = serial)")
 	spillPairs := flag.Int("spill-pairs", 0, "hold at most this many candidate pairs in memory, spilling the rest to sorted disk runs (0 = 4Mi)")
-	stream := flag.Bool("stream", false, "stream a .yvst store through the bounded-memory pipeline instead of loading the whole corpus")
 	reportPath := flag.String("report", "", "write the run's telemetry report (JSON) to this file")
 	traceOut := flag.String("trace-out", "", "write the run's trace (Chrome trace-event JSON, Perfetto-loadable) to this file; enables tracing and the flight recorder")
 	progress := flag.Bool("progress", false, "print live progress (stage, records/sec, ETA) to stderr")
@@ -87,6 +89,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "yver: %v\n", err)
 		os.Exit(2)
 	}
+	if *top < 0 {
+		fmt.Fprintf(os.Stderr, "yver: -top must be >= 0, got %d\n", *top)
+		os.Exit(2)
+	}
 
 	if *traceOut != "" {
 		opts.Trace = trace.New()
@@ -99,24 +105,14 @@ func main() {
 
 	var res *core.Resolution
 	var err error
-	if *stream {
+	if strings.HasSuffix(*in, ".yvst") {
 		// Skeleton records suffice for ranked matches and clustering;
 		// model scoring, search, and narratives compare record values, so
 		// any flag that needs them keeps the full records in memory.
 		retain := opts.Model != nil || *first != "" || *last != "" || *clusters
-		res, err = runStream(*in, opts, retain)
+		res, err = runStore(*in, opts, retain)
 	} else {
-		var records []*record.Record
-		records, err = loadRecords(*in)
-		if err != nil {
-			fatal(err)
-		}
-		var coll *record.Collection
-		coll, err = record.NewCollection(records)
-		if err != nil {
-			fatal(err)
-		}
-		res, err = core.Run(opts, coll)
+		res, err = runJSONL(*in, opts)
 	}
 	opts.Progress.Stop()
 	if err != nil {
@@ -183,14 +179,11 @@ func main() {
 	}
 }
 
-// runStream resolves a .yvst store through the windowed reader and the
+// runStore resolves a .yvst store through the store's reader and the
 // streaming pipeline: records are encoded and dropped (or retained, when
 // a flag needs their values) as they arrive, and candidate pairs spill
 // to disk past the configured cap.
-func runStream(path string, opts core.Options, retain bool) (*core.Resolution, error) {
-	if !strings.HasSuffix(path, ".yvst") {
-		return nil, fmt.Errorf("-stream requires a .yvst store, got %s", path)
-	}
+func runStore(path string, opts core.Options, retain bool) (*core.Resolution, error) {
 	src, err := store.OpenWindowReader(path, store.Recover)
 	if err != nil {
 		return nil, err
@@ -206,27 +199,23 @@ func runStream(path string, opts core.Options, retain bool) (*core.Resolution, e
 	return res, nil
 }
 
-// loadRecords reads JSONL or, for .yvst files, the binary store format.
-// Store files open with recovery: a torn tail from a killed writer is
-// truncated to the last whole frame instead of aborting the run.
-func loadRecords(path string) ([]*record.Record, error) {
-	if strings.HasSuffix(path, ".yvst") {
-		s, err := store.Open(path, store.Recover)
-		if err != nil {
-			return nil, err
-		}
-		defer s.Close()
-		if s.RepairedBytes > 0 {
-			fmt.Fprintf(os.Stderr, "yver: repaired torn tail in %s (%d bytes truncated)\n", path, s.RepairedBytes)
-		}
-		return s.All()
-	}
+// runJSONL resolves a JSONL records file with the whole collection in
+// memory.
+func runJSONL(path string, opts core.Options) (*core.Resolution, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return record.ReadJSONL(f)
+	records, err := record.ReadJSONL(f)
+	if err != nil {
+		return nil, err
+	}
+	coll, err := record.NewCollection(records)
+	if err != nil {
+		return nil, err
+	}
+	return core.Run(opts, coll)
 }
 
 func fatal(err error) {

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -174,19 +175,32 @@ func main() {
 	}
 }
 
+// loadRecords reads JSONL or, for .yvst files, every record of the store.
+// The server keeps the raw records its narratives render, so a store is
+// read whole. A torn tail (an interrupted copy) is skipped with a note on
+// stderr rather than refusing to serve; the file is never written.
 func loadRecords(path string) ([]*record.Record, error) {
 	if strings.HasSuffix(path, ".yvst") {
-		// CLIs recover by default: a torn tail from a killed writer is
-		// truncated to the last whole frame rather than refusing to serve.
-		s, err := store.Open(path, store.Recover)
+		src, err := store.OpenWindowReader(path, store.Recover)
 		if err != nil {
 			return nil, err
 		}
-		defer s.Close()
-		if s.RepairedBytes > 0 {
-			fmt.Fprintf(os.Stderr, "yvserve: repaired torn tail in %s (%d bytes truncated)\n", path, s.RepairedBytes)
+		defer src.Close()
+		var records []*record.Record
+		for {
+			r, err := src.NextRecord()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			records = append(records, r)
 		}
-		return s.All()
+		if src.TornBytes() > 0 {
+			fmt.Fprintf(os.Stderr, "yvserve: skipped torn tail in %s (%d bytes)\n", path, src.TornBytes())
+		}
+		return records, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {

@@ -71,7 +71,7 @@ func TestHighRecallFamilyDominates(t *testing.T) {
 		truthIdx = append(truthIdx, [2]int{coll.Index(p.A), coll.Index(p.B)})
 	}
 	for _, name := range []string{"StBl", "ACl", "QGBl", "ESoNe"} {
-		b := ByName(name)
+		b := byName(name)
 		m := EvaluateBlocks(b.Block(coll), coll.Len(), truthIdx)
 		if m.Recall < 0.95 {
 			t.Errorf("%s recall = %.3f, want >= 0.95", name, m.Recall)
@@ -94,10 +94,10 @@ func TestSuffixFamilyMoreSelective(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	if ByName("StBl") == nil || ByName("TYPiMatch") == nil {
+	if byName("StBl") == nil || byName("TYPiMatch") == nil {
 		t.Error("known blockers not found")
 	}
-	if ByName("nope") != nil {
+	if byName("nope") != nil {
 		t.Error("unknown blocker resolved")
 	}
 	names := map[string]bool{}

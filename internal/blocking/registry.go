@@ -17,8 +17,8 @@ func All() []Blocker {
 	}
 }
 
-// ByName returns the blocker with the given Table-10 name, or nil.
-func ByName(name string) Blocker {
+// byName returns the blocker with the given Table-10 name, or nil.
+func byName(name string) Blocker {
 	for _, b := range All() {
 		if b.Name() == name {
 			return b

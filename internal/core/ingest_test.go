@@ -49,7 +49,7 @@ func runIngest(t *testing.T, opts StreamOptions, src RecordSource) ingested {
 }
 
 // TestIngestWorkersEquivalence pins the pooled ingest stage to the serial
-// loop: from a .yvst window reader and from a CollectionSource, with
+// loop: from a .yvst store reader and from a CollectionSource, with
 // records retained and as skeletons, at Workers 1, 2 and 8, the
 // dictionary (key, type and frequency per id), the transactions, the
 // BookIDs, the kept records and the final Matches are identical. The
@@ -214,6 +214,36 @@ func TestEmptyInput(t *testing.T) {
 			t.Fatalf("workers=%d: yvst: %v", workers, err)
 		}
 		checkEmpty(t, fmt.Sprintf("workers=%d yvst", workers), res)
+	}
+}
+
+// TestDuplicateBookIDRejected: the store keeps no BookID index, so a
+// .yvst file that repeats a BookID streams through the reader and the
+// run fails at the collection, naming the ID, with records retained or
+// not.
+func TestDuplicateBookIDRejected(t *testing.T) {
+	var records []*record.Record
+	for _, id := range []int64{5, 7, 9, 7} {
+		r := &record.Record{BookID: id, Source: fmt.Sprintf("list-%d", id), Kind: record.List}
+		r.Add(record.FirstName, "Guido")
+		r.Add(record.LastName, "Foa")
+		records = append(records, r)
+	}
+	path := filepath.Join(t.TempDir(), "dup.yvst")
+	if err := store.WriteAll(path, records); err != nil {
+		t.Fatal(err)
+	}
+	base := Options{Blocking: mfiblocks.NewConfig(), Preprocess: true, SameSrc: true, Workers: 2}
+	for _, retain := range []bool{false, true} {
+		src, err := store.OpenWindowReader(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RunStream(StreamOptions{Options: base, RetainRecords: retain}, src)
+		src.Close()
+		if err == nil || !strings.Contains(err.Error(), "duplicate BookID 7") {
+			t.Fatalf("retain=%v: err = %v, want a duplicate BookID 7 error", retain, err)
+		}
 	}
 }
 

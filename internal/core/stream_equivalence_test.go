@@ -211,8 +211,8 @@ func TestStreamValidation(t *testing.T) {
 	}
 }
 
-// TestStreamFromStore drives RunStream from an actual .yvst window
-// reader, closing the loop the 1M benchmark depends on: store → windowed
+// TestStreamFromStore drives RunStream from an actual .yvst store
+// reader, closing the loop the 1M benchmark depends on: store → streamed
 // ingest → blocking → spilled scoring.
 func TestStreamFromStore(t *testing.T) {
 	g := equivDataset(t, 150, 1944)

@@ -69,9 +69,6 @@ func (g *Gazetteer) Lookup(city string) (Place, bool) {
 	return Place{}, false
 }
 
-// Places returns the full catalogue (shared slice; treat as read-only).
-func (g *Gazetteer) Places() []Place { return g.places }
-
 // Len returns the number of catalogue entries.
 func (g *Gazetteer) Len() int { return len(g.places) }
 

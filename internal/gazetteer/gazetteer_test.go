@@ -23,8 +23,8 @@ func TestBuiltinDeterministic(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatalf("sizes differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i, p := range a.Places() {
-		q := b.Places()[i]
+	for i, p := range a.places {
+		q := b.places[i]
 		if p.City != q.City || p.Lat != q.Lat || p.Lon != q.Lon {
 			t.Fatalf("entry %d differs: %v vs %v", i, p, q)
 		}
@@ -156,7 +156,7 @@ func TestTownExpansionGrowsCatalogue(t *testing.T) {
 		t.Errorf("towns did not grow catalogue: %d vs %d", big.Len(), small.Len())
 	}
 	// Town names must be unique enough to resolve.
-	for _, p := range big.Places() {
+	for _, p := range big.places {
 		got, ok := big.Lookup(p.City)
 		if !ok {
 			t.Fatalf("place %q not resolvable", p.City)

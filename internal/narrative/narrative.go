@@ -226,15 +226,3 @@ func (n *Narrative) Conflicts() []Event {
 	}
 	return out
 }
-
-// MeanConfidence averages event confidence; 0 for an empty narrative.
-func (n *Narrative) MeanConfidence() float64 {
-	if len(n.Events) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, e := range n.Events {
-		sum += e.Confidence
-	}
-	return sum / float64(len(n.Events))
-}

@@ -95,13 +95,12 @@ func TestConflictsAndMeanConfidence(t *testing.T) {
 	if len(conflicts) == 0 {
 		t.Fatal("expected at least one conflict")
 	}
-	mc := n.MeanConfidence()
-	if mc <= 0 || mc > 1 {
-		t.Errorf("mean confidence = %v", mc)
+	sum := 0.0
+	for _, e := range n.Events {
+		sum += e.Confidence
 	}
-	empty := &Narrative{}
-	if empty.MeanConfidence() != 0 {
-		t.Error("empty narrative mean confidence should be 0")
+	if mc := sum / float64(len(n.Events)); mc <= 0 || mc > 1 {
+		t.Errorf("mean event confidence = %v", mc)
 	}
 }
 

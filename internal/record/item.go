@@ -187,11 +187,6 @@ func (t ItemType) IsPlace() bool {
 	return t >= BirthCity && t <= DeathCountry
 }
 
-// IsDatePart reports whether the item type is a birth-date component.
-func (t ItemType) IsDatePart() bool {
-	return t == BirthDay || t == BirthMonth || t == BirthYear
-}
-
 // Place decomposes a place item type into its role and component. It
 // reports ok=false for non-place types.
 func (t ItemType) Place() (pt PlaceType, pp PlacePart, ok bool) {

@@ -16,15 +16,3 @@ func MakePair(a, b int64) Pair {
 
 // Contains reports whether the pair involves the given BookID.
 func (p Pair) Contains(id int64) bool { return p.A == id || p.B == id }
-
-// Other returns the pair member that is not id; ok is false when id is not
-// in the pair.
-func (p Pair) Other(id int64) (int64, bool) {
-	switch id {
-	case p.A:
-		return p.B, true
-	case p.B:
-		return p.A, true
-	}
-	return 0, false
-}

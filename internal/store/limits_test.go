@@ -22,26 +22,6 @@ func TestEncodeLimits(t *testing.T) {
 	}
 }
 
-func TestWriterLen(t *testing.T) {
-	path := tmpPath(t)
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if w.Len() != 0 {
-		t.Errorf("fresh writer Len = %d", w.Len())
-	}
-	for i := 0; i < 3; i++ {
-		if err := w.Append(&record.Record{BookID: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Len() != 3 {
-		t.Errorf("Len = %d", w.Len())
-	}
-}
-
 func TestDecodeRejectsInvalidKindAndType(t *testing.T) {
 	r := &record.Record{BookID: 5, Kind: record.Testimony}
 	r.Add(record.FirstName, "x")

@@ -1,7 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -44,10 +48,12 @@ func frameEnds(t *testing.T, data []byte) []int64 {
 	return ends
 }
 
-// TestRecoverFromArbitraryTruncation is the acceptance criterion: a
-// store truncated at every byte offset past the header reopens under
-// Recover, yielding exactly the records whose frames precede the cut,
-// and the repaired file then passes a strict Open.
+// TestRecoverFromArbitraryTruncation cuts a store at every byte offset
+// past the header. A strict reader delivers the records whose frames
+// precede the cut, then io.EOF at a frame boundary and a torn-tail error
+// anywhere else; a Recover reader delivers the same records, ends in
+// io.EOF and counts the bytes past the last whole frame. Neither changes
+// the file, which is read-only.
 func TestRecoverFromArbitraryTruncation(t *testing.T) {
 	records := smallRecords()
 	path := tmpPath(t)
@@ -71,60 +77,48 @@ func TestRecoverFromArbitraryTruncation(t *testing.T) {
 
 	dir := t.TempDir()
 	for cut := int64(headerLen); cut < int64(len(data)); cut++ {
-		torn := filepath.Join(dir, "torn.yvst")
-		if err := os.WriteFile(torn, data[:cut], 0o644); err != nil {
+		torn := filepath.Join(dir, fmt.Sprintf("torn-%d.yvst", cut))
+		if err := os.WriteFile(torn, data[:cut], 0o444); err != nil {
 			t.Fatal(err)
 		}
-		clean := false
-		for _, end := range ends {
-			if end == cut {
-				clean = true
-			}
-		}
-		if s, err := Open(torn); err == nil {
-			if !clean {
-				s.Close()
-				t.Fatalf("cut at %d: strict Open accepted a torn tail", cut)
-			}
-			s.Close()
-		} else if clean {
-			t.Fatalf("cut at %d: strict Open rejected a clean prefix: %v", cut, err)
-		}
-
-		s, err := Open(torn, Recover)
-		if err != nil {
-			t.Fatalf("cut at %d: Open(Recover) failed: %v", cut, err)
-		}
 		want := wholeBefore(cut)
-		if s.Len() != want {
-			t.Fatalf("cut at %d: recovered %d records, want %d", cut, s.Len(), want)
-		}
-		if clean && s.RepairedBytes != 0 {
-			t.Fatalf("cut at %d: clean prefix reported %d repaired bytes", cut, s.RepairedBytes)
-		}
-		if !clean && s.RepairedBytes == 0 {
-			t.Fatalf("cut at %d: torn tail reported no repaired bytes", cut)
-		}
-		all, err := s.All()
-		if err != nil {
-			t.Fatalf("cut at %d: All after recovery: %v", cut, err)
-		}
-		for i, r := range all {
-			if !reflect.DeepEqual(r, records[i]) {
-				t.Fatalf("cut at %d: record %d differs after recovery", cut, i)
-			}
-		}
-		s.Close()
+		clean := ends[want] == cut
 
-		// The repair is durable: a strict reopen sees a clean file.
-		s2, err := Open(torn)
+		got, terminal := readFile(t, torn)
+		if !equalRecords(got, records[:want]) {
+			t.Fatalf("cut at %d: strict reader delivered %d records, want the %d before the cut", cut, len(got), want)
+		}
+		var tt *tornTailError
+		if clean && terminal != io.EOF {
+			t.Fatalf("cut at %d: strict reader rejected a clean prefix: %v", cut, terminal)
+		}
+		if !clean && !errors.As(terminal, &tt) {
+			t.Fatalf("cut at %d: strict reader ended with %v, want a torn tail", cut, terminal)
+		}
+
+		w, err := OpenWindowReader(torn, Recover)
 		if err != nil {
-			t.Fatalf("cut at %d: strict reopen after repair failed: %v", cut, err)
+			t.Fatalf("cut at %d: OpenWindowReader(Recover): %v", cut, err)
 		}
-		if s2.Len() != want {
-			t.Fatalf("cut at %d: reopen has %d records, want %d", cut, s2.Len(), want)
+		got, terminal = drain(w)
+		w.Close()
+		if terminal != io.EOF {
+			t.Fatalf("cut at %d: Recover reader ended with %v, want io.EOF", cut, terminal)
 		}
-		s2.Close()
+		if !equalRecords(got, records[:want]) {
+			t.Fatalf("cut at %d: recovered %d records, want the %d before the cut", cut, len(got), want)
+		}
+		if skipped := cut - ends[want]; w.TornBytes() != skipped {
+			t.Fatalf("cut at %d: TornBytes = %d, want %d", cut, w.TornBytes(), skipped)
+		}
+
+		after, err := os.ReadFile(torn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, data[:cut]) {
+			t.Fatalf("cut at %d: reading changed the file (%d bytes, was %d)", cut, len(after), cut)
+		}
 	}
 }
 
@@ -153,9 +147,9 @@ func TestTornTailDiagnostics(t *testing.T) {
 		if err := os.WriteFile(torn, data[:tc.cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Open(torn)
-		if err == nil {
-			t.Fatalf("%s: strict Open accepted the file", tc.name)
+		_, err := readFile(t, torn)
+		if err == io.EOF {
+			t.Fatalf("%s: strict reader accepted the file", tc.name)
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
@@ -183,43 +177,13 @@ func TestOversizedFrameLenRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range [][]OpenOption{nil, {Recover}} {
-		s, err := Open(path, opts...)
-		if err == nil {
-			s.Close()
-			t.Fatalf("Open(%d opts) accepted an oversized frame length", len(opts))
+		got, err := readFile(t, path, opts...)
+		if len(got) != 0 || err == io.EOF {
+			t.Fatalf("reader (%d opts) accepted an oversized frame length", len(opts))
 		}
 		if !strings.Contains(err.Error(), "exceeds cap") {
 			t.Errorf("error %q does not mention the cap", err)
 		}
-	}
-}
-
-// TestGetRejectsOversizedFrameLen covers the random-access path: a
-// length prefix corrupted after Open must not drive the allocation.
-func TestGetRejectsOversizedFrameLen(t *testing.T) {
-	records := smallRecords()
-	path := tmpPath(t)
-	if err := WriteAll(path, records); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// Corrupt the first record's length prefix behind the index's back.
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prefix [4]byte
-	binary.LittleEndian.PutUint32(prefix[:], uint32(MaxFrameLen+1))
-	if _, err := f.WriteAt(prefix[:], headerLen); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := s.Get(records[0].BookID); err == nil || !strings.Contains(err.Error(), "exceeds cap") {
-		t.Errorf("Get with corrupt length prefix: err = %v, want cap error", err)
 	}
 }
 
@@ -251,21 +215,11 @@ func TestWriteAllAtomic(t *testing.T) {
 		t.Fatalf("directory after failed WriteAll: %v", names)
 	}
 
-	s, err := Open(path)
-	if err != nil {
-		t.Fatalf("original file damaged by failed WriteAll: %v", err)
+	got, terminal := readFile(t, path)
+	if terminal != io.EOF {
+		t.Fatalf("original file damaged by failed WriteAll: %v", terminal)
 	}
-	defer s.Close()
-	if s.Len() != len(old) {
-		t.Errorf("original file has %d records, want %d", s.Len(), len(old))
-	}
-	all, err := s.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range all {
-		if !reflect.DeepEqual(all[i], old[i]) {
-			t.Errorf("record %d changed by failed WriteAll", i)
-		}
+	if !reflect.DeepEqual(got, old) {
+		t.Errorf("original file holds %d records, want the %d written before the failed WriteAll", len(got), len(old))
 	}
 }

@@ -1,8 +1,7 @@
-// Package store provides a compact append-only on-disk store for victim
-// reports with a BookID index — the persistence substrate a deployment
-// keeps its 6.5M records in between pipeline runs. The format is a
-// length-prefixed binary log: a fixed header, then one framed record per
-// report; the index is rebuilt on open by a single sequential scan.
+// Package store writes and reads victim reports in the .yvst format — the
+// persistence substrate a deployment keeps its records in between
+// pipeline runs. The format is a length-prefixed binary log: a fixed
+// header, then one framed record per report.
 //
 // Layout (little-endian):
 //
@@ -11,22 +10,25 @@
 //	         uint16 sourceLen | source bytes |
 //	         uint16 itemCount | items (uint8 type | uint16 valueLen | value)
 //
-// Durability: WriteAll stages the whole file beside the target and
-// renames it into place after an fsync, so a crashed writer never leaves
-// a half-written store under the final name. A process killed while
-// streaming through Create/Append can still leave a torn tail (a
-// truncated length prefix or a partial frame); Open detects that and —
-// with the Recover option — repairs the file by truncating it back to
-// the last whole frame. Frame lengths are capped at MaxFrameLen, so a
-// corrupt length prefix is diagnosed instead of driving an arbitrary
-// allocation.
+// WriteAll is the one writer: it stages the whole file beside the target
+// and renames it into place after an fsync, so a crashed writer never
+// leaves a half-written store under the final name. WindowReader is the
+// one reader: a single forward pass that never writes the file, so a
+// store on a read-only mount reads like any other. A file cut short
+// elsewhere (an interrupted copy, a full disk) ends in a torn tail — a
+// truncated length prefix or a partial frame; a strict reader reports it
+// after the whole frames before it, and a reader opened with Recover
+// stops at the last whole frame and counts the bytes it skipped. Frame
+// lengths are capped at MaxFrameLen, so a corrupt length prefix is
+// diagnosed instead of driving an arbitrary allocation. The store keeps
+// no BookID index: record.NewCollection rejects a repeated BookID
+// downstream.
 package store
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -46,71 +48,6 @@ const headerLen = 8
 // the cap exists so a corrupt length prefix yields a precise error
 // instead of a multi-gigabyte allocation.
 const MaxFrameLen = 16 << 20
-
-// Writer appends records to a store file.
-type Writer struct {
-	f   *os.File
-	buf *bufio.Writer
-	n   int
-}
-
-// Create starts a new store file, truncating any existing one.
-func Create(path string) (*Writer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	w, err := newWriter(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return w, nil
-}
-
-// newWriter wraps an open file and writes the header.
-func newWriter(f *os.File) (*Writer, error) {
-	w := &Writer{f: f, buf: bufio.NewWriter(f)}
-	if _, err := w.buf.Write(magic[:]); err != nil {
-		return nil, err
-	}
-	if err := binary.Write(w.buf, binary.LittleEndian, uint32(Version)); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// Append writes one record.
-func (w *Writer) Append(r *record.Record) error {
-	frame, err := encodeRecord(r)
-	if err != nil {
-		return err
-	}
-	if err := binary.Write(w.buf, binary.LittleEndian, uint32(len(frame))); err != nil {
-		return err
-	}
-	if _, err := w.buf.Write(frame); err != nil {
-		return err
-	}
-	w.n++
-	return nil
-}
-
-// Len returns the number of appended records.
-func (w *Writer) Len() int { return w.n }
-
-// Close flushes, fsyncs, and closes the file.
-func (w *Writer) Close() error {
-	if err := w.buf.Flush(); err != nil {
-		w.f.Close()
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
-}
 
 func encodeRecord(r *record.Record) ([]byte, error) {
 	if len(r.Source) > 0xFFFF {
@@ -186,183 +123,6 @@ func decodeRecord(frame []byte) (*record.Record, error) {
 	return r, nil
 }
 
-// Store is an opened store with its BookID index.
-type Store struct {
-	f       *os.File
-	offsets map[int64]int64 // BookID -> frame offset (of the length prefix)
-	order   []int64         // BookIDs in append order
-	// RepairedBytes is the number of torn-tail bytes Open truncated away
-	// under the Recover option; zero for a clean file.
-	RepairedBytes int64
-}
-
-// OpenOption configures Open.
-type OpenOption func(*openConfig)
-
-type openConfig struct {
-	recover bool
-}
-
-// Recover makes Open repair a torn tail — a truncated length prefix or a
-// partial final frame, the signature a killed writer leaves — by
-// truncating the file back to the last whole frame. Corruption that is
-// not a pure tail truncation (bad magic, oversized frame length, a
-// complete frame that fails to decode, duplicate BookIDs) still fails:
-// those are not recoverable by dropping a suffix. CLIs open with Recover
-// by default; library callers that prefer to fail loudly omit it.
-func Recover(c *openConfig) { c.recover = true }
-
-// Open reads the header and builds the index with one sequential scan.
-// Without options it is strict: any deviation from the format, including
-// a torn tail, is an error with the byte offset of the damage. With the
-// Recover option a torn tail is repaired in place (the file is opened
-// read-write and truncated to the last whole frame).
-func Open(path string, opts ...OpenOption) (*Store, error) {
-	var cfg openConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	flag := os.O_RDONLY
-	if cfg.recover {
-		flag = os.O_RDWR
-	}
-	f, err := os.OpenFile(path, flag, 0)
-	if err != nil {
-		return nil, err
-	}
-	s, err := scan(f, cfg)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// tornTailError describes a tail that a torn write produced: the store
-// is intact up to good, then the remaining bytes are an incomplete
-// length prefix or frame.
-type tornTailError struct {
-	good   int64 // offset of the last whole frame's end
-	reason string
-}
-
-func (e *tornTailError) Error() string {
-	return fmt.Sprintf("store: torn tail at offset %d: %s (reopen with recovery to truncate)", e.good, e.reason)
-}
-
-func scan(f *os.File, cfg openConfig) (*Store, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("store: stat: %w", err)
-	}
-	size := fi.Size()
-
-	s := &Store{f: f, offsets: make(map[int64]int64)}
-	br := bufio.NewReader(f)
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("store: read header: %w", err)
-	}
-	if [4]byte(hdr[:4]) != magic {
-		return nil, fmt.Errorf("store: bad magic %q", hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != Version {
-		return nil, fmt.Errorf("store: unsupported version %d", v)
-	}
-
-	offset := int64(headerLen)
-	var lenBuf [4]byte
-	var torn *tornTailError
-	for offset < size {
-		remaining := size - offset
-		if remaining < 4 {
-			torn = &tornTailError{good: offset, reason: fmt.Sprintf("truncated length prefix (%d of 4 bytes)", remaining)}
-			break
-		}
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return nil, fmt.Errorf("store: read frame length at %d: %w", offset, err)
-		}
-		frameLen := int64(binary.LittleEndian.Uint32(lenBuf[:]))
-		if frameLen > MaxFrameLen {
-			// A torn write truncates; it cannot manufacture a complete
-			// length prefix, so an oversized length is content corruption
-			// and never recoverable by dropping the tail.
-			return nil, fmt.Errorf("store: frame length %d at offset %d exceeds cap %d (corrupt length prefix)", frameLen, offset, MaxFrameLen)
-		}
-		if frameLen > remaining-4 {
-			torn = &tornTailError{good: offset, reason: fmt.Sprintf("partial frame (%d of %d bytes)", remaining-4, frameLen)}
-			break
-		}
-		frame := make([]byte, frameLen)
-		if _, err := io.ReadFull(br, frame); err != nil {
-			return nil, fmt.Errorf("store: read frame at %d: %w", offset, err)
-		}
-		r, err := decodeRecord(frame)
-		if err != nil {
-			return nil, fmt.Errorf("%w (frame at offset %d)", err, offset)
-		}
-		if _, dup := s.offsets[r.BookID]; dup {
-			return nil, fmt.Errorf("store: duplicate BookID %d", r.BookID)
-		}
-		s.offsets[r.BookID] = offset
-		s.order = append(s.order, r.BookID)
-		offset += 4 + frameLen
-	}
-	if torn != nil {
-		if !cfg.recover {
-			return nil, torn
-		}
-		if err := f.Truncate(torn.good); err != nil {
-			return nil, fmt.Errorf("store: truncate torn tail at %d: %w", torn.good, err)
-		}
-		if err := f.Sync(); err != nil {
-			return nil, fmt.Errorf("store: sync after repair: %w", err)
-		}
-		s.RepairedBytes = size - torn.good
-	}
-	return s, nil
-}
-
-// Len returns the number of stored records.
-func (s *Store) Len() int { return len(s.order) }
-
-// Get reads one record by BookID.
-func (s *Store) Get(bookID int64) (*record.Record, error) {
-	offset, ok := s.offsets[bookID]
-	if !ok {
-		return nil, fmt.Errorf("store: BookID %d not found", bookID)
-	}
-	var lenBuf [4]byte
-	if _, err := s.f.ReadAt(lenBuf[:], offset); err != nil {
-		return nil, fmt.Errorf("store: read length of %d: %w", bookID, err)
-	}
-	frameLen := binary.LittleEndian.Uint32(lenBuf[:])
-	if frameLen > MaxFrameLen {
-		return nil, fmt.Errorf("store: frame length %d of record %d exceeds cap %d", frameLen, bookID, MaxFrameLen)
-	}
-	frame := make([]byte, frameLen)
-	if _, err := s.f.ReadAt(frame, offset+4); err != nil {
-		return nil, fmt.Errorf("store: read frame of %d: %w", bookID, err)
-	}
-	return decodeRecord(frame)
-}
-
-// All loads every record in append order.
-func (s *Store) All() ([]*record.Record, error) {
-	out := make([]*record.Record, 0, len(s.order))
-	for _, id := range s.order {
-		r, err := s.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// Close releases the file.
-func (s *Store) Close() error { return s.f.Close() }
-
 // WriteAll stores a record slice atomically: it writes a temp file in
 // the target's directory, fsyncs it, and renames it over the target, so
 // a crash mid-write leaves either the old file or the new one — never a
@@ -381,16 +141,23 @@ func WriteAll(path string, records []*record.Record) error {
 		os.Remove(tmpPath)
 		return err
 	}
-	w, err := newWriter(tmp)
-	if err != nil {
-		return fail(err)
-	}
+	// A bufio.Writer keeps its first write error and returns it from
+	// Flush, so the writes below are checked there.
+	buf := bufio.NewWriter(tmp)
+	var word [4]byte
+	buf.Write(magic[:])
+	binary.LittleEndian.PutUint32(word[:], Version)
+	buf.Write(word[:])
 	for _, r := range records {
-		if err := w.Append(r); err != nil {
+		frame, err := encodeRecord(r)
+		if err != nil {
 			return fail(err)
 		}
+		binary.LittleEndian.PutUint32(word[:], uint32(len(frame)))
+		buf.Write(word[:])
+		buf.Write(frame)
 	}
-	if err := w.buf.Flush(); err != nil {
+	if err := buf.Flush(); err != nil {
 		return fail(err)
 	}
 	if err := tmp.Sync(); err != nil {

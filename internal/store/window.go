@@ -10,46 +10,63 @@ import (
 	"repro/internal/record"
 )
 
-// WindowReader streams a store's records forward in bounded windows — the
-// reader the 1M-record pipeline uses instead of materializing a full
-// record.Collection through Store.All. It performs exactly one sequential
-// pass, holds at most one window of decoded records plus one frame buffer,
-// and never builds the BookID index (streaming callers that need duplicate
-// detection get it from the collection or corpus they assemble downstream).
+// WindowReader streams a store's records forward, one decoded frame per
+// NextRecord call. It is the package's only reader: it makes exactly one
+// sequential pass, holds one frame buffer, opens the file read-only and
+// never writes it, and builds no BookID index (callers that need
+// duplicate detection get it from the collection or corpus they assemble
+// downstream).
 //
-// Torn tails — the signature a killed writer leaves — follow Open's
-// contract: strict readers surface the torn tail as an error once the
-// intact prefix has been fully delivered, while readers opened with the
-// Recover option stop cleanly at the last whole frame and report the
-// skipped byte count through TornBytes (the underlying file is never
-// modified; repair-in-place stays Open's job). Content corruption (bad
-// magic, an oversized frame length, a frame that fails to decode) is an
-// error in both modes: dropping a suffix cannot repair it.
+// Torn tails — a truncated length prefix or a partial final frame — are
+// handled per mode: a strict reader surfaces the torn tail as an error
+// once every whole frame before it has been delivered, while a reader
+// opened with the Recover option stops cleanly at the last whole frame
+// and reports the skipped byte count through TornBytes. Content
+// corruption (bad magic, an oversized frame length, a frame that fails to
+// decode) is an error in both modes: dropping a suffix cannot mend it.
 type WindowReader struct {
 	src     *bufio.Reader
 	size    int64
 	offset  int64
 	recover bool
-	done    bool
 	err     error // sticky terminal error; io.EOF once exhausted
 	torn    int64
-	count   int
 	lenBuf  [4]byte
 	frame   []byte
-	window  []*record.Record // scratch for NextRecord
-	wpos    int
 	file    *os.File // owned when opened via OpenWindowReader
 }
 
-// DefaultWindow is the records-per-window default streaming callers use
-// when they have no reason to pick another size: large enough that the
-// per-window bookkeeping is noise, small enough that a window of decoded
-// records stays a rounding error next to the pipeline's own state.
-const DefaultWindow = 4096
+// OpenOption configures OpenWindowReader.
+type OpenOption func(*openConfig)
 
-// OpenWindowReader starts a windowed sequential read of a store file. The
-// Recover option selects clean-stop semantics for torn tails; without it a
-// torn tail is an error after the intact prefix is delivered. The file is
+type openConfig struct {
+	recover bool
+}
+
+// Recover makes the reader stop cleanly at a torn tail — a truncated
+// length prefix or a partial final frame — instead of failing, and count
+// the skipped bytes (TornBytes). The file is left as it is. Corruption
+// that is not a pure tail truncation (bad magic, oversized frame length,
+// a complete frame that fails to decode) still fails: it is not
+// recoverable by dropping a suffix. CLIs read with Recover; library
+// callers that prefer to fail loudly omit it.
+func Recover(c *openConfig) { c.recover = true }
+
+// tornTailError describes a tail that a torn write produced: the store
+// is intact up to good, then the remaining bytes are an incomplete
+// length prefix or frame.
+type tornTailError struct {
+	good   int64 // offset of the last whole frame's end
+	reason string
+}
+
+func (e *tornTailError) Error() string {
+	return fmt.Sprintf("store: torn tail at offset %d: %s (read with recovery to skip it)", e.good, e.reason)
+}
+
+// OpenWindowReader starts a sequential read of a store file. The Recover
+// option selects clean-stop semantics for torn tails; without it a torn
+// tail is an error after the intact prefix is delivered. The file is
 // opened read-only in both modes and closed by Close.
 func OpenWindowReader(path string, opts ...OpenOption) (*WindowReader, error) {
 	f, err := os.Open(path)
@@ -61,7 +78,7 @@ func OpenWindowReader(path string, opts ...OpenOption) (*WindowReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: stat: %w", err)
 	}
-	w, err := NewWindowReader(f, fi.Size(), opts...)
+	w, err := newWindowReader(f, fi.Size(), opts...)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -70,10 +87,10 @@ func OpenWindowReader(path string, opts ...OpenOption) (*WindowReader, error) {
 	return w, nil
 }
 
-// NewWindowReader wraps an arbitrary sequential reader holding size bytes
-// of store-formatted data. It validates the header eagerly, so a malformed
-// prefix fails at construction rather than on the first window.
-func NewWindowReader(r io.Reader, size int64, opts ...OpenOption) (*WindowReader, error) {
+// newWindowReader wraps a sequential reader holding size bytes of
+// store-formatted data. It validates the header eagerly, so a malformed
+// prefix fails at construction rather than on the first record.
+func newWindowReader(r io.Reader, size int64, opts ...OpenOption) (*WindowReader, error) {
 	var cfg openConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -96,44 +113,24 @@ func NewWindowReader(r io.Reader, size int64, opts ...OpenOption) (*WindowReader
 	return w, nil
 }
 
-// Next reads up to max records into dst (reset and reused when non-nil)
-// and returns the window. It returns an empty window with io.EOF once the
-// store is exhausted; in strict mode a torn tail is the terminal error
-// instead, surfaced only after every whole frame before it has been
-// delivered. Errors are sticky: once Next fails, every later call fails
-// identically.
-func (w *WindowReader) Next(dst []*record.Record, max int) ([]*record.Record, error) {
-	dst = dst[:0]
-	if max <= 0 {
-		max = DefaultWindow
-	}
-	if w.err != nil {
-		return dst, w.err
-	}
-	for len(dst) < max {
-		r, err := w.next()
-		if err != nil {
-			w.err = err
-			if len(dst) > 0 {
-				// Deliver the full window first; the caller sees the
-				// terminal error on its next call.
-				return dst, nil
-			}
-			return dst, err
+// NextRecord decodes the next frame — the shape core.RecordSource
+// expects. It returns io.EOF at the end of the store; in strict mode a
+// torn tail is the terminal error instead. The terminal error is sticky:
+// every later call returns it again.
+func (w *WindowReader) NextRecord() (*record.Record, error) {
+	if w.err == nil {
+		var r *record.Record
+		if r, w.err = w.next(); w.err == nil {
+			return r, nil
 		}
-		dst = append(dst, r)
 	}
-	return dst, nil
+	return nil, w.err
 }
 
 // next decodes one frame, or reports the terminal condition.
 func (w *WindowReader) next() (*record.Record, error) {
-	if w.done {
-		return nil, io.EOF
-	}
 	remaining := w.size - w.offset
 	if remaining == 0 {
-		w.done = true
 		return nil, io.EOF
 	}
 	if remaining < 4 {
@@ -163,15 +160,12 @@ func (w *WindowReader) next() (*record.Record, error) {
 		return nil, fmt.Errorf("%w (frame at offset %d)", err, w.offset)
 	}
 	w.offset += 4 + frameLen
-	w.count++
 	return r, nil
 }
 
 // tearOff handles a torn tail per the reader's mode: Recover stops cleanly
-// (recording the skipped bytes), strict surfaces the same diagnostic Open
-// would.
+// (recording the skipped bytes), strict returns the torn-tail diagnostic.
 func (w *WindowReader) tearOff(reason string) error {
-	w.done = true
 	if w.recover {
 		w.torn = w.size - w.offset
 		return io.EOF
@@ -179,31 +173,9 @@ func (w *WindowReader) tearOff(reason string) error {
 	return &tornTailError{good: w.offset, reason: reason}
 }
 
-// NextRecord yields one record at a time over an internal window — the
-// adapter shape core.RecordSource expects. It returns io.EOF at the end.
-func (w *WindowReader) NextRecord() (*record.Record, error) {
-	if w.wpos >= len(w.window) {
-		var err error
-		w.window, err = w.Next(w.window, DefaultWindow)
-		if err != nil {
-			return nil, err
-		}
-		if len(w.window) == 0 {
-			return nil, io.EOF
-		}
-		w.wpos = 0
-	}
-	r := w.window[w.wpos]
-	w.wpos++
-	return r, nil
-}
-
 // TornBytes reports the torn-tail bytes skipped under the Recover option;
 // zero until the tail is actually reached, and always zero in strict mode.
 func (w *WindowReader) TornBytes() int64 { return w.torn }
-
-// Count reports the records delivered so far.
-func (w *WindowReader) Count() int { return w.count }
 
 // Close releases the underlying file when the reader owns one.
 func (w *WindowReader) Close() error {

@@ -9,14 +9,13 @@ import (
 	"repro/internal/record"
 )
 
-// FuzzWindowReader drives the windowed reader over arbitrary store bytes —
-// valid stores, torn truncations at every boundary, and raw garbage — and
+// FuzzWindowReader drives the reader over arbitrary store bytes — valid
+// stores, torn truncations at every boundary, and raw garbage — and
 // asserts the streaming contract: the reader never panics, a Recover
 // reader never reports an error other than io.EOF for pure tail damage,
-// and every record either reader delivers is canonical (it re-encodes to
-// the exact frame bytes the store carried). Window boundaries are
-// exercised by re-reading each input at several window sizes and requiring
-// identical outcomes.
+// every record either reader delivers is canonical (it re-encodes to the
+// exact frame bytes the store carried), the terminal error is sticky, and
+// both modes deliver the same records.
 func FuzzWindowReader(f *testing.F) {
 	// Seed with a well-formed store, its truncations, and noise.
 	var buf bytes.Buffer
@@ -53,26 +52,18 @@ func FuzzWindowReader(f *testing.F) {
 			torn    int64
 			errEOF  bool
 		}
-		read := func(window int, recoverTail bool) (outcome, bool) {
+		read := func(recoverTail bool) (outcome, bool) {
 			var opts []OpenOption
 			if recoverTail {
 				opts = append(opts, Recover)
 			}
-			w, err := NewWindowReader(bytes.NewReader(data), int64(len(data)), opts...)
+			w, err := newWindowReader(bytes.NewReader(data), int64(len(data)), opts...)
 			if err != nil {
 				return outcome{}, false
 			}
 			var out outcome
-			var win []*record.Record
 			for {
-				win, err = w.Next(win, window)
-				for _, r := range win {
-					frame, encErr := encodeRecord(r)
-					if encErr != nil {
-						t.Fatalf("delivered record does not re-encode: %v", encErr)
-					}
-					out.records = append(out.records, frame)
-				}
+				r, err := w.NextRecord()
 				if err != nil {
 					out.errEOF = err == io.EOF
 					if recoverTail && !out.errEOF {
@@ -83,45 +74,45 @@ func FuzzWindowReader(f *testing.F) {
 							t.Fatalf("recover reader surfaced torn tail: %v", err)
 						}
 					}
+					if r2, again := w.NextRecord(); r2 != nil || again != err {
+						t.Fatalf("terminal error not sticky: %v, then %v", err, again)
+					}
 					break
 				}
+				frame, encErr := encodeRecord(r)
+				if encErr != nil {
+					t.Fatalf("delivered record does not re-encode: %v", encErr)
+				}
+				out.records = append(out.records, frame)
 			}
 			out.torn = w.TornBytes()
 			return out, true
 		}
 
-		first, ok := read(1, true)
+		recovered, ok := read(true)
 		if !ok {
 			// Header rejected: strict mode must reject identically.
-			if _, okStrict := read(1, false); okStrict {
+			if _, okStrict := read(false); okStrict {
 				t.Fatal("strict reader accepted a header the recover reader rejected")
 			}
 			return
 		}
-		// Window size must not change the outcome.
-		for _, window := range []int{3, 1 << 20} {
-			again, ok := read(window, true)
-			if !ok {
-				t.Fatal("reader accepted then rejected the same header")
-			}
-			if len(again.records) != len(first.records) || again.torn != first.torn || again.errEOF != first.errEOF {
-				t.Fatalf("window=%d changed the outcome: %d/%d records torn=%d/%d eof=%v/%v",
-					window, len(again.records), len(first.records), again.torn, first.torn, again.errEOF, first.errEOF)
-			}
-			for i := range again.records {
-				if !bytes.Equal(again.records[i], first.records[i]) {
-					t.Fatalf("window=%d record %d differs", window, i)
-				}
-			}
-		}
 		// Strict mode delivers the same records; it may only differ in the
 		// terminal error when the tail is torn.
-		strict, ok := read(5, false)
+		strict, ok := read(false)
 		if !ok {
 			t.Fatal("strict reader rejected a header the recover reader accepted")
 		}
-		if len(strict.records) != len(first.records) {
-			t.Fatalf("strict delivered %d records, recover delivered %d", len(strict.records), len(first.records))
+		if len(strict.records) != len(recovered.records) {
+			t.Fatalf("strict delivered %d records, recover delivered %d", len(strict.records), len(recovered.records))
+		}
+		for i := range strict.records {
+			if !bytes.Equal(strict.records[i], recovered.records[i]) {
+				t.Fatalf("record %d differs between modes", i)
+			}
+		}
+		if strict.torn != 0 {
+			t.Fatalf("strict reader reported %d torn bytes", strict.torn)
 		}
 	})
 }

@@ -37,49 +37,8 @@ func genRecords(t *testing.T, persons int) []*record.Record {
 	return g.Records
 }
 
-// TestWindowReaderMatchesAll asserts the windowed pass delivers exactly
-// what Store.All loads, in order, across several window sizes including
-// ones that do not divide the record count.
-func TestWindowReaderMatchesAll(t *testing.T) {
-	records := genRecords(t, 120)
-	path, _ := writeStore(t, records)
-
-	for _, win := range []int{1, 7, 64, 100000} {
-		w, err := OpenWindowReader(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []*record.Record
-		var buf []*record.Record
-		for {
-			buf, err = w.Next(buf, win)
-			got = append(got, buf...)
-			if err != nil {
-				break
-			}
-		}
-		if err != io.EOF {
-			t.Fatalf("window=%d: terminal error %v, want io.EOF", win, err)
-		}
-		if w.Count() != len(records) {
-			t.Fatalf("window=%d: Count=%d, want %d", win, w.Count(), len(records))
-		}
-		if len(got) != len(records) {
-			t.Fatalf("window=%d: got %d records, want %d", win, len(got), len(records))
-		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i], records[i]) {
-				t.Fatalf("window=%d: record %d differs", win, i)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestWindowReaderNextRecord asserts the one-at-a-time adapter sees the
-// same sequence as the window API.
+// TestWindowReaderNextRecord asserts the reader yields the written
+// records in order, then io.EOF on this and every later call.
 func TestWindowReaderNextRecord(t *testing.T) {
 	records := genRecords(t, 40)
 	path, _ := writeStore(t, records)
@@ -97,53 +56,52 @@ func TestWindowReaderNextRecord(t *testing.T) {
 			t.Fatalf("record %d differs", i)
 		}
 	}
-	if _, err := w.NextRecord(); err != io.EOF {
-		t.Fatalf("after last record: %v, want io.EOF", err)
+	for k := 0; k < 2; k++ {
+		if r, err := w.NextRecord(); r != nil || err != io.EOF {
+			t.Fatalf("call %d after last record: %v, %v, want nil, io.EOF", k, r, err)
+		}
 	}
 }
 
 // TestWindowReaderTornTail covers both torn-tail modes at every truncation
 // point of the final frame: strict readers deliver the intact prefix then
-// fail with a torn-tail diagnostic; Recover readers stop cleanly at the
-// last whole frame and report the skipped bytes.
+// fail with a torn-tail diagnostic, on every later call too; Recover
+// readers stop cleanly at the last whole frame and report the skipped
+// bytes.
 func TestWindowReaderTornTail(t *testing.T) {
 	records := genRecords(t, 10)
 	_, data := writeStore(t, records)
-
-	// Find the offset of the final frame to truncate inside it.
-	s := openBytes(t, data)
-	offsets := make([]int64, 0, len(s.order))
-	for _, id := range s.order {
-		offsets = append(offsets, s.offsets[id])
-	}
-	s.Close()
-	lastFrame := offsets[len(offsets)-1]
+	ends := frameEnds(t, data)
+	lastFrame := ends[len(ends)-2]
 
 	for cut := lastFrame + 1; cut < int64(len(data)); cut += 3 {
 		torn := data[:cut]
 
 		// Strict: all whole frames, then the torn-tail error.
-		w, err := NewWindowReader(bytes.NewReader(torn), int64(len(torn)))
+		w, err := newWindowReader(bytes.NewReader(torn), int64(len(torn)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, terminal := drain(w)
-		if n != len(records)-1 {
-			t.Fatalf("cut=%d strict: delivered %d, want %d", cut, n, len(records)-1)
+		got, terminal := drain(w)
+		if !equalRecords(got, records[:len(records)-1]) {
+			t.Fatalf("cut=%d strict: delivered %d, want the first %d", cut, len(got), len(records)-1)
 		}
 		var tt *tornTailError
 		if !errors.As(terminal, &tt) {
 			t.Fatalf("cut=%d strict: terminal error %v, want torn tail", cut, terminal)
 		}
+		if _, again := w.NextRecord(); again != terminal {
+			t.Fatalf("cut=%d strict: later call returned %v, want the sticky %v", cut, again, terminal)
+		}
 
 		// Recover: clean EOF at the last whole frame, torn bytes reported.
-		w, err = NewWindowReader(bytes.NewReader(torn), int64(len(torn)), Recover)
+		w, err = newWindowReader(bytes.NewReader(torn), int64(len(torn)), Recover)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, terminal = drain(w)
-		if n != len(records)-1 || terminal != io.EOF {
-			t.Fatalf("cut=%d recover: delivered %d terminal %v", cut, n, terminal)
+		got, terminal = drain(w)
+		if len(got) != len(records)-1 || terminal != io.EOF {
+			t.Fatalf("cut=%d recover: delivered %d terminal %v", cut, len(got), terminal)
 		}
 		if want := cut - lastFrame; w.TornBytes() != want {
 			t.Fatalf("cut=%d recover: TornBytes=%d, want %d", cut, w.TornBytes(), want)
@@ -151,9 +109,9 @@ func TestWindowReaderTornTail(t *testing.T) {
 	}
 }
 
-// TestWindowReaderRejectsCorruption mirrors TestOpenRejectsCorruption:
-// content corruption is an error in both modes — only tail truncation is
-// recoverable.
+// TestWindowReaderRejectsCorruption: content corruption is an error in
+// both modes; a torn tail is an error only to a strict reader, and a
+// Recover reader delivers the whole frames before it.
 func TestWindowReaderRejectsCorruption(t *testing.T) {
 	r := &record.Record{BookID: 1}
 	r.Add(record.FirstName, "Guido")
@@ -163,9 +121,11 @@ func TestWindowReaderRejectsCorruption(t *testing.T) {
 		name   string
 		mutate func([]byte) []byte
 		ctor   bool // expected to fail at construction
+		torn   int  // records a Recover reader delivers from a torn tail; -1 for content corruption
 	}{
-		{"bad magic", func(b []byte) []byte { b = append([]byte(nil), b...); b[0] = 'X'; return b }, true},
-		{"bad version", func(b []byte) []byte { b = append([]byte(nil), b...); b[4] = 99; return b }, true},
+		{"bad magic", func(b []byte) []byte { b = append([]byte(nil), b...); b[0] = 'X'; return b }, true, -1},
+		{"bad version", func(b []byte) []byte { b = append([]byte(nil), b...); b[4] = 99; return b }, true, -1},
+		{"short header", func(b []byte) []byte { return b[:headerLen-1] }, true, -1},
 		{"oversized frame length", func(b []byte) []byte {
 			b = append([]byte(nil), b...)
 			b[headerLen] = 0xFF
@@ -173,17 +133,20 @@ func TestWindowReaderRejectsCorruption(t *testing.T) {
 			b[headerLen+2] = 0xFF
 			b[headerLen+3] = 0xFF
 			return b
-		}, false},
+		}, false, -1},
 		{"undecodable frame", func(b []byte) []byte {
 			b = append([]byte(nil), b...)
 			b[headerLen+4+8] = 0xFF // invalid record kind
 			return b
-		}, false},
+		}, false, -1},
+		{"truncated frame", func(b []byte) []byte { return b[:len(b)-3] }, false, 0},
+		{"trailing garbage frame len", func(b []byte) []byte { return append(append([]byte(nil), b...), 0xFF, 0xFF) }, false, 1},
 	}
 	for _, tc := range cases {
 		bad := tc.mutate(data)
 		for _, opts := range [][]OpenOption{nil, {Recover}} {
-			w, err := NewWindowReader(bytes.NewReader(bad), int64(len(bad)), opts...)
+			recovering := opts != nil
+			w, err := newWindowReader(bytes.NewReader(bad), int64(len(bad)), opts...)
 			if tc.ctor {
 				if err == nil {
 					t.Errorf("%s: construction accepted corrupt store", tc.name)
@@ -193,8 +156,15 @@ func TestWindowReaderRejectsCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: unexpected construction error %v", tc.name, err)
 			}
-			if _, terminal := drain(w); terminal == io.EOF || terminal == nil {
-				t.Errorf("%s (recover=%v): corruption not surfaced", tc.name, opts != nil)
+			got, terminal := drain(w)
+			if recovering && tc.torn >= 0 {
+				if terminal != io.EOF || len(got) != tc.torn {
+					t.Errorf("%s (recover): delivered %d records, terminal %v; want %d and io.EOF", tc.name, len(got), terminal, tc.torn)
+				}
+				continue
+			}
+			if terminal == io.EOF || terminal == nil {
+				t.Errorf("%s (recover=%v): corruption not surfaced", tc.name, recovering)
 			}
 		}
 	}
@@ -204,41 +174,21 @@ func TestWindowReaderRejectsCorruption(t *testing.T) {
 // EOF.
 func TestWindowReaderEmptyStore(t *testing.T) {
 	path, _ := writeStore(t, nil)
-	w, err := OpenWindowReader(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if n, terminal := drain(w); n != 0 || terminal != io.EOF {
-		t.Fatalf("empty store: delivered %d terminal %v", n, terminal)
+	got, terminal := readFile(t, path)
+	if len(got) != 0 || terminal != io.EOF {
+		t.Fatalf("empty store: delivered %d terminal %v", len(got), terminal)
 	}
 }
 
-// drain consumes the reader and returns the record count and terminal
+// drain consumes the reader and returns the records and the terminal
 // error.
-func drain(w *WindowReader) (int, error) {
-	n := 0
-	var buf []*record.Record
+func drain(w *WindowReader) ([]*record.Record, error) {
+	var out []*record.Record
 	for {
-		out, err := w.Next(buf, 8)
-		n += len(out)
-		buf = out
+		r, err := w.NextRecord()
 		if err != nil {
-			return n, err
+			return out, err
 		}
+		out = append(out, r)
 	}
-}
-
-// openBytes opens store bytes through a temp file with the full indexer.
-func openBytes(t *testing.T, data []byte) *Store {
-	t.Helper()
-	path := tmpPath(t)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }

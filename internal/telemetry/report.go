@@ -31,7 +31,7 @@ type RunReport struct {
 	Records       int `json:"records"`
 	Workers       int `json:"workers"`
 	// TornBytes is the byte count of the torn tail a streaming run's
-	// windowed reader skipped (store.WindowReader.TornBytes); zero for
+	// store reader skipped (store.WindowReader.TornBytes); zero for
 	// batch runs and intact stores.
 	TornBytes int64           `json:"torn_bytes,omitempty"`
 	Stages    []StageReport   `json:"stages"`
