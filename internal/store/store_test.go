@@ -2,6 +2,7 @@ package store
 
 import (
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -74,5 +75,47 @@ func TestEmptyValuesAndUnicode(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got[0], r) {
 		t.Errorf("unicode round trip failed:\n%v\n%v", got[0], r)
+	}
+}
+
+// TestOpenRejectsCorruption asserts a strict reader opened on a corrupt
+// file fails, at OpenWindowReader or on a later read, and never reports a
+// clean end.
+func TestOpenRejectsCorruption(t *testing.T) {
+	path := tmpPath(t)
+	r := &record.Record{BookID: 1}
+	r.Add(record.FirstName, "Guido")
+	if err := WriteAll(path, []*record.Record{r}); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name   string
+		mutate func([]byte) []byte
+	}{
+		{"bad magic", func(b []byte) []byte { b = append([]byte(nil), b...); b[0] = 'X'; return b }},
+		{"bad version", func(b []byte) []byte { b = append([]byte(nil), b...); b[4] = 99; return b }},
+		{"truncated frame", func(b []byte) []byte { return b[:len(b)-3] }},
+		{"trailing garbage frame len", func(b []byte) []byte { return append(append([]byte(nil), b...), 0xFF, 0xFF) }},
+	}
+	for _, tc := range cases {
+		bad := path + "-" + tc.name
+		if err := os.WriteFile(bad, tc.mutate(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, err := OpenWindowReader(bad)
+		if err != nil {
+			continue
+		}
+		_, terminal := drain(w)
+		w.Close()
+		if terminal == io.EOF {
+			t.Errorf("%s: strict reader accepted corrupt file", tc.name)
+		}
 	}
 }

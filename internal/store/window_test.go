@@ -37,6 +37,33 @@ func genRecords(t *testing.T, persons int) []*record.Record {
 	return g.Records
 }
 
+// TestWindowReaderMatchesAll asserts a strict and a Recover reader over an
+// intact store, opened from the file and from an in-memory copy, each
+// deliver exactly the written records in order and report no torn bytes.
+func TestWindowReaderMatchesAll(t *testing.T) {
+	records := genRecords(t, 120)
+	path, data := writeStore(t, records)
+
+	for _, opts := range [][]OpenOption{nil, {Recover}} {
+		got, terminal := readFile(t, path, opts...)
+		if terminal != io.EOF || !equalRecords(got, records) {
+			t.Fatalf("file recover=%v: delivered %d of %d records, terminal %v", opts != nil, len(got), len(records), terminal)
+		}
+
+		w, err := newWindowReader(bytes.NewReader(data), int64(len(data)), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, terminal = drain(w)
+		if terminal != io.EOF || !equalRecords(got, records) {
+			t.Fatalf("memory recover=%v: delivered %d of %d records, terminal %v", opts != nil, len(got), len(records), terminal)
+		}
+		if w.TornBytes() != 0 {
+			t.Fatalf("memory recover=%v: TornBytes=%d on an intact store", opts != nil, w.TornBytes())
+		}
+	}
+}
+
 // TestWindowReaderNextRecord asserts the reader yields the written
 // records in order, then io.EOF on this and every later call.
 func TestWindowReaderNextRecord(t *testing.T) {
