@@ -13,8 +13,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from 
 
 // goldenRequests is the fixed request list whose response bodies were
 // captured before the query layer was rebuilt on a partition memo and a
-// name index. MaxResults is 5 for all of them, so the last=Levi searches are
-// truncated and the others are not.
+// name index; the pair and the error body were added later, still from the
+// indented encoder. MaxResults is 5 for all of them, so the last=Levi
+// searches are truncated and the others are not. Every request answers 200
+// except the ones in goldenStatus.
 var goldenRequests = []string{
 	"/api/search?last=Levi&certainty=0.2",
 	"/api/search?last=Levi&certainty=0.4",
@@ -30,6 +32,12 @@ var goldenRequests = []string{
 	"/api/narrative?book=1000007&certainty=0.4",
 	"/api/stats?certainty=0.2",
 	"/api/stats?certainty=0.4",
+	"/api/pair?a=1000367&b=1000368",
+	"/api/search?last=Levi&certainty=NaN",
+}
+
+var goldenStatus = map[string]int{
+	"/api/search?last=Levi&certainty=NaN": http.StatusBadRequest,
 }
 
 // TestGoldenResponses holds the response bodies byte-identical to the ones
@@ -39,7 +47,11 @@ func TestGoldenResponses(t *testing.T) {
 	s.MaxResults = 5
 	var got bytes.Buffer
 	for _, path := range goldenRequests {
-		body := get(t, s, path, http.StatusOK)
+		code := http.StatusOK
+		if c, ok := goldenStatus[path]; ok {
+			code = c
+		}
+		body := get(t, s, path, code)
 		fmt.Fprintf(&got, "### GET %s\n%s", path, body)
 	}
 	const file = "testdata/golden.txt"
