@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -9,7 +10,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from the current responses")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from the current responses, indented")
 
 // goldenRequests is the fixed request list whose response bodies were
 // captured before the query layer was rebuilt on a partition memo and a
@@ -40,8 +41,11 @@ var goldenStatus = map[string]int{
 	"/api/search?last=Levi&certainty=NaN": http.StatusBadRequest,
 }
 
-// TestGoldenResponses holds the response bodies byte-identical to the ones
-// testdata/golden.txt recorded.
+// TestGoldenResponses holds the response bodies token-identical to the ones
+// testdata/golden.txt recorded: the file keeps the indented bodies the
+// server once sent, and each compact body, indented, must equal its entry.
+// Only whitespace may differ on the wire, and every body must be compact:
+// one line, ending in a newline.
 func TestGoldenResponses(t *testing.T) {
 	s, _, _ := testServer(t)
 	s.MaxResults = 5
@@ -52,7 +56,17 @@ func TestGoldenResponses(t *testing.T) {
 			code = c
 		}
 		body := get(t, s, path, code)
-		fmt.Fprintf(&got, "### GET %s\n%s", path, body)
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, body); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		if compact.WriteByte('\n'); !bytes.Equal(compact.Bytes(), body) {
+			t.Errorf("GET %s: body is not compact:\n%s", path, body)
+		}
+		fmt.Fprintf(&got, "### GET %s\n", path)
+		if err := json.Indent(&got, body, "", "  "); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
 	}
 	const file = "testdata/golden.txt"
 	if *updateGolden {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -212,6 +213,22 @@ func TestReportEndpoint(t *testing.T) {
 		if _, ok := st["name"]; !ok || len(st) != 2 {
 			t.Errorf("stage[%d] keys %v, want name and duration_ns", i, st)
 		}
+	}
+	// The body is the report's own encoding: it decodes to the same value
+	// as json.Marshal of the report.
+	want, err := json.Marshal(res.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotV, wantV any
+	if err := json.Unmarshal(body, &gotV); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(want, &wantV); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotV, wantV) {
+		t.Errorf("report body decodes to %v, want %v", gotV, wantV)
 	}
 }
 

@@ -192,7 +192,8 @@ func TestFastRequestsUnaffectedByDeadline(t *testing.T) {
 }
 
 // TestStatusCodeTable pins the full error surface: 400 for malformed
-// requests, 404 for lookup misses, 500 for panics, 503 for shed load —
+// requests, 404 for lookup misses and unknown paths, 405 (with Allow) for
+// a wrong method on a real route, 500 for panics, 503 for shed load —
 // every body a JSON error object.
 func TestStatusCodeTable(t *testing.T) {
 	s, _, res := testServer(t)
@@ -202,25 +203,33 @@ func TestStatusCodeTable(t *testing.T) {
 	}
 
 	cases := []struct {
-		name string
-		path string
-		want int
+		name   string
+		method string
+		path   string
+		want   int
 	}{
-		{"bad certainty", "/api/search?last=Foa&certainty=abc", http.StatusBadRequest},
-		{"missing name", "/api/search?certainty=0.3", http.StatusBadRequest},
-		{"bad book id", "/api/entity?book=xyz", http.StatusBadRequest},
-		{"self pair", "/api/pair?a=7&b=7", http.StatusBadRequest},
-		{"unknown book", "/api/entity?book=42", http.StatusNotFound},
-		{"unknown pair", "/api/pair?a=1&b=2", http.StatusNotFound},
-		{"unknown endpoint", "/api/nosuch", http.StatusNotFound},
+		{"bad certainty", http.MethodGet, "/api/search?last=Foa&certainty=abc", http.StatusBadRequest},
+		{"missing name", http.MethodGet, "/api/search?certainty=0.3", http.StatusBadRequest},
+		{"bad book id", http.MethodGet, "/api/entity?book=xyz", http.StatusBadRequest},
+		{"self pair", http.MethodGet, "/api/pair?a=7&b=7", http.StatusBadRequest},
+		{"unknown book", http.MethodGet, "/api/entity?book=42", http.StatusNotFound},
+		{"unknown pair", http.MethodGet, "/api/pair?a=1&b=2", http.StatusNotFound},
+		{"unknown endpoint", http.MethodGet, "/api/nosuch", http.StatusNotFound},
+		{"unknown endpoint, other method", http.MethodPost, "/api/nosuch", http.StatusNotFound},
+		{"wrong method", http.MethodPost, "/api/search?last=Foa", http.StatusMethodNotAllowed},
+		{"wrong method", http.MethodDelete, "/api/entity?book=42", http.StatusMethodNotAllowed},
+		{"wrong method", http.MethodPut, "/metrics", http.StatusMethodNotAllowed},
 	}
 	for _, tc := range cases {
-		req := httptest.NewRequest(http.MethodGet, tc.path, nil)
+		req := httptest.NewRequest(tc.method, tc.path, nil)
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		if rec.Code != tc.want {
-			t.Errorf("%s: GET %s = %d, want %d", tc.name, tc.path, rec.Code, tc.want)
+			t.Errorf("%s: %s %s = %d, want %d", tc.name, tc.method, tc.path, rec.Code, tc.want)
 			continue
+		}
+		if allow := rec.Header().Get("Allow"); (tc.want == http.StatusMethodNotAllowed) != (allow == "GET, HEAD") {
+			t.Errorf("%s: %s %s answered %d with Allow %q", tc.name, tc.method, tc.path, rec.Code, allow)
 		}
 		jsonError(t, rec)
 	}

@@ -31,9 +31,12 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/narrative"
@@ -77,18 +80,26 @@ func New(res *core.Resolution, coll *record.Collection) *Server {
 		DefaultCertainty: 0.0,
 		MaxResults:       50,
 	}
-	s.mux.HandleFunc("GET /api/search", s.handler("/api/search", s.handleSearch))
-	s.mux.HandleFunc("GET /api/entity", s.handler("/api/entity", s.handleEntity))
-	s.mux.HandleFunc("GET /api/narrative", s.handler("/api/narrative", s.handleNarrative))
-	s.mux.HandleFunc("GET /api/pair", s.handler("/api/pair", s.handlePair))
-	s.mux.HandleFunc("GET /api/stats", s.handler("/api/stats", s.handleStats))
-	s.mux.HandleFunc("GET /api/report", s.handler("/api/report", s.handleReport))
-	s.mux.HandleFunc("GET /api/trace", s.handler("/api/trace", s.handleTrace))
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.route("/api/search", s.handler("/api/search", s.handleSearch))
+	s.route("/api/entity", s.handler("/api/entity", s.handleEntity))
+	s.route("/api/narrative", s.handler("/api/narrative", s.handleNarrative))
+	s.route("/api/pair", s.handler("/api/pair", s.handlePair))
+	s.route("/api/stats", s.handler("/api/stats", s.handleStats))
+	s.route("/api/report", s.handler("/api/report", s.handleReport))
+	s.route("/api/trace", s.handler("/api/trace", s.handleTrace))
+	s.route("/metrics", s.handleMetrics)
 	// Unmatched paths get a JSON 404 (and land in the middleware's
 	// counters) instead of net/http's plain-text default.
 	s.mux.HandleFunc("/", s.handler("other", s.handleNotFound))
 	return s
+}
+
+// route mounts h on GET (and so HEAD) of path. Any other method on the
+// path answers JSON 405 with Allow; without that pattern the request
+// would fall through to the catch-all and read as an unknown endpoint.
+func (s *Server) route(path string, h http.HandlerFunc) {
+	s.mux.HandleFunc("GET "+path, h)
+	s.mux.HandleFunc(path, s.handler(path, s.handleMethodNotAllowed))
 }
 
 // handler is the standard middleware stack: instrumentation outermost,
@@ -109,6 +120,11 @@ func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
 	httpError(w, http.StatusNotFound, fmt.Errorf("no such endpoint %s", r.URL.Path))
 }
 
+func (s *Server) handleMethodNotAllowed(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Allow", "GET, HEAD")
+	httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed on %s", r.Method, r.URL.Path))
+}
+
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
@@ -116,10 +132,116 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // entityJSON is the wire form of a resolved entity.
 type entityJSON struct {
-	Reports   []int64             `json:"reports"`
-	Name      string              `json:"name"`
-	Values    map[string][]string `json:"values"`
-	Narrative string              `json:"narrative,omitempty"`
+	Reports   []int64      `json:"reports"`
+	Name      string       `json:"name"`
+	Values    entityValues `json:"values"`
+	Narrative string       `json:"narrative,omitempty"`
+}
+
+// entityValues is an entity's values on the wire: an object from item
+// type name to the type's values, most supported first. It is the
+// entity's own map, written without building a map[string][]string.
+type entityValues map[record.ItemType][]core.ValueSupport
+
+// valueKey is one item type and its object key, quoted, with the colon.
+type valueKey struct {
+	t   record.ItemType
+	key string
+}
+
+// valueOrder lists the item types by name, byte-wise ascending: the
+// order encoding/json gives a map's string keys.
+var valueOrder = func() []valueKey {
+	ts := record.AllItemTypes()
+	slices.SortFunc(ts, func(a, b record.ItemType) int { return strings.Compare(a.String(), b.String()) })
+	keys := make([]valueKey, len(ts))
+	for i, t := range ts {
+		keys[i] = valueKey{t, string(appendQuoted(nil, t.String())) + ":"}
+	}
+	return keys
+}()
+
+// MarshalJSON writes the object keys in valueOrder, skipping types with
+// no value, so the tokens are those of the map[string][]string the
+// values would otherwise be copied into.
+func (v entityValues) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 512)
+	b = append(b, '{')
+	for _, k := range valueOrder {
+		vs := v[k.t]
+		if len(vs) == 0 {
+			continue
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = append(b, k.key...)
+		b = append(b, '[')
+		for i, x := range vs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendQuoted(b, x.Value)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// appendQuoted appends s as a JSON string exactly as encoding/json
+// writes one with HTML escaping on: <, > and & as \u003c, \u003e and
+// \u0026; the short escapes for \b, \f, \n, \r and \t and \u00XX for
+// the other control bytes; U+2028 and U+2029 escaped; and every byte
+// of invalid UTF-8 as \ufffd.
+func appendQuoted(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // joinName joins name parts with single spaces, skipping missing parts
@@ -135,15 +257,10 @@ func joinName(first, last string) string {
 }
 
 func toJSON(e *core.Entity, withNarrative bool) entityJSON {
-	out := entityJSON{Reports: e.Reports, Values: make(map[string][]string)}
+	out := entityJSON{Reports: e.Reports, Values: e.Values}
 	first, _ := e.Best(record.FirstName)
 	last, _ := e.Best(record.LastName)
 	out.Name = joinName(first, last)
-	for t, vs := range e.Values {
-		for _, v := range vs {
-			out.Values[t.String()] = append(out.Values[t.String()], v.Value)
-		}
-	}
 	if withNarrative {
 		out.Narrative = e.Narrative()
 	}
@@ -324,15 +441,15 @@ func writeJSON(w http.ResponseWriter, v any) {
 	writeJSONStatus(w, http.StatusOK, v)
 }
 
-// writeJSONStatus writes v as indented JSON with the given status.
+// writeJSONStatus writes v with the given status as compact JSON, one
+// line ending in a newline, in a single Write. Pipe a body through
+// `python3 -m json.tool` to read it indented.
 func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if code != http.StatusOK {
 		w.WriteHeader(code)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		// Headers (and possibly part of the body) are gone; log is the
 		// only remaining channel.
 		telemetry.Log().Warn("response encode failed", "err", err)
