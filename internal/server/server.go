@@ -162,8 +162,8 @@ var valueOrder = func() []valueKey {
 }()
 
 // MarshalJSON writes the object keys in valueOrder, skipping types with
-// no value, so the tokens are those of the map[string][]string the
-// values would otherwise be copied into.
+// no value: the bytes json.Marshal gives the same values as a
+// map[string][]string keyed by type name.
 func (v entityValues) MarshalJSON() ([]byte, error) {
 	b := make([]byte, 0, 512)
 	b = append(b, '{')
