@@ -10,11 +10,11 @@
 //	     [-last name] [-model model.json] [-report out.json] [-workers n]
 //	     [-spill-pairs n] [-trace-out t.json] [-progress]
 //
-// A .yvst store streams through the store's reader into the
-// bounded-memory pipeline: records are encoded as they arrive and dropped
-// unless a flag (model, search, clusters) needs their values. A torn tail
-// (an interrupted copy) is skipped with a note on stderr; the file is
-// never written. Any other input is read as JSONL.
+// The input is a .yvst store or, under any other name, JSONL; either
+// streams into the bounded-memory pipeline: records are encoded as they
+// arrive and dropped unless a flag (model, search, clusters) needs their
+// values. A store's torn tail (an interrupted copy) is skipped with a
+// note on stderr; the file is never written.
 //
 // -workers bounds the blocking and scoring goroutines and -spill-pairs
 // caps the candidate pairs held in memory (0 = spill.DefaultCap, 4Mi;
@@ -31,12 +31,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/adtree"
 	"repro/internal/core"
 	"repro/internal/gazetteer"
-	"repro/internal/record"
 	"repro/internal/store"
 	"repro/internal/telemetry/trace"
 )
@@ -103,20 +101,22 @@ func main() {
 		opts.Progress.Start()
 	}
 
-	var res *core.Resolution
-	var err error
-	if strings.HasSuffix(*in, ".yvst") {
-		// Skeleton records suffice for ranked matches and clustering;
-		// model scoring, search, and narratives compare record values, so
-		// any flag that needs them keeps the full records in memory.
-		retain := opts.Model != nil || *first != "" || *last != "" || *clusters
-		res, err = runStore(*in, opts, retain)
-	} else {
-		res, err = runJSONL(*in, opts)
+	src, err := store.Open(*in)
+	if err != nil {
+		fatal(err)
 	}
+	// Skeleton records suffice for ranked matches and clustering; model
+	// scoring, search, and narratives compare record values, so any flag
+	// that needs them keeps the full records in memory.
+	retain := opts.Model != nil || *first != "" || *last != "" || *clusters
+	res, err := core.RunStream(core.StreamOptions{Options: opts, RetainRecords: retain}, src)
+	src.Close()
 	opts.Progress.Stop()
 	if err != nil {
 		fatal(err)
+	}
+	if src.TornBytes() > 0 {
+		fmt.Fprintf(os.Stderr, "yver: skipped torn tail in %s (%d bytes)\n", *in, src.TornBytes())
 	}
 	if *traceOut != "" {
 		// Stop the flight recorder before exporting so its final sample
@@ -177,45 +177,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// runStore resolves a .yvst store through the store's reader and the
-// streaming pipeline: records are encoded and dropped (or retained, when
-// a flag needs their values) as they arrive, and candidate pairs spill
-// to disk past the configured cap.
-func runStore(path string, opts core.Options, retain bool) (*core.Resolution, error) {
-	src, err := store.OpenWindowReader(path, store.Recover)
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	res, err := core.RunStream(core.StreamOptions{Options: opts, RetainRecords: retain}, src)
-	if err != nil {
-		return nil, err
-	}
-	if src.TornBytes() > 0 {
-		fmt.Fprintf(os.Stderr, "yver: skipped torn tail in %s (%d bytes)\n", path, src.TornBytes())
-	}
-	return res, nil
-}
-
-// runJSONL resolves a JSONL records file with the whole collection in
-// memory.
-func runJSONL(path string, opts core.Options) (*core.Resolution, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	records, err := record.ReadJSONL(f)
-	if err != nil {
-		return nil, err
-	}
-	coll, err := record.NewCollection(records)
-	if err != nil {
-		return nil, err
-	}
-	return core.Run(opts, coll)
 }
 
 func fatal(err error) {

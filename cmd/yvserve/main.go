@@ -4,9 +4,12 @@
 //
 // Usage:
 //
-//	yvserve -in records.jsonl [-model model.json] [-addr :8080]
-//	        [-max-inflight N] [-request-timeout D] [-drain D] [-pprof]
-//	        [-trace] [-trace-out t.json] [-v]
+//	yvserve -in records.jsonl|records.yvst [-model model.json]
+//	        [-addr :8080] [-max-inflight N] [-request-timeout D]
+//	        [-drain D] [-pprof] [-trace] [-trace-out t.json] [-v]
+//
+// The input is a .yvst store or, under any other name, JSONL, read
+// whole; a store's torn tail is skipped with a note on stderr.
 //
 // Then:
 //
@@ -24,19 +27,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/adtree"
 	"repro/internal/core"
 	"repro/internal/gazetteer"
-	"repro/internal/record"
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -64,13 +64,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "yvserve: -in is required")
 		os.Exit(2)
 	}
-	records, err := loadRecords(*in)
+	// The server keeps the raw records its narratives render, so the
+	// input is read whole.
+	coll, torn, err := store.Load(*in)
 	if err != nil {
 		fatal(err)
 	}
-	coll, err := record.NewCollection(records)
-	if err != nil {
-		fatal(err)
+	if torn > 0 {
+		fmt.Fprintf(os.Stderr, "yvserve: skipped torn tail in %s (%d bytes)\n", *in, torn)
 	}
 
 	opts := core.NewOptions(gazetteer.Builtin(0))
@@ -173,41 +174,6 @@ func main() {
 		}
 		fmt.Println("drained cleanly")
 	}
-}
-
-// loadRecords reads JSONL or, for .yvst files, every record of the store.
-// The server keeps the raw records its narratives render, so a store is
-// read whole. A torn tail (an interrupted copy) is skipped with a note on
-// stderr rather than refusing to serve; the file is never written.
-func loadRecords(path string) ([]*record.Record, error) {
-	if strings.HasSuffix(path, ".yvst") {
-		src, err := store.OpenWindowReader(path, store.Recover)
-		if err != nil {
-			return nil, err
-		}
-		defer src.Close()
-		var records []*record.Record
-		for {
-			r, err := src.NextRecord()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			records = append(records, r)
-		}
-		if src.TornBytes() > 0 {
-			fmt.Fprintf(os.Stderr, "yvserve: skipped torn tail in %s (%d bytes)\n", path, src.TornBytes())
-		}
-		return records, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return record.ReadJSONL(f)
 }
 
 func fatal(err error) {

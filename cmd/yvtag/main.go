@@ -9,6 +9,8 @@
 //
 //	yvtag -in records.jsonl -out tags.tsv            # interactive
 //	yvtag -in records.jsonl -gold gold.jsonl -auto -out tags.tsv
+//
+// The records file is JSONL or a .yvst store, as for yver.
 package main
 
 import (
@@ -25,10 +27,11 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/mfiblocks"
 	"repro/internal/record"
+	"repro/internal/store"
 )
 
 func main() {
-	in := flag.String("in", "", "input records.jsonl (required)")
+	in := flag.String("in", "", "input records, JSONL or a .yvst store (required)")
 	goldPath := flag.String("gold", "", "gold.jsonl for -auto mode")
 	auto := flag.Bool("auto", false, "simulate the expert instead of prompting")
 	out := flag.String("out", "tags.tsv", "output tags file")
@@ -40,10 +43,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "yvtag: -in is required")
 		os.Exit(2)
 	}
-	records := readRecords(*in)
-	coll, err := record.NewCollection(records)
+	coll, torn, err := store.Load(*in)
 	if err != nil {
 		fatal(err)
+	}
+	if torn > 0 {
+		fmt.Fprintf(os.Stderr, "yvtag: skipped torn tail in %s (%d bytes)\n", *in, torn)
 	}
 
 	pre, err := core.Preprocess(coll)
@@ -150,19 +155,6 @@ func printSideBySide(a, b *record.Record) {
 		}
 		fmt.Printf("  %s %-22s %-28s %s\n", marker, ty, strings.Join(va, ", "), strings.Join(vb, ", "))
 	}
-}
-
-func readRecords(path string) []*record.Record {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	records, err := record.ReadJSONL(f)
-	if err != nil {
-		fatal(err)
-	}
-	return records
 }
 
 type goldRow struct {

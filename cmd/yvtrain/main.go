@@ -4,8 +4,10 @@
 //
 // Usage:
 //
-//	yvtrain -in records.jsonl -tags tags.tsv -out model.json
+//	yvtrain -in records.jsonl|records.yvst -tags tags.tsv -out model.json
 //	        [-maybe omit|no] [-rounds 10] [-cv 10]
+//
+// The records file is JSONL or a .yvst store, as for yver.
 package main
 
 import (
@@ -22,10 +24,11 @@ import (
 	"repro/internal/features"
 	"repro/internal/gazetteer"
 	"repro/internal/record"
+	"repro/internal/store"
 )
 
 func main() {
-	in := flag.String("in", "", "input records.jsonl (required)")
+	in := flag.String("in", "", "input records, JSONL or a .yvst store (required)")
 	tagsPath := flag.String("tags", "", "tags.tsv from yvtag (required)")
 	out := flag.String("out", "model.json", "output model file")
 	maybeMode := flag.String("maybe", "omit", "Maybe handling: omit, no (fold into non-match)")
@@ -38,18 +41,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	f, err := os.Open(*in)
+	coll, torn, err := store.Load(*in)
 	if err != nil {
 		fatal(err)
 	}
-	records, err := record.ReadJSONL(f)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
-	coll, err := record.NewCollection(records)
-	if err != nil {
-		fatal(err)
+	if torn > 0 {
+		fmt.Fprintf(os.Stderr, "yvtrain: skipped torn tail in %s (%d bytes)\n", *in, torn)
 	}
 	tags := readTags(*tagsPath)
 

@@ -54,9 +54,9 @@ type Options struct {
 	// Workers bounds the goroutines used by the pipeline's parallel
 	// stages: candidate-pair scoring and — unless Blocking.Workers is set
 	// explicitly — the blocking stage's MFI mining and block construction.
-	// 0 means GOMAXPROCS, 1 runs the exact serial paths. Output is
-	// deterministic — identical Matches order, candidate pairs, and
-	// discard counters — for every worker count.
+	// 0 means GOMAXPROCS, 1 runs one worker. Output is deterministic —
+	// identical Matches order, candidate pairs, and discard counters —
+	// for every worker count.
 	Workers int
 	// MemoSize does nothing: the scoring stage runs the similarity
 	// kernels directly and keeps no pair cache. The field remains only

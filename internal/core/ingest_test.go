@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -35,6 +37,26 @@ func runIngest(t *testing.T, opts StreamOptions, src RecordSource) ingested {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return readIngested(corpus, kept)
+}
+
+// serialIngest is the reference ingest: each record preprocessed,
+// interned and appended in order, on the calling goroutine.
+func serialIngest(opts StreamOptions, records []*record.Record) ingested {
+	corpus := &mfiblocks.Corpus{Dict: record.NewDictionary()}
+	var kept []*record.Record
+	for _, r := range records {
+		r = preprocessRecord(r, opts.Gazetteer)
+		corpus.Append(corpus.Dict.Observe(r), r.BookID)
+		if !opts.RetainRecords {
+			r = &record.Record{BookID: r.BookID, Source: r.Source, Kind: r.Kind}
+		}
+		kept = append(kept, r)
+	}
+	return readIngested(corpus, kept)
+}
+
+func readIngested(corpus *mfiblocks.Corpus, kept []*record.Record) ingested {
 	var out ingested
 	for id := 0; id < corpus.Dict.Len(); id++ {
 		out.keys = append(out.keys, corpus.Dict.Key(id))
@@ -48,11 +70,12 @@ func runIngest(t *testing.T, opts StreamOptions, src RecordSource) ingested {
 	return out
 }
 
-// TestIngestWorkersEquivalence pins the pooled ingest stage to the serial
-// loop: from a .yvst store reader and from a CollectionSource, with
-// records retained and as skeletons, at Workers 1, 2 and 8, the
-// dictionary (key, type and frequency per id), the transactions, the
-// BookIDs, the kept records and the final Matches are identical. The
+// TestIngestWorkersEquivalence pins the pooled ingest stage to a serial
+// reference loop: from a .yvst store reader, a JSONL reader and a
+// CollectionSource, with records retained and as skeletons, at Workers
+// 1, 2 and 8, the dictionary (key, type and frequency per id), the
+// transactions, the BookIDs and the kept records equal the reference's,
+// and the final Matches equal those of the collection at Workers 1. The
 // corpus spans more batches than the reader may hold in flight, so the
 // reader has to wait for the encoder.
 func TestIngestWorkersEquivalence(t *testing.T) {
@@ -64,8 +87,13 @@ func TestIngestWorkersEquivalence(t *testing.T) {
 	if err := store.WriteAll(path, g.Collection.Records); err != nil {
 		t.Fatal(err)
 	}
+	var jsonl bytes.Buffer
+	if err := record.WriteJSONL(&jsonl, g.Collection.Records); err != nil {
+		t.Fatal(err)
+	}
 	sources := map[string]func() RecordSource{
 		"collection": func() RecordSource { return NewCollectionSource(g.Collection) },
+		"jsonl":      func() RecordSource { return record.NewJSONLReader(bytes.NewReader(jsonl.Bytes())) },
 		"yvst": func() RecordSource {
 			src, err := store.OpenWindowReader(path)
 			if err != nil {
@@ -79,7 +107,7 @@ func TestIngestWorkersEquivalence(t *testing.T) {
 	for _, retain := range []bool{true, false} {
 		serial := StreamOptions{Options: base, RetainRecords: retain}
 		serial.Workers = 1
-		want := runIngest(t, serial, NewCollectionSource(g.Collection))
+		want := serialIngest(serial, g.Collection.Records)
 		wantRes, err := RunStream(serial, NewCollectionSource(g.Collection))
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +118,7 @@ func TestIngestWorkersEquivalence(t *testing.T) {
 				opts := serial
 				opts.Workers = workers
 				if got := runIngest(t, opts, open()); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: ingest output diverges from the serial loop", label)
+					t.Fatalf("%s: ingest output diverges from the serial reference", label)
 				}
 				got, err := RunStream(opts, open())
 				if err != nil {
@@ -120,8 +148,10 @@ func (s *faultAfterK) NextRecord() (*record.Record, error) {
 // TestIngestSourceFault is the ingest stage's fault seam: a source that
 // fails after k records — none, one, and either side of a batch boundary
 // — fails the run with a "core: ingest:" error wrapping the source's,
-// and leaves no goroutine behind, at every worker count. A recovering
-// reader over a torn .yvst still reports the bytes it skipped.
+// and leaves no goroutine behind, at every worker count. A JSONL stream
+// whose line k+1 is malformed fails the same way, naming that line. A
+// recovering reader over a torn .yvst still reports the bytes it
+// skipped.
 func TestIngestSourceFault(t *testing.T) {
 	g := equivDataset(t, 300, 77)
 	opts := StreamOptions{Options: Options{Blocking: mfiblocks.NewConfig(), Geo: g.Gaz, Preprocess: true, Gazetteer: g.Gaz, SameSrc: true}}
@@ -135,6 +165,22 @@ func TestIngestSourceFault(t *testing.T) {
 				t.Fatalf("workers=%d k=%d: err = %v, want core: ingest: wrapping %v", workers, k, err, errSource)
 			}
 			waitGoroutines(t, start, fmt.Sprintf("workers=%d k=%d", workers, k))
+
+			var jsonl bytes.Buffer
+			if err := record.WriteJSONL(&jsonl, g.Collection.Records[:k]); err != nil {
+				t.Fatal(err)
+			}
+			jsonl.WriteString("{\"book_id\": \n")
+			if err := record.WriteJSONL(&jsonl, g.Collection.Records[k:]); err != nil {
+				t.Fatal(err)
+			}
+			_, err = RunStream(opts, record.NewJSONLReader(&jsonl))
+			var syntaxErr *json.SyntaxError
+			prefix := fmt.Sprintf("core: ingest: record: line %d: ", k+1)
+			if !errors.As(err, &syntaxErr) || !strings.HasPrefix(err.Error(), prefix) {
+				t.Fatalf("workers=%d k=%d: JSONL err = %v, want %q wrapping a JSON syntax error", workers, k, err, prefix)
+			}
+			waitGoroutines(t, start, fmt.Sprintf("workers=%d k=%d JSONL", workers, k))
 		}
 	}
 

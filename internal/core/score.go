@@ -132,7 +132,7 @@ const scoreChunkSize = 512
 // the Cls condition; a candidate that survives them gets its block score
 // from src. workers goroutines each pull scoreChunkSize candidates at a
 // time into a buffer of their own and share nothing until they hand their
-// matches over; workers <= 1 runs the same loop on the calling goroutine.
+// matches over; width 1 runs one worker.
 // Profiles are built only when a model will read them. src is closed on
 // every path, and a source error stops every worker before its next pull.
 //
@@ -161,7 +161,9 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 	total.scores = telemetry.NewHistogram(telemetry.ScoreBuckets)
 
 	var mu sync.Mutex // guards err and total
+	var wg sync.WaitGroup
 	worker := func(w int) {
+		defer wg.Done()
 		wsp := sp.Child("score_worker", trace.WithKind(trace.KindWorker), trace.WithTrack(w+1))
 		buf := make([]candidate, scoreChunkSize)
 		var ev features.PairEval
@@ -226,17 +228,9 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 		total.scores.Merge(local.scores)
 		mu.Unlock()
 	}
-	if workers <= 1 {
-		worker(0)
-		return total, err
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			worker(w)
-		}(w)
+	wg.Add(workers)
+	for w := range workers {
+		go worker(w)
 	}
 	wg.Wait()
 	return total, err

@@ -175,9 +175,9 @@ type ingestBatch struct {
 // progress per record read, the workers preprocess whole batches, and
 // the calling goroutine interns and appends each batch in read order.
 // Dictionary ids and frequencies, transactions, BookIDs and the kept
-// records are therefore those of the serial loop, which is what runs, on
-// the calling goroutine, when Workers is 1. A source error ends the read;
-// ingest returns it once every goroutine it started has exited.
+// records therefore follow record order at every width; width 1 runs one
+// preprocessing goroutine. A source error ends the read; ingest returns
+// it once every goroutine it started has exited.
 func ingest(opts *StreamOptions, src RecordSource, corpus *mfiblocks.Corpus) ([]*record.Record, error) {
 	prep := func(r *record.Record) *record.Record { return r }
 	if opts.Preprocess {
@@ -200,20 +200,6 @@ func ingest(opts *StreamOptions, src RecordSource, corpus *mfiblocks.Corpus) ([]
 	}
 
 	workers := opts.workers()
-	if workers <= 1 {
-		for {
-			r, err := src.NextRecord()
-			if err == io.EOF {
-				return kept, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			opts.Progress.Add(1)
-			encode(prep(r))
-		}
-	}
-
 	// The reader sends each batch to the workers and, in read order, to
 	// the encoder; it can run at most ingestInFlight batches ahead of it.
 	// Every batch in order has been sent to the workers already, so the

@@ -193,9 +193,8 @@ func (r *Runner) AblationWorkers(w io.Writer) error {
 }
 
 // AblationScoringWorkers reports end-to-end pipeline runtime and the
-// scoring stage's throughput against the pair-scoring worker count —
-// workers=1 scores on the calling goroutine, higher counts on the worker
-// pool. The match list is identical at every count.
+// scoring stage's throughput against the pair-scoring worker count; 1
+// runs one worker. The match list is identical at every count.
 func (r *Runner) AblationScoringWorkers(w io.Writer) error {
 	header(w, "Ablation", "Parallel pair scoring workers")
 	g := r.Italy()

@@ -11,8 +11,8 @@
 // Item ids must be non-negative and reasonably dense (dictionary-interned
 // ids): frequencies, ranks, and the inverted index are all flat slices
 // indexed by item id. Trees are flat arenas (tree.go) and maximal mining
-// fans out across a worker pool (mfi.go) while staying bit-identical to
-// the serial result.
+// fans out across a worker pool (mfi.go) while MineMaximal's result stays
+// bit-identical at every worker count.
 package fpgrowth
 
 import (
@@ -49,8 +49,8 @@ type Miner struct {
 	// traces nothing.
 	Trace *trace.Span
 	// Workers bounds the goroutines MineMaximal fans the top-level header
-	// items out to: 0 means GOMAXPROCS, 1 runs the exact serial path. The
-	// mined MFIs are bit-identical for every worker count.
+	// items out to: 0 means GOMAXPROCS, 1 runs one worker. The mined
+	// MFIs are bit-identical for every worker count.
 	Workers int
 }
 

@@ -155,7 +155,10 @@ func (m *Miner) mineTops(parent *trace.Span, a *rankArena, minsup int) []*mfiSto
 	// its share, preserving most of the store's pruning power.
 	workers := max(min(m.workers(), len(order)), 1)
 	stores := make([]*mfiStore, workers)
+	var wg sync.WaitGroup
 	mine := func(w int) {
+		defer wg.Done()
+		wsp := parent.Child("mine_worker", trace.WithKind(trace.KindWorker), trace.WithTrack(w+1))
 		ctx := newMineCtx(order, minsup)
 		ctx.store = newMFIStore(len(order))
 		for i := w; i < len(order); i += workers {
@@ -163,20 +166,11 @@ func (m *Miner) mineTops(parent *trace.Span, a *rankArena, minsup int) []*mfiSto
 		}
 		ctx.store.visited, ctx.store.trees = ctx.visited, ctx.trees
 		stores[w] = ctx.store
+		wsp.Attr("sets", int64(len(ctx.store.sets))).End()
 	}
-	if workers == 1 {
-		mine(0)
-		return stores
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wsp := parent.Child("mine_worker", trace.WithKind(trace.KindWorker), trace.WithTrack(w+1))
-			mine(w)
-			wsp.Attr("sets", int64(len(stores[w].sets))).End()
-		}(w)
+	wg.Add(workers)
+	for w := range workers {
+		go mine(w)
 	}
 	wg.Wait()
 	return stores

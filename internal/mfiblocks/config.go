@@ -52,8 +52,8 @@ type Config struct {
 	MinScore float64
 	// Workers bounds the goroutines used across the blocking stage: the
 	// MFI miner's top-level fan-out and block construction/scoring alike.
-	// 0 means GOMAXPROCS, 1 runs the exact serial paths. Mined MFIs,
-	// blocks, and Result.Pairs are bit-identical for every worker count.
+	// 0 means GOMAXPROCS, 1 runs one worker. Mined MFIs, blocks, and
+	// Result.Pairs are bit-identical for every worker count.
 	Workers int
 	// Shards does nothing: block materialization has one path, the
 	// Workers pool. The field remains only because

@@ -2,6 +2,7 @@ package record
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -38,21 +39,37 @@ func WriteJSONL(w io.Writer, records []*Record) error {
 	return bw.Flush()
 }
 
-// ReadJSONL reads records written by WriteJSONL.
-func ReadJSONL(r io.Reader) ([]*Record, error) {
+// maxJSONLLine is the longest JSONL line the reader accepts.
+const maxJSONLLine = 16 * 1024 * 1024
+
+// JSONLReader streams records written by WriteJSONL, one per NextRecord
+// call. Blank lines are skipped; every error names the line it stopped
+// on.
+type JSONLReader struct {
+	sc   *bufio.Scanner
+	line int
+}
+
+// NewJSONLReader reads JSON Lines records from r.
+func NewJSONLReader(r io.Reader) *JSONLReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var records []*Record
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+	sc.Buffer(make([]byte, 0, 64*1024), maxJSONLLine)
+	return &JSONLReader{sc: sc}
+}
+
+// NextRecord parses the next non-blank line — the shape
+// core.RecordSource expects. It returns io.EOF at the end of the input;
+// a caller stops at the first error.
+func (j *JSONLReader) NextRecord() (*Record, error) {
+	for j.sc.Scan() {
+		j.line++
+		text := bytes.TrimSpace(j.sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
 		var jr jsonRecord
-		if err := json.Unmarshal([]byte(text), &jr); err != nil {
-			return nil, fmt.Errorf("record: line %d: %w", line, err)
+		if err := json.Unmarshal(text, &jr); err != nil {
+			return nil, fmt.Errorf("record: line %d: %w", j.line, err)
 		}
 		rec := &Record{BookID: jr.BookID, Source: jr.Source}
 		if jr.Kind == List.String() {
@@ -61,16 +78,39 @@ func ReadJSONL(r io.Reader) ([]*Record, error) {
 		for _, key := range jr.Items {
 			it, err := ParseItemKey(key)
 			if err != nil {
-				return nil, fmt.Errorf("record: line %d: %w", line, err)
+				return nil, fmt.Errorf("record: line %d: %w", j.line, err)
 			}
 			rec.Items = append(rec.Items, it)
 		}
-		records = append(records, rec)
+		return rec, nil
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if err := j.sc.Err(); err != nil {
+		// The scanner stopped inside the line after the last one it
+		// returned: an over-long line or a read error.
+		return nil, fmt.Errorf("record: line %d: %w", j.line+1, err)
 	}
-	return records, nil
+	return nil, io.EOF
+}
+
+// ReadJSONL reads every record written by WriteJSONL.
+func ReadJSONL(r io.Reader) ([]*Record, error) {
+	return ReadAll(NewJSONLReader(r))
+}
+
+// ReadAll drains a record stream to its end (io.EOF) and returns its
+// records in order.
+func ReadAll(src interface{ NextRecord() (*Record, error) }) ([]*Record, error) {
+	var records []*Record
+	for {
+		r, err := src.NextRecord()
+		if err == io.EOF {
+			return records, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		records = append(records, r)
+	}
 }
 
 // ParseItemKey parses a canonical "prefix:value" item key.

@@ -1,8 +1,12 @@
 package record
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -237,6 +241,11 @@ func TestMostFrequent(t *testing.T) {
 	}
 }
 
+// TestJSONLRoundTrip reads JSONL inputs through ReadJSONL, the drain of
+// the streaming JSONLReader: what WriteJSONL wrote comes back whole,
+// blank lines are skipped, and a bad line — malformed JSON, an unknown
+// item prefix, a line past the scanner's limit — fails naming its line
+// and wrapping the cause.
 func TestJSONLRoundTrip(t *testing.T) {
 	a := &Record{BookID: 1, Source: "list:x", Kind: List}
 	a.Add(FirstName, "Guido")
@@ -248,15 +257,45 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := WriteJSONL(&buf, []*Record{a, b}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 {
-		t.Fatalf("read %d records", len(back))
-	}
-	if !reflect.DeepEqual(back[0], a) || !reflect.DeepEqual(back[1], b) {
-		t.Errorf("round trip mismatch:\n%v\n%v", back[0], back[1])
+	lines := strings.SplitAfter(buf.String(), "\n")
+	lineA, lineB := lines[0], lines[1]
+	var syntaxErr *json.SyntaxError
+	for _, tc := range []struct {
+		name    string
+		in      string
+		want    []*Record
+		wantErr string // error prefix; "" for success
+		cause   func(error) bool
+	}{
+		{name: "round trip", in: buf.String(), want: []*Record{a, b}},
+		{name: "blank lines", in: "\n  \n" + lineA + "\n\t\n" + lineB + "\n", want: []*Record{a, b}},
+		{name: "empty", in: "", want: nil},
+		{
+			name: "malformed line", in: lineA + "\n{\"book_id\": 3,\n" + lineB,
+			wantErr: "record: line 3: ", cause: func(err error) bool { return errors.As(err, &syntaxErr) },
+		},
+		{name: "unknown item prefix", in: `{"book_id":1,"items":["ZZ:x"]}`, wantErr: "record: line 1: record: unknown item prefix"},
+		{
+			name: "over-long line", in: lineA + strings.Repeat("x", maxJSONLLine+1) + "\n" + lineB,
+			wantErr: "record: line 2: ", cause: func(err error) bool { return errors.Is(err, bufio.ErrTooLong) },
+		},
+	} {
+		back, err := ReadJSONL(strings.NewReader(tc.in))
+		if tc.wantErr != "" {
+			if err == nil || !strings.HasPrefix(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want prefix %q", tc.name, err, tc.wantErr)
+			} else if tc.cause != nil && !tc.cause(err) {
+				t.Errorf("%s: err = %v does not wrap its cause", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if !reflect.DeepEqual(back, tc.want) {
+			t.Errorf("%s: read %v, want %v", tc.name, back, tc.want)
+		}
 	}
 }
 

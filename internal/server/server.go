@@ -49,8 +49,6 @@ type Server struct {
 	res  *core.Resolution
 	coll *record.Collection
 	mux  *http.ServeMux
-	// DefaultCertainty applies when the query omits the parameter.
-	DefaultCertainty float64
 	// MaxResults caps search responses.
 	MaxResults int
 	// MaxInflight caps concurrent requests across all instrumented
@@ -74,11 +72,10 @@ type Server struct {
 // the raw values).
 func New(res *core.Resolution, coll *record.Collection) *Server {
 	s := &Server{
-		res:              res,
-		coll:             coll,
-		mux:              http.NewServeMux(),
-		DefaultCertainty: 0.0,
-		MaxResults:       50,
+		res:        res,
+		coll:       coll,
+		mux:        http.NewServeMux(),
+		MaxResults: 50,
 	}
 	s.route("/api/search", s.handler("/api/search", s.handleSearch))
 	s.route("/api/entity", s.handler("/api/entity", s.handleEntity))
@@ -267,10 +264,11 @@ func toJSON(e *core.Entity, withNarrative bool) entityJSON {
 	return out
 }
 
-func (s *Server) certainty(r *http.Request) (float64, error) {
+// parseCertainty reads the query's certainty parameter; omitted, it is 0.
+func parseCertainty(r *http.Request) (float64, error) {
 	raw := r.URL.Query().Get("certainty")
 	if raw == "" {
-		return s.DefaultCertainty, nil
+		return 0, nil
 	}
 	c, err := strconv.ParseFloat(raw, 64)
 	if err != nil || math.IsNaN(c) || math.IsInf(c, 0) {
@@ -311,7 +309,7 @@ func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	certainty, err := s.certainty(r)
+	certainty, err := parseCertainty(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -347,7 +345,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) bookEntity(w http.ResponseWriter, r *http.Request) (*core.Entity, bool) {
-	certainty, err := s.certainty(r)
+	certainty, err := parseCertainty(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return nil, false
@@ -414,7 +412,7 @@ func (s *Server) handleNarrative(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	certainty, err := s.certainty(r)
+	certainty, err := parseCertainty(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

@@ -23,6 +23,10 @@
 // diagnosed instead of driving an arbitrary allocation. The store keeps
 // no BookID index: record.NewCollection rejects a repeated BookID
 // downstream.
+//
+// Open is how a command opens any records file: a .yvst path through a
+// recovering WindowReader, any other path through record.JSONLReader.
+// Load drains what Open yields into a collection.
 package store
 
 import (
