@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	yvbench [-scale quick|full] [-list] [-workers n] [exp ...]
+//	yvbench [-scale quick|full] [-list] [exp ...]
 //
 // With no experiment ids, every experiment runs in paper order. Use -list
 // to enumerate the available ids. Performance is measured by the repo
@@ -21,13 +21,7 @@ import (
 func main() {
 	scaleFlag := flag.String("scale", "quick", "dataset scale: quick or full")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	workers := flag.Int("workers", 0, "blocking and pair-scoring workers for pipeline experiments (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
-
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "yvbench: -workers must be >= 0, got %d\n", *workers)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -62,7 +56,6 @@ func main() {
 	}
 
 	runner := experiments.NewRunner(scale)
-	runner.ScoringWorkers = *workers
 	for _, e := range selected {
 		t0 := time.Now()
 		if err := e.Run(runner, os.Stdout); err != nil {

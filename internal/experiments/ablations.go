@@ -38,12 +38,12 @@ func (r *Runner) AblationScoring(w io.Writer) error {
 		if row.fsim {
 			bc.Geo = g.Gaz
 		}
-		t0 := time.Now()
+		t0 := r.now()
 		res, err := mfiblocks.Run(bc, pre)
 		if err != nil {
 			return err
 		}
-		el := time.Since(t0)
+		el := r.now().Sub(t0)
 		m := eval.Evaluate(res.Pairs, truth)
 		fmt.Fprintf(w, "%-22s %8.3f %10.3f %8.3f %10s\n", row.name, m.Recall, m.Precision, m.F1, el.Round(time.Millisecond))
 	}
@@ -103,9 +103,9 @@ func (r *Runner) AblationMaximality(w io.Writer) error {
 
 	fmt.Fprintf(w, "%-8s %12s %12s %10s %10s %8s\n", "minsup", "direct", "mine-all", "MFIs", "frequent", "equal")
 	for _, ms := range []int{4, 3, 2} {
-		t0 := time.Now()
+		t0 := r.now()
 		direct := miner.MineMaximal(ms, nil)
-		dDirect := time.Since(t0)
+		dDirect := r.now().Sub(t0)
 		if ms == 2 {
 			// At minsup=2 the all-frequent enumeration is exponential in
 			// the duplicates' shared-itemset sizes — the blowup direct
@@ -114,13 +114,13 @@ func (r *Runner) AblationMaximality(w io.Writer) error {
 				ms, dDirect.Round(time.Millisecond), "(exp.)", len(direct), "-", "-")
 			continue
 		}
-		t1 := time.Now()
+		t1 := r.now()
 		all, err := miner.Mine(ms, nil)
 		if err != nil {
 			return err
 		}
 		filtered := fpgrowth.FilterMaximal(all)
-		dAll := time.Since(t1)
+		dAll := r.now().Sub(t1)
 		fmt.Fprintf(w, "%-8d %12s %12s %10d %10d %8v\n",
 			ms, dDirect.Round(time.Millisecond), dAll.Round(time.Millisecond),
 			len(direct), len(all), sameItemsets(direct, filtered))
@@ -132,13 +132,7 @@ func sameItemsets(a, b []fpgrowth.Itemset) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	key := func(s fpgrowth.Itemset) string {
-		out := ""
-		for _, it := range s.Items {
-			out += fmt.Sprintf("%d,", it)
-		}
-		return fmt.Sprintf("%s=%d", out, s.Support)
-	}
+	key := func(s fpgrowth.Itemset) string { return fmt.Sprint(s.Items, s.Support) }
 	set := make(map[string]bool, len(a))
 	for _, s := range a {
 		set[key(s)] = true
@@ -162,12 +156,12 @@ func (r *Runner) AblationPruning(w io.Writer) error {
 	for _, frac := range []float64{0, 0.0003, 0.003, 0.03} {
 		bc := mfiblocks.NewConfig()
 		bc.PruneFraction = frac
-		t0 := time.Now()
+		t0 := r.now()
 		res, err := mfiblocks.Run(bc, pre)
 		if err != nil {
 			return err
 		}
-		el := time.Since(t0)
+		el := r.now().Sub(t0)
 		m := eval.Evaluate(res.Pairs, truth)
 		fmt.Fprintf(w, "%-10.4f %10s %8.3f %10.3f %8d\n", frac, el.Round(time.Millisecond), m.Recall, m.Precision, len(res.Pairs))
 	}
@@ -183,11 +177,11 @@ func (r *Runner) AblationWorkers(w io.Writer) error {
 	for _, n := range []int{1, 2, 4, 8} {
 		bc := mfiblocks.NewConfig()
 		bc.Workers = n
-		t0 := time.Now()
+		t0 := r.now()
 		if _, err := mfiblocks.Run(bc, pre); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-9d %10s\n", n, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(w, "%-9d %10s\n", n, r.now().Sub(t0).Round(time.Millisecond))
 	}
 	return nil
 }
@@ -215,12 +209,12 @@ func (r *Runner) AblationScoringWorkers(w io.Writer) error {
 			Classify:   true,
 			Workers:    n,
 		}
-		t0 := time.Now()
+		t0 := r.now()
 		res, err := core.Run(opts, g.Collection)
 		if err != nil {
 			return err
 		}
-		el := time.Since(t0)
+		el := r.now().Sub(t0)
 		scored := len(res.Blocking.Pairs)
 		rate := float64(scored) / el.Seconds()
 		fmt.Fprintf(w, "%-9d %10s %10d %10.0f\n", n, el.Round(time.Millisecond), len(res.Matches), rate)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/adtree"
 	"repro/internal/core"
@@ -100,35 +101,25 @@ func (r *Runner) trainOn(ts *dataset.TagSet) (*adtree.Model, error) {
 // Table7 renders the ADTree trained on the full tagged set.
 func (r *Runner) Table7(w io.Writer) error {
 	header(w, "Table 7", "Full dataset ADT model")
-	m, err := r.trainOn(r.Tags())
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, m.String())
-	fmt.Fprintf(w, "(features used: %s)\n", featureNames(m))
-	return nil
+	return r.printModel(w, r.Tags())
 }
 
 // Table8 renders the ADTree trained without the MV submitter's records.
 func (r *Runner) Table8(w io.Writer) error {
 	header(w, "Table 8", "ADT model without MV records")
-	m, err := r.trainOn(withoutMV(r.Tags(), r.Italy()))
+	return r.printModel(w, withoutMV(r.Tags(), r.Italy()))
+}
+
+// printModel trains on ts and renders the tree and the features it uses.
+func (r *Runner) printModel(w io.Writer, ts *dataset.TagSet) error {
+	m, err := r.trainOn(ts)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(w, m.String())
-	fmt.Fprintf(w, "(features used: %s)\n", featureNames(m))
-	return nil
-}
-
-func featureNames(m *adtree.Model) string {
-	defs := features.Defs()
-	out := ""
-	for i, f := range m.UsedFeatures() {
-		if i > 0 {
-			out += ", "
-		}
-		out += defs[f].Name
+	var names []string
+	for _, f := range m.UsedFeatures() {
+		names = append(names, features.Defs()[f].Name)
 	}
-	return out
+	fmt.Fprintf(w, "%s(features used: %s)\n", m, strings.Join(names, ", "))
+	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -50,10 +51,10 @@ type Runner struct {
 	// count — used by tests to shrink the datasets.
 	PersonsOverride int
 
-	// ScoringWorkers sets core.Options.Workers for experiments that run
-	// the full pipeline; 0 keeps the GOMAXPROCS default. Results are
-	// worker-count independent — only runtime changes.
-	ScoringWorkers int
+	// clock reads the time for every timing cell; nil means time.Now.
+	// Tests install a clock that ticks a fixed step per reading, so each
+	// interval, and every rate derived from one, prints the same.
+	clock func() time.Time
 
 	mu        sync.Mutex
 	italy     *dataset.Generated
@@ -220,6 +221,15 @@ func mustGenerate(cfg dataset.Config) *dataset.Generated {
 		panic(fmt.Sprintf("experiments: generate: %v", err))
 	}
 	return g
+}
+
+// now reads the runner's clock. Every timing cell an experiment prints
+// is the difference of two readings.
+func (r *Runner) now() time.Time {
+	if r.clock == nil {
+		return time.Now()
+	}
+	return r.clock()
 }
 
 // header prints an experiment banner.

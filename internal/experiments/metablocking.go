@@ -54,7 +54,7 @@ func (r *Runner) AblationMetaBlocking(w io.Writer) error {
 			mb := blocking.MetaBlocking{Weight: ws, Prune: ps}
 			kept := mb.Refine(blocks, pre.Len())
 			recall, precision := blocking.EvaluatePairs(kept, pre.Len(), truthIdx)
-			fmt.Fprintf(w, "StBl+%s/%-6s %8.3f %10.5f %12d\n", ws, ps, recall, precision, len(kept))
+			fmt.Fprintf(w, "%-14s %8.3f %10.5f %12d\n", fmt.Sprintf("StBl+%s/%s", ws, ps), recall, precision, len(kept))
 		}
 	}
 

@@ -150,7 +150,6 @@ func (r *Runner) Table9(w io.Writer) error {
 				Preprocess: true,
 				Gazetteer:  g.Gaz,
 				SameSrc:    c.sameSrc,
-				Workers:    r.ScoringWorkers,
 			}
 			if c.cls {
 				opts.Model = model

@@ -39,8 +39,7 @@ func All() []Experiment {
 func ByID(id string) *Experiment {
 	for _, e := range All() {
 		if e.ID == id {
-			cp := e
-			return &cp
+			return &e
 		}
 	}
 	return nil
