@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/mfiblocks"
+	"repro/internal/names"
 	"repro/internal/record"
 )
 
@@ -77,6 +79,61 @@ func TestPipelineWithModelImprovesPrecision(t *testing.T) {
 	}
 	if mFull.F1 < mBase.F1 {
 		t.Errorf("F1 degraded with the full pipeline: %.3f -> %.3f", mBase.F1, mFull.F1)
+	}
+}
+
+// TestPreprocessCopyOnWrite: PreprocessWith leaves its input as it was,
+// hands back a record preprocessing leaves unchanged as the same pointer,
+// and a changed one as a fresh record with its own items — each equal to
+// a canonicalized clone of its input.
+func TestPreprocessCopyOnWrite(t *testing.T) {
+	gen := newFixture(t, 150).gen
+	before := make([]*record.Record, gen.Collection.Len())
+	for i, r := range gen.Collection.Records {
+		before[i] = r.Clone()
+	}
+	pre, err := PreprocessWith(gen.Collection, gen.Gaz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gen.Collection.Records, before) {
+		t.Fatal("PreprocessWith modified its input")
+	}
+	shared, fresh := 0, 0
+	for i, in := range gen.Collection.Records {
+		out := pre.Records[i]
+		want := in.Clone()
+		for k := range want.Items {
+			it := &want.Items[k]
+			switch {
+			case it.Type == record.FirstName || it.Type == record.FatherName || it.Type == record.MotherName || it.Type == record.SpouseName:
+				it.Value = names.Canonical(it.Value)
+			case it.Type.IsPlace():
+				if _, part, _ := it.Type.Place(); part == record.City {
+					if p, ok := gen.Gaz.Lookup(it.Value); ok {
+						it.Value = p.City
+					}
+				}
+			}
+		}
+		if !reflect.DeepEqual(out, want) {
+			t.Fatalf("record %d preprocessed to\n%v\nwant\n%v", i, out, want)
+		}
+		switch {
+		case reflect.DeepEqual(want, in):
+			if out != in {
+				t.Fatalf("record %d: unchanged by preprocessing, yet copied", i)
+			}
+			shared++
+		default:
+			if out == in || &out.Items[0] == &in.Items[0] {
+				t.Fatalf("record %d: changed by preprocessing, yet shares the input's items", i)
+			}
+			fresh++
+		}
+	}
+	if shared == 0 || fresh == 0 {
+		t.Fatalf("%d records shared and %d copied: the fixture must have both", shared, fresh)
 	}
 }
 

@@ -18,7 +18,8 @@ func Preprocess(coll *record.Collection) (*record.Collection, error) {
 }
 
 // PreprocessWith is Preprocess with an explicit gazetteer for place
-// canonicalization. A nil gazetteer skips place folding.
+// canonicalization. A nil gazetteer skips place folding. The result
+// shares every record preprocessing leaves unchanged with coll.
 func PreprocessWith(coll *record.Collection, gaz *gazetteer.Gazetteer) (*record.Collection, error) {
 	out := make([]*record.Record, coll.Len())
 	for i, r := range coll.Records {
@@ -29,22 +30,30 @@ func PreprocessWith(coll *record.Collection, gaz *gazetteer.Gazetteer) (*record.
 
 // preprocessRecord canonicalizes one record's values — the per-record
 // kernel PreprocessWith applies collection-wide and the streaming ingest
-// stage applies record by record. The input record is not modified.
+// stage applies record by record. The input record is not modified: it
+// is returned as is when no value changes, and cloned at the first value
+// that does.
 func preprocessRecord(r *record.Record, gaz *gazetteer.Gazetteer) *record.Record {
-	cp := r.Clone()
-	for k := range cp.Items {
-		it := &cp.Items[k]
+	out := r
+	for k, it := range r.Items {
+		v := it.Value
 		switch {
 		case it.Type.IsName() && it.Type != record.LastName &&
 			it.Type != record.MaidenName && it.Type != record.MotherMaiden:
-			it.Value = names.Canonical(it.Value)
+			v = names.Canonical(v)
 		case it.Type.IsPlace():
 			if _, part, _ := it.Type.Place(); part == record.City && gaz != nil {
-				if p, ok := gaz.Lookup(it.Value); ok {
-					it.Value = p.City
+				if p, ok := gaz.Lookup(v); ok {
+					v = p.City
 				}
 			}
 		}
+		if v != it.Value {
+			if out == r {
+				out = r.Clone()
+			}
+			out.Items[k].Value = v
+		}
 	}
-	return cp
+	return out
 }

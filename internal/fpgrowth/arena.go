@@ -156,8 +156,9 @@ type window struct{ lo, hi int32 }
 // occurrence count over the active transactions, sparing the counting
 // pass: the incremental counts mfiblocks.RunCorpus keeps across its
 // minsup iterations. The windows are placed from those counts in the
-// same pass that writes the rows.
-func (m *Miner) rankArena(minsup int, active []int, freq []int) *rankArena {
+// same pass that writes the rows, so counts that disagree with the rows
+// are found there and returned as an error; without freq there is none.
+func (m *Miner) rankArena(minsup int, active []int, freq []int) (*rankArena, error) {
 	counts := freq
 	if counts == nil {
 		counts = make([]int, m.maxItem+1)
@@ -204,6 +205,7 @@ func (m *Miner) rankArena(minsup int, active []int, freq []int) *rankArena {
 		a.start[r+1] = a.start[r] + int32(counts[it])
 	}
 	next := slices.Clone(a.start[:len(order)])
+	bad := -1 // a rank whose windows disagree with its count
 	m.txns.forEachActive(active, func(txn []int32) {
 		lo := len(a.ranks)
 		for _, it := range txn {
@@ -219,17 +221,25 @@ func (m *Miner) rankArena(minsup int, active []int, freq []int) *rankArena {
 		// duplicate-free and sorting it gives the path order.
 		sortInt32(row)
 		for p, r := range row {
+			if next[r] == a.start[r+1] {
+				bad = int(r) // more windows than counted: keep the others in bounds
+				continue
+			}
 			a.wins[next[r]] = window{int32(lo), int32(lo + p)}
 			next[r]++
 		}
 		a.rows = append(a.rows, int32(len(a.ranks)))
 	})
 	for r, n := range next {
-		if n != a.start[r+1] {
-			panic("fpgrowth: freq does not count the active transactions")
+		if bad < 0 && n != a.start[r+1] {
+			bad = r
 		}
 	}
-	return a
+	if bad >= 0 {
+		it := order[bad]
+		return nil, fmt.Errorf("fpgrowth: freq[%d] = %d is not item %d's occurrence count over the active transactions", it, counts[it], it)
+	}
+	return a, nil
 }
 
 // sortInt32 sorts small rank buffers ascending. Insertion sort beats the

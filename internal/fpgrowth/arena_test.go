@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -143,9 +145,12 @@ func TestRankArenaMatchesRootTree(t *testing.T) {
 
 func checkArenaAgainstTree(t *testing.T, label string, m *Miner, active, freq []int, minsup int) {
 	t.Helper()
-	a := m.rankArena(minsup, active, freq)
+	a, err := m.rankArena(minsup, active, freq)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 	if freq != nil {
-		if plain := m.rankArena(minsup, active, nil); !reflect.DeepEqual(a, plain) {
+		if plain, _ := m.rankArena(minsup, active, nil); !reflect.DeepEqual(a, plain) {
 			t.Fatalf("%s: the arena built from freq differs from the one that counts", label)
 		}
 	}
@@ -217,11 +222,58 @@ func checkArenaAgainstTree(t *testing.T, label string, m *Miner, active, freq []
 			t.Fatalf("%s: workers %d: %d stores, the tree fills %d", label, workers, len(got), len(want))
 		}
 		for w := range got {
-			if !reflect.DeepEqual(got[w].sets, want[w].sets) ||
-				got[w].visited != want[w].visited || got[w].trees != want[w].trees {
-				t.Fatalf("%s: workers %d: store %d holds %v (visited %d, trees %d), the tree's %v (visited %d, trees %d)",
-					label, workers, w, got[w].sets, got[w].visited, got[w].trees, want[w].sets, want[w].visited, want[w].trees)
+			gotSets, wantSets := storedSets(got[w]), storedSets(want[w])
+			if !reflect.DeepEqual(gotSets, wantSets) || !slices.Equal(got[w].supports, want[w].supports) ||
+				got[w].visited != want[w].visited || got[w].trees != want[w].trees || got[w].scanned != want[w].scanned {
+				t.Fatalf("%s: workers %d: store %d holds %v (visited %d, trees %d, scanned %d), the tree's %v (visited %d, trees %d, scanned %d)",
+					label, workers, w, gotSets, got[w].visited, got[w].trees, got[w].scanned, wantSets, want[w].visited, want[w].trees, want[w].scanned)
 			}
+		}
+	}
+}
+
+// TestStaleFreqIsAnError: frequencies that do not count the active
+// transactions — one item counted once too often, one once too rarely
+// (which used to write past its windows) — make MineMaximalFreq return an
+// error naming the item, before any mining goroutine starts, instead of
+// panicking.
+func TestStaleFreqIsAnError(t *testing.T) {
+	txns := equivTxns(3, 200, 40, 8)
+	active := make([]int, 0, len(txns))
+	for i := 0; i < len(txns); i += 2 {
+		active = append(active, i)
+	}
+	freq := make([]int, 40)
+	for _, i := range active {
+		for _, it := range txns[i] {
+			freq[it]++
+		}
+	}
+	// The most frequent item is surely ranked at minsup 2.
+	top := 0
+	for it, n := range freq {
+		if n > freq[top] {
+			top = it
+		}
+	}
+	for _, delta := range []int{+1, -1} {
+		stale := slices.Clone(freq)
+		stale[top] += delta
+		m := NewMiner(txns)
+		m.Workers = 4
+		before := runtime.NumGoroutine()
+		got, err := m.MineMaximalFreq(2, active, stale)
+		if err == nil || got != nil {
+			t.Fatalf("freq[%d] off by %+d: MineMaximalFreq returned %d sets and error %v", top, delta, len(got), err)
+		}
+		if want := fmt.Sprintf("freq[%d] = %d", top, stale[top]); !strings.Contains(err.Error(), want) {
+			t.Fatalf("freq[%d] off by %+d: error %q does not say %q", top, delta, err, want)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("freq[%d] off by %+d: %d goroutines before the call, %d after", top, delta, before, after)
+		}
+		if _, err := m.MineMaximalFreq(2, active, freq); err != nil {
+			t.Fatalf("the true counts fail after a stale call: %v", err)
 		}
 	}
 }

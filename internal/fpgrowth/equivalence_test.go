@@ -77,7 +77,11 @@ func TestMineMaximalActiveSubsetEquivalence(t *testing.T) {
 			if got := m.MineMaximal(minsup, active); !reflect.DeepEqual(want, got) {
 				t.Fatalf("minsup=%d workers=%d: active-subset MFIs diverge", minsup, workers)
 			}
-			if got := sortedCopy(m.MineMaximalFreq(minsup, active, freq)); !reflect.DeepEqual(want, got) {
+			got, err := m.MineMaximalFreq(minsup, active, freq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sortedCopy(got); !reflect.DeepEqual(want, got) {
 				t.Fatalf("minsup=%d workers=%d: MineMaximalFreq diverges from recounted MineMaximal", minsup, workers)
 			}
 		}

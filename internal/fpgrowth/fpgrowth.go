@@ -100,7 +100,7 @@ func (m *Miner) Mine(minsup int, active []int) ([]Itemset, error) {
 	if minsup < 1 {
 		minsup = 1
 	}
-	a := m.rankArena(minsup, active, nil)
+	a, _ := m.rankArena(minsup, active, nil) // counted here, the counts cannot disagree
 	var out []Itemset
 	ctx := newMineCtx(a.order, minsup)
 	if err := ctx.mineTree(a.rootTree(), 0, &out); err != nil {
@@ -121,7 +121,7 @@ func (m *Miner) TreeStats(minsup int, active []int) (nodes, items int) {
 	if minsup < 1 {
 		minsup = 1
 	}
-	a := m.rankArena(minsup, active, nil)
+	a, _ := m.rankArena(minsup, active, nil) // counted here, the counts cannot disagree
 	return len(a.rootTree().item) - 1, len(a.order)
 }
 

@@ -24,7 +24,7 @@ import (
 // the survivors sorted canonically (items lexicographic, a prefix before
 // its extensions): bit-identical output for every worker count.
 func (m *Miner) MineMaximal(minsup int, active []int) []Itemset {
-	out := m.mineMaximal(minsup, active, nil)
+	out, _ := m.mineMaximal(minsup, active, nil) // counted here, the counts cannot disagree
 	sortCanonical(out)
 	return out
 }
@@ -37,12 +37,13 @@ func (m *Miner) MineMaximal(minsup int, active []int) []Itemset {
 // maintains the frequencies decrementally as records become covered
 // (sparing the counting pass a plain MineMaximal performs per call) and
 // reorders the MFIs rarest item first anyway, so the sort would be
-// thrown away.
-func (m *Miner) MineMaximalFreq(minsup int, active []int, freq []int) []Itemset {
+// thrown away. Counts that disagree with the active transactions are an
+// error, found before any mining starts.
+func (m *Miner) MineMaximalFreq(minsup int, active []int, freq []int) ([]Itemset, error) {
 	return m.mineMaximal(minsup, active, freq)
 }
 
-func (m *Miner) mineMaximal(minsup int, active []int, freq []int) []Itemset {
+func (m *Miner) mineMaximal(minsup int, active []int, freq []int) ([]Itemset, error) {
 	if minsup < 1 {
 		minsup = 1
 	}
@@ -51,11 +52,15 @@ func (m *Miner) mineMaximal(minsup int, active []int, freq []int) []Itemset {
 	// KindSetup: node and item counts describe the build, not the mined
 	// workload.
 	tsp := m.Trace.Child("tree_build", trace.WithKind(trace.KindSetup))
-	a := m.rankArena(minsup, active, freq)
+	a, err := m.rankArena(minsup, active, freq)
+	if err != nil {
+		tsp.End()
+		return nil, err
+	}
 	tsp.Attr("nodes", int64(len(a.ranks))).Attr("items", int64(len(a.order))).End()
 	msp := m.Trace.Child("mine", trace.WithKind(trace.KindOp)).Attr("minsup", int64(minsup))
 	defer msp.End()
-	return m.finishMaximal(msp, m.mineTops(msp, a, minsup), a.order)
+	return m.finishMaximal(msp, m.mineTops(msp, a, minsup), a.order), nil
 }
 
 // mergeChunk bounds the sets one merge task checks and translates.
@@ -72,21 +77,24 @@ const mergeChunk = 512
 // lone store has nothing to be checked against. Survivors are returned in
 // store order: the same MFIs for every worker count, in an order that
 // depends on it (MineMaximal sorts them canonically; MineMaximalFreq
-// does not).
+// does not). A chunk's survivors share one item-id arena, each Items
+// capped at its own length.
 //
-// The merge span carries the mining call's header-item and
-// conditional-tree totals: 1 − trees ÷ items is the share of header items
-// head-union-tail pruning cut.
+// The merge span carries the mining call's header-item,
+// conditional-tree and focus-scan totals: 1 − trees ÷ items is the share
+// of header items head-union-tail pruning cut, and focus_scanned counts
+// the focus-list entries the head-union-tail tests visited.
 func (m *Miner) finishMaximal(msp *trace.Span, stores []*mfiStore, order []int) []Itemset {
 	type task struct{ store, lo int }
 	var tasks []task
-	var visited, trees int64
+	var visited, trees, scanned int64
 	for si, s := range stores {
-		for lo := 0; lo < len(s.sets); lo += mergeChunk {
+		for lo := 0; lo < s.len(); lo += mergeChunk {
 			tasks = append(tasks, task{si, lo})
 		}
 		visited += s.visited
 		trees += s.trees
+		scanned += s.scanned
 	}
 	// KindSetup: how many stores there are to reconcile, and so how much
 	// each worker's store could prune, is fan-out configuration, not
@@ -94,24 +102,35 @@ func (m *Miner) finishMaximal(msp *trace.Span, stores []*mfiStore, order []int) 
 	gsp := msp.Child("maximal_merge", trace.WithKind(trace.KindSetup)).
 		Attr("stores", int64(len(stores))).
 		Attr("header_items", visited).
-		Attr("cond_trees", trees)
+		Attr("cond_trees", trees).
+		Attr("focus_scanned", scanned)
 	parts := make([][]Itemset, len(tasks))
 	var next atomic.Int64
 	run := func() {
+		var kept []int32
 		for c := int(next.Add(1)) - 1; c < len(tasks); c = int(next.Add(1)) - 1 {
 			own := stores[tasks[c].store]
-			sets := own.sets[tasks[c].lo:min(tasks[c].lo+mergeChunk, len(own.sets))]
-			part := make([]Itemset, 0, len(sets))
-			for _, set := range sets {
-				if slices.ContainsFunc(stores, func(s *mfiStore) bool { return s != own && s.subsumes(set.ranks) }) {
+			lo, hi := tasks[c].lo, min(tasks[c].lo+mergeChunk, own.len())
+			kept = kept[:0]
+			size := 0
+			for i := int32(lo); i < int32(hi); i++ {
+				set := own.set(i)
+				if slices.ContainsFunc(stores, func(s *mfiStore) bool { return s != own && s.subsumes(set) }) {
 					continue
 				}
-				items := make([]int, len(set.ranks))
-				for j, r := range set.ranks {
-					items[j] = order[r]
+				kept = append(kept, i)
+				size += len(set)
+			}
+			arena := make([]int, 0, size)
+			part := make([]Itemset, len(kept))
+			for j, i := range kept {
+				start := len(arena)
+				for _, r := range own.set(i) {
+					arena = append(arena, order[r])
 				}
+				items := arena[start:len(arena):len(arena)]
 				sort.Ints(items)
-				part = append(part, Itemset{Items: items, Support: set.support})
+				part[j] = Itemset{Items: items, Support: own.supports[i]}
 			}
 			parts[c] = part
 		}
@@ -166,7 +185,7 @@ func (m *Miner) mineTops(parent *trace.Span, a *rankArena, minsup int) []*mfiSto
 		}
 		ctx.store.visited, ctx.store.trees = ctx.visited, ctx.trees
 		stores[w] = ctx.store
-		wsp.Attr("sets", int64(len(ctx.store.sets))).End()
+		wsp.Attr("sets", int64(ctx.store.len())).End()
 	}
 	wg.Add(workers)
 	for w := range workers {
@@ -265,13 +284,6 @@ func (ctx *mineCtx) fpmax(t *flatTree, depth, support int) {
 	}
 }
 
-// rankSet is one stored itemset in rank space: structural ranks
-// ascending (or any dense non-negative keys), with its support.
-type rankSet struct {
-	ranks   []int32
-	support int
-}
-
 // mfiStore accumulates maximal itemsets and answers "is this candidate
 // contained in a stored set?" — the one subsumption implementation: focus
 // for the worker that fills the store, the read-only subsumes for the
@@ -279,30 +291,52 @@ type rankSet struct {
 // (least-frequent header items first) plus the focus miss before every add
 // guarantee no stored set is subsumed by another set of the same store.
 //
+// The sets are columns with no pointer in them: set i's ranks, ascending
+// (structural ranks, or any dense non-negative keys), are
+// ranks[offs[i]:offs[i+1]], its support supports[i] and its signature
+// sigs[i].
+//
 // Queries are progressively focused (the LMFI idea of GenMax/FPmax*):
 // the suffix is a stack of rank groups, one per depth — the header rank
 // and its folded closure — and lists[d] holds the stored sets containing
 // every group below depth d, so a query at depth d scans only those and
 // leaves lists[d+1] behind for the recursion it admits. Depth 0 seeds
-// from the posting list of the queried rank.
+// from the posting list of the queried rank. Depth 1, where most queries
+// land, scans only buckets[r]: lists[1] filtered to the sets holding r,
+// in lists[1] order, for every rank r below the depth-0 rank (no depth-1
+// query asks for another). A depth-0 focus rewrites lists[1] and so
+// invalidates the buckets; the next depth-1 focus rebuilds them, and a
+// set stored at depth ≥ 1 joins them while they are valid (commit).
 type mfiStore struct {
-	sets    []rankSet
-	sigs    []uint64  // sigs[i] ORs sigBit over sets[i].ranks: rejects, never accepts
-	posting [][]int32 // rank -> indices of the sets containing it
-	suffix  []int32   // the focused groups, depth 0 first, each ascending
-	ends    []int     // ends[d]: end of depth d's group in suffix
-	lists   [][]int32 // lists[d], d >= 1: indices of the sets containing suffix[:ends[d-1]]
+	ranks    []int32   // the stored sets' ranks, back to back
+	offs     []int     // set i spans ranks[offs[i]:offs[i+1]]; len = sets+1
+	supports []int     // supports[i]: set i's support
+	sigs     []uint64  // sigs[i] ORs sigBit over set i: rejects, never accepts
+	posting  [][]int32 // rank -> indices of the sets containing it
+	suffix   []int32   // the focused groups, depth 0 first, each ascending
+	ends     []int     // ends[d]: end of depth d's group in suffix
+	lists    [][]int32 // lists[d], d >= 1: indices of the sets containing suffix[:ends[d-1]]
 
-	visited, trees int64 // header items mined and conditional trees taken filling it
+	buckets  [][]int32 // rank -> lists[1] split by rank, while bucketed
+	filled   []int32   // the ranks whose bucket is non-empty
+	bucketed bool      // buckets mirror lists[1]
+
+	visited, trees, scanned int64 // header items mined, conditional trees taken and focus-list entries visited filling it
 }
 
 // newMFIStore returns an empty store over ranks [0, nRanks) — the
 // frequent items of one minsup level, not the dictionary.
 func newMFIStore(nRanks int) *mfiStore {
-	return &mfiStore{posting: make([][]int32, nRanks)}
+	return &mfiStore{offs: []int{0}, posting: make([][]int32, nRanks), buckets: make([][]int32, nRanks)}
 }
 
 func sigBit(r int32) uint64 { return 1 << (uint32(r) & 63) }
+
+// len returns the number of stored sets.
+func (s *mfiStore) len() int { return len(s.offs) - 1 }
+
+// set returns stored set i's ranks, a view into the store.
+func (s *mfiStore) set(i int32) []int32 { return s.ranks[s.offs[i]:s.offs[i+1]] }
 
 // groupsEnd returns the end in suffix of the groups below depth.
 func (s *mfiStore) groupsEnd(depth int) int {
@@ -328,9 +362,22 @@ func (s *mfiStore) focus(depth int, r int32, closure, rest []int32) bool {
 	s.suffix = append(append(s.suffix[:start], closure...), r)
 	s.ends[depth] = len(s.suffix)
 	group := s.suffix[start:]
-	list := s.posting[r]
-	if depth > 0 {
+	// The sets of posting[r] and buckets[r] hold r, so at depths 0 and 1
+	// only the closure is left to look up.
+	var list []int32
+	check := group[:len(group)-1]
+	switch depth {
+	case 0:
+		list = s.posting[r]
+		s.bucketed = false // lists[1] is rewritten below
+	case 1:
+		if !s.bucketed {
+			s.fillBuckets()
+		}
+		list = s.buckets[r]
+	default:
 		list = s.lists[depth]
+		check = group
 	}
 	var gsig uint64
 	for _, x := range group {
@@ -342,13 +389,15 @@ func (s *mfiStore) focus(depth int, r int32, closure, rest []int32) bool {
 	}
 	sub := s.lists[depth+1][:0]
 	hit := false
+	n := 0
 	for _, i := range list {
+		n++
 		sig := s.sigs[i]
 		if sig&gsig != gsig {
 			continue
 		}
-		set := s.sets[i].ranks
-		if !holdsGroup(set, group) {
+		set := s.set(i)
+		if !holdsGroup(set, check) {
 			continue
 		}
 		sub = append(sub, i)
@@ -357,8 +406,39 @@ func (s *mfiStore) focus(depth int, r int32, closure, rest []int32) bool {
 			break
 		}
 	}
+	s.scanned += int64(n)
 	s.lists[depth+1] = sub
 	return hit
+}
+
+// fillBuckets splits lists[1] into the buckets of the ranks below the
+// depth-0 rank, emptying the buckets of the previous depth-0 focus first.
+func (s *mfiStore) fillBuckets() {
+	for _, x := range s.filled {
+		s.buckets[x] = s.buckets[x][:0]
+	}
+	s.filled = s.filled[:0]
+	s.bucketed = true
+	for _, i := range s.lists[1] {
+		s.bucket(i)
+	}
+}
+
+// bucket appends set i to the bucket of each of its ranks below the
+// depth-0 rank — the last, highest rank of the depth-0 group, above
+// every rank a depth-1 query focuses. Sets are ascending, so those ranks
+// are a prefix.
+func (s *mfiStore) bucket(i int32) {
+	top := s.suffix[s.ends[0]-1]
+	for _, x := range s.set(i) {
+		if x >= top {
+			return
+		}
+		if len(s.buckets[x]) == 0 {
+			s.filled = append(s.filled, x)
+		}
+		s.buckets[x] = append(s.buckets[x], i)
+	}
 }
 
 // holdsGroup reports whether sorted set holds every rank of group, by
@@ -374,31 +454,42 @@ func holdsGroup(set, group []int32) bool {
 }
 
 // add stores low ∪ the suffix groups below depth, where low is disjoint
-// from them. Closure ranks interleave with low, so the set is sorted. The
-// caller has established that no stored set contains it.
+// from them. Closure ranks interleave with low, so the set is sorted in
+// place at the end of the rank column. The caller has established that no
+// stored set contains it.
 func (s *mfiStore) add(depth int, low []int32, support int) {
-	n := s.groupsEnd(depth)
-	set := make([]int32, 0, len(low)+n)
-	set = append(append(set, low...), s.suffix[:n]...)
-	slices.Sort(set)
-	s.put(set, support, depth)
+	start := len(s.ranks)
+	s.ranks = append(append(s.ranks, low...), s.suffix[:s.groupsEnd(depth)]...)
+	slices.Sort(s.ranks[start:])
+	s.commit(support, depth)
 }
 
-// put stores set (ascending, retained) and appends it to the posting list
-// of each of its ranks and to the focus list of every level up to depth —
-// it contains each of those suffix prefixes, and an ancestor level's next
-// query must see it.
+// put stores a copy of set (ascending).
 func (s *mfiStore) put(set []int32, support, depth int) {
-	i := int32(len(s.sets))
+	s.ranks = append(s.ranks, set...)
+	s.commit(support, depth)
+}
+
+// commit closes the set whose ranks were appended since the last one and
+// appends it to the posting list of each of its ranks and to the focus
+// list of every level up to depth — it contains each of those suffix
+// prefixes, and an ancestor level's next query must see it — and, when
+// it joins lists[1] while the buckets mirror it, to its buckets.
+func (s *mfiStore) commit(support, depth int) {
+	i := int32(s.len())
+	s.offs = append(s.offs, len(s.ranks))
 	var sig uint64
-	for _, r := range set {
+	for _, r := range s.set(i) {
 		sig |= sigBit(r)
 		s.posting[r] = append(s.posting[r], i)
 	}
-	s.sets = append(s.sets, rankSet{ranks: set, support: support})
+	s.supports = append(s.supports, support)
 	s.sigs = append(s.sigs, sig)
 	for d := 1; d <= depth; d++ {
 		s.lists[d] = append(s.lists[d], i)
+	}
+	if depth >= 1 && s.bucketed {
+		s.bucket(i)
 	}
 }
 
@@ -408,7 +499,7 @@ func (s *mfiStore) put(set []int32, support, depth int) {
 // the merge may query a finished store from many goroutines at once.
 func (s *mfiStore) subsumes(cand []int32) bool {
 	if len(cand) == 0 {
-		return len(s.sets) > 0
+		return s.len() > 0
 	}
 	best := cand[0]
 	var want uint64
@@ -419,7 +510,7 @@ func (s *mfiStore) subsumes(cand []int32) bool {
 		}
 	}
 	for _, i := range s.posting[best] {
-		if s.sigs[i]&want == want && isSubset(cand, s.sets[i].ranks) {
+		if s.sigs[i]&want == want && isSubset(cand, s.set(i)) {
 			return true
 		}
 	}
@@ -431,19 +522,19 @@ func (s *mfiStore) subsumes(cand []int32) bool {
 // lie in [0, nRanks). It assumes nothing about where the sets came from:
 // the sweep behind the exported FilterMaximal, and the oracle the tests
 // hold finishMaximal's cross-store merge against.
-func filterMaximal(sets []rankSet, nRanks int) []int {
+func filterMaximal(sets [][]int32, nRanks int) []int {
 	// Longest first: a set can only be subsumed by a longer (or equal,
 	// i.e. duplicate) one.
 	byLen := make([]int, len(sets))
 	for i := range byLen {
 		byLen[i] = i
 	}
-	slices.SortFunc(byLen, func(a, b int) int { return len(sets[b].ranks) - len(sets[a].ranks) })
+	slices.SortFunc(byLen, func(a, b int) int { return len(sets[b]) - len(sets[a]) })
 	store := newMFIStore(nRanks)
 	kept := byLen[:0]
 	for _, i := range byLen {
-		if !store.subsumes(sets[i].ranks) {
-			store.put(sets[i].ranks, sets[i].support, 0)
+		if !store.subsumes(sets[i]) {
+			store.put(sets[i], 0, 0)
 			kept = append(kept, i)
 		}
 	}
@@ -455,7 +546,7 @@ func filterMaximal(sets []rankSet, nRanks int) []int {
 // Input itemsets must have sorted Items; the ids are used as dense keys,
 // so they must be non-negative like every item id of this package.
 func FilterMaximal(sets []Itemset) []Itemset {
-	keyed := make([]rankSet, len(sets))
+	keyed := make([][]int32, len(sets))
 	nKeys := 0
 	for i, s := range sets {
 		keys := make([]int32, len(s.Items))
@@ -463,7 +554,7 @@ func FilterMaximal(sets []Itemset) []Itemset {
 			keys[j] = int32(it)
 			nKeys = max(nKeys, it+1)
 		}
-		keyed[i] = rankSet{ranks: keys, support: s.Support}
+		keyed[i] = keys
 	}
 	var maximal []Itemset
 	for _, i := range filterMaximal(keyed, nKeys) {

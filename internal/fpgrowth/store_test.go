@@ -90,9 +90,12 @@ func cloneLists(lists [][]int32) [][]int32 {
 // suffix; ascend; unfocused query at any depth, which must leave the focus
 // as it found it — and checks every answer, and finally the stored sets,
 // against the naive store. As in the miner, a focused rank lies below the
-// rank of every group above it, and no rank of a group recurs deeper.
-func driveStore(t *testing.T, data []byte) {
+// rank of every group above it, and no rank of a group recurs deeper. It
+// returns how many depth-1 focus queries read a bucket that a store at
+// depth ≥ 1 had appended to since the buckets were last filled.
+func driveStore(t *testing.T, data []byte) (incremental int) {
 	store := newMFIStore(fuzzRanks)
+	appended := false // a stored set joined the filled buckets since the last fill
 	naive := &naiveStore{}
 	var groups [][]int32 // mirrors the store's suffix groups, depth 0 first
 	used := make([]bool, fuzzRanks)
@@ -136,6 +139,12 @@ func driveStore(t *testing.T, data []byte) {
 			rest := slices.DeleteFunc(free(r), func(x int32) bool { return slices.Contains(closure, x) })
 			group := append(slices.Clone(closure), r)
 			cand := full(slices.Concat(group, rest))
+			switch {
+			case depth == 0 || !store.bucketed:
+				appended = false
+			case depth == 1 && appended:
+				incremental++
+			}
 			got, want := store.focus(depth, r, closure, rest), naive.subsumes(cand)
 			if got != want {
 				t.Fatalf("focus(depth %d, suffix %v, r %d, closure %v, rest %v) = %v, naive scan says %v; stored %v",
@@ -151,6 +160,7 @@ func driveStore(t *testing.T, data []byte) {
 					used[x] = true
 				}
 			case 2:
+				appended = appended || store.bucketed
 				store.add(depth+1, rest, int(op))
 				naive.add(cand)
 			}
@@ -159,6 +169,7 @@ func driveStore(t *testing.T, data []byte) {
 			if len(low)+depth == 0 {
 				continue
 			}
+			appended = appended || (depth >= 1 && store.bucketed)
 			store.add(depth, low, int(op))
 			naive.add(full(low))
 		case 5, 6: // ascend
@@ -181,14 +192,24 @@ func driveStore(t *testing.T, data []byte) {
 			}
 		}
 	}
-	if len(store.sets) != len(naive.sets) {
-		t.Fatalf("store holds %d sets, naive store %d", len(store.sets), len(naive.sets))
+	if store.len() != len(naive.sets) {
+		t.Fatalf("store holds %d sets, naive store %d", store.len(), len(naive.sets))
 	}
-	for i, s := range store.sets {
-		if !slices.Equal(s.ranks, naive.sets[i]) {
-			t.Fatalf("stored set %d = %v, want %v", i, s.ranks, naive.sets[i])
+	for i, s := range storedSets(store) {
+		if !slices.Equal(s, naive.sets[i]) {
+			t.Fatalf("stored set %d = %v, want %v", i, s, naive.sets[i])
 		}
 	}
+	return incremental
+}
+
+// storedSets returns a store's sets in store order, as views.
+func storedSets(s *mfiStore) [][]int32 {
+	out := make([][]int32, s.len())
+	for i := range out {
+		out[i] = s.set(int32(i))
+	}
+	return out
 }
 
 // FuzzMFIStore drives byte-coded insert/query sequences through the store
@@ -205,7 +226,47 @@ func FuzzMFIStore(f *testing.F) {
 		rng.Read(seed)
 		f.Add(seed)
 	}
-	f.Fuzz(driveStore)
+	f.Fuzz(func(t *testing.T, data []byte) { driveStore(t, data) })
+}
+
+// TestStoreBucketsFollowPuts drives the store with random operation
+// sequences shaped like the miner's — mostly descents and stores, sparse
+// closures and tails — so that sets stored at depth ≥ 1 land in filled
+// depth-1 buckets and later depth-1 queries must find them there: the
+// incremental half of the bucket invariant, which a fill from lists[1]
+// alone would not exercise.
+func TestStoreBucketsFollowPuts(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	sparse := func() byte {
+		var b byte
+		for bit := 0; bit < 8; bit++ {
+			if rng.Intn(8) == 0 {
+				b |= 1 << bit
+			}
+		}
+		return b
+	}
+	incremental := 0
+	for seq := 0; seq < 300; seq++ {
+		var data []byte
+		for op := 0; op < 60; op++ {
+			switch k := rng.Intn(20); {
+			case k < 9: // focus: descend, store or stay on a miss
+				data = append(data, byte(rng.Intn(4)), byte(rng.Intn(256)), sparse(), sparse(), sparse(), sparse(), sparse(), sparse())
+			case k < 14: // store under the suffix
+				data = append(data, 4, sparse(), sparse(), sparse())
+			case k < 19: // ascend
+				data = append(data, 5)
+			default: // unfocused query
+				data = append(data, 7, sparse(), sparse(), sparse())
+			}
+		}
+		incremental += driveStore(t, data)
+	}
+	if incremental == 0 {
+		t.Fatal("no depth-1 query read a bucket a store had appended to: the incremental path never ran")
+	}
+	t.Logf("%d depth-1 queries read incrementally extended buckets", incremental)
 }
 
 // TestSignatureCollisionsStayExact: ranks 1, 65 and 129 share signature

@@ -65,8 +65,8 @@ func TestShardMergeRestoresGlobalMaximality(t *testing.T) {
 	stores, _ := minedStores(m, 2)
 	held := false
 	for _, s := range stores {
-		for _, set := range s.sets {
-			held = held || reflect.DeepEqual(set.ranks, []int32{0, 1})
+		for _, set := range storedSets(s) {
+			held = held || reflect.DeepEqual(set, []int32{0, 1})
 		}
 	}
 	if !held {
@@ -123,7 +123,11 @@ func TestShardActiveSubsetEquivalence(t *testing.T) {
 			}
 			m := NewMiner(txns)
 			m.Workers = workers
-			if got := sortedCopy(m.MineMaximalFreq(minsup, active, freq)); !reflect.DeepEqual(want, got) {
+			got, err := m.MineMaximalFreq(minsup, active, freq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sortedCopy(got); !reflect.DeepEqual(want, got) {
 				t.Fatalf("minsup=%d workers=%d: MineMaximalFreq diverges", minsup, workers)
 			}
 		}

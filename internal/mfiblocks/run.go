@@ -165,7 +165,12 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 		}
 
 		miner.Trace = iterSpan
-		mfis := miner.MineMaximalFreq(minsup, active, freq)
+		mfis, err := miner.MineMaximalFreq(minsup, active, freq)
+		if err != nil {
+			iterSpan.End()
+			acc.Close()
+			return nil, fmt.Errorf("mfiblocks: minsup %d: %w", minsup, err)
+		}
 		blocks, csPruned := buildBlocks(&cfg, sc, index, mfis, minsup, iterSpan)
 
 		// Enforce the sparse-neighborhood condition (Config.NG) on this
@@ -176,6 +181,12 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 
 		prevCovered := coveredCount
 		stats := IterationStats{MinSup: minsup, Active: len(active), MFIs: len(mfis), Blocks: len(kept), MinTh: iterTh, CSPruned: csPruned, NGPruned: ngPruned}
+		for _, b := range kept {
+			// A kept block outlives the level's MFIs, whose item ids share
+			// one arena per merge chunk: its own copy of the key lets the
+			// arena go with them.
+			b.Key = slices.Clone(b.Key)
+		}
 		res.Blocks = append(res.Blocks, kept...)
 		emitSpan := iterSpan.Child("emit_pairs", trace.WithKind(trace.KindOp))
 		acc.Trace = emitSpan // a window flush lands under the emission that filled it

@@ -8,7 +8,9 @@ import (
 )
 
 // FuzzCanonical guards the name-normalization kernel the preprocessing
-// stage and the profile cache depend on: canonicalization must be
+// stage and the profile cache depend on: canonicalization must be the
+// class lookup of the strings.ToLower form — whichever of its two
+// lowercasing paths, stack buffer or strings.ToLower, a name takes — be
 // idempotent, stay inside the name's equivalence class, and be
 // case-insensitive.
 func FuzzCanonical(f *testing.F) {
@@ -19,8 +21,21 @@ func FuzzCanonical(f *testing.F) {
 		f.Add(Corrupt(rng, n)) // corrupted generator output
 		f.Add(Corrupt(rng, Corrupt(rng, n)))
 	}
+	// Non-ASCII names, whose case mapping is Unicode's, and names over
+	// the 64-byte buffer, ASCII or not.
+	for _, n := range []string{"ÍSAK", "ſara", "MARÍA", "Ábrahám", "Jürgen", "\xffGuido", "YITZHAKÉ",
+		strings.Repeat("A", 64), strings.Repeat("A", 65), "AVRAHAM" + strings.Repeat(" ", 58), strings.Repeat("Ö", 40)} {
+		f.Add(n)
+	}
 	f.Fuzz(func(t *testing.T, name string) {
 		c := Canonical(name)
+		want := name
+		if w, ok := canonicalOf[strings.ToLower(name)]; ok {
+			want = w
+		}
+		if c != want {
+			t.Fatalf("Canonical(%q) = %q, the lookup of strings.ToLower gives %q", name, c, want)
+		}
 		if again := Canonical(c); again != c {
 			t.Fatalf("Canonical not idempotent: %q -> %q -> %q", name, c, again)
 		}

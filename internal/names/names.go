@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Gender codes follow the paper's item encoding ("G 0" / "G 1").
@@ -158,6 +159,30 @@ var canonicalOf = func() map[string]string {
 // Project preprocessing that folded synonyms and transliterations into
 // equivalence classes.
 func Canonical(name string) string {
+	// An ASCII name that fits is lowercased into a stack buffer, which the
+	// map lookup reads without allocating; others take strings.ToLower,
+	// which lowercases ASCII exactly as this loop does.
+	var buf [64]byte
+	if len(name) <= len(buf) {
+		lower := buf[:len(name)]
+		for i := 0; i < len(name); i++ {
+			c := name[i]
+			if c >= utf8.RuneSelf {
+				lower = nil
+				break
+			}
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			lower[i] = c
+		}
+		if lower != nil {
+			if c, ok := canonicalOf[string(lower)]; ok {
+				return c
+			}
+			return name
+		}
+	}
 	if c, ok := canonicalOf[strings.ToLower(name)]; ok {
 		return c
 	}

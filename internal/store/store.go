@@ -84,6 +84,10 @@ func encodeRecord(r *record.Record) ([]byte, error) {
 	return out, nil
 }
 
+// decodeRecord decodes one frame. The source is a string of its own, so
+// that a skeleton record keeps no more than it; the item values are all
+// slices of one string holding the rest of the frame, and Items is sized
+// to the frame's item count.
 func decodeRecord(frame []byte) (*record.Record, error) {
 	r := &record.Record{}
 	if len(frame) < 13 {
@@ -105,6 +109,13 @@ func decodeRecord(frame []byte) (*record.Record, error) {
 	pos += srcLen
 	itemCount := int(binary.LittleEndian.Uint16(frame[pos : pos+2]))
 	pos += 2
+	// An item takes at least 3 bytes, which bounds what a corrupt count
+	// can make this allocate; a valid frame gets exactly its count.
+	if n := min(itemCount, (len(frame)-pos)/3); n > 0 {
+		r.Items = make([]record.Item, 0, n)
+	}
+	rest := string(frame[pos:])
+	base := pos
 	for k := 0; k < itemCount; k++ {
 		if pos+3 > len(frame) {
 			return nil, fmt.Errorf("store: record %d item %d truncated", r.BookID, k)
@@ -118,7 +129,7 @@ func decodeRecord(frame []byte) (*record.Record, error) {
 		if pos+vLen > len(frame) {
 			return nil, fmt.Errorf("store: record %d item %d value overruns frame", r.BookID, k)
 		}
-		r.Items = append(r.Items, record.Item{Type: record.ItemType(t), Value: string(frame[pos : pos+vLen])})
+		r.Items = append(r.Items, record.Item{Type: record.ItemType(t), Value: rest[pos-base : pos-base+vLen]})
 		pos += vLen
 	}
 	if pos != len(frame) {

@@ -119,3 +119,45 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeSizesItemsOnce: a decoded record's Items is allocated at the
+// frame's item count, and its values share one string per frame, so
+// decoding a record costs a fixed four allocations however many items it
+// holds — the record, its source, its items and their values — while the
+// round trip through WriteAll and the window reader stays exact. A record
+// without items decodes with nil Items, as it was written.
+func TestDecodeSizesItemsOnce(t *testing.T) {
+	records := genRecords(t, 80)
+	bare := &record.Record{BookID: 7, Source: "list:bare", Kind: record.List}
+	mixed := &record.Record{BookID: 8, Source: "submitter:Мария", Kind: record.Testimony}
+	mixed.Add(record.FirstName, "")
+	mixed.Add(record.LastName, "קוגן")
+	mixed.Add(record.FirstName, "Guido")
+	records = append(records, bare, mixed)
+	path := tmpPath(t)
+	if err := WriteAll(path, records); err != nil {
+		t.Fatal(err)
+	}
+	got, terminal := readFile(t, path)
+	if terminal != io.EOF {
+		t.Fatalf("terminal error %v, want io.EOF", terminal)
+	}
+	if !reflect.DeepEqual(got, records) {
+		t.Fatal("round trip through WriteAll and the window reader changed the records")
+	}
+	for i, r := range got {
+		if cap(r.Items) != len(r.Items) {
+			t.Fatalf("record %d: %d items in a slice of capacity %d", i, len(r.Items), cap(r.Items))
+		}
+	}
+	if got[len(got)-2].Items != nil {
+		t.Fatal("a record without items decoded with non-nil Items")
+	}
+	frame, err := encodeRecord(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { decodeRecord(frame) }); allocs > 4 {
+		t.Fatalf("decoding a three-item record allocates %.0f times, want at most 4", allocs)
+	}
+}
