@@ -224,6 +224,23 @@ func FuzzMineMaximal(f *testing.F) {
 		[]int{3, 4, 6}, []int{0, 5, 6}, []int{1, 0, 6}, []int{2, 1, 0, 7}))
 	f.Add(encodeDB(3, 1, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
 		[]int{0, 2, 4, 6, 8, 10}, []int{0, 2, 4, 6, 8, 10, 11}, []int{1, 3, 5, 7, 9, 11}, []int{1, 3, 5, 7, 11}))
+	// A nested chain: below item 5, item 0 folds and the rows of 1 and 2
+	// are nested, so the bitmap node stores the chain without a loop.
+	f.Add(encodeDB(2, 0, []int{0, 1, 2, 5}, []int{0, 1, 2, 5}, []int{0, 1, 5}, []int{0, 1, 5}, []int{0, 5}, []int{0, 5},
+		[]int{1, 2, 3}, []int{1, 2, 3}, []int{1, 2, 4}, []int{2, 4}, []int{1, 3}))
+	// Dense and nowhere nested: every transaction lacks one or two of
+	// the twelve items, each a different one.
+	var dense [][]int
+	for i := 0; i < 16; i++ {
+		var txn []int
+		for it := 0; it < 12; it++ {
+			if it != i%12 && it != (5*i+3)%12 {
+				txn = append(txn, it)
+			}
+		}
+		dense = append(dense, txn)
+	}
+	f.Add(encodeDB(3, 1, dense...))
 	rng := rand.New(rand.NewSource(33))
 	for i := 0; i < 16; i++ {
 		seed := make([]byte, 2+2*rng.Intn(17))

@@ -80,10 +80,11 @@ const mergeChunk = 512
 // does not). A chunk's survivors share one item-id arena, each Items
 // capped at its own length.
 //
-// The merge span carries the mining call's header-item,
-// conditional-tree and focus-scan totals: 1 − trees ÷ items is the share
-// of header items head-union-tail pruning cut, and focus_scanned counts
-// the focus-list entries the head-union-tail tests visited.
+// The merge span carries the mining call's header-item, projection and
+// focus-scan totals — the projections, trees and bitmaps alike, under the
+// attr name cond_trees: 1 − cond_trees ÷ header_items is the share of
+// header items head-union-tail pruning cut, and focus_scanned counts the
+// focus-list entries the head-union-tail tests visited.
 func (m *Miner) finishMaximal(msp *trace.Span, stores []*mfiStore, order []int) []Itemset {
 	type task struct{ store, lo int }
 	var tasks []task
@@ -195,15 +196,26 @@ func (m *Miner) mineTops(parent *trace.Span, a *rankArena, minsup int) []*mfiSto
 	return stores
 }
 
+// missed counts a focus miss at depth, whose closure was folded into the
+// suffix: one conditional projection taken, a tree or bitmaps.
+func (ctx *mineCtx) missed(depth int, closure []int32) {
+	ctx.trees++
+	if len(closure) > 0 {
+		ctx.folds[min(depth, len(ctx.folds)-1)]++
+	}
+}
+
 // mineItem runs header item r of src — the rank arena at depth 0, a
 // conditional tree below — under the suffix the store is focused on:
 // count r's conditional items, split off their closure C (the items whose
 // conditional support equals src.support(r), that of suffix ∪ {r}) and,
 // unless a stored set already contains suffix ∪ {r} ∪ every frequent one
 // of them (head-union-tail pruning; with none this is the maximality test
-// of suffix ∪ {r} itself), build the conditional tree of the rest and
-// mine it under suffix ∪ {r} ∪ C. Most branches are pruned, so the tree
-// is only built once the store has missed.
+// of suffix ∪ {r} itself), project the rest and mine it under
+// suffix ∪ {r} ∪ C. Most branches are pruned, so the projection is only
+// built once the store has missed. Below the rank arena it is vertical
+// bitmaps where they are no larger than r's windows (bitmap.go), and a
+// conditional tree otherwise; both give the same counts.
 //
 // Closure folding is exact. Let S = suffix ∪ {r}. Every transaction
 // containing S contains each x ∈ C, since x's count over S's transactions
@@ -244,8 +256,17 @@ func (ctx *mineCtx) mineItem(src prefixSource, r int32, depth int) {
 		ctx.clearCounts()
 		return
 	}
-	if len(closure) > 0 {
-		ctx.folds[min(depth, len(ctx.folds)-1)]++
+	ctx.missed(depth, closure)
+	if a, ok := src.(*rankArena); ok && !ctx.treeOnly && a.bitsFit(r, len(rest)) {
+		ctx.forms[1]++
+		ctx.clearCounts()
+		ctx.project(a, r, rest)
+		ctx.fpmaxBits(depth+1, support)
+		ctx.bits = ctx.bits[:0]
+		return
+	}
+	if depth == 0 {
+		ctx.forms[0]++
 	}
 	cond := ctx.getTree()
 	ctx.buildConditional(src, r, cond)

@@ -158,8 +158,25 @@ type mineCtx struct {
 	levels  []levelScratch
 	pool    []*flatTree
 
-	visited, trees int64    // header items mined, conditional trees taken (telemetry)
+	// The bitmap form of maximal mining (bitmap.go): the word stack its
+	// rows and masks live on, its levels by depth, and the positions
+	// scratch of a re-projection; the root projection's first word and
+	// width (its transactions), each of its windows' rest rows —
+	// wrows[woffs[k]:woffs[k+1]] for window k — and a count per row for
+	// scanning them.
+	bits         []uint64
+	blv          []bitLevel
+	pos          []int32
+	root, width  int
+	woffs, wrows []int32
+	wcnt         []int32
+
+	visited, trees int64    // header items mined, conditional projections taken (telemetry)
 	folds          [3]int64 // focus misses that folded a closure at depth 0, 1 and ≥ 2 (tests)
+	forms          [2]int64 // depth-0 misses projected as a tree and as bitmaps (tests)
+	chains         int64    // bitmap nodes of two or more ranks stored by the nested-chain test (tests)
+	scans          int64    // bitmap nodes that counted by scanning their windows (tests)
+	treeOnly       bool     // tests: project every depth-0 miss as a tree, the bitmap form's reference
 }
 
 // levelScratch holds the per-recursion-depth buffer that must survive the
@@ -189,7 +206,6 @@ func (ctx *mineCtx) level(d int) *levelScratch {
 // getTree pops a recycled conditional tree (or allocates one) sized to the
 // level's rank universe.
 func (ctx *mineCtx) getTree() *flatTree {
-	ctx.trees++
 	if n := len(ctx.pool); n > 0 {
 		t := ctx.pool[n-1]
 		ctx.pool = ctx.pool[:n-1]

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // Place is one city entry with its full administrative hierarchy and
@@ -63,10 +64,41 @@ func Normalize(name string) string {
 
 // Lookup resolves a city name or variant to its place entry.
 func (g *Gazetteer) Lookup(city string) (Place, bool) {
-	if i, ok := g.byName[Normalize(city)]; ok {
-		return g.places[i], true
+	// An ASCII name that fits is normalized into a stack buffer, which
+	// the map lookup reads without allocating; others take Normalize.
+	var buf [64]byte
+	var i int
+	var ok bool
+	if key, ascii := asciiKey(buf[:0], city); ascii {
+		i, ok = g.byName[string(key)]
+	} else {
+		i, ok = g.byName[Normalize(city)]
 	}
-	return Place{}, false
+	if !ok {
+		return Place{}, false
+	}
+	return g.places[i], true
+}
+
+// asciiKey appends Normalize(name) to buf when name trims to ASCII that
+// fits in buf's capacity, and reports whether it did: strings.ToLower
+// lowercases ASCII exactly as this loop does.
+func asciiKey(buf []byte, name string) ([]byte, bool) {
+	name = strings.TrimSpace(name)
+	if len(name) > cap(buf) {
+		return nil, false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			return nil, false
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf = append(buf, c)
+	}
+	return buf, true
 }
 
 // Len returns the number of catalogue entries.

@@ -2,6 +2,8 @@ package gazetteer
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -168,4 +170,42 @@ func TestTownExpansionGrowsCatalogue(t *testing.T) {
 			continue
 		}
 	}
+}
+
+// TestLookupAllocs: resolving an ASCII place name, known or not, padded
+// or capitalized, allocates nothing — preprocessing looks up every
+// report's places.
+func TestLookupAllocs(t *testing.T) {
+	g := Builtin(0)
+	for _, name := range []string{"Turin", "torino", "  WARSAW ", "Atlantis"} {
+		if allocs := testing.AllocsPerRun(100, func() { g.Lookup(name) }); allocs != 0 {
+			t.Errorf("Lookup(%q) allocates %.1f times", name, allocs)
+		}
+	}
+}
+
+// FuzzLookupKey holds Lookup's stack-buffer key to Normalize: where a
+// name takes it, it is Normalize's key byte for byte, and Lookup resolves
+// every name — ASCII, non-ASCII, padded, over the buffer — to the entry
+// Normalize's key names.
+func FuzzLookupKey(f *testing.F) {
+	g := Builtin(2)
+	for _, p := range g.places[:20] {
+		f.Add(p.City)
+	}
+	for _, n := range []string{"", " ", "TORINO", "  warsaw\t", "Atlantis", "Łódź", "ŁÓDŹ", "Kraków ", " Turin",
+		"İzmir", "\xffTurin", strings.Repeat("a", 64), " " + strings.Repeat("B", 64) + " ", strings.Repeat("b", 65)} {
+		f.Add(n)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		var buf [64]byte
+		if key, ok := asciiKey(buf[:0], name); ok && string(key) != Normalize(name) {
+			t.Fatalf("asciiKey(%q) = %q, Normalize gives %q", name, key, Normalize(name))
+		}
+		i, known := g.byName[Normalize(name)]
+		p, ok := g.Lookup(name)
+		if ok != known || (ok && !reflect.DeepEqual(p, g.places[i])) {
+			t.Fatalf("Lookup(%q) = %v, %v; Normalize's key resolves %v", name, p.City, ok, known)
+		}
+	})
 }

@@ -4,15 +4,20 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unicode"
 	"unicode/utf8"
 )
 
 // FuzzCanonical guards the name-normalization kernel the preprocessing
 // stage and the profile cache depend on: canonicalization must be the
-// class lookup of the strings.ToLower form — whichever of its two
-// lowercasing paths, stack buffer or strings.ToLower, a name takes — be
-// idempotent, stay inside the name's equivalence class, and be
-// case-insensitive.
+// class lookup of the FoldKey form — whichever of its two folding paths,
+// stack buffer or FoldKey, a name takes — be idempotent, stay inside the
+// name's equivalence class, and be case-insensitive: names equal under
+// strings.EqualFold, the folding SameClass compares by, canonicalize to
+// names equal under it. Case mappings outside simple folding are not
+// case differences there: strings.ToLower maps "İ" to "i", which
+// EqualFold keeps apart, so a lowered or uppered name is only compared
+// when EqualFold holds for it.
 func FuzzCanonical(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []string{"Avraham", "Yitzhak", "Bella", "Guido", "Sara", "Maria", "Isak", ""} {
@@ -23,18 +28,18 @@ func FuzzCanonical(f *testing.F) {
 	}
 	// Non-ASCII names, whose case mapping is Unicode's, and names over
 	// the 64-byte buffer, ASCII or not.
-	for _, n := range []string{"ÍSAK", "ſara", "MARÍA", "Ábrahám", "Jürgen", "\xffGuido", "YITZHAKÉ",
+	for _, n := range []string{"ÍSAK", "ſara", "Iſak", "İsak", "MARÍA", "Ábrahám", "Jürgen", "\xffGuido", "YITZHAKÉ",
 		strings.Repeat("A", 64), strings.Repeat("A", 65), "AVRAHAM" + strings.Repeat(" ", 58), strings.Repeat("Ö", 40)} {
 		f.Add(n)
 	}
 	f.Fuzz(func(t *testing.T, name string) {
 		c := Canonical(name)
 		want := name
-		if w, ok := canonicalOf[strings.ToLower(name)]; ok {
+		if w, ok := canonicalOf[FoldKey(name)]; ok {
 			want = w
 		}
 		if c != want {
-			t.Fatalf("Canonical(%q) = %q, the lookup of strings.ToLower gives %q", name, c, want)
+			t.Fatalf("Canonical(%q) = %q, the lookup of FoldKey gives %q", name, c, want)
 		}
 		if again := Canonical(c); again != c {
 			t.Fatalf("Canonical not idempotent: %q -> %q -> %q", name, c, again)
@@ -42,8 +47,15 @@ func FuzzCanonical(f *testing.F) {
 		if !SameClass(name, c) {
 			t.Fatalf("Canonical(%q) = %q left the equivalence class", name, c)
 		}
-		if lower := Canonical(strings.ToLower(name)); !strings.EqualFold(lower, c) {
-			t.Fatalf("case-sensitive canonicalization: %q vs %q", lower, c)
+		// Every rune moved one step along its fold orbit: "s" to "ſ",
+		// "k" to the Kelvin sign, "A" to "a".
+		for _, x := range []string{strings.Map(unicode.SimpleFold, name), strings.ToLower(name), strings.ToUpper(name)} {
+			if !strings.EqualFold(x, name) {
+				continue
+			}
+			if cx := Canonical(x); !strings.EqualFold(cx, c) {
+				t.Fatalf("case-sensitive canonicalization: %q -> %q, %q -> %q", x, cx, name, c)
+			}
 		}
 		vs := Variants(c)
 		if len(vs) == 0 || vs[0] != c {

@@ -139,13 +139,16 @@ func Variants(name string) []string {
 	return []string{name}
 }
 
-// canonicalOf maps every known variant (lowercased) to its class canonical.
+// canonicalOf maps the fold key of every known variant to its class
+// canonical: names are looked up by the folding SameClass compares them
+// by, so Canonical(x) is a class's canonical exactly when SameClass puts x
+// in that class.
 var canonicalOf = func() map[string]string {
 	m := make(map[string]string)
 	for canon, vs := range nicknameClasses {
-		m[strings.ToLower(canon)] = canon
+		m[FoldKey(canon)] = canon
 		for _, v := range vs {
-			key := strings.ToLower(v)
+			key := FoldKey(v)
 			if _, taken := m[key]; !taken {
 				m[key] = canon
 			}
@@ -159,31 +162,32 @@ var canonicalOf = func() map[string]string {
 // Project preprocessing that folded synonyms and transliterations into
 // equivalence classes.
 func Canonical(name string) string {
-	// An ASCII name that fits is lowercased into a stack buffer, which the
-	// map lookup reads without allocating; others take strings.ToLower,
-	// which lowercases ASCII exactly as this loop does.
+	// An ASCII name that fits is folded into a stack buffer, which the map
+	// lookup reads without allocating; others take FoldKey. FoldKey maps
+	// an ASCII letter to its upper case, the least member of its fold
+	// orbit, and leaves other ASCII bytes alone, exactly as this loop does.
 	var buf [64]byte
 	if len(name) <= len(buf) {
-		lower := buf[:len(name)]
+		key := buf[:len(name)]
 		for i := 0; i < len(name); i++ {
 			c := name[i]
 			if c >= utf8.RuneSelf {
-				lower = nil
+				key = nil
 				break
 			}
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
 			}
-			lower[i] = c
+			key[i] = c
 		}
-		if lower != nil {
-			if c, ok := canonicalOf[string(lower)]; ok {
+		if key != nil {
+			if c, ok := canonicalOf[string(key)]; ok {
 				return c
 			}
 			return name
 		}
 	}
-	if c, ok := canonicalOf[strings.ToLower(name)]; ok {
+	if c, ok := canonicalOf[FoldKey(name)]; ok {
 		return c
 	}
 	return name

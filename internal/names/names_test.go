@@ -61,6 +61,13 @@ func TestCanonicalFoldsClass(t *testing.T) {
 	if got := Canonical("Zanzibar"); got != "Zanzibar" {
 		t.Errorf("Canonical of unregistered name = %q", got)
 	}
+	// Canonical folds as SameClass does: the long s is an s there, the
+	// dotted capital I is no I.
+	for _, c := range []struct{ name, want string }{{"Iſak", "Yitzhak"}, {"ISAK", "Yitzhak"}, {"İsak", "İsak"}} {
+		if got := Canonical(c.name); got != c.want || SameClass(c.name, "Isak") != (c.want == "Yitzhak") {
+			t.Errorf("Canonical(%q) = %q, want %q, agreeing with SameClass", c.name, got, c.want)
+		}
+	}
 	// Canonical is idempotent.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

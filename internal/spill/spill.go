@@ -244,8 +244,11 @@ type memEntry struct {
 }
 
 // runSource is one merge input: either a disk run or the live window.
+// buf is a disk run's read buffer: io.ReadFull's reader is an interface,
+// so a buffer local to advance would be moved to the heap on every call.
 type runSource struct {
 	r        *bufio.Reader
+	buf      [entryLen]byte
 	mem      []memEntry
 	cur      record.Pair
 	curScore float64
@@ -255,8 +258,7 @@ type runSource struct {
 // advance loads the source's next entry.
 func (s *runSource) advance() error {
 	if s.r != nil {
-		var buf [entryLen]byte
-		_, err := io.ReadFull(s.r, buf[:])
+		_, err := io.ReadFull(s.r, s.buf[:])
 		if err == io.EOF {
 			s.eof = true
 			return nil
@@ -265,10 +267,10 @@ func (s *runSource) advance() error {
 			return fmt.Errorf("spill: read run: %w", err)
 		}
 		s.cur = record.Pair{
-			A: int64(binary.LittleEndian.Uint64(buf[0:8])),
-			B: int64(binary.LittleEndian.Uint64(buf[8:16])),
+			A: int64(binary.LittleEndian.Uint64(s.buf[0:8])),
+			B: int64(binary.LittleEndian.Uint64(s.buf[8:16])),
 		}
-		s.curScore = math.Float64frombits(binary.LittleEndian.Uint64(buf[16:24]))
+		s.curScore = math.Float64frombits(binary.LittleEndian.Uint64(s.buf[16:24]))
 		return nil
 	}
 	if len(s.mem) == 0 {

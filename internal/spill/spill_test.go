@@ -318,3 +318,36 @@ func TestPairsDefaultCap(t *testing.T) {
 		t.Fatalf("default cap spilled after 1000 pairs: %+v", s.Stats())
 	}
 }
+
+// TestIterAllocs: merging a spilled accumulator allocates nothing per
+// delivered pair — each disk run reads into its own buffer — so the
+// merge's cost does not grow the garbage a stream run leaves behind.
+func TestIterAllocs(t *testing.T) {
+	s := NewPairs(8, t.TempDir())
+	defer s.Close()
+	for _, e := range genEvents(3000) {
+		if _, err := s.Add(e.p, e.s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Stats().Runs < 2 {
+		t.Fatalf("%d runs: the accumulator did not spill", s.Stats().Runs)
+	}
+	it, err := s.Iter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, _, err := it.Next(); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	})
+	if allocs != 0 {
+		t.Fatalf("Iter.Next allocates %.2f times per pair over %d runs", allocs, s.Stats().Runs)
+	}
+	if n != 1001 {
+		t.Fatalf("%d calls to Next", n)
+	}
+}
