@@ -3,7 +3,11 @@ package adtree
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/features"
 )
@@ -32,6 +36,72 @@ func NewTrainConfig() TrainConfig {
 
 // Train boosts an alternating decision tree over the instances.
 func Train(cfg TrainConfig, defs []features.Def, insts []Instance) (*Model, error) {
+	t, err := newTrainer(cfg, defs, insts)
+	if err != nil {
+		return nil, err
+	}
+	return t.train(), nil
+}
+
+// trainer carries boosting state.
+type trainer struct {
+	cfg   TrainConfig
+	defs  []features.Def
+	insts []Instance
+	// workers is how many goroutines a round's split scans run on:
+	// GOMAXPROCS. The model does not depend on it.
+	workers int
+
+	weights   []float64
+	root      *PredictionNode
+	nodes     []*PredictionNode // all prediction nodes (preconditions)
+	reach     [][]int           // per node: instance indices reaching it
+	completed int
+
+	candidates [][]Condition // per feature
+	cols       []column      // per feature with candidates
+	jobs       []scanJob     // this round's (node, feature) scans
+	scratch    []*scanScratch
+}
+
+// column is one feature over every instance, laid out once per Train
+// so that a scan reads flat arrays instead of the instances' vectors.
+type column struct {
+	present []uint64 // bit i: instance i has the feature
+	num     []float64
+	// level is a categorical instance's bucket: the index of its value
+	// among the distinct candidate levels, or the shared last bucket for
+	// a value no candidate tests. condLevel is each candidate's bucket.
+	level     []int32
+	condLevel []int32
+	buckets   int
+}
+
+// scanJob is one (node, feature) split search and, once scanned, its
+// first minimum: cand indexes the feature's candidates, -1 for none.
+type scanJob struct {
+	node, feature int
+	wRest         float64 // mass outside the node
+	z             float64
+	cand          int
+}
+
+// scanScratch is one worker's reused buffers.
+type scanScratch struct {
+	present []int
+	recs    []numRec
+	sums    []wpair
+}
+
+type numRec struct {
+	v     float64
+	w     float64
+	match bool
+}
+
+type wpair struct{ wp, wn float64 }
+
+func newTrainer(cfg TrainConfig, defs []features.Def, insts []Instance) (*trainer, error) {
 	if len(insts) == 0 {
 		return nil, fmt.Errorf("adtree: no training instances")
 	}
@@ -41,30 +111,17 @@ func Train(cfg TrainConfig, defs []features.Def, insts []Instance) (*Model, erro
 	if cfg.MaxThresholds < 1 {
 		cfg.MaxThresholds = 48
 	}
+	return &trainer{cfg: cfg, defs: defs, insts: insts, workers: runtime.GOMAXPROCS(0)}, nil
+}
 
-	t := &trainer{cfg: cfg, defs: defs, insts: insts}
+func (t *trainer) train() *Model {
 	t.init()
-	for round := 1; round <= cfg.Rounds; round++ {
+	for round := 1; round <= t.cfg.Rounds; round++ {
 		if !t.boostOnce(round) {
 			break // no splittable mass left
 		}
 	}
-	return &Model{Root: t.root, Defs: defs, Rounds: t.completed}, nil
-}
-
-// trainer carries boosting state.
-type trainer struct {
-	cfg   TrainConfig
-	defs  []features.Def
-	insts []Instance
-
-	weights   []float64
-	root      *PredictionNode
-	nodes     []*PredictionNode // all prediction nodes (preconditions)
-	reach     [][]int           // per node: instance indices reaching it
-	completed int
-
-	candidates [][]Condition // per feature
+	return &Model{Root: t.root, Defs: t.defs, Rounds: t.completed}
 }
 
 func (t *trainer) init() {
@@ -93,6 +150,7 @@ func (t *trainer) init() {
 	}
 
 	t.buildCandidates()
+	t.buildColumns()
 }
 
 // buildCandidates enumerates the base conditions per feature: equality
@@ -136,24 +194,70 @@ func (t *trainer) buildCandidates() {
 	}
 }
 
+// buildColumns lays out every feature that has candidates as a column.
+// A categorical candidate's bucket is keyed by its Level, so candidates
+// repeating a level share one bucket.
+func (t *trainer) buildColumns() {
+	n := len(t.insts)
+	t.cols = make([]column, len(t.candidates))
+	for f, conds := range t.candidates {
+		if len(conds) == 0 {
+			continue
+		}
+		col := &t.cols[f]
+		col.present = make([]uint64, (n+63)/64)
+		categorical := t.defs[f].Kind == features.Categorical
+		var bucket map[string]int32
+		if categorical {
+			bucket = make(map[string]int32, len(conds))
+			col.condLevel = make([]int32, len(conds))
+			for c, cond := range conds {
+				b, ok := bucket[cond.Level]
+				if !ok {
+					b = int32(len(bucket))
+					bucket[cond.Level] = b
+				}
+				col.condLevel[c] = b
+			}
+			col.buckets = len(bucket) + 1
+			col.level = make([]int32, n)
+		} else {
+			col.num = make([]float64, n)
+		}
+		other := int32(len(bucket))
+		for i, inst := range t.insts {
+			if f >= len(inst.X) || !inst.X[f].Present {
+				continue
+			}
+			col.present[i>>6] |= 1 << (uint(i) & 63)
+			if !categorical {
+				col.num[i] = inst.X[f].Num
+				continue
+			}
+			b, ok := bucket[inst.X[f].Cat]
+			if !ok {
+				b = other
+			}
+			col.level[i] = b
+		}
+	}
+}
+
 // boostOnce adds the rule minimizing the Z criterion. It reports false
 // when no candidate improves on the trivial rule.
+//
+// Every (node, feature) scan is a job that keeps its own first minimum;
+// the jobs run on the worker pool and are then reduced in (node,
+// feature) order with a strict <, which picks the rule one sequential
+// loop over nodes and features would.
 func (t *trainer) boostOnce(round int) bool {
 	totalW := 0.0
 	for _, w := range t.weights {
 		totalW += w
 	}
 
-	type best struct {
-		z    float64
-		node int
-		cond Condition
-		ok   bool
-	}
-	bst := best{z: math.Inf(1)}
-
-	for ni := range t.nodes {
-		reach := t.reach[ni]
+	t.jobs = t.jobs[:0]
+	for ni, reach := range t.reach {
 		if len(reach) == 0 {
 			continue
 		}
@@ -161,52 +265,98 @@ func (t *trainer) boostOnce(round int) bool {
 		for _, i := range reach {
 			wNode += t.weights[i]
 		}
-		wRest := totalW - wNode
-
-		for f := range t.candidates {
-			if len(t.candidates[f]) == 0 {
-				continue
-			}
-			// Split the node's mass by presence of feature f.
-			var wMissing float64
-			var present []int
-			for _, i := range reach {
-				if f < len(t.insts[i].X) && t.insts[i].X[f].Present {
-					present = append(present, i)
-				} else {
-					wMissing += t.weights[i]
-				}
-			}
-			if len(present) == 0 {
-				continue
-			}
-			base := wRest + wMissing
-
-			if t.defs[f].Kind == features.Categorical {
-				t.scanCategorical(&bst.z, &bst.node, &bst.cond, &bst.ok, ni, f, present, base)
-			} else {
-				t.scanNumeric(&bst.z, &bst.node, &bst.cond, &bst.ok, ni, f, present, base)
+		for f, conds := range t.candidates {
+			if len(conds) > 0 {
+				t.jobs = append(t.jobs, scanJob{node: ni, feature: f, wRest: totalW - wNode})
 			}
 		}
 	}
-	if !bst.ok {
+	t.runScans()
+
+	best, bestZ := -1, math.Inf(1)
+	for j := range t.jobs {
+		if job := &t.jobs[j]; job.cand >= 0 && job.z < bestZ {
+			best, bestZ = j, job.z
+		}
+	}
+	if best < 0 {
 		return false
 	}
-	t.addRule(round, bst.node, bst.cond)
+	job := t.jobs[best]
+	t.addRule(round, job.node, t.candidates[job.feature][job.cand])
 	t.completed = round
 	return true
 }
 
-// scanCategorical evaluates every level of feature f at node ni.
-func (t *trainer) scanCategorical(bestZ *float64, bestNode *int, bestCond *Condition, ok *bool, ni, f int, present []int, base float64) {
+// runScans scans every job, on up to t.workers goroutines sharing a job
+// cursor.
+func (t *trainer) runScans() {
+	workers := min(t.workers, len(t.jobs))
+	for len(t.scratch) < max(workers, 1) {
+		t.scratch = append(t.scratch, new(scanScratch))
+	}
+	if workers <= 1 {
+		for j := range t.jobs {
+			t.scan(&t.jobs[j], t.scratch[0])
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(s *scanScratch) {
+			defer wg.Done()
+			for {
+				j := int(next.Add(1) - 1)
+				if j >= len(t.jobs) {
+					return
+				}
+				t.scan(&t.jobs[j], s)
+			}
+		}(t.scratch[w])
+	}
+	wg.Wait()
+}
+
+// scan splits the job's node by presence of its feature, then evaluates
+// every candidate of the feature on the present instances.
+func (t *trainer) scan(job *scanJob, s *scanScratch) {
+	job.z, job.cand = math.Inf(1), -1
+	col := &t.cols[job.feature]
+	var wMissing float64
+	present := s.present[:0]
+	for _, i := range t.reach[job.node] {
+		if col.present[i>>6]&(1<<(uint(i)&63)) != 0 {
+			present = append(present, i)
+		} else {
+			wMissing += t.weights[i]
+		}
+	}
+	s.present = present
+	if len(present) == 0 {
+		return
+	}
+	base := job.wRest + wMissing
+	if t.defs[job.feature].Kind == features.Categorical {
+		t.scanCategorical(job, col, present, base, s)
+	} else {
+		t.scanNumeric(job, col, present, base, s)
+	}
+}
+
+// scanCategorical evaluates every level of the job's feature.
+func (t *trainer) scanCategorical(job *scanJob, col *column, present []int, base float64, s *scanScratch) {
 	// Per-level positive/negative weights.
-	type wpair struct{ wp, wn float64 }
-	perLevel := make(map[string]wpair)
+	if cap(s.sums) < col.buckets {
+		s.sums = make([]wpair, col.buckets)
+	}
+	sums := s.sums[:col.buckets]
+	clear(sums)
 	var wpAll, wnAll float64
 	for _, i := range present {
 		w := t.weights[i]
-		lv := t.insts[i].X[f].Cat
-		e := perLevel[lv]
+		e := &sums[col.level[i]]
 		if t.insts[i].Match {
 			e.wp += w
 			wpAll += w
@@ -214,38 +364,38 @@ func (t *trainer) scanCategorical(bestZ *float64, bestNode *int, bestCond *Condi
 			e.wn += w
 			wnAll += w
 		}
-		perLevel[lv] = e
 	}
-	for _, cond := range t.candidates[f] {
-		e := perLevel[cond.Level]
+	for c, b := range col.condLevel {
+		e := sums[b]
 		z := zValue(e.wp, e.wn, wpAll-e.wp, wnAll-e.wn, base)
-		if z < *bestZ {
-			*bestZ, *bestNode, *bestCond, *ok = z, ni, cond, true
+		if z < job.z {
+			job.z, job.cand = z, c
 		}
 	}
 }
 
 // scanNumeric sweeps the sorted present values once, evaluating every
-// candidate threshold cumulatively.
-func (t *trainer) scanNumeric(bestZ *float64, bestNode *int, bestCond *Condition, ok *bool, ni, f int, present []int, base float64) {
-	type rec struct {
-		v     float64
-		w     float64
-		match bool
-	}
-	recs := make([]rec, len(present))
+// candidate threshold cumulatively. The sort is per (node, feature), not
+// once per feature: the order of equal values fixes the last bits of the
+// partial sums, and with them the argmin between equal partitions.
+// slices.SortFunc is the pdqsort of sort.Slice and orders ties as it
+// does, which TestTrainMatchesReference holds it to.
+func (t *trainer) scanNumeric(job *scanJob, col *column, present []int, base float64, s *scanScratch) {
+	recs := s.recs[:0]
 	var wpAll, wnAll float64
-	for k, i := range present {
-		recs[k] = rec{v: t.insts[i].X[f].Num, w: t.weights[i], match: t.insts[i].Match}
-		if recs[k].match {
-			wpAll += recs[k].w
+	for _, i := range present {
+		r := numRec{v: col.num[i], w: t.weights[i], match: t.insts[i].Match}
+		if r.match {
+			wpAll += r.w
 		} else {
-			wnAll += recs[k].w
+			wnAll += r.w
 		}
+		recs = append(recs, r)
 	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].v < recs[b].v })
+	s.recs = recs
+	slices.SortFunc(recs, byValue)
 
-	conds := t.candidates[f] // sorted by construction (midpoints ascending)
+	conds := t.candidates[job.feature] // sorted by construction (midpoints ascending)
 	ci := 0
 	var wpLT, wnLT float64
 	for k := 0; k < len(recs) && ci < len(conds); k++ {
@@ -253,8 +403,8 @@ func (t *trainer) scanNumeric(bestZ *float64, bestNode *int, bestCond *Condition
 		// records before k are < threshold.
 		for ci < len(conds) && conds[ci].Threshold <= recs[k].v {
 			z := zValue(wpLT, wnLT, wpAll-wpLT, wnAll-wnLT, base)
-			if z < *bestZ {
-				*bestZ, *bestNode, *bestCond, *ok = z, ni, conds[ci], true
+			if z < job.z {
+				job.z, job.cand = z, ci
 			}
 			ci++
 		}
@@ -266,10 +416,22 @@ func (t *trainer) scanNumeric(bestZ *float64, bestNode *int, bestCond *Condition
 	}
 	for ; ci < len(conds); ci++ {
 		z := zValue(wpLT, wnLT, wpAll-wpLT, wnAll-wnLT, base)
-		if z < *bestZ {
-			*bestZ, *bestNode, *bestCond, *ok = z, ni, conds[ci], true
+		if z < job.z {
+			job.z, job.cand = z, ci
 		}
 	}
+}
+
+// byValue orders numeric records by value; cmp < 0 exactly when the
+// less function sort.Slice was given held.
+func byValue(a, b numRec) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case a.v > b.v:
+		return 1
+	}
+	return 0
 }
 
 // zValue is the Freund–Mason Z criterion with the remainder mass `base`

@@ -86,3 +86,47 @@ func BenchmarkRunDefaultWorkers(b *testing.B) {
 		}
 	}
 }
+
+// trainingTags resolves the Italy split generated with the preset seed
+// plus seedOffset, without a model, and tags its candidates as the
+// simulated experts would: the set the repository benchmark trains its
+// model on (seed +1000).
+func trainingTags(tb testing.TB, persons int, seedOffset int64) (*dataset.Generated, *dataset.TagSet) {
+	tb.Helper()
+	cfg := dataset.ItalyConfig()
+	cfg.Seed += seedOffset
+	cfg.Persons = persons
+	g, err := dataset.Generate(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opts := NewOptions(g.Gaz)
+	opts.Gazetteer = g.Gaz
+	opts.Classify = false
+	res, err := Run(opts, g.Collection)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tagger := &dataset.Tagger{Gold: g.Gold, Coll: g.Collection, Rng: rand.New(rand.NewSource(cfg.Seed))}
+	return g, tagger.TagPairs(res.Blocking.Pairs)
+}
+
+// BenchmarkTrainModel trains the deployed model as the repository
+// benchmark's set-up does: TrainModel over the tags of the 1,200-person
+// Italy split (seed +1000, Maybe tags left out). Feature extraction is
+// part of each op, as it is of TrainModel.
+func BenchmarkTrainModel(b *testing.B) {
+	g, tags := trainingTags(b, 1200, 1000)
+	insts, _, err := Instances(tags, g.Collection, g.Gaz, OmitMaybe)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainModel(adtree.NewTrainConfig(), tags, g.Collection, g.Gaz, OmitMaybe); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(insts)), "instances/op")
+}
