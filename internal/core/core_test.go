@@ -86,6 +86,21 @@ func TestPipelineWithModelImprovesPrecision(t *testing.T) {
 // hands back a record preprocessing leaves unchanged as the same pointer,
 // and a changed one as a fresh record with its own items — each equal to
 // a canonicalized clone of its input.
+// TestRankedOrderMatchesScores asserts the ranked list is sorted.
+func TestRankedOrderMatchesScores(t *testing.T) {
+	fx := newFixture(t, 250)
+	opts := Options{Blocking: mfiblocks.NewConfig(), Geo: fx.gen.Gaz, Preprocess: true, Gazetteer: fx.gen.Gaz}
+	res, err := Run(opts, fx.gen.Collection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(res.Matches); i++ {
+		if res.Matches[i].Score > res.Matches[i-1].Score {
+			t.Fatalf("ranking violated at %d: %v after %v", i, res.Matches[i].Score, res.Matches[i-1].Score)
+		}
+	}
+}
+
 func TestPreprocessCopyOnWrite(t *testing.T) {
 	gen := newFixture(t, 150).gen
 	before := make([]*record.Record, gen.Collection.Len())

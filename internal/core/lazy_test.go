@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -165,78 +164,22 @@ func TestLazyScoreMatchesFullVector(t *testing.T) {
 	}
 }
 
-// TestDeferredBlockScore: the scorer asks the candidate source for a block
-// score only once the filters and the model have kept the pair, and what
-// it gets must be the pair's own — over the in-memory slice (a PairScores
-// probe) and the spilled merge (carried by the stream), for every worker
-// count, with the Cls condition on, off, and with no model at all (every
-// candidate kept). The same cells pin FeaturesEvaluated: a total over the
-// candidates the model scored, so equal across sources, worker counts,
-// repeated runs and the Cls setting, and zero without a model.
+// TestDeferredBlockScore is the row for the model without the Cls
+// condition, resident at eight workers and spilled at two: every
+// candidate SameSrc keeps is scored and ranked, and the block score it
+// gets must be its own, from a PairScores probe or carried by the merge;
+// the features evaluated are the spec's, the same as with Cls on.
 func TestDeferredBlockScore(t *testing.T) {
-	base, gen := scoringOptions(t, 300)
-	model := base.Model
-	var withModel int64
-	for _, cfg := range []struct {
-		name     string
-		model    *adtree.Model
-		classify bool
-	}{
-		{"model+Cls", model, true},
-		{"model", model, false},
-		{"no model", nil, false},
-	} {
-		opts := base
-		opts.Model, opts.Classify = cfg.model, cfg.classify
-		opts.Workers = 1
-		ref, err := Run(opts, gen.Collection)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scores := ref.Blocking.PairScores
-		want := ref.Report.Scoring.FeaturesEvaluated
-		switch {
-		case cfg.model == nil && want != 0:
-			t.Errorf("%s: %d features evaluated without a model", cfg.name, want)
-		case cfg.model != nil && withModel == 0:
-			withModel = want
-		case cfg.model != nil && want != withModel:
-			t.Errorf("%s: %d features evaluated, %d with Cls on: classification changed what was scored", cfg.name, want, withModel)
-		}
-		if scored := ref.Report.Blocking.Pairs - ref.Report.Scoring.SameSrcDropped; cfg.model != nil && want < int64(scored) {
-			t.Errorf("%s: %d features evaluated for %d scored candidates", cfg.name, want, scored)
-		}
-		for _, spill := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 8} {
-				tag := fmt.Sprintf("%s spill=%t workers=%d", cfg.name, spill, workers)
-				o := opts
-				o.Workers = workers
-				if spill {
-					o.Blocking.SpillPairs = 64
-					o.Blocking.SpillDir = t.TempDir()
-				}
-				got, err := Run(o, gen.Collection)
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				if spill && got.Report.Blocking.SpillRuns < 2 {
-					t.Fatalf("%s: %d spill runs, the cell does not exercise the merge", tag, got.Report.Blocking.SpillRuns)
-				}
-				assertRunsEqual(t, tag, ref, got)
-				for _, m := range got.Matches {
-					if bs, ok := scores[m.Pair]; !ok || m.BlockScore != bs {
-						t.Fatalf("%s: %v has block score %v, blocking scored it %v (candidate: %t)", tag, m.Pair, m.BlockScore, bs, ok)
-					}
-					if cfg.model == nil && m.Score != m.BlockScore {
-						t.Fatalf("%s: %v ranked by %v, its block score is %v", tag, m.Pair, m.Score, m.BlockScore)
-					}
-				}
-				if n := got.Report.Scoring.FeaturesEvaluated; n != want {
-					t.Errorf("%s: %d features evaluated, the reference run %d", tag, n, want)
-				}
-			}
-		}
+	fx := specItaly(t)
+	opts := fx.opts
+	opts.Classify = false
+	want := specPipeline(t, opts, fx.gen.Collection)
+	if want.features != fx.spec.features {
+		t.Fatalf("the spec evaluates %d features without Cls, %d with it", want.features, fx.spec.features)
 	}
+	checkRow(t, want, opts, fx.gen.Collection, nil, true, 8)
+	opts.Blocking.SpillPairs = 64
+	checkRow(t, want, opts, fx.gen.Collection, nil, true, 2)
 }
 
 // TestScoringAllocs: the demand-driven path allocates nothing per pair —

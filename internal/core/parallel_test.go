@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -10,119 +9,39 @@ import (
 	"repro/internal/mfiblocks"
 )
 
-func assertRunsEqual(t *testing.T, tag string, ref, got *Resolution) {
-	t.Helper()
-	if len(ref.Matches) != len(got.Matches) {
-		t.Fatalf("%s: match counts differ: %d vs %d", tag, len(ref.Matches), len(got.Matches))
-	}
-	for i := range ref.Matches {
-		if ref.Matches[i] != got.Matches[i] {
-			t.Fatalf("%s: match %d differs: %+v vs %+v", tag, i, ref.Matches[i], got.Matches[i])
-		}
-	}
-	rs, gs := ref.Report.Scoring, got.Report.Scoring
-	if rs.SameSrcDropped != gs.SameSrcDropped {
-		t.Fatalf("%s: SameSrcDropped %d vs %d", tag, rs.SameSrcDropped, gs.SameSrcDropped)
-	}
-	if rs.ModelDropped != gs.ModelDropped {
-		t.Fatalf("%s: ModelDropped %d vs %d", tag, rs.ModelDropped, gs.ModelDropped)
-	}
-}
-
-// TestRunWorkerEquivalence is the parallel-vs-inline equivalence suite
-// for the configurations TestScorerSourceEquivalence does not run (that
-// test sweeps workers over the deployed model+Classify+SameSrc setup and
-// both candidate sources): ranked by block score alone, and by the model
-// with no filter, Run must yield identical Matches (pairs, block scores,
-// model scores, and order) and discard counters at every worker count.
-func TestRunWorkerEquivalence(t *testing.T) {
-	for _, persons := range []int{200, 400} {
-		fx := newFixture(t, persons)
-		gen := fx.gen
-		model, err := TrainModel(adtree.NewTrainConfig(), fx.tags, gen.Collection, gen.Gaz, OmitMaybe)
-		if err != nil {
-			t.Fatalf("TrainModel: %v", err)
-		}
-
-		configs := []struct {
-			name string
-			opts Options
-		}{
-			{"blockOnly", Options{Blocking: mfiblocks.NewConfig(), Geo: gen.Gaz, Preprocess: true, Gazetteer: gen.Gaz}},
-			{"model", Options{Blocking: mfiblocks.NewConfig(), Geo: gen.Gaz, Preprocess: true, Gazetteer: gen.Gaz, Model: model}},
-		}
-		for _, cfg := range configs {
-			serial := cfg.opts
-			serial.Workers = 1
-			ref, err := Run(serial, gen.Collection)
-			if err != nil {
-				t.Fatalf("Run(serial %s): %v", cfg.name, err)
-			}
-			for _, workers := range []int{2, 7} {
-				par := cfg.opts
-				par.Workers = workers
-				got, err := Run(par, gen.Collection)
-				if err != nil {
-					t.Fatalf("Run(%s workers=%d): %v", cfg.name, workers, err)
-				}
-				tag := fmt.Sprintf("persons=%d %s workers=%d", persons, cfg.name, workers)
-				assertRunsEqual(t, tag, ref, got)
-			}
-		}
-	}
-}
-
 // TestScorePairSpillMode is the regression test for /api/pair under
 // -spill-pairs: spilling never builds Blocking.PairScores, and a
 // candidate SameSrc or the classifier dropped has no ranked match, yet
-// ScorePair must answer every candidate exactly as the in-memory run
-// does — its block score the best kept block holding both reports.
+// ScorePair must answer every candidate of the spec's blocking exactly as
+// the resident run does — its block score the spec's, the best kept
+// block holding both reports — ranked by block score and by the model.
 func TestScorePairSpillMode(t *testing.T) {
-	fx := newFixture(t, 200)
-	gen := fx.gen
-	model, err := TrainModel(adtree.NewTrainConfig(), fx.tags, gen.Collection, gen.Gaz, OmitMaybe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Options{Blocking: mfiblocks.NewConfig(), Geo: gen.Gaz, Preprocess: true, Gazetteer: gen.Gaz, SameSrc: true}
-	withModel := base
-	withModel.Model, withModel.Classify = model, true
-	for _, cfg := range []struct {
-		name string
-		opts Options
-	}{{"samesrc", base}, {"model", withModel}} {
-		ref, err := Run(cfg.opts, gen.Collection)
+	fx := specItaly(t)
+	for _, opts := range []Options{withoutModel(fx.opts), fx.opts} {
+		ref, err := Run(opts, fx.gen.Collection)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spilled := cfg.opts
-		spilled.Blocking.SpillPairs = 64
-		res, err := Run(spilled, gen.Collection)
+		opts.Blocking.SpillPairs = 64
+		res, err := Run(opts, fx.gen.Collection)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertRunsEqual(t, cfg.name, ref, res)
 		if res.Blocking.PairScores != nil {
 			t.Fatal("spill run unexpectedly materialized PairScores")
 		}
-		if ref.Report.Scoring.SameSrcDropped == 0 || len(ref.Matches) == len(ref.Blocking.Pairs) {
-			t.Fatalf("%s: no candidate was dropped, so every pair has a ranked match", cfg.name)
-		}
-		for _, p := range ref.Blocking.Pairs {
+		for p, score := range fx.spec.blocking.PairScores {
 			want, err := ref.ScorePair(p.A, p.B)
-			if err != nil {
-				t.Fatalf("%s: ScorePair(%v): %v", cfg.name, p, err)
-			}
-			if want.BlockScore != ref.Blocking.PairScores[p] {
-				t.Fatalf("%s: ScorePair(%v) block score %v, blocking scored it %v", cfg.name, p, want.BlockScore, ref.Blocking.PairScores[p])
+			if err != nil || want.BlockScore != score {
+				t.Fatalf("ScorePair(%v) = %+v, %v; blocking scored it %v", p, want, err, score)
 			}
 			if got, err := res.ScorePair(p.A, p.B); err != nil || got != want {
-				t.Fatalf("%s: spilled ScorePair(%v) = %+v, %v; in memory %+v", cfg.name, p, got, err, want)
+				t.Fatalf("spilled ScorePair(%v) = %+v, %v; in memory %+v", p, got, err, want)
 			}
 		}
 		for _, m := range res.Matches {
 			if got, err := res.ScorePair(m.Pair.A, m.Pair.B); err != nil || got != m {
-				t.Fatalf("%s: ScorePair(%v) = %+v, %v; ranked as %+v", cfg.name, m.Pair, got, err, m)
+				t.Fatalf("ScorePair(%v) = %+v, %v; ranked as %+v", m.Pair, got, err, m)
 			}
 		}
 		if m, err := res.ScorePair(res.Matches[0].Pair.A, -1); err == nil {

@@ -2,13 +2,10 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"os"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -21,84 +18,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestScorerSourceEquivalence is the scoring stage's equivalence lock on
-// the configuration deployments run — trained model, Cls condition,
-// SameSrc — across both candidate sources and the worker counts: an
-// in-memory batch Run, a batch Run whose candidates spill, and a
-// RunStream over retained records whose candidates spill must rank
-// bit-identical Matches with equal discard counters and report totals.
-func TestScorerSourceEquivalence(t *testing.T) {
-	base, gen := scoringOptions(t, 300)
-	sources := []struct {
-		name  string
-		spill bool
-		run   func(Options) (*Resolution, error)
-	}{
-		{"batch", false, func(o Options) (*Resolution, error) { return Run(o, gen.Collection) }},
-		{"batch-spill", true, func(o Options) (*Resolution, error) { return Run(o, gen.Collection) }},
-		{"stream-spill", true, func(o Options) (*Resolution, error) {
-			return RunStream(StreamOptions{Options: o, RetainRecords: true}, NewCollectionSource(gen.Collection))
-		}},
-	}
-
-	var ref *Resolution
-	for _, src := range sources {
-		for _, workers := range []int{1, 2, 8} {
-			tag := fmt.Sprintf("%s workers=%d", src.name, workers)
-			opts := base
-			opts.Workers = workers
-			if src.spill {
-				opts.Blocking.SpillPairs = 64
-				opts.Blocking.SpillDir = t.TempDir()
-			}
-			got, err := src.run(opts)
-			if err != nil {
-				t.Fatalf("%s: %v", tag, err)
-			}
-			if ref == nil {
-				ref = got
-				if sc := ref.Report.Scoring; len(ref.Matches) == 0 || sc.SameSrcDropped == 0 || sc.ModelDropped == 0 {
-					t.Fatalf("%s: fixture does not exercise every filter: %d matches, %d same-source, %d by model",
-						tag, len(ref.Matches), sc.SameSrcDropped, sc.ModelDropped)
-				}
-				continue
-			}
-			assertRunsEqual(t, tag, ref, got)
-			want, sc := ref.Report, got.Report
-			if sc.Blocking.Pairs != want.Blocking.Pairs || sc.Scoring.Matches != want.Scoring.Matches {
-				t.Errorf("%s: report says %d candidates, %d matches; reference %d, %d",
-					tag, sc.Blocking.Pairs, sc.Scoring.Matches, want.Blocking.Pairs, want.Scoring.Matches)
-			}
-			// Both sources profile every record for the model.
-			if n := got.Profiles().Len(); n != got.Collection.Len() {
-				t.Errorf("%s: %d profiles built for %d records", tag, n, got.Collection.Len())
-			}
-			if runs := got.Report.Blocking.SpillRuns; src.spill && runs < 2 {
-				t.Errorf("%s: %d spill runs, the cell does not exercise the merge", tag, runs)
-			}
-		}
-	}
-}
-
-// TestNoModelBuildsNoProfiles: profiles exist to feed the model, so a
-// run ranked by block score alone builds none — in particular not from
-// the skeleton records a RetainRecords=false stream keeps.
+// TestNoModelBuildsNoProfiles is the row for a stream over skeleton
+// records that never spills, ranked by block score: profiles exist to
+// feed the model, so checkPipeline requires none here — in particular
+// not from the skeletons.
 func TestNoModelBuildsNoProfiles(t *testing.T) {
-	fx := newFixture(t, 120)
-	opts := Options{Blocking: mfiblocks.NewConfig(), Geo: fx.gen.Gaz, Preprocess: true, Gazetteer: fx.gen.Gaz, SameSrc: true, Workers: 2}
-	batch, err := Run(opts, fx.gen.Collection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := RunStream(StreamOptions{Options: opts}, NewCollectionSource(fx.gen.Collection))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, res := range map[string]*Resolution{"batch": batch, "skeleton stream": stream} {
-		if n := res.Profiles().Len(); n != 0 {
-			t.Errorf("%s: %d profiles built, want none without a model", name, n)
-		}
-	}
+	fx := specItaly(t)
+	opts := withoutModel(fx.opts)
+	checkRow(t, specPipeline(t, opts, fx.gen.Collection), opts, fx.gen.Collection, fromCollection(fx.gen.Collection), false, 2)
 }
 
 // failingSource yields full chunks of one pair and fails from its third
@@ -199,45 +126,6 @@ func scoringFixture(t *testing.T, persons int) (Options, *Resolution) {
 		t.Fatal(err)
 	}
 	return opts, res
-}
-
-// TestScoreCandidatesMatchesRun checks the standalone scoring-stage
-// entry point reproduces Run's ranked matches over the same blocking
-// result.
-func TestScoreCandidatesMatchesRun(t *testing.T) {
-	opts, res := scoringFixture(t, 250)
-	// ScoreCandidates consumes the already-preprocessed collection.
-	got := ScoreCandidates(opts, res.Collection, res.Blocking)
-	if !slices.Equal(got, res.Matches) {
-		t.Fatalf("ScoreCandidates returned %d matches that differ from Run's %d", len(got), len(res.Matches))
-	}
-}
-
-// TestScoreCandidatesOrderAndWorkers is the scorer's metamorphic check:
-// the ranking is a function of the candidate set alone, so neither the
-// order blocking emitted the pairs in nor the number of workers claiming
-// chunks of them may change one element of it. Under -race it also puts
-// the pairSlice cursor and the workers' concurrent PairScores reads in
-// front of the detector.
-func TestScoreCandidatesOrderAndWorkers(t *testing.T) {
-	opts, res := scoringFixture(t, 300)
-	if len(res.Blocking.Pairs) < 2*scoreChunkSize {
-		t.Fatalf("%d candidates do not fill two chunks", len(res.Blocking.Pairs))
-	}
-	shuffled := *res.Blocking
-	shuffled.Pairs = slices.Clone(res.Blocking.Pairs)
-	rand.New(rand.NewSource(5)).Shuffle(len(shuffled.Pairs), func(i, j int) {
-		shuffled.Pairs[i], shuffled.Pairs[j] = shuffled.Pairs[j], shuffled.Pairs[i]
-	})
-	for _, workers := range []int{1, 2, 8} {
-		opts.Workers = workers
-		for name, blk := range map[string]*mfiblocks.Result{"first-seen": res.Blocking, "shuffled": &shuffled} {
-			got := ScoreCandidates(opts, res.Collection, blk)
-			if !slices.Equal(got, res.Matches) {
-				t.Errorf("workers=%d %s: %d matches differ from the reference run's %d", workers, name, len(got), len(res.Matches))
-			}
-		}
-	}
 }
 
 // TestModelProfilesScoreIdentically: the scoring stage profiles records

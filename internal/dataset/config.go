@@ -62,6 +62,9 @@ func (c *Config) Validate() error {
 	}
 	total := 0.0
 	for _, cw := range c.Communities {
+		if cw.Comm < 0 || int(cw.Comm) >= gazetteer.NumCommunities {
+			return fmt.Errorf("dataset: unknown community %d, want 0..%d", cw.Comm, gazetteer.NumCommunities-1)
+		}
 		if cw.Weight <= 0 {
 			return fmt.Errorf("dataset: community %v has non-positive weight", cw.Comm)
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/gazetteer"
 	"repro/internal/record"
 )
 
@@ -190,6 +191,8 @@ func TestConfigValidation(t *testing.T) {
 		{"empty reports dist", func(c *Config) { c.ReportsDist = nil }},
 		{"negative weight", func(c *Config) { c.Communities[0].Weight = -1 }},
 		{"negative dist weight", func(c *Config) { c.ReportsDist[0] = -1 }},
+		{"community 99", func(c *Config) { c.Communities[0].Comm = gazetteer.Community(99) }},
+		{"community -1", func(c *Config) { c.Communities[0].Comm = gazetteer.Community(-1) }},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -32,6 +32,7 @@ type Config struct {
 	// blocks are admitted best score first; an admitted block charges
 	// each member Size()-1 units, including neighbours an earlier block
 	// already counted, and a block any member cannot pay for is pruned.
+	// specRun in spec_test.go is the executable statement of the rule.
 	NG float64
 	// ExpertWeights applies the expert item-type weighting scheme to the
 	// block score instead of uniform weights.
@@ -48,7 +49,8 @@ type Config struct {
 	// MinScore is a fixed score floor: at every minsup level, a block must
 	// score above it to be kept. It is applied where a support is scored,
 	// before the block is copied out, so a block at or below it never
-	// reaches the NG pass (and does not count in any statistic).
+	// reaches the NG pass (and does not count in any statistic). specRun
+	// in spec_test.go states where the floor applies.
 	MinScore float64
 	// Workers bounds the goroutines used across the blocking stage: the
 	// MFI miner's top-level fan-out and block construction/scoring alike.

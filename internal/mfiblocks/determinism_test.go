@@ -1,70 +1,10 @@
 package mfiblocks
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"repro/internal/record"
 )
-
-// tieHeavyCollection builds groups of byte-identical records (distinct
-// BookIDs only), so every block score collides with many others — the
-// worst case for a tiebreak that stops at (score, size).
-func tieHeavyCollection(t *testing.T) *record.Collection {
-	t.Helper()
-	var records []*record.Record
-	id := int64(1)
-	for group := 0; group < 12; group++ {
-		first := fmt.Sprintf("Name%c", 'A'+group)
-		last := fmt.Sprintf("Fam%c", 'A'+group%4)
-		for dup := 0; dup < 5; dup++ {
-			r := &record.Record{BookID: id, Source: "list-1", Kind: record.List}
-			r.Add(record.FirstName, first)
-			r.Add(record.LastName, last)
-			r.Add(record.BirthYear, "1910")
-			records = append(records, r)
-			id++
-		}
-	}
-	coll, err := record.NewCollection(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return coll
-}
-
-// TestRunDeterministicUnderTies is the regression test for the
-// enforceNG tiebreak: two runs over the same tie-heavy collection and
-// config must produce identical Result.Pairs — the contract documented
-// on the field and relied on by chunked downstream scoring.
-func TestRunDeterministicUnderTies(t *testing.T) {
-	coll := tieHeavyCollection(t)
-	cfg := NewConfig()
-	cfg.PruneFraction = 0 // keep every item: maximal block overlap
-
-	first, err := Run(cfg, coll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first.Pairs) == 0 {
-		t.Fatal("tie-heavy collection produced no pairs")
-	}
-	for run := 0; run < 3; run++ {
-		again, err := Run(cfg, coll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(first.Pairs, again.Pairs) {
-			t.Fatalf("run %d: Pairs differ from first run\nfirst: %v\nagain: %v",
-				run, first.Pairs, again.Pairs)
-		}
-		if !reflect.DeepEqual(first.PairScores, again.PairScores) {
-			t.Fatalf("run %d: PairScores differ", run)
-		}
-	}
-}
 
 // TestEnforceNGOrderInvariant feeds the same tied blocks in shuffled
 // orders: the total-order sort must admit an identical sequence every

@@ -2,7 +2,6 @@ package mfiblocks
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/record"
@@ -200,36 +199,16 @@ func TestClusterJaccardAllocs(t *testing.T) {
 	}
 }
 
-// TestWeightedJaccardRunTwiceDeterministic is the regression test for
-// a map-order bug: under ExpertWeights the first scorer summed weights
-// in map-iteration order, so tied block scores could flip enforceNG
-// admission between runs. Two full runs over the tie-heavy fixture must
-// agree bit-for-bit.
+// TestWeightedJaccardRunTwiceDeterministic is the regression row for a
+// map-order bug: under ExpertWeights the first scorer summed weights in
+// map-iteration order, so tied block scores could flip enforceNG
+// admission between runs. Runs over the tie-heavy fixture at one and at
+// eight workers must both equal the spec, bit for bit.
 func TestWeightedJaccardRunTwiceDeterministic(t *testing.T) {
-	coll := tieHeavyCollection(t)
 	cfg := NewConfig()
 	cfg.ExpertWeights = true
 	cfg.PruneFraction = 0
-
-	first, err := Run(cfg, coll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first.Pairs) == 0 {
-		t.Fatal("tie-heavy collection produced no pairs under expert weights")
-	}
-	for run := 0; run < 3; run++ {
-		again, err := Run(cfg, coll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(first.Pairs, again.Pairs) {
-			t.Fatalf("run %d: weighted Pairs differ across runs", run)
-		}
-		if !reflect.DeepEqual(first.PairScores, again.PairScores) {
-			t.Fatalf("run %d: weighted PairScores differ across runs", run)
-		}
-	}
+	checkRun(t, "ties", cfg, 1, 8)
 }
 
 // refSoftJaccard is the quadratic rescan-and-remove greedy matcher the

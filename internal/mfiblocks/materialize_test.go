@@ -117,41 +117,23 @@ func newMaterializeFixture(t testing.TB, seed int64) *materializeFixture {
 	return fx
 }
 
-// naiveBlocks is the reference: every itemset's support by a linear scan
-// of every transaction, its score by the map-based Jaccard, with no score
-// floor.
+// naiveBlocks is the reference: each itemset's block by the spec's
+// linear scan and reference score (specBlock), with no score floor. An
+// itemset whose mined support is already above the cap is pruned without
+// a scan, as the materializer does.
 func naiveBlocks(sc *scorer, fx *materializeFixture, minsup, maxSize int) (blocks []*Block, csPruned int) {
-	txns := fx.corpus.Txns
-	has := make([]map[int]bool, txns.Len())
-	for i := range has {
-		has[i] = map[int]bool{}
-		for _, it := range txns.Txn(i) {
-			has[i][int(it)] = true
-		}
-	}
 	for _, mfi := range fx.mfis {
 		if mfi.Support > maxSize {
 			csPruned++
 			continue
 		}
-		var members []int
-		for i := range has {
-			all := true
-			for _, it := range mfi.Items {
-				all = all && has[i][it]
-			}
-			if all {
-				members = append(members, i)
-			}
-		}
-		if len(members) < 2 {
-			continue
-		}
-		if len(members) > maxSize {
+		b, capped := specBlock(sc, mfi.Items, minsup)
+		if capped {
 			csPruned++
-			continue
 		}
-		blocks = append(blocks, &Block{Key: mfi.Items, Members: members, Score: refClusterJaccard(sc, members), MinSup: minsup})
+		if b != nil {
+			blocks = append(blocks, b)
+		}
 	}
 	return blocks, csPruned
 }

@@ -1,10 +1,8 @@
 package mfiblocks
 
 import (
-	"cmp"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -154,46 +152,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestDeterministicAcrossRuns(t *testing.T) {
-	g := smallItaly(t, 200)
-	r1, err := Run(NewConfig(), g.Collection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(NewConfig(), g.Collection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Pairs) != len(r2.Pairs) {
-		t.Fatalf("pair counts differ: %d vs %d", len(r1.Pairs), len(r2.Pairs))
-	}
-	s1 := eval.NewPairSet(r1.Pairs)
-	for _, p := range r2.Pairs {
-		if !s1.Has(p) {
-			t.Fatalf("pair %v only in second run", p)
-		}
-	}
-	for p, sc := range r1.PairScores {
-		if sc2 := r2.PairScores[p]; sc != sc2 {
-			t.Fatalf("pair %v score %v vs %v", p, sc, sc2)
-		}
-	}
-}
-
-func TestExpertSimRuns(t *testing.T) {
-	g := smallItaly(t, 200)
-	cfg := NewConfig()
-	cfg.ExpertSim = true
-	cfg.Geo = g.Gaz
-	res, err := Run(cfg, g.Collection)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(res.Pairs) == 0 {
-		t.Error("expert-sim run produced no pairs")
-	}
-}
-
 func TestPairScoreIsMaxBlockScore(t *testing.T) {
 	g := smallItaly(t, 200)
 	res, err := Run(NewConfig(), g.Collection)
@@ -254,73 +212,27 @@ func collect(t *testing.T, res *Result) ([]record.Pair, map[record.Pair]float64)
 }
 
 // TestRunSpillMatchesInMemory asserts that spilling is an outcome of the
-// cap, not a mode. A cap the candidates fit under returns the same
-// resident Pairs (first-seen order), PairScores and exact per-iteration
-// NewPairs as the default cap, and never touches disk. A cap small enough
-// to force many disk runs returns only the spilled stream, which holds
-// exactly the pairs and max-combined scores of the resident run. EachPair
-// reads both forms: first-seen order when resident, (A, B) order when
-// spilled.
+// cap, not a mode: a cap the candidates exactly fit under returns the
+// spec's resident Pairs (first-seen order), PairScores and exact
+// per-iteration NewPairs, and never touches disk; EachPair delivers them
+// in first-seen order. TestRunMatchesSpec's spilled row covers a cap the
+// candidates outgrow.
 func TestRunSpillMatchesInMemory(t *testing.T) {
-	g := smallItaly(t, 300)
-	want, err := Run(NewConfig(), g.Collection)
+	coll := specCorpora()["italy"].coll
+	want := specRun(NewConfig(), coll)
+	cfg := NewConfig()
+	cfg.SpillPairs = len(want.Pairs)
+	cfg.SpillDir = t.TempDir()
+	res, err := Run(cfg, coll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Pairs) < 100 {
-		t.Fatalf("baseline too small to exercise spilling: %d pairs", len(want.Pairs))
+	if res.Spill != nil {
+		t.Fatal("a run that fits under its cap spilled")
 	}
-	if want.Spill != nil {
-		t.Fatal("default cap spilled a 300-person fixture")
-	}
-
-	for _, capEntries := range []int{len(want.Pairs), 32} {
-		cfg := NewConfig()
-		cfg.SpillPairs = capEntries
-		cfg.SpillDir = t.TempDir()
-		res, err := Run(cfg, g.Collection)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want.Covered, res.Covered) {
-			t.Fatalf("cap=%d: Covered diverges", capEntries)
-		}
-		if !reflect.DeepEqual(want.Blocks, res.Blocks) {
-			t.Fatalf("cap=%d: Blocks diverge", capEntries)
-		}
-		if capEntries == len(want.Pairs) {
-			if res.Spill != nil {
-				t.Fatalf("cap=%d: a run that fits under its cap spilled", capEntries)
-			}
-			if !reflect.DeepEqual(want.Pairs, res.Pairs) || !reflect.DeepEqual(want.PairScores, res.PairScores) {
-				t.Fatalf("cap=%d: resident candidates diverge from the default cap's", capEntries)
-			}
-			if !reflect.DeepEqual(stripElapsed(want.Iterations), stripElapsed(res.Iterations)) {
-				t.Fatalf("cap=%d: iteration stats diverge", capEntries)
-			}
-			if order, scores := collect(t, res); !reflect.DeepEqual(order, want.Pairs) || !reflect.DeepEqual(scores, want.PairScores) {
-				t.Fatalf("cap=%d: EachPair does not deliver the resident candidates in first-seen order", capEntries)
-			}
-			continue
-		}
-		if res.Pairs != nil || res.PairScores != nil {
-			t.Fatalf("cap=%d: spilled run also returned resident candidates", capEntries)
-		}
-		if res.Spill == nil || res.Spill.Stats().Runs == 0 {
-			t.Fatal("cap=32 never spilled; fixture too small")
-		}
-		order, got := collect(t, res)
-		if len(order) != len(got) || !reflect.DeepEqual(got, want.PairScores) {
-			t.Fatalf("cap=%d: the merge delivers %d pairs (%d distinct), the resident run holds %d, or their scores differ", capEntries, len(order), len(got), len(want.PairScores))
-		}
-		if !slices.IsSortedFunc(order, func(a, b record.Pair) int {
-			if a.A != b.A {
-				return cmp.Compare(a.A, b.A)
-			}
-			return cmp.Compare(a.B, b.B)
-		}) {
-			t.Fatalf("cap=%d: the merge is not in (A, B) order", capEntries)
-		}
+	matchesSpec(t, "exact cap", res, want)
+	if order, scores := collect(t, res); !reflect.DeepEqual(order, want.Pairs) || !reflect.DeepEqual(scores, want.PairScores) {
+		t.Fatal("EachPair does not deliver the resident candidates in first-seen order")
 	}
 }
 
@@ -348,32 +260,20 @@ func TestSpillDirTouchedOnlyPastCap(t *testing.T) {
 	}
 }
 
-// TestRunCorpusWithoutRecords asserts the default scorer never needs raw
-// records — the property the streaming pipeline's skeleton mode relies
-// on — while ExpertSim correctly refuses a record-free corpus.
+// TestRunCorpusWithoutRecords is the record-free corpus row: the default
+// scorer never needs raw records — the property the streaming pipeline's
+// skeleton mode relies on — while ExpertSim refuses such a corpus.
 func TestRunCorpusWithoutRecords(t *testing.T) {
-	g := smallItaly(t, 200)
-	corpus := NewCorpus(g.Collection)
-	want, err := RunCorpus(NewConfig(), corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	coll := specCorpora()["italy"].coll
+	corpus := NewCorpus(coll)
 	bare := &Corpus{Dict: corpus.Dict, Txns: corpus.Txns, BookIDs: corpus.BookIDs}
 	got, err := RunCorpus(NewConfig(), bare)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want.Pairs, got.Pairs) {
-		t.Fatal("record-free corpus changed Pairs")
-	}
-	if !reflect.DeepEqual(want.PairScores, got.PairScores) {
-		t.Fatal("record-free corpus changed PairScores")
-	}
-
+	matchesSpec(t, "record-free", got, specRun(NewConfig(), coll))
 	expert := NewConfig()
-	expert.ExpertSim = true
-	expert.Geo = g.Gaz
+	expert.ExpertSim, expert.Geo = true, constGeo{}
 	if _, err := RunCorpus(expert, bare); err == nil {
 		t.Fatal("ExpertSim accepted a corpus without records")
 	}

@@ -24,14 +24,14 @@ type CoordResolver interface {
 	ResolveCoord(city string) (lat, lon float64, ok bool)
 }
 
-// Date-component normalization factors of the paper's BXDist features and
-// Eq. 1: 31 for days, 12 for months. Years use 50 inside fsim (Eq. 1) and
-// 100 for the BYearDist feature, per the paper's two definitions.
+// Normalization ranges of fsim (Eq. 1): 31 for days, 12 for months, 50
+// for years, 100 km for place distances. The BXDist pair features are
+// the raw component differences, unnormalized, which is how Table 7's
+// thresholds ("B3dist < 1.5") read.
 const (
 	DayRange       = 31
 	MonthRange     = 12
 	FsimYearRange  = 50
-	FeatYearRange  = 100
 	FsimGeoRangeKm = 100
 )
 
