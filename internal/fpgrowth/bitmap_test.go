@@ -90,7 +90,7 @@ func TestProjectionFormsAgree(t *testing.T) {
 			t.Fatalf("%s: (visited, projections, scanned, folds) = %v, the tree form counts %v", name, got, want)
 		}
 		if fx.brute {
-			truth := naiveMaximal(bruteForce(fx.txns, fx.minsup))
+			truth := bruteMaximal(fx.txns, fx.minsup)
 			if sets := sweepStores([]*mfiStore{b}, order); !reflect.DeepEqual(sets, truth) {
 				t.Fatalf("%s: the bitmap form holds %d sets, brute force finds %d MFIs", name, len(sets), len(truth))
 			}

@@ -106,8 +106,8 @@ func TestMineMaximalRunTwiceDeterminism(t *testing.T) {
 }
 
 // TestMineMaximalParallelMatchesBruteForce anchors the parallel miner to
-// ground truth on small instances: FilterMaximal over the brute-force
-// frequent sets equals the parallel MFI output exactly — on thirty small
+// ground truth on small instances: the maximal frequent sets by definition
+// (bruteMaximal) equal the parallel MFI output exactly — on thirty small
 // random databases, then on one dense one across Workers.
 func TestMineMaximalParallelMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -126,10 +126,7 @@ func TestMineMaximalParallelMatchesBruteForce(t *testing.T) {
 			sort.Ints(txns[i])
 		}
 		minsup := 1 + rng.Intn(3)
-		want := FilterMaximal(bruteForce(txns, minsup))
-		for i := range want {
-			sort.Ints(want[i].Items)
-		}
+		want := bruteMaximal(txns, minsup)
 		m := NewMiner(txns)
 		m.Workers = 4
 		got := m.MineMaximal(minsup, nil)
@@ -148,11 +145,11 @@ func TestMineMaximalParallelMatchesBruteForce(t *testing.T) {
 	// items, each transaction a list with up to two items missing, give
 	// MFIs of ten and more items, so fpmax recurses well past depth 3 and
 	// every level's focus list is seeded, extended by deeper stores and
-	// queried again. The ground truth here is the quadratic naiveMaximal,
-	// not the store under test.
+	// queried again. The ground truth is bruteMaximal, not the store
+	// under test.
 	txns := denseTxns(3, 40, 3, 13)
 	for _, minsup := range []int{2, 3} {
-		want := naiveMaximal(bruteForce(txns, minsup))
+		want := bruteMaximal(txns, minsup)
 		longest := 0
 		for _, s := range want {
 			longest = max(longest, len(s.Items))
@@ -207,8 +204,8 @@ func encodeDB(minsup, workers int, txns ...[]int) []byte {
 	return data
 }
 
-// FuzzMineMaximal holds MineMaximal, across worker counts, against
-// FilterMaximal over the brute-force frequent sets on byte-coded
+// FuzzMineMaximal holds MineMaximal, across worker counts, against the
+// maximal frequent sets by definition (bruteMaximal) on byte-coded
 // databases of at most 16 transactions over 12 items. The seeds stress
 // closure folding: duplicated transactions, and items implied by other
 // items, so that whole groups of ranks fold into one suffix entry.
@@ -249,7 +246,7 @@ func FuzzMineMaximal(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		txns, minsup, workers := decodeDB(data)
-		want := FilterMaximal(bruteForce(txns, minsup))
+		want := bruteMaximal(txns, minsup)
 		got := mineWith(t, txns, workers, minsup, nil)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("minsup=%d workers=%d txns=%v:\nwant %v\ngot  %v", minsup, workers, txns, want, got)

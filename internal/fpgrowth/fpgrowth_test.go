@@ -9,47 +9,85 @@ import (
 	"testing/quick"
 )
 
-// bruteForce enumerates all frequent itemsets by counting every subset of
-// the item universe against the transactions (exponential; universes of
-// at most 63 items).
-func bruteForce(txns [][]int, minsup int) []Itemset {
+// supportsByMask counts, for every subset of the item universe, the
+// transactions holding it: sup[mask] is the support of the items at the
+// mask's bits, items ascending (exponential; small universes only).
+func supportsByMask(txns [][]int) (items, sup []int) {
 	universe := map[int]bool{}
 	for _, t := range txns {
 		for _, it := range t {
 			universe[it] = true
 		}
 	}
-	var items []int
 	for it := range universe {
 		items = append(items, it)
 	}
 	sort.Ints(items)
 	// Each transaction as a mask over the universe's positions.
-	masks := make([]uint64, len(txns))
+	masks := make([]int, len(txns))
 	for k, t := range txns {
 		for _, it := range t {
-			masks[k] |= 1 << uint(sort.SearchInts(items, it))
+			masks[k] |= 1 << sort.SearchInts(items, it)
 		}
 	}
-	var out []Itemset
-	total := uint64(1) << uint(len(items))
-	for mask := uint64(1); mask < total; mask++ {
-		sup := 0
+	sup = make([]int, 1<<len(items))
+	for mask := range sup {
 		for _, t := range masks {
 			if t&mask == mask {
-				sup++
+				sup[mask]++
 			}
-		}
-		if sup >= minsup {
-			var set []int
-			for i, it := range items {
-				if mask&(1<<uint(i)) != 0 {
-					set = append(set, it)
-				}
-			}
-			out = append(out, Itemset{Items: set, Support: sup})
 		}
 	}
+	return items, sup
+}
+
+// itemsAt returns the items at a mask's bits, ascending.
+func itemsAt(items []int, mask int) []int {
+	var set []int
+	for i, it := range items {
+		if mask&(1<<i) != 0 {
+			set = append(set, it)
+		}
+	}
+	return set
+}
+
+// bruteForce enumerates all frequent itemsets by counting every subset of
+// the item universe against the transactions.
+func bruteForce(txns [][]int, minsup int) []Itemset {
+	items, sup := supportsByMask(txns)
+	var out []Itemset
+	for mask := 1; mask < len(sup); mask++ {
+		if sup[mask] >= minsup {
+			out = append(out, Itemset{Items: itemsAt(items, mask), Support: sup[mask]})
+		}
+	}
+	return out
+}
+
+// bruteMaximal is the maximal frequent itemsets by definition: a frequent
+// set none of whose one-item extensions is frequent. Support is
+// anti-monotone, so a set with any frequent proper superset has a frequent
+// one-item extension. Sorted canonically, as MineMaximal returns them.
+func bruteMaximal(txns [][]int, minsup int) []Itemset {
+	items, sup := supportsByMask(txns)
+	var out []Itemset
+	for mask := 1; mask < len(sup); mask++ {
+		if sup[mask] < minsup {
+			continue
+		}
+		maximal := true
+		for i := range items {
+			if ext := mask | 1<<i; ext != mask && sup[ext] >= minsup {
+				maximal = false
+				break
+			}
+		}
+		if maximal {
+			out = append(out, Itemset{Items: itemsAt(items, mask), Support: sup[mask]})
+		}
+	}
+	sortCanonical(out)
 	return out
 }
 

@@ -99,7 +99,7 @@ func TestCrossStoreMergeMatchesSweep(t *testing.T) {
 		for _, minsup := range []int{2, 3, 5} {
 			var truth []Itemset
 			if fx.brute {
-				truth = naiveMaximal(bruteForce(fx.txns, minsup))
+				truth = bruteMaximal(fx.txns, minsup)
 			}
 			for _, workers := range []int{1, 2, 8} {
 				name := fmt.Sprintf("%s minsup=%d workers=%d", fx.name, minsup, workers)
@@ -220,7 +220,7 @@ func TestClosureFolds(t *testing.T) {
 	if ctx.folds[0] == 0 || ctx.folds[2] == 0 {
 		t.Fatalf("folds at depth 0, 1, ≥2 = %v: the fixture no longer folds at depth 0 and ≥ 2", ctx.folds)
 	}
-	want := naiveMaximal(bruteForce(txns, 2))
+	want := bruteMaximal(txns, 2)
 	if got := sweepStores([]*mfiStore{ctx.store}, order); !reflect.DeepEqual(got, want) {
 		t.Fatalf("folded store holds\n%v\nbrute force finds\n%v", got, want)
 	}

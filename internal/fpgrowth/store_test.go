@@ -34,28 +34,6 @@ func (n *naiveStore) subsumes(cand []int32) bool {
 	return false
 }
 
-// naiveMaximal is FilterMaximal by definition: quadratic, map-based.
-func naiveMaximal(sets []Itemset) []Itemset {
-	var out []Itemset
-	for i, a := range sets {
-		maximal := true
-		for j, b := range sets {
-			if i == j || len(b.Items) < len(a.Items) {
-				continue
-			}
-			if containsAll(b.Items, a.Items) && (len(b.Items) > len(a.Items) || j < i) {
-				maximal = false
-				break
-			}
-		}
-		if maximal {
-			out = append(out, a)
-		}
-	}
-	sortCanonical(out)
-	return out
-}
-
 // Fuzz universe: 24 ranks in three groups of eight that share their
 // signature bits (r, r+64, r+128), so a signature that passes is wrong
 // about as often as it is right.

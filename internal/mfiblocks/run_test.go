@@ -43,72 +43,6 @@ func TestRunFindsDuplicates(t *testing.T) {
 	}
 }
 
-func TestBlocksRespectInvariants(t *testing.T) {
-	g := smallItaly(t, 300)
-	cfg := NewConfig()
-	res, err := Run(cfg, g.Collection)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for _, b := range res.Blocks {
-		if b.Size() < 2 {
-			t.Errorf("block with %d members", b.Size())
-		}
-		maxSize := int(float64(b.MinSup) * cfg.P)
-		if b.Size() > maxSize {
-			t.Errorf("block size %d exceeds cap %d at minsup %d", b.Size(), maxSize, b.MinSup)
-		}
-		if b.Score < 0 || b.Score > 1 {
-			t.Errorf("block score %v out of [0,1]", b.Score)
-		}
-	}
-	// Every candidate pair must come from at least one block and carry a
-	// positive score.
-	best := bestBlockScores(res, g.Collection)
-	for _, p := range res.Pairs {
-		if _, ok := best[p]; !ok {
-			t.Errorf("pair %v has no source block", p)
-		}
-		if res.PairScores[p] <= 0 {
-			t.Errorf("pair %v has score %v", p, res.PairScores[p])
-		}
-	}
-	// Coverage: every covered record appears in some pair.
-	inPair := make(map[int64]bool)
-	for _, p := range res.Pairs {
-		inPair[p.A] = true
-		inPair[p.B] = true
-	}
-	for i, covered := range res.Covered {
-		id := g.Collection.Records[i].BookID
-		if covered != inPair[id] {
-			t.Errorf("record %d: covered=%v but inPair=%v", id, covered, inPair[id])
-		}
-	}
-}
-
-func TestCoverageMonotonic(t *testing.T) {
-	g := smallItaly(t, 300)
-	res, err := Run(NewConfig(), g.Collection)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	prev := 0
-	for _, it := range res.Iterations {
-		if it.CoveredNow < prev {
-			t.Errorf("coverage decreased: %d -> %d at minsup %d", prev, it.CoveredNow, it.MinSup)
-		}
-		prev = it.CoveredNow
-	}
-	if len(res.Iterations) == 0 {
-		t.Fatal("no iterations recorded")
-	}
-	first := res.Iterations[0]
-	if first.MinSup != NewConfig().MaxMinSup {
-		t.Errorf("first iteration minsup = %d, want %d", first.MinSup, NewConfig().MaxMinSup)
-	}
-}
-
 func TestNGControlsOverlap(t *testing.T) {
 	g := smallItaly(t, 400)
 	low := NewConfig()
@@ -150,40 +84,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
-}
-
-func TestPairScoreIsMaxBlockScore(t *testing.T) {
-	g := smallItaly(t, 200)
-	res, err := Run(NewConfig(), g.Collection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := bestBlockScores(res, g.Collection)
-	if len(best) != len(res.PairScores) {
-		t.Fatalf("blocks hold %d distinct pairs, PairScores %d", len(best), len(res.PairScores))
-	}
-	for p, s := range best {
-		if got := res.PairScores[p]; got != s {
-			t.Errorf("pair %v score %v != best block score %v", p, got, s)
-		}
-	}
-}
-
-// bestBlockScores recomputes, by enumerating every kept block's member
-// pairs, the best score among the blocks containing each pair.
-func bestBlockScores(res *Result, coll *record.Collection) map[record.Pair]float64 {
-	best := make(map[record.Pair]float64)
-	for _, b := range res.Blocks {
-		for i, m := range b.Members {
-			for _, o := range b.Members[i+1:] {
-				p := record.MakePair(coll.Records[m].BookID, coll.Records[o].BookID)
-				if s, seen := best[p]; !seen || b.Score > s {
-					best[p] = b.Score
-				}
-			}
-		}
-	}
-	return best
 }
 
 // stripElapsed zeroes the wall-clock field so iteration stats compare

@@ -92,11 +92,6 @@ func (j *JSONLReader) NextRecord() (*Record, error) {
 	return nil, io.EOF
 }
 
-// ReadJSONL reads every record written by WriteJSONL.
-func ReadJSONL(r io.Reader) ([]*Record, error) {
-	return ReadAll(NewJSONLReader(r))
-}
-
 // ReadAll drains a record stream to its end (io.EOF) and returns its
 // records in order.
 func ReadAll(src interface{ NextRecord() (*Record, error) }) ([]*Record, error) {

@@ -44,7 +44,7 @@ func TestJSONLRoundTripProperty(t *testing.T) {
 		if err := WriteJSONL(&buf, recs); err != nil {
 			return false
 		}
-		back, err := ReadJSONL(&buf)
+		back, err := ReadAll(NewJSONLReader(&buf))
 		if err != nil {
 			return false
 		}

@@ -241,8 +241,8 @@ func TestMostFrequent(t *testing.T) {
 	}
 }
 
-// TestJSONLRoundTrip reads JSONL inputs through ReadJSONL, the drain of
-// the streaming JSONLReader: what WriteJSONL wrote comes back whole,
+// TestJSONLRoundTrip drains JSONL inputs through the streaming
+// JSONLReader with ReadAll: what WriteJSONL wrote comes back whole,
 // blank lines are skipped, and a bad line — malformed JSON, an unknown
 // item prefix, a line past the scanner's limit — fails naming its line
 // and wrapping the cause.
@@ -280,7 +280,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 			wantErr: "record: line 2: ", cause: func(err error) bool { return errors.Is(err, bufio.ErrTooLong) },
 		},
 	} {
-		back, err := ReadJSONL(strings.NewReader(tc.in))
+		back, err := ReadAll(NewJSONLReader(strings.NewReader(tc.in)))
 		if tc.wantErr != "" {
 			if err == nil || !strings.HasPrefix(err.Error(), tc.wantErr) {
 				t.Errorf("%s: err = %v, want prefix %q", tc.name, err, tc.wantErr)
