@@ -126,15 +126,15 @@ func CrossValidate(cfg adtree.TrainConfig, insts []adtree.Instance, k int) (floa
 	return eval.Accuracy(correct, total), nil
 }
 
-// ThreeClassPrediction labels a pair Maybe when the maybe model fires,
+// threeClassPrediction labels a pair Maybe when the maybe model fires,
 // otherwise match/non-match from the match model.
-type ThreeClassPrediction uint8
+type threeClassPrediction uint8
 
 // Three-class prediction labels.
 const (
-	PredictNo ThreeClassPrediction = iota
-	PredictMaybe
-	PredictYes
+	predictNo threeClassPrediction = iota
+	predictMaybe
+	predictYes
 )
 
 // CrossValidateMaybe estimates three-class accuracy (Table 5's "Identify
@@ -168,19 +168,19 @@ func CrossValidateMaybe(cfg adtree.TrainConfig, ts *dataset.TagSet, coll *record
 			return 0, err
 		}
 		for _, i := range folds[f] {
-			pred := PredictNo
+			pred := predictNo
 			switch {
 			case maybeModel.Classify(xs[i]):
-				pred = PredictMaybe
+				pred = predictMaybe
 			case matchModel.Classify(xs[i]):
-				pred = PredictYes
+				pred = predictYes
 			}
-			want := PredictNo
+			want := predictNo
 			switch tag := ts.Pairs[i].Tag; {
 			case tag == dataset.Maybe:
-				want = PredictMaybe
+				want = predictMaybe
 			case tag.IsMatch():
-				want = PredictYes
+				want = predictYes
 			}
 			if pred == want {
 				correct++

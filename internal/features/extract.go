@@ -69,9 +69,6 @@ func newExtractor(geo similarity.GeoDistancer, profiled uint64) *Extractor {
 // interned so far.
 func (e *Extractor) InternedStrings() int { return e.interner.Len() }
 
-// Defs returns the extractor's feature definitions.
-func (e *Extractor) Defs() []Def { return e.defs }
-
 // joinDOB is the full-date form sameDOB compares.
 func joinDOB(d, m, y string) string { return d + "/" + m + "/" + y }
 

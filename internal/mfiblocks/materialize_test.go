@@ -117,17 +117,19 @@ func newMaterializeFixture(t testing.TB, seed int64) *materializeFixture {
 	return fx
 }
 
-// naiveBlocks is the reference: each itemset's block by the spec's
-// linear scan and reference score (specBlock), with no score floor. An
-// itemset whose mined support is already above the cap is pruned without
-// a scan, as the materializer does.
-func naiveBlocks(sc *scorer, fx *materializeFixture, minsup, maxSize int) (blocks []*Block, csPruned int) {
-	for _, mfi := range fx.mfis {
+// naiveBlocks is the reference: each itemset's block by the spec's cap
+// and reference score (specBlock) over its members, members[i] being the
+// spec's linear scan of fx.mfis[i] (specMembers), with no score floor.
+// An itemset whose mined support is already above the cap is pruned
+// without reading its members, as the materializer prunes it without a
+// walk.
+func naiveBlocks(sc *scorer, fx *materializeFixture, members [][]int, minsup, maxSize int) (blocks []*Block, csPruned int) {
+	for i, mfi := range fx.mfis {
 		if mfi.Support > maxSize {
 			csPruned++
 			continue
 		}
-		b, capped := specBlock(sc, mfi.Items, minsup)
+		b, capped := specBlock(sc, mfi.Items, members[i], minsup)
 		if capped {
 			csPruned++
 		}
@@ -147,10 +149,19 @@ func naiveBlocks(sc *scorer, fx *materializeFixture, minsup, maxSize int) (block
 func TestBuildBlocksMatchesNaiveReference(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		fx := newMaterializeFixture(t, seed)
+		// An itemset's members depend on neither minsup nor the weighting,
+		// so each is scanned once, for every cell below.
+		var members [][]int
 		for _, weighted := range []bool{false, true} {
 			cfg := NewConfig()
 			cfg.ExpertWeights = weighted
 			sc := newScorer(&cfg, fx.corpus.Dict, fx.corpus.Txns, fx.corpus.Records)
+			if members == nil {
+				members = make([][]int, len(fx.mfis))
+				for i, mfi := range fx.mfis {
+					members[i] = specMembers(sc, mfi.Items)
+				}
+			}
 			type level struct {
 				minsup   int
 				all      []*Block // every block: the reference at MinScore −1
@@ -160,7 +171,7 @@ func TestBuildBlocksMatchesNaiveReference(t *testing.T) {
 			for i := range levels {
 				l := &levels[i]
 				maxSize := int(float64(l.minsup) * cfg.P)
-				l.all, l.csPruned = naiveBlocks(sc, fx, l.minsup, maxSize)
+				l.all, l.csPruned = naiveBlocks(sc, fx, members, l.minsup, maxSize)
 				var empty, capped int
 				for _, mfi := range fx.mfis {
 					switch n := len(fx.index.SupportSet(mfi.Items)); {

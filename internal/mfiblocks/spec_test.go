@@ -79,7 +79,7 @@ func specRun(cfg Config, coll *record.Collection) *specResult {
 		stats := IterationStats{MinSup: minsup, Active: len(active), MFIs: len(mfis), MinTh: cfg.MinScore}
 		var blocks []*Block
 		for _, key := range mfis {
-			b, capped := specBlock(sc, key, minsup)
+			b, capped := specBlock(sc, key, specMembers(sc, key), minsup)
 			if capped {
 				stats.CSPruned++
 			}
@@ -213,12 +213,10 @@ func specMaximal(candidates, txns [][]int, active []int, minsup int) [][]int {
 	return maximal
 }
 
-// specBlock is Algorithm 1's block for one itemset at minsup: the
-// records holding every item of key, by a linear scan over all of them,
-// scored by the reference scorer. It returns no block below 2 members,
-// and none, capped, above the compact-set cap ⌊minsup·P⌋. The score floor
-// is the caller's.
-func specBlock(sc *scorer, key []int, minsup int) (b *Block, capped bool) {
+// specMembers is the support of one itemset: the records holding every
+// item of key, by a linear scan over all of them. It depends on neither
+// minsup nor the scoring, so a caller may scan an itemset once for all.
+func specMembers(sc *scorer, key []int) []int {
 	var members []int
 	for i := 0; i < sc.txns.Len(); i++ {
 		txn := sc.txns.Txn(i)
@@ -226,6 +224,14 @@ func specBlock(sc *scorer, key []int, minsup int) (b *Block, capped bool) {
 			members = append(members, i)
 		}
 	}
+	return members
+}
+
+// specBlock is Algorithm 1's block for one itemset at minsup, from its
+// members (specMembers), scored by the reference scorer. It returns no
+// block below 2 members, and none, capped, above the compact-set cap
+// ⌊minsup·P⌋. The score floor is the caller's.
+func specBlock(sc *scorer, key, members []int, minsup int) (b *Block, capped bool) {
 	switch {
 	case len(members) < 2:
 		return nil, false

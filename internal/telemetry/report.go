@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"io"
 	"os"
 	"time"
 
@@ -116,20 +115,16 @@ func (r *RunReport) StripTimings() {
 	r.Spans.StripTimings()
 }
 
-// WriteJSON writes the report, indented, to w.
-func (r *RunReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteFile writes the report to path (the CLIs' -report flag).
+// WriteFile writes the report, indented JSON, to path (the CLIs'
+// -report flag).
 func (r *RunReport) WriteFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := r.WriteJSON(f); err != nil {
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(r); err != nil {
 		f.Close()
 		return err
 	}

@@ -241,15 +241,6 @@ func (t *Tracer) Len() int {
 	return int(t.count.Load())
 }
 
-// Start returns the tracer's epoch (the zero point of every span's
-// start offset).
-func (t *Tracer) Start() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.t0
-}
-
 // spans returns the published spans in creation order (the publication
 // list is LIFO, so it is reversed). Spans still open at export time are
 // rendered as ending at the export instant; callers exporting a
