@@ -204,13 +204,6 @@ func writeTags(path string, tagged []dataset.TaggedPair) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "yvtag: %v\n", err)
 	os.Exit(1)

@@ -100,10 +100,3 @@ func (t TYPiMatch) Block(coll *record.Collection) []Block {
 	sort.Slice(blocks, func(a, b int) bool { return blocks[a].Key < blocks[b].Key })
 	return purge(blocks, coll.Len())
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

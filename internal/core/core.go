@@ -59,8 +59,9 @@ type Options struct {
 	// for every worker count.
 	Workers int
 	// MemoSize does nothing: the scoring stage runs the similarity
-	// kernels directly and keeps no pair cache. The field remains only
-	// because benchmark/staged.go sizes its own features.PairMemo from it.
+	// kernels directly and no pair cache exists any more. The field
+	// remains only because benchmark/staged.go passes it to the inert
+	// features.NewPairMemo stub; ROADMAP 1(a) deletes both.
 	MemoSize int
 	// Metrics receives the run's registry view once the run finishes:
 	// core_stage_seconds{stage}, the core_*_total outcome counters,

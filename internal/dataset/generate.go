@@ -224,7 +224,7 @@ func emitReport(rng *rand.Rand, cfg Config, gaz *gazetteer.Gazetteer, p *Person,
 
 	isTestimony := rng.Float64() < cfg.TestimonyFraction
 	isMV := false
-	if isTestimony && mvSource != "" && p.Comm == gazetteer.Italy && rng.Float64() < cfg.MVSubmitterShare/maxf(cfg.TestimonyFraction, 0.01) {
+	if isTestimony && mvSource != "" && p.Comm == gazetteer.Italy && rng.Float64() < cfg.MVSubmitterShare/max(cfg.TestimonyFraction, 0.01) {
 		isMV = true
 	}
 
@@ -387,11 +387,4 @@ func pickSubmitter(rng *rand.Rand, pools map[gazetteer.Community][]*submitter, c
 	s := &submitter{key: key, uses: 1}
 	pools[comm] = append(pools[comm], s)
 	return key
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

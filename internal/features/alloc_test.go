@@ -37,30 +37,17 @@ func allocPair() (*record.Record, *record.Record) {
 
 // TestExtractProfiledAllocs guards the steady-state pair cost: with
 // profiles cached, the only allocation ExtractProfiled may make is the
-// result Vector itself — the interned gram merges, pooled kernels, and
-// memo lookups must all be allocation-free.
+// result Vector itself — the interned gram merges and pooled kernels
+// must be allocation-free.
 func TestExtractProfiledAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race (sync.Pool drops items)")
 	}
-	for _, tc := range []struct {
-		name string
-		memo *PairMemo
-	}{
-		{"no-memo", nil},
-		{"memo", NewPairMemo(0)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ex := NewExtractor(fakeGeo{})
-			ex.Memo = tc.memo
-			a, b := allocPair()
-			pa, pb := profileOf(ex, a), profileOf(ex, b)
-			// Warm the memo so the measured runs are pure hits.
-			ex.ExtractProfiled(pa, pb)
-			if n := testing.AllocsPerRun(200, func() { ex.ExtractProfiled(pa, pb) }); n > 1 {
-				t.Errorf("ExtractProfiled allocates %v per op, want <= 1 (the Vector)", n)
-			}
-		})
+	ex := NewExtractor(fakeGeo{})
+	a, b := allocPair()
+	pa, pb := profileOf(ex, a), profileOf(ex, b)
+	if n := testing.AllocsPerRun(200, func() { ex.ExtractProfiled(pa, pb) }); n > 1 {
+		t.Errorf("ExtractProfiled allocates %v per op, want <= 1 (the Vector)", n)
 	}
 }
 

@@ -8,12 +8,8 @@ type Extractor struct {
 	// nil leaves them missing.
 	Geo similarity.GeoDistancer
 
-	// Memo, when set, memoizes the symmetric value-pair similarities of
-	// the profiled path (Jaro–Winkler and q-gram Jaccard over lowered
-	// name values) across record pairs. It never changes outputs — a
-	// hit returns exactly the kernel's result — so it may be shared by
-	// concurrent workers. Set it before the first ExtractProfiled call.
-	// The pipeline leaves it nil; only benchmark/staged.go sets it.
+	// Memo has no effect: the extractor caches no kernel results. It
+	// remains only because benchmark/staged.go sets it (ROADMAP 1(a)).
 	Memo *PairMemo
 
 	defs []Def

@@ -1,174 +1,19 @@
 package features
 
-import (
-	"sync"
-	"sync/atomic"
-)
+// PairMemo has no effect: the extractor runs the similarity kernels
+// directly and caches nothing across pairs. The type remains only
+// because benchmark/staged.go:306 builds one and reads its Stats;
+// ROADMAP 1(a) deletes it with that code.
+type PairMemo struct{}
 
-// Memo kinds: which symmetric value-pair similarity a memo entry holds.
-// Kinds partition the key space so a (surname, surname) Jaro–Winkler
-// entry can never be served for the same strings' q-gram Jaccard.
-const (
-	memoJW uint8 = iota + 1
-	memoGram
-)
-
-// DefaultMemoSize is the entry bound NewPairMemo applies when the caller
-// passes size <= 0. At ~64 bytes per entry (two short interned-adjacent
-// strings plus the float) the default stays in the low megabytes.
-const DefaultMemoSize = 1 << 16
-
-// memoShardCount is the fan-out of the memo's lock striping; a power of
-// two so shard selection is a mask.
-const memoShardCount = 16
-
-// pairKey is one memoized comparison: the kind plus the two value
-// strings in canonical (a <= b) order. Every similarity the memo stores
-// is symmetric, so canonical ordering halves the key space and makes
-// get(a, b) and get(b, a) the same entry.
-type pairKey struct {
-	kind uint8
-	a, b string
-}
-
-type memoShard struct {
-	mu sync.RWMutex
-	m  map[pairKey]float64
-}
-
-// PairMemo is a sharded, bounded memo of symmetric value-pair
-// similarities. The dataset's heavy value skew — a handful of surnames,
-// given names, and cities dominate the candidate pairs — means the same
-// (value, value) comparison recurs across thousands of record pairs;
-// the memo computes each once per run.
-//
-// Determinism: the memo only ever stores results of pure functions of
-// the key, so a hit returns exactly what the kernel would have computed
-// — outputs are bit-identical with the memo on, off, or racing across
-// workers. Eviction (a wholesale shard reset at the per-shard bound)
-// therefore affects hit rates, never results.
-//
-// PairMemo is safe for concurrent use; a nil *PairMemo is valid and
-// never hits.
-type PairMemo struct {
-	shards   [memoShardCount]memoShard
-	perShard int
-
-	hits, misses, evictions atomic.Int64
-}
-
-// MemoStats is a point-in-time view of the memo's traffic.
+// MemoStats is what Stats reports: always zero.
 type MemoStats struct {
-	Hits      int64 // lookups served from the memo
-	Misses    int64 // lookups that fell through to the kernel
-	Evictions int64 // entries dropped by shard resets
-	Entries   int   // entries currently resident
+	Hits   int64
+	Misses int64
 }
 
-// NewPairMemo returns an empty memo bounded to roughly size entries
-// (the bound is enforced per shard). size <= 0 selects DefaultMemoSize.
-func NewPairMemo(size int) *PairMemo {
-	if size <= 0 {
-		size = DefaultMemoSize
-	}
-	per := (size + memoShardCount - 1) / memoShardCount
-	if per < 1 {
-		per = 1
-	}
-	pm := &PairMemo{perShard: per}
-	for i := range pm.shards {
-		pm.shards[i].m = make(map[pairKey]float64)
-	}
-	return pm
-}
+// NewPairMemo returns an empty memo; size is ignored.
+func NewPairMemo(int) *PairMemo { return &PairMemo{} }
 
-// shardFor hashes the key (FNV-1a over kind and both strings) to a
-// shard. Inlined hashing keeps lookups allocation-free.
-func (pm *PairMemo) shardFor(k pairKey) *memoShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h = (h ^ uint64(k.kind)) * prime64
-	for i := 0; i < len(k.a); i++ {
-		h = (h ^ uint64(k.a[i])) * prime64
-	}
-	h = (h ^ 0xff) * prime64 // separator so ("ab","c") != ("a","bc")
-	for i := 0; i < len(k.b); i++ {
-		h = (h ^ uint64(k.b[i])) * prime64
-	}
-	return &pm.shards[h&(memoShardCount-1)]
-}
-
-// get returns the memoized similarity for the canonicalized key. A nil
-// memo never hits (and counts nothing).
-func (pm *PairMemo) get(kind uint8, a, b string) (float64, bool) {
-	if pm == nil {
-		return 0, false
-	}
-	if a > b {
-		a, b = b, a
-	}
-	k := pairKey{kind: kind, a: a, b: b}
-	s := pm.shardFor(k)
-	s.mu.RLock()
-	v, ok := s.m[k]
-	s.mu.RUnlock()
-	if ok {
-		pm.hits.Add(1)
-	} else {
-		pm.misses.Add(1)
-	}
-	return v, ok
-}
-
-// put stores the similarity for the canonicalized key, resetting the
-// shard first if it is at its bound. Concurrent puts of the same key
-// are benign: every writer stores the same pure-function result.
-func (pm *PairMemo) put(kind uint8, a, b string, v float64) {
-	if pm == nil {
-		return
-	}
-	if a > b {
-		a, b = b, a
-	}
-	k := pairKey{kind: kind, a: a, b: b}
-	s := pm.shardFor(k)
-	s.mu.Lock()
-	if len(s.m) >= pm.perShard {
-		pm.evictions.Add(int64(len(s.m)))
-		clear(s.m)
-	}
-	s.m[k] = v
-	s.mu.Unlock()
-}
-
-// Len returns the number of resident entries across all shards.
-func (pm *PairMemo) Len() int {
-	if pm == nil {
-		return 0
-	}
-	n := 0
-	for i := range pm.shards {
-		s := &pm.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// Stats returns the memo's cumulative hit/miss/eviction counts and
-// current residency. Safe on a nil memo (all zeros).
-func (pm *PairMemo) Stats() MemoStats {
-	if pm == nil {
-		return MemoStats{}
-	}
-	return MemoStats{
-		Hits:      pm.hits.Load(),
-		Misses:    pm.misses.Load(),
-		Evictions: pm.evictions.Load(),
-		Entries:   pm.Len(),
-	}
-}
+// Stats returns zeros.
+func (*PairMemo) Stats() MemoStats { return MemoStats{} }

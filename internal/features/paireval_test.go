@@ -123,39 +123,28 @@ func TestPairEvalMatchesExtract(t *testing.T) {
 }
 
 // TestPairEvalComputesOnce: a second At for the same id is answered from
-// the evaluator's memo — the similarity kernels (counted through a
-// PairMemo's lookups) and the Geo (counted directly) are not asked again
-// — and Reset forgets it.
+// the evaluator's memo — the Geo, which counts its calls, is not asked
+// again — and Reset forgets it.
 func TestPairEvalComputesOnce(t *testing.T) {
-	geoCalls := 0
-	ex := NewExtractor(countingGeo{&geoCalls})
-	ex.Memo = NewPairMemo(0)
+	calls := 0
+	ex := NewExtractor(countingGeo{&calls})
 	a, b := allocPair()
 	pa, pb := profileOf(ex, a), profileOf(ex, b)
-	work := func() int64 {
-		ms := ex.Memo.Stats()
-		return ms.Hits + ms.Misses + int64(geoCalls)
-	}
 
 	var ev PairEval
 	ev.Reset(ex, pa, pb)
-	for _, id := range []int{idNameDist, idNameJW + 1, idGeoDist} {
-		before := work()
-		first := ev.At(id)
-		once := work()
-		if !first.Present || once == before {
-			t.Fatalf("feature %d: %+v after %d kernel or geo calls, want a computed value", id, first, once-before)
-		}
-		if again := ev.At(id); again != first || work() != once {
-			t.Errorf("feature %d: second At returned %+v after %d more calls, want %+v from the memo", id, again, work()-once, first)
-		}
-		ev.Reset(ex, pa, pb)
-		if ev.Evaluated() != 0 {
-			t.Fatalf("Reset left %b evaluated", ev.Evaluated())
-		}
-		before = work()
-		if ev.At(id); work() == before {
-			t.Errorf("feature %d: At after Reset did no work", id)
-		}
+	first := ev.At(idGeoDist)
+	if !first.Present || calls != 1 {
+		t.Fatalf("first At: %+v after %d geo calls, want a computed value after 1", first, calls)
+	}
+	if again := ev.At(idGeoDist); again != first || calls != 1 {
+		t.Errorf("second At returned %+v after %d geo calls, want %+v from the memo after 1", again, calls, first)
+	}
+	ev.Reset(ex, pa, pb)
+	if ev.Evaluated() != 0 {
+		t.Fatalf("Reset left %b evaluated", ev.Evaluated())
+	}
+	if ev.At(idGeoDist); calls != 2 {
+		t.Errorf("At after Reset made %d geo calls in all, want 2", calls)
 	}
 }

@@ -309,9 +309,9 @@ func (e *Extractor) feature(id int, a, b *Profile) Value {
 			for y := range nb {
 				var s float64
 				if id < idNameJW {
-					s = e.gramSim(&na[x], &nb[y])
+					s = similarity.JaccardSortedIDs(na[x].grams, nb[y].grams)
 				} else {
-					s = e.jwSim(na[x].lower, nb[y].lower)
+					s = similarity.JaroWinkler(na[x].lower, nb[y].lower)
 				}
 				if s > best {
 					best = s
@@ -436,36 +436,6 @@ func (p *PairEval) At(id int) Value {
 // Evaluated returns the set of features computed for the current pair,
 // bit id set for feature id.
 func (p *PairEval) Evaluated() uint64 { return p.have }
-
-// gramSim returns the q-gram Jaccard of two name values — a merge over
-// the interned sorted gram IDs, memoized on the lowered value strings
-// (QGramIDs lowercases before gramming, so the lowered value is a
-// faithful memo key for the gram set).
-func (e *Extractor) gramSim(x, y *nameValue) float64 {
-	if e.Memo == nil {
-		return similarity.JaccardSortedIDs(x.grams, y.grams)
-	}
-	if v, ok := e.Memo.get(memoGram, x.lower, y.lower); ok {
-		return v
-	}
-	v := similarity.JaccardSortedIDs(x.grams, y.grams)
-	e.Memo.put(memoGram, x.lower, y.lower, v)
-	return v
-}
-
-// jwSim returns the Jaro–Winkler similarity of two lowered values,
-// memoized when the extractor carries a memo.
-func (e *Extractor) jwSim(x, y string) float64 {
-	if e.Memo == nil {
-		return similarity.JaroWinkler(x, y)
-	}
-	if v, ok := e.Memo.get(memoJW, x, y); ok {
-		return v
-	}
-	v := similarity.JaroWinkler(x, y)
-	e.Memo.put(memoJW, x, y, v)
-	return v
-}
 
 // ProfileCache holds the profiles of one collection's records, so
 // repeated pair extractions — the scoring worker pool, or ad-hoc

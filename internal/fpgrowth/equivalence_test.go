@@ -25,69 +25,6 @@ func equivTxns(seed int64, n, universe, maxLen int) [][]int {
 	return txns
 }
 
-// TestMineMaximalWorkerEquivalence is the blocking engine's core contract:
-// the mined MFI list — items, supports, and slice order — is bit-identical
-// between the serial path and every fan-out width, across seeds and minsup
-// levels.
-func TestMineMaximalWorkerEquivalence(t *testing.T) {
-	for _, seed := range []int64{1, 7, 23} {
-		txns := equivTxns(seed, 600, 300, 12)
-		for _, minsup := range []int{2, 3, 5} {
-			serial := NewMiner(txns)
-			serial.Workers = 1
-			want := serial.MineMaximal(minsup, nil)
-			for _, workers := range []int{2, 8} {
-				m := NewMiner(txns)
-				m.Workers = workers
-				got := m.MineMaximal(minsup, nil)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("seed=%d minsup=%d workers=%d: MFIs diverge from serial (%d vs %d sets)",
-						seed, minsup, workers, len(got), len(want))
-				}
-			}
-		}
-	}
-}
-
-// TestMineMaximalActiveSubsetEquivalence repeats the worker equivalence
-// over active-subset mining — the shape mfiblocks.Run drives per minsup
-// iteration — including the incremental-frequency entry point.
-func TestMineMaximalActiveSubsetEquivalence(t *testing.T) {
-	txns := equivTxns(5, 400, 200, 10)
-	rng := rand.New(rand.NewSource(99))
-	active := make([]int, 0, len(txns))
-	for i := range txns {
-		if rng.Intn(3) != 0 {
-			active = append(active, i)
-		}
-	}
-	freq := make([]int, 201)
-	for _, i := range active {
-		for _, it := range txns[i] {
-			freq[it]++
-		}
-	}
-	for _, minsup := range []int{2, 4} {
-		serial := NewMiner(txns)
-		serial.Workers = 1
-		want := serial.MineMaximal(minsup, active)
-		for _, workers := range []int{2, 8} {
-			m := NewMiner(txns)
-			m.Workers = workers
-			if got := m.MineMaximal(minsup, active); !reflect.DeepEqual(want, got) {
-				t.Fatalf("minsup=%d workers=%d: active-subset MFIs diverge", minsup, workers)
-			}
-			got, err := m.MineMaximalFreq(minsup, active, freq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sortedCopy(got); !reflect.DeepEqual(want, got) {
-				t.Fatalf("minsup=%d workers=%d: MineMaximalFreq diverges from recounted MineMaximal", minsup, workers)
-			}
-		}
-	}
-}
-
 // TestMineMaximalRunTwiceDeterminism: the same miner must return the same
 // slice on repeated parallel calls — no scheduling leak into the output.
 func TestMineMaximalRunTwiceDeterminism(t *testing.T) {

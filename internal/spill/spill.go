@@ -36,6 +36,16 @@ import (
 // entryLen is the on-disk size of one (pair, score) entry.
 const entryLen = 24
 
+// maxBuf bounds a run's read and write buffer; a smaller run gets a
+// buffer of its own size.
+const maxBuf = 1 << 20
+
+// run is one sorted run on disk and its size in bytes.
+type run struct {
+	f     *os.File
+	bytes int
+}
+
 // DefaultCap is the in-memory window used when the caller chooses no
 // cap: ~4M distinct pairs, each a map entry plus a 16-byte order slot —
 // small enough for laptop hardware, large enough that corpora below
@@ -68,7 +78,7 @@ type Pairs struct {
 	// order, and each one's maximal score.
 	order []record.Pair
 	mem   map[record.Pair]float64
-	runs  []*os.File
+	runs  []run
 	stats Stats
 	done  bool
 
@@ -152,7 +162,8 @@ func (s *Pairs) flush() error {
 	// Unlink immediately: the open descriptor keeps the run readable, and
 	// a crashed process leaves nothing behind.
 	os.Remove(f.Name())
-	w := bufio.NewWriterSize(f, 1<<20)
+	size := len(keys) * entryLen
+	w := bufio.NewWriterSize(f, min(maxBuf, size))
 	var buf [entryLen]byte
 	for _, p := range keys {
 		binary.LittleEndian.PutUint64(buf[0:8], uint64(p.A))
@@ -167,10 +178,10 @@ func (s *Pairs) flush() error {
 		f.Close()
 		return fmt.Errorf("spill: flush run: %w", err)
 	}
-	s.runs = append(s.runs, f)
+	s.runs = append(s.runs, run{f, size})
 	s.stats.Runs++
 	s.stats.SpilledEntries += int64(len(keys))
-	s.stats.SpilledBytes += int64(len(keys)) * entryLen
+	s.stats.SpilledBytes += int64(size)
 	s.order = s.order[:0]
 	clear(s.mem)
 	return nil
@@ -204,11 +215,11 @@ func (s *Pairs) Iter() (*Iter, error) {
 	}
 	it.mem = mem
 
-	for _, f := range s.runs {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
+	for _, r := range s.runs {
+		if _, err := r.f.Seek(0, io.SeekStart); err != nil {
 			return nil, fmt.Errorf("spill: rewind run: %w", err)
 		}
-		src := &runSource{r: bufio.NewReaderSize(f, 1<<20)}
+		src := &runSource{r: bufio.NewReaderSize(r.f, min(maxBuf, r.bytes))}
 		if err := src.advance(); err != nil {
 			return nil, err
 		}
@@ -229,8 +240,8 @@ func (s *Pairs) Iter() (*Iter, error) {
 // Close releases all run files. Safe to call more than once.
 func (s *Pairs) Close() error {
 	var first error
-	for _, f := range s.runs {
-		if err := f.Close(); err != nil && first == nil {
+	for _, r := range s.runs {
+		if err := r.f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
