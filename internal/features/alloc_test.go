@@ -43,12 +43,14 @@ func TestExtractProfiledAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race (sync.Pool drops items)")
 	}
-	ex := NewExtractor(fakeGeo{})
-	a, b := allocPair()
-	pa, pb := profileOf(ex, a), profileOf(ex, b)
-	if n := testing.AllocsPerRun(200, func() { ex.ExtractProfiled(pa, pb) }); n > 1 {
-		t.Errorf("ExtractProfiled allocates %v per op, want <= 1 (the Vector)", n)
-	}
+	t.Run("no-memo", func(t *testing.T) {
+		ex := NewExtractor(fakeGeo{})
+		a, b := allocPair()
+		pa, pb := profileOf(ex, a), profileOf(ex, b)
+		if n := testing.AllocsPerRun(200, func() { ex.ExtractProfiled(pa, pb) }); n > 1 {
+			t.Errorf("ExtractProfiled allocates %v per op, want <= 1 (the Vector)", n)
+		}
+	})
 }
 
 // TestProfileBuildAllocs bounds what Build allocates per record. The slab
