@@ -22,7 +22,6 @@ import (
 	"repro/internal/gazetteer"
 	"repro/internal/mfiblocks"
 	"repro/internal/record"
-	"repro/internal/similarity"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
@@ -33,7 +32,7 @@ type Options struct {
 	Blocking mfiblocks.Config
 	// Geo resolves place distances for feature extraction (and for
 	// ExpertSim blocking if enabled there).
-	Geo similarity.GeoDistancer
+	Geo *gazetteer.Gazetteer
 	// Preprocess folds name and place spelling variants into their
 	// equivalence classes before blocking, as the Names Project
 	// preprocessing did.
@@ -82,7 +81,7 @@ type Options struct {
 // NewOptions returns the deployment defaults: preprocessing on, default
 // blocking, SameSrc and Classify on. Classify requires a Model, so a
 // caller that runs without one must clear it.
-func NewOptions(geo similarity.GeoDistancer) Options {
+func NewOptions(geo *gazetteer.Gazetteer) Options {
 	return Options{
 		Blocking:   mfiblocks.NewConfig(),
 		Geo:        geo,

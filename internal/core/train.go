@@ -8,8 +8,8 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/features"
+	"repro/internal/gazetteer"
 	"repro/internal/record"
-	"repro/internal/similarity"
 )
 
 // MaybeMode selects how Maybe-tagged pairs enter training (Table 5).
@@ -42,7 +42,7 @@ func (m MaybeMode) String() string {
 // Instances converts tagged pairs to training instances under the given
 // Maybe policy. For IdentifyMaybe it returns the match instances (Maybe
 // omitted) plus a parallel Maybe-vs-rest instance set.
-func Instances(ts *dataset.TagSet, coll *record.Collection, geo similarity.GeoDistancer, mode MaybeMode) (match, maybe []adtree.Instance, err error) {
+func Instances(ts *dataset.TagSet, coll *record.Collection, geo *gazetteer.Gazetteer, mode MaybeMode) (match, maybe []adtree.Instance, err error) {
 	xs, err := taggedVectors(ts, coll, geo)
 	if err != nil {
 		return nil, nil, err
@@ -71,7 +71,7 @@ func Instances(ts *dataset.TagSet, coll *record.Collection, geo similarity.GeoDi
 // taggedVectors computes the feature vector of every tagged pair, in
 // ts.Pairs order, from profiles of the whole collection: the same
 // features, computed by the same code, that scoring reads.
-func taggedVectors(ts *dataset.TagSet, coll *record.Collection, geo similarity.GeoDistancer) ([]features.Vector, error) {
+func taggedVectors(ts *dataset.TagSet, coll *record.Collection, geo *gazetteer.Gazetteer) ([]features.Vector, error) {
 	ex := features.NewExtractor(geo)
 	profs := features.NewProfileCache(ex).Build(coll, runtime.GOMAXPROCS(0))
 	xs := make([]features.Vector, len(ts.Pairs))
@@ -90,7 +90,7 @@ func taggedVectors(ts *dataset.TagSet, coll *record.Collection, geo similarity.G
 
 // TrainModel trains the match ADTree on the tagged pairs under the given
 // Maybe policy.
-func TrainModel(cfg adtree.TrainConfig, ts *dataset.TagSet, coll *record.Collection, geo similarity.GeoDistancer, mode MaybeMode) (*adtree.Model, error) {
+func TrainModel(cfg adtree.TrainConfig, ts *dataset.TagSet, coll *record.Collection, geo *gazetteer.Gazetteer, mode MaybeMode) (*adtree.Model, error) {
 	insts, _, err := Instances(ts, coll, geo, mode)
 	if err != nil {
 		return nil, err
@@ -140,7 +140,7 @@ const (
 // CrossValidateMaybe estimates three-class accuracy (Table 5's "Identify
 // Maybe" row): a Maybe-vs-rest model gates a match model; a prediction is
 // correct when it reproduces the expert's (simplified) grade.
-func CrossValidateMaybe(cfg adtree.TrainConfig, ts *dataset.TagSet, coll *record.Collection, geo similarity.GeoDistancer, k int) (float64, error) {
+func CrossValidateMaybe(cfg adtree.TrainConfig, ts *dataset.TagSet, coll *record.Collection, geo *gazetteer.Gazetteer, k int) (float64, error) {
 	xs, err := taggedVectors(ts, coll, geo)
 	if err != nil {
 		return 0, err

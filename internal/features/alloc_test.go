@@ -44,7 +44,7 @@ func TestExtractProfiledAllocs(t *testing.T) {
 		t.Skip("AllocsPerRun is unreliable under -race (sync.Pool drops items)")
 	}
 	t.Run("no-memo", func(t *testing.T) {
-		ex := NewExtractor(fakeGeo{})
+		ex := NewExtractor(twoCities)
 		a, b := allocPair()
 		pa, pb := profileOf(ex, a), profileOf(ex, b)
 		if n := testing.AllocsPerRun(200, func() { ex.ExtractProfiled(pa, pb) }); n > 1 {

@@ -10,7 +10,7 @@ import (
 // BenchmarkExtractProfiled measures the pair-time cost once the records'
 // profiles are cached — the steady state of the parallel scoring stage.
 func BenchmarkExtractProfiled(b *testing.B) {
-	ex := NewExtractor(fakeGeo{})
+	ex := NewExtractor(twoCities)
 	a, c := allocPair()
 	pa, pc := profileOf(ex, a), profileOf(ex, c)
 	b.ReportAllocs()

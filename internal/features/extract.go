@@ -1,12 +1,15 @@
 package features
 
-import "repro/internal/similarity"
+import (
+	"repro/internal/gazetteer"
+	"repro/internal/similarity"
+)
 
 // Extractor computes the pair features of records from their profiles.
 type Extractor struct {
-	// Geo resolves place distances for the PlaceXGeoDistance features;
-	// nil leaves them missing.
-	Geo similarity.GeoDistancer
+	// Geo resolves profiles' cities to the coordinates the
+	// PlaceXGeoDistance features read; nil leaves them missing.
+	Geo *gazetteer.Gazetteer
 
 	// Memo has no effect: the extractor caches no kernel results. It
 	// remains only because benchmark/staged.go sets it (ROADMAP 1(a)).
@@ -31,7 +34,7 @@ const allFeatures = 1<<NumFeatures - 1
 
 // NewExtractor returns an extractor over the canonical 48 features whose
 // profiles carry the inputs of all of them.
-func NewExtractor(geo similarity.GeoDistancer) *Extractor {
+func NewExtractor(geo *gazetteer.Gazetteer) *Extractor {
 	return newExtractor(geo, allFeatures)
 }
 
@@ -42,7 +45,7 @@ func NewExtractor(geo similarity.GeoDistancer) *Extractor {
 // path answers only those features: PairEval.At panics on any other, and
 // ExtractProfiled, which computes every feature, always panics unless the
 // ids cover all 48.
-func NewExtractorFor(geo similarity.GeoDistancer, ids []int) *Extractor {
+func NewExtractorFor(geo *gazetteer.Gazetteer, ids []int) *Extractor {
 	var set uint64
 	for _, id := range ids {
 		set |= 1 << id
@@ -50,7 +53,7 @@ func NewExtractorFor(geo similarity.GeoDistancer, ids []int) *Extractor {
 	return newExtractor(geo, set)
 }
 
-func newExtractor(geo similarity.GeoDistancer, profiled uint64) *Extractor {
+func newExtractor(geo *gazetteer.Gazetteer, profiled uint64) *Extractor {
 	e := &Extractor{Geo: geo, defs: Defs(), interner: similarity.NewInterner(), profiled: profiled}
 	for i, na := range nameAttrs {
 		if profiled&(1<<(idSameName+i)|1<<(idNameDist+i)|1<<(idNameJW+i)) != 0 {

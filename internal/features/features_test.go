@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/gazetteer"
 	"repro/internal/record"
 )
 
@@ -36,17 +37,11 @@ func TestDefsShape(t *testing.T) {
 	}
 }
 
-type fakeGeo struct{}
-
-func (fakeGeo) Distance(a, b string) (float64, bool) {
-	if a == "Torino" && b == "Moncalieri" || a == "Moncalieri" && b == "Torino" {
-		return 9, true
-	}
-	if a == b {
-		return 0, true
-	}
-	return 0, false
-}
+// twoCities is a catalogue of the two cities the hand-built fixtures name.
+var twoCities = gazetteer.New([]gazetteer.Place{
+	{City: "Torino", County: "Torino", Region: "Piemonte", Country: "Italy", Lat: 45.07, Lon: 7.69},
+	{City: "Moncalieri", County: "Torino", Region: "Piemonte", Country: "Italy", Lat: 45.00, Lon: 7.68},
+})
 
 func rec(build func(*record.Record)) *record.Record {
 	r := &record.Record{}
@@ -55,7 +50,7 @@ func rec(build func(*record.Record)) *record.Record {
 }
 
 func TestSameNameTrinary(t *testing.T) {
-	ex := NewExtractor(fakeGeo{})
+	ex := NewExtractor(twoCities)
 	idx := IndexByName()
 
 	// {John, Harris} vs {John} -> partial (the paper's example).
@@ -82,7 +77,7 @@ func TestSameNameTrinary(t *testing.T) {
 }
 
 func TestMissingSemantics(t *testing.T) {
-	ex := NewExtractor(fakeGeo{})
+	ex := NewExtractor(twoCities)
 	idx := IndexByName()
 	a := rec(func(r *record.Record) { r.Add(record.FirstName, "Guido") })
 	b := rec(func(r *record.Record) { r.Add(record.LastName, "Foa") })
@@ -102,7 +97,7 @@ func TestMissingSemantics(t *testing.T) {
 }
 
 func TestNameDistancesMaxOverValues(t *testing.T) {
-	ex := NewExtractor(fakeGeo{})
+	ex := NewExtractor(twoCities)
 	idx := IndexByName()
 	a := rec(func(r *record.Record) {
 		r.Add(record.FirstName, "Zzz")
@@ -119,7 +114,7 @@ func TestNameDistancesMaxOverValues(t *testing.T) {
 }
 
 func TestDateDistancesRaw(t *testing.T) {
-	ex := NewExtractor(fakeGeo{})
+	ex := NewExtractor(twoCities)
 	idx := IndexByName()
 	a := rec(func(r *record.Record) {
 		r.Add(record.BirthYear, "1920")
@@ -143,32 +138,35 @@ func TestDateDistancesRaw(t *testing.T) {
 	}
 }
 
+// TestGeoDistanceFeature: the profiled BPGeoDist of two catalogue cities
+// is the Haversine of their catalogue coordinates; an unknown city or a
+// nil gazetteer leaves it missing.
 func TestGeoDistanceFeature(t *testing.T) {
-	ex := NewExtractor(fakeGeo{})
-	idx := IndexByName()
-	a := rec(func(r *record.Record) { r.Add(record.BirthCity, "Torino") })
-	b := rec(func(r *record.Record) { r.Add(record.BirthCity, "Moncalieri") })
-	v := ex.Extract(a, b)
-	if got := v[idx["BPGeoDist"]]; !got.Present || math.Abs(got.Num-9) > 1e-12 {
-		t.Errorf("BPGeoDist = %+v, want 9", got)
+	gaz := gazetteer.Builtin(0)
+	geo := func(ex *Extractor, a, b string) Value {
+		born := func(c string) *Profile {
+			return profileOf(ex, rec(func(r *record.Record) { r.Add(record.BirthCity, c) }))
+		}
+		return ex.ExtractProfiled(born(a), born(b))[IndexByName()["BPGeoDist"]]
 	}
-	// Unknown city pair -> missing.
-	c := rec(func(r *record.Record) { r.Add(record.BirthCity, "Unknown1") })
-	d := rec(func(r *record.Record) { r.Add(record.BirthCity, "Unknown2") })
-	v = ex.Extract(c, d)
-	if v[idx["BPGeoDist"]].Present {
-		t.Error("unresolvable geo distance must be missing")
+	to, okT := gaz.Lookup("Torino")
+	mo, okM := gaz.Lookup("Moncalieri")
+	if !okT || !okM {
+		t.Fatal("fixture: the built-in catalogue should hold Torino and Moncalieri")
 	}
-	// Nil geo -> missing.
-	exNil := NewExtractor(nil)
-	v = exNil.Extract(a, b)
-	if v[idx["BPGeoDist"]].Present {
-		t.Error("nil geo must leave the feature missing")
+	if got, want := geo(NewExtractor(gaz), "Torino", "Moncalieri"), gazetteer.Haversine(to.Lat, to.Lon, mo.Lat, mo.Lon); !got.Present || got.Num != want {
+		t.Errorf("BPGeoDist = %+v, want %v km", got, want)
+	}
+	if got := geo(NewExtractor(gaz), "Torino", "Unknown2"); got.Present {
+		t.Errorf("unresolvable geo distance = %+v, want missing", got)
+	}
+	if got := geo(NewExtractor(nil), "Torino", "Moncalieri"); got.Present {
+		t.Errorf("nil geo: BPGeoDist = %+v, want missing", got)
 	}
 }
 
 func TestSourceGenderProfessionDOB(t *testing.T) {
-	ex := NewExtractor(fakeGeo{})
+	ex := NewExtractor(twoCities)
 	idx := IndexByName()
 	a := rec(func(r *record.Record) {
 		r.Source = "list:1"
@@ -206,7 +204,7 @@ func TestSourceGenderProfessionDOB(t *testing.T) {
 }
 
 func TestSamePlaceParts(t *testing.T) {
-	ex := NewExtractor(fakeGeo{})
+	ex := NewExtractor(twoCities)
 	idx := IndexByName()
 	a := rec(func(r *record.Record) {
 		r.Add(record.BirthCity, "Torino")
@@ -229,7 +227,7 @@ func TestSamePlaceParts(t *testing.T) {
 }
 
 func TestExtractSymmetric(t *testing.T) {
-	ex := NewExtractor(fakeGeo{})
+	ex := NewExtractor(twoCities)
 	a := rec(func(r *record.Record) {
 		r.Add(record.FirstName, "Guido")
 		r.Add(record.LastName, "Foa")

@@ -8,15 +8,6 @@ import (
 	"repro/internal/record"
 )
 
-// countingGeo is a non-CoordResolver Geo that counts its lookups, so a
-// test can see whether a geo feature was computed or served from a memo.
-type countingGeo struct{ calls *int }
-
-func (g countingGeo) Distance(a, b string) (float64, bool) {
-	*g.calls++
-	return fakeGeo{}.Distance(a, b)
-}
-
 // trickyRecords exercise every way a feature can be present, missing or
 // awkward: multi-valued and repeated names in mixed case, a city the
 // gazetteer cannot resolve, partial and unparsable birth dates, empty
@@ -63,11 +54,11 @@ func trickyRecords(city string) []*record.Record {
 }
 
 // TestPairEvalMatchesExtract: for every pair of the tricky records and a
-// sample of generated ones, under a gazetteer Geo, an interface-only Geo
-// and none, At(id) equals Extract(ra, rb)[id] field for field for all 48
-// ids — a missing feature reads as the zero Value even when the slot held
-// another pair's value — in whatever order the ids are asked for, and
-// the evaluator has computed exactly the ids asked.
+// sample of generated ones, under the generator's gazetteer, a two-city
+// catalogue and none, At(id) equals Extract(ra, rb)[id] field for field
+// for all 48 ids — a missing feature reads as the zero Value even when the
+// slot held another pair's value — in whatever order the ids are asked
+// for, and the evaluator has computed exactly the ids asked.
 func TestPairEvalMatchesExtract(t *testing.T) {
 	cfg := dataset.ItalyConfig()
 	cfg.Persons = 60
@@ -83,7 +74,7 @@ func TestPairEvalMatchesExtract(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for name, ex := range map[string]*Extractor{
 		"gazetteer": NewExtractor(gen.Gaz),
-		"fakeGeo":   NewExtractor(fakeGeo{}),
+		"twoCities": NewExtractor(twoCities),
 		"nilGeo":    NewExtractor(nil),
 	} {
 		profs := make([]*Profile, len(recs))
@@ -123,28 +114,28 @@ func TestPairEvalMatchesExtract(t *testing.T) {
 }
 
 // TestPairEvalComputesOnce: a second At for the same id is answered from
-// the evaluator's memo — the Geo, which counts its calls, is not asked
-// again — and Reset forgets it.
+// the evaluator's memo — a coordinate changed in the profile after the
+// first At does not reach it — and Reset forgets it.
 func TestPairEvalComputesOnce(t *testing.T) {
-	calls := 0
-	ex := NewExtractor(countingGeo{&calls})
+	ex := NewExtractor(twoCities)
 	a, b := allocPair()
 	pa, pb := profileOf(ex, a), profileOf(ex, b)
 
 	var ev PairEval
 	ev.Reset(ex, pa, pb)
 	first := ev.At(idGeoDist)
-	if !first.Present || calls != 1 {
-		t.Fatalf("first At: %+v after %d geo calls, want a computed value after 1", first, calls)
+	if !first.Present || first.Num == 0 {
+		t.Fatalf("first At: %+v, want the Torino–Moncalieri distance", first)
 	}
-	if again := ev.At(idGeoDist); again != first || calls != 1 {
-		t.Errorf("second At returned %+v after %d geo calls, want %+v from the memo after 1", again, calls, first)
+	pa.coords[0] = pb.coord(0)
+	if again := ev.At(idGeoDist); again != first {
+		t.Errorf("second At returned %+v, want %+v from the memo", again, first)
 	}
 	ev.Reset(ex, pa, pb)
 	if ev.Evaluated() != 0 {
 		t.Fatalf("Reset left %b evaluated", ev.Evaluated())
 	}
-	if ev.At(idGeoDist); calls != 2 {
-		t.Errorf("At after Reset made %d geo calls in all, want 2", calls)
+	if got := ev.At(idGeoDist); got != (Value{Present: true, Num: 0}) {
+		t.Errorf("At after Reset = %+v, want 0 km from the changed coordinate", got)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // Profile is a per-record snapshot of everything the pair features read,
 // derived once from the record's raw strings: lowered name values and
 // their q-gram sets, parsed birth-date components, first-values of places
-// and demographic attributes, and (when the extractor's Geo implements
-// similarity.CoordResolver) gazetteer-resolved coordinates.
+// and demographic attributes, and the coordinates the extractor's
+// gazetteer resolves for the place-type cities.
 // ProfileCache.Build makes them.
 //
 // A profile holds only what its extractor's features read (see
@@ -63,9 +63,6 @@ type Profile struct {
 	resolved uint8
 	parsed   uint8
 	hasDOB   bool
-	// coordMode records whether city resolution was possible at all (Geo
-	// implemented similarity.CoordResolver).
-	coordMode bool
 }
 
 // nameValue is one distinct value of a name attribute: the lowered string
@@ -218,8 +215,7 @@ func (b *profileBuilder) build(p *Profile, r *record.Record) {
 		p.firsts[k] = first[bits.TrailingZeros32(m)]
 	}
 
-	if resolver, ok := e.Geo.(similarity.CoordResolver); ok {
-		p.coordMode = true
+	if e.Geo != nil {
 		var found [record.NumPlaceTypes][2]float64
 		n := 0
 		for pt := 0; pt < record.NumPlaceTypes; pt++ {
@@ -227,7 +223,7 @@ func (b *profileBuilder) build(p *Profile, r *record.Record) {
 			if seen&(1<<city) == 0 || e.profiled&(1<<(idGeoDist+pt)) == 0 {
 				continue
 			}
-			if c := b.city(resolver, first[city]); c.ok {
+			if c := b.city(first[city]); c.ok {
 				p.resolved |= 1 << pt
 				found[n] = c.at
 				n++
@@ -268,12 +264,12 @@ func (b *profileBuilder) value(raw string) nameValue {
 
 // city returns a raw city's gazetteer resolution, from the value table
 // when an earlier record carried it.
-func (b *profileBuilder) city(resolver similarity.CoordResolver, raw string) cityCoord {
+func (b *profileBuilder) city(raw string) cityCoord {
 	if c, ok := b.cities[raw]; ok {
 		return c
 	}
 	var c cityCoord
-	c.at[0], c.at[1], c.ok = resolver.ResolveCoord(raw)
+	c.at[0], c.at[1], c.ok = b.ex.Geo.ResolveCoord(raw)
 	b.cities[raw] = c
 	return c
 }
@@ -337,25 +333,14 @@ func (e *Extractor) feature(id int, a, b *Profile) Value {
 		return Value{Present: true, Cat: boolCat(strings.EqualFold(a.first(t), b.first(t)))}
 
 	case id < idSameSource:
-		// PlaceXGeoDistance: Haversine over the resolved coordinates when
-		// both profiles carry them, otherwise through the Geo interface.
+		// PlaceXGeoDistance: Haversine over the coordinates both profiles
+		// resolved at build time.
 		pt := id - idGeoDist
-		city := record.PlaceItem(record.PlaceType(pt), record.City)
-		if a.has&b.has&(1<<city) == 0 || e.Geo == nil {
+		if a.resolved&b.resolved&(1<<pt) == 0 {
 			return Value{}
 		}
-		if a.coordMode && b.coordMode {
-			if a.resolved&b.resolved&(1<<pt) == 0 {
-				return Value{}
-			}
-			ca, cb := a.coord(pt), b.coord(pt)
-			return Value{Present: true, Num: gazetteer.Haversine(ca[0], ca[1], cb[0], cb[1])}
-		}
-		km, ok := e.Geo.Distance(a.first(city), b.first(city))
-		if !ok {
-			return Value{}
-		}
-		return Value{Present: true, Num: km}
+		ca, cb := a.coord(pt), b.coord(pt)
+		return Value{Present: true, Num: gazetteer.Haversine(ca[0], ca[1], cb[0], cb[1])}
 
 	case id == idSameSource:
 		if a.source == "" || b.source == "" {

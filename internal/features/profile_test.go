@@ -34,8 +34,8 @@ func assertVectorsEqual(t *testing.T, tag string, want, got Vector) {
 }
 
 // TestExtractProfiledGoldenEquality compares ExtractProfiled against
-// Extract over 1k random pairs of generated records, with a gazetteer Geo
-// (the CoordResolver fast path): the profiled vector must be bit-identical.
+// Extract over 1k random pairs of generated records, with the generator's
+// gazetteer: the profiled vector must be bit-identical.
 func TestExtractProfiledGoldenEquality(t *testing.T) {
 	cfg := dataset.ItalyConfig()
 	cfg.Persons = 300
@@ -56,42 +56,6 @@ func TestExtractProfiledGoldenEquality(t *testing.T) {
 	}
 	if cache.Len() != gen.Collection.Len() {
 		t.Errorf("cache holds %d profiles for %d records", cache.Len(), gen.Collection.Len())
-	}
-}
-
-// TestExtractProfiledFallbackGeo exercises the non-CoordResolver Geo
-// fallback (distances resolved through the interface at pair time) and the
-// nil-Geo case.
-func TestExtractProfiledFallbackGeo(t *testing.T) {
-	a := rec(func(r *record.Record) {
-		r.Source = "list:1"
-		r.Add(record.FirstName, "Guido")
-		r.Add(record.LastName, "Foa")
-		r.Add(record.BirthYear, "1920")
-		r.Add(record.BirthMonth, "11")
-		r.Add(record.BirthDay, "18")
-		r.Add(record.BirthCity, "Torino")
-		r.Add(record.Gender, "0")
-		r.Add(record.Profession, "merchant")
-	})
-	b := rec(func(r *record.Record) {
-		r.Source = "list:2"
-		r.Add(record.FirstName, "Guido")
-		r.Add(record.LastName, "Foy")
-		r.Add(record.BirthYear, "1920")
-		r.Add(record.BirthCity, "Moncalieri")
-		r.Add(record.Gender, "0")
-	})
-	for _, tc := range []struct {
-		name string
-		ex   *Extractor
-	}{
-		{"fakeGeo", NewExtractor(fakeGeo{})},
-		{"nilGeo", NewExtractor(nil)},
-	} {
-		want := tc.ex.Extract(a, b)
-		got := tc.ex.ExtractProfiled(profileOf(tc.ex, a), profileOf(tc.ex, b))
-		assertVectorsEqual(t, tc.name, want, got)
 	}
 }
 
@@ -159,7 +123,7 @@ func TestProfileCacheBuild(t *testing.T) {
 				t.Fatalf("workers=%d: Get(%d) did not return the built profile", workers, i)
 			}
 		}
-		if !profs[0].coordMode || profs[0].resolved != 1<<record.Birth|1<<record.Permanent || profs[1].resolved != 1<<record.Permanent {
+		if profs[0].resolved != 1<<record.Birth|1<<record.Permanent || profs[1].resolved != 1<<record.Permanent {
 			t.Fatalf("fixture: %q should resolve and Atlantis should not: %08b %08b", city, profs[0].resolved, profs[1].resolved)
 		}
 

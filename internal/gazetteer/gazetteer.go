@@ -104,9 +104,9 @@ func asciiKey(buf []byte, name string) ([]byte, bool) {
 // Len returns the number of catalogue entries.
 func (g *Gazetteer) Len() int { return len(g.places) }
 
-// ResolveCoord resolves a city name or variant to its coordinates. It
-// satisfies similarity.CoordResolver: Distance(a, b) is exactly
-// Haversine over the two resolved coordinate pairs.
+// ResolveCoord resolves a city name or variant to its coordinates.
+// Distance(a, b) is exactly Haversine over the two resolved pairs, so
+// coordinates resolved once give the same kilometres bit for bit.
 func (g *Gazetteer) ResolveCoord(city string) (lat, lon float64, ok bool) {
 	p, ok := g.Lookup(city)
 	if !ok {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fpgrowth"
+	"repro/internal/gazetteer"
 	"repro/internal/record"
 )
 
@@ -83,9 +84,13 @@ func TestWeightedJaccardFavorsNames(t *testing.T) {
 	}
 }
 
-type constGeo struct{ km float64 }
-
-func (c constGeo) Distance(a, b string) (float64, bool) { return c.km, true }
+// oneSpot is a catalogue of the fixtures' cities, all at one point: any
+// two of them are 0 km apart, so every city pair ties at fsim 1.
+var oneSpot = gazetteer.New([]gazetteer.Place{
+	{City: "Roma", County: "Roma", Region: "Lazio", Country: "Italy", Lat: 45, Lon: 7},
+	{City: "Milano", County: "Milano", Region: "Lombardia", Country: "Italy", Lat: 45, Lon: 7},
+	{City: "Torino", County: "Torino", Region: "Piemonte", Country: "Italy", Lat: 45, Lon: 7},
+})
 
 func TestSoftScoreUsesFsim(t *testing.T) {
 	// Typos that defeat exact Jaccard still score under fsim.
@@ -95,7 +100,7 @@ func TestSoftScoreUsesFsim(t *testing.T) {
 	}
 	cfg := NewConfig()
 	cfg.ExpertSim = true
-	cfg.Geo = constGeo{km: 5}
+	cfg.Geo = oneSpot
 	sc := scorerFixture(t, cfg, recs)
 	soft := sc.score([]int{0, 1}, new(jaccardScratch))
 	if soft <= 0 {
@@ -114,7 +119,7 @@ func TestSoftScoreUsesFsim(t *testing.T) {
 func TestSoftJaccardGreedyMatching(t *testing.T) {
 	cfg := NewConfig()
 	cfg.ExpertSim = true
-	cfg.Geo = constGeo{km: 0}
+	cfg.Geo = oneSpot
 	recs := []*record.Record{
 		mkRec(1, it(record.FirstName, "Guido")),
 		mkRec(2, it(record.FirstName, "Guido")),

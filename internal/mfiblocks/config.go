@@ -11,8 +11,8 @@ import (
 	"math"
 	"runtime"
 
+	"repro/internal/gazetteer"
 	"repro/internal/record"
-	"repro/internal/similarity"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
@@ -42,7 +42,7 @@ type Config struct {
 	// over member pairs). The paper found this detrimental.
 	ExpertSim bool
 	// Geo resolves place distances for ExpertSim.
-	Geo similarity.GeoDistancer
+	Geo *gazetteer.Gazetteer
 	// PruneFraction prunes this fraction of the most frequent items
 	// before mining (the paper uses 0.0003).
 	PruneFraction float64

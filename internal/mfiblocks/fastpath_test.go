@@ -9,7 +9,7 @@ import (
 
 // randomScoringRecords builds records whose item values collide heavily
 // — names from a tiny pool of near-identical strings, tightly packed
-// birth years, cities that all compare equal under constGeo — so both
+// birth years, cities that all compare equal under oneSpot — so both
 // the counting cluster Jaccard and the sorted soft Jaccard face the
 // maximum number of duplicate items and tied similarities.
 func randomScoringRecords(rng *rand.Rand, n int) []*record.Record {
@@ -268,7 +268,7 @@ func refSoftJaccard(s *scorer, a, b *record.Record) float64 {
 func TestSoftJaccardGolden(t *testing.T) {
 	cfg := NewConfig()
 	cfg.ExpertSim = true
-	cfg.Geo = constGeo{km: 0}
+	cfg.Geo = oneSpot
 	a := mkRec(1, it(record.BirthYear, "1900"), it(record.BirthYear, "1950"))
 	b := mkRec(2, it(record.BirthYear, "1925"), it(record.BirthYear, "1975"))
 	sc := scorerFixture(t, cfg, []*record.Record{a, b})
@@ -288,14 +288,14 @@ func TestSoftJaccardGolden(t *testing.T) {
 
 // TestSoftJaccardMatchesReference cross-checks the sorted bitmask
 // matcher against the quadratic greedy oracle over randomized records
-// dense with tied similarities (identical name pools, constant-distance
+// dense with tied similarities (identical name pools, co-located
 // cities), bit-for-bit.
 func TestSoftJaccardMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	recs := randomScoringRecords(rng, 50)
 	cfg := NewConfig()
 	cfg.ExpertSim = true
-	cfg.Geo = constGeo{km: 30} // every city pair ties at 0.7
+	cfg.Geo = oneSpot // every city pair ties at 1
 	sc := scorerFixture(t, cfg, recs)
 	for trial := 0; trial < 300; trial++ {
 		a := recs[rng.Intn(len(recs))]

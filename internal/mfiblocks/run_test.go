@@ -173,7 +173,7 @@ func TestRunCorpusWithoutRecords(t *testing.T) {
 	}
 	matchesSpec(t, "record-free", got, specRun(NewConfig(), coll))
 	expert := NewConfig()
-	expert.ExpertSim, expert.Geo = true, constGeo{}
+	expert.ExpertSim, expert.Geo = true, oneSpot
 	if _, err := RunCorpus(expert, bare); err == nil {
 		t.Fatal("ExpertSim accepted a corpus without records")
 	}

@@ -12,8 +12,8 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/gazetteer"
 	"repro/internal/record"
-	"repro/internal/similarity"
 )
 
 // specResult is everything Algorithm 1 determines about a run: the kept
@@ -283,7 +283,7 @@ func holds(txn, s []int) bool {
 // distances ExpertSim scores it with.
 type specCorpus struct {
 	coll *record.Collection
-	geo  similarity.GeoDistancer
+	geo  *gazetteer.Gazetteer
 }
 
 // specCorpora are the rows' inputs, built once per test binary: the
@@ -299,8 +299,8 @@ var specCorpora = sync.OnceValue(func() map[string]specCorpus {
 	}
 	return map[string]specCorpus{
 		"italy":  {g.Collection, g.Gaz},
-		"worker": {workerCollection(), constGeo{km: 30}},
-		"ties":   {tieHeavyCollection(), constGeo{km: 30}},
+		"worker": {workerCollection(), oneSpot},
+		"ties":   {tieHeavyCollection(), oneSpot},
 	}
 })
 

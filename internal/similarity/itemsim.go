@@ -4,25 +4,9 @@ import (
 	"math"
 	"strconv"
 
+	"repro/internal/gazetteer"
 	"repro/internal/record"
 )
-
-// GeoDistancer resolves the distance in kilometres between two named
-// places. A gazetteer satisfies this interface.
-type GeoDistancer interface {
-	Distance(cityA, cityB string) (km float64, ok bool)
-}
-
-// CoordResolver is an optional interface a GeoDistancer may implement to
-// let callers resolve a place name to coordinates once and compute many
-// distances from the cached result. Implementations must keep the two
-// views consistent: Distance(a, b) succeeds iff ResolveCoord succeeds for
-// both names, and returns the great-circle distance between the resolved
-// coordinates — so precomputing coordinates yields bit-identical
-// distances.
-type CoordResolver interface {
-	ResolveCoord(city string) (lat, lon float64, ok bool)
-}
 
 // Normalization ranges of fsim (Eq. 1): 31 for days, 12 for months, 50
 // for years, 100 km for place distances. The BXDist pair features are
@@ -54,7 +38,7 @@ func DateDist(a, b string) (d float64, ok bool) {
 type ItemSim struct {
 	// Geo resolves city distances. When nil, cities fall back to exact
 	// string comparison.
-	Geo GeoDistancer
+	Geo *gazetteer.Gazetteer
 }
 
 // Compare returns fsim(a, b) in [0,1].

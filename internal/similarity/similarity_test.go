@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gazetteer"
 	"repro/internal/record"
 )
 
@@ -117,20 +118,9 @@ func TestDateDist(t *testing.T) {
 	}
 }
 
-type fakeGeo struct{ km float64 }
-
-func (f fakeGeo) Distance(a, b string) (float64, bool) {
-	if a == "unknown" || b == "unknown" {
-		return 0, false
-	}
-	if a == b {
-		return 0, true
-	}
-	return f.km, true
-}
-
 func TestItemSimEq1(t *testing.T) {
-	s := ItemSim{Geo: fakeGeo{km: 9}}
+	gaz := gazetteer.Builtin(0)
+	s := ItemSim{Geo: gaz}
 	item := func(ty record.ItemType, v string) record.Item { return record.Item{Type: ty, Value: v} }
 
 	// Different types are dissimilar.
@@ -153,9 +143,14 @@ func TestItemSimEq1(t *testing.T) {
 	if got := s.Compare(item(record.BirthDay, "1"), item(record.BirthDay, "32")); math.Abs(got-0) > 1e-12 {
 		t.Errorf("day sim = %v, want 0", got)
 	}
-	// Geo: max(0, 1 - km/100) over cities.
-	if got := s.Compare(item(record.BirthCity, "Torino"), item(record.BirthCity, "Moncalieri")); math.Abs(got-0.91) > 1e-12 {
-		t.Errorf("geo sim = %v, want 0.91", got)
+	// Geo: max(0, 1 - km/100) over the catalogue coordinates of cities.
+	for _, c := range [][2]string{{"Torino", "Moncalieri"}, {"Torino", "Warszawa"}} {
+		a, okA := gaz.Lookup(c[0])
+		b, okB := gaz.Lookup(c[1])
+		want := math.Max(0, 1-gazetteer.Haversine(a.Lat, a.Lon, b.Lat, b.Lon)/FsimGeoRangeKm)
+		if got := s.Compare(item(record.BirthCity, c[0]), item(record.BirthCity, c[1])); !okA || !okB || got != want {
+			t.Errorf("geo sim %s–%s = %v, want %v", c[0], c[1], got, want)
+		}
 	}
 	// Unknown city falls back to exact match.
 	if got := s.Compare(item(record.BirthCity, "unknown"), item(record.BirthCity, "unknown")); got != 1 {
@@ -187,11 +182,15 @@ func TestItemSimNilGeoFallsBack(t *testing.T) {
 func TestItemSimRange(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := ItemSim{Geo: fakeGeo{km: rng.Float64() * 300}}
 		types := []record.ItemType{record.FirstName, record.BirthYear, record.BirthMonth, record.BirthDay, record.BirthCity, record.Gender}
 		ty := types[rng.Intn(len(types))]
 		a := record.Item{Type: ty, Value: randWord(rng)}
 		b := record.Item{Type: ty, Value: randWord(rng)}
+		// A catalogue of both values, up to about 300 km apart.
+		s := ItemSim{Geo: gazetteer.New([]gazetteer.Place{
+			{City: a.Value, County: "c", Region: "r", Country: "k", Lat: 45, Lon: 7},
+			{City: b.Value, County: "c", Region: "r", Country: "k", Lat: 45 + rng.Float64()*2.7, Lon: 7},
+		})}
 		got := s.Compare(a, b)
 		return got >= 0 && got <= 1
 	}

@@ -169,19 +169,28 @@ func TestPairsResident(t *testing.T) {
 
 // TestPairsSpillEquivalence asserts the merged stream is identical for any
 // window cap — the core purity claim the streaming pipeline relies on.
+// Cap 1 holds one open run file per flush, so it takes the first 300
+// events: still over 100 runs, and a pair whose later run carries the
+// higher score.
 func TestPairsSpillEquivalence(t *testing.T) {
-	events := genEvents(3000)
-	want := reference(events)
-
+	all := genEvents(3000)
 	for _, capEntries := range []int{1, 8, 97, 1 << 20} {
+		events := all
+		if capEntries == 1 {
+			events = all[:300]
+			if !laterRunRaises(events) {
+				t.Fatal("fixture: no pair is re-observed in a later cap-1 run at a higher score")
+			}
+		}
+		want := reference(events)
 		s := NewPairs(capEntries, t.TempDir())
 		for _, e := range events {
 			if _, err := s.Add(e.p, e.s); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if capEntries == 8 && s.Stats().Runs < 2 {
-			t.Fatalf("cap=8 produced %d runs, want several", s.Stats().Runs)
+		if minRuns := map[int]int{1: 100, 8: 2}[capEntries]; s.Stats().Runs < minRuns {
+			t.Fatalf("cap=%d produced %d runs, want >= %d", capEntries, s.Stats().Runs, minRuns)
 		}
 		it, err := s.Iter()
 		if err != nil {
@@ -203,6 +212,23 @@ func TestPairsSpillEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// laterRunRaises reports whether some pair of the events, fed through a
+// cap-1 window (a new run at every change of pair), is re-observed after
+// another pair's run at a higher score than its earlier observation.
+func laterRunRaises(events []struct {
+	p record.Pair
+	s float64
+}) bool {
+	for i := range events {
+		for j := i + 1; j < len(events); j++ {
+			if events[j].p == events[i].p && events[j].s > events[i].s && events[j-1].p != events[i].p {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestPairsFirstSeen pins Add's first-seen report: exact while nothing has

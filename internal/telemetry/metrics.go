@@ -58,14 +58,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
 // Add adds d to the gauge (CAS loop).
 func (g *Gauge) Add(d float64) {
 	if g == nil {

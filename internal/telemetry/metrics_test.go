@@ -24,13 +24,12 @@ func TestCounterBasics(t *testing.T) {
 
 func TestGaugeBasics(t *testing.T) {
 	var g Gauge
-	g.Set(2.5)
+	g.Add(2.5)
 	g.Add(-1)
 	if got := g.Value(); got != 1.5 {
 		t.Errorf("Value = %v, want 1.5", got)
 	}
 	var nilG *Gauge
-	nilG.Set(1)
 	nilG.Add(1)
 	if nilG.Value() != 0 {
 		t.Error("nil gauge non-zero")
@@ -105,7 +104,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
 	r.Counter("a").Inc()
-	r.Gauge("b").Set(1)
+	r.Gauge("b").Add(1)
 	r.Histogram("c", DurationBuckets).Observe(1)
 	r.Timer("d").Observe(time.Second)
 	var sb strings.Builder

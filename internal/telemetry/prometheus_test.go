@@ -49,7 +49,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("req_total", L("route", "/a"), L("class", "2xx")).Add(3)
 	r.Counter("req_total", L("route", "/b"), L("class", "5xx")).Add(1)
-	r.Gauge("inflight").Set(2)
+	r.Gauge("inflight").Add(2)
 	h := r.Histogram("lat_seconds", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)

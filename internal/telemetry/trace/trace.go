@@ -39,7 +39,6 @@
 package trace
 
 import (
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -205,23 +204,6 @@ func (s *Span) Attr(key string, value int64) *Span {
 		return nil
 	}
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-	return s
-}
-
-// Attrs records a map of attributes in sorted key order (maps iterate
-// randomly; the span's attribute order must not).
-func (s *Span) Attrs(m map[string]int64) *Span {
-	if s == nil || len(m) == 0 {
-		return s
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		s.attrs = append(s.attrs, Attr{Key: k, Value: m[k]})
-	}
 	return s
 }
 
