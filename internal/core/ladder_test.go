@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/gazetteer"
@@ -31,19 +32,22 @@ var ladderOps = []string{"mine", "maximal_merge", "build_blocks", "enforce_ng", 
 // BenchmarkLadder is the scale ladder: each rung generates a RandomSet,
 // writes it to a .yvst store and streams it through RunStream with the
 // options yver runs without a model (tracing on, for the per-level
-// spans). Besides ns/op it reports the records, the blocking candidates
-// and their pairs completeness (PC) against the generator's gold, the
-// stage seconds, and the seconds of every minsup level's mine,
-// maximal_merge, build_blocks, enforce_ng and emit_pairs spans, averaged
-// over the iterations. The sub-benchmark pattern picks the rungs; each
-// generates its corpus only when selected:
+// spans). Besides ns/op it reports gen_s, the wall seconds spent
+// generating the corpus and writing the store before the timed op, the
+// records, the blocking candidates and their pairs completeness (PC)
+// against the generator's gold, the stage seconds, and the seconds of
+// every minsup level's mine, maximal_merge, build_blocks, enforce_ng and
+// emit_pairs spans, averaged over the iterations. The sub-benchmark
+// pattern picks the rungs; each generates its corpus only when selected:
 //
 //	go test -run '^$' -bench Ladder -benchtime 1x ./internal/core/
 //	go test -run '^$' -bench 'Ladder/100K$' -benchtime 1x ./internal/core/
 func BenchmarkLadder(b *testing.B) {
 	for _, rung := range ladderRungs {
 		b.Run(rung.name, func(b *testing.B) {
+			start := time.Now()
 			path, gold := ladderCorpus(b, rung.persons)
+			genSeconds := time.Since(start).Seconds()
 			runtime.GC() // the generated records are garbage: the run reads the store
 			opts := NewOptions(gazetteer.Builtin(0))
 			opts.Classify = false
@@ -77,6 +81,7 @@ func BenchmarkLadder(b *testing.B) {
 				addLevelSeconds(levels, opts.Trace.Tree(trace.Full).Roots)
 			}
 			b.StopTimer()
+			b.ReportMetric(genSeconds, "gen_s")
 			b.ReportMetric(float64(records), "records")
 			b.ReportMetric(float64(candidates), "candidates")
 			b.ReportMetric(float64(found)/float64(gold.TruePairCount()), "PC")

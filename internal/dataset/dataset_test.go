@@ -1,7 +1,10 @@
 package dataset
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/gazetteer"
@@ -44,6 +47,67 @@ func TestGenerateDeterministic(t *testing.T) {
 				t.Fatalf("%d communities: record %d source differs", len(cfg.Communities), i)
 			}
 		}
+	}
+}
+
+// TestGenerateGolden pins the corpora of two configs: Italy at 300
+// persons and a six-community RandomSet drawn by one Generate call (the
+// benchmark stitches single-community runs, so its fingerprints never
+// make this call). Any change to what the rng draws, or in which order,
+// moves the hash.
+func TestGenerateGolden(t *testing.T) {
+	italy := ItalyConfig()
+	italy.Persons = 300
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		sha256    string
+		records   int
+		truePairs int
+	}{
+		{"italy-300", italy, "862d9bb012e1f18961afa216620ecc2c380b98eb1bcd4b870c8c70c1469014c6", 570, 512},
+		{"random-600", RandomSetConfig(600), "9dad99a3abdb7768d486f4bcd2ce0af4570f27ef95f5eac18c2f58e052c340b5", 1128, 944},
+	} {
+		g, err := Generate(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: Generate: %v", tc.name, err)
+		}
+		h := sha256.New()
+		if err := record.WriteJSONL(h, g.Records); err != nil {
+			t.Fatalf("%s: WriteJSONL: %v", tc.name, err)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.sha256 {
+			t.Errorf("%s: records sha256 = %s, want %s", tc.name, got, tc.sha256)
+		}
+		if len(g.Records) != tc.records {
+			t.Errorf("%s: %d records, want %d", tc.name, len(g.Records), tc.records)
+		}
+		if got := g.Gold.TruePairCount(); got != tc.truePairs {
+			t.Errorf("%s: %d true pairs, want %d", tc.name, got, tc.truePairs)
+		}
+	}
+}
+
+// TestGenerateAllocsPerReport bounds the bytes Generate allocates per
+// report. Copying the gazetteer's community places for every new
+// submitter cost 7.8 KB per report here; the per-call place lists bring
+// it to about 2.2 KB.
+func TestGenerateAllocsPerReport(t *testing.T) {
+	cfg := ItalyConfig()
+	cfg.Persons = 300
+	if _, err := Generate(cfg); err != nil { // warm-up: package-level tables
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := Generate(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perReport := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(g.Records))
+	if perReport > 3000 {
+		t.Errorf("Generate allocated %.0f B per report, want <= 3000", perReport)
 	}
 }
 

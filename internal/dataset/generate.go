@@ -63,38 +63,61 @@ type submitter struct {
 
 const firstBookID = 1000000
 
+// generator is the state of one Generate call: the rng every draw comes
+// from, and what the call derives once and then reads per family or per
+// report.
+type generator struct {
+	cfg Config
+	rng *rand.Rand
+	gaz *gazetteer.Gazetteer
+	// places holds each configured community's catalogue entries:
+	// gazetteer.CommunityPlaces filters and copies the whole catalogue,
+	// so it runs once per community, not once per new submitter.
+	places   [gazetteer.NumCommunities][]gazetteer.Place
+	lists    map[gazetteer.Community][]*victimList
+	pools    map[gazetteer.Community][]*submitter
+	mvSource string
+}
+
 // Generate produces a dataset from the config. Equal configs (including
 // Seed) produce byte-identical datasets.
 func Generate(cfg Config) (*Generated, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	gaz := gazetteer.Builtin(cfg.TownsPerCounty)
+	gen := &generator{
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		gaz:   gazetteer.Builtin(cfg.TownsPerCounty),
+		pools: make(map[gazetteer.Community][]*submitter),
+	}
+	for _, cw := range cfg.Communities {
+		gen.places[cw.Comm] = gen.gaz.CommunityPlaces(cw.Comm)
+	}
 
 	// Split persons across communities by weight.
-	persons, families := allocatePersons(rng, gaz, cfg)
+	persons, families := gen.allocatePersons()
 
-	lists := makeLists(rng, cfg, persons)
+	gen.lists = makeLists(gen.rng, cfg, persons)
 
 	g := &Generated{
 		Config:   cfg,
 		Persons:  persons,
 		Families: families,
-		Gaz:      gaz,
-		Gold:     NewGold(),
+		Gaz:      gen.gaz,
+		Gold:     newGold(len(persons), int(float64(len(persons))*meanReports(cfg.ReportsDist))),
 	}
 
-	subPools := make(map[gazetteer.Community][]*submitter)
 	if cfg.MVSubmitterShare > 0 {
-		g.MVSource = "submitter:MV Verdi:Torino"
+		gen.mvSource = "submitter:MV Verdi:Torino"
+		g.MVSource = gen.mvSource
 	}
 
 	nextID := int64(firstBookID)
 	for _, p := range persons {
-		n := sampleDist(rng, cfg.ReportsDist) + 1
+		n := sampleDist(gen.rng, cfg.ReportsDist) + 1
 		for i := 0; i < n; i++ {
-			rec := emitReport(rng, cfg, gaz, p, lists, subPools, g.MVSource, nextID)
+			rec := gen.emitReport(p, nextID)
 			nextID++
 			g.Records = append(g.Records, rec)
 			g.Gold.Add(rec.BookID, p.ID, p.FamilyID)
@@ -109,7 +132,8 @@ func Generate(cfg Config) (*Generated, error) {
 	return g, nil
 }
 
-func allocatePersons(rng *rand.Rand, gaz *gazetteer.Gazetteer, cfg Config) ([]*Person, []*Family) {
+func (gen *generator) allocatePersons() ([]*Person, []*Family) {
+	cfg := gen.cfg
 	total := 0.0
 	for _, cw := range cfg.Communities {
 		total += cw.Weight
@@ -126,7 +150,7 @@ func allocatePersons(rng *rand.Rand, gaz *gazetteer.Gazetteer, cfg Config) ([]*P
 		if count <= 0 {
 			continue
 		}
-		ps, fs := generatePersons(rng, gaz, cw.Comm, id, famID, count)
+		ps, fs := gen.generatePersons(cw.Comm, id, famID, count)
 		persons = append(persons, ps...)
 		families = append(families, fs...)
 		id += len(ps)
@@ -134,6 +158,17 @@ func allocatePersons(rng *rand.Rand, gaz *gazetteer.Gazetteer, cfg Config) ([]*P
 		remaining -= len(ps)
 	}
 	return persons, families
+}
+
+// meanReports is the mean number of reports per person under the
+// reports distribution.
+func meanReports(dist []float64) float64 {
+	sum, wsum := 0.0, 0.0
+	for i, w := range dist {
+		sum += float64(i+1) * w
+		wsum += w
+	}
+	return sum / wsum
 }
 
 // makeLists builds the victim lists, one pool per community, with the list
@@ -144,15 +179,7 @@ func makeLists(rng *rand.Rand, cfg Config, persons []*Person) map[gazetteer.Comm
 	for _, p := range persons {
 		perComm[p.Comm]++
 	}
-	meanReports := 0.0
-	{
-		sum, wsum := 0.0, 0.0
-		for i, w := range cfg.ReportsDist {
-			sum += float64(i+1) * w
-			wsum += w
-		}
-		meanReports = sum / wsum
-	}
+	mean := meanReports(cfg.ReportsDist)
 	lists := make(map[gazetteer.Community][]*victimList)
 	seq := 0
 	// In config order, not map order: the loop draws from the rng, so the
@@ -164,7 +191,7 @@ func makeLists(rng *rand.Rand, cfg Config, persons []*Person) map[gazetteer.Comm
 			continue
 		}
 		delete(perComm, comm) // a community listed twice gets one pool
-		expected := float64(count) * meanReports * (1 - cfg.TestimonyFraction)
+		expected := float64(count) * mean * (1 - cfg.TestimonyFraction)
 		n := cfg.ListCount
 		if n == 0 {
 			n = int(expected/150) + 1
@@ -216,7 +243,8 @@ func sampleDist(rng *rand.Rand, weights []float64) int {
 }
 
 // emitReport materializes one victim report for person p.
-func emitReport(rng *rand.Rand, cfg Config, gaz *gazetteer.Gazetteer, p *Person, lists map[gazetteer.Community][]*victimList, pools map[gazetteer.Community][]*submitter, mvSource string, bookID int64) *record.Record {
+func (gen *generator) emitReport(p *Person, bookID int64) *record.Record {
+	rng, cfg := gen.rng, gen.cfg
 	rec := &record.Record{BookID: bookID}
 
 	var present [numFields]bool
@@ -224,19 +252,19 @@ func emitReport(rng *rand.Rand, cfg Config, gaz *gazetteer.Gazetteer, p *Person,
 
 	isTestimony := rng.Float64() < cfg.TestimonyFraction
 	isMV := false
-	if isTestimony && mvSource != "" && p.Comm == gazetteer.Italy && rng.Float64() < cfg.MVSubmitterShare/max(cfg.TestimonyFraction, 0.01) {
+	if isTestimony && gen.mvSource != "" && p.Comm == gazetteer.Italy && rng.Float64() < cfg.MVSubmitterShare/max(cfg.TestimonyFraction, 0.01) {
 		isMV = true
 	}
 
 	switch {
 	case isMV:
 		rec.Kind = record.Testimony
-		rec.Source = mvSource
+		rec.Source = gen.mvSource
 		present[fFirst], present[fLast], present[fFather] = true, true, true
 		present[fGender], present[fBirthP], present[fDeathP] = true, true, true
 	case isTestimony:
 		rec.Kind = record.Testimony
-		rec.Source = pickSubmitter(rng, pools, p.Comm, gaz)
+		rec.Source = gen.pickSubmitter(p.Comm)
 		prof := testimonyProfile
 		if p.Comm == gazetteer.Italy {
 			prof = italyAdjust(prof)
@@ -258,7 +286,7 @@ func emitReport(rng *rand.Rand, cfg Config, gaz *gazetteer.Gazetteer, p *Person,
 		dobFull = rng.Float64() < 0.6
 	default:
 		rec.Kind = record.List
-		pool := lists[p.Comm]
+		pool := gen.lists[p.Comm]
 		l := pool[rng.Intn(len(pool))]
 		rec.Source = l.id
 		present = l.fields
@@ -323,16 +351,16 @@ func emitReport(rng *rand.Rand, cfg Config, gaz *gazetteer.Gazetteer, p *Person,
 		rec.Add(record.MotherMaiden, emitName(rng, cfg, p.MotherMdn, false))
 	}
 	if present[fPerm] {
-		emitPlace(rng, cfg, rec, record.Permanent, p.PermPlace, gaz)
+		emitPlace(rng, cfg, rec, record.Permanent, p.PermPlace)
 	}
 	if present[fWar] {
-		emitPlace(rng, cfg, rec, record.Wartime, p.WarPlace, gaz)
+		emitPlace(rng, cfg, rec, record.Wartime, p.WarPlace)
 	}
 	if present[fBirthP] {
-		emitPlace(rng, cfg, rec, record.Birth, p.BirthPlace, gaz)
+		emitPlace(rng, cfg, rec, record.Birth, p.BirthPlace)
 	}
 	if present[fDeathP] {
-		emitPlace(rng, cfg, rec, record.Death, p.DeathPlace, gaz)
+		emitPlace(rng, cfg, rec, record.Death, p.DeathPlace)
 	}
 	if present[fProf] {
 		rec.Add(record.Profession, p.Profession)
@@ -355,7 +383,7 @@ func emitName(rng *rand.Rand, cfg Config, name string, firstName bool) string {
 
 // emitPlace writes the four components of a place. The city may appear
 // under a spelling variant; coarser components are copied verbatim.
-func emitPlace(rng *rand.Rand, cfg Config, rec *record.Record, pt record.PlaceType, pl gazetteer.Place, gaz *gazetteer.Gazetteer) {
+func emitPlace(rng *rand.Rand, cfg Config, rec *record.Record, pt record.PlaceType, pl gazetteer.Place) {
 	city := pl.City
 	if len(pl.Variants) > 0 && rng.Float64() < cfg.VariantRate*0.6 {
 		city = pl.Variants[rng.Intn(len(pl.Variants))]
@@ -368,8 +396,9 @@ func emitPlace(rng *rand.Rand, cfg Config, rec *record.Record, pt record.PlaceTy
 
 // pickSubmitter reuses an existing submitter (people filed 1-5 pages) or
 // mints a new one.
-func pickSubmitter(rng *rand.Rand, pools map[gazetteer.Community][]*submitter, comm gazetteer.Community, gaz *gazetteer.Gazetteer) string {
-	pool := pools[comm]
+func (gen *generator) pickSubmitter(comm gazetteer.Community) string {
+	rng := gen.rng
+	pool := gen.pools[comm]
 	if len(pool) > 0 && rng.Float64() < 0.35 {
 		s := pool[rng.Intn(len(pool))]
 		if s.uses < 5 {
@@ -378,13 +407,13 @@ func pickSubmitter(rng *rand.Rand, pools map[gazetteer.Community][]*submitter, c
 		}
 	}
 	corpus := names.CorpusFor(comm.String())
-	places := gaz.CommunityPlaces(comm)
+	places := gen.places[comm]
 	first := pick(rng, corpus.MaleFirst)
 	if rng.Intn(2) == 0 {
 		first = pick(rng, corpus.FemaleFirst)
 	}
 	key := fmt.Sprintf("submitter:%s %s:%s", first, pick(rng, corpus.Last), places[rng.Intn(len(places))].City)
 	s := &submitter{key: key, uses: 1}
-	pools[comm] = append(pools[comm], s)
+	gen.pools[comm] = append(gen.pools[comm], s)
 	return key
 }

@@ -15,11 +15,15 @@ type Gold struct {
 }
 
 // NewGold returns an empty gold standard.
-func NewGold() *Gold {
+func NewGold() *Gold { return newGold(0, 0) }
+
+// newGold returns an empty gold standard sized for about the given
+// numbers of entities and reports.
+func newGold(entities, reports int) *Gold {
 	return &Gold{
-		entityOf: make(map[int64]int),
-		familyOf: make(map[int64]int),
-		members:  make(map[int][]int64),
+		entityOf: make(map[int64]int, reports),
+		familyOf: make(map[int64]int, reports),
+		members:  make(map[int][]int64, entities),
 	}
 }
 

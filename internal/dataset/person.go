@@ -56,9 +56,10 @@ type Family struct {
 
 // generatePersons builds families of persons for one community until the
 // target count is reached. It returns persons in generation order.
-func generatePersons(rng *rand.Rand, g *gazetteer.Gazetteer, comm gazetteer.Community, startID, startFamily, count int) ([]*Person, []*Family) {
+func (gen *generator) generatePersons(comm gazetteer.Community, startID, startFamily, count int) ([]*Person, []*Family) {
+	rng := gen.rng
 	corpus := names.CorpusFor(comm.String())
-	places := g.CommunityPlaces(comm)
+	places := gen.places[comm]
 	if len(places) == 0 {
 		panic(fmt.Sprintf("dataset: no places for community %v", comm))
 	}

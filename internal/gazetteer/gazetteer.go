@@ -101,9 +101,6 @@ func asciiKey(buf []byte, name string) ([]byte, bool) {
 	return buf, true
 }
 
-// Len returns the number of catalogue entries.
-func (g *Gazetteer) Len() int { return len(g.places) }
-
 // ResolveCoord resolves a city name or variant to its coordinates.
 // Distance(a, b) is exactly Haversine over the two resolved pairs, so
 // coordinates resolved once give the same kilometres bit for bit.

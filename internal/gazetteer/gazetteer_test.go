@@ -14,7 +14,7 @@ func TestBuiltinValidates(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Errorf("Builtin(%d): %v", towns, err)
 		}
-		if g.Len() == 0 {
+		if len(g.places) == 0 {
 			t.Errorf("Builtin(%d) empty", towns)
 		}
 	}
@@ -22,8 +22,8 @@ func TestBuiltinValidates(t *testing.T) {
 
 func TestBuiltinDeterministic(t *testing.T) {
 	a, b := Builtin(10), Builtin(10)
-	if a.Len() != b.Len() {
-		t.Fatalf("sizes differ: %d vs %d", a.Len(), b.Len())
+	if len(a.places) != len(b.places) {
+		t.Fatalf("sizes differ: %d vs %d", len(a.places), len(b.places))
 	}
 	for i, p := range a.places {
 		q := b.places[i]
@@ -154,8 +154,8 @@ func TestValidateCatchesBadEntries(t *testing.T) {
 
 func TestTownExpansionGrowsCatalogue(t *testing.T) {
 	small, big := Builtin(0), Builtin(20)
-	if big.Len() <= small.Len() {
-		t.Errorf("towns did not grow catalogue: %d vs %d", big.Len(), small.Len())
+	if len(big.places) <= len(small.places) {
+		t.Errorf("towns did not grow catalogue: %d vs %d", len(big.places), len(small.places))
 	}
 	// Town names must be unique enough to resolve.
 	for _, p := range big.places {

@@ -167,16 +167,6 @@ func (d *Dictionary) intern(it Item) int {
 // Len returns the number of distinct items.
 func (d *Dictionary) Len() int { return len(d.keys) }
 
-// ID returns the id of an item key and whether it is known.
-func (d *Dictionary) ID(key string) (int, bool) {
-	it, err := ParseItemKey(key)
-	if err != nil {
-		return 0, false
-	}
-	id, ok := d.ids[it]
-	return id, ok
-}
-
 // Key returns the item key for an id.
 func (d *Dictionary) Key(id int) string { return d.keys[id] }
 

@@ -192,7 +192,7 @@ func TestDictionary(t *testing.T) {
 	if d.Len() != 2 {
 		t.Fatalf("dictionary size = %d", d.Len())
 	}
-	id, ok := d.ID("F:Guido")
+	id, ok := d.ids[Item{Type: FirstName, Value: "Guido"}]
 	if !ok {
 		t.Fatal("F:Guido not interned")
 	}
