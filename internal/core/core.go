@@ -249,7 +249,9 @@ func resolve(opts *Options, report *telemetry.RunReport, stages *stageRunner, wo
 		res.Trace = opts.Trace
 		report.Spans = opts.Trace.Tree(trace.Full)
 	}
-	publish(opts.metrics(), report, st.scores)
+	if err := publish(opts.metrics(), report, st.scores); err != nil {
+		return nil, fmt.Errorf("core: publish: %w", err)
+	}
 	return res, nil
 }
 
@@ -286,8 +288,13 @@ func scoringReport(st *scoreResult, ex *features.Extractor) *telemetry.ScoringRe
 
 // publish writes the run's registry view, each family derived from the
 // finished report — the one place core writes the registry. scores is
-// the histogram the report's score snapshot was taken from.
-func publish(reg *telemetry.Registry, report *telemetry.RunReport, scores *telemetry.Histogram) {
+// the histogram the report's score snapshot was taken from. A registry
+// whose core_score_distribution series has other bounds is an error,
+// and then publish writes nothing.
+func publish(reg *telemetry.Registry, report *telemetry.RunReport, scores *telemetry.Histogram) error {
+	if err := reg.Histogram("core_score_distribution", telemetry.ScoreBuckets).Merge(scores); err != nil {
+		return err
+	}
 	for _, s := range report.Stages {
 		reg.Timer("core_stage_seconds", telemetry.L("stage", s.Name)).Observe(time.Duration(s.DurationNS))
 	}
@@ -297,7 +304,6 @@ func publish(reg *telemetry.Registry, report *telemetry.RunReport, scores *telem
 	reg.Counter("core_matches_total").Add(int64(sr.Matches))
 	reg.Counter("core_samesrc_dropped_total").Add(int64(sr.SameSrcDropped))
 	reg.Counter("core_model_dropped_total").Add(int64(sr.ModelDropped))
-	reg.Histogram("core_score_distribution", telemetry.ScoreBuckets).Merge(scores)
 
 	var mfis, blocks, csPruned, ngPruned int
 	for _, it := range br.Iterations {
@@ -312,6 +318,7 @@ func publish(reg *telemetry.Registry, report *telemetry.RunReport, scores *telem
 	reg.Counter("mfiblocks_pairs_total").Add(int64(br.Pairs))
 	reg.Counter("mfiblocks_cs_pruned_total").Add(int64(csPruned))
 	reg.Counter("mfiblocks_ng_pruned_total").Add(int64(ngPruned))
+	return nil
 }
 
 // sortMatches ranks matches by descending score, breaking ties by pair —

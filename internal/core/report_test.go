@@ -357,3 +357,28 @@ func TestPublishedFamiliesMatchReport(t *testing.T) {
 		}
 	}
 }
+
+// TestPublishIntoForeignScoreHistogram: a registry that already holds
+// core_score_distribution with other bounds makes Run and RunStream
+// return a wrapped error instead of panicking after the pipeline ran,
+// and the run publishes nothing.
+func TestPublishIntoForeignScoreHistogram(t *testing.T) {
+	fx := newFixture(t, 60)
+	reg := telemetry.NewRegistry()
+	reg.Histogram("core_score_distribution", []float64{0.5})
+	opts := Options{Blocking: mfiblocks.NewConfig(), Geo: fx.gen.Gaz, Metrics: reg}
+	if res, err := Run(opts, fx.gen.Collection); err == nil || res != nil || !strings.Contains(err.Error(), "core: publish: telemetry:") {
+		t.Fatalf("Run: %v, resolution %v", err, res != nil)
+	}
+	res, err := RunStream(StreamOptions{Options: opts}, NewCollectionSource(fx.gen.Collection))
+	if err == nil || res != nil || !strings.Contains(err.Error(), "core: publish: telemetry:") {
+		t.Fatalf("RunStream: %v, resolution %v", err, res != nil)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "core_runs_total") {
+		t.Fatal("a refused publish wrote the run's counters")
+	}
+}

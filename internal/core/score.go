@@ -15,10 +15,34 @@ import (
 )
 
 // candidate is one blocking candidate on its way through the scoring
-// stage. blockScore is set only by a source whose stream carries it.
+// stage. blockScore is set only by a source whose stream carries it. pos
+// is the pair's collection positions when the source carries them, and
+// noPos otherwise.
 type candidate struct {
 	pair       record.Pair
 	blockScore float64
+	pos        mfiblocks.PairPosition
+}
+
+// noPos marks a candidate without positions. No pair has it: its two
+// positions are equal.
+const noPos = ^mfiblocks.PairPosition(0)
+
+// positions returns the candidate's collection positions in work. They
+// come from pos when it names the pair's two reports there; otherwise
+// — no positions, or positions into another order of the records — they
+// come from the BookID index, byID is true, and pos becomes noPos, so
+// the source looks the block score up by pair too.
+func (c *candidate) positions(work *record.Collection) (ia, ib int, byID bool) {
+	if c.pos != noPos {
+		ia, ib = c.pos.Split()
+		if ia < len(work.Records) && ib < len(work.Records) &&
+			work.Records[ia].BookID == c.pair.A && work.Records[ib].BookID == c.pair.B {
+			return ia, ib, false
+		}
+		c.pos = noPos
+	}
+	return work.Index(c.pair.A), work.Index(c.pair.B), true
 }
 
 // candidateSource is the stream of candidates the scoring stage consumes —
@@ -36,25 +60,54 @@ type candidateSource interface {
 }
 
 // pairSlice streams a resident candidate set in first-seen order. A
-// caller claims a range with one atomic add; a pair's score costs a map
-// probe, paid by blockScore for the kept candidates alone.
+// caller claims a range with one atomic add. When the result carries its
+// aligned columns, each candidate comes with its positions and block
+// score; a candidate without them, or whose positions the scorer
+// rejected, costs a map probe for its score, paid by blockScore for the
+// kept candidates alone.
 type pairSlice struct {
 	pairs  []record.Pair
 	scores map[record.Pair]float64
-	cursor atomic.Int64
+	// positions and blockScores are the result's columns, or nil when it
+	// has none or they do not align with pairs.
+	positions   []mfiblocks.PairPosition
+	blockScores []float64
+	cursor      atomic.Int64
+}
+
+// residentPairs is the candidate source of a resident blocking result.
+func residentPairs(blk *mfiblocks.Result) *pairSlice {
+	s := &pairSlice{pairs: blk.Pairs, scores: blk.PairScores}
+	if len(blk.PairPositions) == len(blk.Pairs) && len(blk.PairBlockScores) == len(blk.Pairs) {
+		s.positions, s.blockScores = blk.PairPositions, blk.PairBlockScores
+	}
+	return s
 }
 
 func (s *pairSlice) next(buf []candidate) (int, error) {
 	end := int64(len(s.pairs))
 	hi := s.cursor.Add(int64(len(buf)))
-	claimed := s.pairs[min(hi-int64(len(buf)), end):min(hi, end)]
+	lo := min(hi-int64(len(buf)), end)
+	claimed := s.pairs[lo:min(hi, end)]
+	if s.positions == nil {
+		for i, p := range claimed {
+			buf[i] = candidate{pair: p, pos: noPos}
+		}
+		return len(claimed), nil
+	}
+	pos, scores := s.positions[lo:], s.blockScores[lo:]
 	for i, p := range claimed {
-		buf[i] = candidate{pair: p}
+		buf[i] = candidate{p, scores[i], pos[i]}
 	}
 	return len(claimed), nil
 }
 
-func (s *pairSlice) blockScore(c *candidate) float64 { return s.scores[c.pair] }
+func (s *pairSlice) blockScore(c *candidate) float64 {
+	if c.pos != noPos {
+		return c.blockScore
+	}
+	return s.scores[c.pair]
+}
 
 func (*pairSlice) close() error { return nil }
 
@@ -87,7 +140,7 @@ func (s *spillMerge) next(buf []candidate) (int, error) {
 		if err != nil {
 			return n, err
 		}
-		buf[n] = candidate{p, score}
+		buf[n] = candidate{p, score, noPos}
 	}
 	return len(buf), nil
 }
@@ -100,7 +153,7 @@ func (s *spillMerge) close() error { return s.pairs.Close() }
 // run's merge-open span lands under sp.
 func candidatesOf(blk *mfiblocks.Result, sp *trace.Span) candidateSource {
 	if blk.Spill == nil {
-		return &pairSlice{pairs: blk.Pairs, scores: blk.PairScores}
+		return residentPairs(blk)
 	}
 	blk.Spill.Trace = sp
 	return &spillMerge{pairs: blk.Spill}
@@ -114,6 +167,9 @@ type scoreResult struct {
 	candidates int
 	sameSrc    int
 	byModel    int
+	// byID counts the candidates whose positions came from the BookID
+	// index rather than from their source.
+	byID int
 	// features counts the features the model pulled, over every candidate
 	// it scored. A pair's count depends on the pair and the model alone,
 	// so the total is the same for any source and worker count.
@@ -188,7 +244,10 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 			}
 			for i := range buf[:n] {
 				c := &buf[i]
-				ia, ib := work.Index(c.pair.A), work.Index(c.pair.B)
+				ia, ib, byID := c.positions(work)
+				if byID {
+					local.byID++
+				}
 				ra, rb := work.Records[ia], work.Records[ib]
 				if opts.SameSrc && ra.Source != "" && ra.Source == rb.Source {
 					local.sameSrc++
@@ -224,8 +283,9 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 		total.candidates += local.candidates
 		total.sameSrc += local.sameSrc
 		total.byModel += local.byModel
+		total.byID += local.byID
 		total.features += local.features
-		total.scores.Merge(local.scores)
+		total.scores.Merge(local.scores) // one layout, ScoreBuckets: cannot fail
 		mu.Unlock()
 	}
 	wg.Add(workers)
@@ -241,15 +301,24 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 // resident candidates of an existing blocking result, exactly as Run's
 // scoring stage does. Callers that re-block rarely but re-score often
 // (threshold sweeps, model comparisons, the rescore benchmark workload)
-// use it to skip the blocking stage. work must be the collection blk was
-// produced from. It reads blk.Pairs and PairScores only: a result whose
-// candidates spilled holds them in blk.Spill, which benchmark/staged.go
-// drains into those two fields before calling it.
+// use it to skip the blocking stage. work must hold the records blk was
+// produced from. It reads blk.Pairs and PairScores, and the aligned
+// PairPositions and PairBlockScores when blk has them: a candidate whose
+// positions name its two reports in work is scored by position, and any
+// other — work in another record order, columns that do not align with
+// Pairs, or none at all — by BookID, with the same result. A result
+// whose candidates spilled holds them in blk.Spill, which
+// benchmark/staged.go drains into Pairs and PairScores before calling
+// it.
 func ScoreCandidates(opts Options, work *record.Collection, blk *mfiblocks.Result) []RankedMatch {
-	cache := features.NewProfileCache(scoringExtractor(&opts))
-	src := &pairSlice{pairs: blk.Pairs, scores: blk.PairScores}
+	return scoreResident(&opts, work, blk).matches
+}
+
+// scoreResident is ScoreCandidates with the scoring stage's counters.
+func scoreResident(opts *Options, work *record.Collection, blk *mfiblocks.Result) scoreResult {
+	cache := features.NewProfileCache(scoringExtractor(opts))
 	// A resident candidate slice cannot fail.
-	st, _ := scoreCandidates(&opts, work, src, cache, opts.workers(), nil)
+	st, _ := scoreCandidates(opts, work, residentPairs(blk), cache, opts.workers(), nil)
 	sortMatches(st.matches)
-	return st.matches
+	return st
 }

@@ -393,3 +393,72 @@ func TestScoreCandidatesOrderAndWorkers(t *testing.T) {
 	}
 	checkScoreCandidates(t, fx, shuffled(fx.spec.blocking), 2, 8)
 }
+
+// TestScoringReadsPositions: the scoring stage reads a resident result's
+// candidates by the positions blocking recorded, and only a candidate
+// whose positions do not name its reports in the collection scored takes
+// the BookID path — with the same output. Resident Run's own blocking
+// result and collection, in record order and in reverse, and
+// ScoreCandidates over the collection the result came from, take it for
+// no candidate; the candidates shuffled
+// out of line with their columns, a collection in another record order
+// and columns cut short take it, and still rank the spec's matches.
+func TestScoringReadsPositions(t *testing.T) {
+	fx := specItaly(t)
+	opts := fx.opts
+	blk, work := fx.spec.blocking, fx.spec.work
+
+	reverse := func(coll *record.Collection) *record.Collection {
+		recs := slices.Clone(coll.Records)
+		slices.Reverse(recs)
+		out, err := record.NewCollection(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	// In reverse record order a pair's lower BookID is its later
+	// position.
+	for _, coll := range []*record.Collection{fx.gen.Collection, reverse(fx.gen.Collection)} {
+		res, err := Run(opts, coll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := scoreCandidates(&opts, res.Collection, candidatesOf(res.Blocking, nil), features.NewProfileCache(scoringExtractor(&opts)), 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.byID != 0 || st.candidates != len(res.Blocking.Pairs) {
+			t.Fatalf("Run's own result: %d of %d candidates by BookID, want 0", st.byID, st.candidates)
+		}
+	}
+	if st := scoreResident(&opts, work, blk); st.byID != 0 || !slices.Equal(st.matches, fx.spec.matches) {
+		t.Fatalf("ScoreCandidates: %d candidates by BookID, want 0; matches equal the spec's: %v", st.byID, slices.Equal(st.matches, fx.spec.matches))
+	}
+
+	reorderedWork := reverse(work)
+	cut := *blk
+	cut.PairPositions = cut.PairPositions[:len(cut.PairPositions)-1]
+	for _, row := range []struct {
+		name string
+		work *record.Collection
+		blk  *mfiblocks.Result
+		all  bool // every candidate by BookID
+	}{
+		{"shuffled", work, shuffled(blk), false},
+		{"reordered collection", reorderedWork, blk, false},
+		{"columns cut short", work, &cut, true},
+	} {
+		for _, w := range []int{1, 8} {
+			o := opts
+			o.Workers = w
+			st := scoreResident(&o, row.work, row.blk)
+			if st.byID == 0 || row.all && st.byID != len(blk.Pairs) {
+				t.Fatalf("%s, workers=%d: %d of %d candidates by BookID", row.name, w, st.byID, len(blk.Pairs))
+			}
+			if !slices.Equal(st.matches, fx.spec.matches) {
+				t.Fatalf("%s, workers=%d: %d matches diverge from the spec's %d", row.name, w, len(st.matches), len(fx.spec.matches))
+			}
+		}
+	}
+}

@@ -18,6 +18,11 @@ type stageRunner struct {
 	root *trace.Span
 }
 
+// stageEnded, when set, is called with each stage's name as the stage
+// ends, on the goroutine that ran it. It is nil in every program; the
+// scale ladder sets it to sample the heap at each stage's end.
+var stageEnded func(name string)
+
 // run executes one named stage, handing the stage's span (nil when
 // untraced) to fn so the stage can parent deeper spans under it. The
 // stage is recorded only on success: a failing stage leaves no report
@@ -27,9 +32,13 @@ func (s *stageRunner) run(name string, fn func(sp *trace.Span) error) error {
 	sp := s.root.Child(name, trace.WithKind(trace.KindStage))
 	err := fn(sp)
 	sp.End()
+	elapsed := time.Since(t0)
+	if stageEnded != nil {
+		stageEnded(name)
+	}
 	if err != nil {
 		return err
 	}
-	s.report.Stages = append(s.report.Stages, telemetry.StageReport{Name: name, DurationNS: time.Since(t0).Nanoseconds()})
+	s.report.Stages = append(s.report.Stages, telemetry.StageReport{Name: name, DurationNS: elapsed.Nanoseconds()})
 	return nil
 }

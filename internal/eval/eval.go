@@ -121,3 +121,36 @@ func TrainIndices(folds [][]int, holdout int) []int {
 	}
 	return out
 }
+
+// BCubed returns the B-cubed precision and recall of a clustering against
+// the true one (Bagga and Baldwin): item i is in cluster cluster[i] and
+// in true cluster truth[i]. An item's precision is the share of its
+// cluster that shares its true cluster, its recall the share of its true
+// cluster that shares its cluster, and both are averaged over the items.
+// Unlike pair precision and recall, an entity weighs by its size, not by
+// the square of it. No items give 0 and 0; labellings of unequal length
+// are an error.
+func BCubed(cluster, truth []int) (precision, recall float64, err error) {
+	if len(cluster) != len(truth) {
+		return 0, 0, fmt.Errorf("eval: B-cubed over %d cluster and %d true labels", len(cluster), len(truth))
+	}
+	if len(cluster) == 0 {
+		return 0, 0, nil
+	}
+	clusterSize := map[int]int{}
+	truthSize := map[int]int{}
+	both := map[[2]int]int{}
+	for i, c := range cluster {
+		clusterSize[c]++
+		truthSize[truth[i]]++
+		both[[2]int{c, truth[i]}]++
+	}
+	// The items are summed in order, so the result does not depend on
+	// map iteration order.
+	for i, c := range cluster {
+		n := float64(both[[2]int{c, truth[i]}])
+		precision += n / float64(clusterSize[c])
+		recall += n / float64(truthSize[truth[i]])
+	}
+	return precision / float64(len(cluster)), recall / float64(len(cluster)), nil
+}

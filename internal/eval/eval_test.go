@@ -197,3 +197,33 @@ func TestAccuracy(t *testing.T) {
 		t.Error("Accuracy(0,0)")
 	}
 }
+
+// TestBCubed checks B-cubed against a hand-worked example. Six items, true
+// clusters {0,1,2} {3,4} {5}, predicted clusters {0,1} {2,3,4,5}.
+// Precision per item: 1, 1, 1/4, 2/4, 2/4, 1/4, so P = 3.5/6. Recall per
+// item: 2/3, 2/3, 1/3, 1, 1, 1, so R = (14/3)/6 = 7/9.
+func TestBCubed(t *testing.T) {
+	truth := []int{0, 0, 0, 1, 1, 2}
+	cluster := []int{7, 7, 9, 9, 9, 9}
+	p, r, err := BCubed(cluster, truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(p-3.5/6) > 1e-12 || math.Abs(r-7.0/9) > 1e-12 {
+		t.Fatalf("B-cubed P=%v R=%v, want %v and %v", p, r, 3.5/6, 7.0/9)
+	}
+	if p, r, _ := BCubed(truth, truth); p != 1 || r != 1 {
+		t.Fatalf("the true clustering scores P=%v R=%v, want 1 and 1", p, r)
+	}
+	// Singletons are all precise; recall is Σ over true clusters of
+	// |t| · (1/|t|) = 3 of 6 items.
+	if p, r, _ := BCubed([]int{0, 1, 2, 3, 4, 5}, truth); p != 1 || math.Abs(r-0.5) > 1e-12 {
+		t.Fatalf("singletons score P=%v R=%v, want 1 and 0.5", p, r)
+	}
+	if p, r, err := BCubed(nil, nil); p != 0 || r != 0 || err != nil {
+		t.Fatalf("no items: P=%v R=%v err=%v", p, r, err)
+	}
+	if _, _, err := BCubed([]int{0}, nil); err == nil {
+		t.Fatal("labellings of unequal length gave no error")
+	}
+}

@@ -19,8 +19,9 @@ import (
 // Result is the outcome of a run: the surviving soft blocks, the candidate
 // pairs they induce (with each pair's best block score as its similarity),
 // and coverage bookkeeping. The candidates come in one of two forms, by
-// outcome: Pairs and PairScores when they fit under the spill cap
-// (Config.SpillPairs), Spill when they outgrew it.
+// outcome: Pairs and PairScores, with the columns PairPositions and
+// PairBlockScores aligned to Pairs, when they fit under the spill cap
+// (Config.SpillPairs); Spill when they outgrew it.
 type Result struct {
 	// Blocks are the surviving soft clusters across all iterations.
 	Blocks []*Block
@@ -37,6 +38,14 @@ type Result struct {
 	// blocks containing it — the pair's blocking similarity. Nil when the
 	// candidates spilled.
 	PairScores map[record.Pair]float64
+	// PairPositions and PairBlockScores are columns aligned with Pairs:
+	// entry i holds Pairs[i]'s corpus positions and its PairScores
+	// entry. The scoring stage reads records, profiles and block scores
+	// by them instead of looking pairs up by BookID. Nil when the
+	// candidates spilled: emission stops recording them at the
+	// accumulator's first flush.
+	PairPositions   []PairPosition
+	PairBlockScores []float64
 	// Covered marks, per collection index, whether the record appeared
 	// in any accepted pair.
 	Covered []bool
@@ -81,6 +90,14 @@ func (r *Result) EachPair(fn func(p record.Pair, score float64)) error {
 		fn(p, score)
 	}
 }
+
+// PairPosition is a candidate pair's two corpus positions in one word:
+// the position of the pair's A (its lower BookID) in the high 32 bits,
+// of its B in the low ones.
+type PairPosition uint64
+
+// Split returns the corpus positions of the pair's A and B.
+func (p PairPosition) Split() (a, b int) { return int(p >> 32), int(uint32(p)) }
 
 // IterationStats captures one minsup level of Algorithm 1. It is the
 // run report's type for the level: the report copies Result.Iterations
@@ -131,6 +148,15 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 	// Every kept block's member pairs go to this one accumulator; whether
 	// they stay in memory is decided by the cap alone.
 	acc := spill.NewPairs(cfg.SpillPairs, cfg.SpillDir)
+	// The position column of the accumulator's first-seen window, while
+	// that window is the whole candidate set; positions records it, and
+	// is nil once the window flushes (or when a position does not fit in
+	// 32 bits).
+	var column []PairPosition
+	positions := &column
+	if uint64(n) > math.MaxUint32 {
+		positions = nil
+	}
 	coveredCount := 0
 	// Per-record NG budget units spent so far, across all levels (the
 	// rule is stated on Config.NG). Keyed by the dense collection index,
@@ -191,13 +217,19 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 		emitSpan := iterSpan.Child("emit_pairs", trace.WithKind(trace.KindOp))
 		acc.Trace = emitSpan // a window flush lands under the emission that filled it
 		for _, b := range kept {
-			first, err := emit(acc, corpus.BookIDs, b)
+			first, err := emit(acc, corpus.BookIDs, b, positions)
 			stats.NewPairs += first
 			if err != nil {
 				emitSpan.End()
 				iterSpan.End()
 				acc.Close()
 				return nil, fmt.Errorf("mfiblocks: minsup %d: %w", minsup, err)
+			}
+			if positions != nil && acc.Stats().Runs > 0 {
+				// The window flushed: from here on it holds only the
+				// candidates first seen since, and the scorer reads the
+				// merge by BookID.
+				positions, column = nil, nil
 			}
 			for _, m := range b.Members {
 				if !res.Covered[m] {
@@ -227,6 +259,13 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 	acc.Trace = nil // the emission spans have ended; a later merge parents its own
 	if pairs, scores, ok := acc.Resident(); ok {
 		res.Pairs, res.PairScores = pairs, scores
+		if positions != nil {
+			res.PairPositions = column
+			res.PairBlockScores = make([]float64, len(pairs))
+			for i, p := range pairs {
+				res.PairBlockScores[i] = scores[p]
+			}
+		}
 	} else {
 		res.Spill = acc
 	}
@@ -235,17 +274,26 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 
 // emit adds every member pair of a kept block to the accumulator with the
 // block's score, in member-index order, and returns how many of them the
-// accumulator saw first. Every member of a kept block (size >= 2) joins a
-// pair, so the caller covers the members directly.
-func emit(acc *spill.Pairs, bookIDs []int64, b *Block) (first int, err error) {
+// accumulator saw first. With positions set, it appends each first-seen
+// pair's corpus positions there. Every member of a kept block (size >= 2)
+// joins a pair, so the caller covers the members directly.
+func emit(acc *spill.Pairs, bookIDs []int64, b *Block, positions *[]PairPosition) (first int, err error) {
 	for i, m := range b.Members {
 		for _, o := range b.Members[i+1:] {
-			isFirst, err := acc.Add(record.MakePair(bookIDs[m], bookIDs[o]), b.Score)
+			ida, idb := bookIDs[m], bookIDs[o]
+			isFirst, err := acc.Add(record.MakePair(ida, idb), b.Score)
 			if err != nil {
 				return first, err
 			}
 			if isFirst {
 				first++
+				if positions != nil {
+					pa, pb := PairPosition(m), PairPosition(o)
+					if ida > idb {
+						pa, pb = pb, pa
+					}
+					*positions = append(*positions, pa<<32|pb)
+				}
 			}
 		}
 	}

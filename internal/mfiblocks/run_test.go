@@ -131,6 +131,7 @@ func TestRunSpillMatchesInMemory(t *testing.T) {
 		t.Fatal("a run that fits under its cap spilled")
 	}
 	matchesSpec(t, "exact cap", res, want)
+	columnsMatch(t, "exact cap", res, NewCorpus(coll).BookIDs)
 	if order, scores := collect(t, res); !reflect.DeepEqual(order, want.Pairs) || !reflect.DeepEqual(scores, want.PairScores) {
 		t.Fatal("EachPair does not deliver the resident candidates in first-seen order")
 	}

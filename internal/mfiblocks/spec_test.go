@@ -287,9 +287,11 @@ type specCorpus struct {
 }
 
 // specCorpora are the rows' inputs, built once per test binary: the
-// 150-person ItalySet (dense, single community), the noisy partial
-// duplicates of workerCollection, and the byte-identical groups of
-// tieHeavyCollection, where every block score collides with many others.
+// 150-person ItalySet (dense, single community), the same records in
+// reverse order (so a pair's lower BookID is its later position), the
+// noisy partial duplicates of workerCollection, and the byte-identical
+// groups of tieHeavyCollection, where every block score collides with
+// many others.
 var specCorpora = sync.OnceValue(func() map[string]specCorpus {
 	cfg := dataset.ItalyConfig()
 	cfg.Persons = 150
@@ -297,10 +299,13 @@ var specCorpora = sync.OnceValue(func() map[string]specCorpus {
 	if err != nil {
 		panic(err)
 	}
+	reversed := slices.Clone(g.Collection.Records)
+	slices.Reverse(reversed)
 	return map[string]specCorpus{
-		"italy":  {g.Collection, g.Gaz},
-		"worker": {workerCollection(), oneSpot},
-		"ties":   {tieHeavyCollection(), oneSpot},
+		"italy":          {g.Collection, g.Gaz},
+		"italy-reversed": {mustCollection(reversed), g.Gaz},
+		"worker":         {workerCollection(), oneSpot},
+		"ties":           {tieHeavyCollection(), oneSpot},
 	}
 })
 
@@ -372,7 +377,29 @@ func checkRun(t *testing.T, corpus string, cfg Config, workers ...int) {
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", corpus, w, err)
 		}
-		matchesSpec(t, fmt.Sprintf("%s workers=%d", corpus, w), got, want)
+		label := fmt.Sprintf("%s workers=%d", corpus, w)
+		matchesSpec(t, label, got, want)
+		columnsMatch(t, label, got, NewCorpus(in.coll).BookIDs)
+	}
+}
+
+// columnsMatch holds a resident run's aligned columns to what they
+// describe: entry i of PairPositions names Pairs[i].A and Pairs[i].B by
+// their corpus positions (bookIDs[pos]), and entry i of PairBlockScores
+// is Pairs[i]'s PairScores entry.
+func columnsMatch(t *testing.T, label string, got *Result, bookIDs []int64) {
+	t.Helper()
+	if len(got.PairPositions) != len(got.Pairs) || len(got.PairBlockScores) != len(got.Pairs) {
+		t.Fatalf("%s: %d positions and %d block scores for %d pairs", label, len(got.PairPositions), len(got.PairBlockScores), len(got.Pairs))
+	}
+	for i, p := range got.Pairs {
+		pa, pb := got.PairPositions[i].Split()
+		if bookIDs[pa] != p.A || bookIDs[pb] != p.B {
+			t.Fatalf("%s: pair %d is %v, its positions %d and %d name %d and %d", label, i, p, pa, pb, bookIDs[pa], bookIDs[pb])
+		}
+		if got.PairBlockScores[i] != got.PairScores[p] {
+			t.Fatalf("%s: pair %d's block score column holds %v, PairScores %v", label, i, got.PairBlockScores[i], got.PairScores[p])
+		}
 	}
 }
 
@@ -397,7 +424,9 @@ func matchesSpec(t *testing.T, label string, got *Result, want *specResult) {
 
 // TestRunMatchesSpec holds Run to specRun with one row per blocking knob
 // on each corpus, the worker count rotating through 1, 2 and 8 instead of
-// crossing every config, plus one spilled row. The default config, the
+// crossing every config, plus a row over the ItalySet in reverse record
+// order and one spilled row. A resident row's aligned columns must
+// describe its pairs; a spilled row has none. The default config, the
 // worker counts, ExpertSim, the small fixtures unpruned and the ties
 // under ExpertWeights have rows named after them instead.
 func TestRunMatchesSpec(t *testing.T) {
@@ -428,6 +457,7 @@ func TestRunMatchesSpec(t *testing.T) {
 			row++
 		}
 	}
+	t.Run("italy-reversed/default", func(t *testing.T) { checkRun(t, "italy-reversed", NewConfig(), 2) })
 	t.Run("italy/spilled", testSpilledMatchesSpec)
 }
 
@@ -446,7 +476,8 @@ func testSpilledMatchesSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Spill == nil || got.Spill.Stats().Runs < 2 || got.Pairs != nil || got.PairScores != nil {
+	if got.Spill == nil || got.Spill.Stats().Runs < 2 || got.Pairs != nil || got.PairScores != nil ||
+		got.PairPositions != nil || got.PairBlockScores != nil {
 		t.Fatal("a cap of 32 pairs did not leave only a merge of at least two runs")
 	}
 	order, scores := collect(t, got)

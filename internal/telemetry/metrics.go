@@ -13,7 +13,9 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -130,16 +132,16 @@ func (h *Histogram) addSum(v float64) {
 	}
 }
 
-// Merge folds another histogram with the identical bucket layout into
-// h. It panics on layout mismatch — merging is for flushing per-worker
-// locals into a shared registry histogram, where the layout is shared
-// by construction.
-func (h *Histogram) Merge(src *Histogram) {
+// Merge folds another histogram with the identical bucket bounds into
+// h. A histogram with other bounds is an error and changes nothing: a
+// registry series may have been created with other bounds by whoever
+// named the family first.
+func (h *Histogram) Merge(src *Histogram) error {
 	if h == nil || src == nil {
-		return
+		return nil
 	}
-	if len(src.bounds) != len(h.bounds) {
-		panic("telemetry: Merge across different bucket layouts")
+	if !slices.Equal(src.bounds, h.bounds) {
+		return fmt.Errorf("telemetry: merge of a histogram with %d bounds into one with %d other bounds", len(src.bounds), len(h.bounds))
 	}
 	for i := range src.buckets {
 		if n := src.buckets[i].Load(); n > 0 {
@@ -153,6 +155,7 @@ func (h *Histogram) Merge(src *Histogram) {
 		h.count.Add(n)
 		h.addSum(math.Float64frombits(src.sumBits.Load()))
 	}
+	return nil
 }
 
 // HistogramSnapshot is a point-in-time, JSON-friendly view of a

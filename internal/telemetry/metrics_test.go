@@ -63,7 +63,9 @@ func TestHistogramMerge(t *testing.T) {
 	a.Observe(0.5)
 	b.Observe(1.5)
 	b.Observe(3)
-	a.Merge(b)
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
 	s := a.Snapshot()
 	if s.Count != 3 || s.Cumulative[2] != 3 {
 		t.Errorf("merged snapshot = %+v", s)
@@ -73,13 +75,22 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeLayoutMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Merge across layouts did not panic")
+// TestHistogramMergeLayoutMismatchErrors: a histogram with other bounds
+// — fewer, or as many but different — is refused with an error and
+// leaves the target as it was.
+func TestHistogramMergeLayoutMismatchErrors(t *testing.T) {
+	for _, bounds := range [][]float64{{1}, {1, 3}} {
+		h := NewHistogram([]float64{1, 2})
+		h.Observe(0.5)
+		src := NewHistogram(bounds)
+		src.Observe(0.5)
+		if err := h.Merge(src); err == nil {
+			t.Errorf("bounds %v: Merge across layouts returned no error", bounds)
 		}
-	}()
-	NewHistogram([]float64{1}).Merge(NewHistogram([]float64{1, 2}))
+		if s := h.Snapshot(); s.Count != 1 || s.Sum != 0.5 {
+			t.Errorf("bounds %v: a refused Merge changed the target: %+v", bounds, s)
+		}
+	}
 }
 
 func TestRegistryGetOrCreate(t *testing.T) {
