@@ -285,7 +285,7 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 		total.byModel += local.byModel
 		total.byID += local.byID
 		total.features += local.features
-		total.scores.Merge(local.scores) // one layout, ScoreBuckets: cannot fail
+		_ = total.scores.Merge(local.scores) // both are ScoreBuckets: it cannot fail
 		mu.Unlock()
 	}
 	wg.Add(workers)
