@@ -1,6 +1,7 @@
 package features
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,9 +10,10 @@ import (
 )
 
 // trickyRecords exercise every way a feature can be present, missing or
-// awkward: multi-valued and repeated names in mixed case, a city the
-// gazetteer cannot resolve, partial and unparsable birth dates, empty
-// sources, and a record with nothing at all.
+// awkward: multi-valued and repeated names in mixed case, a record with
+// more name items (41) than any generated one, a city the gazetteer
+// cannot resolve, partial and unparsable birth dates, empty sources, and
+// a record with nothing at all.
 func trickyRecords(city string) []*record.Record {
 	recs := valueTableRecords(city)
 	recs[1].Source = ""
@@ -47,6 +49,21 @@ func trickyRecords(city string) []*record.Record {
 			r.Add(record.BirthYear, "1920")
 			r.Add(record.BirthMonth, "11")
 			r.Add(record.BirthDay, "18")
+		}),
+		rec(func(r *record.Record) {
+			r.Source = "list:1"
+			for i := range 34 {
+				r.Add(record.FirstName, fmt.Sprintf("Name%02d", i))
+			}
+			for _, v := range []string{"HARRIS", "Jon", "jon"} {
+				r.Add(record.FirstName, v)
+			}
+			for _, v := range []string{"Foa", "Cohen"} {
+				r.Add(record.LastName, v)
+			}
+			r.Add(record.FatherName, "Donato")
+			r.Add(record.MotherName, "łucja")
+			r.Add(record.DeathCounty, "Torino")
 		}),
 		rec(func(*record.Record) {}),
 	)

@@ -1,7 +1,6 @@
 package features
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -16,34 +15,37 @@ import (
 )
 
 // Profile is a per-record snapshot of everything the pair features read,
-// derived once from the record's raw strings: lowered name values and
-// their q-gram sets, parsed birth-date components, first-values of places
-// and demographic attributes, and the coordinates the extractor's
-// gazetteer resolves for the place-type cities.
-// ProfileCache.Build makes them.
+// derived once from the record's raw strings: its name values as interned
+// IDs, parsed birth-date components, first values of places and
+// demographic attributes, and the coordinates the extractor's gazetteer
+// resolves for the place-type cities. ProfileCache.Build makes them.
 //
 // A profile holds only what its extractor's features read (see
-// NewExtractorFor). Training (ExtractProfiled over a full extractor's
-// profiles) and scoring (PairEval over a restricted extractor's) compute
-// each feature with the same code, so a feature a model tests has the
-// same value in both.
+// NewExtractorFor): the source, name attributes, first values, date
+// components and place-type cities of the features it profiles, and
+// nothing else.
+// Training (ExtractProfiled over a full extractor's profiles) and scoring
+// (PairEval over a restricted extractor's) compute each feature with the
+// same code, so a feature a model tests has the same value in both.
 //
 // A run keeps one profile per record for as long as its Resolution lives,
 // so the layout is compact: the variable-length parts are sub-slices of
-// arenas shared by a whole Build, and the sparse attributes store only the
-// values present, located through a mask.
+// arenas shared by a whole Build, the sparse attributes store only the
+// values present, located through a mask, and a name value is a 4-byte ID
+// whose lowered string and q-grams the extractor's value table holds once
+// for every profile.
 type Profile struct {
 	source string
 
-	// names holds the record's distinct lowered name values, grouped by
-	// name attribute in nameAttrs order and sorted by interned ID within
-	// a group: attribute i's group is names[ends[i]:ends[i+1]].
-	names []nameValue
+	// names holds the interned IDs of the record's distinct lowered name
+	// values, grouped by name attribute in nameAttrs order and sorted
+	// within a group: attribute i's group is names[ends[i]:ends[i+1]].
+	names []uint32
 	ends  [len(nameAttrs) + 1]uint32
 
-	// firsts holds the first value of each firstTypes attribute the
-	// record carries, in item-type order; bit t of has is set when item
-	// type t is among them.
+	// firsts holds the first value of each item type in the extractor's
+	// firstTypes that the record carries, in item-type order; bit t of has
+	// is set when item type t is among them.
 	firsts []string
 
 	// coords holds the coordinates of the place-type cities the gazetteer
@@ -65,31 +67,33 @@ type Profile struct {
 	hasDOB   bool
 }
 
-// nameValue is one distinct value of a name attribute: the lowered string
-// (for Jaro-Winkler), its interned ID (the value's identity in
-// sameXName), and its padded 2-gram set as sorted interned IDs (for
-// XNdist). IDs come from the owning extractor's interner, so pair-time
-// set operations are integer merges with no map probes or string hashing.
-// Max-over-values and set comparison ignore order and repeats, which is
-// what lets a profile keep the values sorted and distinct. grams is
-// immutable and capped: profiles carrying the same raw value share it.
+// nameValue is what the pair features read of one distinct lowered name
+// value: the lowered string (for Jaro-Winkler) and its padded 2-gram set
+// as sorted interned IDs (for XNdist). The extractor's value table holds
+// one per interned name ID; profiles hold only the ID, which is the
+// value's identity in sameXName. IDs come from the extractor's interner,
+// so pair-time set operations are integer merges with no map probes or
+// string hashing. Max-over-values and set comparison ignore order and
+// repeats, which is what lets a profile keep the IDs sorted and distinct.
+// grams is immutable, capped and never empty (a padded value has at least
+// one gram), so a nil grams marks a table slot that holds no name value.
 type nameValue struct {
 	lower string
 	grams []uint32
-	id    uint32
 }
 
-// group returns the values of name attribute i.
-func (p *Profile) group(i int) []nameValue { return p.names[p.ends[i]:p.ends[i+1]] }
-
-// firstTypes are the item types the pair features compare by first value
-// alone: the sixteen place parts, gender and profession.
-const (
-	placeTypes = (1<<(record.NumPlaceTypes*record.NumPlaceParts) - 1) << record.BirthCity
-	firstTypes = placeTypes | 1<<record.Gender | 1<<record.Profession
-)
+// group returns the name IDs of attribute i.
+func (p *Profile) group(i int) []uint32 { return p.names[p.ends[i]:p.ends[i+1]] }
 
 var dateTypes = [3]record.ItemType{record.BirthDay, record.BirthMonth, record.BirthYear}
+
+// nameAttrOf maps a name item type to its index in nameAttrs.
+var nameAttrOf = func() (m [record.NumItemTypes]uint8) {
+	for i, na := range nameAttrs {
+		m[na.t] = uint8(i)
+	}
+	return m
+}()
 
 // first returns the first value of item type t, which must be in p.has.
 func (p *Profile) first(t record.ItemType) string {
@@ -126,19 +130,27 @@ const arenaBlock = 1 << 11
 
 // profileBuilder builds profiles on one goroutine, drawing their
 // variable-length parts from its arenas. values and cities are its value
-// table: a corpus repeats a few thousand name values and a few hundred
+// maps: a corpus repeats a few thousand name values and a few hundred
 // cities across all its records, so each is lowered, interned, grammed or
 // resolved once per builder, not once per record. The key is the raw
 // string (a repeat costs one probe, no lowering) and the maps are the
 // builder's own (no lock).
+//
+// The name values new to the extractor's value table go to fresh, by ID;
+// Build publishes them when every builder has finished, so no builder
+// writes what another reads.
 type profileBuilder struct {
 	ex     *Extractor
-	names  arena[nameValue]
+	known  []nameValue // the value table when the builder started
 	ids    arena[uint32]
 	firsts arena[string]
 	coords arena[[2]float64]
-	values map[string]nameValue
+	values map[string]uint32
 	cities map[string]cityCoord
+	fresh  map[uint32]nameValue
+	// keys is scratch for one record's name items: attribute index in
+	// the high half, name ID in the low.
+	keys []uint64
 }
 
 // cityCoord is a city's gazetteer resolution, !ok for an unknown city.
@@ -149,70 +161,75 @@ type cityCoord struct {
 
 // newProfileBuilder returns a builder whose arena blocks suit a build of
 // the given number of records. The per-record factors are what a
-// generated RandomSet record needs on average (3.4 name values, 9.4 first
-// values, 2 resolved cities; gram IDs are per distinct value), rounded
-// up; they only size blocks, any record fits.
+// generated RandomSet record needs on average: 3.4 name IDs under a full
+// extractor (gram IDs are per distinct value), 2 resolved cities, and
+// first values for about half the item types the extractor keeps (9.4 of
+// a full extractor's 18), rounded up. They only size blocks: any record
+// fits.
 func (e *Extractor) newProfileBuilder(records int) *profileBuilder {
 	block := func(perRecord int) int { return min(records*perRecord, arenaBlock) }
-	return &profileBuilder{
+	b := &profileBuilder{
 		ex:     e,
-		names:  arena[nameValue]{block: block(4)},
-		ids:    arena[uint32]{block: block(8)},
-		firsts: arena[string]{block: block(10)},
+		known:  e.table(),
+		ids:    arena[uint32]{block: block(4)},
 		coords: arena[[2]float64]{block: block(3)},
-		values: make(map[string]nameValue),
+		values: make(map[string]uint32),
 		cities: make(map[string]cityCoord),
+		fresh:  make(map[uint32]nameValue),
 	}
+	b.firsts.block = block(1 + bits.OnesCount32(e.firstTypes)/2)
+	return b
 }
 
-// build fills p with r's profile, skipping the name attributes, the full
-// birth date and the place-type cities no feature of the extractor reads.
+// build fills p, a zero Profile, with r's profile, keeping only the name
+// attributes, first values, date components and place-type cities the
+// extractor's features read.
 func (b *profileBuilder) build(p *Profile, r *record.Record) {
 	e := b.ex
-	*p = Profile{source: r.Source}
+	if e.profiled&(1<<idSameSource) != 0 {
+		p.source = r.Source
+	}
 
-	// One scan of the bag finds the first value of every item type and
-	// bounds the number of name values kept.
-	var first [record.NumItemTypes]string
+	// One scan of the bag finds the first item of every type and the ID
+	// of every name value a feature reads.
+	var at [record.NumItemTypes]int32
 	var seen uint32
-	nameItems := 0
-	for _, it := range r.Items {
+	keys := b.keys[:0]
+	for k, it := range r.Items {
 		if int(it.Type) >= record.NumItemTypes {
 			continue
 		}
-		if e.nameTypes&(1<<it.Type) != 0 {
-			nameItems++
+		bit := uint32(1) << it.Type
+		if e.nameTypes&bit != 0 {
+			keys = append(keys, uint64(nameAttrOf[it.Type])<<32|uint64(b.value(it.Value)))
 		}
-		if bit := uint32(1) << it.Type; seen&bit == 0 {
+		if seen&bit == 0 {
 			seen |= bit
-			first[it.Type] = it.Value
+			at[it.Type] = int32(k)
 		}
 	}
+	first := func(t record.ItemType) string { return r.Items[at[t]].Value }
 
-	vals := b.names.alloc(nameItems)[:0]
-	for i, na := range nameAttrs {
-		group := len(vals)
-		// An attribute no feature reads keeps an empty group.
-		for _, it := range r.Items {
-			if it.Type != na.t || e.nameTypes&(1<<na.t) == 0 {
-				continue
-			}
-			v := b.value(it.Value)
-			k, repeat := slices.BinarySearchFunc(vals[group:], v.id, func(v nameValue, id uint32) int {
-				return cmp.Compare(v.id, id)
-			})
-			if !repeat {
-				vals = slices.Insert(vals, group+k, v)
-			}
+	if len(keys) > 0 {
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		p.names = b.ids.alloc(len(keys))
+		for k, key := range keys {
+			p.names[k] = uint32(key)
+			p.ends[key>>32+1]++
 		}
-		p.ends[i+1] = uint32(len(vals))
+		for i := 1; i < len(p.ends); i++ {
+			p.ends[i] += p.ends[i-1]
+		}
 	}
-	p.names = vals
+	b.keys = keys
 
-	p.has = seen & firstTypes
-	p.firsts = b.firsts.alloc(bits.OnesCount32(p.has))
-	for k, m := 0, p.has; m != 0; k, m = k+1, m&(m-1) {
-		p.firsts[k] = first[bits.TrailingZeros32(m)]
+	// An empty part stays nil: the collector has no pointer to follow.
+	if p.has = seen & e.firstTypes; p.has != 0 {
+		p.firsts = b.firsts.alloc(bits.OnesCount32(p.has))
+		for k, m := 0, p.has; m != 0; k, m = k+1, m&(m-1) {
+			p.firsts[k] = first(record.ItemType(bits.TrailingZeros32(m)))
+		}
 	}
 
 	if e.Geo != nil {
@@ -223,46 +240,56 @@ func (b *profileBuilder) build(p *Profile, r *record.Record) {
 			if seen&(1<<city) == 0 || e.profiled&(1<<(idGeoDist+pt)) == 0 {
 				continue
 			}
-			if c := b.city(first[city]); c.ok {
+			if c := b.city(first(city)); c.ok {
 				p.resolved |= 1 << pt
 				found[n] = c.at
 				n++
 			}
 		}
-		p.coords = b.coords.alloc(n)
-		copy(p.coords, found[:n])
+		if n > 0 {
+			p.coords = b.coords.alloc(n)
+			copy(p.coords, found[:n])
+		}
 	}
 
 	allDates := true
 	for i, t := range dateTypes {
 		if seen&(1<<t) == 0 {
 			allDates = false
-		} else if n, err := strconv.Atoi(first[t]); err == nil {
-			p.parsed |= 1 << i
-			p.date[i] = n
+			continue
+		}
+		if e.profiled&(1<<(idDateDist+i)) != 0 {
+			if n, err := strconv.Atoi(first(t)); err == nil {
+				p.parsed |= 1 << i
+				p.date[i] = n
+			}
 		}
 	}
 	if allDates && e.profiled&(1<<idSameDOB) != 0 {
 		p.hasDOB = true
-		p.dob = e.interner.Intern(joinDOB(first[record.BirthDay], first[record.BirthMonth], first[record.BirthYear]))
+		p.dob = e.interner.Intern(joinDOB(first(record.BirthDay), first(record.BirthMonth), first(record.BirthYear)))
 	}
 }
 
-// value returns what a raw name value contributes to a profile, from the
-// value table when an earlier record carried it.
-func (b *profileBuilder) value(raw string) nameValue {
-	if v, ok := b.values[raw]; ok {
-		return v
+// value returns the interned ID of a raw name value's lowered form,
+// deriving the value's table entry when neither the extractor's table nor
+// this builder has it yet.
+func (b *profileBuilder) value(raw string) uint32 {
+	if id, ok := b.values[raw]; ok {
+		return id
 	}
 	id, lower := b.ex.interner.Canonical(strings.ToLower(raw))
-	g := similarity.QGramIDs(b.ex.interner, lower, 2)
-	v := nameValue{lower: lower, grams: b.ids.alloc(len(g)), id: id}
-	copy(v.grams, g)
-	b.values[raw] = v
-	return v
+	b.values[raw] = id
+	if _, ok := b.fresh[id]; !ok && (int(id) >= len(b.known) || b.known[id].grams == nil) {
+		g := similarity.QGramIDs(b.ex.interner, lower, 2)
+		v := nameValue{lower: lower, grams: b.ids.alloc(len(g))}
+		copy(v.grams, g)
+		b.fresh[id] = v
+	}
+	return id
 }
 
-// city returns a raw city's gazetteer resolution, from the value table
+// city returns a raw city's gazetteer resolution, from the builder's map
 // when an earlier record carried it.
 func (b *profileBuilder) city(raw string) cityCoord {
 	if c, ok := b.cities[raw]; ok {
@@ -291,8 +318,8 @@ func (e *Extractor) feature(id int, a, b *Profile) Value {
 		// The three features of one name attribute (the name groups
 		// start at id 0, so id mod their length is the attribute):
 		// sameXName over the interned value IDs, XNdist as the max q-gram
-		// Jaccard over the interned gram sets, XNjw as the max
-		// Jaro-Winkler over the lowered values.
+		// Jaccard over the value table's gram sets, XNjw as the max
+		// Jaro-Winkler over its lowered values.
 		na, nb := a.group(id%len(nameAttrs)), b.group(id%len(nameAttrs))
 		if len(na) == 0 || len(nb) == 0 {
 			return Value{}
@@ -300,14 +327,15 @@ func (e *Extractor) feature(id int, a, b *Profile) Value {
 		if id < idNameDist {
 			return Value{Present: true, Cat: compareNameIDs(na, nb)}
 		}
+		vals := e.table()
 		best := 0.0
-		for x := range na {
-			for y := range nb {
+		for _, x := range na {
+			for _, y := range nb {
 				var s float64
 				if id < idNameJW {
-					s = similarity.JaccardSortedIDs(na[x].grams, nb[y].grams)
+					s = similarity.JaccardSortedIDs(vals[x].grams, vals[y].grams)
 				} else {
-					s = similarity.JaroWinkler(na[x].lower, nb[y].lower)
+					s = similarity.JaroWinkler(vals[x].lower, vals[y].lower)
 				}
 				if s > best {
 					best = s
@@ -449,7 +477,9 @@ func (c *ProfileCache) Get(i int) *Profile { return c.profs[i] }
 // of workers (clamped to at least 1). It returns the profiles aligned with
 // coll.Records, which the cache then holds. The profiles live in one slab,
 // their variable-length parts in per-worker arenas: a build costs a
-// handful of heap objects, not a dozen per record.
+// handful of heap objects, not a dozen per record. The name values new to
+// the extractor are published to its value table once every worker has
+// finished, before Build returns.
 func (c *ProfileCache) Build(coll *record.Collection, workers int) []*Profile {
 	n := coll.Len()
 	slab := make([]Profile, n)
@@ -460,24 +490,24 @@ func (c *ProfileCache) Build(coll *record.Collection, workers int) []*Profile {
 	if workers < 1 {
 		workers = 1
 	}
-	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers && w*chunk < n; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
+	builders := make([]*profileBuilder, 0, workers)
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		b := c.ex.newProfileBuilder(hi - lo)
+		builders = append(builders, b)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			b := c.ex.newProfileBuilder(hi - lo)
 			for i := lo; i < hi; i++ {
 				b.build(&slab[i], coll.Records[i])
 				profs[i] = &slab[i]
 			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
+	c.ex.publish(builders)
 	c.profs = profs
 	return profs
 }

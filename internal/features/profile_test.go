@@ -1,10 +1,12 @@
 package features
 
 import (
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -85,11 +87,13 @@ func valueTableRecords(city string) []*record.Record {
 }
 
 // TestProfileCacheBuild checks the parallel Build path returns profiles
-// aligned with the collection and keeps them for Get, and that the
-// builders' value tables change nothing: over records whose values repeat
-// in different case, in non-ASCII and with an unresolvable city, profiles
-// built in bulk and plain Extract agree bit for bit, and the gram slices
-// profiles share are capped and never written.
+// aligned with the collection and keeps them for Get, and that the value
+// tables change nothing: over records whose values repeat in different
+// case, in non-ASCII and with an unresolvable city, profiles built in bulk
+// and plain Extract agree bit for bit. One builder derives each distinct
+// lowered value once, a second Build over the same extractor derives none,
+// and the gram slices the extractor's value table shares among profiles
+// are capped and never written.
 func TestProfileCacheBuild(t *testing.T) {
 	cfg := dataset.ItalyConfig()
 	cfg.Persons = 80
@@ -111,6 +115,34 @@ func TestProfileCacheBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// buildAll runs one builder over the whole collection, as a
+	// one-worker Build does, and returns it with what it derived.
+	buildAll := func(ex *Extractor) *profileBuilder {
+		b := ex.newProfileBuilder(coll.Len())
+		slab := make([]Profile, coll.Len())
+		for i, r := range coll.Records {
+			b.build(&slab[i], r)
+		}
+		return b
+	}
+	lowered := make(map[string]bool)
+	for _, r := range coll.Records {
+		for _, it := range r.Items {
+			if slices.ContainsFunc(nameAttrs[:], func(na nameAttr) bool { return na.t == it.Type }) {
+				lowered[strings.ToLower(it.Value)] = true
+			}
+		}
+	}
+	ex := NewExtractor(gen.Gaz)
+	if derived := buildAll(ex).fresh; len(derived) != len(lowered) {
+		t.Errorf("one builder grammed %d values for %d distinct lowered names", len(derived), len(lowered))
+	}
+	NewProfileCache(ex).Build(coll, 2)
+	if again := buildAll(ex).fresh; len(again) != 0 {
+		t.Errorf("a builder over a published table derived %d values again", len(again))
+	}
+
 	for _, workers := range []int{1, 4} {
 		ex := NewExtractor(gen.Gaz)
 		cache := NewProfileCache(ex)
@@ -126,18 +158,27 @@ func TestProfileCacheBuild(t *testing.T) {
 		if profs[0].resolved != 1<<record.Birth|1<<record.Permanent || profs[1].resolved != 1<<record.Permanent {
 			t.Fatalf("fixture: %q should resolve and Atlantis should not: %08b %08b", city, profs[0].resolved, profs[1].resolved)
 		}
+		if a, b := profs[0].group(1), profs[4].group(1); len(a) != 1 || len(b) != 1 || a[0] != b[0] {
+			t.Fatalf("workers=%d: COHEN and Cohen should be one value under one ID: %v and %v", workers, a, b)
+		}
 
-		var shared, before [][]uint32
+		vals := ex.table()
 		for _, p := range profs {
-			for _, v := range p.names {
-				if len(v.grams) != cap(v.grams) {
-					t.Fatalf("workers=%d: gram slice of %q has len %d, cap %d", workers, v.lower, len(v.grams), cap(v.grams))
+			for _, id := range p.names {
+				if int(id) >= len(vals) || vals[id].grams == nil {
+					t.Fatalf("workers=%d: name ID %d has no value table entry", workers, id)
 				}
-				shared, before = append(shared, v.grams), append(before, slices.Clone(v.grams))
 			}
 		}
-		if a, b := profs[0].group(1)[0], profs[4].group(1)[0]; workers == 1 && &a.grams[0] != &b.grams[0] {
-			t.Errorf("one builder grammed %q twice", a.lower)
+		var shared, before [][]uint32
+		for _, v := range vals {
+			if v.grams == nil {
+				continue
+			}
+			if len(v.grams) != cap(v.grams) {
+				t.Fatalf("workers=%d: gram slice of %q has len %d, cap %d", workers, v.lower, len(v.grams), cap(v.grams))
+			}
+			shared, before = append(shared, v.grams), append(before, slices.Clone(v.grams))
 		}
 
 		vec := make(Vector, NumFeatures)
@@ -157,9 +198,10 @@ func TestProfileCacheBuild(t *testing.T) {
 }
 
 // TestProfileNameValues pins the compact name representation: a profile
-// keeps each attribute's lowered values distinct and sorted by interned
-// ID, and — since the name features are a set comparison and a max over
-// the value cross product — repeats and order change nothing Extract sees.
+// keeps each attribute's lowered values as distinct interned IDs in
+// ascending order, each naming its lowered string in the value table, and
+// — since the name features are a set comparison and a max over the value
+// cross product — repeats and order change nothing Extract sees.
 func TestProfileNameValues(t *testing.T) {
 	a := rec(func(r *record.Record) {
 		for _, v := range []string{"John", "JOHN", "Harris", "john"} {
@@ -185,13 +227,20 @@ func TestProfileNameValues(t *testing.T) {
 		g := pa.group(i)
 		groups += len(g)
 		for k := 1; k < len(g); k++ {
-			if g[k-1].id >= g[k].id {
-				t.Fatalf("%s values not sorted by ID: %+v", nameAttrs[i].stem, g)
+			if g[k-1] >= g[k] {
+				t.Fatalf("%s IDs not strictly ascending: %v", nameAttrs[i].stem, g)
 			}
 		}
 	}
 	if len(pa.group(0)) != 2 || groups != len(pa.names) {
-		t.Fatalf("groups do not partition the name values: ends %v over %+v", pa.ends, pa.names)
+		t.Fatalf("groups do not partition the name values: ends %v over %v", pa.ends, pa.names)
+	}
+	var lowered []string
+	for _, id := range pa.group(0) {
+		lowered = append(lowered, ex.table()[id].lower)
+	}
+	if slices.Sort(lowered); !slices.Equal(lowered, []string{"harris", "john"}) {
+		t.Fatalf("FN IDs name %q in the value table, want harris and john", lowered)
 	}
 	assertVectorsEqual(t, "repeats", ex.Extract(a, b), ex.ExtractProfiled(pa, pb))
 	assertVectorsEqual(t, "swapped", ex.Extract(b, a), ex.ExtractProfiled(pb, pa))
@@ -286,21 +335,159 @@ func TestRestrictedExtractorRefusesUnprofiled(t *testing.T) {
 	mustPanicNaming(t, "sameFN", func() { ex.ExtractProfiled(profs[0], profs[1]) })
 }
 
+// TestRestrictedProfileKeepsReadFirsts: an extractor built for a set of
+// features keeps, in each profile, the first values of exactly the item
+// types its samePlace, sameGender and sameProfession features compare —
+// DeathCounty alone for modelFeatures — where a full extractor keeps all
+// 18; and over the tricky records (one of them with 41 name items) and
+// generated ones, PairEval.At still equals Extract on every profiled
+// feature, and the long record keeps every distinct name value.
+func TestRestrictedProfileKeepsReadFirsts(t *testing.T) {
+	cfg := dataset.ItalyConfig()
+	cfg.Persons = 60
+	gen, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tricky := trickyRecords("Torino")
+	for i, r := range tricky {
+		r.BookID = int64(i + 1) // generated BookIDs start at 1,000,000
+	}
+	recs := append(tricky, gen.Collection.Records[:60]...)
+	coll, err := record.NewCollection(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := slices.IndexFunc(tricky, func(r *record.Record) bool { return len(r.Values(record.FirstName)) > 32 })
+	if long < 0 {
+		t.Fatal("fixture: no tricky record has more than 32 first names")
+	}
+
+	idx := IndexByName()
+	var all []int
+	for id := range NumFeatures {
+		all = append(all, id)
+	}
+	oracle := NewExtractor(gen.Gaz)
+	for _, tc := range []struct {
+		name   string
+		ids    []int
+		firsts uint32
+	}{
+		{"model", modelFeatures(), 1 << record.DeathCounty},
+		{"demographic", []int{idx["sameGender"], idx["sameProfession"], idx["sameBCity"], idx["FNjw"]},
+			1<<record.Gender | 1<<record.Profession | 1<<record.BirthCity},
+		{"full", all, (1<<(record.NumPlaceTypes*record.NumPlaceParts)-1)<<record.BirthCity | 1<<record.Gender | 1<<record.Profession},
+	} {
+		ex := NewExtractorFor(gen.Gaz, tc.ids)
+		profs := NewProfileCache(ex).Build(coll, 2)
+		for i, r := range recs {
+			var seen uint32
+			for _, it := range r.Items {
+				seen |= 1 << it.Type
+			}
+			p := profs[i]
+			if want := seen & tc.firsts; p.has != want || len(p.firsts) != bits.OnesCount32(want) {
+				t.Fatalf("%s: record %d keeps first values %028b (%d), want %028b", tc.name, i, p.has, len(p.firsts), want)
+			}
+		}
+		if got, want := len(profs[long].group(0)), 36; got != want {
+			t.Errorf("%s: the long record keeps %d distinct first names, want %d", tc.name, got, want)
+		}
+
+		var ev PairEval
+		for i := range tricky {
+			for j, other := range recs {
+				want := oracle.Extract(recs[i], other)
+				ev.Reset(ex, profs[i], profs[j])
+				for _, id := range tc.ids {
+					if got := ev.At(id); got != want[id] {
+						t.Fatalf("%s: records %d,%d: %s = %+v, Extract says %+v", tc.name, i, j, Defs()[id].Name, got, want[id])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentBuildsShareValueTable: Builds over one extractor may run
+// side by side with each other and with pair evaluation over profiles an
+// earlier Build made — the value table is published whole, never written
+// in place — and every profile still answers as Extract does. Run under
+// -race, it is the value table's data-race check.
+func TestConcurrentBuildsShareValueTable(t *testing.T) {
+	cfg := dataset.ItalyConfig()
+	cfg.Persons = 120
+	gen, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := gen.Collection.Records
+	half := len(recs) / 2
+	first, err := record.NewCollection(recs[:half])
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := record.NewCollection(recs[half:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := NewExtractor(gen.Gaz)
+	early := NewProfileCache(ex).Build(first, 2)
+
+	var wg sync.WaitGroup
+	built := make([][]*Profile, 2)
+	for k, coll := range []*record.Collection{second, gen.Collection} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			built[k] = NewProfileCache(ex).Build(coll, 2)
+		}()
+	}
+	var ev PairEval
+	vec := make(Vector, NumFeatures)
+	for i := 0; i+1 < half; i++ {
+		ev.Reset(ex, early[i], early[i+1])
+		for id := range vec {
+			vec[id] = ev.At(id)
+		}
+		assertVectorsEqual(t, "during the builds", ex.Extract(recs[i], recs[i+1]), vec)
+	}
+	wg.Wait()
+
+	for i := 0; i+1 < len(recs); i += 3 {
+		want := ex.Extract(recs[i], recs[i+1])
+		assertVectorsEqual(t, "whole build", want, ex.ExtractProfiled(built[1][i], built[1][i+1]))
+		if i+1 < half {
+			assertVectorsEqual(t, "early build", want, ex.ExtractProfiled(early[i], early[i+1]))
+		}
+		if i >= half {
+			assertVectorsEqual(t, "second half", want, ex.ExtractProfiled(built[0][i-half], built[0][i+1-half]))
+		}
+	}
+}
+
 // TestProfileFootprint bounds what a built profile costs to keep: the
 // scoring stage holds one per record for the Resolution's lifetime, next
 // to blocking's working set, so the live bytes decide whether profiled
 // scoring raises a run's peak RSS. Everything Build leaves reachable is
-// counted — slab, arenas, the profile slice, the interner — for a full
-// extractor and for one restricted to a model's features.
+// counted — slab, arenas, the profile slice, the interner, the value
+// table — for a full extractor and for one restricted to a model's
+// features, each against its own bound (a restricted profile keeps one
+// first value where a full one keeps nine, and both hold 4-byte name IDs).
 func TestProfileFootprint(t *testing.T) {
 	gen, err := dataset.Generate(dataset.RandomSetConfig(3000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		ex   *Extractor
-	}{{"full", NewExtractor(gen.Gaz)}, {"restricted", NewExtractorFor(gen.Gaz, modelFeatures())}} {
+		name     string
+		ex       *Extractor
+		maxBytes float64
+	}{
+		{"full", NewExtractor(gen.Gaz), 520},
+		{"restricted", NewExtractorFor(gen.Gaz, modelFeatures()), 320},
+	} {
 		name, cache := tc.name, NewProfileCache(tc.ex)
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -316,8 +503,8 @@ func TestProfileFootprint(t *testing.T) {
 		bytes := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
 		objects := (float64(after.HeapObjects) - float64(before.HeapObjects)) / n
 		t.Logf("%s, %d records: %.0f B and %.2f heap objects per record", name, gen.Collection.Len(), bytes, objects)
-		if bytes > 640 || objects > 2 {
-			t.Errorf("%s: a profile costs %.0f B and %.2f heap objects per record, want <= 640 B and <= 2", name, bytes, objects)
+		if bytes > tc.maxBytes || objects > 2 {
+			t.Errorf("%s: a profile costs %.0f B and %.2f heap objects per record, want <= %.0f B and <= 2", name, bytes, objects, tc.maxBytes)
 		}
 	}
 }
