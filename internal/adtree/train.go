@@ -1,11 +1,11 @@
 package adtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -24,15 +24,16 @@ type TrainConfig struct {
 	// Rounds is the number of boosting rounds (splitters added). The
 	// paper's models use about ten.
 	Rounds int
-	// MaxThresholds caps the candidate split points per numeric feature;
-	// candidates are value midpoints, quantile-thinned beyond the cap.
-	MaxThresholds int
 }
 
 // NewTrainConfig returns the defaults used across the experiments.
 func NewTrainConfig() TrainConfig {
-	return TrainConfig{Rounds: 10, MaxThresholds: 48}
+	return TrainConfig{Rounds: 10}
 }
+
+// maxThresholds caps the candidate split points per numeric feature;
+// candidates are value midpoints, quantile-thinned beyond the cap.
+const maxThresholds = 48
 
 // Train boosts an alternating decision tree over the instances.
 func Train(cfg TrainConfig, defs []features.Def, insts []Instance) (*Model, error) {
@@ -55,11 +56,12 @@ type trainer struct {
 	weights   []float64
 	root      *PredictionNode
 	nodes     []*PredictionNode // all prediction nodes (preconditions)
-	reach     [][]int           // per node: instance indices reaching it
+	reach     [][]int           // per node: instance indices reaching it, ascending
+	member    [][]uint64        // per node: bit i set when instance i reaches it
 	completed int
 
 	candidates [][]Condition // per feature
-	cols       []column      // per feature with candidates
+	cols       []column      // per feature
 	jobs       []scanJob     // this round's (node, feature) scans
 	scratch    []*scanScratch
 }
@@ -68,7 +70,11 @@ type trainer struct {
 // so that a scan reads flat arrays instead of the instances' vectors.
 type column struct {
 	present []uint64 // bit i: instance i has the feature
-	num     []float64
+	// order holds a numeric feature's present instances sorted by
+	// (value, instance index), and sorted their values in that order:
+	// the one order in which every numeric sum adds its weights.
+	order  []int32
+	sorted []float64
 	// level is a categorical instance's bucket: the index of its value
 	// among the distinct candidate levels, or the shared last bucket for
 	// a value no candidate tests. condLevel is each candidate's bucket.
@@ -86,17 +92,16 @@ type scanJob struct {
 	cand          int
 }
 
-// scanScratch is one worker's reused buffers.
-type scanScratch struct {
-	present []int
-	recs    []numRec
-	sums    []wpair
+// offer keeps candidate c if its Z is below the job's minimum so far.
+func (j *scanJob) offer(c int, z float64) {
+	if z < j.z {
+		j.z, j.cand = z, c
+	}
 }
 
-type numRec struct {
-	v     float64
-	w     float64
-	match bool
+// scanScratch is one worker's reused per-level sums.
+type scanScratch struct {
+	sums []wpair
 }
 
 type wpair struct{ wp, wn float64 }
@@ -107,9 +112,6 @@ func newTrainer(cfg TrainConfig, defs []features.Def, insts []Instance) (*traine
 	}
 	if cfg.Rounds < 1 {
 		return nil, fmt.Errorf("adtree: Rounds must be >= 1, got %d", cfg.Rounds)
-	}
-	if cfg.MaxThresholds < 1 {
-		cfg.MaxThresholds = 48
 	}
 	return &trainer{cfg: cfg, defs: defs, insts: insts, workers: runtime.GOMAXPROCS(0)}, nil
 }
@@ -126,10 +128,8 @@ func (t *trainer) train() *Model {
 
 func (t *trainer) init() {
 	n := len(t.insts)
-	t.weights = make([]float64, n)
 	var wp, wn float64
-	for i, inst := range t.insts {
-		t.weights[i] = 1
+	for _, inst := range t.insts {
 		if inst.Match {
 			wp++
 		} else {
@@ -143,103 +143,115 @@ func (t *trainer) init() {
 	}
 	t.nodes = []*PredictionNode{t.root}
 	t.reach = [][]int{all}
+	t.member = [][]uint64{bitsetOf(all, n)}
 
 	// Reweight by the root prediction.
+	t.weights = make([]float64, n)
 	for i, inst := range t.insts {
 		t.weights[i] = math.Exp(-sign(inst.Match) * t.root.Value)
 	}
 
-	t.buildCandidates()
 	t.buildColumns()
 }
 
-// buildCandidates enumerates the base conditions per feature: equality
-// with each level for categoricals, and midpoints of observed values
-// (quantile-thinned) for numerics.
-func (t *trainer) buildCandidates() {
+// bitsetOf returns the set of the indices in list, for n instances.
+func bitsetOf(list []int, n int) []uint64 {
+	b := make([]uint64, (n+63)/64)
+	for _, i := range list {
+		b[i>>6] |= 1 << (uint(i) & 63)
+	}
+	return b
+}
+
+// has reports whether bit i of b is set.
+func has(b []uint64, i int) bool {
+	return b[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// buildColumns lays out every feature as a column and enumerates its
+// base conditions: equality with each level for a categorical (the
+// candidates repeating a level share one bucket), and midpoints of the
+// observed values (quantile-thinned) for a numeric, read off its
+// presorted order.
+func (t *trainer) buildColumns() {
+	n := len(t.insts)
 	t.candidates = make([][]Condition, len(t.defs))
+	t.cols = make([]column, len(t.defs))
+	recs := make([]valueIndex, 0, n)
 	for _, d := range t.defs {
+		f := d.ID
+		col := &t.cols[f]
+		col.present = make([]uint64, (n+63)/64)
+		recs = recs[:0]
+		for i, inst := range t.insts {
+			if f < len(inst.X) && inst.X[f].Present {
+				col.present[i>>6] |= 1 << (uint(i) & 63)
+				recs = append(recs, valueIndex{inst.X[f].Num, int32(i)})
+			}
+		}
 		if d.Kind == features.Categorical {
-			for _, lv := range d.Levels {
-				t.candidates[d.ID] = append(t.candidates[d.ID], Condition{Feature: d.ID, Level: lv})
-			}
-			continue
-		}
-		var vals []float64
-		for _, inst := range t.insts {
-			if d.ID < len(inst.X) && inst.X[d.ID].Present {
-				vals = append(vals, inst.X[d.ID].Num)
-			}
-		}
-		if len(vals) < 2 {
-			continue
-		}
-		sort.Float64s(vals)
-		var mids []float64
-		for i := 1; i < len(vals); i++ {
-			if vals[i] != vals[i-1] {
-				mids = append(mids, (vals[i]+vals[i-1])/2)
-			}
-		}
-		if len(mids) > t.cfg.MaxThresholds {
-			thinned := make([]float64, 0, t.cfg.MaxThresholds)
-			for k := 0; k < t.cfg.MaxThresholds; k++ {
-				thinned = append(thinned, mids[k*len(mids)/t.cfg.MaxThresholds])
-			}
-			mids = thinned
-		}
-		for _, m := range mids {
-			t.candidates[d.ID] = append(t.candidates[d.ID], Condition{Feature: d.ID, Numeric: true, Threshold: m})
+			t.buildCategorical(f, d.Levels, col, recs)
+		} else {
+			t.buildNumeric(f, col, recs)
 		}
 	}
 }
 
-// buildColumns lays out every feature that has candidates as a column.
-// A categorical candidate's bucket is keyed by its Level, so candidates
-// repeating a level share one bucket.
-func (t *trainer) buildColumns() {
-	n := len(t.insts)
-	t.cols = make([]column, len(t.candidates))
-	for f, conds := range t.candidates {
-		if len(conds) == 0 {
-			continue
+// valueIndex is a present instance and its numeric value.
+type valueIndex struct {
+	v float64
+	i int32
+}
+
+func (t *trainer) buildCategorical(f int, levels []string, col *column, present []valueIndex) {
+	bucket := make(map[string]int32, len(levels))
+	for _, lv := range levels {
+		t.candidates[f] = append(t.candidates[f], Condition{Feature: f, Level: lv})
+		b, ok := bucket[lv]
+		if !ok {
+			b = int32(len(bucket))
+			bucket[lv] = b
 		}
-		col := &t.cols[f]
-		col.present = make([]uint64, (n+63)/64)
-		categorical := t.defs[f].Kind == features.Categorical
-		var bucket map[string]int32
-		if categorical {
-			bucket = make(map[string]int32, len(conds))
-			col.condLevel = make([]int32, len(conds))
-			for c, cond := range conds {
-				b, ok := bucket[cond.Level]
-				if !ok {
-					b = int32(len(bucket))
-					bucket[cond.Level] = b
-				}
-				col.condLevel[c] = b
-			}
-			col.buckets = len(bucket) + 1
-			col.level = make([]int32, n)
-		} else {
-			col.num = make([]float64, n)
+		col.condLevel = append(col.condLevel, b)
+	}
+	col.buckets = len(bucket) + 1
+	col.level = make([]int32, len(t.insts))
+	for _, r := range present {
+		b, ok := bucket[t.insts[r.i].X[f].Cat]
+		if !ok {
+			b = int32(len(bucket))
 		}
-		other := int32(len(bucket))
-		for i, inst := range t.insts {
-			if f >= len(inst.X) || !inst.X[f].Present {
-				continue
-			}
-			col.present[i>>6] |= 1 << (uint(i) & 63)
-			if !categorical {
-				col.num[i] = inst.X[f].Num
-				continue
-			}
-			b, ok := bucket[inst.X[f].Cat]
-			if !ok {
-				b = other
-			}
-			col.level[i] = b
+		col.level[r.i] = b
+	}
+}
+
+// buildNumeric sorts the present instances by (value, index) into the
+// column and takes the candidate thresholds from that order.
+func (t *trainer) buildNumeric(f int, col *column, recs []valueIndex) {
+	slices.SortFunc(recs, func(a, b valueIndex) int {
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
 		}
+		return cmp.Compare(a.i, b.i)
+	})
+	col.order = make([]int32, len(recs))
+	col.sorted = make([]float64, len(recs))
+	var mids []float64
+	for k, r := range recs {
+		col.order[k], col.sorted[k] = r.i, r.v
+		if k > 0 && r.v != recs[k-1].v {
+			mids = append(mids, (r.v+recs[k-1].v)/2)
+		}
+	}
+	if len(mids) > maxThresholds {
+		thinned := make([]float64, 0, maxThresholds)
+		for k := 0; k < maxThresholds; k++ {
+			thinned = append(thinned, mids[k*len(mids)/maxThresholds])
+		}
+		mids = thinned
+	}
+	for _, m := range mids {
+		t.candidates[f] = append(t.candidates[f], Condition{Feature: f, Numeric: true, Threshold: m})
 	}
 }
 
@@ -320,118 +332,87 @@ func (t *trainer) runScans() {
 }
 
 // scan splits the job's node by presence of its feature, then evaluates
-// every candidate of the feature on the present instances.
+// every candidate of the feature on the present instances. The missing
+// mass and the present totals are summed in instance order, and so are
+// a categorical feature's per-level sums.
 func (t *trainer) scan(job *scanJob, s *scanScratch) {
 	job.z, job.cand = math.Inf(1), -1
 	col := &t.cols[job.feature]
-	var wMissing float64
-	present := s.present[:0]
-	for _, i := range t.reach[job.node] {
-		if col.present[i>>6]&(1<<(uint(i)&63)) != 0 {
-			present = append(present, i)
-		} else {
-			wMissing += t.weights[i]
+	categorical := col.level != nil
+	if categorical {
+		if cap(s.sums) < col.buckets {
+			s.sums = make([]wpair, col.buckets)
 		}
+		s.sums = s.sums[:col.buckets]
+		clear(s.sums)
 	}
-	s.present = present
-	if len(present) == 0 {
-		return
-	}
-	base := job.wRest + wMissing
-	if t.defs[job.feature].Kind == features.Categorical {
-		t.scanCategorical(job, col, present, base, s)
-	} else {
-		t.scanNumeric(job, col, present, base, s)
-	}
-}
-
-// scanCategorical evaluates every level of the job's feature.
-func (t *trainer) scanCategorical(job *scanJob, col *column, present []int, base float64, s *scanScratch) {
-	// Per-level positive/negative weights.
-	if cap(s.sums) < col.buckets {
-		s.sums = make([]wpair, col.buckets)
-	}
-	sums := s.sums[:col.buckets]
-	clear(sums)
-	var wpAll, wnAll float64
-	for _, i := range present {
+	var wMissing, wpAll, wnAll float64
+	anyPresent := false
+	for _, i := range t.reach[job.node] {
 		w := t.weights[i]
-		e := &sums[col.level[i]]
-		if t.insts[i].Match {
-			e.wp += w
+		if !has(col.present, i) {
+			wMissing += w
+			continue
+		}
+		anyPresent = true
+		match := t.insts[i].Match
+		if categorical {
+			if e := &s.sums[col.level[i]]; match {
+				e.wp += w
+			} else {
+				e.wn += w
+			}
+		}
+		if match {
 			wpAll += w
 		} else {
-			e.wn += w
 			wnAll += w
 		}
 	}
+	if !anyPresent {
+		return
+	}
+	base := job.wRest + wMissing
+	if !categorical {
+		t.scanNumeric(job, col, wpAll, wnAll, base)
+		return
+	}
 	for c, b := range col.condLevel {
-		e := sums[b]
-		z := zValue(e.wp, e.wn, wpAll-e.wp, wnAll-e.wn, base)
-		if z < job.z {
-			job.z, job.cand = z, c
-		}
+		e := s.sums[b]
+		job.offer(c, zValue(e.wp, e.wn, wpAll-e.wp, wnAll-e.wn, base))
 	}
 }
 
-// scanNumeric sweeps the sorted present values once, evaluating every
-// candidate threshold cumulatively. The sort is per (node, feature), not
-// once per feature: the order of equal values fixes the last bits of the
-// partial sums, and with them the argmin between equal partitions.
-// slices.SortFunc is the pdqsort of sort.Slice and orders ties as it
-// does, which TestTrainMatchesReference holds it to.
-func (t *trainer) scanNumeric(job *scanJob, col *column, present []int, base float64, s *scanScratch) {
-	recs := s.recs[:0]
-	var wpAll, wnAll float64
-	for _, i := range present {
-		r := numRec{v: col.num[i], w: t.weights[i], match: t.insts[i].Match}
-		if r.match {
-			wpAll += r.w
-		} else {
-			wnAll += r.w
-		}
-		recs = append(recs, r)
-	}
-	s.recs = recs
-	slices.SortFunc(recs, byValue)
-
+// scanNumeric walks the feature's presorted instances, keeping those in
+// the job's node, and evaluates every candidate threshold cumulatively:
+// a threshold's true side is the weights below it, added in (value,
+// index) order.
+func (t *trainer) scanNumeric(job *scanJob, col *column, wpAll, wnAll, base float64) {
+	member := t.member[job.node]
 	conds := t.candidates[job.feature] // sorted by construction (midpoints ascending)
 	ci := 0
 	var wpLT, wnLT float64
-	for k := 0; k < len(recs) && ci < len(conds); k++ {
-		// Advance thresholds that lie at or below the current value: all
-		// records before k are < threshold.
-		for ci < len(conds) && conds[ci].Threshold <= recs[k].v {
-			z := zValue(wpLT, wnLT, wpAll-wpLT, wnAll-wnLT, base)
-			if z < job.z {
-				job.z, job.cand = z, ci
-			}
-			ci++
+	for k, i := range col.order {
+		if !has(member, int(i)) {
+			continue
 		}
-		if recs[k].match {
-			wpLT += recs[k].w
+		// Advance thresholds that lie at or below the current value: all
+		// instances before it are < threshold.
+		for ; ci < len(conds) && conds[ci].Threshold <= col.sorted[k]; ci++ {
+			job.offer(ci, zValue(wpLT, wnLT, wpAll-wpLT, wnAll-wnLT, base))
+		}
+		if ci == len(conds) {
+			return
+		}
+		if t.insts[i].Match {
+			wpLT += t.weights[i]
 		} else {
-			wnLT += recs[k].w
+			wnLT += t.weights[i]
 		}
 	}
 	for ; ci < len(conds); ci++ {
-		z := zValue(wpLT, wnLT, wpAll-wpLT, wnAll-wnLT, base)
-		if z < job.z {
-			job.z, job.cand = z, ci
-		}
+		job.offer(ci, zValue(wpLT, wnLT, wpAll-wpLT, wnAll-wnLT, base))
 	}
-}
-
-// byValue orders numeric records by value; cmp < 0 exactly when the
-// less function sort.Slice was given held.
-func byValue(a, b numRec) int {
-	switch {
-	case a.v < b.v:
-		return -1
-	case a.v > b.v:
-		return 1
-	}
-	return 0
 }
 
 // zValue is the Freund–Mason Z criterion with the remainder mass `base`
@@ -476,6 +457,8 @@ func (t *trainer) addRule(round, ni int, cond Condition) {
 		t.weights[i] *= math.Exp(-sign(t.insts[i].Match) * nodeF.Value)
 	}
 
+	n := len(t.insts)
 	t.nodes = append(t.nodes, nodeT, nodeF)
 	t.reach = append(t.reach, listT, listF)
+	t.member = append(t.member, bitsetOf(listT, n), bitsetOf(listF, n))
 }
