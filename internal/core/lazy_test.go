@@ -4,12 +4,14 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/adtree"
 	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/mfiblocks"
+	"repro/internal/record"
 )
 
 // candidateVectors blocks a generated collection and returns, per
@@ -184,8 +186,10 @@ func TestDeferredBlockScore(t *testing.T) {
 
 // TestScoringAllocs: the demand-driven path allocates nothing per pair —
 // the evaluator is the worker's own and the walk reads it through static
-// calls — and Resolution.ScorePair, which keeps its evaluator on the
-// stack, allocates nothing per call, as before it pulled features.
+// calls, with or without a kernel memo — and Resolution.ScorePair, which
+// keeps its evaluator on the stack, allocates nothing per call, as before
+// it pulled features. A scoring call allocates one kernel memo per
+// worker, not one per chunk.
 func TestScoringAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race (sync.Pool drops items)")
@@ -193,18 +197,49 @@ func TestScoringAllocs(t *testing.T) {
 	opts, res := scoringFixture(t, 120)
 	ms := res.Matches
 	ex := res.Profiles().Extractor()
-	var ev features.PairEval
+	var plain, memoized features.PairEval
+	memoized.MemoizeKernels()
 	i := 0
-	if n := testing.AllocsPerRun(len(ms), func() {
-		m := ms[i%len(ms)]
-		i++
-		a, b := res.Collection.Index(m.Pair.A), res.Collection.Index(m.Pair.B)
-		ev.Reset(ex, res.Profiles().Get(a), res.Profiles().Get(b))
-		if s := opts.Model.ScorePair(&ev); s != m.Score {
-			t.Fatalf("%v rescored %v, ranked with %v", m.Pair, s, m.Score)
+	for name, ev := range map[string]*features.PairEval{"plain": &plain, "memoized": &memoized} {
+		if n := testing.AllocsPerRun(len(ms), func() {
+			m := ms[i%len(ms)]
+			i++
+			a, b := res.Collection.Index(m.Pair.A), res.Collection.Index(m.Pair.B)
+			ev.Reset(ex, res.Profiles().Get(a), res.Profiles().Get(b))
+			if s := opts.Model.ScorePair(ev); s != m.Score {
+				t.Fatalf("%s: %v rescored %v, ranked with %v", name, m.Pair, s, m.Score)
+			}
+		}); n != 0 {
+			t.Errorf("scoring a pair through a reused %s evaluator allocates %v times, want 0", name, n)
 		}
-	}); n != 0 {
-		t.Errorf("scoring a pair through a reused evaluator allocates %v times, want 0", n)
+	}
+
+	// The candidates, repeated to fill at least 64 chunks, are scored on
+	// two workers. Beyond what a profile build of the same cache
+	// allocates, the call may allocate its memos (512 KiB each, one per
+	// worker), its buffers and its matches, but nothing near one memo per
+	// chunk (32 MiB).
+	var pairs []record.Pair
+	for len(pairs) < 64*scoreChunkSize {
+		pairs = append(pairs, res.Blocking.Pairs...)
+	}
+	cache := features.NewProfileCache(scoringExtractor(&opts))
+	cache.Build(res.Collection, 2) // publishes the value table; later builds derive nothing
+	allocated := func(f func()) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	build := allocated(func() { cache.Build(res.Collection, 2) })
+	scoring := allocated(func() {
+		if _, err := scoreCandidates(&opts, res.Collection, residentPairs(&mfiblocks.Result{Pairs: pairs}), cache, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if extra := scoring - build; extra > 8<<20 {
+		t.Errorf("scoring %d candidates on 2 workers allocates %d B beyond its profile build (%d B): more than one kernel memo per worker", len(pairs), extra, build)
 	}
 	if n := testing.AllocsPerRun(len(ms), func() {
 		m := ms[i%len(ms)]

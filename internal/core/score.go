@@ -222,7 +222,13 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 		defer wg.Done()
 		wsp := sp.Child("score_worker", trace.WithKind(trace.KindWorker), trace.WithTrack(w+1))
 		buf := make([]candidate, scoreChunkSize)
+		// The worker's evaluator owns its kernel memo for the whole call:
+		// the candidates of every chunk share the few thousand distinct
+		// name values the memo holds.
 		var ev features.PairEval
+		if opts.Model != nil {
+			ev.MemoizeKernels()
+		}
 		local := scoreResult{scores: telemetry.NewHistogram(telemetry.ScoreBuckets)}
 		for {
 			mu.Lock()

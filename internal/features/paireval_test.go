@@ -75,7 +75,8 @@ func trickyRecords(city string) []*record.Record {
 // catalogue and none, At(id) equals Extract(ra, rb)[id] field for field
 // for all 48 ids — a missing feature reads as the zero Value even when the
 // slot held another pair's value — in whatever order the ids are asked
-// for, and the evaluator has computed exactly the ids asked.
+// for, and the evaluator has computed exactly the ids asked. So does an
+// evaluator with a kernel memo, kept across the three extractors.
 func TestPairEvalMatchesExtract(t *testing.T) {
 	cfg := dataset.ItalyConfig()
 	cfg.Persons = 60
@@ -89,6 +90,8 @@ func TestPairEvalMatchesExtract(t *testing.T) {
 	}
 	recs := append(trickyRecords(city), gen.Collection.Records[:40]...)
 	rng := rand.New(rand.NewSource(11))
+	var memoized PairEval
+	memoized.MemoizeKernels()
 	for name, ex := range map[string]*Extractor{
 		"gazetteer": NewExtractor(gen.Gaz),
 		"twoCities": NewExtractor(twoCities),
@@ -104,14 +107,18 @@ func TestPairEvalMatchesExtract(t *testing.T) {
 			for j, rb := range recs {
 				want := ex.Extract(ra, rb)
 				ev.Reset(ex, profs[i], profs[j])
+				memoized.Reset(ex, profs[i], profs[j])
 				var asked uint64
 				for _, id := range rng.Perm(NumFeatures)[:1+rng.Intn(NumFeatures)] {
 					if got := ev.At(id); got != want[id] {
 						t.Fatalf("%s: records %d,%d: At(%d) (%s) = %+v, Extract has %+v", name, i, j, id, Defs()[id].Name, got, want[id])
 					}
+					if got := memoized.At(id); got != want[id] {
+						t.Fatalf("%s: records %d,%d: memoized At(%d) (%s) = %+v, Extract has %+v", name, i, j, id, Defs()[id].Name, got, want[id])
+					}
 					asked |= 1 << id
-					if ev.Evaluated() != asked {
-						t.Fatalf("%s: records %d,%d: evaluated set %048b after asking for %048b", name, i, j, ev.Evaluated(), asked)
+					if ev.Evaluated() != asked || memoized.Evaluated() != asked {
+						t.Fatalf("%s: records %d,%d: evaluated sets %048b and %048b (memoized) after asking for %048b", name, i, j, ev.Evaluated(), memoized.Evaluated(), asked)
 					}
 					if want[id].Present {
 						present++

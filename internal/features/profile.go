@@ -305,11 +305,12 @@ func (b *profileBuilder) city(raw string) cityCoord {
 // implementation behind both the full-vector API and the demand-driven
 // PairEval. The cases follow Defs group by group; the tests pin each
 // value bit for bit to a reference that re-derives it from the raw
-// records. It panics on a feature outside the extractor's profiled set,
-// whose inputs the profiles lack: answering "missing" would score the
-// pair silently wrong, and the caller has paired a model with an
-// extractor built for another.
-func (e *Extractor) feature(id int, a, b *Profile) Value {
+// records. memo, when not nil, answers the name kernels for the value
+// pairs it has seen. It panics on a feature outside the extractor's
+// profiled set, whose inputs the profiles lack: answering "missing" would
+// score the pair silently wrong, and the caller has paired a model with
+// an extractor built for another.
+func (e *Extractor) feature(id int, a, b *Profile, memo *kernelMemo) Value {
 	if e.profiled&(1<<id) == 0 {
 		panic(fmt.Sprintf("features: %s (feature %d) is not among the features this extractor profiles", e.defs[id].Name, id))
 	}
@@ -319,7 +320,9 @@ func (e *Extractor) feature(id int, a, b *Profile) Value {
 		// start at id 0, so id mod their length is the attribute):
 		// sameXName over the interned value IDs, XNdist as the max q-gram
 		// Jaccard over the value table's gram sets, XNjw as the max
-		// Jaro-Winkler over its lowered values.
+		// Jaro-Winkler over its lowered values. Both kernels score a value
+		// against itself exactly 1 and nothing above 1, so equal IDs need
+		// no kernel call and the max stops at 1.
 		na, nb := a.group(id%len(nameAttrs)), b.group(id%len(nameAttrs))
 		if len(na) == 0 || len(nb) == 0 {
 			return Value{}
@@ -327,18 +330,24 @@ func (e *Extractor) feature(id int, a, b *Profile) Value {
 		if id < idNameDist {
 			return Value{Present: true, Cat: compareNameIDs(na, nb)}
 		}
+		k := kernelJaccard
+		if id >= idNameJW {
+			k = kernelJW
+		}
 		vals := e.table()
 		best := 0.0
+	values:
 		for _, x := range na {
 			for _, y := range nb {
-				var s float64
-				if id < idNameJW {
-					s = similarity.JaccardSortedIDs(vals[x].grams, vals[y].grams)
-				} else {
-					s = similarity.JaroWinkler(vals[x].lower, vals[y].lower)
+				s := 1.0
+				if x != y {
+					s = memo.sim(k, vals, x, y)
 				}
 				if s > best {
 					best = s
+					if best == 1 {
+						break values
+					}
 				}
 			}
 		}
@@ -368,6 +377,10 @@ func (e *Extractor) feature(id int, a, b *Profile) Value {
 			return Value{}
 		}
 		ca, cb := a.coord(pt), b.coord(pt)
+		if ca == cb {
+			// Haversine of a point to itself is exactly +0.
+			return Value{Present: true}
+		}
 		return Value{Present: true, Num: gazetteer.Haversine(ca[0], ca[1], cb[0], cb[1])}
 
 	case id == idSameSource:
@@ -413,7 +426,7 @@ func (e *Extractor) ExtractProfiled(a, b *Profile) Vector {
 // features through a PairEval instead.
 func (e *Extractor) ExtractProfiledInto(v Vector, a, b *Profile) {
 	for id := range v[:NumFeatures] {
-		v[id] = e.feature(id, a, b)
+		v[id] = e.feature(id, a, b, nil)
 	}
 }
 
@@ -428,19 +441,35 @@ type PairEval struct {
 	// have has bit id set once vals[id] holds this pair's feature id.
 	have uint64
 	vals [NumFeatures]Value
+	// kernels, once MemoizeKernels has set it, remembers name-kernel
+	// results across the pairs the evaluator serves.
+	kernels *kernelMemo
+}
+
+// MemoizeKernels gives the evaluator a name-kernel memo of its own
+// (512 KiB), so the XNdist and XNjw features of later pairs compare each
+// distinct pair of name values once: what a worker scoring many pairs
+// wants, and what one-off scoring does not. Values are unchanged, bit for
+// bit.
+func (p *PairEval) MemoizeKernels() {
+	p.kernels = newKernelMemo(kernelMemoBits)
 }
 
 // Reset points the evaluator at a new pair of profiles built by ex. Only
 // the mask is cleared: a stale slot is unreachable until At refills it.
+// The kernel memo is kept unless ex is another extractor.
 func (p *PairEval) Reset(ex *Extractor, a, b *Profile) {
 	p.ex, p.a, p.b, p.have = ex, a, b, 0
+	if p.kernels != nil {
+		p.kernels.bind(ex)
+	}
 }
 
 // At returns feature id of the current pair, equal to ExtractProfiled's at
 // id. It panics when id is not among the features the extractor profiles.
 func (p *PairEval) At(id int) Value {
 	if bit := uint64(1) << id; p.have&bit == 0 {
-		p.vals[id] = p.ex.feature(id, p.a, p.b)
+		p.vals[id] = p.ex.feature(id, p.a, p.b, p.kernels)
 		p.have |= bit
 	}
 	return p.vals[id]

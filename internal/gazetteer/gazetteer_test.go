@@ -92,6 +92,21 @@ func TestHaversineProperties(t *testing.T) {
 	}
 }
 
+// TestHaversineSelfIsPositiveZero: the distance from every catalogue
+// point to itself is exactly +0 — the bits the pair features give
+// without calling Haversine when two profiles' coordinates are equal —
+// for the built-in catalogue and the generator's 10- and 25-town ones.
+func TestHaversineSelfIsPositiveZero(t *testing.T) {
+	for _, towns := range []int{0, 10, 25} {
+		g := Builtin(towns)
+		for _, p := range g.places {
+			if d := Haversine(p.Lat, p.Lon, p.Lat, p.Lon); math.Float64bits(d) != 0 {
+				t.Errorf("Builtin(%d): Haversine of %s (%v, %v) to itself = %v (%#x), want +0", towns, p.City, p.Lat, p.Lon, d, math.Float64bits(d))
+			}
+		}
+	}
+}
+
 func TestHaversineTriangleSampled(t *testing.T) {
 	pts := [][2]float64{{45, 7}, {52, 21}, {36, 28}, {50, 30}, {48, 2}}
 	for _, a := range pts {

@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -78,7 +79,8 @@ func jaroWinklerRef(a, b string) float64 {
 // retained rune/map reference implementations on arbitrary inputs,
 // including non-ASCII strings and values containing the q-gram padding
 // rune '#'. Equality is exact (==), not approximate: the fast paths must
-// execute the identical arithmetic.
+// execute the identical arithmetic. A string's Jaro-Winkler with itself
+// must be exactly 1.
 func FuzzKernelEquivalence(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []string{"Guido", "Foa", "Avraham", "Rywka", "Capelluto", "Torino", ""} {
@@ -101,6 +103,10 @@ func FuzzKernelEquivalence(f *testing.F) {
 		}
 		if got, want := JaroWinkler(a, b), jaroWinklerRef(a, b); got != want {
 			t.Fatalf("JaroWinkler(%q, %q) = %v, reference %v", a, b, got, want)
+		}
+		// The pair features skip the kernel for equal values.
+		if self := JaroWinkler(a, a); math.Float64bits(self) != math.Float64bits(1) {
+			t.Fatalf("JaroWinkler(%q, itself) = %v, want exactly 1", a, self)
 		}
 
 		// Interned sorted-ID Jaccard against the map reference.

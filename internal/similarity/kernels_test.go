@@ -143,6 +143,34 @@ func TestJaccardSortedIDs(t *testing.T) {
 	}
 }
 
+// TestSelfSimilarityIsExactlyOne pins the identities the pair features'
+// short-circuits rely on: a string scores exactly 1 against itself under
+// Jaro and Jaro-Winkler, on both tiers and at any length, and a non-empty
+// gram set has Jaccard exactly 1 with itself. Exact means the same bits,
+// so skipping the kernel for equal values changes no feature.
+func TestSelfSimilarityIsExactlyOne(t *testing.T) {
+	one := math.Float64bits(1)
+	for _, s := range []string{
+		"", "a", "é", "Capelluto", "guido foa", "łucja", "Ça va, Jérôme",
+		randASCII(41, 3), "Ottolenghi-Mandelbaum-Rosenthal-Capelluto-Foa",
+		"żółć gęślą jaźń — Świętochłowice, Ostrów Wielkopolski",
+	} {
+		if got := Jaro(s, s); math.Float64bits(got) != one {
+			t.Errorf("Jaro(%q, itself) = %v (%#x), want exactly 1", s, got, math.Float64bits(got))
+		}
+		if got := JaroWinkler(s, s); math.Float64bits(got) != one {
+			t.Errorf("JaroWinkler(%q, itself) = %v (%#x), want exactly 1", s, got, math.Float64bits(got))
+		}
+	}
+	in := NewInterner()
+	for _, s := range []string{"a", "Foa", "Ottolenghi", "łucja", randASCII(60, 4)} {
+		g := QGramIDs(in, s, 2)
+		if got := JaccardSortedIDs(g, g); math.Float64bits(got) != one {
+			t.Errorf("JaccardSortedIDs of %q's grams with themselves = %v, want exactly 1", s, got)
+		}
+	}
+}
+
 // TestKernelAllocs guards the zero-allocation contract of the ASCII fast
 // paths and the interned merge: the pooled scratch must absorb every
 // working buffer. testing.AllocsPerRun warms the pool with one

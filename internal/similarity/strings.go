@@ -62,21 +62,27 @@ func jaroWindow(la, lb int) int {
 // Jaro returns the Jaro similarity of two strings in [0,1]. Empty strings
 // are similar (1) to each other and dissimilar (0) to non-empty strings.
 func Jaro(a, b string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
 	if isASCII(a) && isASCII(b) {
 		return jaroASCII(a, b)
 	}
 	return jaroRunes([]rune(a), []rune(b))
 }
 
-// jaroASCII is the byte-indexed fast path; a and b are non-empty ASCII.
+// jaroEmpty is the Jaro similarity when a string of length la or lb is
+// empty: 1 for two empty strings, 0 otherwise.
+func jaroEmpty(la, lb int) float64 {
+	if la == lb {
+		return 1
+	}
+	return 0
+}
+
+// jaroASCII is the byte-indexed fast path; a and b are ASCII.
 func jaroASCII(a, b string) float64 {
 	la, lb := len(a), len(b)
+	if la == 0 || lb == 0 {
+		return jaroEmpty(la, lb)
+	}
 	sc := scratchPool.Get().(*kernelScratch)
 	matchA, matchB := sc.matchFlags(la, lb)
 	window := jaroWindow(la, lb)
@@ -117,11 +123,14 @@ func jaroASCII(a, b string) float64 {
 	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
 }
 
-// jaroRunes is the rune-correct reference path; ra and rb are non-empty.
-// The arithmetic mirrors jaroASCII step for step, so the two tiers agree
-// bit for bit on ASCII inputs.
+// jaroRunes is the rune-correct reference path. The arithmetic mirrors
+// jaroASCII step for step, so the two tiers agree bit for bit on ASCII
+// inputs.
 func jaroRunes(ra, rb []rune) float64 {
 	la, lb := len(ra), len(rb)
+	if la == 0 || lb == 0 {
+		return jaroEmpty(la, lb)
+	}
 	sc := scratchPool.Get().(*kernelScratch)
 	matchA, matchB := sc.matchFlags(la, lb)
 	window := jaroWindow(la, lb)
@@ -162,20 +171,23 @@ func jaroRunes(ra, rb []rune) float64 {
 }
 
 // JaroWinkler returns the Jaro–Winkler similarity with the standard prefix
-// scale 0.1 and prefix cap 4.
+// scale 0.1 and prefix cap 4. Each input is checked for ASCII once, for
+// the Jaro score and the common prefix alike.
 func JaroWinkler(a, b string) float64 {
 	const (
 		prefixScale = 0.1
 		prefixCap   = 4
 	)
-	j := Jaro(a, b)
+	var j float64
 	l := 0
 	if isASCII(a) && isASCII(b) {
+		j = jaroASCII(a, b)
 		for l < len(a) && l < len(b) && l < prefixCap && a[l] == b[l] {
 			l++
 		}
 	} else {
 		ra, rb := []rune(a), []rune(b)
+		j = jaroRunes(ra, rb)
 		for l < len(ra) && l < len(rb) && l < prefixCap && ra[l] == rb[l] {
 			l++
 		}
