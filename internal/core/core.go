@@ -167,7 +167,9 @@ type Resolution struct {
 
 	// model and profiles carry the scoring machinery into the query
 	// paths: ScorePair (and the server's /api/pair) re-score ad-hoc pairs
-	// without redoing per-record extraction work.
+	// without redoing per-record extraction work. The scoring stage fills
+	// profiles, aligned with Collection.Records, when a model is set; its
+	// extractor profiles only the model's features.
 	model    *adtree.Model
 	profiles *features.ProfileCache
 
@@ -347,12 +349,6 @@ func scoringExtractor(opts *Options) *features.Extractor {
 	}
 	return features.NewExtractorFor(opts.Geo, used)
 }
-
-// Profiles returns the resolution's record-profile cache, aligned with
-// Collection.Records. The scoring stage fills it when a model is set;
-// query paths use it to re-score pairs without re-deriving per-record
-// features. Its extractor profiles only the model's features.
-func (r *Resolution) Profiles() *features.ProfileCache { return r.profiles }
 
 // ScorePair validation errors, distinguishable with errors.Is: a
 // self-pair is a malformed request however the IDs resolve, while an

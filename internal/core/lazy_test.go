@@ -31,7 +31,7 @@ func candidateVectors(t *testing.T, cfg dataset.Config) (*features.Extractor, []
 		t.Fatal(err)
 	}
 	ex := features.NewExtractor(gen.Gaz)
-	profs := features.NewProfileCache(ex).Build(work, 2)
+	profs := features.NewProfileCache(ex).Build(work, 1)
 	pairs := make([][2]*features.Profile, len(blk.Pairs))
 	vecs := make([]features.Vector, len(blk.Pairs))
 	for i, p := range blk.Pairs {
@@ -196,7 +196,7 @@ func TestScoringAllocs(t *testing.T) {
 	}
 	opts, res := scoringFixture(t, 120)
 	ms := res.Matches
-	ex := res.Profiles().Extractor()
+	ex := res.profiles.Extractor()
 	var plain, memoized features.PairEval
 	memoized.MemoizeKernels()
 	i := 0
@@ -205,7 +205,7 @@ func TestScoringAllocs(t *testing.T) {
 			m := ms[i%len(ms)]
 			i++
 			a, b := res.Collection.Index(m.Pair.A), res.Collection.Index(m.Pair.B)
-			ev.Reset(ex, res.Profiles().Get(a), res.Profiles().Get(b))
+			ev.Reset(ex, res.profiles.Get(a), res.profiles.Get(b))
 			if s := opts.Model.ScorePair(ev); s != m.Score {
 				t.Fatalf("%s: %v rescored %v, ranked with %v", name, m.Pair, s, m.Score)
 			}
@@ -224,7 +224,7 @@ func TestScoringAllocs(t *testing.T) {
 		pairs = append(pairs, res.Blocking.Pairs...)
 	}
 	cache := features.NewProfileCache(scoringExtractor(&opts))
-	cache.Build(res.Collection, 2) // publishes the value table; later builds derive nothing
+	cache.Build(res.Collection, 1) // fills the value table; later builds derive nothing
 	allocated := func(f func()) int64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -232,7 +232,7 @@ func TestScoringAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return int64(after.TotalAlloc - before.TotalAlloc)
 	}
-	build := allocated(func() { cache.Build(res.Collection, 2) })
+	build := allocated(func() { cache.Build(res.Collection, 1) })
 	scoring := allocated(func() {
 		if _, err := scoreCandidates(&opts, res.Collection, residentPairs(&mfiblocks.Result{Pairs: pairs}), cache, 2, nil); err != nil {
 			t.Fatal(err)

@@ -224,7 +224,7 @@ func assertReportIdentities(t *testing.T, tag string, opts Options, res *Resolut
 	if opts.Model != nil {
 		wantProfiles = rep.Records
 	}
-	if n := res.Profiles().Len(); n != wantProfiles {
+	if n := res.profiles.Len(); n != wantProfiles {
 		t.Errorf("%s: %d profiles built, want %d", tag, n, wantProfiles)
 	}
 

@@ -207,7 +207,7 @@ func scoreCandidates(opts *Options, work *record.Collection, src candidateSource
 	if opts.Model != nil {
 		psp := sp.Child("profile_build", trace.WithKind(trace.KindSetup)).
 			Attr("records", int64(work.Len()))
-		profs = cache.Build(work, workers)
+		profs = cache.Build(work, 1)
 		psp.End()
 	}
 	ex := cache.Extractor()

@@ -170,11 +170,11 @@ func TestModelProfilesScoreIdentically(t *testing.T) {
 				t.Fatalf("%s: %v", tag, err)
 			}
 			work := res.Collection
-			if n := res.Profiles().Len(); n != work.Len() {
+			if n := res.profiles.Len(); n != work.Len() {
 				t.Fatalf("%s: %d profiles for %d records", tag, n, work.Len())
 			}
 			full := features.NewExtractor(gen.Gaz)
-			profs := features.NewProfileCache(full).Build(work, 2)
+			profs := features.NewProfileCache(full).Build(work, 1)
 			score := func(p record.Pair) (float64, int64) {
 				ia, ib := work.Index(p.A), work.Index(p.B)
 				var ev features.PairEval

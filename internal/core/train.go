@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/adtree"
 	"repro/internal/dataset"
@@ -73,7 +72,7 @@ func Instances(ts *dataset.TagSet, coll *record.Collection, geo *gazetteer.Gazet
 // features, computed by the same code, that scoring reads.
 func taggedVectors(ts *dataset.TagSet, coll *record.Collection, geo *gazetteer.Gazetteer) ([]features.Vector, error) {
 	ex := features.NewExtractor(geo)
-	profs := features.NewProfileCache(ex).Build(coll, runtime.GOMAXPROCS(0))
+	profs := features.NewProfileCache(ex).Build(coll, 1)
 	xs := make([]features.Vector, len(ts.Pairs))
 	for i, tp := range ts.Pairs {
 		if tp.Pair.A == tp.Pair.B {

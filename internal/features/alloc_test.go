@@ -56,8 +56,8 @@ func TestExtractProfiledAllocs(t *testing.T) {
 // TestProfileBuildAllocs bounds what Build allocates per record. The slab
 // and arenas make a profile itself cost no heap object; what is left is
 // one joined birth date per record plus the lowering, gramming and
-// interning of each distinct value, which the value table pays once per
-// builder — a dozen allocations per record without it.
+// interning of each distinct value, which the builder's value maps pay
+// once per Build — a dozen allocations per record without them.
 func TestProfileBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race (sync.Pool drops items)")
@@ -67,7 +67,7 @@ func TestProfileBuildAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(3, func() {
-		NewProfileCache(NewExtractor(gen.Gaz)).Build(gen.Collection, 2)
+		NewProfileCache(NewExtractor(gen.Gaz)).Build(gen.Collection, 1)
 	})
 	if per := n / float64(gen.Collection.Len()); per > 3 {
 		t.Errorf("Build allocates %.2f times per record, want <= 3", per)

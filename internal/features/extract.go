@@ -1,9 +1,6 @@
 package features
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/gazetteer"
 	"repro/internal/record"
 	"repro/internal/similarity"
@@ -36,14 +33,10 @@ type Extractor struct {
 
 	// values is the value table: slot id holds the lowered string and
 	// gram set of the name value interned as id, and a slot whose grams
-	// is nil (a q-gram's or birth date's id) holds none. Build publishes
-	// a new table, a copy grown by its builders' fresh values, with one
-	// store once its workers have finished; feature reads it with one
-	// load and no lock, and a table once published never changes, so
-	// profiles built earlier keep finding their IDs. publishMu orders
-	// concurrent Builds' publications.
-	values    atomic.Pointer[[]nameValue]
-	publishMu sync.Mutex
+	// is nil (a q-gram's or birth date's id) holds none. Build grows it in
+	// place and never rewrites a filled slot, so profiles built earlier
+	// keep finding their IDs; feature reads it once Build has returned.
+	values []nameValue
 }
 
 // allFeatures is the profiled set of a full extractor.
@@ -72,7 +65,6 @@ func NewExtractorFor(geo *gazetteer.Gazetteer, ids []int) *Extractor {
 
 func newExtractor(geo *gazetteer.Gazetteer, profiled uint64) *Extractor {
 	e := &Extractor{Geo: geo, defs: Defs(), interner: similarity.NewInterner(), profiled: profiled}
-	e.values.Store(new([]nameValue))
 	for i, na := range nameAttrs {
 		if profiled&(1<<(idSameName+i)|1<<(idNameDist+i)|1<<(idNameJW+i)) != 0 {
 			e.nameTypes |= 1 << na.t
@@ -93,35 +85,6 @@ func newExtractor(geo *gazetteer.Gazetteer, profiled uint64) *Extractor {
 		e.firstTypes |= 1 << record.Profession
 	}
 	return e
-}
-
-// table returns the extractor's current value table.
-func (e *Extractor) table() []nameValue { return *e.values.Load() }
-
-// publish adds the builders' fresh name values to the value table. Two
-// builders may have derived the same value; both derived it from the same
-// string, so either copy will do.
-func (e *Extractor) publish(builders []*profileBuilder) {
-	size := 0
-	for _, b := range builders {
-		for id := range b.fresh {
-			size = max(size, int(id)+1)
-		}
-	}
-	if size == 0 {
-		return
-	}
-	e.publishMu.Lock()
-	defer e.publishMu.Unlock()
-	old := e.table()
-	vals := make([]nameValue, max(size, len(old)))
-	copy(vals, old)
-	for _, b := range builders {
-		for id, v := range b.fresh {
-			vals[id] = v
-		}
-	}
-	e.values.Store(&vals)
 }
 
 // InternedStrings returns the number of distinct strings (q-grams,

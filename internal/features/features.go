@@ -146,12 +146,3 @@ const (
 	// constant, so a caller can keep a vector or a PairEval on its stack.
 	NumFeatures = idSameDOB + 1
 )
-
-// IndexByName maps feature names to ids for the canonical definition set.
-func IndexByName() map[string]int {
-	m := make(map[string]int, NumFeatures)
-	for _, d := range Defs() {
-		m[d.Name] = d.ID
-	}
-	return m
-}

@@ -51,7 +51,7 @@ func rec(build func(*record.Record)) *record.Record {
 
 func TestSameNameTrinary(t *testing.T) {
 	ex := NewExtractor(twoCities)
-	idx := IndexByName()
+	idx := indexByName()
 
 	// {John, Harris} vs {John} -> partial (the paper's example).
 	a := rec(func(r *record.Record) { r.Add(record.FirstName, "John"); r.Add(record.FirstName, "Harris") })
@@ -78,7 +78,7 @@ func TestSameNameTrinary(t *testing.T) {
 
 func TestMissingSemantics(t *testing.T) {
 	ex := NewExtractor(twoCities)
-	idx := IndexByName()
+	idx := indexByName()
 	a := rec(func(r *record.Record) { r.Add(record.FirstName, "Guido") })
 	b := rec(func(r *record.Record) { r.Add(record.LastName, "Foa") })
 	v := ex.Extract(a, b)
@@ -98,7 +98,7 @@ func TestMissingSemantics(t *testing.T) {
 
 func TestNameDistancesMaxOverValues(t *testing.T) {
 	ex := NewExtractor(twoCities)
-	idx := IndexByName()
+	idx := indexByName()
 	a := rec(func(r *record.Record) {
 		r.Add(record.FirstName, "Zzz")
 		r.Add(record.FirstName, "Guido")
@@ -115,7 +115,7 @@ func TestNameDistancesMaxOverValues(t *testing.T) {
 
 func TestDateDistancesRaw(t *testing.T) {
 	ex := NewExtractor(twoCities)
-	idx := IndexByName()
+	idx := indexByName()
 	a := rec(func(r *record.Record) {
 		r.Add(record.BirthYear, "1920")
 		r.Add(record.BirthMonth, "11")
@@ -147,7 +147,7 @@ func TestGeoDistanceFeature(t *testing.T) {
 		born := func(c string) *Profile {
 			return profileOf(ex, rec(func(r *record.Record) { r.Add(record.BirthCity, c) }))
 		}
-		return ex.ExtractProfiled(born(a), born(b))[IndexByName()["BPGeoDist"]]
+		return ex.ExtractProfiled(born(a), born(b))[indexByName()["BPGeoDist"]]
 	}
 	to, okT := gaz.Lookup("Torino")
 	mo, okM := gaz.Lookup("Moncalieri")
@@ -167,7 +167,7 @@ func TestGeoDistanceFeature(t *testing.T) {
 
 func TestSourceGenderProfessionDOB(t *testing.T) {
 	ex := NewExtractor(twoCities)
-	idx := IndexByName()
+	idx := indexByName()
 	a := rec(func(r *record.Record) {
 		r.Source = "list:1"
 		r.Add(record.Gender, "0")
@@ -205,7 +205,7 @@ func TestSourceGenderProfessionDOB(t *testing.T) {
 
 func TestSamePlaceParts(t *testing.T) {
 	ex := NewExtractor(twoCities)
-	idx := IndexByName()
+	idx := indexByName()
 	a := rec(func(r *record.Record) {
 		r.Add(record.BirthCity, "Torino")
 		r.Add(record.BirthCountry, "Italy")
@@ -246,4 +246,13 @@ func TestExtractSymmetric(t *testing.T) {
 			t.Errorf("feature %d asymmetric: %+v vs %+v", i, ab[i], ba[i])
 		}
 	}
+}
+
+// indexByName maps feature names to ids for the canonical definition set.
+func indexByName() map[string]int {
+	m := make(map[string]int, NumFeatures)
+	for _, d := range Defs() {
+		m[d.Name] = d.ID
+	}
+	return m
 }

@@ -22,10 +22,11 @@ const (
 // assumes nothing of the kernels' symmetry.
 //
 // A hit is bit-identical to calling the kernel: an id names the same
-// value in every table its extractor publishes, and the memo serves one
-// extractor at a time (PairEval.Reset clears it when the extractor
-// changes). Key 0 marks an empty slot; it is the pair (0, 0), which is
-// never probed, since equal ids score 1 without a kernel call.
+// value for as long as its extractor's table lives (Build only fills new
+// slots), and the memo serves one extractor at a time (PairEval.Reset
+// clears it when the extractor changes). Key 0 marks an empty slot; it is
+// the pair (0, 0), which is never probed, since equal ids score 1 without
+// a kernel call.
 type kernelMemo struct {
 	ex    *Extractor
 	tabs  [2][]memoSlot

@@ -37,7 +37,7 @@ func TestKernelMemoMatchesDirect(t *testing.T) {
 			ex   *Extractor
 		}{{"full", NewExtractor(gen.Gaz)}, {"model", NewExtractorFor(gen.Gaz, modelFeatures())}} {
 			ex := x.ex
-			profs := NewProfileCache(ex).Build(coll, 2)
+			profs := NewProfileCache(ex).Build(coll, 1)
 			memos := []*kernelMemo{newKernelMemo(kernelMemoBits), newKernelMemo(0)}
 			probes, distinct := 0, map[[3]uint32]bool{}
 			for _, p := range blk.Pairs {

@@ -18,7 +18,7 @@ var sink float64
 // candidates of the 300-person Italy preset — with the same model — the
 // one adtree keeps as a fixture, trained over the canonical features — two
 // ways: pulling features through a PairEval as the tree walk asks for
-// them, and filling all 48 with ExtractProfiledInto before Score.
+// them, and computing all 48 with ExtractProfiled before Score.
 // features/pair is what each computed.
 func BenchmarkScoreLazyVsEager(b *testing.B) {
 	f, err := os.Open("../adtree/testdata/model.json")
@@ -61,13 +61,11 @@ func BenchmarkScoreLazyVsEager(b *testing.B) {
 		b.ReportMetric(float64(evaluated)/float64(b.N), "features/pair")
 	})
 	b.Run("eager", func(b *testing.B) {
-		vec := make(features.Vector, features.NumFeatures)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
-			ex.ExtractProfiledInto(vec, p[0], p[1])
-			sink += model.Score(vec)
+			sink += model.Score(ex.ExtractProfiled(p[0], p[1]))
 		}
 		b.ReportMetric(float64(features.NumFeatures), "features/pair")
 	})

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/gazetteer"
 	"repro/internal/record"
@@ -128,26 +127,20 @@ func (a *arena[T]) alloc(n int) []T {
 // tail a finished build leaves behind.
 const arenaBlock = 1 << 11
 
-// profileBuilder builds profiles on one goroutine, drawing their
+// profileBuilder builds one Build's profiles, drawing their
 // variable-length parts from its arenas. values and cities are its value
 // maps: a corpus repeats a few thousand name values and a few hundred
-// cities across all its records, so each is lowered, interned, grammed or
-// resolved once per builder, not once per record. The key is the raw
-// string (a repeat costs one probe, no lowering) and the maps are the
-// builder's own (no lock).
-//
-// The name values new to the extractor's value table go to fresh, by ID;
-// Build publishes them when every builder has finished, so no builder
-// writes what another reads.
+// cities across all its records, so each is lowered, interned or resolved
+// once per build, not once per record. The key is the raw string (a
+// repeat costs one probe, no lowering). A name value new to the
+// extractor is grammed once and goes straight into its value table.
 type profileBuilder struct {
 	ex     *Extractor
-	known  []nameValue // the value table when the builder started
 	ids    arena[uint32]
 	firsts arena[string]
 	coords arena[[2]float64]
 	values map[string]uint32
 	cities map[string]cityCoord
-	fresh  map[uint32]nameValue
 	// keys is scratch for one record's name items: attribute index in
 	// the high half, name ID in the low.
 	keys []uint64
@@ -170,12 +163,10 @@ func (e *Extractor) newProfileBuilder(records int) *profileBuilder {
 	block := func(perRecord int) int { return min(records*perRecord, arenaBlock) }
 	b := &profileBuilder{
 		ex:     e,
-		known:  e.table(),
 		ids:    arena[uint32]{block: block(4)},
 		coords: arena[[2]float64]{block: block(3)},
 		values: make(map[string]uint32),
 		cities: make(map[string]cityCoord),
-		fresh:  make(map[uint32]nameValue),
 	}
 	b.firsts.block = block(1 + bits.OnesCount32(e.firstTypes)/2)
 	return b
@@ -272,19 +263,22 @@ func (b *profileBuilder) build(p *Profile, r *record.Record) {
 }
 
 // value returns the interned ID of a raw name value's lowered form,
-// deriving the value's table entry when neither the extractor's table nor
-// this builder has it yet.
+// deriving the value's table entry when the extractor's table lacks it.
 func (b *profileBuilder) value(raw string) uint32 {
 	if id, ok := b.values[raw]; ok {
 		return id
 	}
-	id, lower := b.ex.interner.Canonical(strings.ToLower(raw))
+	e := b.ex
+	id, lower := e.interner.Canonical(strings.ToLower(raw))
 	b.values[raw] = id
-	if _, ok := b.fresh[id]; !ok && (int(id) >= len(b.known) || b.known[id].grams == nil) {
-		g := similarity.QGramIDs(b.ex.interner, lower, 2)
+	if int(id) >= len(e.values) || e.values[id].grams == nil {
+		g := similarity.QGramIDs(e.interner, lower, 2)
 		v := nameValue{lower: lower, grams: b.ids.alloc(len(g))}
 		copy(v.grams, g)
-		b.fresh[id] = v
+		if n := int(id) + 1; n > len(e.values) {
+			e.values = append(e.values, make([]nameValue, n-len(e.values))...)
+		}
+		e.values[id] = v
 	}
 	return id
 }
@@ -334,7 +328,7 @@ func (e *Extractor) feature(id int, a, b *Profile, memo *kernelMemo) Value {
 		if id >= idNameJW {
 			k = kernelJW
 		}
-		vals := e.table()
+		vals := e.values
 		best := 0.0
 	values:
 		for _, x := range na {
@@ -411,23 +405,17 @@ func (e *Extractor) feature(id int, a, b *Profile, memo *kernelMemo) Value {
 }
 
 // ExtractProfiled computes the pair's feature vector from two cached
-// profiles of a full extractor. It panics on a restricted extractor, whose
-// profiles lack some feature's inputs.
-func (e *Extractor) ExtractProfiled(a, b *Profile) Vector {
-	v := make(Vector, NumFeatures)
-	e.ExtractProfiledInto(v, a, b)
-	return v
-}
-
-// ExtractProfiledInto is ExtractProfiled writing into v, which must hold
-// one Value per feature definition. It is the full-vector form — every
+// profiles of a full extractor. It is the full-vector form — every
 // feature, whether or not anything reads it — that training, the pair
 // breakdowns and the staged benchmark want; the scoring stage pulls
-// features through a PairEval instead.
-func (e *Extractor) ExtractProfiledInto(v Vector, a, b *Profile) {
-	for id := range v[:NumFeatures] {
+// features through a PairEval instead. It panics on a restricted
+// extractor, whose profiles lack some feature's inputs.
+func (e *Extractor) ExtractProfiled(a, b *Profile) Vector {
+	v := make(Vector, NumFeatures)
+	for id := range v {
 		v[id] = e.feature(id, a, b, nil)
 	}
+	return v
 }
 
 // PairEval evaluates one pair's features on demand: At computes a feature
@@ -484,6 +472,11 @@ func (p *PairEval) Evaluated() uint64 { return p.have }
 // query-time scoring — pay the per-record derivation once. Build fills it;
 // Get and Len read what the last Build left and are safe for concurrent
 // use once it has returned.
+//
+// Build writes its extractor's interner and value table, so the Builds
+// over one extractor run one at a time and never alongside extraction:
+// every program builds a new extractor's profiles once, before any pair
+// is scored.
 type ProfileCache struct {
 	ex    *Extractor
 	profs []*Profile
@@ -502,41 +495,23 @@ func (c *ProfileCache) Len() int { return len(c.profs) }
 // cache was built over.
 func (c *ProfileCache) Get(i int) *Profile { return c.profs[i] }
 
-// Build precomputes profiles for the whole collection on the given number
-// of workers (clamped to at least 1). It returns the profiles aligned with
-// coll.Records, which the cache then holds. The profiles live in one slab,
-// their variable-length parts in per-worker arenas: a build costs a
-// handful of heap objects, not a dozen per record. The name values new to
-// the extractor are published to its value table once every worker has
-// finished, before Build returns.
+// Build derives the profiles of the whole collection on the calling
+// goroutine and returns them aligned with coll.Records, which the cache
+// then holds. The profiles live in one slab and their variable-length
+// parts in the builder's arenas: a build costs a handful of heap objects,
+// not a dozen per record. The name values new to the extractor join its
+// value table, and a later Build over the same extractor reuses their IDs
+// and entries. workers is ignored; it remains only because
+// benchmark/staged.go passes it (ROADMAP 1(a)).
 func (c *ProfileCache) Build(coll *record.Collection, workers int) []*Profile {
 	n := coll.Len()
 	slab := make([]Profile, n)
 	profs := make([]*Profile, n)
-	if workers > n {
-		workers = n
+	b := c.ex.newProfileBuilder(n)
+	for i, r := range coll.Records {
+		b.build(&slab[i], r)
+		profs[i] = &slab[i]
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (n + workers - 1) / workers
-	builders := make([]*profileBuilder, 0, workers)
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		b := c.ex.newProfileBuilder(hi - lo)
-		builders = append(builders, b)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				b.build(&slab[i], coll.Records[i])
-				profs[i] = &slab[i]
-			}
-		}()
-	}
-	wg.Wait()
-	c.ex.publish(builders)
 	c.profs = profs
 	return profs
 }

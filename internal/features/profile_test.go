@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -47,7 +46,7 @@ func TestExtractProfiledGoldenEquality(t *testing.T) {
 	}
 	ex := NewExtractor(gen.Gaz)
 	cache := NewProfileCache(ex)
-	cache.Build(gen.Collection, 2)
+	cache.Build(gen.Collection, 1)
 	records := gen.Collection.Records
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 1000; i++ {
@@ -86,14 +85,14 @@ func valueTableRecords(city string) []*record.Record {
 	return out
 }
 
-// TestProfileCacheBuild checks the parallel Build path returns profiles
-// aligned with the collection and keeps them for Get, and that the value
-// tables change nothing: over records whose values repeat in different
-// case, in non-ASCII and with an unresolvable city, profiles built in bulk
-// and plain Extract agree bit for bit. One builder derives each distinct
-// lowered value once, a second Build over the same extractor derives none,
-// and the gram slices the extractor's value table shares among profiles
-// are capped and never written.
+// TestProfileCacheBuild checks that Build returns profiles aligned with
+// the collection and keeps them for Get, and that the value table changes
+// nothing: over records whose values repeat in different case, in
+// non-ASCII and with an unresolvable city, profiles built in bulk and
+// plain Extract agree bit for bit. A build derives each distinct lowered
+// value once, a second Build over the same extractor derives none, and
+// the gram slices the extractor's value table shares among profiles are
+// capped and never written.
 func TestProfileCacheBuild(t *testing.T) {
 	cfg := dataset.ItalyConfig()
 	cfg.Persons = 80
@@ -115,17 +114,6 @@ func TestProfileCacheBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// buildAll runs one builder over the whole collection, as a
-	// one-worker Build does, and returns it with what it derived.
-	buildAll := func(ex *Extractor) *profileBuilder {
-		b := ex.newProfileBuilder(coll.Len())
-		slab := make([]Profile, coll.Len())
-		for i, r := range coll.Records {
-			b.build(&slab[i], r)
-		}
-		return b
-	}
 	lowered := make(map[string]bool)
 	for _, r := range coll.Records {
 		for _, it := range r.Items {
@@ -134,65 +122,65 @@ func TestProfileCacheBuild(t *testing.T) {
 			}
 		}
 	}
+
 	ex := NewExtractor(gen.Gaz)
-	if derived := buildAll(ex).fresh; len(derived) != len(lowered) {
-		t.Errorf("one builder grammed %d values for %d distinct lowered names", len(derived), len(lowered))
+	cache := NewProfileCache(ex)
+	profs := cache.Build(coll, 1)
+	if len(profs) != coll.Len() || cache.Len() != coll.Len() {
+		t.Fatalf("Build returned %d profiles, cache holds %d, want %d", len(profs), cache.Len(), coll.Len())
 	}
-	NewProfileCache(ex).Build(coll, 2)
-	if again := buildAll(ex).fresh; len(again) != 0 {
-		t.Errorf("a builder over a published table derived %d values again", len(again))
+	for i := range coll.Records {
+		if cache.Get(i) != profs[i] {
+			t.Fatalf("Get(%d) did not return the built profile", i)
+		}
+	}
+	if profs[0].resolved != 1<<record.Birth|1<<record.Permanent || profs[1].resolved != 1<<record.Permanent {
+		t.Fatalf("fixture: %q should resolve and Atlantis should not: %08b %08b", city, profs[0].resolved, profs[1].resolved)
+	}
+	if a, b := profs[0].group(1), profs[4].group(1); len(a) != 1 || len(b) != 1 || a[0] != b[0] {
+		t.Fatalf("COHEN and Cohen should be one value under one ID: %v and %v", a, b)
 	}
 
-	for _, workers := range []int{1, 4} {
-		ex := NewExtractor(gen.Gaz)
-		cache := NewProfileCache(ex)
-		profs := cache.Build(coll, workers)
-		if len(profs) != coll.Len() || cache.Len() != coll.Len() {
-			t.Fatalf("workers=%d: Build returned %d profiles, cache holds %d, want %d", workers, len(profs), cache.Len(), coll.Len())
-		}
-		for i := range coll.Records {
-			if cache.Get(i) != profs[i] {
-				t.Fatalf("workers=%d: Get(%d) did not return the built profile", workers, i)
+	vals := ex.values
+	for _, p := range profs {
+		for _, id := range p.names {
+			if int(id) >= len(vals) || vals[id].grams == nil {
+				t.Fatalf("name ID %d has no value table entry", id)
 			}
 		}
-		if profs[0].resolved != 1<<record.Birth|1<<record.Permanent || profs[1].resolved != 1<<record.Permanent {
-			t.Fatalf("fixture: %q should resolve and Atlantis should not: %08b %08b", city, profs[0].resolved, profs[1].resolved)
+	}
+	var shared, before [][]uint32
+	for _, v := range vals {
+		if v.grams == nil {
+			continue
 		}
-		if a, b := profs[0].group(1), profs[4].group(1); len(a) != 1 || len(b) != 1 || a[0] != b[0] {
-			t.Fatalf("workers=%d: COHEN and Cohen should be one value under one ID: %v and %v", workers, a, b)
+		if len(v.grams) != cap(v.grams) {
+			t.Fatalf("gram slice of %q has len %d, cap %d", v.lower, len(v.grams), cap(v.grams))
 		}
+		shared, before = append(shared, v.grams), append(before, slices.Clone(v.grams))
+	}
+	if len(shared) != len(lowered) {
+		t.Errorf("the build grammed %d values for %d distinct lowered names", len(shared), len(lowered))
+	}
+	interned := ex.InternedStrings()
+	NewProfileCache(ex).Build(coll, 1)
+	if n := ex.InternedStrings(); n != interned || len(ex.values) != len(vals) {
+		t.Fatalf("a second Build interned %d strings and grew the table %d → %d", n-interned, len(vals), len(ex.values))
+	}
+	for id, v := range ex.values {
+		if v.grams != nil && &v.grams[0] != &vals[id].grams[0] {
+			t.Fatalf("a second Build derived %q again", v.lower)
+		}
+	}
 
-		vals := ex.table()
-		for _, p := range profs {
-			for _, id := range p.names {
-				if int(id) >= len(vals) || vals[id].grams == nil {
-					t.Fatalf("workers=%d: name ID %d has no value table entry", workers, id)
-				}
-			}
+	for i := range tricky {
+		for j, other := range coll.Records[:len(tricky)+40] {
+			assertVectorsEqual(t, "Build", ex.Extract(tricky[i], other), ex.ExtractProfiled(profs[i], profs[j]))
 		}
-		var shared, before [][]uint32
-		for _, v := range vals {
-			if v.grams == nil {
-				continue
-			}
-			if len(v.grams) != cap(v.grams) {
-				t.Fatalf("workers=%d: gram slice of %q has len %d, cap %d", workers, v.lower, len(v.grams), cap(v.grams))
-			}
-			shared, before = append(shared, v.grams), append(before, slices.Clone(v.grams))
-		}
-
-		vec := make(Vector, NumFeatures)
-		for i := range tricky {
-			for j, other := range coll.Records[:len(tricky)+40] {
-				want := ex.Extract(tricky[i], other)
-				ex.ExtractProfiledInto(vec, profs[i], profs[j])
-				assertVectorsEqual(t, "Build", want, vec)
-			}
-		}
-		for k := range shared {
-			if !slices.Equal(shared[k], before[k]) {
-				t.Fatalf("workers=%d: extraction wrote to a shared gram slice", workers)
-			}
+	}
+	for k := range shared {
+		if !slices.Equal(shared[k], before[k]) {
+			t.Fatal("extraction wrote to a shared gram slice")
 		}
 	}
 }
@@ -237,7 +225,7 @@ func TestProfileNameValues(t *testing.T) {
 	}
 	var lowered []string
 	for _, id := range pa.group(0) {
-		lowered = append(lowered, ex.table()[id].lower)
+		lowered = append(lowered, ex.values[id].lower)
 	}
 	if slices.Sort(lowered); !slices.Equal(lowered, []string{"harris", "john"}) {
 		t.Fatalf("FN IDs name %q in the value table, want harris and john", lowered)
@@ -250,7 +238,7 @@ func TestProfileNameValues(t *testing.T) {
 // (FNdist, LNdist, FFNdist, FNjw, B3dist, sameDCounty and three place
 // distances): the set a scoring run's restricted extractor profiles.
 func modelFeatures() []int {
-	idx := IndexByName()
+	idx := indexByName()
 	var ids []int
 	for _, name := range []string{"FNdist", "LNdist", "FFNdist", "FNjw", "B3dist", "sameDCounty", "BPGeoDist", "WPGeoDist", "PPGeoDist"} {
 		ids = append(ids, idx[name])
@@ -277,7 +265,7 @@ func mustPanicNaming(t *testing.T, feature string, f func()) {
 // no full birth date, no geocoding of an unread place type — answers
 // every feature of its set exactly as Extract does, and panics, naming the
 // feature, when asked for any other: through PairEval.At or through the
-// full-vector ExtractProfiledInto. A missing answer would be read as
+// full-vector ExtractProfiled. A missing answer would be read as
 // "attribute absent" and score silently wrong.
 func TestRestrictedExtractorRefusesUnprofiled(t *testing.T) {
 	cfg := dataset.ItalyConfig()
@@ -288,7 +276,7 @@ func TestRestrictedExtractorRefusesUnprofiled(t *testing.T) {
 	}
 	ids := modelFeatures()
 	ex := NewExtractorFor(gen.Gaz, ids)
-	profs := NewProfileCache(ex).Build(gen.Collection, 2)
+	profs := NewProfileCache(ex).Build(gen.Collection, 1)
 	var set uint64
 	for _, id := range ids {
 		set |= 1 << id
@@ -331,7 +319,6 @@ func TestRestrictedExtractorRefusesUnprofiled(t *testing.T) {
 			t.Fatalf("pair %d: evaluated %048b, the set is %048b", i, ev.Evaluated(), set)
 		}
 	}
-	mustPanicNaming(t, "sameFN", func() { ex.ExtractProfiledInto(make(Vector, NumFeatures), profs[0], profs[1]) })
 	mustPanicNaming(t, "sameFN", func() { ex.ExtractProfiled(profs[0], profs[1]) })
 }
 
@@ -363,7 +350,7 @@ func TestRestrictedProfileKeepsReadFirsts(t *testing.T) {
 		t.Fatal("fixture: no tricky record has more than 32 first names")
 	}
 
-	idx := IndexByName()
+	idx := indexByName()
 	var all []int
 	for id := range NumFeatures {
 		all = append(all, id)
@@ -380,7 +367,7 @@ func TestRestrictedProfileKeepsReadFirsts(t *testing.T) {
 		{"full", all, (1<<(record.NumPlaceTypes*record.NumPlaceParts)-1)<<record.BirthCity | 1<<record.Gender | 1<<record.Profession},
 	} {
 		ex := NewExtractorFor(gen.Gaz, tc.ids)
-		profs := NewProfileCache(ex).Build(coll, 2)
+		profs := NewProfileCache(ex).Build(coll, 1)
 		for i, r := range recs {
 			var seen uint32
 			for _, it := range r.Items {
@@ -410,12 +397,12 @@ func TestRestrictedProfileKeepsReadFirsts(t *testing.T) {
 	}
 }
 
-// TestConcurrentBuildsShareValueTable: Builds over one extractor may run
-// side by side with each other and with pair evaluation over profiles an
-// earlier Build made — the value table is published whole, never written
-// in place — and every profile still answers as Extract does. Run under
-// -race, it is the value table's data-race check.
-func TestConcurrentBuildsShareValueTable(t *testing.T) {
+// TestSequentialBuildsShareValueTable: a later Build over the same
+// extractor grows its value table without disturbing the IDs an earlier
+// Build handed out, so profiles from every Build — the earlier one, and
+// later ones over another collection or an overlapping one — still
+// answer as Extract does, through ExtractProfiled and through PairEval.
+func TestSequentialBuildsShareValueTable(t *testing.T) {
 	cfg := dataset.ItalyConfig()
 	cfg.Persons = 120
 	gen, err := dataset.Generate(cfg)
@@ -433,36 +420,24 @@ func TestConcurrentBuildsShareValueTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := NewExtractor(gen.Gaz)
-	early := NewProfileCache(ex).Build(first, 2)
+	early := NewProfileCache(ex).Build(first, 1)
+	later := NewProfileCache(ex).Build(second, 1)
+	whole := NewProfileCache(ex).Build(gen.Collection, 1)
 
-	var wg sync.WaitGroup
-	built := make([][]*Profile, 2)
-	for k, coll := range []*record.Collection{second, gen.Collection} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			built[k] = NewProfileCache(ex).Build(coll, 2)
-		}()
-	}
 	var ev PairEval
 	vec := make(Vector, NumFeatures)
-	for i := 0; i+1 < half; i++ {
-		ev.Reset(ex, early[i], early[i+1])
-		for id := range vec {
-			vec[id] = ev.At(id)
-		}
-		assertVectorsEqual(t, "during the builds", ex.Extract(recs[i], recs[i+1]), vec)
-	}
-	wg.Wait()
-
-	for i := 0; i+1 < len(recs); i += 3 {
+	for i := 0; i+1 < len(recs); i++ {
 		want := ex.Extract(recs[i], recs[i+1])
-		assertVectorsEqual(t, "whole build", want, ex.ExtractProfiled(built[1][i], built[1][i+1]))
+		assertVectorsEqual(t, "whole build", want, ex.ExtractProfiled(whole[i], whole[i+1]))
 		if i+1 < half {
-			assertVectorsEqual(t, "early build", want, ex.ExtractProfiled(early[i], early[i+1]))
+			ev.Reset(ex, early[i], early[i+1])
+			for id := range vec {
+				vec[id] = ev.At(id)
+			}
+			assertVectorsEqual(t, "early build", want, vec)
 		}
 		if i >= half {
-			assertVectorsEqual(t, "second half", want, ex.ExtractProfiled(built[0][i-half], built[0][i+1-half]))
+			assertVectorsEqual(t, "second half", want, ex.ExtractProfiled(later[i-half], later[i+1-half]))
 		}
 	}
 }
@@ -492,7 +467,7 @@ func TestProfileFootprint(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		profs := cache.Build(gen.Collection, 2)
+		profs := cache.Build(gen.Collection, 1)
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(gen)

@@ -3,7 +3,6 @@ package similarity
 import (
 	"slices"
 	"strings"
-	"sync"
 )
 
 // Interner assigns dense uint32 IDs to distinct strings. The scoring
@@ -12,12 +11,12 @@ import (
 // probes. IDs are only meaningful within one Interner: equal IDs ⇔
 // equal strings, and any set comparison built on that equivalence
 // (Jaccard, subset, equality) is independent of the order IDs were
-// handed out — which is why concurrent interning keeps every output
-// deterministic.
+// handed out.
 //
-// Interner is safe for concurrent use.
+// An Interner has a single owner and no lock: its one user, the features
+// package's profile build, interns on one goroutine, and nothing reads
+// the interner while it does.
 type Interner struct {
-	mu  sync.RWMutex
 	ids map[string]uint32
 	// strs[id] is the interner's own copy of the string with that ID.
 	strs []string
@@ -39,21 +38,10 @@ func (in *Interner) Intern(s string) uint32 {
 // a caller holding many equal strings (every record's lowered surname)
 // keeps one shared copy instead of one per holder.
 func (in *Interner) Canonical(s string) (uint32, string) {
-	in.mu.RLock()
-	id, ok := in.ids[s]
-	if ok {
-		s = in.strs[id]
-	}
-	in.mu.RUnlock()
-	if ok {
-		return id, s
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	if id, ok := in.ids[s]; ok {
 		return id, in.strs[id]
 	}
-	id = uint32(len(in.strs))
+	id := uint32(len(in.strs))
 	// Clone so the interner never pins a larger backing string (grams
 	// arrive as substrings of padded buffers).
 	s = strings.Clone(s)
@@ -63,11 +51,7 @@ func (in *Interner) Canonical(s string) (uint32, string) {
 }
 
 // Len returns the number of distinct strings interned so far.
-func (in *Interner) Len() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.ids)
-}
+func (in *Interner) Len() int { return len(in.strs) }
 
 // QGramIDs returns the distinct padded q-grams of s (exactly QGrams's
 // gram set) as interned IDs, sorted ascending — the representation

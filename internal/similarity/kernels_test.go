@@ -1,10 +1,8 @@
 package similarity
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
@@ -88,39 +86,6 @@ func TestInterner(t *testing.T) {
 	id2, s2 := in.Canonical(string([]byte("surname")))
 	if id1 != a || id2 != a || s1 != "surname" || unsafe.StringData(s1) != unsafe.StringData(s2) {
 		t.Errorf("Canonical = (%d, %q) and (%d, %q), want ID %d and one shared copy", id1, s1, id2, s2, a)
-	}
-}
-
-// TestInternerConcurrent hammers one interner from many goroutines; every
-// goroutine must observe the same ID for the same string.
-func TestInternerConcurrent(t *testing.T) {
-	in := NewInterner()
-	const workers = 8
-	words := make([]string, 200)
-	for i := range words {
-		words[i] = fmt.Sprintf("w%03d", i%50) // heavy duplication
-	}
-	got := make([][]uint32, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ids := make([]uint32, len(words))
-			for i, s := range words {
-				ids[i] = in.Intern(s)
-			}
-			got[w] = ids
-		}(w)
-	}
-	wg.Wait()
-	for w := 1; w < workers; w++ {
-		if !reflect.DeepEqual(got[0], got[w]) {
-			t.Fatalf("worker %d observed different IDs", w)
-		}
-	}
-	if in.Len() != 50 {
-		t.Errorf("Len = %d, want 50 distinct words", in.Len())
 	}
 }
 
