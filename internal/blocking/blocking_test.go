@@ -93,6 +93,16 @@ func TestSuffixFamilyMoreSelective(t *testing.T) {
 	}
 }
 
+// byName returns the blocker with the given Table-10 name, or nil.
+func byName(name string) Blocker {
+	for _, b := range All() {
+		if b.Name() == name {
+			return b
+		}
+	}
+	return nil
+}
+
 func TestByName(t *testing.T) {
 	if byName("StBl") == nil || byName("TYPiMatch") == nil {
 		t.Error("known blockers not found")

@@ -16,13 +16,3 @@ func All() []Blocker {
 		TYPiMatch{},
 	}
 }
-
-// byName returns the blocker with the given Table-10 name, or nil.
-func byName(name string) Blocker {
-	for _, b := range All() {
-		if b.Name() == name {
-			return b
-		}
-	}
-	return nil
-}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,25 +20,27 @@ import (
 )
 
 // ingested is everything the ingest stage produces, read back for
-// comparison: the dictionary per id, the transactions, the BookIDs and
-// the kept records.
+// comparison: the dictionary (each source record's preprocessed items
+// encoded, the type per id, and the ids the pruning rule picks by
+// frequency), the transactions, the BookIDs and the kept records.
 type ingested struct {
-	keys    []string
+	encoded [][]int
 	types   []record.ItemType
-	freq    []int
+	pruned  [][]int
 	txns    [][]int32
 	bookIDs []int64
 	kept    []*record.Record
 }
 
-func runIngest(t *testing.T, opts StreamOptions, src RecordSource) ingested {
+// runIngest runs the ingest stage over src, which yields records.
+func runIngest(t *testing.T, opts StreamOptions, src RecordSource, records []*record.Record) ingested {
 	t.Helper()
 	corpus := &mfiblocks.Corpus{Dict: record.NewDictionary()}
 	kept, err := ingest(&opts, src, corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return readIngested(corpus, kept)
+	return readIngested(opts, corpus, kept, records)
 }
 
 // serialIngest is the reference ingest: each record preprocessed,
@@ -53,15 +56,25 @@ func serialIngest(opts StreamOptions, records []*record.Record) ingested {
 		}
 		kept = append(kept, r)
 	}
-	return readIngested(corpus, kept)
+	return readIngested(opts, corpus, kept, records)
 }
 
-func readIngested(corpus *mfiblocks.Corpus, kept []*record.Record) ingested {
+// readIngested reads the corpus back. Encoding every source record maps
+// each item the records carry to its id, and so the dictionary's keys;
+// the frequencies are read through the pruning rule, at fractions from
+// its own up to half the items.
+func readIngested(opts StreamOptions, corpus *mfiblocks.Corpus, kept, records []*record.Record) ingested {
 	var out ingested
+	for _, r := range records {
+		out.encoded = append(out.encoded, corpus.Dict.Encode(preprocessRecord(r, opts.Gazetteer)))
+	}
 	for id := 0; id < corpus.Dict.Len(); id++ {
-		out.keys = append(out.keys, corpus.Dict.Key(id))
 		out.types = append(out.types, corpus.Dict.TypeOf(id))
-		out.freq = append(out.freq, corpus.Dict.Freq(id))
+	}
+	for _, f := range []float64{opts.Blocking.PruneFraction, 0.01, 0.1, 0.5} {
+		ids := corpus.Dict.MostFrequent(f)
+		slices.Sort(ids)
+		out.pruned = append(out.pruned, ids)
 	}
 	for i := 0; i < corpus.Len(); i++ {
 		out.txns = append(out.txns, corpus.Txns.Txn(i))
@@ -73,7 +86,8 @@ func readIngested(corpus *mfiblocks.Corpus, kept []*record.Record) ingested {
 // TestIngestWorkersEquivalence pins the pooled ingest stage to a serial
 // reference loop: from a .yvst store reader, a JSONL reader and a
 // CollectionSource, with records retained and as skeletons, at Workers
-// 1, 2 and 8, the dictionary (key, type and frequency per id), the
+// 1, 2 and 8, the dictionary (every item's id, the type per id and the
+// frequency-pruned ids), the
 // transactions, the BookIDs and the kept records equal the reference's.
 // The corpus spans more batches than the reader may hold in flight, so
 // the reader has to wait for the encoder; one RunStream over the store
@@ -112,7 +126,7 @@ func TestIngestWorkersEquivalence(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				opts := serial
 				opts.Workers = workers
-				if got := runIngest(t, opts, open()); !reflect.DeepEqual(got, want) {
+				if got := runIngest(t, opts, open(), g.Collection.Records); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s retain=%v workers=%d: ingest output diverges from the serial reference", name, retain, workers)
 				}
 			}

@@ -65,8 +65,10 @@ type e2eRow struct {
 	WallS     float64            `json:"wall_s"`
 	StageS    map[string]float64 `json:"stage_s"`
 	LevelS    map[string]float64 `json:"level_s"`
-	// HeapMB is the heap's object bytes at each stage's end, from
-	// runtime/metrics: live objects and garbage not yet swept, not RSS.
+	// HeapMB is the live heap at each stage's end: a forced GC, then
+	// runtime/metrics' /gc/heap/live:bytes, the heap objects that GC
+	// found reachable (not RSS, and no garbage). WallS leaves the GC
+	// out, as the stage seconds do.
 	HeapMB  map[string]float64 `json:"heap_mb"`
 	Quality e2eQuality         `json:"quality"`
 }
@@ -108,7 +110,8 @@ type e2eEntities struct {
 // blocking candidates and their pairs completeness (PC) against the
 // generator's gold; the matches' pair P, R and F1; at certainties 0 and
 // 1 the entities, those of more than eight reports, the largest and the
-// B-cubed P and R; the stage seconds and the heap at each stage's end;
+// B-cubed P and R; the stage seconds and the live heap at each stage's
+// end, after a forced GC that no clock but ns/op includes;
 // and the seconds of every minsup level's mine, maximal_merge,
 // build_blocks, enforce_ng and emit_pairs spans, averaged over the
 // iterations. The sub-benchmark pattern picks the rungs; each generates
@@ -134,10 +137,14 @@ func BenchmarkLadder(b *testing.B) {
 			row := e2eRow{Rung: rung.name, NameSpace: "curated", CPUs: runtime.GOMAXPROCS(0), GenS: genSeconds, TrainS: trainSeconds,
 				StageS: map[string]float64{}, LevelS: map[string]float64{}, HeapMB: map[string]float64{}}
 			var res *Resolution
-			heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+			heap := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+			var hookS float64 // time spent in stageEnded, taken out of WallS
 			stageEnded = func(name string) {
+				t0 := time.Now()
+				runtime.GC()
 				metrics.Read(heap)
 				row.HeapMB[name] += float64(heap[0].Value.Uint64()) / (1 << 20)
+				hookS += time.Since(t0).Seconds()
 			}
 			defer func() { stageEnded = nil }()
 			b.ResetTimer()
@@ -171,7 +178,7 @@ func BenchmarkLadder(b *testing.B) {
 					m[k] /= float64(b.N)
 				}
 			}
-			row.WallS /= float64(b.N)
+			row.WallS = (row.WallS - hookS) / float64(b.N)
 			reportLadder(b, &row)
 			if rung.row && *e2eCheck {
 				checkE2ERow(b, &row)

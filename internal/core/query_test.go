@@ -205,7 +205,7 @@ func specView(coll *record.Collection, ids []int64) *Entity {
 func specSearch(entities []*Entity, q Query) []*Entity {
 	var out []*Entity
 	for _, e := range entities {
-		if carries(e, record.FirstName, q.First, names.SameClass) && carries(e, record.LastName, q.Last, strings.EqualFold) {
+		if carries(e, record.FirstName, q.First, sameClass) && carries(e, record.LastName, q.Last, strings.EqualFold) {
 			out = append(out, e)
 		}
 	}
@@ -214,6 +214,11 @@ func specSearch(entities []*Entity, q Query) []*Entity {
 	}
 	return out
 }
+
+// sameClass reports whether two first names are in one name class: b's
+// fold key among a's class keys (the names package holds ClassKeys to a
+// walk over every class).
+func sameClass(a, b string) bool { return slices.Contains(names.ClassKeys(a), names.FoldKey(b)) }
 
 // carries reports whether the entity has a value of type t that is the
 // same name as name; an empty name is carried by every entity.

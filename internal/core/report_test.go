@@ -224,8 +224,8 @@ func assertReportIdentities(t *testing.T, tag string, opts Options, res *Resolut
 	if opts.Model != nil {
 		wantProfiles = rep.Records
 	}
-	if n := res.profiles.Len(); n != wantProfiles {
-		t.Errorf("%s: %d profiles built, want %d", tag, n, wantProfiles)
+	if !holdsProfiles(res.profiles, wantProfiles) {
+		t.Errorf("%s: the profile cache does not hold %d profiles", tag, wantProfiles)
 	}
 
 	// scoring.chunks = ⌈pairs/512⌉: re-score a fresh blocking result of
@@ -247,6 +247,18 @@ func assertReportIdentities(t *testing.T, tag string, opts Options, res *Resolut
 	if want := (br.Pairs + scoreChunkSize - 1) / scoreChunkSize; src.chunks.Load() != int64(want) {
 		t.Errorf("%s: %d chunks for %d candidates, want %d", tag, src.chunks.Load(), br.Pairs, want)
 	}
+}
+
+// holdsProfiles reports whether c holds exactly n profiles, read through
+// Get, the name Resolution.ScorePair reads them by: index n-1 answers and
+// index n is out of range.
+func holdsProfiles(c *features.ProfileCache, n int) bool {
+	get := func(i int) (ok bool) {
+		defer func() { ok = recover() == nil }()
+		c.Get(i)
+		return true
+	}
+	return (n == 0 || get(n-1)) && !get(n)
 }
 
 // chunkCounter counts the non-empty pulls the scoring workers make.

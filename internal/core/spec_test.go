@@ -116,8 +116,12 @@ func checkPipeline(t *testing.T, label string, want *pipelineSpec, opts Options,
 	if br.Pairs != len(want.blocking.Pairs) || sc.Matches != len(want.matches) {
 		t.Fatalf("%s: the report counts %d candidates and %d matches, the spec %d and %d", label, br.Pairs, sc.Matches, len(want.blocking.Pairs), len(want.matches))
 	}
-	if n, records := got.profiles.Len(), got.Collection.Len(); opts.Model == nil && n != 0 || opts.Model != nil && n != records {
-		t.Fatalf("%s: %d profiles built for %d records, with a model %v", label, n, records, opts.Model != nil)
+	profiles := 0
+	if opts.Model != nil {
+		profiles = got.Collection.Len()
+	}
+	if !holdsProfiles(got.profiles, profiles) {
+		t.Fatalf("%s: the profile cache does not hold %d profiles, one per record with a model (%v)", label, profiles, opts.Model != nil)
 	}
 	if opts.Blocking.SpillPairs > 0 && br.SpillRuns < 2 {
 		t.Fatalf("%s: %d spill runs; the row does not exercise the merge", label, br.SpillRuns)

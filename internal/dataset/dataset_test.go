@@ -161,8 +161,8 @@ func TestEveryRecordInGold(t *testing.T) {
 			t.Fatalf("record %d missing family", r.BookID)
 		}
 	}
-	if g.Gold.Reports() != len(g.Records) {
-		t.Errorf("gold reports %d != records %d", g.Gold.Reports(), len(g.Records))
+	if len(g.Gold.entityOf) != len(g.Records) {
+		t.Errorf("gold reports %d != records %d", len(g.Gold.entityOf), len(g.Records))
 	}
 }
 
@@ -326,17 +326,13 @@ func TestTaggerGrading(t *testing.T) {
 	}
 }
 
-func TestTagSetLookup(t *testing.T) {
-	p := record.MakePair(1, 2)
-	ts := NewTagSet([]TaggedPair{{Pair: p, Tag: Maybe}})
-	if got, ok := ts.Lookup(p); !ok || got != Maybe {
-		t.Errorf("Lookup = %v, %v", got, ok)
-	}
-	if _, ok := ts.Lookup(record.MakePair(3, 4)); ok {
-		t.Error("unknown pair should be !ok")
-	}
-	if ts.Len() != 1 {
+func TestTagSetCounts(t *testing.T) {
+	ts := NewTagSet([]TaggedPair{{Pair: record.MakePair(1, 2), Tag: Maybe}, {Pair: record.MakePair(3, 4), Tag: Yes}})
+	if ts.Len() != 2 {
 		t.Errorf("Len = %d", ts.Len())
+	}
+	if got := ts.CountByTag(); got[Maybe] != 1 || got[Yes] != 1 || got[No] != 0 {
+		t.Errorf("CountByTag = %v", got)
 	}
 }
 

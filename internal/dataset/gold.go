@@ -120,9 +120,6 @@ func (g *Gold) FamilyPairs() []record.Pair {
 // report.
 func (g *Gold) Entities() int { return len(g.members) }
 
-// Reports returns the number of registered reports.
-func (g *Gold) Reports() int { return len(g.entityOf) }
-
 // ClusterSizes returns a histogram of entity cluster sizes: sizes[k] is the
 // number of entities with exactly k reports.
 func (g *Gold) ClusterSizes() map[int]int {

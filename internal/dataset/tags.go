@@ -45,23 +45,10 @@ type TaggedPair struct {
 // TagSet holds the expert grades for a set of candidate pairs.
 type TagSet struct {
 	Pairs []TaggedPair
-	byKey map[record.Pair]Tag
 }
 
-// NewTagSet indexes tagged pairs.
-func NewTagSet(pairs []TaggedPair) *TagSet {
-	ts := &TagSet{Pairs: pairs, byKey: make(map[record.Pair]Tag, len(pairs))}
-	for _, tp := range pairs {
-		ts.byKey[tp.Pair] = tp.Tag
-	}
-	return ts
-}
-
-// Lookup returns the grade of a pair; ok is false for untagged pairs.
-func (ts *TagSet) Lookup(p record.Pair) (Tag, bool) {
-	t, ok := ts.byKey[p]
-	return t, ok
-}
+// NewTagSet holds tagged pairs.
+func NewTagSet(pairs []TaggedPair) *TagSet { return &TagSet{Pairs: pairs} }
 
 // Len returns the number of tagged pairs.
 func (ts *TagSet) Len() int { return len(ts.Pairs) }

@@ -40,7 +40,8 @@ func (e *Extractor) Extract(a, b *record.Record) Vector {
 		best := 0.0
 		for _, x := range va {
 			for _, y := range vb {
-				if s := similarity.JaccardQGrams(x, y, 2); s > best {
+				in := similarity.NewInterner()
+				if s := similarity.JaccardSortedIDs(similarity.QGramIDs(in, x, 2), similarity.QGramIDs(in, y, 2)); s > best {
 					best = s
 				}
 			}

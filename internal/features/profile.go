@@ -1,6 +1,7 @@
 package features
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -133,13 +134,15 @@ const arenaBlock = 1 << 11
 // cities across all its records, so each is lowered, interned or resolved
 // once per build, not once per record. The key is the raw string (a
 // repeat costs one probe, no lowering). A name value new to the
-// extractor is grammed once and goes straight into its value table.
+// extractor is grammed once; its entry joins the value table when the
+// build finishes, which grows the table once, to its final length.
 type profileBuilder struct {
 	ex     *Extractor
 	ids    arena[uint32]
 	firsts arena[string]
 	coords arena[[2]float64]
 	values map[string]uint32
+	fresh  []freshValue
 	cities map[string]cityCoord
 	// keys is scratch for one record's name items: attribute index in
 	// the high half, name ID in the low.
@@ -264,6 +267,7 @@ func (b *profileBuilder) build(p *Profile, r *record.Record) {
 
 // value returns the interned ID of a raw name value's lowered form,
 // deriving the value's table entry when the extractor's table lacks it.
+// An entry for an ID past the table's end waits in fresh until finish.
 func (b *profileBuilder) value(raw string) uint32 {
 	if id, ok := b.values[raw]; ok {
 		return id
@@ -271,16 +275,46 @@ func (b *profileBuilder) value(raw string) uint32 {
 	e := b.ex
 	id, lower := e.interner.Canonical(strings.ToLower(raw))
 	b.values[raw] = id
-	if int(id) >= len(e.values) || e.values[id].grams == nil {
-		g := similarity.QGramIDs(e.interner, lower, 2)
-		v := nameValue{lower: lower, grams: b.ids.alloc(len(g))}
-		copy(v.grams, g)
-		if n := int(id) + 1; n > len(e.values) {
-			e.values = append(e.values, make([]nameValue, n-len(e.values))...)
+	if int(id) < len(e.values) {
+		if e.values[id].grams == nil {
+			e.values[id] = b.derive(lower)
 		}
-		e.values[id] = v
+		return id
+	}
+	// fresh is sorted by ID, and a value new to the interner has the
+	// largest yet, so it is appended; one the interner already held may
+	// have been derived by this build under another raw spelling.
+	i, found := slices.BinarySearchFunc(b.fresh, id, func(f freshValue, id uint32) int { return cmp.Compare(f.id, id) })
+	if !found {
+		b.fresh = slices.Insert(b.fresh, i, freshValue{id, b.derive(lower)})
 	}
 	return id
+}
+
+// freshValue is a value table entry a build derived past the table's end.
+type freshValue struct {
+	id uint32
+	v  nameValue
+}
+
+// derive returns the table entry of a lowered name value.
+func (b *profileBuilder) derive(lower string) nameValue {
+	g := similarity.QGramIDs(b.ex.interner, lower, 2)
+	v := nameValue{lower: lower, grams: b.ids.alloc(len(g))}
+	copy(v.grams, g)
+	return v
+}
+
+// finish grows the extractor's value table once, to the interner's
+// length, and fills in the entries the build derived past its old end.
+func (b *profileBuilder) finish() {
+	e := b.ex
+	if n := e.interner.Len(); n > len(e.values) {
+		e.values = append(make([]nameValue, 0, n), e.values...)[:n]
+	}
+	for _, f := range b.fresh {
+		e.values[f.id] = f.v
+	}
 }
 
 // city returns a raw city's gazetteer resolution, from the builder's map
@@ -470,8 +504,8 @@ func (p *PairEval) Evaluated() uint64 { return p.have }
 // ProfileCache holds the profiles of one collection's records, so
 // repeated pair extractions — the scoring worker pool, or ad-hoc
 // query-time scoring — pay the per-record derivation once. Build fills it;
-// Get and Len read what the last Build left and are safe for concurrent
-// use once it has returned.
+// Get reads what the last Build left and is safe for concurrent use once
+// it has returned.
 //
 // Build writes its extractor's interner and value table, so the Builds
 // over one extractor run one at a time and never alongside extraction:
@@ -487,9 +521,6 @@ func NewProfileCache(ex *Extractor) *ProfileCache { return &ProfileCache{ex: ex}
 
 // Extractor returns the extractor the cache builds profiles with.
 func (c *ProfileCache) Extractor() *Extractor { return c.ex }
-
-// Len returns the number of cached profiles.
-func (c *ProfileCache) Len() int { return len(c.profs) }
 
 // Get returns the profile of the record at index i of the collection the
 // cache was built over.
@@ -512,6 +543,7 @@ func (c *ProfileCache) Build(coll *record.Collection, workers int) []*Profile {
 		b.build(&slab[i], r)
 		profs[i] = &slab[i]
 	}
+	b.finish()
 	c.profs = profs
 	return profs
 }

@@ -55,8 +55,8 @@ func TestExtractProfiledGoldenEquality(t *testing.T) {
 		got := ex.ExtractProfiled(cache.Get(a), cache.Get(b))
 		assertVectorsEqual(t, "gazetteer", want, got)
 	}
-	if cache.Len() != gen.Collection.Len() {
-		t.Errorf("cache holds %d profiles for %d records", cache.Len(), gen.Collection.Len())
+	if len(cache.profs) != gen.Collection.Len() {
+		t.Errorf("cache holds %d profiles for %d records", len(cache.profs), gen.Collection.Len())
 	}
 }
 
@@ -126,8 +126,8 @@ func TestProfileCacheBuild(t *testing.T) {
 	ex := NewExtractor(gen.Gaz)
 	cache := NewProfileCache(ex)
 	profs := cache.Build(coll, 1)
-	if len(profs) != coll.Len() || cache.Len() != coll.Len() {
-		t.Fatalf("Build returned %d profiles, cache holds %d, want %d", len(profs), cache.Len(), coll.Len())
+	if len(profs) != coll.Len() || len(cache.profs) != coll.Len() {
+		t.Fatalf("Build returned %d profiles, cache holds %d, want %d", len(profs), len(cache.profs), coll.Len())
 	}
 	for i := range coll.Records {
 		if cache.Get(i) != profs[i] {

@@ -87,15 +87,6 @@ func (t *Transactions) Len() int {
 	return len(t.offsets) - 1
 }
 
-// Items returns the total number of item occurrences across all
-// transactions.
-func (t *Transactions) Items() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.items)
-}
-
 // MaxItem returns the largest item id seen, or -1 when empty.
 func (t *Transactions) MaxItem() int {
 	if t == nil {
@@ -135,9 +126,9 @@ func (t *Transactions) forEachActive(active []int, fn func([]int32)) {
 // wins[start[r]:start[r+1]] are rank r's windows into ranks, one per
 // transaction holding r, in transaction order.
 //
-// FPmax's top level reads a header item's conditional counts and
-// conditional tree off its windows (prefixSource); Mine and TreeStats
-// insert the rows into a root FP-tree.
+// FPmax's top level reads a header item's conditional counts and its
+// bitmap projection off its windows; Mine and TreeStats insert the rows
+// into a root FP-tree.
 type rankArena struct {
 	order []int    // rank -> item id
 	ranks []int32  // the rows, back to back
@@ -275,24 +266,6 @@ func (a *rankArena) countPrefixes(r int32, cnt []int, touched []int32) []int32 {
 		}
 	}
 	return touched
-}
-
-// insertPrefixes inserts each of r's windows into out, filtered to the
-// ranks whose cnt reaches minsup, with count one; the windows are
-// ascending already. path is scratch, returned for reuse.
-func (a *rankArena) insertPrefixes(r int32, cnt []int, minsup int, path []int32, out *flatTree) []int32 {
-	for _, w := range a.windows(r) {
-		path = path[:0]
-		for _, ri := range a.ranks[w.lo:w.hi] {
-			if cnt[ri] >= minsup {
-				path = append(path, ri)
-			}
-		}
-		if len(path) > 0 {
-			out.insertPath(path, 1)
-		}
-	}
-	return path[:0]
 }
 
 // rootTree builds the root FP-tree by inserting every row.

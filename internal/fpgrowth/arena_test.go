@@ -40,8 +40,8 @@ func TestRepeatedItemCountsOnce(t *testing.T) {
 			t.Fatalf("Txn(%d) = %v, want %v", i, got, want)
 		}
 	}
-	if arena.Items() != 7 || arena.MaxItem() != 7 {
-		t.Fatalf("Items() = %d, MaxItem() = %d; want 7 and 7", arena.Items(), arena.MaxItem())
+	if len(arena.items) != 7 || arena.MaxItem() != 7 {
+		t.Fatalf("%d items, MaxItem() = %d; want 7 and 7", len(arena.items), arena.MaxItem())
 	}
 }
 
@@ -62,8 +62,9 @@ func treeShape(t *flatTree) []string {
 	return out
 }
 
-// treeTops is mineTops over a root FP-tree instead of the rank arena:
-// the same round-robin share per worker, mined serially.
+// treeTops is mineTops over a root FP-tree instead of the rank arena, in
+// the conditional tree form at every depth (treeform_test.go): the same
+// round-robin share per worker, mined serially.
 func treeTops(tree *flatTree, order []int, minsup, workers int) []*mfiStore {
 	workers = max(min(workers, len(order)), 1)
 	stores := make([]*mfiStore, workers)
@@ -71,7 +72,7 @@ func treeTops(tree *flatTree, order []int, minsup, workers int) []*mfiStore {
 		ctx := newMineCtx(order, minsup)
 		ctx.store = newMFIStore(len(order))
 		for i := w; i < len(order); i += workers {
-			ctx.mineItem(tree, int32(len(order)-1-i), 0)
+			ctx.mineItemTree(tree, int32(len(order)-1-i), 0)
 		}
 		ctx.store.visited, ctx.store.trees = ctx.visited, ctx.trees
 		stores[w] = ctx.store
@@ -82,9 +83,10 @@ func treeTops(tree *flatTree, order []int, minsup, workers int) []*mfiStore {
 // TestRankArenaMatchesRootTree holds the rank arena to the root FP-tree
 // it replaces at FPmax's top level, built from the same transactions
 // under the same ranking: for every rank, the same support, the same
-// conditional counts and the same depth-1 conditional tree. FPmax's top
-// level over 1, 2 and 8 workers fills the same stores, set for set in the
-// same order, with the same visit and tree counts, from either. Covered:
+// conditional counts and the same depth-1 conditional tree. Over 1, 2
+// and 8 workers, mineTops on the arena (bitmap projections below it) and
+// the tree form on the root tree fill the same stores, set for set in the
+// same order, with the same visit, projection and focus-scan counts. Covered:
 // all transactions and an active subset, pruned items, and the counts
 // handed in as MineMaximalFreq's freq.
 func TestRankArenaMatchesRootTree(t *testing.T) {
@@ -206,7 +208,7 @@ func checkArenaAgainstTree(t *testing.T, label string, m *Miner, active, freq []
 				label, r, ca.condCnt, tailA, ct.condCnt, tailT)
 		}
 		condA, condT := ca.getTree(), ct.getTree()
-		ca.buildConditional(a, r, condA)
+		ca.buildConditionalFrom(a, r, condA)
 		ct.buildConditional(tree, r, condT)
 		if got, want := treeShape(condA), treeShape(condT); !slices.Equal(got, want) {
 			t.Fatalf("%s: rank %d: depth-1 tree\n%v\nfrom the tree\n%v", label, r, got, want)

@@ -6,16 +6,17 @@ import (
 )
 
 // Vertical bitmap projections (MAFIA, Burdick et al., ICDE 2001). Below a
-// top-level header item r whose head-union-tail test missed, FPmax can
-// read r's rest from bitmaps instead of a conditional FP-tree: each rest
-// rank gets one row with a bit per window of r — per active transaction
-// holding r — and a node of the recursion is a transaction mask over
-// those bits plus the ranks it may still extend its itemset with. A
-// header item's count is popcount(mask & row), its tail counts
-// popcount(mask & row & row_x) over the node's lower ranks: the counts
-// the conditional tree holds, so closure folding, focus and add are
-// called with the same arguments in the same order, and the mined sets,
-// their store order and every mining counter are those of the tree form.
+// top-level header item r whose head-union-tail test missed, FPmax reads
+// r's rest from bitmaps rather than from a conditional FP-tree (FPmax,
+// Grahne & Zhu, FIMI 2003): each rest rank gets one row with a bit per
+// window of r — per active transaction holding r — and a node of the
+// recursion is a transaction mask over those bits plus the ranks it may
+// still extend its itemset with. A header item's count is
+// popcount(mask & row), its tail counts popcount(mask & row & row_x) over
+// the node's lower ranks: the counts a conditional tree holds, so closure
+// folding, focus and add are called with the same arguments in the same
+// order, and the mined sets, their store order and every mining counter
+// are those of the tree form (the tests keep it as the reference).
 //
 // A sparse child pays for every word of every row that way, so the same
 // counts can also be taken by scanning the child's windows: the
@@ -26,9 +27,7 @@ import (
 // The rows and masks live on one per-worker word stack, ctx.bits: a node
 // pushes its mask, and a node whose rows would shrink enough pushes them
 // re-projected onto its own transactions (reproject); both are popped
-// when the node returns. A projection is taken only where its bitmaps are
-// no larger than the windows they replace (bitsFit), so a sparse
-// projection stays a tree.
+// when the node returns.
 
 // bitLevel is one node of the bitmap recursion: the ranks its itemset may
 // still be extended with, ascending, each with its row in the projection
@@ -41,18 +40,6 @@ type bitLevel struct {
 	base  int
 	words int
 	mask  int
-}
-
-// bitsFit is the projection form's size rule: the bitmaps of n rest ranks
-// below rank r, a ⌈support/64⌉-word row each, take no more bytes than r's
-// windows, four per rank occurrence — the rule that gives an Index item a
-// bitset only where it is no larger than its posting list.
-func (a *rankArena) bitsFit(r int32, n int) bool {
-	occ := 0
-	for _, w := range a.windows(r) {
-		occ += int(w.hi - w.lo)
-	}
-	return n*((a.support(r)+63)/64)*8 <= 4*occ
 }
 
 // push returns the offset of n zeroed words pushed on ctx.bits.

@@ -8,24 +8,27 @@ import (
 
 // mineSerial mines txns at minsup on one mining context, top-level header
 // items deepest-first as a lone worker does, and returns the context and
-// the rank -> item order. treeOnly projects every depth-0 miss as a
-// conditional FP-tree, the reference the bitmap form is held to.
-func mineSerial(txns [][]int, minsup int, treeOnly bool) (*mineCtx, []int) {
+// the rank -> item order. tree projects every miss as a conditional
+// FP-tree (treeform_test.go), the reference the bitmap form is held to.
+func mineSerial(txns [][]int, minsup int, tree bool) (*mineCtx, []int) {
 	a, _ := NewMiner(txns).rankArena(minsup, nil, nil)
 	ctx := newMineCtx(a.order, minsup)
 	ctx.store = newMFIStore(len(a.order))
-	ctx.treeOnly = treeOnly
 	for r := len(a.order) - 1; r >= 0; r-- {
-		ctx.mineItem(a, int32(r), 0)
+		if tree {
+			ctx.mineItemTree(a, int32(r), 0)
+		} else {
+			ctx.mineItem(a, int32(r))
+		}
 	}
 	return ctx, a.order
 }
 
 // mixedTxns is the dense fixture plus three sparse items over 13–15:
 // item 13 is in 150 transactions, three of them with 14 and three with
-// 15, which stand alone in 200 more each. 13's projection is two rest
-// ranks over 150 windows holding six rank occurrences, which the size
-// rule leaves a tree; every dense item's fits in one word per rank.
+// 15, which stand alone in 200 more each. 13's projection is two sparse
+// rows of three words over 150 windows holding six rank occurrences;
+// every dense item's fits in one word per rank.
 func mixedTxns() [][]int {
 	txns := denseTxns(3, 40, 3, 13)
 	for i := 0; i < 150; i++ {
@@ -45,12 +48,11 @@ func mixedTxns() [][]int {
 }
 
 // TestProjectionFormsAgree holds the bitmap projection to the conditional
-// FP-tree it replaces below a depth-0 miss: mined serially, the stores
+// FP-tree it replaces below a focus miss: mined serially, the stores
 // hold the same sets with the same supports in the same order, the
 // header items, projections, focus-list entries and closure folds count
 // the same, and both forms' sets are the brute-force MFIs where the
-// universe is small enough to enumerate. Across the fixtures the size
-// rule takes both forms at depth 0 — on mixed within one call — the
+// universe is small enough to enumerate. Across the fixtures the
 // nested-chain test stores a chain of two or more ranks, and bitmap nodes
 // count by scanning their windows as well as by popcount.
 func TestProjectionFormsAgree(t *testing.T) {
@@ -71,14 +73,8 @@ func TestProjectionFormsAgree(t *testing.T) {
 		name := fmt.Sprintf("%s minsup=%d", fx.name, fx.minsup)
 		bits, order := mineSerial(fx.txns, fx.minsup, false)
 		tree, _ := mineSerial(fx.txns, fx.minsup, true)
-		if tree.forms[1] != 0 || tree.chains != 0 {
-			t.Fatalf("%s: the tree-only reference took %d bitmap projections", name, tree.forms[1])
-		}
-		if bits.forms[0]+bits.forms[1] != tree.forms[0] {
-			t.Fatalf("%s: %v depth-0 projections (tree, bitmaps), the reference %d", name, bits.forms, tree.forms[0])
-		}
-		if fx.name == "mixed" && (bits.forms[0] == 0 || bits.forms[1] == 0) {
-			t.Fatalf("%s: depth-0 projections (tree, bitmaps) = %v, the fixture takes both forms no more", name, bits.forms)
+		if tree.chains != 0 || tree.scans != 0 {
+			t.Fatalf("%s: the tree reference mined %d bitmap chains and %d window scans", name, tree.chains, tree.scans)
 		}
 		b, r := bits.store, tree.store
 		if !reflect.DeepEqual(b.ranks, r.ranks) || !reflect.DeepEqual(b.offs, r.offs) || !reflect.DeepEqual(b.supports, r.supports) {

@@ -161,10 +161,10 @@ func mergeSpans(m *Miner, mine func()) []*trace.Node {
 }
 
 // TestConditionalTreeBuiltOnlyOnMiss pins the count-first order of
-// mineItem on a fixed fixture mined serially: a conditional tree is taken
-// from the pool only for the header items whose head-union-tail test
-// missed, as the maximal_merge span's header_items and cond_trees attrs
-// count them. The MFI count and hash were recorded at the commit that
+// mineItem on a fixed fixture mined serially: a conditional projection
+// (once a tree, now bitmaps) is built only for the header items whose
+// head-union-tail test missed, as the maximal_merge span's header_items
+// and cond_trees attrs count them. The MFI count and hash were recorded at the commit that
 // still built a tree for every header item (and threw 81% of them away
 // here), and held when closure folding took 29,396 visits and 5,695
 // misses down to the goldens below. focus_scanned, the focus-list entries
@@ -196,7 +196,7 @@ func TestConditionalTreeBuiltOnlyOnMiss(t *testing.T) {
 		t.Fatalf("visited %d header items, golden is %d", v, goldenVisited)
 	}
 	if trees := merges[0].Attrs["cond_trees"]; trees != goldenMisses {
-		t.Fatalf("took %d conditional trees, golden is %d focus misses", trees, goldenMisses)
+		t.Fatalf("took %d conditional projections, golden is %d focus misses", trees, goldenMisses)
 	}
 	if scanned := merges[0].Attrs["focus_scanned"]; scanned != goldenScanned {
 		t.Fatalf("focus visited %d list entries, golden is %d", scanned, goldenScanned)
@@ -215,7 +215,7 @@ func TestClosureFolds(t *testing.T) {
 	ctx := newMineCtx(order, 2)
 	ctx.store = newMFIStore(len(order))
 	for r := len(order) - 1; r >= 0; r-- {
-		ctx.mineItem(a, int32(r), 0)
+		ctx.mineItem(a, int32(r))
 	}
 	if ctx.folds[0] == 0 || ctx.folds[2] == 0 {
 		t.Fatalf("folds at depth 0, 1, ≥2 = %v: the fixture no longer folds at depth 0 and ≥ 2", ctx.folds)

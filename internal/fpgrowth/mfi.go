@@ -81,10 +81,10 @@ const mergeChunk = 512
 // capped at its own length.
 //
 // The merge span carries the mining call's header-item, projection and
-// focus-scan totals — the projections, trees and bitmaps alike, under the
-// attr name cond_trees: 1 − cond_trees ÷ header_items is the share of
-// header items head-union-tail pruning cut, and focus_scanned counts the
-// focus-list entries the head-union-tail tests visited.
+// focus-scan totals — the projections under the attr name cond_trees:
+// 1 − cond_trees ÷ header_items is the share of header items
+// head-union-tail pruning cut, and focus_scanned counts the focus-list
+// entries the head-union-tail tests visited.
 func (m *Miner) finishMaximal(msp *trace.Span, stores []*mfiStore, order []int) []Itemset {
 	type task struct{ store, lo int }
 	var tasks []task
@@ -163,8 +163,8 @@ func sortCanonical(sets []Itemset) {
 // MFI stores in worker order. finishMaximal reconciles them.
 func (m *Miner) mineTops(parent *trace.Span, a *rankArena, minsup int) []*mfiStore {
 	// Top-level header items deepest-first (descending structural rank):
-	// an item's conditional tree only contains items processed after it in
-	// the serial order, so no stored set is ever subsumed by a later one
+	// an item's projection only contains items processed after it in the
+	// serial order, so no stored set is ever subsumed by a later one
 	// within a worker. The arena ranks exactly the frequent items, so
 	// every rank is a top-level item: the i-th is rank R-1-i.
 	order := a.order
@@ -182,7 +182,7 @@ func (m *Miner) mineTops(parent *trace.Span, a *rankArena, minsup int) []*mfiSto
 		ctx := newMineCtx(order, minsup)
 		ctx.store = newMFIStore(len(order))
 		for i := w; i < len(order); i += workers {
-			ctx.mineItem(a, int32(len(order)-1-i), 0)
+			ctx.mineItem(a, int32(len(order)-1-i))
 		}
 		ctx.store.visited, ctx.store.trees = ctx.visited, ctx.trees
 		stores[w] = ctx.store
@@ -197,7 +197,7 @@ func (m *Miner) mineTops(parent *trace.Span, a *rankArena, minsup int) []*mfiSto
 }
 
 // missed counts a focus miss at depth, whose closure was folded into the
-// suffix: one conditional projection taken, a tree or bitmaps.
+// suffix: one conditional projection taken.
 func (ctx *mineCtx) missed(depth int, closure []int32) {
 	ctx.trees++
 	if len(closure) > 0 {
@@ -205,104 +205,57 @@ func (ctx *mineCtx) missed(depth int, closure []int32) {
 	}
 }
 
-// mineItem runs header item r of src — the rank arena at depth 0, a
-// conditional tree below — under the suffix the store is focused on:
-// count r's conditional items, split off their closure C (the items whose
-// conditional support equals src.support(r), that of suffix ∪ {r}) and,
-// unless a stored set already contains suffix ∪ {r} ∪ every frequent one
-// of them (head-union-tail pruning; with none this is the maximality test
-// of suffix ∪ {r} itself), project the rest and mine it under
-// suffix ∪ {r} ∪ C. Most branches are pruned, so the projection is only
-// built once the store has missed. Below the rank arena it is vertical
-// bitmaps where they are no larger than r's windows (bitmap.go), and a
-// conditional tree otherwise; both give the same counts.
+// mineItem runs top-level header item r of the rank arena, the root of
+// the suffix the store is focused on: count r's conditional items off its
+// windows, split off their closure C (the items whose conditional support
+// equals a.support(r), that of {r}) and, unless a stored set already
+// contains {r} ∪ every frequent one of them (head-union-tail pruning;
+// with none this is the maximality test of {r} itself), project the rest
+// as vertical bitmaps (bitmap.go) and mine them under {r} ∪ C. Most
+// branches are pruned, so the projection is only built once the store
+// has missed.
 //
-// Closure folding is exact. Let S = suffix ∪ {r}. Every transaction
-// containing S contains each x ∈ C, since x's count over S's transactions
-// is all of them; so for every X ⊇ S, X ∪ C has the support of X. A
-// maximal X ⊇ S therefore contains C (else X ∪ C is a frequent strict
-// superset), and the maximal sets ⊇ S are exactly the maximal sets ⊇ S ∪ C
-// — which the conditional tree of the rest, whose items are all frequent
-// under S ∪ C with the same counts, enumerates. C leaves the tree and
-// joins the suffix at this depth, so its items are never header items.
+// Closure folding is exact, here and at every depth of the bitmap
+// recursion. Let S = suffix ∪ {r}. Every transaction containing S
+// contains each x ∈ C, since x's count over S's transactions is all of
+// them; so for every X ⊇ S, X ∪ C has the support of X. A maximal X ⊇ S
+// therefore contains C (else X ∪ C is a frequent strict superset), and
+// the maximal sets ⊇ S are exactly the maximal sets ⊇ S ∪ C — which the
+// projection of the rest, whose items are all frequent under S ∪ C with
+// the same counts, enumerates. C leaves the projection and joins the
+// suffix at this depth, so its items are never header items below it.
 //
-// Nothing is stored after the recursion returns. A non-empty conditional
-// tree means suffix ∪ {r} ∪ C ∪ {x} is frequent, and fpmax never returns
-// without the store holding a strict superset of its suffix: a single
-// path stores suffix ∪ path; otherwise the first item of the loop stores,
-// is pruned by, or (by induction) recurses into a superset of
-// suffix ∪ {item}. The bare suffix ∪ {r} ∪ C is therefore never maximal
-// there.
-func (ctx *mineCtx) mineItem(src prefixSource, r int32, depth int) {
+// Nothing is stored after the recursion returns. A non-empty rest means
+// S ∪ C ∪ {x} is frequent, and fpmaxBits never returns without the store
+// holding a strict superset of its suffix: a nested chain stores
+// suffix ∪ chain; otherwise the first rank of the loop stores, is pruned
+// by, or (by induction) recurses into a superset of suffix ∪ {rank}. The
+// bare S ∪ C is therefore never maximal there.
+func (ctx *mineCtx) mineItem(a *rankArena, r int32) {
 	ctx.visited++
-	support := src.support(r)
-	// Ascending ranks: the sorted tail the store tests, and the order
-	// fpmax walks backwards.
-	tail := ctx.conditionalCounts(src, r)
+	support := a.support(r)
+	// Ascending ranks: the sorted tail the store tests, and the rows the
+	// projection lays out.
+	tail := ctx.conditionalCounts(a, r)
 	slices.Sort(tail)
-	// Partition in place, both halves ascending. A closure item's count
-	// is zeroed so that buildConditional drops it.
+	// Partition in place, both halves ascending.
 	closure, rest := ctx.closure[:0], tail[:0]
 	for _, x := range tail {
 		if ctx.condCnt[x] == support {
 			closure = append(closure, x)
-			ctx.condCnt[x] = 0
 		} else {
 			rest = append(rest, x)
 		}
 	}
 	ctx.closure = closure
-	if ctx.store.focus(depth, r, closure, rest) {
-		ctx.clearCounts()
+	ctx.clearCounts()
+	if ctx.store.focus(0, r, closure, rest) {
 		return
 	}
-	ctx.missed(depth, closure)
-	if a, ok := src.(*rankArena); ok && !ctx.treeOnly && a.bitsFit(r, len(rest)) {
-		ctx.forms[1]++
-		ctx.clearCounts()
-		ctx.project(a, r, rest)
-		ctx.fpmaxBits(depth+1, support)
-		ctx.bits = ctx.bits[:0]
-		return
-	}
-	if depth == 0 {
-		ctx.forms[0]++
-	}
-	cond := ctx.getTree()
-	ctx.buildConditional(src, r, cond)
-	// Insertion listed the same ranks in first-touch order.
-	cond.ranks = append(cond.ranks[:0], rest...)
-	ctx.fpmax(cond, depth+1, support)
-	ctx.putTree(cond)
-}
-
-// fpmax mines maximal itemsets from the conditional tree t of the depth
-// ranks the store is focused on, whose itemset has the given support.
-// It opens with no head-union-tail test of its own: mineItem has just
-// missed on exactly suffix ∪ t.ranks and stored nothing since, so the
-// test would scan the same list to the same miss.
-func (ctx *mineCtx) fpmax(t *flatTree, depth, support int) {
-	if nodes, ok := t.singlePath(ctx.sp[:0]); ok {
-		// The only maximal candidate is the suffix plus the whole path
-		// (empty when nothing extends the suffix) — the set mineItem just
-		// found unsubsumed, so it is stored untested. Every node of a
-		// conditional tree's single path is frequent: buildConditional
-		// kept only frequent items and each sits in one node. The node
-		// scratch is rewritten to the nodes' ranks in place; root-side
-		// first is ascending rank order.
-		for i, n := range nodes {
-			support = t.count[n]
-			nodes[i] = t.item[n]
-		}
-		ctx.store.add(depth, nodes, support)
-		ctx.sp = nodes[:0]
-		return
-	}
-	// Header items deepest-first (descending structural rank). Every item
-	// present in a conditional tree is frequent by construction.
-	for i := len(t.ranks) - 1; i >= 0; i-- {
-		ctx.mineItem(t, t.ranks[i], depth)
-	}
+	ctx.missed(0, closure)
+	ctx.project(a, r, rest)
+	ctx.fpmaxBits(1, support)
+	ctx.bits = ctx.bits[:0]
 }
 
 // mfiStore accumulates maximal itemsets and answers "is this candidate
@@ -342,7 +295,7 @@ type mfiStore struct {
 	filled   []int32   // the ranks whose bucket is non-empty
 	bucketed bool      // buckets mirror lists[1]
 
-	visited, trees, scanned int64 // header items mined, conditional trees taken and focus-list entries visited filling it
+	visited, trees, scanned int64 // header items mined, conditional projections taken and focus-list entries visited filling it
 }
 
 // newMFIStore returns an empty store over ranks [0, nRanks) — the

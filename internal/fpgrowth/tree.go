@@ -28,8 +28,7 @@ type flatTree struct {
 
 	// ranks lists the ranks present in this tree (cnt > 0). It bounds reset
 	// to the dirty entries instead of O(R). Insertion appends in first-touch
-	// order; maximal mining sorts a finished conditional tree's list
-	// ascending in place (mineItem).
+	// order.
 	ranks []int32
 }
 
@@ -136,7 +135,7 @@ func (t *flatTree) singlePath(buf []int32) ([]int32, bool) {
 	}
 }
 
-// mineCtx is one goroutine's mining state: reusable scratch buffers, a
+// mineCtx is one goroutine's mining state: reusable scratch buffers, Mine's
 // conditional-tree pool, and (for maximal mining) the local MFI store.
 // Workers never share a ctx; the rank arena (with its rank->item order)
 // is the only structure shared across workers, and it is read-only during
@@ -152,14 +151,14 @@ type mineCtx struct {
 	condCnt []int   // rank-indexed conditional counts, cleared via touched
 	touched []int32 // ranks dirtied in condCnt by the last conditionalCounts
 	tail    []int32 // the frequent ones among touched
-	closure []int32 // the tail ranks mineItem folds into the suffix
+	closure []int32 // the tail ranks mineItem and mineBit fold into the suffix
 	path    []int32 // one prefix path being inserted
 	sp      []int32 // singlePath node scratch
 	levels  []levelScratch
 	pool    []*flatTree
 
-	// The bitmap form of maximal mining (bitmap.go): the word stack its
-	// rows and masks live on, its levels by depth, and the positions
+	// Maximal mining's bitmap projections (bitmap.go): the word stack their
+	// rows and masks live on, their levels by depth, and the positions
 	// scratch of a re-projection; the root projection's first word and
 	// width (its transactions), each of its windows' rest rows —
 	// wrows[woffs[k]:woffs[k+1]] for window k — and a count per row for
@@ -173,15 +172,13 @@ type mineCtx struct {
 
 	visited, trees int64    // header items mined, conditional projections taken (telemetry)
 	folds          [3]int64 // focus misses that folded a closure at depth 0, 1 and ≥ 2 (tests)
-	forms          [2]int64 // depth-0 misses projected as a tree and as bitmaps (tests)
 	chains         int64    // bitmap nodes of two or more ranks stored by the nested-chain test (tests)
 	scans          int64    // bitmap nodes that counted by scanning their windows (tests)
-	treeOnly       bool     // tests: project every depth-0 miss as a tree, the bitmap form's reference
 }
 
 // levelScratch holds the per-recursion-depth buffer that must survive the
 // recursive calls Mine makes while iterating one tree level. Maximal
-// mining needs none: it walks the tree's own sorted rank list, and its
+// mining needs none: its levels are the bitmap levels (blv), and its
 // per-level focus lists live in the store.
 type levelScratch struct {
 	items []int32
@@ -220,22 +217,15 @@ func (ctx *mineCtx) putTree(t *flatTree) {
 	ctx.pool = append(ctx.pool, t)
 }
 
-// prefixSource is where mineItem reads a header item's prefix paths
-// from: the level's rank arena at the top level, a conditional tree below.
+// prefixSource is where conditionalCounts reads a header item's prefix
+// paths from: the level's rank arena at FPmax's top level, a tree in
+// Mine.
 type prefixSource interface {
-	// support returns r's support: the transactions r's paths carry.
-	support(r int32) int
 	// countPrefixes adds, for every rank on r's prefix paths, the
 	// transactions the path carries into cnt, appends the ranks it moves
 	// off zero to touched, and returns touched.
 	countPrefixes(r int32, cnt []int, touched []int32) []int32
-	// insertPrefixes inserts r's prefix paths into out, ascending and
-	// filtered to the ranks whose cnt reaches minsup, with the counts
-	// they carry. path is scratch, returned for reuse.
-	insertPrefixes(r int32, cnt []int, minsup int, path []int32, out *flatTree) []int32
 }
-
-func (t *flatTree) support(r int32) int { return t.cnt[r] }
 
 // countPrefixes walks r's header chain and each node's parent path.
 func (t *flatTree) countPrefixes(r int32, cnt []int, touched []int32) []int32 {
@@ -299,11 +289,11 @@ func (ctx *mineCtx) clearCounts() {
 	}
 }
 
-// buildConditional fills out with the conditional tree of rank r in src
+// buildConditional fills out with the conditional tree of rank r in t
 // from the counts conditionalCounts just took, and clears them: each
 // prefix path is reinserted filtered to the items whose conditional
 // support reaches minsup.
-func (ctx *mineCtx) buildConditional(src prefixSource, r int32, out *flatTree) {
-	ctx.path = src.insertPrefixes(r, ctx.condCnt, ctx.minsup, ctx.path, out)
+func (ctx *mineCtx) buildConditional(t *flatTree, r int32, out *flatTree) {
+	ctx.path = t.insertPrefixes(r, ctx.condCnt, ctx.minsup, ctx.path, out)
 	ctx.clearCounts()
 }

@@ -11,7 +11,6 @@
 package gazetteer
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"unicode/utf8"
@@ -135,20 +134,4 @@ func Haversine(lat1, lon1, lat2, lon2 float64) float64 {
 	a := math.Sin(dLat/2)*math.Sin(dLat/2) +
 		math.Cos(lat1*deg)*math.Cos(lat2*deg)*math.Sin(dLon/2)*math.Sin(dLon/2)
 	return 2 * earthRadiusKm * math.Asin(math.Min(1, math.Sqrt(a)))
-}
-
-// Validate checks catalogue integrity: non-empty hierarchy fields and
-// coordinates within range. It returns the first problem found.
-func (g *Gazetteer) Validate() error {
-	for i, p := range g.places {
-		switch {
-		case p.City == "" || p.County == "" || p.Region == "" || p.Country == "":
-			return fmt.Errorf("gazetteer: entry %d (%q) has empty hierarchy field", i, p.City)
-		case p.Lat < -90 || p.Lat > 90:
-			return fmt.Errorf("gazetteer: entry %d (%q) latitude %v out of range", i, p.City, p.Lat)
-		case p.Lon < -180 || p.Lon > 180:
-			return fmt.Errorf("gazetteer: entry %d (%q) longitude %v out of range", i, p.City, p.Lon)
-		}
-	}
-	return nil
 }

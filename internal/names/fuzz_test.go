@@ -13,7 +13,7 @@ import (
 // class lookup of the FoldKey form — whichever of its two folding paths,
 // stack buffer or FoldKey, a name takes — be idempotent, stay inside the
 // name's equivalence class, and be case-insensitive: names equal under
-// strings.EqualFold, the folding SameClass compares by, canonicalize to
+// strings.EqualFold, the folding the name classes compare by, canonicalize to
 // names equal under it. Case mappings outside simple folding are not
 // case differences there: strings.ToLower maps "İ" to "i", which
 // EqualFold keeps apart, so a lowered or uppered name is only compared
@@ -44,7 +44,7 @@ func FuzzCanonical(f *testing.F) {
 		if again := Canonical(c); again != c {
 			t.Fatalf("Canonical not idempotent: %q -> %q -> %q", name, c, again)
 		}
-		if !SameClass(name, c) {
+		if !sameClass(name, c) {
 			t.Fatalf("Canonical(%q) = %q left the equivalence class", name, c)
 		}
 		// Every rune moved one step along its fold orbit: "s" to "ſ",
@@ -62,8 +62,8 @@ func FuzzCanonical(f *testing.F) {
 			t.Fatalf("Variants(%q) = %v, want the canonical first", c, vs)
 		}
 		for _, v := range vs {
-			if !SameClass(c, v) {
-				t.Fatalf("variant %q not SameClass with canonical %q", v, c)
+			if !sameClass(c, v) {
+				t.Fatalf("variant %q not in the class of canonical %q", v, c)
 			}
 		}
 	})

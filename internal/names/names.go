@@ -118,11 +118,6 @@ func CorpusFor(community string) *Corpus {
 	return corpora["Poland"]
 }
 
-// Communities returns the community names with built-in corpora.
-func Communities() []string {
-	return []string{"Italy", "Poland", "Germany", "Hungary", "Greece", "Soviet"}
-}
-
 // Variants returns the equivalence class of a first name (including the
 // name itself). Names without a registered class return a singleton.
 func Variants(name string) []string {
@@ -140,9 +135,8 @@ func Variants(name string) []string {
 }
 
 // canonicalOf maps the fold key of every known variant to its class
-// canonical: names are looked up by the folding SameClass compares them
-// by, so Canonical(x) is a class's canonical exactly when SameClass puts x
-// in that class.
+// canonical: names are looked up by their fold keys, so Canonical(x) is a
+// class's canonical exactly when ClassKeys puts x in that class.
 var canonicalOf = func() map[string]string {
 	m := make(map[string]string)
 	for canon, vs := range nicknameClasses {
@@ -236,8 +230,9 @@ var classKeys = func() map[string][]string {
 }()
 
 // ClassKeys returns the fold keys of every first name in the same
-// equivalence class as name, its own key included: SameClass(name, x)
-// holds exactly when FoldKey(x) is among them. An index from FoldKey to
+// equivalence class as name, its own key included: x is in name's class
+// (names equal under strings.EqualFold always are) exactly when FoldKey(x)
+// is among them. An index from FoldKey to
 // records answers a class query with one lookup per returned key.
 func ClassKeys(name string) []string {
 	k := FoldKey(name)
@@ -245,16 +240,6 @@ func ClassKeys(name string) []string {
 		return ks
 	}
 	return []string{k}
-}
-
-// SameClass reports whether two first names belong to the same equivalence
-// class (exact match counts).
-func SameClass(a, b string) bool {
-	if strings.EqualFold(a, b) {
-		return true
-	}
-	ks, registered := classKeys[FoldKey(a)]
-	return registered && slices.Contains(ks, FoldKey(b))
 }
 
 // Corrupt applies one clerical error to a name: a substitution

@@ -8,7 +8,7 @@ import (
 )
 
 func TestCorporaComplete(t *testing.T) {
-	for _, comm := range Communities() {
+	for comm := range corpora {
 		c := CorpusFor(comm)
 		if len(c.MaleFirst) < 10 || len(c.FemaleFirst) < 10 || len(c.Last) < 10 || len(c.Professions) < 4 {
 			t.Errorf("%s corpus too small: %d/%d/%d/%d", comm,
@@ -46,8 +46,8 @@ func TestSameClass(t *testing.T) {
 		{"Unregistered", "Other", false},
 	}
 	for _, c := range cases {
-		if got := SameClass(c.a, c.b); got != c.want {
-			t.Errorf("SameClass(%q,%q) = %v, want %v", c.a, c.b, got, c.want)
+		if got := sameClass(c.a, c.b); got != c.want {
+			t.Errorf("sameClass(%q,%q) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -61,11 +61,11 @@ func TestCanonicalFoldsClass(t *testing.T) {
 	if got := Canonical("Zanzibar"); got != "Zanzibar" {
 		t.Errorf("Canonical of unregistered name = %q", got)
 	}
-	// Canonical folds as SameClass does: the long s is an s there, the
+	// Canonical folds as ClassKeys does: the long s is an s there, the
 	// dotted capital I is no I.
 	for _, c := range []struct{ name, want string }{{"Iſak", "Yitzhak"}, {"ISAK", "Yitzhak"}, {"İsak", "İsak"}} {
-		if got := Canonical(c.name); got != c.want || SameClass(c.name, "Isak") != (c.want == "Yitzhak") {
-			t.Errorf("Canonical(%q) = %q, want %q, agreeing with SameClass", c.name, got, c.want)
+		if got := Canonical(c.name); got != c.want || sameClass(c.name, "Isak") != (c.want == "Yitzhak") {
+			t.Errorf("Canonical(%q) = %q, want %q, agreeing with ClassKeys", c.name, got, c.want)
 		}
 	}
 	// Canonical is idempotent.
@@ -112,7 +112,7 @@ func TestPickVariantStaysInClass(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 50; i++ {
 		v := PickVariant(rng, "Rivka")
-		if !SameClass("Rivka", v) {
+		if !sameClass("Rivka", v) {
 			t.Errorf("PickVariant escaped the class: %q", v)
 		}
 	}

@@ -167,14 +167,8 @@ func (d *Dictionary) intern(it Item) int {
 // Len returns the number of distinct items.
 func (d *Dictionary) Len() int { return len(d.keys) }
 
-// Key returns the item key for an id.
-func (d *Dictionary) Key(id int) string { return d.keys[id] }
-
 // TypeOf returns the item type for an id.
 func (d *Dictionary) TypeOf(id int) ItemType { return d.types[id] }
-
-// Freq returns the document frequency of an id.
-func (d *Dictionary) Freq(id int) int { return d.freq[id] }
 
 // Encode converts a record to a sorted, deduplicated slice of item ids.
 // Items absent from the dictionary are skipped.

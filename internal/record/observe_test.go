@@ -42,11 +42,11 @@ func TestObserveMatchesBatch(t *testing.T) {
 		t.Fatalf("dictionary sizes diverge: %d vs %d", inc.Len(), batch.Len())
 	}
 	for id := 0; id < batch.Len(); id++ {
-		if batch.Key(id) != inc.Key(id) {
-			t.Fatalf("id %d: key %q vs %q", id, inc.Key(id), batch.Key(id))
+		if batch.keys[id] != inc.keys[id] {
+			t.Fatalf("id %d: key %q vs %q", id, inc.keys[id], batch.keys[id])
 		}
-		if batch.Freq(id) != inc.Freq(id) {
-			t.Fatalf("id %d (%s): freq %d vs %d", id, batch.Key(id), inc.Freq(id), batch.Freq(id))
+		if batch.freq[id] != inc.freq[id] {
+			t.Fatalf("id %d (%s): freq %d vs %d", id, batch.keys[id], inc.freq[id], batch.freq[id])
 		}
 		if batch.TypeOf(id) != inc.TypeOf(id) {
 			t.Fatalf("id %d: type diverges", id)

@@ -13,6 +13,3 @@ func MakePair(a, b int64) Pair {
 	}
 	return Pair{A: a, B: b}
 }
-
-// Contains reports whether the pair involves the given BookID.
-func (p Pair) Contains(id int64) bool { return p.A == id || p.B == id }

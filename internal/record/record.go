@@ -62,12 +62,6 @@ func (r *Record) First(t ItemType) (string, bool) {
 	return "", false
 }
 
-// Has reports whether the record carries at least one item of the type.
-func (r *Record) Has(t ItemType) bool {
-	_, ok := r.First(t)
-	return ok
-}
-
 // Add appends an item, skipping empty values.
 func (r *Record) Add(t ItemType, value string) {
 	if value == "" {
@@ -128,15 +122,6 @@ type Pattern uint32
 // Has reports whether the pattern includes the item type.
 func (p Pattern) Has(t ItemType) bool {
 	return p&(1<<uint(t)) != 0
-}
-
-// Size returns the number of distinct item types in the pattern.
-func (p Pattern) Size() int {
-	n := 0
-	for v := uint32(p); v != 0; v &= v - 1 {
-		n++
-	}
-	return n
 }
 
 // Types returns the item types in the pattern, in declaration order.

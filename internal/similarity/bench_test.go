@@ -21,13 +21,6 @@ func BenchmarkJaroWinkler(b *testing.B) {
 	}
 }
 
-func BenchmarkJaccardQGrams(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		JaccardQGrams("Ottolenghi", "Ottolengi", 2)
-	}
-}
-
 // BenchmarkJaccardInterned measures the steady-state scoring path: gram
 // IDs already interned per record, pair time is a merge intersection.
 func BenchmarkJaccardInterned(b *testing.B) {

@@ -53,8 +53,8 @@ func (in *Interner) Canonical(s string) (uint32, string) {
 // Len returns the number of distinct strings interned so far.
 func (in *Interner) Len() int { return len(in.strs) }
 
-// QGramIDs returns the distinct padded q-grams of s (exactly QGrams's
-// gram set) as interned IDs, sorted ascending — the representation
+// QGramIDs returns the distinct padded q-grams of s (padding with q-1 '#'
+// on both sides, lowercased) as interned IDs, sorted ascending — the representation
 // JaccardSortedIDs consumes. ASCII inputs slice the padded string
 // byte-wise, so the only allocations are the padded buffer and the
 // result slice.
@@ -93,8 +93,8 @@ func sortedUnique(ids []uint32) []uint32 {
 
 // JaccardSortedIDs returns the Jaccard coefficient of two sorted
 // strictly-increasing ID slices via a branch-light merge intersection.
-// Over IDs produced by the same Interner it equals JaccardSets over the
-// underlying string sets exactly.
+// Over IDs produced by the same Interner it equals the Jaccard coefficient
+// of the underlying string sets exactly.
 func JaccardSortedIDs(a, b []uint32) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1

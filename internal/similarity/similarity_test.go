@@ -3,6 +3,7 @@ package similarity
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -60,8 +61,10 @@ func TestStringSimilarityProperties(t *testing.T) {
 				return false
 			}
 		}
-		q := JaccardQGrams(a, b, 2)
-		if q < 0 || q > 1 || JaccardQGrams(a, a, 2) != 1 {
+		in := NewInterner()
+		ga, gb := QGramIDs(in, a, 2), QGramIDs(in, b, 2)
+		q := JaccardSortedIDs(ga, gb)
+		if q < 0 || q > 1 || JaccardSortedIDs(ga, ga) != 1 {
 			return false
 		}
 		return true
@@ -101,11 +104,13 @@ func TestJaccardIntSets(t *testing.T) {
 }
 
 func TestQGramsPadding(t *testing.T) {
-	g := QGrams("ab", 2)
-	for _, want := range []string{"#a", "ab", "b#"} {
-		if _, ok := g[want]; !ok {
-			t.Errorf("QGrams(ab,2) missing %q: %v", want, g)
-		}
+	in := NewInterner()
+	var got []string
+	for _, id := range QGramIDs(in, "ab", 2) {
+		got = append(got, in.strs[id])
+	}
+	if slices.Sort(got); !slices.Equal(got, []string{"#a", "ab", "b#"}) {
+		t.Errorf("QGramIDs(ab,2) holds %q, want #a, ab and b#", got)
 	}
 }
 

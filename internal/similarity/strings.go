@@ -201,48 +201,3 @@ func paddedLower(s string, q int) string {
 	pad := strings.Repeat("#", q-1)
 	return pad + strings.ToLower(s) + pad
 }
-
-// QGrams returns the padded q-gram multiset of a string as a set of
-// distinct grams (padding with q-1 '#' on both sides, lowercased).
-func QGrams(s string, q int) map[string]struct{} {
-	if q < 1 {
-		q = 1
-	}
-	padded := paddedLower(s, q)
-	rs := []rune(padded)
-	set := make(map[string]struct{})
-	for i := 0; i+q <= len(rs); i++ {
-		set[string(rs[i:i+q])] = struct{}{}
-	}
-	return set
-}
-
-// JaccardQGrams returns the Jaccard coefficient of two strings' q-gram
-// sets.
-func JaccardQGrams(a, b string, q int) float64 {
-	return jaccard(QGrams(a, q), QGrams(b, q))
-}
-
-// JaccardSets returns the Jaccard coefficient of two precomputed string
-// sets. JaccardSets(QGrams(a, q), QGrams(b, q)) equals
-// JaccardQGrams(a, b, q) exactly — the map-based reference the interned
-// representation (Interner/QGramIDs/JaccardSortedIDs) is fuzzed against.
-func JaccardSets(a, b map[string]struct{}) float64 {
-	return jaccard(a, b)
-}
-
-func jaccard(a, b map[string]struct{}) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := 0
-	for k := range a {
-		if _, ok := b[k]; ok {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(a)+len(b)-inter)
-}

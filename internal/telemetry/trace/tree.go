@@ -168,29 +168,3 @@ func attrMapString(m map[string]int64) string {
 	}
 	return attrString(attrs)
 }
-
-// MaxDepth reports the deepest nesting level of the tree (a run with
-// stage → iteration → worker spans has depth 4). The trace-smoke CI
-// assertion keys on it.
-func (st *SpanTree) MaxDepth() int {
-	if st == nil {
-		return 0
-	}
-	var walk func(n *Node) int
-	walk = func(n *Node) int {
-		best := 0
-		for _, c := range n.Children {
-			if d := walk(c); d > best {
-				best = d
-			}
-		}
-		return best + 1
-	}
-	best := 0
-	for _, r := range st.Roots {
-		if d := walk(r); d > best {
-			best = d
-		}
-	}
-	return best
-}
