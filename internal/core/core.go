@@ -259,8 +259,9 @@ func resolve(opts *Options, report *telemetry.RunReport, stages *stageRunner, wo
 
 // blockingReport converts the blocking result into its report form.
 // pairs is the distinct candidate count the scoring stage read: a
-// spilled run learns it only at the merge. The iterations are copied
-// because StripTimings zeroes the report's in place.
+// spilled run learns it only at the merge. The iterations are copied:
+// the report is a value of its own, which a reader may edit in place
+// (the report golden zeroes its durations) without touching the result's.
 func blockingReport(blk *mfiblocks.Result, pairs int) *telemetry.BlockingReport {
 	br := &telemetry.BlockingReport{Iterations: slices.Clone(blk.Iterations), Pairs: pairs}
 	if blk.Spill != nil {

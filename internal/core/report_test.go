@@ -20,6 +20,19 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
+// stripTimings zeroes every stage and iteration duration of rep in place:
+// the golden compares report shape and counts, never wall clock.
+func stripTimings(rep *telemetry.RunReport) {
+	for i := range rep.Stages {
+		rep.Stages[i].DurationNS = 0
+	}
+	if rep.Blocking != nil {
+		for i := range rep.Blocking.Iterations {
+			rep.Blocking.Iterations[i].Elapsed = 0
+		}
+	}
+}
+
 // TestRunReportGolden pins the RunReport JSON shape — field names, stage
 // ordering, and deterministic counts — against a golden file. Timings
 // are stripped first; Workers is forced to 1 so the serial path keeps
@@ -44,7 +57,10 @@ func TestRunReportGolden(t *testing.T) {
 	if rep == nil {
 		t.Fatal("Run attached no Report")
 	}
-	rep.StripTimings()
+	if rep.Spans != nil {
+		t.Fatal("an untraced run reported a span tree")
+	}
+	stripTimings(rep)
 
 	got, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

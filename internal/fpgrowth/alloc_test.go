@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// The flat-arena rewrite turned tree construction and support-set probes
-// from thousands of per-node/map allocations into a handful of slab
-// allocations amortized across calls. These guards pin that property so a
+// The flat-arena rewrite turned the support level's build and
+// support-set probes from thousands of per-node/map allocations into a
+// handful of slab allocations amortized across calls. These guards pin that property so a
 // regression back to per-node allocation fails loudly. Bounds are
 // generous (the steady-state numbers are far lower) to stay robust
 // across Go versions.
@@ -18,8 +18,9 @@ func TestTreeBuildAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		m.TreeStats(3, nil)
 	})
-	// Steady state is ~30 allocs (rank arena + tree slabs + header
-	// tables). The old pointer-node tree allocated one node per
+	// Steady state is ~10 allocs: the rank arena's slabs and the row
+	// index TreeStats sorts to count the root tree's nodes without
+	// building it. The old pointer-node tree allocated one node per
 	// insertion — tens of thousands here.
 	if allocs > 64 {
 		t.Fatalf("tree build allocates %.0f per run, want <= 64", allocs)

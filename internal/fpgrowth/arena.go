@@ -10,7 +10,7 @@ import (
 // offsets table delimiting the per-transaction windows. Compared to the
 // historical [][]int it removes one pointer and one allocation per
 // record — at millions of records that is the difference between a
-// cache-linear counting/tree-build pass and a pointer chase — and
+// cache-linear counting/ranking pass and a pointer chase — and
 // halves the per-item footprint (item ids are dictionary-dense and far
 // below 2^31).
 //
@@ -126,9 +126,9 @@ func (t *Transactions) forEachActive(active []int, fn func([]int32)) {
 // wins[start[r]:start[r+1]] are rank r's windows into ranks, one per
 // transaction holding r, in transaction order.
 //
-// FPmax's top level reads a header item's conditional counts and its
-// bitmap projection off its windows; Mine and TreeStats insert the rows
-// into a root FP-tree.
+// Both miners read a top-level item's conditional counts and its bitmap
+// projection off its windows; TreeStats counts the rows' distinct
+// prefixes, the root FP-tree's nodes.
 type rankArena struct {
 	order []int    // rank -> item id
 	ranks []int32  // the rows, back to back
@@ -268,11 +268,48 @@ func (a *rankArena) countPrefixes(r int32, cnt []int, touched []int32) []int32 {
 	return touched
 }
 
-// rootTree builds the root FP-tree by inserting every row.
-func (a *rankArena) rootTree() *flatTree {
-	t := newFlatTree(len(a.order), len(a.ranks))
-	for i := 1; i < len(a.rows); i++ {
-		t.insertPath(a.ranks[a.rows[i-1]:a.rows[i]], 1)
+// prefixes returns the number of distinct non-empty prefixes among the
+// rows: the node count of the root FP-tree they would build, one node per
+// prefix. Sorted, each row adds the ranks past its longest common prefix
+// with the one before it.
+func (a *rankArena) prefixes() int {
+	rows := make([][]int32, len(a.rows)-1)
+	for i := range rows {
+		rows[i] = a.ranks[a.rows[i]:a.rows[i+1]]
 	}
-	return t
+	slices.SortFunc(rows, slices.Compare[[]int32])
+	n := 0
+	var prev []int32
+	for _, cur := range rows {
+		l := 0
+		for l < len(prev) && l < len(cur) && prev[l] == cur[l] {
+			l++
+		}
+		n += len(cur) - l
+		prev = cur
+	}
+	return n
+}
+
+// conditionalCounts accumulates the conditional item counts along r's
+// windows into condCnt and returns the ranks whose conditional support
+// reaches minsup, unordered, in scratch the next call overwrites. The
+// counts stay until clearCounts.
+func (ctx *mineCtx) conditionalCounts(a *rankArena, r int32) []int32 {
+	ctx.touched = a.countPrefixes(r, ctx.condCnt, ctx.touched[:0])
+	tail := ctx.tail[:0]
+	for _, ri := range ctx.touched {
+		if ctx.condCnt[ri] >= ctx.minsup {
+			tail = append(tail, ri)
+		}
+	}
+	ctx.tail = tail
+	return tail
+}
+
+// clearCounts zeroes the counts conditionalCounts left behind.
+func (ctx *mineCtx) clearCounts() {
+	for _, ri := range ctx.touched {
+		ctx.condCnt[ri] = 0
+	}
 }

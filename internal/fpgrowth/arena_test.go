@@ -69,7 +69,7 @@ func treeTops(tree *flatTree, order []int, minsup, workers int) []*mfiStore {
 	workers = max(min(workers, len(order)), 1)
 	stores := make([]*mfiStore, workers)
 	for w := range stores {
-		ctx := newMineCtx(order, minsup)
+		ctx := newTreeCtx(order, minsup)
 		ctx.store = newMFIStore(len(order))
 		for i := w; i < len(order); i += workers {
 			ctx.mineItemTree(tree, int32(len(order)-1-i), 0)
@@ -190,11 +190,14 @@ func checkArenaAgainstTree(t *testing.T, label string, m *Miner, active, freq []
 			tree.insertPath(path, 1)
 		}
 	})
-	if got, want := treeShape(a.rootTree()), treeShape(tree); !slices.Equal(got, want) {
+	if got, want := treeShape(rootTree(a)), treeShape(tree); !slices.Equal(got, want) {
 		t.Fatalf("%s: the arena's rows build a different root tree", label)
 	}
+	if nodes, items := m.TreeStats(minsup, active); nodes != len(tree.item)-1 || items != len(order) {
+		t.Fatalf("%s: TreeStats = %d nodes, %d items; the root tree has %d and %d", label, nodes, items, len(tree.item)-1, len(order))
+	}
 
-	ca, ct := newMineCtx(order, minsup), newMineCtx(order, minsup)
+	ca, ct := newTreeCtx(order, minsup), newTreeCtx(order, minsup)
 	for r := int32(0); r < int32(len(order)); r++ {
 		if a.support(r) != tree.support(r) {
 			t.Fatalf("%s: rank %d: support %d, tree has %d", label, r, a.support(r), tree.support(r))
@@ -208,7 +211,7 @@ func checkArenaAgainstTree(t *testing.T, label string, m *Miner, active, freq []
 				label, r, ca.condCnt, tailA, ct.condCnt, tailT)
 		}
 		condA, condT := ca.getTree(), ct.getTree()
-		ca.buildConditionalFrom(a, r, condA)
+		ca.buildConditional(a, r, condA)
 		ct.buildConditional(tree, r, condT)
 		if got, want := treeShape(condA), treeShape(condT); !slices.Equal(got, want) {
 			t.Fatalf("%s: rank %d: depth-1 tree\n%v\nfrom the tree\n%v", label, r, got, want)

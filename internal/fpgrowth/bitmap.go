@@ -28,6 +28,53 @@ import (
 // pushes its mask, and a node whose rows would shrink enough pushes them
 // re-projected onto its own transactions (reproject); both are popped
 // when the node returns.
+//
+// Mine walks the same projections of every top-level rank, with no store
+// and no closure folding (mineAll, fpgrowth.go).
+
+// mineCtx is one goroutine's mining state: reusable scratch buffers, the
+// bitmap word stack and (for maximal mining) the local MFI store. Workers
+// never share a ctx; the rank arena (with its rank->item order) is the
+// only structure shared across workers, and it is read-only during
+// mining.
+type mineCtx struct {
+	order  []int // rank -> original item id
+	minsup int
+	store  *mfiStore
+
+	// suffix is Mine's current itemset (original item ids), stack-like;
+	// maximal mining keeps its suffix in the store instead.
+	suffix  []int
+	condCnt []int   // rank-indexed conditional counts, cleared via touched
+	touched []int32 // ranks dirtied in condCnt by the last conditionalCounts
+	tail    []int32 // the frequent ones among touched
+	closure []int32 // the tail ranks mineItem and mineBit fold into the suffix
+
+	// The bitmap projections: the word stack their rows and masks live
+	// on, their levels by depth, and the positions scratch of a
+	// re-projection; the root projection's first word and width (its
+	// transactions), each of its windows' rest rows — wrows[woffs[k]:
+	// woffs[k+1]] for window k — and a count per row for scanning them.
+	bits         []uint64
+	blv          []bitLevel
+	pos          []int32
+	root, width  int
+	woffs, wrows []int32
+	wcnt         []int32
+
+	visited, trees int64    // header items mined, conditional projections taken (telemetry)
+	folds          [3]int64 // focus misses that folded a closure at depth 0, 1 and ≥ 2 (tests)
+	chains         int64    // bitmap nodes of two or more ranks stored by the nested-chain test (tests)
+	scans          int64    // bitmap nodes that counted by scanning their windows (tests)
+}
+
+func newMineCtx(order []int, minsup int) *mineCtx {
+	return &mineCtx{
+		order:   order,
+		minsup:  minsup,
+		condCnt: make([]int, len(order)),
+	}
+}
 
 // bitLevel is one node of the bitmap recursion: the ranks its itemset may
 // still be extended with, ascending, each with its row in the projection

@@ -12,11 +12,12 @@ import (
 // FP-tree (treeform_test.go), the reference the bitmap form is held to.
 func mineSerial(txns [][]int, minsup int, tree bool) (*mineCtx, []int) {
 	a, _ := NewMiner(txns).rankArena(minsup, nil, nil)
-	ctx := newMineCtx(a.order, minsup)
+	tc := newTreeCtx(a.order, minsup)
+	ctx := tc.mineCtx
 	ctx.store = newMFIStore(len(a.order))
 	for r := len(a.order) - 1; r >= 0; r-- {
 		if tree {
-			ctx.mineItemTree(a, int32(r), 0)
+			tc.mineItemTree(a, int32(r), 0)
 		} else {
 			ctx.mineItem(a, int32(r))
 		}

@@ -142,10 +142,12 @@ func encodeDB(minsup, workers int, txns ...[]int) []byte {
 }
 
 // FuzzMineMaximal holds MineMaximal, across worker counts, against the
-// maximal frequent sets by definition (bruteMaximal) on byte-coded
-// databases of at most 16 transactions over 12 items. The seeds stress
-// closure folding: duplicated transactions, and items implied by other
-// items, so that whole groups of ranks fold into one suffix entry.
+// maximal frequent sets by definition (bruteMaximal), and Mine against
+// every frequent set (bruteForce), on byte-coded databases of at most 16
+// transactions over 12 items. The seeds stress closure folding:
+// duplicated transactions, and items implied by other items, so that
+// whole groups of ranks fold into one suffix entry. The nested-chain
+// seeds also take Mine's chain branch.
 func FuzzMineMaximal(f *testing.F) {
 	f.Add([]byte{})
 	// Duplicated transactions: every item of a duplicate pair is in the
@@ -187,6 +189,10 @@ func FuzzMineMaximal(f *testing.F) {
 		got := mineWith(t, txns, workers, minsup, nil)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("minsup=%d workers=%d txns=%v:\nwant %v\ngot  %v", minsup, workers, txns, want, got)
+		}
+		all, frequent := mineAll(t, NewMiner(txns), minsup, nil), bruteForce(txns, minsup)
+		if len(all) != len(frequent) || !reflect.DeepEqual(canonical(all), canonical(frequent)) {
+			t.Fatalf("Mine: minsup=%d txns=%v:\nwant %v\ngot  %v", minsup, txns, frequent, all)
 		}
 	})
 }

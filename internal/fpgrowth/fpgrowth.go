@@ -1,7 +1,7 @@
 // Package fpgrowth implements frequent-itemset mining over integer item
-// ids using the FP-Growth algorithm (Han et al.), plus the maximal
-// frequent itemset (MFI) extraction and the frequent-item pruning rule
-// MFIBlocks relies on.
+// ids — all frequent itemsets, and the maximal frequent itemsets (MFIs)
+// FPmax-style — in FP-Growth's item order (Han et al.), plus the
+// frequent-item pruning rule MFIBlocks relies on.
 //
 // A transaction is a record's deduplicated item-id set; the support of an
 // itemset is the number of transactions containing it. An itemset is
@@ -10,14 +10,18 @@
 //
 // Item ids must be non-negative and reasonably dense (dictionary-interned
 // ids): frequencies, ranks, and the inverted index are all flat slices
-// indexed by item id. Trees are flat arenas (tree.go) and maximal mining
-// fans out across a worker pool (mfi.go) while MineMaximal's result stays
-// bit-identical at every worker count.
+// indexed by item id. Both miners read one structure: the support level's
+// rank arena (arena.go), each top-level item's rest projected as vertical
+// bitmaps (bitmap.go). Maximal mining fans out across a worker pool
+// (mfi.go) while MineMaximal's result stays bit-identical at every worker
+// count.
 package fpgrowth
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/telemetry/trace"
@@ -92,10 +96,13 @@ func (m *Miner) workers() int {
 }
 
 // Mine returns all frequent itemsets with support >= minsup, over the
-// transactions whose indices are in active (nil means all). minsup must be
-// at least 1. Singleton itemsets are included. It fails, returning no
-// itemsets, when a single-path tree would imply more itemsets than it
-// enumerates (maxSinglePathItems).
+// transactions whose indices are in active (nil means all), in no
+// particular order. minsup must be at least 1. Singleton itemsets are
+// included. Each top-level rank's rest is projected as vertical bitmaps
+// (bitmap.go) and every frequent extension enumerated, Eclat-style; a node
+// whose rows are nested is a single chain, whose combinations are emitted
+// directly. Mine fails, returning no itemsets, when such a chain plus the
+// itemset it extends holds more than 62 items (maxSinglePathItems).
 func (m *Miner) Mine(minsup int, active []int) ([]Itemset, error) {
 	if minsup < 1 {
 		minsup = 1
@@ -103,8 +110,21 @@ func (m *Miner) Mine(minsup int, active []int) ([]Itemset, error) {
 	a, _ := m.rankArena(minsup, active, nil) // counted here, the counts cannot disagree
 	var out []Itemset
 	ctx := newMineCtx(a.order, minsup)
-	if err := ctx.mineTree(a.rootTree(), 0, &out); err != nil {
-		return nil, err
+	for r := int32(len(a.order)) - 1; r >= 0; r-- {
+		ctx.suffix = append(ctx.suffix[:0], a.order[r])
+		out = append(out, Itemset{Items: []int{a.order[r]}, Support: a.support(r)})
+		tail := ctx.conditionalCounts(a, r)
+		slices.Sort(tail)
+		ctx.clearCounts()
+		if len(tail) == 0 {
+			continue
+		}
+		ctx.project(a, r, tail)
+		err := ctx.mineAll(1, &out)
+		ctx.bits = ctx.bits[:0]
+		if err != nil {
+			return nil, err
+		}
 	}
 	for i := range out {
 		sort.Ints(out[i].Items)
@@ -112,60 +132,57 @@ func (m *Miner) Mine(minsup int, active []int) ([]Itemset, error) {
 	return out, nil
 }
 
-// TreeStats builds the rank-ordered root FP-tree for the given support
-// level and reports its size: the node count (excluding the root) and the
-// number of frequent items. Maximal mining builds no root tree (it reads
-// the rank arena); the count is introspection, the repo benchmark's
-// fpgrowth.tree_nodes, and BenchmarkTreeBuild's workload.
+// TreeStats reports the size of the rank-ordered root FP-tree for the
+// given support level: the node count (excluding the root) and the number
+// of frequent items. No tree is built: a node is a distinct non-empty
+// prefix of the rank arena's rows, and the rows are counted. The count is
+// introspection: the repo benchmark's fpgrowth.tree_nodes, and
+// BenchmarkTreeBuild's workload.
 func (m *Miner) TreeStats(minsup int, active []int) (nodes, items int) {
 	if minsup < 1 {
 		minsup = 1
 	}
 	a, _ := m.rankArena(minsup, active, nil) // counted here, the counts cannot disagree
-	return len(a.rootTree().item) - 1, len(a.order)
+	return a.prefixes(), len(a.order)
 }
 
-// mineTree is the recursive FP-Growth step: for each item in the tree
-// (least frequent first), emit suffix+item and recurse into the item's
-// conditional tree. Single-path trees short-circuit to combinations.
-func (ctx *mineCtx) mineTree(t *flatTree, depth int, out *[]Itemset) error {
-	if nodes, ok := t.singlePath(ctx.sp[:0]); ok {
-		err := ctx.emitPathCombinations(t, nodes, out)
-		ctx.sp = nodes[:0]
-		return err
+// mineAll emits every frequent itemset of the bitmap node at depth: each
+// rank's, the node's itemset (ctx.suffix) plus the rank, with the
+// popcount of the node's mask and its row, then the rank's child — the
+// lower ranks still frequent under that mask — mined the same way.
+func (ctx *mineCtx) mineAll(depth int, out *[]Itemset) error {
+	lv, child := &ctx.blv[depth], &ctx.blv[depth+1]
+	if ctx.nested(lv) {
+		return ctx.emitChain(lv, out)
 	}
-	// Items in ascending support order for bottom-up growth, original item
-	// id descending on ties (the historical emission order).
-	lv := ctx.level(depth)
-	items := lv.items[:0]
-	for _, r := range t.ranks {
-		if t.cnt[r] >= ctx.minsup {
-			items = append(items, r)
+	for i := len(lv.ranks) - 1; i >= 0; i-- {
+		r := lv.ranks[i]
+		top := len(ctx.bits)
+		mask := ctx.push(lv.words)
+		m := ctx.bits[mask : mask+lv.words]
+		parent, row := ctx.bits[lv.mask:lv.mask+lv.words], ctx.row(lv, lv.rows[i])
+		support := 0
+		for k := range m {
+			m[k] = parent[k] & row[k]
+			support += bits.OnesCount64(m[k])
 		}
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if t.cnt[items[i]] != t.cnt[items[j]] {
-			return t.cnt[items[i]] < t.cnt[items[j]]
+		*out = append(*out, Itemset{Items: append(slices.Clip(ctx.suffix), ctx.order[r]), Support: support})
+		ranks, rows := child.ranks[:0], child.rows[:0]
+		for j, x := range lv.ranks[:i] {
+			if ctx.count(lv, m, lv.rows[j]) >= ctx.minsup {
+				ranks = append(ranks, x)
+				rows = append(rows, lv.rows[j])
+			}
 		}
-		return ctx.order[items[i]] > ctx.order[items[j]]
-	})
-	lv.items = items
-	for _, r := range items {
-		newSuffix := make([]int, 0, len(ctx.suffix)+1)
-		newSuffix = append(newSuffix, ctx.suffix...)
-		newSuffix = append(newSuffix, ctx.order[r])
-		*out = append(*out, Itemset{Items: newSuffix, Support: t.cnt[r]})
-
-		if len(ctx.conditionalCounts(t, r)) == 0 {
-			ctx.clearCounts()
-			continue
+		child.ranks, child.rows = ranks, rows
+		var err error
+		if len(ranks) > 0 {
+			child.base, child.words, child.mask = lv.base, lv.words, mask
+			ctx.suffix = append(ctx.suffix, ctx.order[r])
+			err = ctx.mineAll(depth+1, out)
+			ctx.suffix = ctx.suffix[:len(ctx.suffix)-1]
 		}
-		cond := ctx.getTree()
-		ctx.buildConditional(t, r, cond)
-		ctx.suffix = append(ctx.suffix, ctx.order[r])
-		err := ctx.mineTree(cond, depth+1, out)
-		ctx.suffix = ctx.suffix[:len(ctx.suffix)-1]
-		ctx.putTree(cond)
+		ctx.bits = ctx.bits[:top]
 		if err != nil {
 			return err
 		}
@@ -173,43 +190,37 @@ func (ctx *mineCtx) mineTree(t *flatTree, depth int, out *[]Itemset) error {
 	return nil
 }
 
-// maxSinglePathItems bounds the frequent single-path prefix
-// emitPathCombinations will enumerate: a path of n frequent nodes implies
-// 2^n-1 itemsets, and the historical `1 << len(path)` mask overflowed int
-// at 63 nodes, silently emitting nothing; past the bound Mine fails
-// instead. 62 keeps the mask arithmetic exact in a uint64 while staying
-// far beyond anything enumerable in practice.
+// maxSinglePathItems bounds the itemsets a nested chain's combinations
+// reach: a chain of n ranks under an itemset of s items implies 2^n-1
+// itemsets of up to s+n items, and past s+n = 62 Mine fails instead of
+// enumerating them. The bound counts the suffix so that a root path of 63
+// ranks is refused as a whole, however the top-level ranks split it; 62
+// also keeps the combination mask exact in a uint64.
 const maxSinglePathItems = 62
 
-// emitPathCombinations emits every non-empty combination of a single-path
-// tree's nodes, appended to the current suffix, with the support of the
-// deepest node in the combination. It refuses a path of more than
-// maxSinglePathItems frequent nodes.
-func (ctx *mineCtx) emitPathCombinations(t *flatTree, nodes []int32, out *[]Itemset) error {
-	// Filter path nodes below minsup (the path is count-monotonic
-	// decreasing, so frequent nodes form a prefix).
-	n := 0
-	for n < len(nodes) && t.count[nodes[n]] >= ctx.minsup {
-		n++
-	}
-	nodes = nodes[:n]
-	if len(nodes) > maxSinglePathItems {
+// emitChain emits every non-empty combination of lv's ranks, a nested
+// chain, appended to the suffix, with the support of the deepest rank in
+// the combination. It refuses a chain that with the suffix holds more
+// than maxSinglePathItems ranks.
+func (ctx *mineCtx) emitChain(lv *bitLevel, out *[]Itemset) error {
+	n := len(ctx.suffix) + len(lv.ranks)
+	if n > maxSinglePathItems {
 		return fmt.Errorf(
 			"fpgrowth: single-path tree with %d frequent nodes implies 2^%d-1 itemsets; refusing to enumerate more than 2^%d",
-			len(nodes), len(nodes), maxSinglePathItems)
+			n, n, maxSinglePathItems)
 	}
-	total := uint64(1) << uint(len(nodes))
-	for mask := uint64(1); mask < total; mask++ {
-		items := make([]int, 0, len(ctx.suffix)+len(nodes))
+	m := ctx.bits[lv.mask : lv.mask+lv.words]
+	sups := make([]int, len(lv.ranks))
+	for j, row := range lv.rows {
+		sups[j] = ctx.count(lv, m, row)
+	}
+	for set := uint64(1); set < 1<<len(lv.ranks); set++ {
+		items := make([]int, 0, len(ctx.suffix)+bits.OnesCount64(set))
 		items = append(items, ctx.suffix...)
-		sup := 0
-		for i := 0; i < len(nodes); i++ {
-			if mask&(1<<uint(i)) != 0 {
-				items = append(items, ctx.order[t.item[nodes[i]]])
-				sup = t.count[nodes[i]] // deepest selected node
-			}
+		for b := set; b != 0; b &= b - 1 {
+			items = append(items, ctx.order[lv.ranks[bits.TrailingZeros64(b)]])
 		}
-		*out = append(*out, Itemset{Items: items, Support: sup})
+		*out = append(*out, Itemset{Items: items, Support: sups[bits.Len64(set)-1]})
 	}
 	return nil
 }

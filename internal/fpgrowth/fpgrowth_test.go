@@ -383,21 +383,26 @@ func TestSinglePathCombinations(t *testing.T) {
 	}
 }
 
-// TestEmitPathCombinationsOverflowGuard is the regression test for the
-// historical `1 << len(path)` int overflow: a single path of >= 63
-// frequent nodes used to overflow the mask bound and silently emit
-// nothing. Mine now refuses with an error instead.
+// TestEmitPathCombinationsOverflowGuard: a chain of n nested ranks under
+// an itemset of s items implies 2^n-1 itemsets, and Mine refuses to
+// enumerate them once s+n passes 62 (the historical `1 << len(path)` mask
+// overflowed int at 63 path nodes and silently emitted nothing). A lone
+// 70-item transaction is refused, and so is a 63-item one: its deepest
+// rank's chain is the other 62 ranks, so a bound on the chain alone would
+// set out to enumerate 2^62 itemsets.
 func TestEmitPathCombinationsOverflowGuard(t *testing.T) {
-	long := make([]int, 70)
-	for i := range long {
-		long[i] = i
-	}
-	got, err := NewMiner([][]int{long}).Mine(1, nil)
-	if err == nil || !strings.Contains(err.Error(), "refusing to enumerate") {
-		t.Fatalf("Mine over a 70-node single path: err = %v, want a refusal", err)
-	}
-	if got != nil {
-		t.Fatalf("Mine returned %d itemsets alongside its error", len(got))
+	for _, n := range []int{70, 63} {
+		long := make([]int, n)
+		for i := range long {
+			long[i] = i
+		}
+		got, err := NewMiner([][]int{long}).Mine(1, nil)
+		if err == nil || !strings.Contains(err.Error(), "refusing to enumerate") {
+			t.Fatalf("Mine over a %d-item single path: err = %v, want a refusal", n, err)
+		}
+		if got != nil {
+			t.Fatalf("Mine over a %d-item single path returned %d itemsets alongside its error", n, len(got))
+		}
 	}
 }
 

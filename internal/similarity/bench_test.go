@@ -10,7 +10,7 @@ import (
 func BenchmarkJaro(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Jaro("Capelluto", "Capeluto")
+		jaro("Capelluto", "Capeluto")
 	}
 }
 

@@ -129,7 +129,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 		}
 		q = 1 + q%8
 
-		if got, want := Jaro(a, b), jaroRef(a, b); got != want {
+		if got, want := jaro(a, b), jaroRef(a, b); got != want {
 			t.Fatalf("Jaro(%q, %q) = %v, reference %v", a, b, got, want)
 		}
 		if got, want := JaroWinkler(a, b), jaroWinklerRef(a, b); got != want {

@@ -8,6 +8,17 @@ import (
 	"unsafe"
 )
 
+// jaro is the Jaro similarity of two strings in [0,1], dispatched as
+// JaroWinkler dispatches it: the byte kernel for two ASCII strings, the
+// rune kernel otherwise. Empty strings are similar (1) to each other and
+// dissimilar (0) to non-empty strings.
+func jaro(a, b string) float64 {
+	if isASCII(a) && isASCII(b) {
+		return jaroASCII(a, b)
+	}
+	return jaroRunes([]rune(a), []rune(b))
+}
+
 // TestJaroShortStrings pins the len ≤ 1 edge cases the window arithmetic
 // must handle without a negative clamp: two single-rune strings have a
 // zero matching window, so only equal runes match.
@@ -26,10 +37,10 @@ func TestJaroShortStrings(t *testing.T) {
 		{"", "", 1},
 	}
 	for _, c := range cases {
-		if got := Jaro(c.a, c.b); math.Abs(got-c.want) > 1e-15 {
+		if got := jaro(c.a, c.b); math.Abs(got-c.want) > 1e-15 {
 			t.Errorf("Jaro(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
 		}
-		if rev := Jaro(c.b, c.a); rev != Jaro(c.a, c.b) {
+		if rev := jaro(c.b, c.a); rev != jaro(c.a, c.b) {
 			t.Errorf("Jaro(%q, %q) asymmetric", c.a, c.b)
 		}
 	}
@@ -44,7 +55,7 @@ func TestJaroWinklerShortStrings(t *testing.T) {
 		t.Errorf("JaroWinkler(a,b) = %v, want 0", got)
 	}
 	// One shared prefix rune: jaro=0.8333…, boosted by 0.1*(1-j).
-	j := Jaro("a", "ab")
+	j := jaro("a", "ab")
 	want := j + 0.1*(1-j)
 	if got := JaroWinkler("a", "ab"); math.Abs(got-want) > 1e-15 {
 		t.Errorf("JaroWinkler(a,ab) = %v, want %v", got, want)
@@ -120,7 +131,7 @@ func TestSelfSimilarityIsExactlyOne(t *testing.T) {
 		randASCII(41, 3), "Ottolenghi-Mandelbaum-Rosenthal-Capelluto-Foa",
 		"żółć gęślą jaźń — Świętochłowice, Ostrów Wielkopolski",
 	} {
-		if got := Jaro(s, s); math.Float64bits(got) != one {
+		if got := jaro(s, s); math.Float64bits(got) != one {
 			t.Errorf("Jaro(%q, itself) = %v (%#x), want exactly 1", s, got, math.Float64bits(got))
 		}
 		if got := JaroWinkler(s, s); math.Float64bits(got) != one {
@@ -144,7 +155,7 @@ func TestKernelAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race (sync.Pool drops items)")
 	}
-	if n := testing.AllocsPerRun(200, func() { Jaro("Capelluto", "Capeluto") }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { jaro("Capelluto", "Capeluto") }); n != 0 {
 		t.Errorf("Jaro allocates %v per op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { JaroWinkler("Rosenthal", "Rosenthol") }); n != 0 {
@@ -159,7 +170,7 @@ func TestKernelAllocs(t *testing.T) {
 	// Long strings exercise the scratch-growth path once, then reuse.
 	long1 := randASCII(300, 1)
 	long2 := randASCII(300, 2)
-	if n := testing.AllocsPerRun(50, func() { Jaro(long1, long2) }); n != 0 {
+	if n := testing.AllocsPerRun(50, func() { jaro(long1, long2) }); n != 0 {
 		t.Errorf("Jaro(long) allocates %v per op, want 0", n)
 	}
 }
@@ -185,7 +196,7 @@ func TestKernelsConcurrent(t *testing.T) {
 	want := make(map[key]float64)
 	for i := range words {
 		for j := range words {
-			want[key{i, j}] = Jaro(words[i], words[j])
+			want[key{i, j}] = jaro(words[i], words[j])
 		}
 	}
 	var wg sync.WaitGroup
@@ -196,7 +207,7 @@ func TestKernelsConcurrent(t *testing.T) {
 			for i := range words {
 				for j := range words {
 					k := key{i, j}
-					if got := Jaro(words[i], words[j]); got != want[k] {
+					if got := jaro(words[i], words[j]); got != want[k] {
 						t.Errorf("concurrent Jaro(%q, %q) = %v, want %v", words[i], words[j], got, want[k])
 						return
 					}

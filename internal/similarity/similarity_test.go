@@ -30,7 +30,7 @@ func TestJaroKnownValues(t *testing.T) {
 		{"JELLYFISH", "SMELLYFISH", 0.896296},
 	}
 	for _, c := range cases {
-		if got := Jaro(c.a, c.b); math.Abs(got-c.want) > 1e-5 {
+		if got := jaro(c.a, c.b); math.Abs(got-c.want) > 1e-5 {
 			t.Errorf("Jaro(%q,%q) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
@@ -49,7 +49,7 @@ func TestStringSimilarityProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randWord(rng), randWord(rng)
-		for _, fn := range []func(string, string) float64{Jaro, JaroWinkler} {
+		for _, fn := range []func(string, string) float64{jaro, JaroWinkler} {
 			s := fn(a, b)
 			if s < 0 || s > 1 {
 				return false
@@ -75,10 +75,10 @@ func TestStringSimilarityProperties(t *testing.T) {
 }
 
 func TestEmptyStringEdges(t *testing.T) {
-	if Jaro("", "") != 1 || JaroWinkler("", "") != 1 {
+	if jaro("", "") != 1 || JaroWinkler("", "") != 1 {
 		t.Error("empty-empty should be 1")
 	}
-	if Jaro("", "abc") != 0 || Jaro("abc", "") != 0 {
+	if jaro("", "abc") != 0 || jaro("abc", "") != 0 {
 		t.Error("empty vs non-empty should be 0")
 	}
 }

@@ -59,15 +59,6 @@ func jaroWindow(la, lb int) int {
 	return (max(la, lb) - 2) / 2
 }
 
-// Jaro returns the Jaro similarity of two strings in [0,1]. Empty strings
-// are similar (1) to each other and dissimilar (0) to non-empty strings.
-func Jaro(a, b string) float64 {
-	if isASCII(a) && isASCII(b) {
-		return jaroASCII(a, b)
-	}
-	return jaroRunes([]rune(a), []rune(b))
-}
-
 // jaroEmpty is the Jaro similarity when a string of length la or lb is
 // empty: 1 for two empty strings, 0 otherwise.
 func jaroEmpty(la, lb int) float64 {

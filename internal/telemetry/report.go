@@ -98,23 +98,6 @@ type ScoringReport struct {
 	Scores *HistogramSnapshot `json:"scores,omitempty"`
 }
 
-// StripTimings zeroes every duration in place — golden tests compare
-// report shape and counts, never wall clock.
-func (r *RunReport) StripTimings() {
-	if r == nil {
-		return
-	}
-	for i := range r.Stages {
-		r.Stages[i].DurationNS = 0
-	}
-	if r.Blocking != nil {
-		for i := range r.Blocking.Iterations {
-			r.Blocking.Iterations[i].Elapsed = 0
-		}
-	}
-	r.Spans.StripTimings()
-}
-
 // WriteFile writes the report, indented JSON, to path (the CLIs'
 // -report flag).
 func (r *RunReport) WriteFile(path string) error {

@@ -42,8 +42,6 @@ func TestNilSafety(t *testing.T) {
 	p.Add(5)
 	p.Start()
 	p.Stop()
-	var st *SpanTree
-	st.StripTimings()
 }
 
 // TestTreeShape builds a small run → stage → iteration hierarchy and
@@ -195,21 +193,39 @@ func TestCanonicalSortsSiblings(t *testing.T) {
 	}
 }
 
-// TestStripTimings pins the golden-report form: shape and attrs survive,
-// wall clock does not.
+// stripTimings zeroes every start offset and duration in place, and drops
+// the sampler: the form a golden compares, span shape and counters
+// without wall clock.
+func stripTimings(st *SpanTree) {
+	var walk func(*Node)
+	walk = func(n *Node) {
+		n.StartNS = 0
+		n.DurationNS = 0
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	for _, r := range st.Roots {
+		walk(r)
+	}
+	st.Sampler = nil
+}
+
+// TestStripTimings pins the golden form stripTimings gives a tree: shape
+// and attrs survive, wall clock does not.
 func TestStripTimings(t *testing.T) {
 	tr := New()
 	run := tr.StartSpan(nil, "run", WithKind(KindRun)).Attr("records", 9)
 	run.Child("stage", WithKind(KindStage)).End()
 	run.End()
 	tree := tr.Tree(Full)
-	tree.StripTimings()
+	stripTimings(tree)
 	if tree.Roots[0].StartNS != 0 || tree.Roots[0].DurationNS != 0 ||
 		tree.Roots[0].Children[0].DurationNS != 0 {
-		t.Fatal("timings survived StripTimings")
+		t.Fatal("timings survived stripTimings")
 	}
 	if tree.Roots[0].Attrs["records"] != 9 {
-		t.Fatal("attrs did not survive StripTimings")
+		t.Fatal("attrs did not survive stripTimings")
 	}
 }
 

@@ -90,28 +90,6 @@ func (t *Tracer) Tree(mode TreeMode) *SpanTree {
 	return tree
 }
 
-// StripTimings zeroes every start offset and duration in place — golden
-// report tests compare span shape and counters, never wall clock.
-func (st *SpanTree) StripTimings() {
-	if st == nil {
-		return
-	}
-	var walk func(*Node)
-	walk = func(n *Node) {
-		n.StartNS = 0
-		n.DurationNS = 0
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	for _, r := range st.Roots {
-		walk(r)
-	}
-	if st.Sampler != nil {
-		st.Sampler = nil
-	}
-}
-
 // canonicalize prunes variable-cardinality subtrees, zeroes timings,
 // and sorts siblings by (kind, name, attrs) — a total order over the
 // deterministic spans, since sibling iterations differ in their minsup
