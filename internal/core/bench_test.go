@@ -62,8 +62,8 @@ func BenchmarkScorePairs(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cache := features.NewProfileCache(features.NewExtractor(opts.Geo))
-				st, err := scoreCandidates(&opts, bs.work, candidatesOf(bs.blk, nil), cache, workers, nil)
-				if err != nil || len(st.matches) == 0 {
+				pos, scores, _ := scoringColumns(bs.work, bs.blk, bs.blk.EachPair)
+				if st := scoreCandidates(&opts, bs.work, pos, scores, cache, workers, nil); len(st.matches) == 0 {
 					b.Fatal("no matches scored")
 				}
 			}

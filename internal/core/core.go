@@ -201,16 +201,18 @@ func wireDefaults(opts *Options) {
 // per-stage telemetry breakdown (attached to the Resolution as Report)
 // and deriving its registry metrics from it at the end. It is
 // RunStream over a CollectionSource with the full records retained;
-// candidate pairs stay in memory (Blocking.Pairs, PairScores) unless
-// they outgrow the spill cap (Blocking.SpillPairs).
+// candidate pairs stay in memory (Blocking.Pairs, PairScores and the
+// position columns the scoring stage reads in place) unless they outgrow
+// the spill cap (Blocking.SpillPairs).
 func Run(opts Options, coll *record.Collection) (*Resolution, error) {
 	return RunStream(StreamOptions{Options: opts, RetainRecords: true}, NewCollectionSource(coll))
 }
 
 // resolve runs the pipeline's back half — scoring and ranking — over a
 // finished blocking result, then assembles the Resolution and its
-// report. Spilled and resident candidate sets take the same path from
-// this point on.
+// report. The scoring stage reads two aligned columns (scoringColumns):
+// a resident result's own, or a spilled result's merge converted to
+// positions once; from there both take the same path.
 func resolve(opts *Options, report *telemetry.RunReport, stages *stageRunner, work *record.Collection, blk *mfiblocks.Result) (*Resolution, error) {
 	res := &Resolution{
 		Blocking:   blk,
@@ -221,14 +223,19 @@ func resolve(opts *Options, report *telemetry.RunReport, stages *stageRunner, wo
 	}
 
 	var st scoreResult
+	var candidates int
 	if err := stages.run("scoring", func(sp *trace.Span) error {
-		// A spilled run learns its distinct-pair total only at the merge.
-		opts.Progress.Stage("scoring", int64(len(blk.Pairs)))
-		var err error
-		st, err = scoreCandidates(opts, work, candidatesOf(blk, sp), res.profiles, opts.workers(), sp)
+		if blk.Spill != nil {
+			blk.Spill.Trace = sp // the merge's open span lands under the stage
+		}
+		// EachPair reads a spilled result's merge to its end and closes it.
+		pos, scores, err := scoringColumns(work, blk, blk.EachPair)
 		if err != nil {
 			return fmt.Errorf("core: scoring: %w", err)
 		}
+		candidates = len(pos)
+		opts.Progress.Stage("scoring", int64(candidates))
+		st = scoreCandidates(opts, work, pos, scores, res.profiles, opts.workers(), sp)
 		res.Matches = st.matches
 		return nil
 	}); err != nil {
@@ -244,7 +251,7 @@ func resolve(opts *Options, report *telemetry.RunReport, stages *stageRunner, wo
 		return nil, err
 	}
 
-	report.Blocking = blockingReport(blk, st.candidates)
+	report.Blocking = blockingReport(blk, candidates)
 	report.Scoring = scoringReport(&st, res.profiles.Extractor())
 	stages.root.Attr("matches", int64(len(res.Matches))).End()
 	if opts.Trace != nil {
@@ -258,10 +265,11 @@ func resolve(opts *Options, report *telemetry.RunReport, stages *stageRunner, wo
 }
 
 // blockingReport converts the blocking result into its report form.
-// pairs is the distinct candidate count the scoring stage read: a
-// spilled run learns it only at the merge. The iterations are copied:
-// the report is a value of its own, which a reader may edit in place
-// (the report golden zeroes its durations) without touching the result's.
+// pairs is the length of the scoring stage's columns: a spilled run
+// learns its distinct candidate count only at the merge. The iterations
+// are copied: the report is a value of its own, which a reader may edit
+// in place (the report golden zeroes its durations) without touching
+// the result's.
 func blockingReport(blk *mfiblocks.Result, pairs int) *telemetry.BlockingReport {
 	br := &telemetry.BlockingReport{Iterations: slices.Clone(blk.Iterations), Pairs: pairs}
 	if blk.Spill != nil {

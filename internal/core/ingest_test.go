@@ -59,15 +59,13 @@ func serialIngest(opts StreamOptions, records []*record.Record) ingested {
 	return readIngested(opts, corpus, kept, records)
 }
 
-// readIngested reads the corpus back. Encoding every source record maps
-// each item the records carry to its id, and so the dictionary's keys;
-// the frequencies are read through the pruning rule, at fractions from
-// its own up to half the items.
+// readIngested reads the corpus back. The frequencies are read through
+// the pruning rule, at fractions from its own up to half the items.
+// Observing every source record again, last, maps each item the records
+// carry to its id, and so the dictionary's keys; it changes only the
+// frequencies, which have been read by then.
 func readIngested(opts StreamOptions, corpus *mfiblocks.Corpus, kept, records []*record.Record) ingested {
 	var out ingested
-	for _, r := range records {
-		out.encoded = append(out.encoded, corpus.Dict.Encode(preprocessRecord(r, opts.Gazetteer)))
-	}
 	for id := 0; id < corpus.Dict.Len(); id++ {
 		out.types = append(out.types, corpus.Dict.TypeOf(id))
 	}
@@ -78,6 +76,9 @@ func readIngested(opts StreamOptions, corpus *mfiblocks.Corpus, kept, records []
 	}
 	for i := 0; i < corpus.Len(); i++ {
 		out.txns = append(out.txns, corpus.Txns.Txn(i))
+	}
+	for _, r := range records {
+		out.encoded = append(out.encoded, corpus.Dict.Observe(preprocessRecord(r, opts.Gazetteer)))
 	}
 	out.bookIDs, out.kept = corpus.BookIDs, kept
 	return out

@@ -169,7 +169,8 @@ func TestLazyScoreMatchesFullVector(t *testing.T) {
 // TestDeferredBlockScore is the row for the model without the Cls
 // condition, resident at eight workers and spilled at two: every
 // candidate SameSrc keeps is scored and ranked, and the block score it
-// gets must be its own, from a PairScores probe or carried by the merge;
+// gets must be its own, from the result's block score column or the
+// column converted from the merge;
 // the features evaluated are the spec's, the same as with Cls on.
 func TestDeferredBlockScore(t *testing.T) {
 	fx := specItaly(t)
@@ -217,12 +218,14 @@ func TestScoringAllocs(t *testing.T) {
 	// The candidates, repeated to fill at least 64 chunks, are scored on
 	// two workers. Beyond what a profile build of the same cache
 	// allocates, the call may allocate its memos (512 KiB each, one per
-	// worker), its buffers and its matches, but nothing near one memo per
+	// worker) and its matches, but nothing near one memo per
 	// chunk (32 MiB).
 	var pairs []record.Pair
 	for len(pairs) < 64*scoreChunkSize {
 		pairs = append(pairs, res.Blocking.Pairs...)
 	}
+	repeated := &mfiblocks.Result{Pairs: pairs, PairScores: res.Blocking.PairScores}
+	pos, blockScores, _ := scoringColumns(res.Collection, repeated, eachResident(repeated))
 	cache := features.NewProfileCache(scoringExtractor(&opts))
 	cache.Build(res.Collection, 1) // fills the value table; later builds derive nothing
 	allocated := func(f func()) int64 {
@@ -234,9 +237,7 @@ func TestScoringAllocs(t *testing.T) {
 	}
 	build := allocated(func() { cache.Build(res.Collection, 1) })
 	scoring := allocated(func() {
-		if _, err := scoreCandidates(&opts, res.Collection, residentPairs(&mfiblocks.Result{Pairs: pairs}), cache, 2, nil); err != nil {
-			t.Fatal(err)
-		}
+		scoreCandidates(&opts, res.Collection, pos, blockScores, cache, 2, nil)
 	})
 	if extra := scoring - build; extra > 8<<20 {
 		t.Errorf("scoring %d candidates on 2 workers allocates %d B beyond its profile build (%d B): more than one kernel memo per worker", len(pairs), extra, build)

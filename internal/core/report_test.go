@@ -9,13 +9,13 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/features"
 	"repro/internal/mfiblocks"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -245,23 +245,37 @@ func assertReportIdentities(t *testing.T, tag string, opts Options, res *Resolut
 	}
 
 	// scoring.chunks = ⌈pairs/512⌉: re-score a fresh blocking result of
-	// the same collection through a source that counts the workers' pulls.
+	// the same collection under a span and read the candidates each
+	// worker claimed off its score_worker span. The workers claim whole
+	// chunks off one cursor, so at most one of them ends on a partial
+	// chunk, and their chunk counts sum to ⌈pairs/512⌉.
 	cfg := opts.Blocking
 	cfg.Workers = opts.Workers
 	again, err := mfiblocks.Run(cfg, res.Collection)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
-	src := &chunkCounter{candidateSource: candidatesOf(again, nil)}
-	st, err := scoreCandidates(&opts, res.Collection, src, features.NewProfileCache(features.NewExtractor(opts.Geo)), opts.Workers, nil)
+	pos, scores, err := scoringColumns(res.Collection, again, again.EachPair)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
-	if st.candidates != br.Pairs {
-		t.Fatalf("%s: re-scored %d candidates, the run %d", tag, st.candidates, br.Pairs)
+	tr := trace.New()
+	sp := tr.StartSpan(nil, "scoring")
+	scoreCandidates(&opts, res.Collection, pos, scores, features.NewProfileCache(features.NewExtractor(opts.Geo)), opts.Workers, sp)
+	sp.End()
+	var claimed, chunks, workers int64
+	for _, n := range tr.Tree(trace.Full).Roots[0].Children {
+		if n.Name == "score_worker" {
+			workers++
+			claimed += n.Attrs["pairs"]
+			chunks += (n.Attrs["pairs"] + scoreChunkSize - 1) / scoreChunkSize
+		}
 	}
-	if want := (br.Pairs + scoreChunkSize - 1) / scoreChunkSize; src.chunks.Load() != int64(want) {
-		t.Errorf("%s: %d chunks for %d candidates, want %d", tag, src.chunks.Load(), br.Pairs, want)
+	if workers != int64(opts.Workers) || claimed != int64(br.Pairs) {
+		t.Fatalf("%s: %d workers claimed %d candidates, the run had %d and %d", tag, workers, claimed, opts.Workers, br.Pairs)
+	}
+	if want := (br.Pairs + scoreChunkSize - 1) / scoreChunkSize; chunks != int64(want) {
+		t.Errorf("%s: %d chunks for %d candidates, want %d", tag, chunks, br.Pairs, want)
 	}
 }
 
@@ -275,20 +289,6 @@ func holdsProfiles(c *features.ProfileCache, n int) bool {
 		return true
 	}
 	return (n == 0 || get(n-1)) && !get(n)
-}
-
-// chunkCounter counts the non-empty pulls the scoring workers make.
-type chunkCounter struct {
-	candidateSource
-	chunks atomic.Int64
-}
-
-func (c *chunkCounter) next(buf []candidate) (int, error) {
-	n, err := c.candidateSource.next(buf)
-	if n > 0 {
-		c.chunks.Add(1)
-	}
-	return n, err
 }
 
 // TestPublishedFamiliesMatchReport: the registry view of a run is derived

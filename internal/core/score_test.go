@@ -6,7 +6,7 @@ import (
 	"math/bits"
 	"os"
 	"runtime"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,62 +28,47 @@ func TestNoModelBuildsNoProfiles(t *testing.T) {
 	checkRow(t, specPipeline(t, opts, fx.gen.Collection), opts, fx.gen.Collection, fromCollection(fx.gen.Collection), false, 2)
 }
 
-// failingSource yields full chunks of one pair and fails from its third
-// pull on.
-type failingSource struct {
-	pair          record.Pair
-	mu            sync.Mutex
-	pulls, closes int
-}
-
 var errSourceBroke = errors.New("run file went away")
 
-func (s *failingSource) next(buf []candidate) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pulls++
-	if s.pulls >= 3 {
-		return 0, errSourceBroke
-	}
-	for i := range buf {
-		buf[i] = candidate{pair: s.pair, blockScore: 1}
-	}
-	return len(buf), nil
-}
-
-func (*failingSource) blockScore(c *candidate) float64 { return c.blockScore }
-
-func (s *failingSource) close() error {
-	s.closes++
-	return nil
-}
-
-// TestScorerSourceError: when the candidate source fails mid-stream the
-// scorer returns the error, closes the source exactly once, and every
-// worker has exited by the time it returns.
+// TestScorerSourceError: a pair iterator that fails part-way makes the
+// conversion to positions return its error as it is; a spilled result
+// whose merge fails makes resolve, the back half of Run and RunStream,
+// return that error as "core: scoring: …" with no goroutine left behind.
 func TestScorerSourceError(t *testing.T) {
 	fx := newFixture(t, 60)
 	work := fx.gen.Collection
 	pair := record.MakePair(work.Records[0].BookID, work.Records[1].BookID)
-	opts := Options{}
+	failing := func(fn func(record.Pair, float64)) error {
+		fn(pair, 1)
+		return errSourceBroke
+	}
+	if _, _, err := scoringColumns(work, &mfiblocks.Result{}, failing); err != errSourceBroke {
+		t.Fatalf("conversion: err = %v, want the iterator's own error", err)
+	}
+
 	for _, workers := range []int{1, 4} {
+		opts := Options{Blocking: mfiblocks.NewConfig(), Workers: workers}
+		opts.Blocking.SpillPairs, opts.Blocking.SpillDir = 16, t.TempDir()
+		blk, err := mfiblocks.Run(opts.Blocking, work)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blk.Spill == nil || blk.Spill.Stats().Runs == 0 {
+			t.Fatalf("workers=%d: the run did not spill", workers)
+		}
+		// Closing a copy closes the run files the accumulator still
+		// holds, so its merge fails to rewind them, as a run file gone
+		// bad would.
+		dup := *blk.Spill
+		dup.Close()
 		baseline := runtime.NumGoroutine()
-		src := &failingSource{pair: pair}
-		cache := features.NewProfileCache(features.NewExtractor(nil))
-		_, err := scoreCandidates(&opts, work, src, cache, workers, nil)
-		if !errors.Is(err, errSourceBroke) {
-			t.Errorf("workers=%d: err = %v, want the source's error", workers, err)
+		report := &telemetry.RunReport{}
+		_, err = resolve(&opts, report, &stageRunner{report: report}, work, blk)
+		if err == nil || !strings.HasPrefix(err.Error(), "core: scoring: spill: ") {
+			t.Errorf("workers=%d: err = %v, want the merge's error as core: scoring: …", workers, err)
 		}
-		if src.closes != 1 {
-			t.Errorf("workers=%d: source closed %d times, want once", workers, src.closes)
-		}
-		// A worker already inside next when the failure lands finishes
-		// that pull; none starts another.
-		if src.pulls < 3 || src.pulls > 3+workers-1 {
-			t.Errorf("workers=%d: source pulled %d times, want no worker to pull again after the failure", workers, src.pulls)
-		}
-		// The workers are joined before scoreCandidates returns; give the
-		// runtime a moment to retire their goroutines.
+		// Give the runtime a moment to retire any goroutine resolve
+		// started.
 		deadline := time.Now().Add(2 * time.Second)
 		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)

@@ -248,12 +248,17 @@ func checkScoreCandidates(t *testing.T, fx *specFixture, blk *mfiblocks.Result, 
 	}
 }
 
-// shuffled returns blk with its candidate pairs in a seeded random order.
+// shuffled returns blk with its candidates in a seeded random order: the
+// pairs and their position and block score columns move together.
 func shuffled(blk *mfiblocks.Result) *mfiblocks.Result {
 	out := *blk
 	out.Pairs = slices.Clone(blk.Pairs)
+	out.PairPositions = slices.Clone(blk.PairPositions)
+	out.PairBlockScores = slices.Clone(blk.PairBlockScores)
 	rand.New(rand.NewSource(5)).Shuffle(len(out.Pairs), func(i, j int) {
 		out.Pairs[i], out.Pairs[j] = out.Pairs[j], out.Pairs[i]
+		out.PairPositions[i], out.PairPositions[j] = out.PairPositions[j], out.PairPositions[i]
+		out.PairBlockScores[i], out.PairBlockScores[j] = out.PairBlockScores[j], out.PairBlockScores[i]
 	})
 	return &out
 }
@@ -289,8 +294,8 @@ func TestPipelineMatchesSpec(t *testing.T) {
 }
 
 // TestScorerSourceEquivalence is the deployed fixture's row for Run with
-// its candidates spilled, at eight workers: the merge is the scoring
-// stage's other candidate source.
+// its candidates spilled, at eight workers: the merge, converted to
+// positions once, is the scoring stage's other input.
 func TestScorerSourceEquivalence(t *testing.T) {
 	fx := specItaly(t)
 	opts := fx.opts
@@ -398,15 +403,14 @@ func TestScoreCandidatesOrderAndWorkers(t *testing.T) {
 	checkScoreCandidates(t, fx, shuffled(fx.spec.blocking), 2, 8)
 }
 
-// TestScoringReadsPositions: the scoring stage reads a resident result's
-// candidates by the positions blocking recorded, and only a candidate
-// whose positions do not name its reports in the collection scored takes
-// the BookID path — with the same output. Resident Run's own blocking
-// result and collection, in record order and in reverse, and
-// ScoreCandidates over the collection the result came from, take it for
-// no candidate; the candidates shuffled
-// out of line with their columns, a collection in another record order
-// and columns cut short take it, and still rank the spec's matches.
+// TestScoringReadsPositions: the scoring stage reads a result's own
+// position and block score columns in place whenever they are complete
+// and index the scored collection's record order, and converts BookIDs
+// to positions once otherwise, with the same ranking either way. Run's
+// own result, in record order and in reverse, and the spec's result, as
+// emitted and shuffled, are read in place; a collection in another
+// record order and columns cut short are converted, and still rank the
+// spec's matches.
 func TestScoringReadsPositions(t *testing.T) {
 	fx := specItaly(t)
 	opts := fx.opts
@@ -421,6 +425,18 @@ func TestScoringReadsPositions(t *testing.T) {
 		}
 		return out
 	}
+	// inPlace reports whether scoring blk over work reads blk's own
+	// column slices.
+	inPlace := func(work *record.Collection, blk *mfiblocks.Result) bool {
+		pos, scores, err := scoringColumns(work, blk, eachResident(blk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pos) != len(blk.Pairs) || len(scores) != len(blk.Pairs) || len(pos) == 0 {
+			t.Fatalf("%d positions and %d block scores for %d candidates", len(pos), len(scores), len(blk.Pairs))
+		}
+		return &pos[0] == &blk.PairPositions[0] && &scores[0] == &blk.PairBlockScores[0]
+	}
 	// In reverse record order a pair's lower BookID is its later
 	// position.
 	for _, coll := range []*record.Collection{fx.gen.Collection, reverse(fx.gen.Collection)} {
@@ -428,40 +444,32 @@ func TestScoringReadsPositions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := scoreCandidates(&opts, res.Collection, candidatesOf(res.Blocking, nil), features.NewProfileCache(scoringExtractor(&opts)), 2, nil)
-		if err != nil {
-			t.Fatal(err)
+		if res.Blocking.Spill != nil || !inPlace(res.Collection, res.Blocking) {
+			t.Fatal("Run's own result is not scored from its own columns")
 		}
-		if st.byID != 0 || st.candidates != len(res.Blocking.Pairs) {
-			t.Fatalf("Run's own result: %d of %d candidates by BookID, want 0", st.byID, st.candidates)
-		}
-	}
-	if st := scoreResident(&opts, work, blk); st.byID != 0 || !slices.Equal(st.matches, fx.spec.matches) {
-		t.Fatalf("ScoreCandidates: %d candidates by BookID, want 0; matches equal the spec's: %v", st.byID, slices.Equal(st.matches, fx.spec.matches))
 	}
 
-	reorderedWork := reverse(work)
 	cut := *blk
 	cut.PairPositions = cut.PairPositions[:len(cut.PairPositions)-1]
 	for _, row := range []struct {
-		name string
-		work *record.Collection
-		blk  *mfiblocks.Result
-		all  bool // every candidate by BookID
+		name    string
+		work    *record.Collection
+		blk     *mfiblocks.Result
+		inPlace bool
 	}{
-		{"shuffled", work, shuffled(blk), false},
-		{"reordered collection", reorderedWork, blk, false},
-		{"columns cut short", work, &cut, true},
+		{"as emitted", work, blk, true},
+		{"shuffled", work, shuffled(blk), true},
+		{"reordered collection", reverse(work), blk, false},
+		{"columns cut short", work, &cut, false},
 	} {
+		if got := inPlace(row.work, row.blk); got != row.inPlace {
+			t.Fatalf("%s: columns read in place %v, want %v", row.name, got, row.inPlace)
+		}
 		for _, w := range []int{1, 8} {
 			o := opts
 			o.Workers = w
-			st := scoreResident(&o, row.work, row.blk)
-			if st.byID == 0 || row.all && st.byID != len(blk.Pairs) {
-				t.Fatalf("%s, workers=%d: %d of %d candidates by BookID", row.name, w, st.byID, len(blk.Pairs))
-			}
-			if !slices.Equal(st.matches, fx.spec.matches) {
-				t.Fatalf("%s, workers=%d: %d matches diverge from the spec's %d", row.name, w, len(st.matches), len(fx.spec.matches))
+			if got := ScoreCandidates(o, row.work, row.blk); !slices.Equal(got, fx.spec.matches) {
+				t.Fatalf("%s, workers=%d: %d matches diverge from the spec's %d", row.name, w, len(got), len(fx.spec.matches))
 			}
 		}
 	}

@@ -74,8 +74,9 @@ func (o *StreamOptions) Validate() error {
 
 // RunStream executes the pipeline over a record stream: ingest (read,
 // preprocess on the worker pool, encode in record order), blocking over
-// the encoded corpus, then resolve (scoring over the resident or
-// disk-spilled candidate set, ranking, report assembly). It is the one
+// the encoded corpus, then resolve (scoring over two position columns —
+// a resident result's own, or a disk-spilled merge converted to
+// positions once — ranking, report assembly). It is the one
 // pipeline body; Run is RunStream over the collection with its records
 // retained. Unless RetainRecords is set, peak memory is bounded by the
 // encoded corpus plus the blocking stage's candidate window

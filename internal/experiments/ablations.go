@@ -93,13 +93,9 @@ func (r *Runner) AblationMaximality(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	dict := record.BuildDictionary(sub)
-	txns := make([][]int, sub.Len())
-	for i, rec := range sub.Records {
-		txns[i] = dict.Encode(rec)
-	}
-	miner := fpgrowth.NewMiner(txns)
-	miner.Prune(dict.MostFrequent(0.0003))
+	corpus := mfiblocks.NewCorpus(sub)
+	miner := fpgrowth.NewMinerTxns(corpus.Txns)
+	miner.Prune(corpus.Dict.MostFrequent(0.0003))
 
 	fmt.Fprintf(w, "%-8s %12s %12s %10s %10s %8s\n", "minsup", "direct", "mine-all", "MFIs", "frequent", "equal")
 	for _, ms := range []int{4, 3, 2} {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/fpgrowth"
+	"repro/internal/mfiblocks"
 	"repro/internal/record"
 )
 
@@ -124,14 +125,10 @@ func (r *Runner) Fig12(w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 	for _, s := range sets {
-		dict := record.BuildDictionary(s.gen.Collection)
-		txns := make([][]int, s.gen.Collection.Len())
-		for i, rec := range s.gen.Collection.Records {
-			txns[i] = dict.Encode(rec)
-		}
-		miner := fpgrowth.NewMiner(txns)
+		corpus := mfiblocks.NewCorpus(s.gen.Collection)
+		miner := fpgrowth.NewMinerTxns(corpus.Txns)
 		if s.prune {
-			miner.Prune(dict.MostFrequent(0.0003))
+			miner.Prune(corpus.Dict.MostFrequent(0.0003))
 		}
 		fmt.Fprintf(w, "%-14s", s.name)
 		for _, ms := range minsups {

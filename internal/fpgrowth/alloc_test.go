@@ -14,7 +14,7 @@ import (
 
 func TestTreeBuildAllocs(t *testing.T) {
 	txns := benchTxns(2000, 800, 14)
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	allocs := testing.AllocsPerRun(20, func() {
 		m.TreeStats(3, nil)
 	})
@@ -29,7 +29,7 @@ func TestTreeBuildAllocs(t *testing.T) {
 
 func TestSupportSetAllocs(t *testing.T) {
 	txns := benchTxns(5000, 600, 14)
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	idx := m.BuildIndex()
 	mfis := m.MineMaximal(4, nil)
 	if len(mfis) == 0 {
@@ -53,7 +53,7 @@ func TestSupportSetAllocs(t *testing.T) {
 // included.
 func TestWalkerSupportAllocs(t *testing.T) {
 	txns := benchTxns(5000, 600, 14)
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	idx := m.BuildIndex()
 	var seqs [][]int32
 	for _, s := range m.MineMaximal(4, nil) {

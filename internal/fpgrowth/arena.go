@@ -35,20 +35,6 @@ func NewTransactions(nTxns, nItems int) *Transactions {
 	return t
 }
 
-// FromSlices copies a [][]int database into arena form — the adapter
-// NewMiner uses so existing slice-of-slice callers keep working.
-func FromSlices(transactions [][]int) *Transactions {
-	total := 0
-	for _, txn := range transactions {
-		total += len(txn)
-	}
-	t := NewTransactions(len(transactions), total)
-	for _, txn := range transactions {
-		t.Append(txn)
-	}
-	return t
-}
-
 // Append adds one transaction (a set of non-negative item ids, in any
 // order) and returns its index. The arena stores it ascending with
 // repeated ids dropped — every reader counts an item once per transaction

@@ -16,7 +16,7 @@ import (
 func TestRepeatedItemCountsOnce(t *testing.T) {
 	txns := [][]int{{1, 1, 2}, {1, 2}, {1, 2, 3}, {3, 4}}
 	sets := [][]int{{1, 2}, {1, 2}, {1, 2, 3}, {3, 4}}
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	want := []Itemset{{Items: []int{1, 2}, Support: 3}, {Items: []int{3}, Support: 2}}
 	if got := m.MineMaximal(2, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("MineMaximal = %v, want %v", got, want)
@@ -34,7 +34,7 @@ func TestRepeatedItemCountsOnce(t *testing.T) {
 
 	// The arena stores every transaction ascending and duplicate-free,
 	// and leaves one that already is as it came.
-	arena := FromSlices([][]int{{5, 3, 5, 1}, {1, 3, 5}, {}, {7, 7}})
+	arena := fromSlices([][]int{{5, 3, 5, 1}, {1, 3, 5}, {}, {7, 7}})
 	for i, want := range [][]int32{{1, 3, 5}, {1, 3, 5}, {}, {7}} {
 		if got := arena.Txn(i); !slices.Equal(got, want) {
 			t.Fatalf("Txn(%d) = %v, want %v", i, got, want)
@@ -128,7 +128,7 @@ func TestRankArenaMatchesRootTree(t *testing.T) {
 		for _, c := range cases {
 			for _, minsup := range []int{2, 5} {
 				label := fmt.Sprintf("%s/%s/minsup %d", name, c.name, minsup)
-				m := NewMiner(txns)
+				m := newMiner(txns)
 				m.Prune(c.prune)
 				var freq []int
 				if c.freq {
@@ -264,7 +264,7 @@ func TestStaleFreqIsAnError(t *testing.T) {
 	for _, delta := range []int{+1, -1} {
 		stale := slices.Clone(freq)
 		stale[top] += delta
-		m := NewMiner(txns)
+		m := newMiner(txns)
 		m.Workers = 4
 		before := runtime.NumGoroutine()
 		got, err := m.MineMaximalFreq(2, active, stale)

@@ -60,7 +60,7 @@ func denseTxns(seed int64, n, nLists, universe int) [][]int {
 
 func BenchmarkTreeBuild(b *testing.B) {
 	txns := benchTxns(2000, 800, 14)
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -72,7 +72,7 @@ func BenchmarkMineMaximal(b *testing.B) {
 	txns := benchTxns(2000, 800, 14)
 	for _, workers := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			m := NewMiner(txns)
+			m := newMiner(txns)
 			m.Workers = workers
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -83,7 +83,7 @@ func BenchmarkMineMaximal(b *testing.B) {
 	}
 	// The shape whose cost is the MFI store, not tree building.
 	b.Run("dense", func(b *testing.B) {
-		m := NewMiner(denseTxns(29, 600, 100, 48))
+		m := newMiner(denseTxns(29, 600, 100, 48))
 		m.Workers = 1
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -98,7 +98,7 @@ func BenchmarkMineMaximal(b *testing.B) {
 // mine of the dense fixture; the merge only reads them, so every iteration
 // sees the same input.
 func BenchmarkMaximalMerge(b *testing.B) {
-	m := NewMiner(denseTxns(29, 600, 100, 48))
+	m := newMiner(denseTxns(29, 600, 100, 48))
 	m.Workers = 4
 	stores, order := minedStores(m, 2)
 	b.ReportAllocs()
@@ -110,7 +110,7 @@ func BenchmarkMaximalMerge(b *testing.B) {
 
 func BenchmarkMineAll(b *testing.B) {
 	txns := benchTxns(800, 500, 10)
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -120,7 +120,7 @@ func BenchmarkMineAll(b *testing.B) {
 
 func BenchmarkSupportSet(b *testing.B) {
 	txns := benchTxns(5000, 600, 14)
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	idx := m.BuildIndex()
 	mfis := m.MineMaximal(4, nil)
 	if len(mfis) == 0 {
@@ -135,7 +135,7 @@ func BenchmarkSupportSet(b *testing.B) {
 
 func BenchmarkBuildIndex(b *testing.B) {
 	txns := benchTxns(5000, 600, 14)
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -11,7 +11,7 @@ import (
 // the rank -> item order. tree projects every miss as a conditional
 // FP-tree (treeform_test.go), the reference the bitmap form is held to.
 func mineSerial(txns [][]int, minsup int, tree bool) (*mineCtx, []int) {
-	a, _ := NewMiner(txns).rankArena(minsup, nil, nil)
+	a, _ := newMiner(txns).rankArena(minsup, nil, nil)
 	tc := newTreeCtx(a.order, minsup)
 	ctx := tc.mineCtx
 	ctx.store = newMFIStore(len(a.order))

@@ -29,7 +29,7 @@ func equivTxns(seed int64, n, universe, maxLen int) [][]int {
 // slice on repeated parallel calls — no scheduling leak into the output.
 func TestMineMaximalRunTwiceDeterminism(t *testing.T) {
 	txns := equivTxns(3, 800, 400, 14)
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	m.Workers = 8
 	first := m.MineMaximal(3, nil)
 	if len(first) == 0 {
@@ -64,7 +64,7 @@ func TestMineMaximalParallelMatchesBruteForce(t *testing.T) {
 		}
 		minsup := 1 + rng.Intn(3)
 		want := bruteMaximal(txns, minsup)
-		m := NewMiner(txns)
+		m := newMiner(txns)
 		m.Workers = 4
 		got := m.MineMaximal(minsup, nil)
 		if len(want) == 0 {
@@ -190,7 +190,7 @@ func FuzzMineMaximal(f *testing.F) {
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("minsup=%d workers=%d txns=%v:\nwant %v\ngot  %v", minsup, workers, txns, want, got)
 		}
-		all, frequent := mineAll(t, NewMiner(txns), minsup, nil), bruteForce(txns, minsup)
+		all, frequent := mineAll(t, newMiner(txns), minsup, nil), bruteForce(txns, minsup)
 		if len(all) != len(frequent) || !reflect.DeepEqual(canonical(all), canonical(frequent)) {
 			t.Fatalf("Mine: minsup=%d txns=%v:\nwant %v\ngot  %v", minsup, txns, frequent, all)
 		}

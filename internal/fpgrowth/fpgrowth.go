@@ -58,16 +58,9 @@ type Miner struct {
 	Workers int
 }
 
-// NewMiner builds a miner over the transactions. Each transaction is a set
-// of non-negative item ids: order is irrelevant and a repeated id counts
-// once (Transactions.Append).
-func NewMiner(transactions [][]int) *Miner {
-	return NewMinerTxns(FromSlices(transactions))
-}
-
-// NewMinerTxns builds a miner directly over an arena-form database,
-// sharing it with the caller — the zero-copy entry point for streaming
-// callers that assemble the arena incrementally.
+// NewMinerTxns builds a miner over an arena-form database, sharing it
+// with the caller: blocking mines the corpus arena its ingest stage
+// assembled, without a copy.
 func NewMinerTxns(txns *Transactions) *Miner {
 	return &Miner{txns: txns, maxItem: txns.MaxItem()}
 }

@@ -9,6 +9,25 @@ import (
 	"testing/quick"
 )
 
+// newMiner builds a miner over a [][]int database, each transaction a
+// set of non-negative item ids in any order (Transactions.Append).
+func newMiner(transactions [][]int) *Miner {
+	return NewMinerTxns(fromSlices(transactions))
+}
+
+// fromSlices copies a [][]int database into arena form.
+func fromSlices(transactions [][]int) *Transactions {
+	total := 0
+	for _, txn := range transactions {
+		total += len(txn)
+	}
+	t := NewTransactions(len(transactions), total)
+	for _, txn := range transactions {
+		t.Append(txn)
+	}
+	return t
+}
+
 // supportsByMask counts, for every subset of the item universe, the
 // transactions holding it: sup[mask] is the support of the items at the
 // mask's bits, items ascending (exponential; small universes only).
@@ -149,7 +168,7 @@ func TestMineMatchesBruteForce(t *testing.T) {
 		minsup := 1 + rng.Intn(4)
 
 		want := canonical(bruteForce(txns, minsup))
-		got := canonical(mineAll(t, NewMiner(txns), minsup, nil))
+		got := canonical(mineAll(t, newMiner(txns), minsup, nil))
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("trial %d (minsup=%d, txns=%v):\nwant %d sets\ngot  %d sets\nwant=%v\ngot=%v",
 				trial, minsup, txns, len(want), len(got), want, got)
@@ -177,7 +196,7 @@ func TestMineMaximalProperty(t *testing.T) {
 		}
 		minsup := 1 + rng.Intn(3)
 		all := bruteForce(txns, minsup)
-		mfis := NewMiner(txns).MineMaximal(minsup, nil)
+		mfis := newMiner(txns).MineMaximal(minsup, nil)
 
 		freq := canonical(all)
 		for _, m := range mfis {
@@ -213,7 +232,7 @@ func TestMineMaximalProperty(t *testing.T) {
 
 func TestMineActiveSubset(t *testing.T) {
 	txns := [][]int{{0, 1}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}}
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	// Restricted to the first two transactions, {0,1} has support 2.
 	got := mineAll(t, m, 2, []int{0, 1})
 	found := false
@@ -232,7 +251,7 @@ func TestMineActiveSubset(t *testing.T) {
 
 func TestPruneExcludesItems(t *testing.T) {
 	txns := [][]int{{0, 1}, {0, 1}, {0, 1}}
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	m.Prune([]int{0})
 	for _, s := range mineAll(t, m, 1, nil) {
 		for _, it := range s.Items {
@@ -245,7 +264,7 @@ func TestPruneExcludesItems(t *testing.T) {
 
 func TestSupportSet(t *testing.T) {
 	txns := [][]int{{0, 1}, {0, 1, 2}, {1, 2}, {0, 2}}
-	idx := NewMiner(txns).BuildIndex()
+	idx := newMiner(txns).BuildIndex()
 
 	got := idx.SupportSet([]int{0, 1})
 	if want := []int{0, 1}; !reflect.DeepEqual(got, want) {
@@ -286,7 +305,7 @@ func TestSupportSetBitsetPathsAgree(t *testing.T) {
 		}
 		sort.Ints(txns[i])
 	}
-	idx := NewMiner(txns).BuildIndex()
+	idx := newMiner(txns).BuildIndex()
 
 	naive := func(items []int) []int {
 		var out []int
@@ -341,7 +360,7 @@ func TestSupportSetMatchesMinedSupport(t *testing.T) {
 		}
 		sort.Ints(txns[i])
 	}
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	idx := m.BuildIndex()
 	for _, s := range mineAll(t, m, 2, nil) {
 		if got := len(idx.SupportSet(s.Items)); got != s.Support {
@@ -351,14 +370,14 @@ func TestSupportSetMatchesMinedSupport(t *testing.T) {
 }
 
 func TestEmptyAndDegenerateInputs(t *testing.T) {
-	if got := mineAll(t, NewMiner(nil), 2, nil); len(got) != 0 {
+	if got := mineAll(t, newMiner(nil), 2, nil); len(got) != 0 {
 		t.Errorf("empty db mined %v", got)
 	}
-	if got := mineAll(t, NewMiner([][]int{{}}), 1, nil); len(got) != 0 {
+	if got := mineAll(t, newMiner([][]int{{}}), 1, nil); len(got) != 0 {
 		t.Errorf("empty txn mined %v", got)
 	}
 	// minsup below 1 is clamped to 1.
-	got := mineAll(t, NewMiner([][]int{{3}}), 0, nil)
+	got := mineAll(t, newMiner([][]int{{3}}), 0, nil)
 	if len(got) != 1 || got[0].Support != 1 {
 		t.Errorf("clamped minsup mined %v", got)
 	}
@@ -372,7 +391,7 @@ func TestSinglePathCombinations(t *testing.T) {
 	for i := range path {
 		path[i] = i
 	}
-	got := mineAll(t, NewMiner([][]int{path}), 1, nil)
+	got := mineAll(t, newMiner([][]int{path}), 1, nil)
 	if want := 1<<16 - 1; len(got) != want {
 		t.Fatalf("single path mined %d itemsets, want %d", len(got), want)
 	}
@@ -396,7 +415,7 @@ func TestEmitPathCombinationsOverflowGuard(t *testing.T) {
 		for i := range long {
 			long[i] = i
 		}
-		got, err := NewMiner([][]int{long}).Mine(1, nil)
+		got, err := newMiner([][]int{long}).Mine(1, nil)
 		if err == nil || !strings.Contains(err.Error(), "refusing to enumerate") {
 			t.Fatalf("Mine over a %d-item single path: err = %v, want a refusal", n, err)
 		}
@@ -414,7 +433,7 @@ func TestMineMaximalLongSinglePath(t *testing.T) {
 	for i := range long {
 		long[i] = i
 	}
-	got := NewMiner([][]int{long, long}).MineMaximal(2, nil)
+	got := newMiner([][]int{long, long}).MineMaximal(2, nil)
 	if len(got) != 1 || len(got[0].Items) != 70 || got[0].Support != 2 {
 		t.Fatalf("long-path MFI = %v, want one 70-item set with support 2", got)
 	}

@@ -60,7 +60,7 @@ func mapSupport(txns [][]int, items []int) []int {
 func TestRarestFirstOrder(t *testing.T) {
 	// Posting lengths: item 0 → 3, 1 → 1, 2 → 3, 3 → 0 (absent), 4 → 1.
 	txns := [][]int{{0, 1, 2}, {0, 2}, {0, 2, 4}}
-	idx := NewMiner(txns).BuildIndex()
+	idx := newMiner(txns).BuildIndex()
 	if got, want := idx.order, []int32{3, 1, 4, 0, 2}; !slices.Equal(got, want) {
 		t.Fatalf("order = %v, want %v", got, want)
 	}
@@ -89,7 +89,7 @@ func TestDenseRule(t *testing.T) {
 			txns[ti] = append(txns[ti], 2) // len == words-1: sparse
 		}
 	}
-	idx := NewMiner(txns).BuildIndex()
+	idx := newMiner(txns).BuildIndex()
 	if idx.bits[0] == nil || idx.bits[1] == nil || idx.bits[2] != nil {
 		t.Fatalf("dense = %v/%v/%v, want true/true/false", idx.bits[0] != nil, idx.bits[1] != nil, idx.bits[2] != nil)
 	}
@@ -103,7 +103,7 @@ func TestDenseRule(t *testing.T) {
 	}
 
 	// Below the floor nothing is dense, however common.
-	small := NewMiner([][]int{{0}, {0}, {0}}).BuildIndex()
+	small := newMiner([][]int{{0}, {0}, {0}}).BuildIndex()
 	if small.bits[0] != nil {
 		t.Fatal("an item of a 3-transaction database carries a bitset")
 	}
@@ -136,7 +136,7 @@ func walkerTxns(rng *rand.Rand, nTxn int) [][]int {
 func TestWalkerMatchesSupportSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	txns := walkerTxns(rng, 6000)
-	idx := NewMiner(txns).BuildIndex()
+	idx := newMiner(txns).BuildIndex()
 	var dense, sparse int
 	for it := range idx.postings {
 		if idx.bits[it] != nil {
@@ -208,7 +208,7 @@ func TestIntersectBranches(t *testing.T) {
 			txns[ti] = append(txns[ti], 2) // 74 postings: half of them 1's
 		}
 	}
-	idx := NewMiner(txns).BuildIndex()
+	idx := newMiner(txns).BuildIndex()
 	every := func(stride int) []int {
 		var out []int
 		for ti := 0; ti < nTxn; ti += stride {
@@ -329,7 +329,7 @@ func FuzzIntersect(f *testing.F) {
 			}
 			sort.Ints(txns[ti])
 		}
-		idx := NewMiner(txns).BuildIndex()
+		idx := newMiner(txns).BuildIndex()
 
 		// The itemset: one item per input byte, at most six.
 		var items []int

@@ -24,7 +24,7 @@ func minedStores(m *Miner, minsup int) ([]*mfiStore, []int) {
 // hand each survivor on with its exact support.
 func assertSupports(t *testing.T, txns [][]int, sets []Itemset, active []int) {
 	t.Helper()
-	idx := NewMiner(txns).BuildIndex()
+	idx := newMiner(txns).BuildIndex()
 	mask := idx.ActiveMask(active)
 	for _, s := range sets {
 		if got := idx.SupportCount(s.Items, mask); got != s.Support {
@@ -37,7 +37,7 @@ func assertSupports(t *testing.T, txns [][]int, sets []Itemset, active []int) {
 // count and recounts every returned support.
 func mineWith(t *testing.T, txns [][]int, workers, minsup int, active []int) []Itemset {
 	t.Helper()
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	m.Workers = workers
 	out := m.MineMaximal(minsup, active)
 	assertSupports(t, txns, out, active)
@@ -103,7 +103,7 @@ func TestCrossStoreMergeMatchesSweep(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 8} {
 				name := fmt.Sprintf("%s minsup=%d workers=%d", fx.name, minsup, workers)
-				m := NewMiner(fx.txns)
+				m := newMiner(fx.txns)
 				m.Workers = workers
 				stores, order := minedStores(m, minsup)
 				want := sweepStores(stores, order)
@@ -178,7 +178,7 @@ func TestConditionalTreeBuiltOnlyOnMiss(t *testing.T) {
 		goldenHash    = 0xd6ab438221668c4e
 		goldenScanned = 95446
 	)
-	m := NewMiner(denseTxns(29, 600, 100, 48))
+	m := newMiner(denseTxns(29, 600, 100, 48))
 	m.Workers = 1
 	var got []Itemset
 	merges := mergeSpans(m, func() { got = m.MineMaximal(2, nil) })
@@ -210,7 +210,7 @@ func TestConditionalTreeBuiltOnlyOnMiss(t *testing.T) {
 // brute-force MFIs.
 func TestClosureFolds(t *testing.T) {
 	txns := denseTxns(3, 40, 3, 13)
-	a, _ := NewMiner(txns).rankArena(2, nil, nil)
+	a, _ := newMiner(txns).rankArena(2, nil, nil)
 	order := a.order
 	ctx := newMineCtx(order, 2)
 	ctx.store = newMFIStore(len(order))
@@ -235,7 +235,7 @@ func TestClosureFolds(t *testing.T) {
 func TestMergeTimedOncePerCall(t *testing.T) {
 	txns := equivTxns(11, 300, 150, 10)
 	for _, workers := range []int{1, 2} {
-		m := NewMiner(txns)
+		m := newMiner(txns)
 		m.Workers = workers
 		merges := mergeSpans(m, func() {
 			m.MineMaximal(3, nil)

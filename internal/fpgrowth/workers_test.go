@@ -60,7 +60,7 @@ func TestShardMergeRestoresGlobalMaximality(t *testing.T) {
 		}
 	}
 	// Ranks equal item ids here, so the stores read as itemsets.
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	m.Workers = 8
 	stores, _ := minedStores(m, 2)
 	held := false
@@ -121,7 +121,7 @@ func TestShardActiveSubsetEquivalence(t *testing.T) {
 			if got := mineWith(t, txns, workers, minsup, active); !reflect.DeepEqual(want, got) {
 				t.Fatalf("minsup=%d workers=%d: active-subset MFIs diverge", minsup, workers)
 			}
-			m := NewMiner(txns)
+			m := newMiner(txns)
 			m.Workers = workers
 			got, err := m.MineMaximalFreq(minsup, active, freq)
 			if err != nil {
@@ -138,7 +138,7 @@ func TestShardActiveSubsetEquivalence(t *testing.T) {
 // hand-checked fixture, both whole-database and masked to a subset.
 func TestSupportCountMask(t *testing.T) {
 	txns := adversarialTxns()
-	m := NewMiner(txns)
+	m := newMiner(txns)
 	idx := m.BuildIndex()
 	if got := idx.SupportCount([]int{0, 1}, nil); got != 6 {
 		t.Fatalf("SupportCount({0,1}) = %d, want 6", got)

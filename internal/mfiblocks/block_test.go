@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/fpgrowth"
 	"repro/internal/gazetteer"
 	"repro/internal/record"
 )
@@ -17,12 +16,8 @@ func scorerFixture(t *testing.T, cfg Config, recs []*record.Record) *scorer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dict := record.BuildDictionary(coll)
-	txns := fpgrowth.NewTransactions(len(recs), 0)
-	for _, r := range recs {
-		txns.Append(dict.Encode(r))
-	}
-	return newScorer(&cfg, dict, txns, recs)
+	corpus := NewCorpus(coll)
+	return newScorer(&cfg, corpus.Dict, corpus.Txns, recs)
 }
 
 func mkRec(id int64, items ...record.Item) *record.Record {

@@ -39,13 +39,19 @@ type Result struct {
 	// candidates spilled.
 	PairScores map[record.Pair]float64
 	// PairPositions and PairBlockScores are columns aligned with Pairs:
-	// entry i holds Pairs[i]'s corpus positions and its PairScores
-	// entry. The scoring stage reads records, profiles and block scores
-	// by them instead of looking pairs up by BookID. Nil when the
-	// candidates spilled: emission stops recording them at the
-	// accumulator's first flush.
+	// entry i holds Pairs[i]'s corpus positions, in the order BookIDs
+	// gives, and its PairScores entry. The scoring stage reads them in
+	// place when BookIDs is its collection's record order, and converts
+	// Pairs to positions otherwise. Nil when the candidates spilled:
+	// emission stops recording them at the accumulator's first flush.
 	PairPositions   []PairPosition
 	PairBlockScores []float64
+	// BookIDs is the record order PairPositions index: the report at
+	// corpus position i is BookIDs[i]. It is the corpus's own BookIDs
+	// slice, held by reference, set with the columns and nil when they
+	// are; a scorer compares it with its collection's order before
+	// reading the columns.
+	BookIDs []int64
 	// Covered marks, per collection index, whether the record appeared
 	// in any accepted pair.
 	Covered []bool
@@ -227,8 +233,8 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 			}
 			if positions != nil && acc.Stats().Runs > 0 {
 				// The window flushed: from here on it holds only the
-				// candidates first seen since, and the scorer reads the
-				// merge by BookID.
+				// candidates first seen since, and the scorer converts
+				// the merge's BookIDs to positions.
 				positions, column = nil, nil
 			}
 			for _, m := range b.Members {
@@ -260,7 +266,7 @@ func RunCorpus(cfg Config, corpus *Corpus) (*Result, error) {
 	if pairs, scores, ok := acc.Resident(); ok {
 		res.Pairs, res.PairScores = pairs, scores
 		if positions != nil {
-			res.PairPositions = column
+			res.PairPositions, res.BookIDs = column, corpus.BookIDs
 			res.PairBlockScores = make([]float64, len(pairs))
 			for i, p := range pairs {
 				res.PairBlockScores[i] = scores[p]

@@ -394,12 +394,15 @@ func checkRun(t *testing.T, corpus string, cfg Config, workers ...int) {
 
 // columnsMatch holds a resident run's aligned columns to what they
 // describe: entry i of PairPositions names Pairs[i].A and Pairs[i].B by
-// their corpus positions (bookIDs[pos]), and entry i of PairBlockScores
-// is Pairs[i]'s PairScores entry.
+// their corpus positions (bookIDs[pos]), entry i of PairBlockScores is
+// Pairs[i]'s PairScores entry, and BookIDs is the corpus order bookIDs.
 func columnsMatch(t *testing.T, label string, got *Result, bookIDs []int64) {
 	t.Helper()
 	if len(got.PairPositions) != len(got.Pairs) || len(got.PairBlockScores) != len(got.Pairs) {
 		t.Fatalf("%s: %d positions and %d block scores for %d pairs", label, len(got.PairPositions), len(got.PairBlockScores), len(got.Pairs))
+	}
+	if !slices.Equal(got.BookIDs, bookIDs) {
+		t.Fatalf("%s: the columns' record order is not the corpus's", label)
 	}
 	for i, p := range got.Pairs {
 		pa, pb := got.PairPositions[i].Split()
@@ -486,7 +489,7 @@ func testSpilledMatchesSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Spill == nil || got.Spill.Stats().Runs < 2 || got.Pairs != nil || got.PairScores != nil ||
-		got.PairPositions != nil || got.PairBlockScores != nil {
+		got.PairPositions != nil || got.PairBlockScores != nil || got.BookIDs != nil {
 		t.Fatal("a cap of 32 pairs did not leave only a merge of at least two runs")
 	}
 	order, scores := collect(t, got)

@@ -110,31 +110,13 @@ func NewDictionary() *Dictionary {
 	return &Dictionary{ids: make(map[Item]int)}
 }
 
-// BuildDictionary encodes a collection: it assigns each distinct item key a
-// dense id and counts its document frequency.
-func BuildDictionary(c *Collection) *Dictionary {
-	d := NewDictionary()
-	for _, r := range c.Records {
-		seen := make(map[int]struct{}, len(r.Items))
-		for _, it := range r.Items {
-			id := d.intern(it)
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			d.freq[id]++
-		}
-	}
-	return d
-}
-
 // Observe interns one record's items, counts its document frequencies,
-// and returns the record's encoded transaction — the incremental
-// equivalent of BuildDictionary over a collection followed by Encode per
-// record. Observing a record sequence in collection order yields the
-// identical dictionary (same ids, same frequencies) and identical
-// transactions, which is what lets a streaming ingest stage encode each
-// record the moment it arrives and then drop it.
+// and returns the record's encoded transaction: its item ids, sorted and
+// deduplicated. Observing a record sequence in collection order yields
+// the dictionary (same ids, same frequencies) and transactions a batch
+// encoding of the collection would, which is what lets a streaming
+// ingest stage encode each record the moment it arrives and then drop
+// it.
 func (d *Dictionary) Observe(r *Record) []int {
 	ids := make([]int, len(r.Items))
 	for i, it := range r.Items {
@@ -169,26 +151,6 @@ func (d *Dictionary) Len() int { return len(d.keys) }
 
 // TypeOf returns the item type for an id.
 func (d *Dictionary) TypeOf(id int) ItemType { return d.types[id] }
-
-// Encode converts a record to a sorted, deduplicated slice of item ids.
-// Items absent from the dictionary are skipped.
-func (d *Dictionary) Encode(r *Record) []int {
-	seen := make(map[int]struct{}, len(r.Items))
-	ids := make([]int, 0, len(r.Items))
-	for _, it := range r.Items {
-		id, ok := d.ids[it]
-		if !ok {
-			continue
-		}
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
 
 // MostFrequent returns the item ids whose document frequency places them in
 // the top `fraction` of all items (e.g. 0.0003 for the paper's .03% pruning

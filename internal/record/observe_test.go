@@ -3,14 +3,54 @@ package record
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
 
+// buildDictionary is the batch encoding Observe is held to: it assigns
+// each distinct item key of the collection a dense id, in record order,
+// and counts its document frequency.
+func buildDictionary(c *Collection) *Dictionary {
+	d := NewDictionary()
+	for _, r := range c.Records {
+		seen := make(map[int]struct{}, len(r.Items))
+		for _, it := range r.Items {
+			id := d.intern(it)
+			if _, dup := seen[id]; dup {
+				continue
+			}
+			seen[id] = struct{}{}
+			d.freq[id]++
+		}
+	}
+	return d
+}
+
+// encode converts a record to a sorted, deduplicated slice of item ids
+// under the batch encoding. Items absent from the dictionary are skipped.
+func (d *Dictionary) encode(r *Record) []int {
+	seen := make(map[int]struct{}, len(r.Items))
+	ids := make([]int, 0, len(r.Items))
+	for _, it := range r.Items {
+		id, ok := d.ids[it]
+		if !ok {
+			continue
+		}
+		if _, dup := seen[id]; dup {
+			continue
+		}
+		seen[id] = struct{}{}
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
 // TestObserveMatchesBatch pins the incremental dictionary contract:
 // observing records one at a time in collection order yields the exact
 // dictionary (ids, keys, frequencies) and transactions that
-// BuildDictionary plus Encode produce — the equivalence the streaming
+// buildDictionary plus encode produce — the equivalence the streaming
 // ingest stage rests on.
 func TestObserveMatchesBatch(t *testing.T) {
 	var records []*Record
@@ -21,7 +61,7 @@ func TestObserveMatchesBatch(t *testing.T) {
 		r.Add(BirthYear, fmt.Sprintf("%d", 1900+i%5))
 		if i%2 == 0 {
 			// Duplicate item value: Observe must count document frequency
-			// once per record, exactly as BuildDictionary does.
+			// once per record, exactly as buildDictionary does.
 			r.Add(FirstName, fmt.Sprintf("Name%d", i%7))
 		}
 		records = append(records, r)
@@ -31,7 +71,7 @@ func TestObserveMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batch := BuildDictionary(coll)
+	batch := buildDictionary(coll)
 	inc := NewDictionary()
 	var incEncoded [][]int
 	for _, r := range coll.Records {
@@ -53,7 +93,7 @@ func TestObserveMatchesBatch(t *testing.T) {
 		}
 	}
 	for i, r := range coll.Records {
-		if want := batch.Encode(r); !reflect.DeepEqual(want, incEncoded[i]) {
+		if want := batch.encode(r); !reflect.DeepEqual(want, incEncoded[i]) {
 			t.Fatalf("record %d: transaction %v vs %v", i, incEncoded[i], want)
 		}
 	}

@@ -92,9 +92,9 @@ func TestDictionaryEncodeSortedUnique(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d := BuildDictionary(coll)
+		d := buildDictionary(coll)
 		for _, r := range recs {
-			enc := d.Encode(r)
+			enc := d.encode(r)
 			for i := 1; i < len(enc); i++ {
 				if enc[i] <= enc[i-1] {
 					return false

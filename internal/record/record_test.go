@@ -187,7 +187,7 @@ func TestDictionary(t *testing.T) {
 	b := &Record{BookID: 2}
 	b.Add(FirstName, "Guido")
 	c, _ := NewCollection([]*Record{a, b})
-	d := BuildDictionary(c)
+	d := buildDictionary(c)
 
 	if d.Len() != 2 {
 		t.Fatalf("dictionary size = %d", d.Len())
@@ -205,15 +205,15 @@ func TestDictionary(t *testing.T) {
 	if d.keys[id] != "F:Guido" {
 		t.Errorf("key = %q", d.keys[id])
 	}
-	enc := d.Encode(a)
+	enc := d.encode(a)
 	if len(enc) != 2 {
-		t.Errorf("Encode(a) = %v", enc)
+		t.Errorf("encode(a) = %v", enc)
 	}
 	// Unknown items are skipped.
 	x := &Record{BookID: 3}
 	x.Add(Gender, "0")
-	if got := d.Encode(x); len(got) != 0 {
-		t.Errorf("Encode(unknown) = %v", got)
+	if got := d.encode(x); len(got) != 0 {
+		t.Errorf("encode(unknown) = %v", got)
 	}
 }
 
@@ -228,7 +228,7 @@ func TestMostFrequent(t *testing.T) {
 		recs = append(recs, r)
 	}
 	c, _ := NewCollection(recs)
-	d := BuildDictionary(c)
+	d := buildDictionary(c)
 	top := d.MostFrequent(0.0001) // tiny fraction still yields >= 1 item
 	if len(top) != 1 {
 		t.Fatalf("MostFrequent = %v", top)
