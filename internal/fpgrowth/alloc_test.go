@@ -1,9 +1,6 @@
 package fpgrowth
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 // The flat-arena rewrite turned the support level's build and
 // support-set probes from thousands of per-node/map allocations into a
@@ -45,32 +42,5 @@ func TestSupportSetAllocs(t *testing.T) {
 	// implementation allocated ~10 per probe.
 	if allocs > 6 {
 		t.Fatalf("SupportSet allocates %.2f per run, want <= 6", allocs)
-	}
-}
-
-// TestWalkerSupportAllocs: once a Walker's stack levels and marks have
-// grown, materializing supports allocates nothing — mark-and-probe
-// included.
-func TestWalkerSupportAllocs(t *testing.T) {
-	txns := benchTxns(5000, 600, 14)
-	m := newMiner(txns)
-	idx := m.BuildIndex()
-	var seqs [][]int32
-	for _, s := range m.MineMaximal(4, nil) {
-		seqs = append(seqs, idx.RankSeq(nil, s.Items))
-	}
-	slices.SortFunc(seqs, slices.Compare[[]int32])
-	w := idx.NewWalker()
-	walk := func() {
-		for _, seq := range seqs {
-			w.Support(seq)
-		}
-	}
-	walk()
-	if w.marks.stamp == nil {
-		t.Fatal("the fixture never reaches mark-and-probe")
-	}
-	if allocs := testing.AllocsPerRun(5, walk); allocs != 0 {
-		t.Fatalf("Walker.Support allocates %.2f per walk of %d itemsets, want 0", allocs, len(seqs))
 	}
 }

@@ -110,19 +110,6 @@ func bruteMaximal(txns [][]int, minsup int) []Itemset {
 	return out
 }
 
-func containsAll(txn, set []int) bool {
-	m := make(map[int]bool, len(txn))
-	for _, it := range txn {
-		m[it] = true
-	}
-	for _, it := range set {
-		if !m[it] {
-			return false
-		}
-	}
-	return true
-}
-
 // mineAll is Mine for inputs that must not fail.
 func mineAll(t testing.TB, m *Miner, minsup int, active []int) []Itemset {
 	t.Helper()
@@ -280,71 +267,6 @@ func TestSupportSet(t *testing.T) {
 	if got := idx.SupportSet([]int{0, 1, 2}); !reflect.DeepEqual(got, []int{1}) {
 		t.Errorf("SupportSet({0,1,2}) = %v, want [1]", got)
 	}
-}
-
-// TestSupportSetBitsetPathsAgree forces the dense-bitset paths (membership
-// probing and whole-word AND) and checks them against a naive reference
-// intersection. The generated collection is large enough that common items
-// clear the bitset cutoff while rare items keep the posting-list path.
-func TestSupportSetBitsetPathsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const nTxn = 4096
-	txns := make([][]int, nTxn)
-	for i := range txns {
-		seen := map[int]bool{
-			rng.Intn(4): true, // a handful of very dense items
-		}
-		for k := 0; k < 3+rng.Intn(6); k++ {
-			seen[4+rng.Intn(200)] = true
-		}
-		if rng.Intn(64) == 0 {
-			seen[300+rng.Intn(8)] = true // sparse tail items
-		}
-		for it := range seen {
-			txns[i] = append(txns[i], it)
-		}
-		sort.Ints(txns[i])
-	}
-	idx := newMiner(txns).BuildIndex()
-
-	naive := func(items []int) []int {
-		var out []int
-		for ti, txn := range txns {
-			if containsAll(txn, items) {
-				out = append(out, ti)
-			}
-		}
-		return out
-	}
-	queries := [][]int{
-		{0, 1},          // all dense: word-AND path
-		{0, 1, 2, 3},    // all dense, deeper AND
-		{0, 301},        // dense + sparse: probe path
-		{301, 302},      // all sparse: merge path
-		{0, 17, 301},    // mixed
-		{2, 42, 99},     // dense driver with mid-frequency items
-		{0, 1, 2, 3, 0}, // duplicate item must be harmless
-	}
-	for _, q := range queries {
-		got := idx.SupportSet(q)
-		want := naive(q)
-		if len(got) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("SupportSet(%v): got %d txns, want %d (first divergence near %v)",
-				q, len(got), len(want), firstDiff(got, want))
-		}
-	}
-}
-
-func firstDiff(a, b []int) [2]int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return [2]int{a[i], b[i]}
-		}
-	}
-	return [2]int{len(a), len(b)}
 }
 
 func TestSupportSetMatchesMinedSupport(t *testing.T) {

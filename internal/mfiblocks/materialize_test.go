@@ -2,6 +2,7 @@ package mfiblocks
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -12,9 +13,11 @@ import (
 )
 
 // materializeFixture is a random corpus shaped to reach every case of
-// the materialization walk: genders and birth years far above the dense
-// boundary, names far below it and tying in posting length, cities
-// straddling it; plus a list of itemsets, mined and made up.
+// the group projection: genders, birth years and professions whose
+// posting lists span several words, names and cities of one word, many
+// tying in posting length, and fathers' names rare enough to be the
+// rarest item of a single itemset; plus a list of itemsets, mined and
+// made up.
 type materializeFixture struct {
 	corpus *Corpus
 	index  *fpgrowth.Index
@@ -37,6 +40,12 @@ func newMaterializeFixture(t testing.TB, seed int64) *materializeFixture {
 		if rng.Intn(3) > 0 {
 			r.Add(record.BirthCity, fmt.Sprintf("City%d", rng.Intn(40)))
 		}
+		if rng.Intn(4) > 0 {
+			r.Add(record.Profession, fmt.Sprintf("Job%d", rng.Intn(20)))
+		}
+		if rng.Intn(3) == 0 {
+			r.Add(record.FatherName, fmt.Sprintf("Father%d", rng.Intn(500)))
+		}
 		recs[i] = r
 	}
 	coll, err := record.NewCollection(recs)
@@ -47,32 +56,6 @@ func newMaterializeFixture(t testing.TB, seed int64) *materializeFixture {
 	txns := fx.corpus.Txns
 	miner := fpgrowth.NewMinerTxns(txns)
 	fx.index = miner.BuildIndex()
-
-	// The fixture must hold what the test is for: items on both sides of
-	// the dense boundary and ties in posting length.
-	lengths := make([]int, txns.MaxItem()+1)
-	for i := 0; i < n; i++ {
-		for _, it := range txns.Txn(i) {
-			lengths[it]++
-		}
-	}
-	boundary := max((n+63)/64, 64)
-	var dense, sparse, tied int
-	seen := map[int]bool{}
-	for _, l := range lengths {
-		if l >= boundary {
-			dense++
-		} else {
-			sparse++
-		}
-		if seen[l] {
-			tied++
-		}
-		seen[l] = true
-	}
-	if dense < 10 || sparse < 100 || tied < 50 {
-		t.Fatalf("fixture has %d dense, %d sparse, %d tied items", dense, sparse, tied)
-	}
 
 	itemsOf := func(i int) []int {
 		txn := txns.Txn(i)
@@ -97,16 +80,15 @@ func newMaterializeFixture(t testing.TB, seed int64) *materializeFixture {
 		set := fpgrowth.Itemset{Items: subset(a, 1+rng.Intn(len(a))), Support: 2}
 		switch i % 5 {
 		case 1:
-			// Two records' items together: the first name and last name
-			// of both are the rarest items of the set, and no record
-			// holds two of either, so the prefix is empty.
+			// Two records' items together: no record holds two first
+			// or last names, so the support is usually empty.
 			b := itemsOf(rng.Intn(n))
 			set.Items = append(set.Items, subset(b, 1+rng.Intn(len(b)))...)
 		case 2:
 			// A mined support above any cap, whatever the true one is.
 			set.Support = 1000
 		case 3:
-			// One item: the support is a posting list, not a copy.
+			// One item: the support is the group's posting list.
 			set.Items = set.Items[:1]
 		}
 		fx.mfis = append(fx.mfis, set)
@@ -114,17 +96,43 @@ func newMaterializeFixture(t testing.TB, seed int64) *materializeFixture {
 	if mined < 500 {
 		t.Fatalf("fixture mined only %d MFIs", mined)
 	}
+
+	// The fixture must hold what the test is for: every case of the
+	// group projection, counted over the itemsets grouped with no cap.
+	groups, _ := rarestFirstJobs(fx.index, fx.mfis, math.MaxInt)
+	var single, oneItem, multiWord, below2 int
+	for _, g := range groups {
+		if len(g.jobs) == 1 {
+			single++
+		}
+		if len(fx.index.Posting(g.rank)) > 64 {
+			multiWord++
+		}
+		for _, k := range g.jobs {
+			if items := fx.mfis[k].Items; len(items) == 1 {
+				oneItem++
+			} else if len(fx.index.SupportSet(items)) < 2 {
+				below2++
+			}
+		}
+	}
+	t.Logf("fixture: %d groups, %d of one MFI, %d over multi-word rows; %d one-item itemsets, %d with an AND below two",
+		len(groups), single, multiWord, oneItem, below2)
+	if single < 80 || multiWord < 25 || oneItem < 700 || below2 < 1200 {
+		t.Fatalf("fixture has %d one-MFI groups, %d groups with |P| > 64, %d one-item itemsets and %d with an AND below two",
+			single, multiWord, oneItem, below2)
+	}
 	return fx
 }
 
 // naiveBlocks is the reference: each itemset's block by the spec's cap
 // and reference score (specBlock) over its members, members[i] being the
-// spec's linear scan of fx.mfis[i] (specMembers), with no score floor.
-// An itemset whose mined support is already above the cap is pruned
-// without reading its members, as the materializer prunes it without a
-// walk.
-func naiveBlocks(sc *scorer, fx *materializeFixture, members [][]int, minsup, maxSize int) (blocks []*Block, csPruned int) {
-	for i, mfi := range fx.mfis {
+// spec's linear scan of mfis[i] (specMembers), with no score floor. An
+// itemset whose mined support is already above the cap is pruned without
+// reading its members, as the materializer prunes it without projecting
+// it.
+func naiveBlocks(sc *scorer, mfis []fpgrowth.Itemset, members [][]int, minsup, maxSize int) (blocks []*Block, csPruned int) {
+	for i, mfi := range mfis {
 		if mfi.Support > maxSize {
 			csPruned++
 			continue
@@ -140,7 +148,7 @@ func naiveBlocks(sc *scorer, fx *materializeFixture, members [][]int, minsup, ma
 	return blocks, csPruned
 }
 
-// TestBuildBlocksMatchesNaiveReference is the materialization walk's
+// TestBuildBlocksMatchesNaiveReference is the group projection's
 // property test: over random corpora, for every worker count, at two
 // minsup levels whose compact-set caps differ and at two score floors —
 // MinScore −1, below every score, and the default — buildBlocks returns
@@ -171,7 +179,7 @@ func TestBuildBlocksMatchesNaiveReference(t *testing.T) {
 			for i := range levels {
 				l := &levels[i]
 				maxSize := int(float64(l.minsup) * cfg.P)
-				l.all, l.csPruned = naiveBlocks(sc, fx, members, l.minsup, maxSize)
+				l.all, l.csPruned = naiveBlocks(sc, fx.mfis, members, l.minsup, maxSize)
 				var empty, capped int
 				for _, mfi := range fx.mfis {
 					switch n := len(fx.index.SupportSet(mfi.Items)); {
@@ -225,10 +233,10 @@ func TestBuildBlocksAllocs(t *testing.T) {
 		cfg.Workers = workers
 		blocks, _ := buildBlocks(&cfg, sc, fx.index, fx.mfis, 5, nil)
 		admitted := len(blocks)
-		// Per call: out, the job grouping's three slices, the span-less
-		// bookkeeping; per worker: the goroutine, the walker and its stack
-		// levels, the rank arena, the run entries and the Jaccard scratch,
-		// each growing by doubling.
+		// Per call: out, the job grouping's slices (the groups growing
+		// by doubling), the span-less bookkeeping; per worker: the goroutine, the materializer and its
+		// item slots, and the used list, projection rows, row offsets,
+		// support, member and Jaccard scratch, each growing by doubling.
 		slack := 32 + 64*workers
 		bound := float64(2*admitted + slack)
 		walked := 0
@@ -248,5 +256,49 @@ func TestBuildBlocksAllocs(t *testing.T) {
 				workers, allocs, admitted, len(fx.mfis), bound)
 		}
 		t.Logf("workers=%d: %.0f allocations, %d admitted blocks, %d MFIs", workers, allocs, admitted, len(fx.mfis))
+	}
+}
+
+// TestMaterializeGroupAllocs drives the materializer's group routine over
+// every group on one goroutine: once its scratch has grown, an MFI that
+// forms no block allocates nothing, and an admitted one its block and
+// member slice. It runs under the race detector too: one goroutine makes
+// no synchronization for it to count.
+func TestMaterializeGroupAllocs(t *testing.T) {
+	fx := newMaterializeFixture(t, 3)
+	cfg := NewConfig()
+	sc := newScorer(&cfg, fx.corpus.Dict, fx.corpus.Txns, fx.corpus.Records)
+	out := make([]*Block, len(fx.mfis))
+	m := newMaterializer(&cfg, sc, fx.index, fx.mfis, 5, out)
+	groups, _ := rarestFirstJobs(fx.index, fx.mfis, m.maxSize)
+	run := func() {
+		clear(out)
+		for _, g := range groups {
+			m.group(g)
+		}
+	}
+	admitted := func() int {
+		n := 0
+		for _, b := range out {
+			if b != nil {
+				n++
+			}
+		}
+		return n
+	}
+	run()
+	blocks := admitted()
+	if blocks == 0 || blocks == len(fx.mfis) {
+		t.Fatalf("%d of %d MFIs admitted: the fixture must admit some and leave some out", blocks, len(fx.mfis))
+	}
+	if allocs := testing.AllocsPerRun(5, run); allocs > float64(2*blocks) {
+		t.Errorf("%.0f allocations for %d admitted blocks, want ≤ %d", allocs, blocks, 2*blocks)
+	}
+	// With the floor at 1, above every score, every MFI is projected,
+	// and those that can form a block scored, yet none is admitted.
+	m.minScore = 1
+	run()
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 || admitted() != 0 {
+		t.Errorf("%.0f allocations and %d blocks with none admitted, want 0 and 0", allocs, admitted())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -306,18 +307,12 @@ func emit(acc *spill.Pairs, bookIDs []int64, b *Block, positions *[]PairPosition
 	return first, nil
 }
 
-// materializeRun is how many MFIs a buildBlocks worker takes from the
-// shared cursor at a time. Small runs keep the workers level — the MFIs of
-// common items sit together at the end of the rarest-first order and cost
-// far more than the rest, so a contiguous share per worker leaves one of
-// them with nearly all the work — while a run still holds enough
-// neighbours for the prefix stack to share intersections.
-const materializeRun = 256
-
-// runEntry is one MFI of a worker's current run: its index into the
-// iteration's MFIs and the window of its rank sequence in the worker's
-// arena.
-type runEntry struct{ k, off, n int32 }
+// group is the MFIs that share one rarest item: that item's rank and
+// their indices into the iteration's MFIs.
+type group struct {
+	rank int32
+	jobs []int32
+}
 
 // materializer is one buildBlocks worker: the iteration's shared,
 // read-only inputs, the output it writes at disjoint indices, and the
@@ -331,56 +326,120 @@ type materializer struct {
 	minScore float64
 	out      []*Block
 
-	walker *fpgrowth.Walker
-	js     jaccardScratch
-	seqs   []int32    // rank sequences of the run's MFIs, back to back
-	ents   []runEntry // the run, sorted by rank sequence
+	js      jaccardScratch
+	slot    []int32  // item id -> its row in the group's projection plus one; zero between groups
+	used    []int32  // the items holding a slot, in slot order
+	rows    []uint64 // the projection: one row of words words per used item
+	offs    []int    // an MFI's rows, as offsets into rows
+	support []uint64 // an MFI's support, a bit per transaction of the group's posting list
+	members []int    // that support, decoded
 }
 
-// run materializes, caps, and scores one run of MFIs (indices into
-// m.mfis) into m.out and returns how many the compact-set cap pruned.
-// The MFIs are walked in lexicographic rank-sequence order, so the walker
-// intersects each distinct prefix once; supports live in the walker's
-// stack and are scored there, and only an admitted block copies out an
-// exact-size member slice. Fewer than two members form no block; more
-// than maxSize are pruned; a score at or below Config.MinScore forms no
-// block either, since no level can admit it.
-func (m *materializer) run(run []int32) (pruned int) {
-	m.seqs, m.ents = m.seqs[:0], m.ents[:0]
-	for _, k := range run {
-		off := len(m.seqs)
-		m.seqs = m.index.RankSeq(m.seqs, m.mfis[k].Items)
-		m.ents = append(m.ents, runEntry{k, int32(off), int32(len(m.seqs) - off)})
+// newMaterializer returns one buildBlocks worker for the level at minsup.
+func newMaterializer(cfg *Config, sc *scorer, index *fpgrowth.Index, mfis []fpgrowth.Itemset, minsup int, out []*Block) *materializer {
+	return &materializer{
+		sc: sc, index: index, mfis: mfis,
+		minsup: minsup, maxSize: int(float64(minsup) * cfg.P), minScore: cfg.MinScore, out: out,
+		slot: make([]int32, index.NumItems()),
 	}
-	seqs := m.seqs
-	slices.SortFunc(m.ents, func(a, b runEntry) int {
-		return slices.Compare(seqs[a.off:a.off+a.n], seqs[b.off:b.off+b.n])
-	})
-	for _, e := range m.ents {
-		members := m.walker.Support(seqs[e.off : e.off+e.n])
-		switch n := len(members); {
-		case n < 2:
-		case n > m.maxSize:
-			pruned++
-		default:
-			score := m.sc.score(members, &m.js)
-			if score <= m.minScore {
-				continue
+}
+
+// group materializes, caps, and scores one group's MFIs into m.out and
+// returns how many the compact-set cap pruned. Every support in the group
+// is a subset of P, the posting list of its rarest item, so the group is
+// projected onto P as vertical bitmaps (MAFIA, Burdick et al., ICDE
+// 2001): each other item the MFIs use gets a row with bit k set when P's
+// k-th transaction holds it, all filled in one pass over P's
+// transactions, and an MFI's support is the AND of its rows (a one-item
+// MFI's is P itself). Fewer than two members form no block; more than
+// maxSize are pruned; a score at or below Config.MinScore forms no block
+// either, since no level can admit it. Members are decoded and scored
+// only for a support that passes the first two tests, and only an
+// admitted block copies out an exact-size member slice.
+func (m *materializer) group(g group) (pruned int) {
+	p := m.index.Posting(g.rank)
+	words := (len(p) + 63) / 64
+	used := m.used[:0]
+	for _, k := range g.jobs {
+		for _, it := range m.mfis[k].Items {
+			if m.slot[it] == 0 && m.index.Rank(it) != g.rank {
+				used = append(used, int32(it))
+				m.slot[it] = int32(len(used))
 			}
-			members = append(make([]int, 0, n), members...)
-			m.out[e.k] = &Block{Key: m.mfis[e.k].Items, Members: members, Score: score, MinSup: m.minsup}
 		}
 	}
+	rows := slices.Grow(m.rows[:0], len(used)*words)[:len(used)*words]
+	clear(rows)
+	if len(used) > 0 {
+		txns := m.sc.txns
+		for k, ti := range p {
+			word, bit := k>>6, uint64(1)<<(k&63)
+			for _, it := range txns.Txn(ti) {
+				if s := m.slot[it]; s > 0 {
+					rows[int(s-1)*words+word] |= bit
+				}
+			}
+		}
+	}
+	support := slices.Grow(m.support[:0], words)[:words]
+	for _, k := range g.jobs {
+		items := m.mfis[k].Items
+		offs := m.offs[:0]
+		for _, it := range items {
+			if s := m.slot[it]; s > 0 {
+				offs = append(offs, int(s-1)*words)
+			}
+		}
+		m.offs = offs
+		n := len(p)
+		if len(offs) > 0 {
+			n = 0
+			for w := range support {
+				x := rows[offs[0]+w]
+				for _, o := range offs[1:] {
+					x &= rows[o+w]
+				}
+				support[w] = x
+				n += bits.OnesCount64(x)
+			}
+		}
+		switch {
+		case n < 2:
+			continue
+		case n > m.maxSize:
+			pruned++
+			continue
+		}
+		members := p
+		if len(offs) > 0 {
+			members = m.members[:0]
+			for w, x := range support {
+				for ; x != 0; x &= x - 1 {
+					members = append(members, p[w<<6+bits.TrailingZeros64(x)])
+				}
+			}
+			m.members = members
+		}
+		score := m.sc.score(members, &m.js)
+		if score <= m.minScore {
+			continue
+		}
+		m.out[k] = &Block{Key: items, Members: slices.Clone(members), Score: score, MinSup: m.minsup}
+	}
+	for _, it := range used {
+		m.slot[it] = 0
+	}
+	m.used, m.rows, m.support = used, rows, support
 	return pruned
 }
 
-// rarestFirstJobs returns the indices of the MFIs that can still form a
-// block, grouped by the rank of their rarest item (one counting sort; the
-// workers order each run fully), and how many it dropped. Mining runs
-// over the still-active subset, so the mined support lower-bounds the
-// whole-database support the cap is checked against: Support > maxSize
-// already implies the materialized set would be pruned.
-func rarestFirstJobs(index *fpgrowth.Index, mfis []fpgrowth.Itemset, maxSize int) (jobs []int32, pruned int) {
+// rarestFirstJobs returns the MFIs that can still form a block, grouped
+// by the rank of their rarest item (one counting sort; groups ascend by
+// rank, and a group's MFIs by index), and how many it dropped. Mining
+// runs over the still-active subset, so the mined support lower-bounds
+// the whole-database support the cap is checked against: Support >
+// maxSize already implies the materialized set would be pruned.
+func rarestFirstJobs(index *fpgrowth.Index, mfis []fpgrowth.Itemset, maxSize int) (groups []group, pruned int) {
 	rarest := make([]int32, len(mfis))
 	starts := make([]int32, index.NumItems()+1)
 	for k := range mfis {
@@ -399,14 +458,19 @@ func rarestFirstJobs(index *fpgrowth.Index, mfis []fpgrowth.Itemset, maxSize int
 	for r := 1; r < len(starts); r++ {
 		starts[r] += starts[r-1]
 	}
-	jobs = make([]int32, len(mfis)-pruned)
+	jobs := make([]int32, len(mfis)-pruned)
+	for r := 0; r+1 < len(starts); r++ {
+		if lo, hi := starts[r], starts[r+1]; hi > lo {
+			groups = append(groups, group{int32(r), jobs[lo:hi:hi]})
+		}
+	}
 	for k, r := range rarest {
 		if r >= 0 {
 			jobs[starts[r]] = int32(k)
 			starts[r]++
 		}
 	}
-	return jobs, pruned
+	return groups, pruned
 }
 
 // buildBlocks materializes and scores the MFI supports in parallel and
@@ -417,39 +481,33 @@ func rarestFirstJobs(index *fpgrowth.Index, mfis []fpgrowth.Itemset, maxSize int
 // whole database (the SupportSet contract): coverage never masks a
 // record out of a new block.
 //
-// The MFIs are visited rarest item first, so that those sharing their
-// rarest items — where almost all of the intersection work is — are
-// neighbours; workers pull runs of that order through an atomic cursor.
-// Each block is still written at its MFI's index, so blocks come back in
-// MFI order whatever the schedule; enforceNG re-sorts them under a total
-// order, so nothing downstream depends on it — nor on the MFI order
-// itself, which is why the miner may hand them over unsorted.
+// The MFIs are grouped by their rarest item, and workers claim whole
+// groups through an atomic cursor, the commonest rarest items first: their
+// groups project the longest posting lists, so the cheap ones are left to
+// even out the end. Each block is still written at its MFI's index, so
+// blocks come back in MFI order whatever the schedule; enforceNG re-sorts
+// them under a total order, so nothing downstream depends on it — nor on
+// the MFI order itself, which is why the miner may hand them over
+// unsorted.
 func buildBlocks(cfg *Config, sc *scorer, index *fpgrowth.Index, mfis []fpgrowth.Itemset, minsup int, parent *trace.Span) ([]*Block, int) {
 	bsp := parent.Child("build_blocks", trace.WithKind(trace.KindOp)).
 		Attr("mfis", int64(len(mfis)))
-	maxSize := int(float64(minsup) * cfg.P)
 	out := make([]*Block, len(mfis))
-	jobs, pruned := rarestFirstJobs(index, mfis, maxSize)
+	groups, pruned := rarestFirstJobs(index, mfis, int(float64(minsup)*cfg.P))
 	var cursor, csPruned atomic.Int64
 	csPruned.Store(int64(pruned))
 	var wg sync.WaitGroup
-	workers := min(cfg.workers(), (len(jobs)+materializeRun-1)/materializeRun)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(cfg.workers(), len(groups)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m := materializer{
-				sc: sc, index: index, mfis: mfis,
-				minsup: minsup, maxSize: maxSize, minScore: cfg.MinScore, out: out,
-				walker: index.NewWalker(),
-			}
+			m := newMaterializer(cfg, sc, index, mfis, minsup, out)
 			for {
-				hi := int(cursor.Add(materializeRun))
-				lo := hi - materializeRun
-				if lo >= len(jobs) {
+				g := len(groups) - int(cursor.Add(1))
+				if g < 0 {
 					return
 				}
-				csPruned.Add(int64(m.run(jobs[lo:min(hi, len(jobs))])))
+				csPruned.Add(int64(m.group(groups[g])))
 			}
 		}()
 	}

@@ -137,6 +137,28 @@ func TestRunSpillMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestEachPairReadsSpillOnce: EachPair consumes and closes a spilled
+// result's merge, so a second call fails instead of delivering the
+// candidates still in the window alone.
+func TestEachPairReadsSpillOnce(t *testing.T) {
+	cfg := NewConfig()
+	cfg.SpillPairs = 16
+	cfg.SpillDir = t.TempDir()
+	res, err := Run(cfg, specCorpora()["italy"].coll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Spill == nil {
+		t.Fatal("a run past its cap did not spill")
+	}
+	if order, _ := collect(t, res); len(order) <= cfg.SpillPairs {
+		t.Fatalf("the merge delivered %d pairs, want more than the cap of %d", len(order), cfg.SpillPairs)
+	}
+	if err := res.EachPair(func(record.Pair, float64) {}); err == nil {
+		t.Fatal("a second EachPair on a spilled result succeeded")
+	}
+}
+
 // TestSpillDirTouchedOnlyPastCap pins the disk seam of the one candidate
 // accumulator. A spill directory that does not exist costs a run whose
 // candidates fit under the cap nothing, because such a run never opens a

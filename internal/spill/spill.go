@@ -76,11 +76,12 @@ type Pairs struct {
 	dir string
 	// order and mem are the window: its distinct pairs in first-seen
 	// order, and each one's maximal score.
-	order []record.Pair
-	mem   map[record.Pair]float64
-	runs  []run
-	stats Stats
-	done  bool
+	order  []record.Pair
+	mem    map[record.Pair]float64
+	runs   []run
+	stats  Stats
+	done   bool
+	closed bool
 
 	// Trace, when set, parents a span per run flush and one for the
 	// merge setup — the disk activity of a spilled run, on the
@@ -199,7 +200,12 @@ func comparePairs(a, b record.Pair) int {
 // Iter finalizes the accumulator and returns the merged stream: every
 // distinct pair exactly once, ascending by (A, B), each with the maximal
 // score observed across all events. Add must not be called afterwards.
+// After Close the runs are gone, so Iter fails rather than merge the
+// window alone.
 func (s *Pairs) Iter() (*Iter, error) {
+	if s.closed {
+		return nil, fmt.Errorf("spill: Iter after Close")
+	}
 	s.done = true
 	sp := s.Trace.Child("spill_merge_open").
 		Attr("runs", int64(s.stats.Runs)).
@@ -239,6 +245,7 @@ func (s *Pairs) Iter() (*Iter, error) {
 
 // Close releases all run files. Safe to call more than once.
 func (s *Pairs) Close() error {
+	s.closed = true
 	var first error
 	for _, r := range s.runs {
 		if err := r.f.Close(); err != nil && first == nil {

@@ -292,6 +292,27 @@ func TestPairsAddAfterIter(t *testing.T) {
 	}
 }
 
+// TestPairsIterAfterClose asserts a closed accumulator refuses to merge:
+// Close releases the runs, and a merge of the window alone would drop
+// every pair that spilled.
+func TestPairsIterAfterClose(t *testing.T) {
+	s := NewPairs(4, t.TempDir())
+	for i := int64(0); i < 10; i++ {
+		if _, err := s.Add(record.MakePair(i, i+100), 1.0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Stats().Runs == 0 {
+		t.Fatal("10 pairs under a cap of 4 never spilled")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if it, err := s.Iter(); err == nil {
+		t.Fatalf("Iter after Close succeeded: %v", it)
+	}
+}
+
 // TestPairsStats pins the byte accounting of the run format.
 func TestPairsStats(t *testing.T) {
 	s := NewPairs(3, t.TempDir())
